@@ -26,7 +26,6 @@ from .cycles import (
 from .scroll import (
     Scroll,
     SnakePartition,
-    fiber,
     scroll_from_seed,
     snakes_and_cosnakes,
 )

@@ -16,7 +16,7 @@ from .cycles import is_independent
 from .cyclic import canonical, cyclically_equal, rotations
 from .necklaces import necklaces_fixed_content
 from .scroll import Scroll, scroll_from_seed
-from .slither import CoSlither, Slither, coslither_from_row, slither_from_row
+from .slither import coslither_from_row, slither_from_row
 
 
 @dataclass(frozen=True, order=True)
@@ -174,7 +174,3 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
             f"n={n}: {len(records)} necklace pairs but {len(tapes)} distinct tapes"
         )
     return records
-
-
-def round_trip_words(row: str) -> tuple[Slither, CoSlither]:
-    return slither_from_row(row), coslither_from_row(row)

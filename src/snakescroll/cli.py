@@ -2,7 +2,6 @@
 
 Subcommands: orbit, classify, verify, sum-period, construct.
 Exit codes: 0 success, 1 input error, 2 theorem violation.
-SNAKE_SCROLL_THREADS caps worker parallelism in verify.
 """
 
 from __future__ import annotations

@@ -133,9 +133,3 @@ def all_orbits(n: int) -> list[Orbit]:
         seen.update(o.rows)
         parts.append(o)
     return parts
-
-
-def rotate_word(bits: str, shift: int) -> str:
-    """Cyclic left rotation: position 1 of the result is position 1+shift."""
-    s = shift % len(bits)
-    return bits[s:] + bits[:s]

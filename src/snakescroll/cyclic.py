@@ -37,7 +37,3 @@ def least_period(word: str) -> int:
 def exponent(word: str) -> int:
     """len / least cyclic period; the repeated-block count."""
     return len(word) // least_period(word)
-
-
-def primitive_block(word: str) -> str:
-    return word[: least_period(word)]

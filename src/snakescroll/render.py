@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scroll import snakes_and_cosnakes, tape_to_cell
+from .scroll import snakes_and_cosnakes
 from .tables import OrbitTable
 
 ANSI_COLORS = [31, 34, 35, 32, 33, 36, 91, 94, 95, 92, 93, 96]
@@ -77,21 +77,19 @@ def svg_table(table: OrbitTable, unit: int = 28) -> str:
             f'stroke="#eeeeee"/>'
         )
 
-    def xy(i: int, j: int) -> tuple[int, int]:
-        return j * unit, (i + 1) * unit
+    def xy(t: int) -> tuple[int, int]:
+        i, j = divmod(t - 1, n)  # tape index t = i*n + (j+1)
+        return (j + 1) * unit, (i + 1) * unit
 
     def edge(t: int, u: int, color: str, dash: str) -> None:
-        i1, j1 = tape_to_cell(t, n)
-        i2, j2 = tape_to_cell(u, n)
-        x1, y1 = xy(i1, j1)
+        x1, y1 = xy(t)
         attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
-        if 0 <= i2 < r:
-            x2, y2 = xy(i2, j2)
+        if 1 <= u <= table.size:
+            x2, y2 = xy(u)
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
         else:
             # wrap past the bottom: split with re-entry markers
-            i2w = i2 % r
-            x2, y2 = xy(i2w, j2)
+            x2, y2 = xy((u - 1) % table.size + 1)
             xm = (n + 1) * unit + unit // 2
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{xm}" y2="{y1}" {attrs}/>')
             out.append(f'<circle cx="{xm}" cy="{y1}" r="3" fill="{color}"/>')
@@ -110,8 +108,7 @@ def svg_table(table: OrbitTable, unit: int = 28) -> str:
         edge(t, ct, ccolor, 'stroke-dasharray="4 3"')
 
     for t in table.live:
-        i, j = tape_to_cell(t, n)
-        x, y = xy(i, j)
+        x, y = xy(t)
         scolor = SNAKE_PALETTE[snake_idx[part.snake_label[t % part.sigma]] % len(SNAKE_PALETTE)]
         ccolor = COSNAKE_PALETTE[
             cosnake_idx[part.cosnake_label[t % part.sigma]] % len(COSNAKE_PALETTE)

@@ -6,7 +6,7 @@ import json
 from typing import Any
 
 from .cyclic import cyclically_equal
-from .scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
+from .scroll import scroll_from_seed, snakes_and_cosnakes
 from .sums import col_scale, sum_vector
 from .tables import (
     co_swallow,
@@ -185,7 +185,3 @@ def classification_to_csv(report: dict[str, Any]) -> str:
             f"{rec['slither']},{rec['coslither']},{rec['firstRow']},{rec['tapeCanonical']}"
         )
     return "\n".join(lines) + "\n"
-
-
-def scroll_window_json(s: Scroll) -> str:
-    return s.to_json()

@@ -1,10 +1,18 @@
-"""Scroll and ticker-tape coordinates, successor maps, snake partitions.
+"""The scroll as one flat ticker tape: successor maps, snake partitions.
 
-The scroll repeats the fundamental orbit rows cyclically; reads accept
-any integer row.  Column overflow wraps into the next row (the cylinder
-identification: position (i, j+n) reads the same cell as (i+1, j)), and
-the ticker tape is the row-major reading X_k with k = i*n + j, columns
-j in 1..n.
+The scroll repeats the fundamental orbit rows cyclically, and the ticker
+tape X_t is its row-major reading.  Cell (i, j) of the scroll, for any
+integer row i and column j, is tape index t = i*n + j; this is the
+cylinder identification, under which (i, j+n) and (i+1, j) are the same
+cell.  So the tape alone is the scroll: the fundamental vector (the m
+orbit rows concatenated) repeated with period m*n, read as
+tape(t) = vector[(t-1) % (m*n)].
+
+Each step map (successor, co-successor and their inverses) moves a live
+index t to the one live index among two candidates.  Which candidate is
+live depends only on t mod m*n, so each map is stored as one letter per
+residue, found once per orbit by testing that map's own two candidates
+on the vector.
 
 All snake and co-snake computation happens on the live tape indices of
 one window [0, sigma).  Shifting by sigma fixes every snake and every
@@ -14,38 +22,33 @@ cannot merge under that shift, so the finite quotient is faithful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cycles import Orbit, orbit
-from .dsu import DisjointSet
-from .slither import ScrollMetrics, metrics_from_row
+from .slither import ScrollMetrics, metrics_from_row, step_advance
+
+DEAD = "."  # step letter of a dead residue
 
 
-def project(row: int, col: int, n: int) -> tuple[int, int]:
-    """Normalize an unbounded coordinate to column range 1..n.
+def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
+    """One step letter per residue of the fundamental vector.
 
-    Each full column overflow carries into the next row, so (0, n+1)
-    lands at (1, 1) and negative columns borrow rows.
+    The candidates of a live residue r are r + sign*advance(letter) for
+    each of the two letters.  A dead residue gets DEAD; a live one gets
+    its live candidate's letter, or, when not exactly one candidate is
+    live, the digit counting its live candidates.
     """
-    k = (col - 1) // n
-    return row + k, col - k * n
-
-
-def lift(row: int, col: int, k: int, n: int) -> tuple[int, int]:
-    """Sheet-k preimage of a normalized coordinate; inverse of project."""
-    return row - k, col + k * n
-
-
-def tape_to_cell(t: int, n: int) -> tuple[int, int]:
-    """Tape index k = i*n + j with j in 1..n."""
-    j = (t - 1) % n + 1
-    return (t - j) // n, j
-
-
-def cell_to_tape(row: int, col: int, n: int) -> int:
-    return row * n + col
+    size = len(vector)
+    cands = [(sign * step_advance(letter, n), letter) for letter in letters]
+    out = []
+    for r, bit in enumerate(vector):
+        if not bit:
+            out.append(DEAD)
+            continue
+        hits = [letter for d, letter in cands if vector[(r + d) % size]]
+        out.append(hits[0] if len(hits) == 1 else str(len(hits)))
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -60,22 +63,14 @@ class Scroll:
     def m(self) -> int:
         return self.base.m
 
-    def read(self, row: int, col: int) -> int:
-        row, col = project(row, col, self.n)
-        return int(self.base.rows[row % self.m][col - 1])
+    @cached_property
+    def vector(self) -> bytes:
+        """The fundamental vector: the first m*n tape symbols, as 0/1 bytes."""
+        return bytes(map(int, "".join(self.base.rows)))
 
     def tape(self, t: int) -> int:
-        row, col = tape_to_cell(t, self.n)
-        return self.read(row, col)
-
-    def live_in_rows(self, row_lo: int, row_hi: int) -> list[tuple[int, int]]:
-        """Live entries (i, j) with row_lo <= i < row_hi."""
-        out = []
-        for i in range(row_lo, row_hi):
-            for j, b in enumerate(self.base.rows[i % self.m], start=1):
-                if b == "1":
-                    out.append((i, j))
-        return out
+        vector = self.vector
+        return vector[(t - 1) % len(vector)]
 
     @cached_property
     def metrics(self) -> ScrollMetrics:
@@ -93,61 +88,84 @@ class Scroll:
     def tape_period(self) -> int:
         return self.metrics.T_tape
 
-    def _pick(self, t: int, cands: list[tuple[int, str]], what: str) -> tuple[int, str]:
-        hits = [(u, step) for u, step in cands if self.tape(u) == 1]
-        if len(hits) != 1:
-            raise AssertionError(
-                f"{what} of live index {t}: {len(hits)} live candidates, expected 1"
-            )
-        return hits[0]
+    @cached_property
+    def successor_letters(self) -> str:
+        return _step_letters(self.vector, self.n, "ED", 1)
 
-    def _require_live(self, t: int) -> None:
-        if self.tape(t) != 1:
+    @cached_property
+    def co_successor_letters(self) -> str:
+        return _step_letters(self.vector, self.n, "SL", 1)
+
+    @cached_property
+    def predecessor_letters(self) -> str:
+        return _step_letters(self.vector, self.n, "ED", -1)
+
+    @cached_property
+    def co_predecessor_letters(self) -> str:
+        return _step_letters(self.vector, self.n, "SL", -1)
+
+    def _step(self, letters: str, t: int, sign: int, what: str) -> tuple[int, str]:
+        letter = letters[(t - 1) % len(letters)]
+        if letter == DEAD:
             raise ValueError(f"tape index {t} is not live")
+        if letter.isdigit():
+            raise AssertionError(
+                f"{what} of live index {t}: {letter} live candidates, expected 1"
+            )
+        return t + sign * step_advance(letter, self.n), letter
 
     def successor_step(self, t: int) -> tuple[int, str]:
-        self._require_live(t)
-        n = self.n
-        return self._pick(t, [(t + 2, "E"), (t + n + 1, "D")], "successor")
+        return self._step(self.successor_letters, t, 1, "successor")
 
     def successor(self, t: int) -> int:
         return self.successor_step(t)[0]
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
-        self._require_live(t)
-        n = self.n
-        return self._pick(t, [(t + 2 * n - 1, "S"), (t + 2 * n - 2, "L")], "co-successor")
+        return self._step(self.co_successor_letters, t, 1, "co-successor")
 
     def co_successor(self, t: int) -> int:
         return self.co_successor_step(t)[0]
 
     def predecessor_step(self, t: int) -> tuple[int, str]:
-        self._require_live(t)
-        n = self.n
-        return self._pick(t, [(t - 2, "E"), (t - n - 1, "D")], "predecessor")
+        return self._step(self.predecessor_letters, t, -1, "predecessor")
 
     def predecessor(self, t: int) -> int:
         return self.predecessor_step(t)[0]
 
     def co_predecessor_step(self, t: int) -> tuple[int, str]:
-        self._require_live(t)
-        n = self.n
-        return self._pick(
-            t, [(t - 2 * n + 1, "S"), (t - 2 * n + 2, "L")], "co-predecessor"
-        )
+        return self._step(self.co_predecessor_letters, t, -1, "co-predecessor")
 
     def co_predecessor(self, t: int) -> int:
         return self.co_predecessor_step(t)[0]
 
-    def to_json(self) -> str:
-        live = [[i, j] for (i, j) in self.live_in_rows(0, self.m)]
-        return json.dumps(
-            {"n": self.n, "rows": list(self.base.rows), "liveEntries": live}
-        )
-
 
 def scroll_from_seed(bits: str) -> Scroll:
     return Scroll(orbit(bits))
+
+
+def cycle_labels(items, step) -> dict:
+    """Map each item to the least member of its cycle under step.
+
+    step must permute items; otherwise AssertionError.  The keys are the
+    caller's own item objects.
+    """
+    label = dict.fromkeys(items)
+    for start in label:
+        if label[start] is not None:
+            continue
+        label[start] = start
+        cycle = [start]
+        x = step(start)
+        while x != start:
+            if x not in label or label[x] is not None:
+                raise AssertionError(f"step is not a permutation of the items: reached {x}")
+            label[x] = start
+            cycle.append(x)
+            x = step(x)
+        least = min(cycle)
+        for x in cycle:
+            label[x] = least
+    return label
 
 
 @dataclass(frozen=True)
@@ -178,23 +196,9 @@ def snakes_and_cosnakes(s: Scroll) -> SnakePartition:
     window = tuple(t for t in range(sigma) if s.tape(t) == 1)
     if not window:
         raise ValueError("scroll window has no live entries")
-    snakes = DisjointSet(window)
-    cosnakes = DisjointSet(window)
-    for t in window:
-        snakes.union(t, s.successor(t) % sigma)
-        cosnakes.union(t, s.co_successor(t) % sigma)
-    return SnakePartition(sigma, window, snakes.components(), cosnakes.components())
-
-
-def fiber(t: int, part: SnakePartition) -> frozenset[int]:
-    """Window residues in the same snake and the same co-snake as t."""
-    return frozenset(
-        u
-        for u in part.window
-        if part.snake_label[u] == part.snake_label[t % part.sigma]
-        and part.cosnake_label[u] == part.cosnake_label[t % part.sigma]
+    return SnakePartition(
+        sigma,
+        window,
+        cycle_labels(window, lambda t: s.successor(t) % sigma),
+        cycle_labels(window, lambda t: s.co_successor(t) % sigma),
     )
-
-
-def same_fiber(t1: int, t2: int, part: SnakePartition) -> bool:
-    return (t1 - t2) % part.sigma == 0

@@ -19,11 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .cyclic import exponent, primitive_block
+from .cyclic import exponent
+
+# (rows, columns) one step of each type moves across the scroll
+_STEP_SHAPE = {"E": (0, 2), "D": (1, 1), "S": (2, -1), "L": (2, -2)}
+
 
 def step_advance(kind: str, n: int) -> int:
     """Tape advance of one step of the given type."""
-    return {"D": n + 1, "E": 2, "S": 2 * n - 1, "L": 2 * n - 2}[kind]
+    rows, cols = _STEP_SHAPE[kind]
+    return rows * n + cols
 
 
 @dataclass(frozen=True)
@@ -64,16 +69,8 @@ class CoSlither:
 class ZeroBlocks:
     """Gap structure of a row whose column 1 is live."""
 
-    inner: tuple[tuple[int, int], ...]  # (start column, length) per gap
-    trailing: tuple[int, int]  # zeros after the last live entry
-
-    @property
-    def inner_lengths(self) -> tuple[int, ...]:
-        return tuple(z for _, z in self.inner)
-
-    @property
-    def trailing_length(self) -> int:
-        return self.trailing[1]
+    inner_lengths: tuple[int, ...]  # one per gap between live entries
+    trailing_length: int  # zeros after the last live entry
 
 
 def analysis_window(row: str) -> str:
@@ -100,12 +97,8 @@ def zero_blocks(row: str) -> ZeroBlocks:
     if row[0] != "1":
         raise ValueError("row must be rotated so column 1 is live")
     ones = [i for i, b in enumerate(row) if b == "1"]
-    inner = []
-    for a, b in zip(ones, ones[1:]):
-        inner.append((a + 2, b - a - 1))  # 1-based start column of the gap
-    n = len(row)
-    trailing = (ones[-1] + 2, n - 1 - ones[-1])
-    return ZeroBlocks(tuple(inner), trailing)
+    inner = tuple(b - a - 1 for a, b in zip(ones, ones[1:]))
+    return ZeroBlocks(inner, len(row) - 1 - ones[-1])
 
 
 def _subslither(z: int) -> str:
@@ -152,14 +145,6 @@ class ScrollMetrics:
     sigma: int  # scale
     T_tape: int
     T_scroll: int
-
-    @property
-    def primitive_slither(self) -> str:
-        return primitive_block(self.slither.word)
-
-    @property
-    def primitive_coslither(self) -> str:
-        return primitive_block(self.coslither.word)
 
 
 def metrics_from_row(row: str, n: int) -> ScrollMetrics:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .dsu import DisjointSet
-from .scroll import Scroll, SnakePartition, snakes_and_cosnakes
+from .scroll import Scroll, SnakePartition, cycle_labels, snakes_and_cosnakes
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class OrbitTable:
     @cached_property
     def live(self) -> tuple[int, ...]:
         """Live tape indices in 1..r*n."""
-        return tuple(t for t in range(1, self.size + 1) if self.scroll.tape(t) == 1)
+        return tuple(t for t, bit in enumerate(self.scroll.vector * self.omega, 1) if bit)
 
     @property
     def eta(self) -> int:
@@ -79,12 +78,9 @@ class OuroborosPartition:
 
 @lru_cache(maxsize=256)
 def ouroboros_partition(t: OrbitTable) -> OuroborosPartition:
-    ouro = DisjointSet(t.live)
-    co = DisjointSet(t.live)
-    for k in t.live:
-        ouro.union(k, t.successor(k))
-        co.union(k, t.co_successor(k))
-    return OuroborosPartition(ouro.components(), co.components())
+    return OuroborosPartition(
+        cycle_labels(t.live, t.successor), cycle_labels(t.live, t.co_successor)
+    )
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
@@ -150,7 +146,7 @@ class SwallowPermutation:
 
 
 def _cyclic_label_order(
-    s: Scroll, part: SnakePartition, labels_of, step, anchor: int
+    part: SnakePartition, labels_of, step, anchor: int
 ) -> tuple[int, ...]:
     """Labels in the cyclic order induced by repeatedly applying step."""
     count = len(set(labels_of.values()))
@@ -174,7 +170,7 @@ def swallow(t: OrbitTable) -> SwallowPermutation:
     part = snakes_and_cosnakes(s)
     anchor = min(t.live)
     # snakes are traversed once per co-slither cycle: order by co-successor
-    order = _cyclic_label_order(s, part, part.snake_label, s.co_successor, anchor)
+    order = _cyclic_label_order(part, part.snake_label, s.co_successor, anchor)
     image = {}
     for label in order:
         head = max(k for k in t.live if part_label(part, part.snake_label, k) == label)
@@ -187,7 +183,7 @@ def co_swallow(t: OrbitTable) -> SwallowPermutation:
     part = snakes_and_cosnakes(s)
     anchor = min(t.live)
     # co-snakes are traversed once per slither cycle: order by successor
-    order = _cyclic_label_order(s, part, part.cosnake_label, s.successor, anchor)
+    order = _cyclic_label_order(part, part.cosnake_label, s.successor, anchor)
     image = {}
     for label in order:
         head = max(

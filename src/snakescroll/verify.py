@@ -7,15 +7,13 @@ silently dropped; an empty violation list is the pass condition.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import cyclically_equal
-from .scroll import Scroll, project, snakes_and_cosnakes
+from .scroll import Scroll, snakes_and_cosnakes
 from .sums import col_scale, sum_vector
 from .tables import (
     co_swallow,
@@ -54,13 +52,6 @@ class VerificationReport:
         else:
             self.violations.append(f"{name}: {context}")
 
-    def merge(self, other: "VerificationReport") -> None:
-        for name, count in other.passed.items():
-            self.passed[name] = self.passed.get(name, 0) + count
-        self.violations.extend(other.violations)
-        self.same_side_degree_failures.extend(other.same_side_degree_failures)
-        self.product_form_failures.extend(other.product_form_failures)
-
     @property
     def is_clean(self) -> bool:
         return not self.violations
@@ -95,10 +86,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     for t in live:
         i, j = divmod(t - 1, n)
         j += 1
-        neighbors = [(i - 1, j), (i - 1, j + 1), (i, j - 1), (i, j + 1), (i + 1, j - 1), (i + 1, j)]
         rep.check(
             "six-neighbor zeros",
-            all(s.read(a, b) == 0 for a, b in neighbors),
+            all(s.tape(t + d) == 0 for d in (-n, 1 - n, -1, 1, n - 1, n)),
             f"{ctx} at ({i},{j})",
         )
         try:
@@ -230,8 +220,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
                 )
 
     # free action on the universal scroll
-    i0, j0 = project(0, live[0], n)
-    start = (i0, j0)
+    i0, j0 = divmod(live[0] - 1, n)
+    start = (i0, j0 + 1)
     for a in range(-part.beta, part.beta + 1):
         for b in range(-part.alpha, part.alpha + 1):
             if (a, b) == (0, 0):
@@ -350,13 +340,6 @@ def classification_completeness(n: int, rep: VerificationReport) -> None:
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SNAKE_SCROLL_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def run_verification(
     n_min: int = 2,
     n_max: int = 14,
@@ -365,25 +348,12 @@ def run_verification(
     completeness: bool = False,
 ) -> VerificationReport:
     rep = VerificationReport()
-
-    def verify_one(o) -> VerificationReport:
-        local = VerificationReport()
-        s = Scroll(o)
-        check_scroll(s, local, extended=extended)
-        if omega_max:
-            check_tables(s, omega_max, local)
-        return local
-
     for n in range(n_min, n_max + 1):
-        orbits = all_orbits(n)
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for local in pool.map(verify_one, orbits):
-                    rep.merge(local)
-        else:
-            for o in orbits:
-                rep.merge(verify_one(o))
+        for o in all_orbits(n):
+            s = Scroll(o)
+            check_scroll(s, rep, extended=extended)
+            if omega_max:
+                check_tables(s, omega_max, rep)
         if completeness:
             classification_completeness(n, rep)
     return rep

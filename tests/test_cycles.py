@@ -8,7 +8,6 @@ from snakescroll.cycles import (
     eca1_local,
     is_independent,
     orbit,
-    rotate_word,
     sweep,
     toggle,
 )
@@ -108,9 +107,3 @@ def test_all_orbits_partition():
         for o in all_orbits(n):
             seen.extend(o.rows)
         assert sorted(seen) == enumerate_independent_sets(n)
-
-
-def test_rotate_word():
-    assert rotate_word("abcde", 2) == "cdeab"
-    assert rotate_word("abcde", 0) == "abcde"
-    assert rotate_word("abcde", -1) == "eabcd"

@@ -5,7 +5,6 @@ from snakescroll.cyclic import (
     cyclically_equal,
     exponent,
     least_period,
-    primitive_block,
     rotations,
 )
 
@@ -50,9 +49,7 @@ def test_least_period():
     assert least_period("aba") == 3
 
 
-def test_exponent_and_primitive_block():
+def test_exponent():
     assert exponent("EDEDED") == 3
-    assert primitive_block("EDEDED") == "ED"
     assert exponent("SS") == 2
-    assert primitive_block("SS") == "S"
     assert exponent("EEDDED") == 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit, sweep, toggle
 from snakescroll.cyclic import canonical, cyclically_equal, least_period, rotations
-from snakescroll.scroll import project, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
 
 
 @st.composite
@@ -52,13 +52,13 @@ def test_window_size_is_alpha_beta(bits):
     assert len(part.window) == part.alpha * part.beta
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(2, 9))
-def test_project_is_idempotent_and_in_range(row, col, n):
-    i, j = project(row, col, n)
-    assert 1 <= j <= n
-    assert project(i, j, n) == (i, j)
-    # moving n columns moves exactly one row
-    assert project(row, col + n, n) == (i + 1, j)
+@given(independent_sets(), st.integers(-50, 50), st.data())
+@settings(deadline=None)
+def test_tape_reads_the_cylinder(bits, i, data):
+    # cell (i, j) of the scroll is tape index i*n + j
+    s = scroll_from_seed(bits)
+    j = data.draw(st.integers(1, s.n))
+    assert s.tape(i * s.n + j) == int(s.base.rows[i % s.m][j - 1])
 
 
 @given(st.text(alphabet="DE", min_size=1, max_size=12))

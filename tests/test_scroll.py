@@ -1,55 +1,18 @@
-"""Cylinder coordinates, successor maps, snake partitions."""
-
-import json
+"""The flat ticker tape, successor maps, snake partitions."""
 
 import pytest
 
-from snakescroll.scroll import (
-    cell_to_tape,
-    fiber,
-    lift,
-    project,
-    same_fiber,
-    scroll_from_seed,
-    snakes_and_cosnakes,
-    tape_to_cell,
-)
+from snakescroll.cycles import Orbit
+from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
 
 SEED11 = "00001010000"
-
-
-def test_project_normalizes_columns():
-    assert project(0, 12, 11) == (1, 1)
-    assert project(-1, -5, 11) == (-2, 6)
-    assert project(3, 7, 11) == (3, 7)
-    assert project(0, 11, 11) == (0, 11)
-    assert project(0, 22, 11) == (1, 11)
-
-
-def test_lift_inverts_project():
-    for row in range(-3, 4):
-        for col in range(-25, 26):
-            i, j = project(row, col, 11)
-            assert 1 <= j <= 11
-            for k in range(-2, 3):
-                li, lj = lift(i, j, k, 11)
-                assert project(li, lj, 11) == (i, j)
-
-
-def test_tape_cell_round_trip():
-    for t in range(-40, 41):
-        i, j = tape_to_cell(t, 11)
-        assert 1 <= j <= 11
-        assert cell_to_tape(i, j, 11) == t
 
 
 def test_scroll_reads_repeat_the_orbit():
     s = scroll_from_seed(SEED11)
     assert s.m == 7
-    for i in range(7):
-        for j in range(1, 12):
-            assert s.read(i, j) == s.read(i + 7, j)
-            assert s.read(i, j + 11) == s.read(i + 1, j)
+    for t in range(-2 * 77, 2 * 77):
+        assert s.tape(t) == s.tape(t + 77)  # one orbit period: m*n tape cells
 
 
 def test_successor_steps_on_the_running_example():
@@ -97,17 +60,25 @@ def test_fibers_are_singletons():
     s = scroll_from_seed(SEED11)
     part = snakes_and_cosnakes(s)
     for t in part.window:
-        assert fiber(t, part) == frozenset({t})
-    assert same_fiber(5, 5 + 42, part)
-    assert not same_fiber(5, 7, part)
+        fiber = [
+            u
+            for u in part.window
+            if part.snake_of(u) == part.snake_of(t)
+            and part.cosnake_of(u) == part.cosnake_of(t)
+        ]
+        assert fiber == [t]
+        assert part.snake_of(t + 42) == part.snake_of(t)
+        assert part.cosnake_of(t + 42) == part.cosnake_of(t)
 
 
-def test_to_json_layout():
-    s = scroll_from_seed("00")
-    payload = json.loads(s.to_json())
-    assert payload["n"] == 2
-    assert payload["rows"] == ["00", "10", "01"]
-    assert payload["liveEntries"] == [[1, 1], [2, 2]]
+def test_step_failures_are_per_index():
+    # not a sweep orbit: tape 10000010 repeating, live at residues 1 and 7
+    s = Scroll(Orbit(("1000", "0010")))
+    with pytest.raises(AssertionError, match="0 live candidates"):
+        s.successor_step(1)
+    with pytest.raises(ValueError):
+        s.successor_step(2)
+    assert s.co_successor_step(1) == (7, "L")
 
 
 def test_metrics_raise_on_inconsistent_use():

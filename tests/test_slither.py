@@ -72,8 +72,6 @@ def test_running_example_metrics():
     assert met.sigma == 42
     assert met.T_tape == 7
     assert met.T_scroll == 7
-    assert met.primitive_slither == "ED"
-    assert met.primitive_coslither == "S"
 
 
 def test_scale_closed_forms_agree_everywhere():

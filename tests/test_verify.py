@@ -1,8 +1,5 @@
 """The brute-force suite itself stays clean on small cycles."""
 
-import os
-from unittest import mock
-
 from snakescroll.verify import run_verification
 
 
@@ -19,11 +16,3 @@ def test_known_evidence_lists_populate():
     assert rep.is_clean
     # n=5 seed 00100 has deg(p1)=2, deg=3: same-side divisibility fails
     assert any("n=5" in line for line in rep.same_side_degree_failures)
-
-
-def test_threaded_run_matches_serial():
-    serial = run_verification(2, 7, omega_max=2, extended=False)
-    with mock.patch.dict(os.environ, {"SNAKE_SCROLL_THREADS": "4"}):
-        threaded = run_verification(2, 7, omega_max=2, extended=False)
-    assert serial.passed == threaded.passed
-    assert threaded.is_clean
