@@ -6,17 +6,27 @@ of cyclic words with feasible counts arises from exactly one tape up to
 shift.  The first row is rebuilt by inverting the subslither calculus:
 tokenize the slither as (E | D E* D)* D E*, then let the co-slither
 letters fix the gap parities.
+
+Each record's tape is built without simulating the orbit.  Read as a
+tape, the sweep is the recurrence X_{t+n} = NOR(X_{t+n-1}, X_t, X_{t+1}),
+so the first row determines every later symbol; only one period, the
+first T_tape symbols, is built, checked to repeat with least period
+T_tape, and canonicalised.  The fundamental vector is that period
+repeated lcm(T_tape, n) / T_tape times, and the least rotation of a power
+is the power of the least rotation.  `canonical_tape` still reads the
+simulated orbit rows: `verify` compares the two paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cycles import is_independent
-from .cyclic import canonical, cyclically_equal, rotations
+from .cyclic import canonical, cyclically_equal, least_period, rotations
 from .necklaces import necklaces_fixed_content
-from .scroll import Scroll, scroll_from_seed
-from .slither import coslither_from_row, slither_from_row
+from .scroll import Scroll
+from .slither import metrics_from_row
 
 
 @dataclass(frozen=True, order=True)
@@ -130,6 +140,27 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
     return row
 
 
+def tape_prefix(row: str, period: int) -> str:
+    """The first `period` tape symbols of the scroll whose first row is row.
+
+    Raises AssertionError unless the tape has least period `period`: the
+    n symbols after the prefix must repeat the first row, and the prefix
+    must not be a power of a shorter word.
+    """
+    n = len(row)
+    x = [int(b) for b in row]
+    for s in range(n, period + n):
+        x.append(1 - (x[s - 1] | x[s - n] | x[s - n + 1]))
+    if x[period:] != x[:n]:
+        raise AssertionError(f"tape of row {row!r} does not repeat after {period}")
+    prefix = "".join(map(str, x[:period]))
+    if least_period(prefix) != period:
+        raise AssertionError(
+            f"tape of row {row!r} has least period {least_period(prefix)}, not {period}"
+        )
+    return prefix
+
+
 def canonical_tape(s: Scroll) -> str:
     """Least rotation of the fundamental orbit vector."""
     return canonical("".join(s.base.rows))
@@ -154,20 +185,24 @@ def coslither_necklaces(quad: FeasibleQuadruple) -> list[str]:
 
 def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
     """One record per ticker tape of width n, up to cyclic shift."""
+    if n < 2:
+        raise ValueError("cycle graphs need at least 2 vertices")
     records: list[TapeClass] = []
     for quad in feasible_quadruples(n):
         for ws in slither_necklaces(quad):
             for wc in coslither_necklaces(quad):
                 row = construct_first_row(ws, wc, n)
-                scr = scroll_from_seed(row)
+                met = metrics_from_row(row, n)
                 # round trip guards the construction
-                back_s = slither_from_row(row).word
-                back_c = coslither_from_row(row).word
+                back_s = met.slither.word
+                back_c = met.coslither.word
                 if not cyclically_equal(back_s, ws) or not cyclically_equal(back_c, wc):
                     raise AssertionError(
                         f"round trip failed for ({ws}, {wc}) at n={n}"
                     )
-                records.append(TapeClass(quad, ws, wc, row, canonical_tape(scr)))
+                period = met.T_tape
+                tape = canonical(tape_prefix(row, period)) * (lcm(period, n) // period)
+                records.append(TapeClass(quad, ws, wc, row, tape))
     tapes = {rec.tape for rec in records}
     if len(tapes) != len(records):
         raise AssertionError(

@@ -1,4 +1,9 @@
-"""Small helpers for words considered up to cyclic rotation."""
+"""Small helpers for words considered up to cyclic rotation.
+
+The canonical form is the least rotation, found in O(L) time and memory
+by Booth's algorithm (K. S. Booth, "Lexicographically least circular
+substrings", IPL 1980).
+"""
 
 from __future__ import annotations
 
@@ -13,10 +18,27 @@ _LETTER_RANK = str.maketrans("DESL01", "010101")
 def canonical(word: str) -> str:
     """Least rotation in lexicographic order with D < E and S < L.
 
-    ASCII agrees for D/E but not for S/L, so compare through a rank
-    translation instead of the raw strings.
+    ASCII agrees for D/E but not for S/L, so Booth's algorithm runs on
+    the rank translation, and the start it finds rotates the raw word.
     """
-    return min(rotations(word), key=lambda w: w.translate(_LETTER_RANK))
+    ranked = word.translate(_LETTER_RANK) * 2
+    # fail[d]: failure function of the least candidate so far, which starts at k.
+    fail = [-1] * len(ranked)
+    k = 0
+    for j in range(1, len(ranked)):
+        c = ranked[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ranked[k + i + 1]:
+            if c < ranked[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ranked[k + i + 1]:  # here i == -1
+            if c < ranked[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return word[k:] + word[:k]
 
 
 def cyclically_equal(a: str, b: str) -> bool:

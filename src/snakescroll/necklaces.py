@@ -1,7 +1,9 @@
 """Binary necklaces with fixed content, by canonical-rotation filtering.
 
 A necklace is an equivalence class of words under rotation; we represent
-each class by its least rotation.  Counts are cross-checked against the
+each class by its least rotation.  Every arrangement of the content is
+generated and kept when it is its own least rotation; `canonical` is
+linear, so the filter costs O(L) per candidate.  Counts are cross-checked against the
 Burnside formula (1/L) * sum over d | gcd(k, L-k) of phi(d)*C(L/d, k/d).
 """
 

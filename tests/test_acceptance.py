@@ -220,7 +220,7 @@ def test_criterion_6_round_trip_and_completeness():
             assert cyclically_equal(
                 coslither_from_row(rec.first_row).word, rec.coslither
             )
-    for n in range(2, 15):
+    for n in range(2, 21):
         simulated = {canonical_tape(Scroll(o)) for o in all_orbits(n)}
         classified = {rec.tape for rec in enumerate_ticker_tapes(n)}
         assert simulated == classified, f"n={n}"

@@ -9,10 +9,12 @@ from snakescroll.classify import (
     enumerate_ticker_tapes,
     feasible_quadruples,
     gf_count,
+    tape_prefix,
 )
+from snakescroll.cycles import enumerate_independent_sets
 from snakescroll.cyclic import canonical, cyclically_equal
 from snakescroll.scroll import scroll_from_seed
-from snakescroll.slither import coslither_from_row, slither_from_row
+from snakescroll.slither import coslither_from_row, metrics_from_row, slither_from_row
 
 
 def test_quadruple_constraints():
@@ -48,6 +50,20 @@ def test_construct_round_trip():
             back_c = coslither_from_row(rec.first_row).word
             assert cyclically_equal(back_s, rec.slither)
             assert cyclically_equal(back_c, rec.coslither)
+
+
+def test_tape_prefix_follows_the_simulated_tape():
+    for n in range(2, 13):
+        for row in enumerate_independent_sets(n):
+            if "1" not in row:
+                continue
+            period = metrics_from_row(row, n).T_tape
+            vector = scroll_from_seed(row).vector
+            assert tape_prefix(row, period) == "".join(map(str, vector[:period]))
+            with pytest.raises(AssertionError):
+                tape_prefix(row, period - 1)  # the tape does not repeat
+            with pytest.raises(AssertionError):
+                tape_prefix(row, 2 * period)  # repeats, but not least
 
 
 def test_construct_rejects_mismatched_words():

@@ -82,6 +82,14 @@ def test_classify_csv(capsys):
     assert out.count("\n") == 18  # header + 17 rows
 
 
+def test_classify_rejects_too_few_vertices(capsys):
+    for n in ("0", "1"):
+        code, out, err = run(capsys, "classify", "--n", n)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "cycle graphs need at least 2 vertices" in err
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(
         capsys, "verify", "--n-min", "2", "--n-max", "6", "--omega-max", "2"

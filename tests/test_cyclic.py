@@ -29,6 +29,25 @@ def test_canonical_binary_words():
     assert canonical("10100001010") == "00001010101"
 
 
+def test_canonical_of_periodic_words():
+    # powers of a shorter block: every period offers a tied least start
+    cases = {
+        "0101": "0101",
+        "1010": "0101",
+        "001001": "001001",
+        "100100": "001001",
+        "010010": "001001",
+        "DEDEDE": "DEDEDE",
+        "EDEDED": "DEDEDE",
+        "LSLSLS": "SLSLSL",
+        "LLSLLS": "SLLSLL",
+        "0000": "0000",
+        "E": "E",
+    }
+    for word, least in cases.items():
+        assert canonical(word) == least, word
+
+
 def test_canonical_is_a_fixed_point():
     for w in ("DDEDE", "SLLSL", "0010010"):
         assert canonical(canonical(w)) == canonical(w)

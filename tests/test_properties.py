@@ -68,6 +68,24 @@ def test_canonical_represents_the_rotation_class(word):
     assert all(canonical(r) == c for r in rotations(word))
 
 
+# The letter order D < E, S < L, 0 < 1, written out independently of the
+# library so the brute-force least rotation shares nothing with Booth's.
+_ORDER = {"D": 0, "E": 1, "S": 0, "L": 1, "0": 0, "1": 1}
+
+
+def least_rotation(word):
+    return min(rotations(word), key=lambda r: [_ORDER[c] for c in r])
+
+
+@given(
+    st.sampled_from(["DE", "SL", "01"]).flatmap(
+        lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=40)
+    )
+)
+def test_canonical_is_the_least_rotation(word):
+    assert canonical(word) == least_rotation(word)
+
+
 @given(st.text(alphabet="SL", min_size=1, max_size=12))
 def test_least_period_divides_length(word):
     d = least_period(word)
