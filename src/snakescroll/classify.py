@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cycles import is_independent
-from .cyclic import canonical, cyclically_equal, least_period, rotations
+from .cyclic import canonical, cyclically_equal, least_period
 from .necklaces import necklaces_fixed_content
 from .scroll import Scroll
 from .slither import metrics_from_row
@@ -77,22 +77,17 @@ def gf_count(n: int) -> int:
 
 
 def _parse_tokens(word: str):
-    """Tokenize a slither rotation as (E | D E* D)* D E*, or None."""
+    """Tokenize a slither as (E | D E* D)* D E*; its D count must be odd."""
     last_d = word.rfind("D")
-    if last_d < 0:
-        return None
     trailing_e = len(word) - 1 - last_d
-    prefix = word[:last_d]
     tokens = []
     i = 0
-    while i < len(prefix):
-        if prefix[i] == "E":
+    while i < last_d:
+        if word[i] == "E":
             tokens.append(("E", 0))
             i += 1
             continue
-        j = prefix.find("D", i + 1)
-        if j < 0:
-            return None
+        j = word.find("D", i + 1)
         tokens.append(("D", j - i - 1))
         i = j + 1
     return tokens, trailing_e
@@ -101,23 +96,29 @@ def _parse_tokens(word: str):
 def construct_first_row(ws: str, wc: str, n: int) -> str:
     """First row of the tape defined by a feasible pair of cyclic words.
 
-    The slither is rotated to a grammar-valid rotation first; which
-    rotations of either word are used only shifts the resulting tape.
+    Raises ValueError unless ws is over D/E, wc over S/L, and the letter
+    counts satisfy beta_D = 2 alpha - 1 and 2 beta_E + 3 alpha_S +
+    4 alpha_L = n + 1.  An odd D count lets every rotation of the slither
+    parse; which rotations of the two words are given only shifts the
+    resulting tape.
     """
-    parsed = None
-    for rot in rotations(ws):
-        parsed = _parse_tokens(rot)
-        if parsed is not None:
-            break
-    if parsed is None:
-        raise ValueError(f"slither word {ws!r} admits no grammar rotation")
-    tokens, trailing_e = parsed
+    if not set(ws) <= {"D", "E"} or not set(wc) <= {"S", "L"}:
+        raise ValueError(
+            f"slither {ws!r} must be over D/E and co-slither {wc!r} over S/L"
+        )
+    beta_d, beta_e = ws.count("D"), ws.count("E")
+    alpha_s, alpha_l = wc.count("S"), wc.count("L")
+    if beta_d != 2 * len(wc) - 1:
+        raise ValueError(
+            f"slither has {beta_d} D; a co-slither of length {len(wc)} "
+            f"needs {2 * len(wc) - 1}"
+        )
+    weight = 2 * beta_e + 3 * alpha_s + 4 * alpha_l
+    if weight != n + 1:
+        raise ValueError(f"letter counts give 2E + 3S + 4L = {weight}, not n + 1 = {n + 1}")
+    tokens, trailing_e = _parse_tokens(ws)
 
     inner_d = [idx for idx, (kind, _) in enumerate(tokens) if kind == "D"]
-    if len(wc) != len(inner_d) + 1:
-        raise ValueError(
-            f"co-slither length {len(wc)} does not match {len(inner_d)} inner gaps + 1"
-        )
     trailing_z = 2 * trailing_e + (1 if wc[0] == "S" else 2)
     # remaining letters fix the inner D-gaps from rightmost to leftmost
     gap_z: dict[int, int] = {}
@@ -133,7 +134,7 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
     row = "".join(parts)
     if len(row) != n:
         raise AssertionError(
-            f"constructed row has length {len(row)}, expected {n}: pair infeasible?"
+            f"constructed row has length {len(row)}, expected {n}"
         )
     if not is_independent(row):
         raise AssertionError(f"constructed row is not independent: {row!r}")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .classify import construct_first_row, feasible_quadruples
+from .cyclic import least_period
 from .scroll import Scroll, scroll_from_seed
 from .tables import OrbitTable
 
@@ -16,22 +17,14 @@ class SumVector:
     lam: int  # least cyclic period
 
 
-def vector_period(values: tuple[int, ...]) -> int:
-    """Least d dividing len(values) with the vector fixed by a shift of d."""
-    n = len(values)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(values[i] == values[(i + d) % n] for i in range(n)):
-            return d
-    return n
-
-
 def sum_vector(t: OrbitTable) -> SumVector:
     sums = [0] * t.n
     for row in t.rows:
         for j, b in enumerate(row):
             sums[j] += int(b)
     sums = tuple(sums)
-    return SumVector(sums, vector_period(sums))
+    # least_period reads a string: one character per column sum
+    return SumVector(sums, least_period("".join(map(chr, sums))))
 
 
 def col_scale(s: Scroll) -> int:

@@ -4,7 +4,10 @@ An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by reducing the row (that is,
 the tape index) modulo the table size.  Their orbits are the ouroboroi
 and co-ouroboroi; live entries form a torsor of the finite abelian group
-generated by the two reduced maps.
+generated by the two reduced maps.  That group has rank at most two, so
+its invariant factors are two gcds of its presentation (`group_invariants`);
+`permutation_group_invariants` reads them off the torsor instead, as an
+oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .scroll import Scroll, SnakePartition, cycle_labels, snakes_and_cosnakes
+from .scroll import Scroll, cycle_labels, snakes_and_cosnakes
 
 
 @dataclass(frozen=True)
@@ -145,105 +148,36 @@ class SwallowPermutation:
         return self.shift == 0
 
 
-def _cyclic_label_order(
-    part: SnakePartition, labels_of, step, anchor: int
-) -> tuple[int, ...]:
-    """Labels in the cyclic order induced by repeatedly applying step."""
-    count = len(set(labels_of.values()))
+def _swallow(
+    t: OrbitTable, label_of, count: int, order_step, swallow_step
+) -> SwallowPermutation:
+    """The count labels in the cyclic order of order_step from the first
+    live entry, each mapped to the label swallow_step reaches from its
+    head (its greatest live index in the table)."""
     order = []
-    t = anchor
+    k = t.live[0]
     for _ in range(count):
-        order.append(part_label(part, labels_of, t))
-        t = step(t)
+        order.append(label_of(k))
+        k = order_step(k)
     if len(set(order)) != count:
         raise AssertionError("step map does not traverse all labels once")
-    return tuple(order)
-
-
-def part_label(part: SnakePartition, labels: dict[int, int], t: int) -> int:
-    return labels[t % part.sigma]
+    head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
+    return SwallowPermutation(
+        tuple(order), {label: label_of(swallow_step(head[label])) for label in order}
+    )
 
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
-    s = t.scroll
-    part = snakes_and_cosnakes(s)
-    anchor = min(t.live)
+    part = snakes_and_cosnakes(t.scroll)
     # snakes are traversed once per co-slither cycle: order by co-successor
-    order = _cyclic_label_order(part, part.snake_label, s.co_successor, anchor)
-    image = {}
-    for label in order:
-        head = max(k for k in t.live if part_label(part, part.snake_label, k) == label)
-        image[label] = part_label(part, part.snake_label, t.successor(head))
-    return SwallowPermutation(order, image)
+    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor, t.successor)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
-    s = t.scroll
-    part = snakes_and_cosnakes(s)
-    anchor = min(t.live)
+    part = snakes_and_cosnakes(t.scroll)
     # co-snakes are traversed once per slither cycle: order by successor
-    order = _cyclic_label_order(part, part.cosnake_label, s.successor, anchor)
-    image = {}
-    for label in order:
-        head = max(
-            k for k in t.live if part_label(part, part.cosnake_label, k) == label
-        )
-        image[label] = part_label(part, part.cosnake_label, t.co_successor(head))
-    return SwallowPermutation(order, image)
-
-
-def smith_invariants(rows: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of an integer relation matrix.
-
-    Elementary row/column reduction; fine for the tiny matrices here.
-    """
-    mat = [row[:] for row in rows]
-    nrows, ncols = len(mat), len(mat[0]) if mat else 0
-    invariants = []
-    top = 0
-    while top < min(nrows, ncols):
-        pivot = min(
-            (
-                (abs(mat[i][j]), i, j)
-                for i in range(top, nrows)
-                for j in range(top, ncols)
-                if mat[i][j] != 0
-            ),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        mat[top], mat[pi] = mat[pi], mat[top]
-        for row in mat:
-            row[top], row[pj] = row[pj], row[top]
-        dirty = False
-        for i in range(top + 1, nrows):
-            q = mat[i][top] // mat[top][top]
-            if q:
-                for j in range(ncols):
-                    mat[i][j] -= q * mat[top][j]
-            if mat[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, ncols):
-            q = mat[top][j] // mat[top][top]
-            if q:
-                for i in range(nrows):
-                    mat[i][j] -= q * mat[i][top]
-            if mat[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        invariants.append(abs(mat[top][top]))
-        top += 1
-    # enforce the divisibility chain d1 | d2 | ...
-    for i in range(len(invariants)):
-        for j in range(i + 1, len(invariants)):
-            a, b = invariants[i], invariants[j]
-            g = gcd(a, b)
-            invariants[i], invariants[j] = g, a * b // g if g else 0
-    return invariants
+    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor, t.co_successor)
 
 
 @dataclass(frozen=True)
@@ -285,8 +219,12 @@ def product_invariants(a: int, b: int) -> tuple[int, ...]:
 def group_invariants(t: OrbitTable) -> GroupInvariants:
     """Invariant factors of <s, c | sc=cs, s^beta=c^alpha, s^(eta/a)=c^(eta/b)=1>.
 
+    The relation matrix has two columns, so its invariant factors are its
+    determinantal divisors (H. J. S. Smith, 1861): d1 is the gcd of its
+    entries, and d1*d2 the gcd of its three 2x2 minors, which must be eta.
     The presentation describes the actual permutation group generated by
-    the reduced maps (checked against brute force in the test suite).
+    the reduced maps (checked against `permutation_group_invariants` in
+    the test suite).
     Simple transitivity gives order eta, ord s = eta/bar_alpha and
     ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
     g = gcd(bar_alpha, bar_beta).  The two product decompositions are
@@ -298,51 +236,54 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     part = snakes_and_cosnakes(t.scroll)
     tab = ouroboros_partition(t)
     eta = t.eta
-    rel = [
-        [part.beta, -part.alpha],
-        [eta // tab.bar_alpha, 0],
-        [0, eta // tab.bar_beta],
-    ]
-    factors = tuple(smith_invariants(rel))
-    inv = GroupInvariants(
-        factors,
-        product_invariants(tab.bar_alpha, eta // tab.bar_alpha),
-        product_invariants(tab.bar_beta, eta // tab.bar_beta),
+    ord_s, ord_c = eta // tab.bar_alpha, eta // tab.bar_beta
+    # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
+    d1 = gcd(part.alpha, part.beta, ord_s, ord_c)
+    order = gcd(part.alpha * ord_s, part.beta * ord_c, ord_s * ord_c)
+    if order != eta:
+        raise AssertionError(f"group order {order} != live count {eta}")
+    return GroupInvariants(
+        (d1, order // d1),
+        product_invariants(tab.bar_alpha, ord_s),
+        product_invariants(tab.bar_beta, ord_c),
     )
-    if inv.order != eta:
-        raise AssertionError(f"group order {inv.order} != live count {eta}")
-    return inv
 
 
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
-    """Invariant factors of the concrete group generated by the reduced maps.
+    """Nontrivial invariant factors of the group the reduced maps generate.
 
-    Brute force: find the full relation lattice of the two commuting
-    permutations and reduce it.  Oracle for group_invariants.
+    Oracle for group_invariants: it reads only the live entries and the
+    two maps s (successor) and c (co-successor).  Commuting maps whose
+    group is transitive on the live entries act simply transitively, so
+    the group is Z^2 modulo the stabiliser lattice of t0.  With l the
+    length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
+    k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
     live = t.live
-    sperm = {k: t.successor(k) for k in live}
-    cperm = {k: t.co_successor(k) for k in live}
-
-    def perm_order(p: dict[int, int]) -> int:
-        count = 1
-        cur = dict(p)
-        while any(cur[k] != k for k in live):
-            cur = {k: p[cur[k]] for k in live}
-            count += 1
-        return count
-
-    ord_s, ord_c = perm_order(sperm), perm_order(cperm)
-    rels = [[ord_s, 0], [0, ord_c]]
-    s_power = {k: k for k in live}
-    for a in range(ord_s):
-        composed = dict(s_power)
-        for b in range(ord_c):
-            if (a, b) != (0, 0) and all(composed[k] == k for k in live):
-                rels.append([a, b])
-            composed = {k: cperm[composed[k]] for k in live}
-        s_power = {k: sperm[s_power[k]] for k in live}
-    return tuple(d for d in smith_invariants(rels) if d > 1)
+    s = {x: t.successor(x) for x in live}
+    c = {x: t.co_successor(x) for x in live}
+    for x in live:
+        if s[c[x]] != c[s[x]]:
+            raise AssertionError(f"successor and co-successor do not commute at {x}")
+    t0 = live[0]
+    c_index: dict[int, int] = {}
+    x = t0
+    while x not in c_index:
+        c_index[x] = len(c_index)
+        x = c[x]
+    if x != t0:
+        raise AssertionError("co-successor does not return to t0")
+    ell = len(c_index)
+    x, k = s[t0], 1
+    while x not in c_index:
+        if k == len(live):
+            raise AssertionError("successor does not return to the c-orbit of t0")
+        x, k = s[x], k + 1
+    j = c_index[x]
+    if k * ell != len(live):
+        raise AssertionError(f"the group moves t0 to {k * ell} of {len(live)} entries")
+    d1 = gcd(ell, k, j)
+    return tuple(d for d in (d1, k * ell // d1) if d > 1)
 
 
 def table_slither(t: OrbitTable) -> str:

@@ -39,8 +39,9 @@ class VerificationReport:
     # deg(p_1) | codeg, codeg(p_1) | deg is the one that always holds)
     same_side_degree_failures: list[str] = field(default_factory=list)
     # tables whose group is not the direct product Z_bar_alpha x Z_(eta/bar_alpha)
-    # (resp. the co-ouroboros product); the presentation-based invariants are
-    # the ground truth, verified against the raw permutation group
+    # (resp. the co-ouroboros product); the presentation's closed-form
+    # invariants are the ground truth, and the test suite checks them
+    # against the torsor oracle permutation_group_invariants
     product_form_failures: list[str] = field(default_factory=list)
 
     def ok(self, name: str) -> None:

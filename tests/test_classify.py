@@ -70,7 +70,7 @@ def test_construct_rejects_mismatched_words():
     with pytest.raises(ValueError):
         construct_first_row("EDEDED", "SSS", 11)
     with pytest.raises(ValueError):
-        construct_first_row("EEE", "S", 7)  # no D: no grammar rotation
+        construct_first_row("EEE", "S", 7)  # beta_D = 0, not 2 alpha - 1 = 1
 
 
 def test_n13_classification_table():

@@ -140,6 +140,21 @@ def test_construct_rejects_infeasible_pair(capsys):
     )
     assert code == EXIT_INPUT
 
+    # 2 E + 3 S + 4 L = 3 is not n + 1 = 6
+    code, _, err = run(
+        capsys, "construct", "--slither", "D", "--coslither", "S", "--n", "5"
+    )
+    assert code == EXIT_INPUT
+    assert "input error" in err
+
+
+def test_construct_rejects_foreign_letters(capsys):
+    code, _, err = run(
+        capsys, "construct", "--slither", "D", "--coslither", "Q", "--n", "3"
+    )
+    assert code == EXIT_INPUT
+    assert "input error" in err
+
 
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):

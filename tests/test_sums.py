@@ -1,5 +1,7 @@
 """Column-sum vectors and the prescribed-period constructions."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from snakescroll.cycles import all_orbits
@@ -9,15 +11,16 @@ from snakescroll.sums import (
     construct_period_lambda,
     period_lambda_words,
     sum_vector,
-    vector_period,
 )
 from snakescroll.tables import omega_table
 
 
 def test_vector_period():
-    assert vector_period((3, 4, 5, 3, 4, 5)) == 3
-    assert vector_period((7, 7, 7)) == 1
-    assert vector_period((1, 2, 3)) == 3
+    # sum_vector reads only t.n and t.rows: build rows with given column sums
+    for sums, lam in [((3, 4, 5, 3, 4, 5), 3), ((7, 7, 7), 1), ((1, 2, 3), 3)]:
+        rows = ["".join("1" if i < v else "0" for v in sums) for i in range(max(sums))]
+        sv = sum_vector(SimpleNamespace(n=len(sums), rows=rows))
+        assert (sv.sums, sv.lam) == (sums, lam)
 
 
 def test_running_example_sums():

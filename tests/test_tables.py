@@ -1,5 +1,7 @@
 """Finite orbit tables: ouroboros counts, swallows, group structure."""
 
+from math import lcm
+
 import pytest
 
 from snakescroll.cycles import all_orbits
@@ -14,7 +16,6 @@ from snakescroll.tables import (
     permutation_group_invariants,
     predicted_counts,
     product_invariants,
-    smith_invariants,
     swallow,
     table_coslither,
     table_degrees,
@@ -80,29 +81,54 @@ def test_running_example_group():
     assert inv.order == 22
 
 
-def test_smith_invariants_basics():
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariants([[6, 0], [0, 10]]) == [2, 30]
-    assert smith_invariants([[1, 0], [0, 1]]) == [1, 1]
-
-
 def test_product_invariants():
     assert product_invariants(2, 11) == (22,)
     assert product_invariants(2, 4) == (2, 4)
     assert product_invariants(1, 5) == (5,)
 
 
-def test_presentation_matches_permutation_group():
-    # brute-force relation lattice of the two reduced maps as an oracle
-    for n in range(2, 9):
+def _all_tables():
+    """Every table with n <= 13 and omega <= 12 (816 tables)."""
+    for n in range(2, 14):
         for o in all_orbits(n):
             s = Scroll(o)
-            for omega in (1, 2, 3, 4):
-                table = omega_table(s, omega)
-                inv = group_invariants(table)
-                assert (inv.nontrivial or (1,)) == (
-                    permutation_group_invariants(table) or (1,)
-                )
+            for omega in range(1, 13):
+                yield omega_table(s, omega)
+
+
+def test_presentation_matches_permutation_group():
+    # the torsor walk over the two reduced maps as an oracle
+    tables = list(_all_tables())
+    assert len(tables) == 816
+    for table in tables:
+        inv = group_invariants(table)
+        assert inv.nontrivial == permutation_group_invariants(table)
+
+
+def _cycle_lengths_lcm(live, step) -> int:
+    seen, order = set(), 1
+    for start in live:
+        if start in seen:
+            continue
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = step(x)
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def test_permutation_group_oracle_matches_exponent():
+    # a rank-2 abelian group of order eta and exponent e is Z_(eta/e) x Z_e,
+    # and the exponent of <s, c> is lcm(ord s, ord c)
+    for table in _all_tables():
+        e = lcm(
+            _cycle_lengths_lcm(table.live, table.successor),
+            _cycle_lengths_lcm(table.live, table.co_successor),
+        )
+        expected = tuple(d for d in (table.eta // e, e) if d > 1)
+        assert permutation_group_invariants(table) == expected
 
 
 def test_direct_product_forms_fail_on_some_tables():
