@@ -8,10 +8,6 @@ substrings", IPL 1980).
 from __future__ import annotations
 
 
-def rotations(word: str) -> list[str]:
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
 _LETTER_RANK = str.maketrans("DESL01", "010101")
 
 

@@ -14,10 +14,13 @@ live depends only on t mod m*n, so each map is stored as one letter per
 residue, found once per orbit by testing that map's own two candidates
 on the vector.
 
-All snake and co-snake computation happens on the live tape indices of
-one window [0, sigma).  Shifting by sigma fixes every snake and every
-co-snake (it is the advance of a full slither), and distinct snakes
-cannot merge under that shift, so the finite quotient is faithful.
+Snakes and ouroboroi are one reduction at two moduli: successor and
+co-successor commute with shifts by any multiple M of the tape period, so
+`reduced_maps` reduces both to integer arrays on the residues mod M.
+Mod sigma, the advance of a full slither, their cycles on the live window
+[0, sigma) are the snakes and co-snakes (the shift fixes each one, and
+distinct snakes cannot merge under it, so the quotient is faithful).  Mod
+the size omega*m*n of an orbit table they are the ouroboroi (`tables`).
 """
 
 from __future__ import annotations
@@ -143,6 +146,26 @@ def scroll_from_seed(bits: str) -> Scroll:
     return Scroll(orbit(bits))
 
 
+def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
+    """Successor and co-successor reduced mod modulus, as integer arrays.
+
+    Entry r is the image of every tape index t = r (mod modulus), reduced
+    mod modulus, or None for a dead residue.  modulus must be a multiple of
+    the tape period, the period of the step letters, so the step of each
+    live t in [0, period) (which raises as usual) moves its whole class.
+    """
+    period = s.tape_period
+    if modulus % period:
+        raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
+    maps = ([None] * modulus, [None] * modulus)
+    for t in range(period):
+        if s.tape(t):
+            for image, step in zip(maps, (s.successor, s.co_successor)):
+                d = step(t) - t
+                image[t::period] = [(u + d) % modulus for u in range(t, modulus, period)]
+    return maps
+
+
 def cycle_labels(items, step) -> dict:
     """Map each item to the least member of its cycle under step.
 
@@ -196,9 +219,10 @@ def snakes_and_cosnakes(s: Scroll) -> SnakePartition:
     window = tuple(t for t in range(sigma) if s.tape(t) == 1)
     if not window:
         raise ValueError("scroll window has no live entries")
+    succ, co_succ = reduced_maps(s, sigma)
     return SnakePartition(
         sigma,
         window,
-        cycle_labels(window, lambda t: s.successor(t) % sigma),
-        cycle_labels(window, lambda t: s.co_successor(t) % sigma),
+        cycle_labels(window, succ.__getitem__),
+        cycle_labels(window, co_succ.__getitem__),
     )

@@ -1,13 +1,14 @@
 """Finite orbit tables: ouroboroi, swallow permutations, group invariants.
 
 An omega-fold orbit table stacks omega copies of the fundamental orbit;
-successor and co-successor descend to it by reducing the row (that is,
-the tape index) modulo the table size.  Their orbits are the ouroboroi
-and co-ouroboroi; live entries form a torsor of the finite abelian group
-generated by the two reduced maps.  That group has rank at most two, so
-its invariant factors are two gcds of its presentation (`group_invariants`);
-`permutation_group_invariants` reads them off the torsor instead, as an
-oracle.
+successor and co-successor descend to it by the reduction that gives the
+snakes, at another modulus: the tape index modulo the table size
+omega*m*n instead of sigma (`scroll.reduced_maps`).  Their cycles are the
+ouroboroi and co-ouroboroi; live entries form a torsor of the finite
+abelian group generated by the two reduced maps.  That group has rank at
+most two, so its invariant factors are two gcds of its presentation
+(`group_invariants`); `permutation_group_invariants` reads them off the
+torsor instead, as an oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .scroll import Scroll, cycle_labels, snakes_and_cosnakes
+from .scroll import Scroll, cycle_labels, reduced_maps, snakes_and_cosnakes
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,14 @@ class OrbitTable:
         return tuple(t for t, bit in enumerate(self.scroll.vector * self.omega, 1) if bit)
 
     @property
+    def live_residues(self) -> list[int]:
+        """Live indices mod size, the indices of the reduced maps (0 is t = size)."""
+        size = self.size
+        return [t % size for t in self.live]
+
+    @property
     def eta(self) -> int:
         return len(self.live)
-
-    def _wrap(self, t: int) -> int:
-        return (t - 1) % self.size + 1
-
-    def successor(self, t: int) -> int:
-        return self._wrap(self.scroll.successor(t))
-
-    def co_successor(self, t: int) -> int:
-        return self._wrap(self.scroll.co_successor(t))
 
 
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
@@ -67,23 +65,19 @@ def omega_table(s: Scroll, omega: int) -> OrbitTable:
 
 @dataclass(frozen=True)
 class OuroborosPartition:
-    ouro_label: dict[int, int]
-    co_ouro_label: dict[int, int]
-
-    @property
-    def bar_alpha(self) -> int:
-        return len(set(self.ouro_label.values()))
-
-    @property
-    def bar_beta(self) -> int:
-        return len(set(self.co_ouro_label.values()))
+    bar_alpha: int  # ouroboroi: cycles of the reduced successor
+    bar_beta: int  # co-ouroboroi: cycles of the reduced co-successor
 
 
 @lru_cache(maxsize=256)
 def ouroboros_partition(t: OrbitTable) -> OuroborosPartition:
-    return OuroborosPartition(
-        cycle_labels(t.live, t.successor), cycle_labels(t.live, t.co_successor)
-    )
+    live = t.live_residues
+    succ, co_succ = reduced_maps(t.scroll, t.size)
+    return OuroborosPartition(_cycle_count(live, succ), _cycle_count(live, co_succ))
+
+
+def _cycle_count(items: list[int], step: list) -> int:
+    return len(set(cycle_labels(items, step.__getitem__).values()))
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
@@ -149,11 +143,11 @@ class SwallowPermutation:
 
 
 def _swallow(
-    t: OrbitTable, label_of, count: int, order_step, swallow_step
+    t: OrbitTable, label_of, count: int, order_step, table_map: list
 ) -> SwallowPermutation:
     """The count labels in the cyclic order of order_step from the first
-    live entry, each mapped to the label swallow_step reaches from its
-    head (its greatest live index in the table)."""
+    live entry, each mapped to the label the reduced map table_map reaches
+    from its head (its greatest live index in the table)."""
     order = []
     k = t.live[0]
     for _ in range(count):
@@ -162,22 +156,25 @@ def _swallow(
     if len(set(order)) != count:
         raise AssertionError("step map does not traverse all labels once")
     head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
-    return SwallowPermutation(
-        tuple(order), {label: label_of(swallow_step(head[label])) for label in order}
-    )
+    # a head's step leaves the table (its snake goes on) by less than one
+    # advance, < 2n <= size (orbits have m >= 2): its residue is never 0
+    image = {label: label_of(table_map[head[label] % t.size]) for label in order}
+    return SwallowPermutation(tuple(order), image)
 
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     part = snakes_and_cosnakes(t.scroll)
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor, t.successor)
+    succ, _ = reduced_maps(t.scroll, t.size)
+    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor, succ)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     part = snakes_and_cosnakes(t.scroll)
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor, t.co_successor)
+    _, co_succ = reduced_maps(t.scroll, t.size)
+    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor, co_succ)
 
 
 @dataclass(frozen=True)
@@ -252,16 +249,15 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
     """Nontrivial invariant factors of the group the reduced maps generate.
 
-    Oracle for group_invariants: it reads only the live entries and the
-    two maps s (successor) and c (co-successor).  Commuting maps whose
-    group is transitive on the live entries act simply transitively, so
+    Oracle for group_invariants: it reads only the live residues and the
+    two reduced maps s (successor) and c (co-successor).  Commuting maps
+    whose group is transitive on the live entries act simply transitively, so
     the group is Z^2 modulo the stabiliser lattice of t0.  With l the
     length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
     k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
-    live = t.live
-    s = {x: t.successor(x) for x in live}
-    c = {x: t.co_successor(x) for x in live}
+    live = t.live_residues
+    s, c = reduced_maps(t.scroll, t.size)
     for x in live:
         if s[c[x]] != c[s[x]]:
             raise AssertionError(f"successor and co-successor do not commute at {x}")

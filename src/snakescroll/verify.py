@@ -13,7 +13,8 @@ from math import gcd
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import cyclically_equal
-from .scroll import Scroll, snakes_and_cosnakes
+from .scroll import Scroll, reduced_maps, snakes_and_cosnakes
+from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
     co_swallow,
@@ -58,21 +59,28 @@ class VerificationReport:
         return not self.violations
 
 
-def _universal_step(s: Scroll, coord: tuple[int, int], kind: str) -> tuple[int, int]:
-    """Apply one (co-)successor or inverse step on unbounded coordinates."""
+def _universal_step(coord: tuple[int, int], n: int, step, sign: int) -> tuple[int, int]:
+    """Apply one step map on unbounded coordinates: move by the shape of
+    its letter, negated for an inverse step (sign -1)."""
     i, j = coord
-    t = i * s.n + j
-    if kind == "s":
-        _, letter = s.successor_step(t)
-        return (i, j + 2) if letter == "E" else (i + 1, j + 1)
-    if kind == "c":
-        _, letter = s.co_successor_step(t)
-        return (i + 2, j - 1) if letter == "S" else (i + 2, j - 2)
-    if kind == "s-":
-        _, letter = s.predecessor_step(t)
-        return (i, j - 2) if letter == "E" else (i - 1, j - 1)
-    _, letter = s.co_predecessor_step(t)
-    return (i - 2, j + 1) if letter == "S" else (i - 2, j + 2)
+    _, letter = step(i * n + j)
+    rows, cols = _STEP_SHAPE[letter]
+    return i + sign * rows, j + sign * cols
+
+
+def _is_torsor(items, maps: tuple[list, list], outer: int, inner: int) -> bool:
+    """Whether s^a c^b (a < outer, b < inner) moves items[0] onto each item
+    once; s and c are reduced maps, items their live residues."""
+    s, c = maps
+    images = []
+    cur = items[0]
+    for _ in range(outer):
+        val = cur
+        for _ in range(inner):
+            images.append(val)
+            val = c[val]
+        cur = s[cur]
+    return len(images) == len(items) and set(images) == set(items)
 
 
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
@@ -142,24 +150,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("lambda > 1 implies n >= 4 lambda", sv.lam == 1 or n >= 4 * sv.lam, ctx)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 bijectively over the window
-    sigma = part.sigma
-    perm_s = {t: s.successor(t) % sigma for t in part.window}
-    perm_c = {t: s.co_successor(t) % sigma for t in part.window}
-    t0 = part.window[0]
-    images = []
-    cur = t0
-    for _ in range(part.beta):
-        val = cur
-        for _ in range(part.alpha):
-            images.append(val)
-            val = perm_c[val]
-        cur = perm_s[cur]
-    rep.check(
-        "torsor simple transitivity",
-        len(set(images)) == len(part.window) == part.alpha * part.beta
-        and set(images) == set(part.window),
-        ctx,
-    )
+    maps = reduced_maps(s, part.sigma)
+    torsor = _is_torsor(part.window, maps, part.beta, part.alpha)
+    rep.check("torsor simple transitivity", torsor, ctx)
 
     if not extended:
         return
@@ -176,26 +169,16 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         )
 
     # step-word simulation agreement (slither and co-slither)
-    t = live[0]
-    word = []
-    for _ in range(part.beta):
-        t, letter = s.successor_step(t)
-        word.append(letter)
-    rep.check(
-        "slither matches simulation",
-        cyclically_equal("".join(word), ws.word),
-        f"{ctx} simulated {''.join(word)}",
-    )
-    t = live[0]
-    coword = []
-    for _ in range(part.alpha):
-        t, letter = s.co_successor_step(t)
-        coword.append(letter)
-    rep.check(
-        "co-slither matches simulation",
-        cyclically_equal("".join(coword), wc.word),
-        f"{ctx} simulated {''.join(coword)}",
-    )
+    for law, step, length, word in (
+        ("slither matches simulation", s.successor_step, part.beta, ws.word),
+        ("co-slither matches simulation", s.co_successor_step, part.alpha, wc.word),
+    ):
+        t, letters = live[0], []
+        for _ in range(length):
+            t, letter = step(t)
+            letters.append(letter)
+        simulated = "".join(letters)
+        rep.check(law, cyclically_equal(simulated, word), f"{ctx} simulated {simulated}")
 
     # linearity of iterated successor advance
     block = len(ws.word) // met.deg
@@ -228,10 +211,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
             if (a, b) == (0, 0):
                 continue
             coord = start
+            s_step = s.successor_step if a > 0 else s.predecessor_step
             for _ in range(abs(a)):
-                coord = _universal_step(s, coord, "s" if a > 0 else "s-")
+                coord = _universal_step(coord, n, s_step, 1 if a > 0 else -1)
+            c_step = s.co_successor_step if b > 0 else s.co_predecessor_step
             for _ in range(abs(b)):
-                coord = _universal_step(s, coord, "c" if b > 0 else "c-")
+                coord = _universal_step(coord, n, c_step, 1 if b > 0 else -1)
             rep.check(
                 "free affine action",
                 coord != start,
@@ -313,21 +298,10 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         )
 
         # torsor of the finite table group
-        eta = table.eta
-        t0 = table.live[0]
-        images = []
-        cur = t0
-        for _ in range(tab.bar_beta):
-            val = cur
-            for _ in range(eta // tab.bar_beta):
-                images.append(val)
-                val = table.co_successor(val)
-            cur = table.successor(cur)
-        rep.check(
-            "table torsor simple transitivity",
-            len(set(images)) == eta and set(images) == set(table.live),
-            octx,
-        )
+        maps = reduced_maps(s, table.size)
+        inner = table.eta // tab.bar_beta
+        torsor = _is_torsor(table.live_residues, maps, tab.bar_beta, inner)
+        rep.check("table torsor simple transitivity", torsor, octx)
 
 
 def classification_completeness(n: int, rep: VerificationReport) -> None:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit, sweep, toggle
-from snakescroll.cyclic import canonical, cyclically_equal, least_period, rotations
+from snakescroll.cyclic import canonical, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
 
 
@@ -59,6 +59,15 @@ def test_tape_reads_the_cylinder(bits, i, data):
     s = scroll_from_seed(bits)
     j = data.draw(st.integers(1, s.n))
     assert s.tape(i * s.n + j) == int(s.base.rows[i % s.m][j - 1])
+
+
+def rotations(word):
+    """Every rotation of word: the brute-force reference for canonical."""
+    return [word[i:] + word[:i] for i in range(len(word))]
+
+
+def test_rotations():
+    assert rotations("abc") == ["abc", "bca", "cab"]
 
 
 @given(st.text(alphabet="DE", min_size=1, max_size=12))

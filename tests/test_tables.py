@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed, snakes_and_cosnakes
 from snakescroll.tables import (
     co_swallow,
     fundamental_degrees,
@@ -121,14 +121,45 @@ def _cycle_lengths_lcm(live, step) -> int:
 
 def test_permutation_group_oracle_matches_exponent():
     # a rank-2 abelian group of order eta and exponent e is Z_(eta/e) x Z_e,
-    # and the exponent of <s, c> is lcm(ord s, ord c)
+    # and the exponent of <s, c> is lcm(ord s, ord c); the cycle lengths
+    # come from the scroll's own steps, wrapped into the table here
     for table in _all_tables():
+        size = table.size
+        s = table.scroll
         e = lcm(
-            _cycle_lengths_lcm(table.live, table.successor),
-            _cycle_lengths_lcm(table.live, table.co_successor),
+            _cycle_lengths_lcm(table.live, lambda t: (s.successor(t) - 1) % size + 1),
+            _cycle_lengths_lcm(table.live, lambda t: (s.co_successor(t) - 1) % size + 1),
         )
         expected = tuple(d for d in (table.eta // e, e) if d > 1)
         assert permutation_group_invariants(table) == expected
+
+
+def _assert_steps_reduced(s, live, modulus, maps):
+    """maps are s.successor and s.co_successor on live, reduced mod modulus,
+    and None on every other residue."""
+    residues = sorted(t % modulus for t in live)
+    for array, step in zip(maps, (s.successor, s.co_successor)):
+        assert len(array) == modulus
+        assert [r for r, u in enumerate(array) if u is not None] == residues
+        for t in live:
+            assert array[t % modulus] == step(t) % modulus
+
+
+def test_reduced_maps_are_the_steps_reduced():
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            part = snakes_and_cosnakes(s)
+            maps = reduced_maps(s, part.sigma)
+            _assert_steps_reduced(s, part.window, part.sigma, maps)
+    tables = list(_all_tables())
+    assert len(tables) == 816
+    for table in tables:
+        maps = reduced_maps(table.scroll, table.size)
+        _assert_steps_reduced(table.scroll, table.live, table.size, maps)
+    s = scroll_from_seed(SEED11)  # tape period 7
+    with pytest.raises(ValueError):
+        reduced_maps(s, 12)
 
 
 def test_direct_product_forms_fail_on_some_tables():

@@ -1,5 +1,6 @@
 """The brute-force suite itself stays clean on small cycles."""
 
+from snakescroll.cycles import all_orbits
 from snakescroll.verify import run_verification
 
 
@@ -16,3 +17,25 @@ def test_known_evidence_lists_populate():
     assert rep.is_clean
     # n=5 seed 00100 has deg(p1)=2, deg=3: same-side divisibility fails
     assert any("n=5" in line for line in rep.same_side_degree_failures)
+
+
+def test_tables_are_clean_for_n14_to_16():
+    # past the n <= 13 range of criterion 5: every table law holds on every
+    # table with n = 14..16 and omega <= 4
+    rep = run_verification(14, 16, omega_max=4, extended=False)
+    assert rep.is_clean, rep.violations[:10]
+    orbits = sum(len(all_orbits(n)) for n in range(14, 17))
+    assert rep.passed["crossed degree divisibility"] == orbits
+    for law in (
+        "ouroboros counts match formula",
+        "swallow cycle structure",
+        "group order equals live count",
+        "color-preserving conditions agree",
+        "table slither power identity",
+        "table torsor simple transitivity",
+    ):
+        assert rep.passed[law] == 4 * orbits, law
+    assert sum(rep.passed.values()) == 96661
+    # documented evidence, not violations
+    assert len(rep.product_form_failures) == 228
+    assert len(rep.same_side_degree_failures) == 46
