@@ -122,14 +122,40 @@ def enumerate_independent_sets(n: int) -> list[str]:
     return out
 
 
+def _sweep_windows(n: int) -> list[tuple[int, int]]:
+    """(bit, window) per vertex in sweep order, for words as n-bit integers.
+
+    Vertex k is bit n-k, so int(bits, 2) is the word's integer; a window is
+    the vertex's own bit and its two cyclic neighbours'.
+    """
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    return [(bit[i], bit[i - 1] | bit[i] | bit[(i + 1) % n]) for i in range(n)]
+
+
+def _sweep_mask(word: int, windows: list[tuple[int, int]]) -> int:
+    """`sweep` on an integer word: each toggle is the NOR of its window."""
+    for bit, window in windows:
+        word = word & ~bit if word & window else word | bit
+    return word
+
+
 def all_orbits(n: int) -> list[Orbit]:
-    """Partition of all independent sets of C_n into sweep orbits."""
-    seen: set[str] = set()
+    """Partition of all independent sets of C_n into sweep orbits.
+
+    The sweep runs on integer words; each orbit's rows become strings once.
+    """
+    windows = _sweep_windows(n)
+    seen: set[int] = set()
     parts: list[Orbit] = []
     for bits in enumerate_independent_sets(n):
-        if bits in seen:
+        start = int(bits, 2)
+        if start in seen:
             continue
-        o = orbit(bits)
-        seen.update(o.rows)
-        parts.append(o)
+        words = [start]
+        cur = _sweep_mask(start, windows)
+        while cur != start:
+            words.append(cur)
+            cur = _sweep_mask(cur, windows)
+        seen.update(words)
+        parts.append(Orbit(tuple(format(w, f"0{n}b") for w in words)))
     return parts

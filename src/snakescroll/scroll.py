@@ -40,29 +40,27 @@ def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
     The candidates of a live residue r are r + sign*advance(letter) for
     each of the two letters.  A dead residue gets DEAD; a live one gets
     its live candidate's letter, or, when not exactly one candidate is
-    live, the digit counting its live candidates.
+    live, the digit counting its live candidates.  Each candidate is read
+    from the vector rotated by its advance.
     """
-    size = len(vector)
-    cands = [(sign * step_advance(letter, n), letter) for letter in letters]
-    out = []
-    for r, bit in enumerate(vector):
-        if not bit:
-            out.append(DEAD)
-            continue
-        hits = [letter for d, letter in cands if vector[(r + d) % size]]
-        out.append(hits[0] if len(hits) == 1 else str(len(hits)))
-    return "".join(out)
+    first, second = letters
+    # keyed (residue live, first candidate live, second candidate live)
+    letter_of = {(0, x, y): DEAD for x in (0, 1) for y in (0, 1)}
+    letter_of.update({(1, 1, 0): first, (1, 0, 1): second, (1, 0, 0): "0", (1, 1, 1): "2"})
+    shifts = [(sign * step_advance(letter, n)) % len(vector) for letter in letters]
+    rotated = [vector[d:] + vector[:d] for d in shifts]
+    return "".join(map(letter_of.__getitem__, zip(vector, *rotated)))
 
 
 @dataclass(frozen=True)
 class Scroll:
     base: Orbit
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.base.n
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.base.m
 
@@ -107,15 +105,25 @@ class Scroll:
     def co_predecessor_letters(self) -> str:
         return _step_letters(self.vector, self.n, "SL", -1)
 
+    @cached_property
+    def _advance(self) -> dict[tuple[str, int], int]:
+        """Signed tape advance of each step letter, keyed (letter, sign)."""
+        return {
+            (letter, sign): sign * step_advance(letter, self.n)
+            for letter in "EDSL"
+            for sign in (1, -1)
+        }
+
     def _step(self, letters: str, t: int, sign: int, what: str) -> tuple[int, str]:
         letter = letters[(t - 1) % len(letters)]
-        if letter == DEAD:
-            raise ValueError(f"tape index {t} is not live")
-        if letter.isdigit():
+        advance = self._advance.get((letter, sign))
+        if advance is None:
+            if letter == DEAD:
+                raise ValueError(f"tape index {t} is not live")
             raise AssertionError(
                 f"{what} of live index {t}: {letter} live candidates, expected 1"
             )
-        return t + sign * step_advance(letter, self.n), letter
+        return t + advance, letter
 
     def successor_step(self, t: int) -> tuple[int, str]:
         return self._step(self.successor_letters, t, 1, "successor")

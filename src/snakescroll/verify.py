@@ -59,13 +59,21 @@ class VerificationReport:
         return not self.violations
 
 
-def _universal_step(coord: tuple[int, int], n: int, step, sign: int) -> tuple[int, int]:
-    """Apply one step map on unbounded coordinates: move by the shape of
-    its letter, negated for an inverse step (sign -1)."""
-    i, j = coord
-    _, letter = step(i * n + j)
-    rows, cols = _STEP_SHAPE[letter]
-    return i + sign * rows, j + sign * cols
+def _walk(coord: tuple[int, int], n: int, back, forth, k: int) -> list[tuple[int, int]]:
+    """Unbounded coordinates after e steps of a step map, for e = -k..k.
+
+    Each step moves by the shape of its letter: the inverse step back,
+    negated, for e < 0 and the step forth for e > 0.
+    """
+    walks = []
+    for step, sign in ((back, -1), (forth, 1)):
+        (i, j), walk = coord, []
+        for _ in range(k):
+            rows, cols = _STEP_SHAPE[step(i * n + j)[1]]
+            i, j = i + sign * rows, j + sign * cols
+            walk.append((i, j))
+        walks.append(walk)
+    return walks[0][::-1] + [coord] + walks[1]
 
 
 def _is_torsor(items, maps: tuple[list, list], outer: int, inner: int) -> bool:
@@ -89,7 +97,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     ctx = f"n={n} seed={s.base.rows[0]}"
     met = s.metrics
     part = snakes_and_cosnakes(s)
-    live = [t for t in range(1, m * n + 1) if s.tape(t) == 1]
+    size = m * n
+    live = [t for t, bit in enumerate(s.vector, 1) if bit]
+    # tape(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
+    tripled = s.vector * 3
+    six = (-n, 1 - n, -1, 1, n - 1, n)
 
     # local structure at every live entry of the fundamental vector
     for t in live:
@@ -97,7 +109,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         j += 1
         rep.check(
             "six-neighbor zeros",
-            all(s.tape(t + d) == 0 for d in (-n, 1 - n, -1, 1, n - 1, n)),
+            not any(tripled[t - 1 + size + d] for d in six),
             f"{ctx} at ({i},{j})",
         )
         try:
@@ -107,15 +119,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         except AssertionError as exc:
             rep.violations.append(f"unique successor candidates: {ctx}: {exc}")
             continue
-        rep.check(
-            "commutation",
-            s.successor(ct) == s.co_successor(st),
-            f"{ctx} at tape {t}",
-        )
+        sct, sc_letter = s.successor_step(ct)
+        cst, cs_letter = s.co_successor_step(st)
+        rep.check("commutation", sct == cst, f"{ctx} at tape {t}")
         rep.check(
             "parallelogram",
-            s.successor_step(ct)[1] == s_letter
-            and s.co_successor_step(st)[1] == c_letter,
+            sc_letter == s_letter and cs_letter == c_letter,
             f"{ctx} at tape {t}",
         )
         rep.check(
@@ -157,14 +166,14 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     if not extended:
         return
 
-    # tape period: minimality and the divisibility characterization
-    span = 3 * met.T_tape + m * n
-    vec = [s.tape(t) for t in range(span)]
-    for ell in range(1, 3 * met.T_tape + 1):
-        shifted_equal = all(vec[t] == vec[t + ell] for t in range(m * n))
+    # tape period: minimality and the divisibility characterization;
+    # tape(t) for t >= 0 is the vector rotated right by one, repeated
+    period = met.T_tape
+    reads = (s.vector[-1:] + s.vector[:-1]) * (3 * period // size + 2)
+    for ell in range(1, 3 * period + 1):
         rep.check(
             "tape shift iff T_tape divides",
-            shifted_equal == (ell % met.T_tape == 0),
+            (reads[ell : ell + size] == reads[:size]) == (ell % period == 0),
             f"{ctx} shift {ell}",
         )
 
@@ -195,42 +204,36 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
 
     # co-snake distinctness within one row span
     for t in part.window:
+        base = (t - 1) % size + size
         for d in range(1, n):
-            if s.tape(t + d) == 1:
+            if tripled[base + d]:
                 rep.check(
                     "near-row co-snake distinctness",
                     part.cosnake_of(t + d) != part.cosnake_of(t),
                     f"{ctx} tape {t}, {t + d}",
                 )
 
-    # free action on the universal scroll
+    # free action on the universal scroll: s^a c^b moves the start for
+    # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha
     i0, j0 = divmod(live[0] - 1, n)
     start = (i0, j0 + 1)
-    for a in range(-part.beta, part.beta + 1):
-        for b in range(-part.alpha, part.alpha + 1):
-            if (a, b) == (0, 0):
-                continue
-            coord = start
-            s_step = s.successor_step if a > 0 else s.predecessor_step
-            for _ in range(abs(a)):
-                coord = _universal_step(coord, n, s_step, 1 if a > 0 else -1)
-            c_step = s.co_successor_step if b > 0 else s.co_predecessor_step
-            for _ in range(abs(b)):
-                coord = _universal_step(coord, n, c_step, 1 if b > 0 else -1)
-            rep.check(
-                "free affine action",
-                coord != start,
-                f"{ctx} exponents ({a},{b})",
-            )
+    s_walk = _walk(start, n, s.predecessor_step, s.successor_step, part.beta)
+    for a, s_coord in zip(range(-part.beta, part.beta + 1), s_walk):
+        c_walk = _walk(s_coord, n, s.co_predecessor_step, s.co_successor_step, part.alpha)
+        for b, coord in zip(range(-part.alpha, part.alpha + 1), c_walk):
+            if (a, b) != (0, 0):
+                rep.check(
+                    "free affine action",
+                    coord != start,
+                    f"{ctx} exponents ({a},{b})",
+                )
 
     # fibers: residues mod sigma, singletons in the window
+    fibers: dict[tuple[int, int], list[int]] = {}
     for t in part.window:
-        mates = [
-            u
-            for u in part.window
-            if part.snake_label[u] == part.snake_label[t]
-            and part.cosnake_label[u] == part.cosnake_label[t]
-        ]
+        fibers.setdefault((part.snake_label[t], part.cosnake_label[t]), []).append(t)
+    for t in part.window:
+        mates = fibers[part.snake_label[t], part.cosnake_label[t]]
         rep.check("fibers are residues mod sigma", mates == [t], f"{ctx} tape {t}")
 
 

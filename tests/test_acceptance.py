@@ -122,22 +122,40 @@ def test_criterion_4_theorem_suite_n2_to_16():
     start = time.perf_counter()
     rep = run_verification(2, 16, omega_max=0, extended=True, completeness=False)
     assert rep.is_clean, rep.violations[:10]
-    for law in (
-        "six-neighbor zeros",
-        "unique successor candidates",
-        "commutation",
-        "parallelogram",
-        "torsor simple transitivity",
+    # every law's check count: 22969 live entries and 159 orbits
+    orbits, live = 159, 22969
+    per_orbit = (
         "beta_D = 2 alpha - 1",
         "2bE + 3aS + 4aL = n+1",
         "deg, codeg coprime",
         "T_tape = gcd(p, q)",
         "orbit length formula",
+        "alpha from letters",
+        "beta from letters",
         "lambda odd",
         "lambda | gcd(n, ColScale)",
         "lambda > 1 implies n >= 4 lambda",
-    ):
-        assert rep.passed.get(law, 0) > 0, law
+        "torsor simple transitivity",
+        "slither matches simulation",
+        "co-slither matches simulation",
+    )
+    per_live = (
+        "six-neighbor zeros",
+        "unique successor candidates",
+        "commutation",
+        "parallelogram",
+        "predecessor round trip",
+    )
+    assert rep.passed == {
+        **dict.fromkeys(per_live, live),
+        **dict.fromkeys(per_orbit, orbits),
+        "tape shift iff T_tape divides": 19248,
+        "successor advance linear": 4052,
+        "free affine action": 15370,
+        "fibers are residues mod sigma": 3080,
+        "near-row co-snake distinctness": 10269,
+    }
+    assert sum(rep.passed.values()) == 168931
     assert time.perf_counter() - start < 300.0
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from snakescroll.cycles import (
+    _sweep_mask,
+    _sweep_windows,
     all_orbits,
     enumerate_independent_sets,
     eca1_local,
@@ -102,8 +104,21 @@ def test_enumerate_counts_match_lucas_numbers():
 
 
 def test_all_orbits_partition():
-    for n in range(2, 10):
+    for n in range(2, 17):
         seen = []
         for o in all_orbits(n):
             seen.extend(o.rows)
         assert sorted(seen) == enumerate_independent_sets(n)
+
+
+def test_bitmask_sweep_matches_sweep():
+    for n in range(2, 15):
+        windows = _sweep_windows(n)
+        for bits in enumerate_independent_sets(n):
+            assert format(_sweep_mask(int(bits, 2), windows), f"0{n}b") == sweep(bits)
+
+
+def test_all_orbits_are_simulated_orbits():
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            assert o == orbit(o.rows[0])

@@ -2,8 +2,9 @@
 
 import pytest
 
-from snakescroll.cycles import Orbit
-from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.cycles import Orbit, all_orbits
+from snakescroll.scroll import DEAD, Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.slither import step_advance
 
 SEED11 = "00001010000"
 
@@ -79,6 +80,32 @@ def test_step_failures_are_per_index():
     with pytest.raises(ValueError):
         s.successor_step(2)
     assert s.co_successor_step(1) == (7, "L")
+
+
+def reference_step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
+    """Brute-force step letters: each residue's candidates read mod the size."""
+    size = len(vector)
+    out = []
+    for r, bit in enumerate(vector):
+        if not bit:
+            out.append(DEAD)
+            continue
+        hits = [x for x in letters if vector[(r + sign * step_advance(x, n)) % size]]
+        out.append(hits[0] if len(hits) == 1 else str(len(hits)))
+    return "".join(out)
+
+
+def test_step_letters_match_the_reference():
+    orbits = [o for n in range(2, 15) for o in all_orbits(n)]
+    for o in orbits + [Orbit(("1000", "0010"))]:
+        s = Scroll(o)
+        for got, letters, sign in (
+            (s.successor_letters, "ED", 1),
+            (s.co_successor_letters, "SL", 1),
+            (s.predecessor_letters, "ED", -1),
+            (s.co_predecessor_letters, "SL", -1),
+        ):
+            assert got == reference_step_letters(s.vector, s.n, letters, sign), o.rows[0]
 
 
 def test_metrics_raise_on_inconsistent_use():

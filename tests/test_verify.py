@@ -1,7 +1,11 @@
 """The brute-force suite itself stays clean on small cycles."""
 
+from dataclasses import replace
+
+from snakescroll import verify
 from snakescroll.cycles import all_orbits
-from snakescroll.verify import run_verification
+from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
+from snakescroll.verify import VerificationReport, check_scroll, run_verification
 
 
 def test_small_cycles_are_clean():
@@ -39,3 +43,34 @@ def test_tables_are_clean_for_n14_to_16():
     # documented evidence, not violations
     assert len(rep.product_form_failures) == 228
     assert len(rep.same_side_degree_failures) == 46
+
+
+def test_theorem_suite_n17_to_18():
+    # past the n <= 16 range of criterion 4
+    rep = run_verification(17, 18, extended=True)
+    assert rep.is_clean, rep.violations[:10]
+    assert sum(rep.passed.values()) == 116035 + 197531
+
+
+def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
+    s = scroll_from_seed("00001010000")
+    part = snakes_and_cosnakes(s)
+    t = part.window[0]
+    u = next(
+        u
+        for u in part.window
+        if part.snake_label[u] != part.snake_label[t]
+        and part.cosnake_label[u] != part.cosnake_label[t]
+    )
+    snake, cosnake = dict(part.snake_label), dict(part.cosnake_label)
+    snake[u], cosnake[u] = snake[t], cosnake[t]
+    broken = replace(part, snake_label=snake, cosnake_label=cosnake)
+    monkeypatch.setattr(verify, "snakes_and_cosnakes", lambda _s: broken)
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    law = "fibers are residues mod sigma"
+    fiber_violations = [v for v in rep.violations if v.startswith(law)]
+    assert fiber_violations == [
+        f"{law}: n=11 seed=00001010000 tape {x}" for x in sorted((t, u))
+    ]
+    assert rep.passed[law] == len(part.window) - 2
