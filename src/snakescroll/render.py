@@ -63,7 +63,7 @@ def svg_table(table: OrbitTable, unit: int = 28) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    # light parallelogram tiling: grid lines per cell
+    # light cell grid: one line per row and column boundary
     for i in range(r + 1):
         y = (i + 1) * unit
         out.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Any
 
 from .cyclic import cyclically_equal
@@ -86,7 +87,7 @@ def orbit_report(seed: str, omega: int = 1) -> dict[str, Any]:
             "predictedCountsMatch": (tab.bar_alpha, tab.bar_beta)
             == predicted_counts(s, omega),
             "slitherMatchesSimulation": cyclically_equal("".join(sim), met.slither.word),
-            "fundamentalDegreesCoprime": fundamental_degrees(s) is not None,
+            "fundamentalDegreesCoprime": gcd(*fundamental_degrees(s)) == 1,
             "groupOrderMatchesEta": inv.order == table.eta,
         },
     }

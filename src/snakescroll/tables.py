@@ -8,7 +8,9 @@ ouroboroi and co-ouroboroi; live entries form a torsor of the finite
 abelian group generated by the two reduced maps.  That group has rank at
 most two, so its invariant factors are two gcds of its presentation
 (`group_invariants`); `permutation_group_invariants` reads them off the
-torsor instead, as an oracle.
+torsor instead, as an oracle.  Covering degrees, predicted counts and
+swallows are closed forms in the scroll's metrics; the cycle counts of the
+reduced maps (`ouroboros_partition`) are what they are checked against.
 """
 
 from __future__ import annotations
@@ -81,28 +83,21 @@ def _cycle_count(items: list[int], step: list) -> int:
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
-    """(deg p_1, codeg p_1): snake and co-snake multiplicities at omega=1."""
-    part = snakes_and_cosnakes(s)
-    table = ouroboros_partition(omega_table(s, 1))
-    alpha, beta = part.alpha, part.beta
-    if alpha % table.bar_alpha or beta % table.bar_beta:
-        raise AssertionError("snake counts not divisible by ouroboros counts")
-    deg_p1 = alpha // table.bar_alpha
-    codeg_p1 = beta // table.bar_beta
-    if gcd(deg_p1, codeg_p1) != 1:
-        raise AssertionError(
-            f"fundamental degrees not coprime: ({deg_p1}, {codeg_p1})"
-        )
-    return deg_p1, codeg_p1
+    """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table:
+    a snake is p-periodic (no shorter shift fixes it), so read mod m*n it
+    winds p / gcd(p, m*n) times around the table; a co-snake likewise, q."""
+    met, size = s.metrics, s.m * s.n
+    return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
-    """Closed-form (bar_alpha_omega, bar_beta_omega)."""
-    base = ouroboros_partition(omega_table(s, 1))
+    """Closed-form (bar_alpha_omega, bar_beta_omega): alpha / deg p_1 and
+    beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
+    met = s.metrics
     deg_p1, codeg_p1 = fundamental_degrees(s)
     return (
-        base.bar_alpha * gcd(deg_p1, omega),
-        base.bar_beta * gcd(codeg_p1, omega),
+        met.coslither.alpha // deg_p1 * gcd(deg_p1, omega),
+        met.slither.beta // codeg_p1 * gcd(codeg_p1, omega),
     )
 
 
@@ -142,23 +137,19 @@ class SwallowPermutation:
         return self.shift == 0
 
 
-def _swallow(
-    t: OrbitTable, label_of, count: int, order_step, table_map: list
-) -> SwallowPermutation:
+def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutation:
     """The count labels in the cyclic order of order_step from the first
-    live entry, each mapped to the label the reduced map table_map reaches
-    from its head (its greatest live index in the table)."""
-    order = []
-    k = t.live[0]
+    live entry, each mapped to the label of k - size for any k on it:
+    translation by the table size commutes with both steps."""
+    order, image = [], {}
+    k = t.scroll.vector.index(1) + 1
     for _ in range(count):
-        order.append(label_of(k))
+        label = label_of(k)
+        order.append(label)
+        image[label] = label_of(k - t.size)
         k = order_step(k)
-    if len(set(order)) != count:
+    if len(image) != count:
         raise AssertionError("step map does not traverse all labels once")
-    head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
-    # a head's step leaves the table (its snake goes on) by less than one
-    # advance, < 2n <= size (orbits have m >= 2): its residue is never 0
-    image = {label: label_of(table_map[head[label] % t.size]) for label in order}
     return SwallowPermutation(tuple(order), image)
 
 
@@ -166,15 +157,13 @@ def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     part = snakes_and_cosnakes(t.scroll)
     # snakes are traversed once per co-slither cycle: order by co-successor
-    succ, _ = reduced_maps(t.scroll, t.size)
-    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor, succ)
+    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     part = snakes_and_cosnakes(t.scroll)
     # co-snakes are traversed once per slither cycle: order by successor
-    _, co_succ = reduced_maps(t.scroll, t.size)
-    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor, co_succ)
+    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor)
 
 
 @dataclass(frozen=True)

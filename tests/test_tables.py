@@ -1,12 +1,13 @@
 """Finite orbit tables: ouroboros counts, swallows, group structure."""
 
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed, snakes_and_cosnakes
 from snakescroll.tables import (
+    SwallowPermutation,
     co_swallow,
     fundamental_degrees,
     group_invariants,
@@ -40,6 +41,20 @@ def test_running_example_fundamental_counts():
     tab = ouroboros_partition(omega_table(s, 1))
     assert (tab.bar_alpha, tab.bar_beta) == (1, 2)
     assert fundamental_degrees(s) == (2, 3)
+
+
+def test_fundamental_degrees_match_simulated_counts():
+    # oracle: the degrees are the snake counts over the simulated omega = 1
+    # ouroboros counts, on every orbit with n <= 16
+    orbits = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
+    assert len(orbits) == 159
+    for s in orbits:
+        part = snakes_and_cosnakes(s)
+        tab = ouroboros_partition(omega_table(s, 1))
+        assert part.alpha % tab.bar_alpha == 0 and part.beta % tab.bar_beta == 0
+        degrees = fundamental_degrees(s)
+        assert degrees == (part.alpha // tab.bar_alpha, part.beta // tab.bar_beta)
+        assert gcd(*degrees) == 1
 
 
 def test_running_example_predicted_counts():
@@ -103,6 +118,33 @@ def test_presentation_matches_permutation_group():
     for table in tables:
         inv = group_invariants(table)
         assert inv.nontrivial == permutation_group_invariants(table)
+
+
+def _reference_swallow(t, label_of, count, order_step, table_map):
+    """Swallow by head stepping: each label's head, its greatest live index
+    in the table, mapped by the reduced table map table_map."""
+    order = []
+    k = t.live[0]
+    for _ in range(count):
+        order.append(label_of(k))
+        k = order_step(k)
+    head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
+    image = {label: label_of(table_map[head[label] % t.size]) for label in order}
+    return SwallowPermutation(tuple(order), image)
+
+
+def test_swallows_match_head_stepping_reference():
+    tables = list(_all_tables())
+    assert len(tables) == 816
+    for table in tables:
+        s = table.scroll
+        part = snakes_and_cosnakes(s)
+        succ, co_succ = reduced_maps(s, table.size)
+        sw = _reference_swallow(table, part.snake_of, part.alpha, s.co_successor, succ)
+        cs = _reference_swallow(table, part.cosnake_of, part.beta, s.successor, co_succ)
+        for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
+            assert got.order == want.order
+            assert got.image == want.image
 
 
 def _cycle_lengths_lcm(live, step) -> int:
