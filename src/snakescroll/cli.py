@@ -39,17 +39,18 @@ def _cmd_orbit(args) -> int:
     if len(seed) != args.n or not is_independent(seed, args.n):
         print(f"seed {seed!r} is not an independent set of C_{args.n}", file=sys.stderr)
         return EXIT_INPUT
-    report = orbit_report(seed, args.omega)
+    table = omega_table(scroll_from_seed(seed), args.omega)
+    report = orbit_report(table)
     if args.format == "json":
         print(report_to_json(report))
     elif args.format == "csv":
         print(report_to_csv(report), end="")
     elif args.format == "svg":
-        print(svg_table(omega_table(scroll_from_seed(seed), args.omega)), end="")
+        print(svg_table(table), end="")
     else:
         print(report_to_text(report), end="")
         print()
-        print(ansi_table(omega_table(scroll_from_seed(seed), args.omega)), end="")
+        print(ansi_table(table), end="")
     return EXIT_OK
 
 
@@ -95,7 +96,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sum_period(args) -> int:
     s = construct_period_lambda(args.lam, args.k)
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     payload = {
         "lambda": args.lam,
         "k": args.k,

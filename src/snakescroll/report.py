@@ -7,14 +7,14 @@ from math import gcd
 from typing import Any
 
 from .cyclic import cyclically_equal
-from .scroll import scroll_from_seed, snakes_and_cosnakes
+from .scroll import snakes_and_cosnakes
 from .sums import col_scale, sum_vector
 from .tables import (
+    OrbitTable,
     co_swallow,
     fundamental_degrees,
     group_invariants,
     is_color_preserving,
-    omega_table,
     ouroboros_partition,
     predicted_counts,
     swallow,
@@ -24,21 +24,20 @@ from .tables import (
 )
 
 
-def orbit_report(seed: str, omega: int = 1) -> dict[str, Any]:
-    """Everything the library can say about one seed, in one record.
+def orbit_report(table: OrbitTable) -> dict[str, Any]:
+    """Everything the library can say about one table's seed, in one record.
 
     Closed-form values are embedded next to their simulated counterparts
     with explicit agreement flags.
     """
-    s = scroll_from_seed(seed)
+    s, omega = table.scroll, table.omega
     met = s.metrics
     part = snakes_and_cosnakes(s)
-    table = omega_table(s, omega)
     tab = ouroboros_partition(table)
-    deg_p, codeg_p = table_degrees(s, omega)
+    deg_p, codeg_p = table_degrees(table)
     sw, cs = swallow(table), co_swallow(table)
     inv = group_invariants(table)
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
 
     # simulate one slither to double-check the row extraction
     t0 = min(table.live)
@@ -50,7 +49,7 @@ def orbit_report(seed: str, omega: int = 1) -> dict[str, Any]:
 
     return {
         "n": s.n,
-        "seed": seed,
+        "seed": s.base.rows[0],
         "omega": omega,
         "rows": list(s.base.rows),
         "orbitLength": s.m,
@@ -81,7 +80,7 @@ def orbit_report(seed: str, omega: int = 1) -> dict[str, Any]:
         "swallowCycles": list(sw.cycle_type),
         "coSwallowCycles": list(cs.cycle_type),
         "invariantFactors": list(inv.nontrivial) or [1],
-        "colorPreserving": is_color_preserving(s, omega),
+        "colorPreserving": is_color_preserving(table, sw, cs),
         "agreement": {
             "scrollPeriodMatchesOrbit": met.T_scroll == s.m,
             "predictedCountsMatch": (tab.bar_alpha, tab.bar_beta)

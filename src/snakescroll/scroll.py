@@ -73,6 +73,11 @@ class Scroll:
         vector = self.vector
         return vector[(t - 1) % len(vector)]
 
+    def reads(self, length: int) -> bytes:
+        """tape(t) for t in [0, length): the vector rotated right by one, repeated."""
+        vector = self.vector
+        return ((vector[-1:] + vector[:-1]) * (length // len(vector) + 1))[:length]
+
     @cached_property
     def metrics(self) -> ScrollMetrics:
         for row in self.base.rows:
@@ -166,8 +171,8 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     if modulus % period:
         raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
     maps = ([None] * modulus, [None] * modulus)
-    for t in range(period):
-        if s.tape(t):
+    for t, bit in enumerate(s.reads(period)):
+        if bit:
             for image, step in zip(maps, (s.successor, s.co_successor)):
                 d = step(t) - t
                 image[t::period] = [(u + d) % modulus for u in range(t, modulus, period)]
@@ -224,7 +229,7 @@ class SnakePartition:
 @lru_cache(maxsize=128)
 def snakes_and_cosnakes(s: Scroll) -> SnakePartition:
     sigma = s.metrics.sigma
-    window = tuple(t for t in range(sigma) if s.tape(t) == 1)
+    window = tuple(t for t, bit in enumerate(s.reads(sigma)) if bit)
     if not window:
         raise ValueError("scroll window has no live entries")
     succ, co_succ = reduced_maps(s, sigma)

@@ -126,14 +126,6 @@ def coslither_from_row(row: str) -> CoSlither:
     return CoSlither(first + "".join(rest))
 
 
-def degree(w: Slither) -> int:
-    return exponent(w.word)
-
-
-def codegree(w: CoSlither) -> int:
-    return exponent(w.word)
-
-
 @dataclass(frozen=True)
 class ScrollMetrics:
     slither: Slither
@@ -159,8 +151,8 @@ def metrics_from_row(row: str, n: int) -> ScrollMetrics:
         raise AssertionError(
             f"scale closed forms disagree: {sigma} != {sigma_co} on {row!r}"
         )
-    deg = degree(ws)
-    codeg = codegree(wc)
+    deg = exponent(ws.word)
+    codeg = exponent(wc.word)
     p = sigma // deg
     q = sigma // codeg
     T_tape = gcd(p, q)

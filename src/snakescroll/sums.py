@@ -1,4 +1,8 @@
-"""Column-sum vectors of orbit tables and the period-lambda constructions."""
+"""Column-sum vectors of orbit tables and the period-lambda constructions.
+
+The sum vector of the omega = 1 table is read off the scroll's fundamental
+vector, the table's rows concatenated, so no table is built here.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ from math import gcd
 from .classify import construct_first_row, feasible_quadruples
 from .cyclic import least_period
 from .scroll import Scroll, scroll_from_seed
-from .tables import OrbitTable
 
 
 @dataclass(frozen=True)
@@ -17,12 +20,9 @@ class SumVector:
     lam: int  # least cyclic period
 
 
-def sum_vector(t: OrbitTable) -> SumVector:
-    sums = [0] * t.n
-    for row in t.rows:
-        for j, b in enumerate(row):
-            sums[j] += int(b)
-    sums = tuple(sums)
+def sum_vector(s: Scroll) -> SumVector:
+    """Column sums of the omega = 1 table: column j is vector[j::n]."""
+    sums = tuple(sum(s.vector[j :: s.n]) for j in range(s.n))
     # least_period reads a string: one character per column sum
     return SumVector(sums, least_period("".join(map(chr, sums))))
 
@@ -82,7 +82,7 @@ def construct_period_lambda(lam: int, k: int) -> Scroll:
         ws, wc = period_lambda_words(lam, k)
         seed = construct_first_row(ws, wc, n)
     s = scroll_from_seed(seed)
-    achieved = sum_vector(OrbitTable(s, 1)).lam
+    achieved = sum_vector(s).lam
     if achieved != lam:
         raise AssertionError(
             f"construction for (lambda={lam}, k={k}) achieved period {achieved}"

@@ -11,6 +11,10 @@ most two, so its invariant factors are two gcds of its presentation
 torsor instead, as an oracle.  Covering degrees, predicted counts and
 swallows are closed forms in the scroll's metrics; the cycle counts of the
 reduced maps (`ouroboros_partition`) are what they are checked against.
+
+A caller builds one table per omega with `omega_table` (`verify.check_tables`
+per omega, the `orbit` command per request) and hands it, with its two
+swallows where needed, to every helper here: no helper builds a table.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ class OrbitTable:
     @property
     def size(self) -> int:
         return self.r * self.n
-
-    @property
-    def rows(self) -> tuple[str, ...]:
-        return self.scroll.base.rows * self.omega
 
     @cached_property
     def live(self) -> tuple[int, ...]:
@@ -101,11 +101,11 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     )
 
 
-def table_degrees(s: Scroll, omega: int) -> tuple[int, int]:
+def table_degrees(t: OrbitTable) -> tuple[int, int]:
     """(deg p_omega, codeg p_omega) for the omega-fold table."""
-    part = snakes_and_cosnakes(s)
-    table = ouroboros_partition(omega_table(s, omega))
-    return part.alpha // table.bar_alpha, part.beta // table.bar_beta
+    part = snakes_and_cosnakes(t.scroll)
+    tab = ouroboros_partition(t)
+    return part.alpha // tab.bar_alpha, part.beta // tab.bar_beta
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,7 @@ class SwallowPermutation:
 
     order: tuple[int, ...]  # labels in cyclic order
     image: dict[int, int]  # label -> label under the swallow map
-
-    @property
-    def shift(self) -> int:
-        """Uniform shift k with image(order[i]) = order[i+k]; verified."""
-        pos = {label: i for i, label in enumerate(self.order)}
-        size = len(self.order)
-        k = (pos[self.image[self.order[0]]] - 0) % size
-        for i, label in enumerate(self.order):
-            if pos[self.image[label]] != (i + k) % size:
-                raise AssertionError("swallow permutation is not a uniform shift")
-        return k
+    shift: int  # uniform shift k with image(order[i]) = order[i+k]
 
     @property
     def cycle_type(self) -> tuple[int, ...]:
@@ -140,7 +130,8 @@ class SwallowPermutation:
 def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutation:
     """The count labels in the cyclic order of order_step from the first
     live entry, each mapped to the label of k - size for any k on it:
-    translation by the table size commutes with both steps."""
+    translation by the table size commutes with both steps.  The image
+    must be a uniform shift of that order; its shift is stored."""
     order, image = [], {}
     k = t.scroll.vector.index(1) + 1
     for _ in range(count):
@@ -150,7 +141,12 @@ def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutat
         k = order_step(k)
     if len(image) != count:
         raise AssertionError("step map does not traverse all labels once")
-    return SwallowPermutation(tuple(order), image)
+    pos = {label: i for i, label in enumerate(order)}
+    shift = pos[image[order[0]]]
+    for i, label in enumerate(order):
+        if pos[image[label]] != (i + shift) % count:
+            raise AssertionError("swallow permutation is not a uniform shift")
+    return SwallowPermutation(tuple(order), image, shift)
 
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
@@ -282,19 +278,19 @@ def table_coslither(t: OrbitTable) -> str:
     return t.scroll.metrics.coslither.word[: tab.bar_alpha]
 
 
-def is_color_preserving(s: Scroll, omega: int) -> bool:
-    """Evaluate the five equivalent conditions; assert they agree."""
+def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
+    """Evaluate the five equivalent conditions on table t, whose swallow and
+    co-swallow are sw and cs; assert they agree."""
+    s = t.scroll
     part = snakes_and_cosnakes(s)
-    table = omega_table(s, omega)
-    tab = ouroboros_partition(table)
-    deg_p, codeg_p = table_degrees(s, omega)
+    tab = ouroboros_partition(t)
     deg_p1, codeg_p1 = fundamental_degrees(s)
     conditions = {
         "counts": tab.bar_alpha == part.alpha and tab.bar_beta == part.beta,
-        "swallows": swallow(table).is_identity and co_swallow(table).is_identity,
-        "bijection": deg_p == 1 and codeg_p == 1,
-        "scale": (omega * s.n * s.m) % s.metrics.sigma == 0,
-        "frequency": omega % (deg_p1 * codeg_p1) == 0,
+        "swallows": sw.is_identity and cs.is_identity,
+        "bijection": part.alpha // tab.bar_alpha == 1 and part.beta // tab.bar_beta == 1,
+        "scale": t.size % part.sigma == 0,
+        "frequency": t.omega % (deg_p1 * codeg_p1) == 0,
     }
     values = set(conditions.values())
     if len(values) != 1:

@@ -54,10 +54,6 @@ class VerificationReport:
         else:
             self.violations.append(f"{name}: {context}")
 
-    @property
-    def is_clean(self) -> bool:
-        return not self.violations
-
 
 def _walk(coord: tuple[int, int], n: int, back, forth, k: int) -> list[tuple[int, int]]:
     """Unbounded coordinates after e steps of a step map, for e = -k..k.
@@ -152,7 +148,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("beta from letters", part.beta == ws.beta, ctx)
 
     # sum-vector laws
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     cs = col_scale(s)
     rep.check("lambda odd", sv.lam % 2 == 1, ctx)
     rep.check("lambda | gcd(n, ColScale)", gcd(n, cs) % sv.lam == 0, ctx)
@@ -166,10 +162,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     if not extended:
         return
 
-    # tape period: minimality and the divisibility characterization;
-    # tape(t) for t >= 0 is the vector rotated right by one, repeated
+    # tape period: minimality and the divisibility characterization
     period = met.T_tape
-    reads = (s.vector[-1:] + s.vector[:-1]) * (3 * period // size + 2)
+    reads = s.reads(3 * period + size)
     for ell in range(1, 3 * period + 1):
         rep.check(
             "tape shift iff T_tape divides",
@@ -264,7 +259,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             (tab.bar_alpha, tab.bar_beta) == predicted_counts(s, omega),
             octx,
         )
-        deg_p, codeg_p = table_degrees(s, omega)
+        deg_p, codeg_p = table_degrees(table)
         try:
             sw = swallow(table)
             cs = co_swallow(table)
@@ -288,7 +283,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         except AssertionError as exc:
             rep.violations.append(f"group order equals live count: {octx}: {exc}")
         try:
-            is_color_preserving(s, omega)
+            is_color_preserving(table, sw, cs)
             rep.ok("color-preserving conditions agree")
         except AssertionError as exc:
             rep.violations.append(f"color-preserving conditions: {octx}: {exc}")
@@ -325,6 +320,10 @@ def run_verification(
     extended: bool = True,
     completeness: bool = False,
 ) -> VerificationReport:
+    if omega_max < 0:
+        raise ValueError(f"omega_max must be non-negative, got {omega_max}")
+    if n_min > n_max:
+        raise ValueError(f"empty range: n_min {n_min} > n_max {n_max}")
     rep = VerificationReport()
     for n in range(n_min, n_max + 1):
         for o in all_orbits(n):

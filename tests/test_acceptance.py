@@ -46,7 +46,7 @@ def test_criterion_1_running_example_n11():
     assert met.sigma == 42
     assert met.T_tape == 7
     assert col_scale(s) == 9
-    assert sum_vector(omega_table(s, 1)).lam == 1
+    assert sum_vector(s).lam == 1
 
     tab = ouroboros_partition(omega_table(s, 1))
     assert (tab.bar_alpha, tab.bar_beta) == (1, 2)
@@ -68,7 +68,7 @@ def test_criterion_2_motivating_example_n12():
     assert vector == vector[:45] * 4
     assert s.tape_period == 45
 
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     assert sv.sums == (3, 4, 5) * 4
     assert sv.lam == 3
     assert time.perf_counter() - start < 1.0
@@ -121,7 +121,7 @@ def test_criterion_3_classification_n13():
 def test_criterion_4_theorem_suite_n2_to_16():
     start = time.perf_counter()
     rep = run_verification(2, 16, omega_max=0, extended=True, completeness=False)
-    assert rep.is_clean, rep.violations[:10]
+    assert not rep.violations, rep.violations[:10]
     # every law's check count: 22969 live entries and 159 orbits
     orbits, live = 159, 22969
     per_orbit = (
@@ -162,7 +162,7 @@ def test_criterion_4_theorem_suite_n2_to_16():
 def test_criterion_5_ouroboros_counting_n13_omega12():
     start = time.perf_counter()
     rep = run_verification(2, 13, omega_max=12, extended=False, completeness=False)
-    assert rep.is_clean, rep.violations[:10]
+    assert not rep.violations, rep.violations[:10]
     for law in (
         "ouroboros counts match formula",
         "swallow cycle structure",
@@ -250,9 +250,9 @@ def test_criterion_7_sum_vector_construction_grid():
         for k in (4, 5, 6, 7):
             s = construct_period_lambda(lam, k)
             assert s.n == lam * k
-            assert sum_vector(omega_table(s, 1)).lam == lam
+            assert sum_vector(s).lam == lam
     s = construct_period_lambda(7, 4)
-    assert sum_vector(omega_table(s, 1)).sums == (9, 8, 8, 8, 8, 8, 7) * 4
+    assert sum_vector(s).sums == (9, 8, 8, 8, 8, 8, 7) * 4
     assert time.perf_counter() - start < 60.0
 
 

@@ -98,6 +98,17 @@ def test_verify_subcommand(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_rejects_bad_ranges(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n-min", "2", "--n-max", "4", "--omega-max", "-1", "--core-only"
+    )
+    assert code == EXIT_INPUT
+    assert out == "" and "omega_max" in err
+    code, out, err = run(capsys, "verify", "--n-min", "5", "--n-max", "3")
+    assert code == EXIT_INPUT
+    assert out == "" and "n_min" in err
+
+
 def test_sum_period_subcommand(capsys):
     code, out, _ = run(capsys, "sum-period", "--lambda", "3", "--k", "4")
     assert code == EXIT_OK

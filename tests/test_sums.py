@@ -12,21 +12,32 @@ from snakescroll.sums import (
     period_lambda_words,
     sum_vector,
 )
-from snakescroll.tables import omega_table
 
 
 def test_vector_period():
-    # sum_vector reads only t.n and t.rows: build rows with given column sums
+    # sum_vector reads only s.n and s.vector: build rows with given column sums
     for sums, lam in [((3, 4, 5, 3, 4, 5), 3), ((7, 7, 7), 1), ((1, 2, 3), 3)]:
-        rows = ["".join("1" if i < v else "0" for v in sums) for i in range(max(sums))]
-        sv = sum_vector(SimpleNamespace(n=len(sums), rows=rows))
+        rows = [[1 if i < v else 0 for v in sums] for i in range(max(sums))]
+        vector = bytes(bit for row in rows for bit in row)
+        sv = sum_vector(SimpleNamespace(n=len(sums), vector=vector))
         assert (sv.sums, sv.lam) == (sums, lam)
+
+
+def test_sums_are_the_column_sums_of_the_rows():
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            columns = [0] * n
+            for row in s.base.rows:
+                for j, ch in enumerate(row):
+                    columns[j] += ch == "1"
+            assert sum_vector(s).sums == tuple(columns), o.rows[0]
 
 
 def test_running_example_sums():
     s = scroll_from_seed("00001010000")
     assert col_scale(s) == 9
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     assert sv.lam == 1
     assert sv.sums == (2,) * 11
 
@@ -34,7 +45,7 @@ def test_running_example_sums():
 def test_motivating_example_sums():
     s = scroll_from_seed("101010001010")
     assert s.m == 15
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     assert sv.lam == 3
     assert sv.sums == (3, 4, 5) * 4
 
@@ -45,7 +56,7 @@ def test_sum_period_laws_on_small_cycles():
     for n in range(2, 13):
         for o in all_orbits(n):
             s = Scroll(o)
-            lam = sum_vector(omega_table(s, 1)).lam
+            lam = sum_vector(s).lam
             assert lam % 2 == 1
             assert gcd(n, col_scale(s)) % lam == 0
             assert lam == 1 or n >= 4 * lam
@@ -67,7 +78,7 @@ def test_construct_period_lambda_small_grid():
     for lam, k in [(3, 4), (3, 5), (5, 4), (1, 4), (1, 5)]:
         s = construct_period_lambda(lam, k)
         assert s.n == lam * k
-        assert sum_vector(omega_table(s, 1)).lam == lam
+        assert sum_vector(s).lam == lam
 
 
 def test_construct_rejects_bad_parameters():
@@ -79,6 +90,6 @@ def test_construct_rejects_bad_parameters():
 
 def test_figure_sum_pattern_for_7_4():
     s = construct_period_lambda(7, 4)
-    sv = sum_vector(omega_table(s, 1))
+    sv = sum_vector(s)
     assert sv.lam == 7
     assert sv.sums == (9, 8, 8, 8, 8, 8, 7) * 4

@@ -7,7 +7,7 @@ import pytest
 from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed, snakes_and_cosnakes
 from snakescroll.tables import (
-    SwallowPermutation,
+    _swallow,
     co_swallow,
     fundamental_degrees,
     group_invariants,
@@ -75,6 +75,14 @@ def test_running_example_co_swallow():
     assert sw.cycle_type == (2,)  # alpha=2 snakes folded into one ouroboros
 
 
+def test_swallow_rejects_a_non_uniform_shift():
+    t = omega_table(scroll_from_seed(SEED11), 1)
+    k0 = t.live[0]
+    # labels 0, 1, 2 in order, all swallowed onto label 0
+    with pytest.raises(AssertionError, match="not a uniform shift"):
+        _swallow(t, lambda k: (k - k0) % 3 if k > 0 else 0, 3, lambda k: k + 1)
+
+
 def test_swallow_cycle_structure_everywhere():
     for n in range(2, 10):
         for o in all_orbits(n):
@@ -82,7 +90,7 @@ def test_swallow_cycle_structure_everywhere():
             for omega in (1, 2, 3):
                 table = omega_table(s, omega)
                 tab = ouroboros_partition(table)
-                deg_p, codeg_p = table_degrees(s, omega)
+                deg_p, codeg_p = table_degrees(table)
                 assert swallow(table).cycle_type == tuple([deg_p] * tab.bar_alpha)
                 assert co_swallow(table).cycle_type == tuple(
                     [codeg_p] * tab.bar_beta
@@ -130,7 +138,7 @@ def _reference_swallow(t, label_of, count, order_step, table_map):
         k = order_step(k)
     head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
     image = {label: label_of(table_map[head[label] % t.size]) for label in order}
-    return SwallowPermutation(tuple(order), image)
+    return tuple(order), image
 
 
 def test_swallows_match_head_stepping_reference():
@@ -143,8 +151,7 @@ def test_swallows_match_head_stepping_reference():
         sw = _reference_swallow(table, part.snake_of, part.alpha, s.co_successor, succ)
         cs = _reference_swallow(table, part.cosnake_of, part.beta, s.successor, co_succ)
         for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
-            assert got.order == want.order
-            assert got.image == want.image
+            assert (got.order, got.image) == want
 
 
 def _cycle_lengths_lcm(live, step) -> int:
@@ -219,7 +226,7 @@ def test_table_words_power_up_to_scroll_words():
     t1 = omega_table(s, 1)
     assert table_slither(t1) == "ED"
     assert table_coslither(t1) == "S"
-    deg_p, codeg_p = table_degrees(s, 1)
+    deg_p, codeg_p = table_degrees(t1)
     assert table_slither(t1) * codeg_p == s.metrics.slither.word
     assert table_coslither(t1) * deg_p == s.metrics.coslither.word
 
@@ -227,7 +234,8 @@ def test_table_words_power_up_to_scroll_words():
 def test_color_preserving_running_example():
     s = scroll_from_seed(SEED11)
     for omega in range(1, 13):
-        assert is_color_preserving(s, omega) == (omega % 6 == 0)
+        t = omega_table(s, omega)
+        assert is_color_preserving(t, swallow(t), co_swallow(t)) == (omega % 6 == 0)
 
 
 def test_crossed_degree_divisibility():

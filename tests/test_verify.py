@@ -10,7 +10,7 @@ from snakescroll.verify import VerificationReport, check_scroll, run_verificatio
 
 def test_small_cycles_are_clean():
     rep = run_verification(2, 9, omega_max=3, extended=True, completeness=True)
-    assert rep.is_clean
+    assert not rep.violations
     assert rep.passed["commutation"] > 0
     assert rep.passed["torsor simple transitivity"] > 0
     assert rep.passed["classification completeness"] == 8
@@ -18,7 +18,7 @@ def test_small_cycles_are_clean():
 
 def test_known_evidence_lists_populate():
     rep = run_verification(5, 5, omega_max=1)
-    assert rep.is_clean
+    assert not rep.violations
     # n=5 seed 00100 has deg(p1)=2, deg=3: same-side divisibility fails
     assert any("n=5" in line for line in rep.same_side_degree_failures)
 
@@ -27,7 +27,7 @@ def test_tables_are_clean_for_n14_to_16():
     # past the n <= 13 range of criterion 5: every table law holds on every
     # table with n = 14..16 and omega <= 12
     rep = run_verification(14, 16, omega_max=12, extended=False)
-    assert rep.is_clean, rep.violations[:10]
+    assert not rep.violations, rep.violations[:10]
     orbits = sum(len(all_orbits(n)) for n in range(14, 17))
     assert rep.passed["crossed degree divisibility"] == orbits
     for law in (
@@ -48,7 +48,7 @@ def test_tables_are_clean_for_n14_to_16():
 def test_theorem_suite_n17_to_18():
     # past the n <= 16 range of criterion 4
     rep = run_verification(17, 18, extended=True)
-    assert rep.is_clean, rep.violations[:10]
+    assert not rep.violations, rep.violations[:10]
     assert sum(rep.passed.values()) == 116035 + 197531
 
 
