@@ -15,6 +15,10 @@ T_tape, and canonicalised.  The fundamental vector is that period
 repeated lcm(T_tape, n) / T_tape times, and the least rotation of a power
 is the power of the least rotation.  `canonical_tape` still reads the
 simulated orbit rows: `verify` compares the two paths.
+
+The slithers and co-slithers of a quadruple are its fixed-content
+necklaces (`necklaces`), and each of the two word lists is built once per
+quadruple.
 """
 
 from __future__ import annotations
@@ -190,8 +194,9 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
         raise ValueError("cycle graphs need at least 2 vertices")
     records: list[TapeClass] = []
     for quad in feasible_quadruples(n):
+        coslithers = coslither_necklaces(quad)
         for ws in slither_necklaces(quad):
-            for wc in coslither_necklaces(quad):
+            for wc in coslithers:
                 row = construct_first_row(ws, wc, n)
                 met = metrics_from_row(row, n)
                 # round trip guards the construction

@@ -24,25 +24,16 @@ def ansi_table(table: OrbitTable) -> str:
     """Two colored copies of the table: snake scheme, then co-snake scheme."""
     s = table.scroll
     part = snakes_and_cosnakes(s)
-    snake_idx = _label_indices(part.snake_label)
-    cosnake_idx = _label_indices(part.cosnake_label)
+    bits = s.vector * table.omega  # bits[t - 1] is tape(t) for t in 1..size
     blocks = []
-    for title, labels, idx in (
-        ("snakes", part.snake_label, snake_idx),
-        ("co-snakes", part.cosnake_label, cosnake_idx),
-    ):
-        lines = [title + ":"]
-        for i in range(table.r):
-            chars = []
-            for j in range(1, s.n + 1):
-                t = i * s.n + j
-                if s.tape(t) == 1:
-                    color = ANSI_COLORS[idx[labels[t % part.sigma]] % len(ANSI_COLORS)]
-                    chars.append(f"\x1b[{color}m1\x1b[0m")
-                else:
-                    chars.append(".")
-            lines.append("".join(chars))
-        blocks.append("\n".join(lines))
+    for title, labels in (("snakes", part.snake_label), ("co-snakes", part.cosnake_label)):
+        cell = {
+            label: f"\x1b[{ANSI_COLORS[i % len(ANSI_COLORS)]}m1\x1b[0m"
+            for label, i in _label_indices(labels).items()
+        }
+        chars = [cell[labels[t % part.sigma]] if bit else "." for t, bit in enumerate(bits, 1)]
+        rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
+        blocks.append("\n".join([title + ":", *rows]))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -230,7 +230,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
 
 
 def test_criterion_6_round_trip_and_completeness():
-    for n in range(2, 21):
+    for n in range(2, 23):
         for rec in enumerate_ticker_tapes(n):
             assert cyclically_equal(
                 slither_from_row(rec.first_row).word, rec.slither
@@ -238,7 +238,7 @@ def test_criterion_6_round_trip_and_completeness():
             assert cyclically_equal(
                 coslither_from_row(rec.first_row).word, rec.coslither
             )
-    for n in range(2, 21):
+    for n in range(2, 23):
         simulated = {canonical_tape(Scroll(o)) for o in all_orbits(n)}
         classified = {rec.tape for rec in enumerate_ticker_tapes(n)}
         assert simulated == classified, f"n={n}"

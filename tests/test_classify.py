@@ -1,5 +1,7 @@
 """Feasible pairs, first-row construction, tape enumeration."""
 
+from math import gcd
+
 import pytest
 
 from snakescroll.classify import (
@@ -11,8 +13,8 @@ from snakescroll.classify import (
     gf_count,
     tape_prefix,
 )
-from snakescroll.cycles import enumerate_independent_sets
-from snakescroll.cyclic import canonical, cyclically_equal
+from snakescroll.cycles import all_orbits, enumerate_independent_sets
+from snakescroll.cyclic import canonical, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
 from snakescroll.slither import coslither_from_row, metrics_from_row, slither_from_row
 
@@ -121,3 +123,22 @@ def test_quadruple_ordering_is_stable():
     quads = feasible_quadruples(13)
     assert quads[0] == FeasibleQuadruple(0, 2, 2, 7)
     assert quads == sorted(quads)
+
+
+def test_tape_periods_sum_to_the_lucas_number():
+    # The n symbols from each of the T offsets of a tape of period T are
+    # distinct independent sets, and each of the L_n independent sets of
+    # C_n is read from exactly one offset of one tape class.
+    lucas = [2, 1]
+    for n in range(2, 27):
+        lucas.append(lucas[-1] + lucas[-2])
+        total = sum(least_period(rec.tape) for rec in enumerate_ticker_tapes(n))
+        assert total == lucas[n], f"n={n}"
+
+
+def test_tape_classes_give_every_sweep_orbit():
+    # A sweep moves the offset by n, so the T offsets of a tape of period T
+    # fall into gcd(n, T) sweep orbits.
+    for n in range(2, 23):
+        total = sum(gcd(n, least_period(rec.tape)) for rec in enumerate_ticker_tapes(n))
+        assert total == len(all_orbits(n)), f"n={n}"

@@ -31,3 +31,44 @@ def test_representatives_are_canonical_and_complete():
 def test_sl_alphabet_uses_s_first_ordering():
     reps = necklaces_fixed_content("S", "L", 2, 2)
     assert reps == sorted(["SSLL", "SLSL"])
+
+
+def _least_rotations(length: int) -> dict[int, list[str]]:
+    """Least member of each rotation class of length-bit words, by zero count.
+
+    The reference the generator replaced: every arrangement, kept when it
+    is its own least rotation.  Each class is visited once, from its first
+    member in counting order, and its least member is found by rotating
+    the integer through the whole class; '0' ranks below '1'.  length >= 1.
+    """
+    by_zeros: dict[int, list[str]] = {}
+    seen = bytearray(1 << length)
+    for x in range(1 << length):
+        if seen[x]:
+            continue
+        least = y = x
+        while not seen[y]:
+            seen[y] = 1
+            least = min(least, y)
+            y = (y >> 1) | ((y & 1) << (length - 1))
+        word = format(least, f"0{length}b")
+        by_zeros.setdefault(word.count("0"), []).append(word)
+    return by_zeros
+
+
+def test_generator_matches_the_arrangement_filter():
+    for length in range(1, 21):
+        reference = _least_rotations(length)
+        for ca in range(length + 1):
+            for a, b in (("D", "E"), ("S", "L")):
+                letters = str.maketrans("01", a + b)
+                expected = sorted(w.translate(letters) for w in reference[ca])
+                got = necklaces_fixed_content(a, b, ca, length - ca)
+                assert got == expected, (length, ca, a)
+
+
+def test_single_letter_and_empty_contents():
+    assert necklaces_fixed_content("D", "E", 0, 0) == [""]
+    assert necklaces_fixed_content("S", "L", 0, 3) == ["LLL"]
+    assert necklaces_fixed_content("S", "L", 3, 0) == ["SSS"]
+    assert necklaces_fixed_content("D", "E", 0, 1) == ["E"]
