@@ -7,14 +7,19 @@ shift.  The first row is rebuilt by inverting the subslither calculus:
 tokenize the slither as (E | D E* D)* D E*, then let the co-slither
 letters fix the gap parities.
 
-Each record's tape is built without simulating the orbit.  Read as a
-tape, the sweep is the recurrence X_{t+n} = NOR(X_{t+n-1}, X_t, X_{t+1}),
-so the first row determines every later symbol; only one period, the
-first T_tape symbols, is built, checked to repeat with least period
-T_tape, and canonicalised.  The fundamental vector is that period
-repeated lcm(T_tape, n) / T_tape times, and the least rotation of a power
-is the power of the least rotation.  `canonical_tape` still reads the
-simulated orbit rows: `verify` compares the two paths.
+Each record's tape is built without simulating the orbit.  The snake
+and ouroboros groups act on the live entries as torsors, so with the
+first row live in column 1 the live set mod T_tape is {A_a + B_b}, A_a
+the tape advance of the first a letters of the row's slither and B_b the
+same for its co-slither: one period is the OR of the slither-prefix mask
+rotated by each co-slither prefix.  It must follow the sweep read as a
+tape, X_{t+n} = NOR(X_{t+n-1}, X_t, X_{t+1}), at every offset, start with
+the first row and have least period T_tape; the recurrence and the row
+then fix the whole tape.  `canonical_binary` gives its least rotation,
+and the fundamental vector is that repeated lcm(T_tape, n) / T_tape times
+(the least rotation of a power is the power of the least rotation).
+`canonical_tape` still reads the simulated orbit rows with Booth's
+`canonical`: `verify` compares the two paths.
 
 The slithers and co-slithers of a quadruple are its fixed-content
 necklaces (`necklaces`), and each of the two word lists is built once per
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cycles import is_independent
-from .cyclic import canonical, cyclically_equal, least_period
+from .cyclic import canonical, canonical_binary, cyclically_equal, least_period
 from .necklaces import necklaces_fixed_content
 from .scroll import Scroll
-from .slither import metrics_from_row
+from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 
 @dataclass(frozen=True, order=True)
@@ -145,25 +150,51 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
     return row
 
 
-def tape_prefix(row: str, period: int) -> str:
-    """The first `period` tape symbols of the scroll whose first row is row.
+def tape_period(row: str, met: ScrollMetrics) -> str:
+    """The first T_tape symbols of the tape whose first row is row.
 
-    Raises AssertionError unless the tape has least period `period`: the
-    n symbols after the prefix must repeat the first row, and the prefix
-    must not be a power of a shorter word.
+    row must be live in column 1 and met its metrics.  The live set mod
+    T_tape is read off the torsor and checked by `checked_period`.
+    """
+    n, size = len(row), met.T_tape
+    advance = {k: step_advance(k, n) % size for k in "DESL"}
+    # bit i of a mask is tape index i (0-based) mod size
+    slither_mask, t = 0, 0
+    for letter in met.slither.word:
+        slither_mask |= 1 << t
+        t = (t + advance[letter]) % size
+    doubled = slither_mask | (slither_mask << size)
+    period, t = 0, 0
+    for letter in met.coslither.word:
+        period |= doubled >> (size - t)  # the mask rotated by t
+        t = (t + advance[letter]) % size
+    return checked_period(row, period & ((1 << size) - 1), size)
+
+
+def checked_period(row: str, period: int, size: int) -> str:
+    """The size-bit integer period (bit i is tape index i) as a 0/1 word.
+
+    Raises AssertionError unless the period follows the sweep recurrence
+    at every offset, starts with row, and has least period size: then it
+    is one period of the tape whose first row is row.
     """
     n = len(row)
-    x = [int(b) for b in row]
-    for s in range(n, period + n):
-        x.append(1 - (x[s - 1] | x[s - n] | x[s - n + 1]))
-    if x[period:] != x[:n]:
-        raise AssertionError(f"tape of row {row!r} does not repeat after {period}")
-    prefix = "".join(map(str, x[:period]))
-    if least_period(prefix) != period:
+    full = (1 << size) - 1
+    doubled = period | (period << size)
+
+    def ahead(k: int) -> int:  # bit i is tape index i + k
+        return (doubled >> (k % size)) & full
+
+    if ahead(n) != full & ~(ahead(n - 1) | period | ahead(1)):
+        raise AssertionError(f"period of row {row!r} breaks the sweep recurrence")
+    word = format(period, f"0{size}b")[::-1]
+    if (word * (n // size + 1))[:n] != row:
+        raise AssertionError(f"period of row {row!r} does not start with the row")
+    if least_period(word) != size:
         raise AssertionError(
-            f"tape of row {row!r} has least period {least_period(prefix)}, not {period}"
+            f"tape of row {row!r} has least period {least_period(word)}, not {size}"
         )
-    return prefix
+    return word
 
 
 def canonical_tape(s: Scroll) -> str:
@@ -207,7 +238,7 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
                         f"round trip failed for ({ws}, {wc}) at n={n}"
                     )
                 period = met.T_tape
-                tape = canonical(tape_prefix(row, period)) * (lcm(period, n) // period)
+                tape = canonical_binary(tape_period(row, met)) * (lcm(period, n) // period)
                 records.append(TapeClass(quad, ws, wc, row, tape))
     tapes = {rec.tape for rec in records}
     if len(tapes) != len(records):

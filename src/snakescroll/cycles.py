@@ -29,8 +29,7 @@ def _check_word(bits: str, n: int | None = None) -> None:
 def is_independent(bits: str, n: int | None = None) -> bool:
     """True iff no two cyclically adjacent positions both hold 1."""
     _check_word(bits, n)
-    m = len(bits)
-    return all(not (bits[i] == "1" and bits[(i + 1) % m] == "1") for i in range(m))
+    return "11" not in bits + bits[0]
 
 
 def _require_independent(bits: str) -> None:

@@ -2,7 +2,10 @@
 
 The canonical form is the least rotation, found in O(L) time and memory
 by Booth's algorithm (K. S. Booth, "Lexicographically least circular
-substrings", IPL 1980).
+substrings", IPL 1980).  Classification canonicalises its tape periods
+with `canonical_binary`, which only compares the rotations at the
+longest zero runs; Booth's `canonical` is the simulation-side oracle,
+the form of the simulated orbit rows that `verify` compares them with.
 """
 
 from __future__ import annotations
@@ -35,6 +38,27 @@ def canonical(word: str) -> str:
         else:
             fail[j - k] = i + 1
     return word[k:] + word[:k]
+
+
+def canonical_binary(word: str) -> str:
+    """Least rotation of a 0/1 word that contains a 1, with 0 < 1.
+
+    The least rotation opens with as many 0s as any rotation can, so it
+    starts at one of the longest zero runs, read cyclically.  Only those
+    starts are candidates, each a slice of the doubled word.
+    """
+    runs = word.split("1")
+    if len(runs) == 1:
+        raise ValueError(f"{word!r} has no 1")
+    longest = max(max(map(len, runs)), len(runs[0]) + len(runs[-1]))
+    lead = "1" + "0" * longest
+    doubled, size = word + word, len(word)
+    starts = []
+    j = doubled.find(lead)
+    while 0 <= j < size:
+        starts.append(j + 1)
+        j = doubled.find(lead, j + 1)
+    return min(doubled[k:k + size] for k in starts)
 
 
 def cyclically_equal(a: str, b: str) -> bool:

@@ -96,9 +96,8 @@ def zero_blocks(row: str) -> ZeroBlocks:
         raise ValueError("all-zero row has no gap structure")
     if row[0] != "1":
         raise ValueError("row must be rotated so column 1 is live")
-    ones = [i for i, b in enumerate(row) if b == "1"]
-    inner = tuple(b - a - 1 for a, b in zip(ones, ones[1:]))
-    return ZeroBlocks(inner, len(row) - 1 - ones[-1])
+    *inner, trailing = row[1:].split("1")
+    return ZeroBlocks(tuple(map(len, inner)), len(trailing))
 
 
 def _subslither(z: int) -> str:
@@ -107,23 +106,28 @@ def _subslither(z: int) -> str:
     return "D" + "E" * (z // 2 - 1) + "D"
 
 
-def slither_from_row(row: str) -> Slither:
-    blocks = zero_blocks(analysis_window(row))
+def _slither_word(blocks: ZeroBlocks) -> str:
     parts = [_subslither(z) for z in blocks.inner_lengths]
-    zt = blocks.trailing_length
-    parts.append("D" + "E" * ((zt - 1) // 2))
-    return Slither("".join(parts))
+    parts.append("D" + "E" * ((blocks.trailing_length - 1) // 2))
+    return "".join(parts)
 
 
-def coslither_from_row(row: str) -> CoSlither:
-    blocks = zero_blocks(analysis_window(row))
+def _coslither_word(blocks: ZeroBlocks) -> str:
     first = "S" if blocks.trailing_length % 2 == 1 else "L"
     rest = [
         "S" if z % 2 == 0 else "L"
         for z in reversed(blocks.inner_lengths)
         if z > 1
     ]
-    return CoSlither(first + "".join(rest))
+    return first + "".join(rest)
+
+
+def slither_from_row(row: str) -> Slither:
+    return Slither(_slither_word(zero_blocks(analysis_window(row))))
+
+
+def coslither_from_row(row: str) -> CoSlither:
+    return CoSlither(_coslither_word(zero_blocks(analysis_window(row))))
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,9 @@ def metrics_from_row(row: str, n: int) -> ScrollMetrics:
     """All scale data computable from one row of the scroll."""
     if len(row) != n:
         raise ValueError("row length does not match n")
-    ws = slither_from_row(row)
-    wc = coslither_from_row(row)
+    blocks = zero_blocks(analysis_window(row))
+    ws = Slither(_slither_word(blocks))
+    wc = CoSlither(_coslither_word(blocks))
     sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d
     sigma_co = (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l
     if sigma != sigma_co:

@@ -1,5 +1,6 @@
 """Feasible pairs, first-row construction, tape enumeration."""
 
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from snakescroll.classify import (
     FeasibleQuadruple,
     canonical_tape,
+    checked_period,
     construct_first_row,
     enumerate_ticker_tapes,
     feasible_quadruples,
     gf_count,
-    tape_prefix,
+    tape_period,
 )
 from snakescroll.cycles import all_orbits, enumerate_independent_sets
 from snakescroll.cyclic import canonical, cyclically_equal, least_period
@@ -54,18 +56,58 @@ def test_construct_round_trip():
             assert cyclically_equal(back_c, rec.coslither)
 
 
-def test_tape_prefix_follows_the_simulated_tape():
-    for n in range(2, 13):
+def recurrence_period(row, period):
+    """The first `period` tape symbols by the per-symbol sweep recurrence.
+
+    Read as a tape, the sweep is X_{t+n} = NOR(X_{t+n-1}, X_t, X_{t+1});
+    the n symbols after the period must repeat the row.
+    """
+    n = len(row)
+    x = [int(b) for b in row]
+    for s in range(n, period + n):
+        x.append(1 - (x[s - 1] | x[s - n] | x[s - n + 1]))
+    assert x[period:] == x[:n]
+    return "".join(map(str, x[:period]))
+
+
+def live_first_rows(n_max):
+    """(row, metrics) for every independent set with column 1 live, n <= n_max."""
+    for n in range(2, n_max + 1):
         for row in enumerate_independent_sets(n):
-            if "1" not in row:
-                continue
-            period = metrics_from_row(row, n).T_tape
-            vector = scroll_from_seed(row).vector
-            assert tape_prefix(row, period) == "".join(map(str, vector[:period]))
+            if row[0] == "1":
+                yield row, metrics_from_row(row, n)
+
+
+def test_torsor_period_is_the_simulated_tape():
+    rows = 0
+    for row, met in live_first_rows(14):
+        period = met.T_tape
+        want = "".join(map(str, scroll_from_seed(row).vector[:period]))
+        assert tape_period(row, met) == want, row
+        assert recurrence_period(row, period) == want, row
+        rows += 1
+    assert rows == 609  # sum of F(n - 1) for n = 2..14: column 1 live, 2 and n dead
+
+
+def test_every_single_bit_corruption_breaks_the_recurrence():
+    for row, met in live_first_rows(14):
+        size, word = met.T_tape, tape_period(row, met)
+        period = int(word[::-1], 2)  # bit i is tape index i
+        assert checked_period(row, period, size) == word
+        for i in range(size):
+            with pytest.raises(AssertionError, match="recurrence"):
+                checked_period(row, period ^ (1 << i), size)
+        # a shifted period follows the recurrence but starts elsewhere
+        shifted = (period >> 1) | ((period & 1) << (size - 1))
+        with pytest.raises(AssertionError, match="start with the row"):
+            checked_period(row, shifted, size)
+
+
+def test_a_wrong_tape_period_is_rejected():
+    for row, met in live_first_rows(14):
+        for wrong in (met.T_tape - 1, 2 * met.T_tape):
             with pytest.raises(AssertionError):
-                tape_prefix(row, period - 1)  # the tape does not repeat
-            with pytest.raises(AssertionError):
-                tape_prefix(row, 2 * period)  # repeats, but not least
+                tape_period(row, replace(met, T_tape=wrong))
 
 
 def test_construct_rejects_mismatched_words():

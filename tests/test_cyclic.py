@@ -1,7 +1,10 @@
 """Rotation helpers: canonical forms, least periods."""
 
+import pytest
+
 from snakescroll.cyclic import (
     canonical,
+    canonical_binary,
     cyclically_equal,
     exponent,
     least_period,
@@ -22,6 +25,16 @@ def test_canonical_orders_s_before_l():
 
 def test_canonical_binary_words():
     assert canonical("10100001010") == "00001010101"
+
+
+def test_canonical_binary_starts_at_a_longest_zero_run():
+    assert canonical_binary("10100001010") == "00001010101"
+    assert canonical_binary("0010100") == "0000101"  # the run wraps around
+    assert canonical_binary("100100") == "001001"
+    assert canonical_binary("111") == "111"
+    for word in ("", "0000"):
+        with pytest.raises(ValueError):
+            canonical_binary(word)
 
 
 def test_canonical_of_periodic_words():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit, sweep, toggle
-from snakescroll.cyclic import canonical, cyclically_equal, least_period
+from snakescroll.cyclic import canonical, canonical_binary, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
 
 
@@ -93,6 +93,37 @@ def least_rotation(word):
 )
 def test_canonical_is_the_least_rotation(word):
     assert canonical(word) == least_rotation(word)
+
+
+binary_words = st.text(alphabet="01", min_size=1, max_size=40).filter(lambda w: "1" in w)
+
+
+@st.composite
+def wrapping_zero_runs(draw):
+    """Binary words whose longest zero run wraps around the end."""
+    middle = "1" + draw(st.text(alphabet="01", max_size=20)) + "1"
+    inner = max(map(len, middle.split("1")))
+    total = draw(st.integers(max(inner + 1, 2), inner + 10))
+    head = draw(st.integers(1, total - 1))
+    return "0" * head + middle + "0" * (total - head)
+
+
+@given(
+    st.one_of(
+        binary_words,
+        st.tuples(binary_words, st.integers(2, 6)).map(lambda p: p[0] * p[1]),
+        wrapping_zero_runs(),
+    )
+)
+def test_canonical_binary_is_the_least_rotation(word):
+    assert canonical_binary(word) == least_rotation(word) == canonical(word)
+
+
+@given(wrapping_zero_runs())
+def test_wrapping_words_wrap(word):
+    runs = word.split("1")
+    assert len(runs[0]) + len(runs[-1]) > max(map(len, runs[1:-1]))
+    assert word[0] == word[-1] == "0"
 
 
 @given(st.text(alphabet="SL", min_size=1, max_size=12))
