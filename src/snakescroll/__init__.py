@@ -33,9 +33,7 @@ from .slither import (
     CoSlither,
     ScrollMetrics,
     Slither,
-    coslither_from_row,
     metrics_from_row,
-    slither_from_row,
 )
 from .sums import col_scale, construct_period_lambda, sum_vector
 from .tables import (

@@ -24,7 +24,7 @@ from .report import (
     report_to_text,
 )
 from .scroll import scroll_from_seed
-from .slither import coslither_from_row, slither_from_row
+from .slither import metrics_from_row
 from .sums import construct_period_lambda, sum_vector
 from .tables import omega_table
 from .verify import run_verification
@@ -36,7 +36,7 @@ EXIT_VIOLATION = 2
 
 def _cmd_orbit(args) -> int:
     seed = args.seed
-    if len(seed) != args.n or not is_independent(seed, args.n):
+    if len(seed) != args.n or not is_independent(seed):
         print(f"seed {seed!r} is not an independent set of C_{args.n}", file=sys.stderr)
         return EXIT_INPUT
     table = omega_table(scroll_from_seed(seed), args.omega)
@@ -116,8 +116,8 @@ def _cmd_sum_period(args) -> int:
 
 def _cmd_construct(args) -> int:
     row = construct_first_row(args.slither, args.coslither, args.n)
-    back_s = slither_from_row(row).word
-    back_c = coslither_from_row(row).word
+    met = metrics_from_row(row, args.n)
+    back_s, back_c = met.slither.word, met.coslither.word
     ok = cyclically_equal(back_s, args.slither) and cyclically_equal(
         back_c, args.coslither
     )

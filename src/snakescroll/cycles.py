@@ -17,18 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _check_word(bits: str, n: int | None = None) -> None:
-    if n is not None and len(bits) != n:
-        raise ValueError(f"expected a word of length {n}, got {len(bits)}")
+def _check_word(bits: str) -> None:
     if len(bits) < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
     if set(bits) - {"0", "1"}:
         raise ValueError(f"not a binary word: {bits!r}")
 
 
-def is_independent(bits: str, n: int | None = None) -> bool:
+def is_independent(bits: str) -> bool:
     """True iff no two cyclically adjacent positions both hold 1."""
-    _check_word(bits, n)
+    _check_word(bits)
     return "11" not in bits + bits[0]
 
 

@@ -14,6 +14,7 @@ COSNAKE_PALETTE = [
     "#e74c3c", "#3498db", "#9b59b6", "#2ecc71", "#f39c12", "#1abc9c",
     "#d81b60", "#8d6e63", "#aeea00", "#7e57c2",
 ]
+SVG_UNIT = 28  # pixels per table cell
 
 
 def _label_indices(labels: dict[int, int]) -> dict[int, int]:
@@ -37,13 +38,14 @@ def ansi_table(table: OrbitTable) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def svg_table(table: OrbitTable, unit: int = 28) -> str:
+def svg_table(table: OrbitTable) -> str:
     """Live entries as colored nodes, successor and co-successor edges.
 
-    Cell (row i, col j) sits at (j*unit, i*unit).  Edges that overflow
-    the right margin are drawn split, with small re-entry markers.
+    Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  Edges
+    that overflow the right margin are drawn split, with small re-entry
+    markers.
     """
-    s = table.scroll
+    s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
     part = snakes_and_cosnakes(s)
     snake_idx = _label_indices(part.snake_label)

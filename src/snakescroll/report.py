@@ -6,6 +6,7 @@ import json
 from math import gcd
 from typing import Any
 
+from .classify import enumerate_ticker_tapes, feasible_quadruples, gf_count
 from .cyclic import cyclically_equal
 from .scroll import snakes_and_cosnakes
 from .sums import col_scale, sum_vector
@@ -114,15 +115,7 @@ def report_to_csv(report: dict[str, Any]) -> str:
 
 
 def report_to_text(report: dict[str, Any]) -> str:
-    order = [
-        "n", "seed", "omega", "orbitLength", "slither", "coslither",
-        "deg", "codeg", "p", "q", "sigma", "tapePeriod", "scrollPeriod",
-        "alpha", "beta", "colScale", "sumVector", "sumPeriod",
-        "tableRows", "eta", "barAlpha", "barBeta", "degP", "codegP",
-        "tableSlither", "tableCoslither", "swallowShift", "coSwallowShift",
-        "swallowCycles", "coSwallowCycles", "invariantFactors",
-        "colorPreserving",
-    ]
+    order = [k for k in report if k not in ("rows", "agreement")]
     width = max(len(k) for k in order)
     lines = [f"{k.ljust(width)}  {_flatten(report[k])}" for k in order]
     lines.append("agreement:")
@@ -132,8 +125,6 @@ def report_to_text(report: dict[str, Any]) -> str:
 
 
 def classification_report(n: int) -> dict[str, Any]:
-    from .classify import enumerate_ticker_tapes, feasible_quadruples, gf_count
-
     quads = feasible_quadruples(n)
     records = enumerate_ticker_tapes(n)
     return {

@@ -80,19 +80,10 @@ class Scroll:
 
     @cached_property
     def metrics(self) -> ScrollMetrics:
-        for row in self.base.rows:
-            if "1" in row:
-                met = metrics_from_row(row, self.n)
-                if met.T_scroll != self.m:
-                    raise AssertionError(
-                        f"scroll period formula {met.T_scroll} != orbit length {self.m}"
-                    )
-                return met
-        raise ValueError("orbit contains no live entries")
-
-    @cached_property
-    def tape_period(self) -> int:
-        return self.metrics.T_tape
+        """Metrics of the length-n tape window from the first live entry."""
+        start = self.vector.index(1)
+        window = (self.vector * 2)[start : start + self.n]
+        return metrics_from_row("".join(map(str, window)), self.n)
 
     @cached_property
     def successor_letters(self) -> str:
@@ -167,7 +158,7 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     the tape period, the period of the step letters, so the step of each
     live t in [0, period) (which raises as usual) moves its whole class.
     """
-    period = s.tape_period
+    period = s.metrics.T_tape
     if modulus % period:
         raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
     maps = ([None] * modulus, [None] * modulus)

@@ -1,17 +1,18 @@
-"""Slither calculus: step words extracted from a single row.
+"""Slither calculus: step words extracted from one tape window.
 
-A row with a live entry in column 1 decomposes into maximal 0-blocks.
-Each inner block of size z contributes the subslither E (z=1) or
-D E^(floor(z/2)-1) D (z>=2); the trailing block contributes the partial
-subslither D E^(floor((z-1)/2)).  The co-slither starts with a letter
-read off the trailing-zero parity (odd -> S, even -> L) followed by one
-letter per inner block of size z>1, taken right to left (z even -> S,
-z odd -> L).
+`metrics_from_row` reads a length-n window of the tape that starts at a
+live entry: a scroll takes it from its fundamental vector, and a
+constructed first row is one already.  Such a window decomposes into
+maximal 0-blocks.  Each inner block of size z contributes the
+subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the trailing block
+contributes the partial subslither D E^(floor((z-1)/2)).  The co-slither
+starts with a letter read off the trailing-zero parity (odd -> S, even
+-> L) followed by one letter per inner block of size z>1, taken right to
+left (z even -> S, z odd -> L).
 
->>> slither_from_row("10100001010").word
-'EDEDED'
->>> coslither_from_row("10100001010").word
-'SS'
+>>> met = metrics_from_row("10100001010", 11)
+>>> met.slither.word, met.coslither.word
+('EDEDED', 'SS')
 """
 
 from __future__ import annotations
@@ -73,29 +74,11 @@ class ZeroBlocks:
     trailing_length: int  # zeros after the last live entry
 
 
-def analysis_window(row: str) -> str:
-    """Length-n tape window starting at the row's first live entry.
-
-    When column 1 is live this is the row itself.  Otherwise the window
-    continues past the row end into the next sweep iterate; plain
-    rotation of the row would splice in the wrong zeros and change the
-    extracted words, so the missing prefix is taken from sweep(row).
-    """
-    first = row.find("1")
-    if first < 0:
-        raise ValueError("all-zero row has no slither")
-    if first == 0:
-        return row
-    from .cycles import sweep
-
-    return row[first:] + sweep(row)[:first]
-
-
 def zero_blocks(row: str) -> ZeroBlocks:
     if "1" not in row:
         raise ValueError("all-zero row has no gap structure")
     if row[0] != "1":
-        raise ValueError("row must be rotated so column 1 is live")
+        raise ValueError("row must start at a live entry")
     *inner, trailing = row[1:].split("1")
     return ZeroBlocks(tuple(map(len, inner)), len(trailing))
 
@@ -122,14 +105,6 @@ def _coslither_word(blocks: ZeroBlocks) -> str:
     return first + "".join(rest)
 
 
-def slither_from_row(row: str) -> Slither:
-    return Slither(_slither_word(zero_blocks(analysis_window(row))))
-
-
-def coslither_from_row(row: str) -> CoSlither:
-    return CoSlither(_coslither_word(zero_blocks(analysis_window(row))))
-
-
 @dataclass(frozen=True)
 class ScrollMetrics:
     slither: Slither
@@ -144,10 +119,14 @@ class ScrollMetrics:
 
 
 def metrics_from_row(row: str, n: int) -> ScrollMetrics:
-    """All scale data computable from one row of the scroll."""
+    """All scale data of the tape window row, which starts at a live entry.
+
+    A row of the scroll that is dead in column 1 is not such a window:
+    rotating it splices in the wrong zeros, so it is rejected.
+    """
     if len(row) != n:
         raise ValueError("row length does not match n")
-    blocks = zero_blocks(analysis_window(row))
+    blocks = zero_blocks(row)
     ws = Slither(_slither_word(blocks))
     wc = CoSlither(_coslither_word(blocks))
     sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d

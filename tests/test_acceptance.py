@@ -18,7 +18,7 @@ from snakescroll.classify import (
 from snakescroll.cycles import all_orbits
 from snakescroll.cyclic import canonical, cyclically_equal
 from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
-from snakescroll.slither import coslither_from_row, slither_from_row
+from snakescroll.slither import metrics_from_row
 from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
     co_swallow,
@@ -66,7 +66,7 @@ def test_criterion_2_motivating_example_n12():
     vector = "".join(s.base.rows)
     assert len(vector) == 180
     assert vector == vector[:45] * 4
-    assert s.tape_period == 45
+    assert s.metrics.T_tape == 45
 
     sv = sum_vector(s)
     assert sv.sums == (3, 4, 5) * 4
@@ -232,12 +232,9 @@ def test_criterion_5_invariant_factors_direct_product_form():
 def test_criterion_6_round_trip_and_completeness():
     for n in range(2, 23):
         for rec in enumerate_ticker_tapes(n):
-            assert cyclically_equal(
-                slither_from_row(rec.first_row).word, rec.slither
-            )
-            assert cyclically_equal(
-                coslither_from_row(rec.first_row).word, rec.coslither
-            )
+            met = metrics_from_row(rec.first_row, n)
+            assert cyclically_equal(met.slither.word, rec.slither)
+            assert cyclically_equal(met.coslither.word, rec.coslither)
     for n in range(2, 23):
         simulated = {canonical_tape(Scroll(o)) for o in all_orbits(n)}
         classified = {rec.tape for rec in enumerate_ticker_tapes(n)}

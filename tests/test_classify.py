@@ -18,7 +18,7 @@ from snakescroll.classify import (
 from snakescroll.cycles import all_orbits, enumerate_independent_sets
 from snakescroll.cyclic import canonical, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
-from snakescroll.slither import coslither_from_row, metrics_from_row, slither_from_row
+from snakescroll.slither import metrics_from_row
 
 
 def test_quadruple_constraints():
@@ -50,8 +50,8 @@ def test_construct_running_example():
 def test_construct_round_trip():
     for n in range(2, 15):
         for rec in enumerate_ticker_tapes(n):
-            back_s = slither_from_row(rec.first_row).word
-            back_c = coslither_from_row(rec.first_row).word
+            met = metrics_from_row(rec.first_row, n)
+            back_s, back_c = met.slither.word, met.coslither.word
             assert cyclically_equal(back_s, rec.slither)
             assert cyclically_equal(back_c, rec.coslither)
 

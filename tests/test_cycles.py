@@ -36,8 +36,6 @@ def test_is_independent_rejects_bad_input():
         is_independent("102")
     with pytest.raises(ValueError):
         is_independent("1")
-    with pytest.raises(ValueError):
-        is_independent("1010", n=5)
 
 
 def test_toggle_removal_and_addition():

@@ -110,4 +110,4 @@ def test_step_letters_match_the_reference():
 
 def test_metrics_raise_on_inconsistent_use():
     s = scroll_from_seed(SEED11)
-    assert s.tape_period == 7
+    assert s.metrics.T_tape == 7

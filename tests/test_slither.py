@@ -2,15 +2,17 @@
 
 import pytest
 
-from snakescroll.cycles import enumerate_independent_sets, orbit
-from snakescroll.slither import (
-    analysis_window,
-    coslither_from_row,
-    metrics_from_row,
-    slither_from_row,
-    step_advance,
-    zero_blocks,
-)
+from snakescroll.cycles import all_orbits
+from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.slither import metrics_from_row, step_advance, zero_blocks
+
+
+def live_windows(s: Scroll):
+    """The length-n tape window from every live index of the vector, as 0/1 words."""
+    doubled = "".join(map(str, s.vector * 2))
+    for start, bit in enumerate(s.vector):
+        if bit:
+            yield doubled[start : start + s.n]
 
 
 def test_step_advances():
@@ -21,18 +23,16 @@ def test_step_advances():
     assert step_advance("L", n) == 20
 
 
-def test_analysis_window_identity_when_col1_live():
-    assert analysis_window("10100001010") == "10100001010"
-
-
-def test_analysis_window_crosses_into_next_row():
-    # the window continues into sweep(row), not back into the same row
-    assert analysis_window("00001010000") == "10100001010"
-
-
-def test_analysis_window_rejects_zero_row():
+def test_metrics_reject_a_window_not_starting_live():
+    with pytest.raises(ValueError, match="live entry"):
+        metrics_from_row("00001010000", 11)
     with pytest.raises(ValueError):
-        analysis_window("0000")
+        metrics_from_row("0000", 4)
+
+
+def test_scroll_metrics_read_the_vector_window():
+    # the seed row is dead in column 1; the window runs into the next row
+    assert scroll_from_seed("00001010000").metrics == metrics_from_row("10100001010", 11)
 
 
 def test_zero_blocks():
@@ -42,15 +42,18 @@ def test_zero_blocks():
 
 
 def test_running_example_words():
-    row = "10100001010"
-    assert slither_from_row(row).word == "EDEDED"
-    assert coslither_from_row(row).word == "SS"
+    met = metrics_from_row("10100001010", 11)
+    assert met.slither.word == "EDEDED"
+    assert met.coslither.word == "SS"
 
 
 def test_words_constant_on_the_orbit():
-    rows = orbit("00001010000").rows
-    words = {(slither_from_row(r).word, coslither_from_row(r).word) for r in rows}
-    # one cyclic class; rotations may differ but these rows all agree exactly
+    windows = live_windows(scroll_from_seed("00001010000"))
+    words = {
+        (met.slither.word, met.coslither.word)
+        for met in (metrics_from_row(w, 11) for w in windows)
+    }
+    # one cyclic class; rotations may differ but these windows all agree exactly
     assert len({(w[0], w[1]) for w in words}) >= 1
     for ws, wc in words:
         assert sorted(ws) == sorted("EDEDED")
@@ -58,8 +61,8 @@ def test_words_constant_on_the_orbit():
 
 
 def test_letter_counts():
-    ws = slither_from_row("10100001010")
-    wc = coslither_from_row("10100001010")
+    met = metrics_from_row("10100001010", 11)
+    ws, wc = met.slither, met.coslither
     assert (ws.beta_e, ws.beta_d) == (3, 3)
     assert (wc.alpha_s, wc.alpha_l) == (2, 0)
     assert ws.beta == 6 and wc.alpha == 2
@@ -76,10 +79,8 @@ def test_running_example_metrics():
 
 def test_scale_closed_forms_agree_everywhere():
     for n in range(2, 12):
-        for bits in enumerate_independent_sets(n):
-            if "1" not in bits:
-                continue
-            met = metrics_from_row(bits, n)
+        for window in (w for o in all_orbits(n) for w in live_windows(Scroll(o))):
+            met = metrics_from_row(window, n)
             ws, wc = met.slither, met.coslither
             assert met.sigma == 2 * ws.beta_e + (n + 1) * ws.beta_d
             assert met.sigma == (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l

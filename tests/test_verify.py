@@ -2,10 +2,19 @@
 
 from dataclasses import replace
 
+import pytest
+
 from snakescroll import verify
-from snakescroll.cycles import all_orbits
-from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
-from snakescroll.verify import VerificationReport, check_scroll, run_verification
+from snakescroll.cycles import Orbit, all_orbits, orbit
+from snakescroll.report import orbit_report
+from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.tables import omega_table
+from snakescroll.verify import (
+    VerificationReport,
+    check_scroll,
+    check_tables,
+    run_verification,
+)
 
 
 def test_small_cycles_are_clean():
@@ -74,3 +83,15 @@ def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
         f"{law}: n=11 seed=00001010000 tape {x}" for x in sorted((t, u))
     ]
     assert rep.passed[law] == len(part.window) - 2
+
+
+@pytest.mark.parametrize("seed", ["00001010000", "101010001010", "00100"])
+def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
+    # the rows repeated twice are the same tape with m doubled: the closed
+    # form read off one window still gives the true orbit length
+    s = Scroll(Orbit(orbit(seed).rows * 2))
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    check_tables(s, 3, rep)
+    assert [v.split(":")[0] for v in rep.violations] == ["orbit length formula"]
+    assert orbit_report(omega_table(s, 1))["agreement"]["scrollPeriodMatchesOrbit"] is False
