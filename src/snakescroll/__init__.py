@@ -24,8 +24,8 @@ from .cycles import (
     toggle,
 )
 from .scroll import (
+    Partition,
     Scroll,
-    SnakePartition,
     scroll_from_seed,
     snakes_and_cosnakes,
 )

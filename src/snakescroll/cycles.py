@@ -81,16 +81,6 @@ class Orbit:
         return len(self.rows)
 
 
-def orbit(bits: str) -> Orbit:
-    _require_independent(bits)
-    rows = [bits]
-    cur = sweep(bits)
-    while cur != bits:
-        rows.append(cur)
-        cur = sweep(cur)
-    return Orbit(tuple(rows))
-
-
 def enumerate_independent_sets(n: int) -> list[str]:
     """All independent sets of C_n in lexicographic order, by backtracking.
 
@@ -136,6 +126,24 @@ def _sweep_mask(word: int, windows: list[tuple[int, int]]) -> int:
     return word
 
 
+def _orbit_words(start: int, windows: list[tuple[int, int]]) -> list[int]:
+    """The integer sweep iterates of start until first return."""
+    words = [start]
+    cur = _sweep_mask(start, windows)
+    while cur != start:
+        words.append(cur)
+        cur = _sweep_mask(cur, windows)
+    return words
+
+
+def orbit(bits: str) -> Orbit:
+    """The sweep orbit of one seed, checked once, swept as an integer."""
+    _require_independent(bits)
+    n = len(bits)
+    words = _orbit_words(int(bits, 2), _sweep_windows(n))
+    return Orbit(tuple(format(w, f"0{n}b") for w in words))
+
+
 def all_orbits(n: int) -> list[Orbit]:
     """Partition of all independent sets of C_n into sweep orbits.
 
@@ -148,11 +156,7 @@ def all_orbits(n: int) -> list[Orbit]:
         start = int(bits, 2)
         if start in seen:
             continue
-        words = [start]
-        cur = _sweep_mask(start, windows)
-        while cur != start:
-            words.append(cur)
-            cur = _sweep_mask(cur, windows)
+        words = _orbit_words(start, windows)
         seen.update(words)
         parts.append(Orbit(tuple(format(w, f"0{n}b") for w in words)))
     return parts

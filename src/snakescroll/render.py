@@ -17,8 +17,10 @@ COSNAKE_PALETTE = [
 SVG_UNIT = 28  # pixels per table cell
 
 
-def _label_indices(labels: dict[int, int]) -> dict[int, int]:
-    return {label: i for i, label in enumerate(sorted(set(labels.values())))}
+def _label_colors(labels: dict[int, int], palette: list) -> dict:
+    """Palette entries, cycled, for the labels in ascending order."""
+    ordered = sorted(set(labels.values()))
+    return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
 
 
 def ansi_table(table: OrbitTable) -> str:
@@ -29,10 +31,10 @@ def ansi_table(table: OrbitTable) -> str:
     blocks = []
     for title, labels in (("snakes", part.snake_label), ("co-snakes", part.cosnake_label)):
         cell = {
-            label: f"\x1b[{ANSI_COLORS[i % len(ANSI_COLORS)]}m1\x1b[0m"
-            for label, i in _label_indices(labels).items()
+            label: f"\x1b[{color}m1\x1b[0m"
+            for label, color in _label_colors(labels, ANSI_COLORS).items()
         }
-        chars = [cell[labels[t % part.sigma]] if bit else "." for t, bit in enumerate(bits, 1)]
+        chars = [cell[labels[t % part.modulus]] if bit else "." for t, bit in enumerate(bits, 1)]
         rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
         blocks.append("\n".join([title + ":", *rows]))
     return "\n\n".join(blocks) + "\n"
@@ -48,8 +50,8 @@ def svg_table(table: OrbitTable) -> str:
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
     part = snakes_and_cosnakes(s)
-    snake_idx = _label_indices(part.snake_label)
-    cosnake_idx = _label_indices(part.cosnake_label)
+    snake_color = _label_colors(part.snake_label, SNAKE_PALETTE)
+    cosnake_color = _label_colors(part.cosnake_label, COSNAKE_PALETTE)
     width, height = (n + 2) * unit, (r + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -90,22 +92,17 @@ def svg_table(table: OrbitTable) -> str:
             out.append(f'<line x1="{xs}" y1="{y2}" x2="{x2}" y2="{y2}" {attrs}/>')
             out.append(f'<circle cx="{xs}" cy="{y2}" r="3" fill="{color}"/>')
 
-    for t in table.live:
-        st = s.successor(t)
-        ct = s.co_successor(t)
-        scolor = SNAKE_PALETTE[snake_idx[part.snake_label[t % part.sigma]] % len(SNAKE_PALETTE)]
-        ccolor = COSNAKE_PALETTE[
-            cosnake_idx[part.cosnake_label[t % part.sigma]] % len(COSNAKE_PALETTE)
-        ]
-        edge(t, st, scolor, "")
-        edge(t, ct, ccolor, 'stroke-dasharray="4 3"')
+    # (t, snake colour, co-snake colour) per live entry, for edges then nodes
+    entries = [
+        (t, snake_color[part.snake_of(t)], cosnake_color[part.cosnake_of(t)])
+        for t in table.live
+    ]
+    for t, scolor, ccolor in entries:
+        edge(t, s.successor(t), scolor, "")
+        edge(t, s.co_successor(t), ccolor, 'stroke-dasharray="4 3"')
 
-    for t in table.live:
+    for t, scolor, ccolor in entries:
         x, y = xy(t)
-        scolor = SNAKE_PALETTE[snake_idx[part.snake_label[t % part.sigma]] % len(SNAKE_PALETTE)]
-        ccolor = COSNAKE_PALETTE[
-            cosnake_idx[part.cosnake_label[t % part.sigma]] % len(COSNAKE_PALETTE)
-        ]
         out.append(
             f'<circle cx="{x}" cy="{y}" r="{unit // 3}" fill="{scolor}" '
             f'stroke="{ccolor}" stroke-width="3"/>'

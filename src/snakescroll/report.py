@@ -41,9 +41,8 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
     sv = sum_vector(s)
 
     # simulate one slither to double-check the row extraction
-    t0 = min(table.live)
     sim = []
-    t = t0
+    t = s.vector.index(1) + 1  # the first live entry
     for _ in range(part.beta):
         t, letter = s.successor_step(t)
         sim.append(letter)
@@ -70,8 +69,8 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "sumPeriod": sv.lam,
         "tableRows": table.r,
         "eta": table.eta,
-        "barAlpha": tab.bar_alpha,
-        "barBeta": tab.bar_beta,
+        "barAlpha": tab.alpha,
+        "barBeta": tab.beta,
         "degP": deg_p,
         "codegP": codeg_p,
         "tableSlither": table_slither(table),
@@ -84,7 +83,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "colorPreserving": is_color_preserving(table, sw, cs),
         "agreement": {
             "scrollPeriodMatchesOrbit": met.T_scroll == s.m,
-            "predictedCountsMatch": (tab.bar_alpha, tab.bar_beta)
+            "predictedCountsMatch": (tab.alpha, tab.beta)
             == predicted_counts(s, omega),
             "slitherMatchesSimulation": cyclically_equal("".join(sim), met.slither.word),
             "fundamentalDegreesCoprime": gcd(*fundamental_degrees(s)) == 1,

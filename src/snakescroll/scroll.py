@@ -14,13 +14,14 @@ live depends only on t mod m*n, so each map is stored as one letter per
 residue, found once per orbit by testing that map's own two candidates
 on the vector.
 
-Snakes and ouroboroi are one reduction at two moduli: successor and
+Snakes and ouroboroi are one partition at two moduli: successor and
 co-successor commute with shifts by any multiple M of the tape period, so
-`reduced_maps` reduces both to integer arrays on the residues mod M.
-Mod sigma, the advance of a full slither, their cycles on the live window
-[0, sigma) are the snakes and co-snakes (the shift fixes each one, and
-distinct snakes cannot merge under it, so the quotient is faithful).  Mod
-the size omega*m*n of an orbit table they are the ouroboroi (`tables`).
+`partition` reduces both to integer arrays on the residues mod M and keeps
+them with the cycle labels of each.  Mod sigma, the advance of a full
+slither, the cycles are the snakes and co-snakes (the shift fixes each
+one, and distinct snakes cannot merge under it, so the quotient is
+faithful).  Mod the size omega*m*n of an orbit table they are the
+ouroboroi (`tables.ouroboros_partition`).
 """
 
 from __future__ import annotations
@@ -196,37 +197,35 @@ def cycle_labels(items, step) -> dict:
 
 
 @dataclass(frozen=True)
-class SnakePartition:
-    sigma: int
-    window: tuple[int, ...]  # live tape indices in [0, sigma)
+class Partition:
+    """Cycles of the successor (snakes) and co-successor (co-snakes) mod modulus."""
+
+    modulus: int
+    live: tuple[int, ...]  # live residues in [0, modulus), ascending
+    maps: tuple[list, list]  # reduced successor and co-successor
     snake_label: dict[int, int]
     cosnake_label: dict[int, int]
-
-    @property
-    def alpha(self) -> int:
-        return len(set(self.snake_label.values()))
-
-    @property
-    def beta(self) -> int:
-        return len(set(self.cosnake_label.values()))
+    alpha: int  # number of snakes: cycles of the reduced successor
+    beta: int  # number of co-snakes: cycles of the reduced co-successor
 
     def snake_of(self, t: int) -> int:
-        return self.snake_label[t % self.sigma]
+        return self.snake_label[t % self.modulus]
 
     def cosnake_of(self, t: int) -> int:
-        return self.cosnake_label[t % self.sigma]
+        return self.cosnake_label[t % self.modulus]
 
 
-@lru_cache(maxsize=128)
-def snakes_and_cosnakes(s: Scroll) -> SnakePartition:
-    sigma = s.metrics.sigma
-    window = tuple(t for t, bit in enumerate(s.reads(sigma)) if bit)
-    if not window:
-        raise ValueError("scroll window has no live entries")
-    succ, co_succ = reduced_maps(s, sigma)
-    return SnakePartition(
-        sigma,
-        window,
-        cycle_labels(window, succ.__getitem__),
-        cycle_labels(window, co_succ.__getitem__),
-    )
+def partition(s: Scroll, modulus: int) -> Partition:
+    """The snake partition of s reduced mod modulus, a multiple of its tape period."""
+    live = tuple(t for t, bit in enumerate(s.reads(modulus)) if bit)
+    maps = reduced_maps(s, modulus)
+    snake_label, cosnake_label = (cycle_labels(live, m.__getitem__) for m in maps)
+    alpha, beta = (len(set(label.values())) for label in (snake_label, cosnake_label))
+    return Partition(modulus, live, maps, snake_label, cosnake_label, alpha, beta)
+
+
+# Callers ask for one scroll's partition many times in a row and never
+# come back to an earlier scroll, so the cache holds the last one only.
+@lru_cache(maxsize=1)
+def snakes_and_cosnakes(s: Scroll) -> Partition:
+    return partition(s, s.metrics.sigma)

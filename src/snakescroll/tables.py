@@ -3,9 +3,10 @@
 An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
-omega*m*n instead of sigma (`scroll.reduced_maps`).  Their cycles are the
-ouroboroi and co-ouroboroi; live entries form a torsor of the finite
-abelian group generated by the two reduced maps.  That group has rank at
+omega*m*n instead of sigma.  `ouroboros_partition` is that
+`scroll.Partition`: its snakes are the ouroboroi and its co-snakes the
+co-ouroboroi.  The live residues form a torsor of the finite abelian
+group generated by the two reduced maps.  That group has rank at
 most two, so its invariant factors are two gcds of its presentation
 (`group_invariants`); `permutation_group_invariants` reads them off the
 torsor instead, as an oracle.  Covering degrees, predicted counts and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .scroll import Scroll, cycle_labels, reduced_maps, snakes_and_cosnakes
+from .scroll import Partition, Scroll, partition, snakes_and_cosnakes
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,9 @@ class OrbitTable:
         return tuple(t for t, bit in enumerate(self.scroll.vector * self.omega, 1) if bit)
 
     @property
-    def live_residues(self) -> list[int]:
-        """Live indices mod size, the indices of the reduced maps (0 is t = size)."""
-        size = self.size
-        return [t % size for t in self.live]
-
-    @property
     def eta(self) -> int:
-        return len(self.live)
+        """Number of live entries: omega copies of the fundamental vector's."""
+        return self.omega * self.scroll.vector.count(1)
 
 
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
@@ -65,21 +61,11 @@ def omega_table(s: Scroll, omega: int) -> OrbitTable:
     return OrbitTable(s, omega)
 
 
-@dataclass(frozen=True)
-class OuroborosPartition:
-    bar_alpha: int  # ouroboroi: cycles of the reduced successor
-    bar_beta: int  # co-ouroboroi: cycles of the reduced co-successor
-
-
-@lru_cache(maxsize=256)
-def ouroboros_partition(t: OrbitTable) -> OuroborosPartition:
-    live = t.live_residues
-    succ, co_succ = reduced_maps(t.scroll, t.size)
-    return OuroborosPartition(_cycle_count(live, succ), _cycle_count(live, co_succ))
-
-
-def _cycle_count(items: list[int], step: list) -> int:
-    return len(set(cycle_labels(items, step.__getitem__).values()))
+# One table at a time, like `snakes_and_cosnakes`: the last one is cached.
+@lru_cache(maxsize=1)
+def ouroboros_partition(t: OrbitTable) -> Partition:
+    """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod t.size."""
+    return partition(t.scroll, t.size)
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
@@ -105,7 +91,7 @@ def table_degrees(t: OrbitTable) -> tuple[int, int]:
     """(deg p_omega, codeg p_omega) for the omega-fold table."""
     part = snakes_and_cosnakes(t.scroll)
     tab = ouroboros_partition(t)
-    return part.alpha // tab.bar_alpha, part.beta // tab.bar_beta
+    return part.alpha // tab.alpha, part.beta // tab.beta
 
 
 @dataclass(frozen=True)
@@ -218,7 +204,7 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     part = snakes_and_cosnakes(t.scroll)
     tab = ouroboros_partition(t)
     eta = t.eta
-    ord_s, ord_c = eta // tab.bar_alpha, eta // tab.bar_beta
+    ord_s, ord_c = eta // tab.alpha, eta // tab.beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
     d1 = gcd(part.alpha, part.beta, ord_s, ord_c)
     order = gcd(part.alpha * ord_s, part.beta * ord_c, ord_s * ord_c)
@@ -226,23 +212,23 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
         raise AssertionError(f"group order {order} != live count {eta}")
     return GroupInvariants(
         (d1, order // d1),
-        product_invariants(tab.bar_alpha, ord_s),
-        product_invariants(tab.bar_beta, ord_c),
+        product_invariants(tab.alpha, ord_s),
+        product_invariants(tab.beta, ord_c),
     )
 
 
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
     """Nontrivial invariant factors of the group the reduced maps generate.
 
-    Oracle for group_invariants: it reads only the live residues and the
-    two reduced maps s (successor) and c (co-successor).  Commuting maps
-    whose group is transitive on the live entries act simply transitively, so
-    the group is Z^2 modulo the stabiliser lattice of t0.  With l the
+    Oracle for group_invariants: it reads only the table partition's live
+    residues and its two reduced maps s (successor) and c (co-successor).
+    Commuting maps whose group is transitive on the live entries act simply
+    transitively, so the group is Z^2 modulo the stabiliser lattice of t0.  With l the
     length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
     k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
-    live = t.live_residues
-    s, c = reduced_maps(t.scroll, t.size)
+    tab = ouroboros_partition(t)
+    live, (s, c) = tab.live, tab.maps
     for x in live:
         if s[c[x]] != c[s[x]]:
             raise AssertionError(f"successor and co-successor do not commute at {x}")
@@ -270,12 +256,12 @@ def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
 def table_slither(t: OrbitTable) -> str:
     """Length bar_beta step word; its codeg(p_omega) power is the scroll slither."""
     tab = ouroboros_partition(t)
-    return t.scroll.metrics.slither.word[: tab.bar_beta]
+    return t.scroll.metrics.slither.word[: tab.beta]
 
 
 def table_coslither(t: OrbitTable) -> str:
     tab = ouroboros_partition(t)
-    return t.scroll.metrics.coslither.word[: tab.bar_alpha]
+    return t.scroll.metrics.coslither.word[: tab.alpha]
 
 
 def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
@@ -286,10 +272,10 @@ def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermut
     tab = ouroboros_partition(t)
     deg_p1, codeg_p1 = fundamental_degrees(s)
     conditions = {
-        "counts": tab.bar_alpha == part.alpha and tab.bar_beta == part.beta,
+        "counts": tab.alpha == part.alpha and tab.beta == part.beta,
         "swallows": sw.is_identity and cs.is_identity,
-        "bijection": part.alpha // tab.bar_alpha == 1 and part.beta // tab.bar_beta == 1,
-        "scale": t.size % part.sigma == 0,
+        "bijection": part.alpha // tab.alpha == 1 and part.beta // tab.beta == 1,
+        "scale": t.size % part.modulus == 0,
         "frequency": t.omega % (deg_p1 * codeg_p1) == 0,
     }
     values = set(conditions.values())

@@ -13,7 +13,7 @@ from math import gcd
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import cyclically_equal
-from .scroll import Scroll, reduced_maps, snakes_and_cosnakes
+from .scroll import Partition, Scroll, snakes_and_cosnakes
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -72,10 +72,10 @@ def _walk(coord: tuple[int, int], n: int, back, forth, k: int) -> list[tuple[int
     return walks[0][::-1] + [coord] + walks[1]
 
 
-def _is_torsor(items, maps: tuple[list, list], outer: int, inner: int) -> bool:
-    """Whether s^a c^b (a < outer, b < inner) moves items[0] onto each item
-    once; s and c are reduced maps, items their live residues."""
-    s, c = maps
+def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
+    """Whether s^a c^b (a < outer, b < inner) moves the first live residue
+    of part onto each live residue once; s and c are its reduced maps."""
+    (s, c), items = part.maps, part.live
     images = []
     cur = items[0]
     for _ in range(outer):
@@ -154,9 +154,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("lambda | gcd(n, ColScale)", gcd(n, cs) % sv.lam == 0, ctx)
     rep.check("lambda > 1 implies n >= 4 lambda", sv.lam == 1 or n >= 4 * sv.lam, ctx)
 
-    # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 bijectively over the window
-    maps = reduced_maps(s, part.sigma)
-    torsor = _is_torsor(part.window, maps, part.beta, part.alpha)
+    # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
+    torsor = _is_torsor(part, part.beta, part.alpha)
     rep.check("torsor simple transitivity", torsor, ctx)
 
     if not extended:
@@ -187,7 +186,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # linearity of iterated successor advance
     block = len(ws.word) // met.deg
     for r in range(1, min(3, met.deg) + 1):
-        for t in part.window:
+        for t in part.live:
             u = t
             for _ in range(r * block):
                 u = s.successor(u)
@@ -198,7 +197,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
             )
 
     # co-snake distinctness within one row span
-    for t in part.window:
+    for t in part.live:
         base = (t - 1) % size + size
         for d in range(1, n):
             if tripled[base + d]:
@@ -223,11 +222,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
                     f"{ctx} exponents ({a},{b})",
                 )
 
-    # fibers: residues mod sigma, singletons in the window
+    # fibers: residues mod sigma, singletons among the live residues
     fibers: dict[tuple[int, int], list[int]] = {}
-    for t in part.window:
+    for t in part.live:
         fibers.setdefault((part.snake_label[t], part.cosnake_label[t]), []).append(t)
-    for t in part.window:
+    for t in part.live:
         mates = fibers[part.snake_label[t], part.cosnake_label[t]]
         rep.check("fibers are residues mod sigma", mates == [t], f"{ctx} tape {t}")
 
@@ -256,7 +255,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         tab = ouroboros_partition(table)
         rep.check(
             "ouroboros counts match formula",
-            (tab.bar_alpha, tab.bar_beta) == predicted_counts(s, omega),
+            (tab.alpha, tab.beta) == predicted_counts(s, omega),
             octx,
         )
         deg_p, codeg_p = table_degrees(table)
@@ -265,8 +264,8 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             cs = co_swallow(table)
             rep.check(
                 "swallow cycle structure",
-                sw.cycle_type == tuple([deg_p] * tab.bar_alpha)
-                and cs.cycle_type == tuple([codeg_p] * tab.bar_beta),
+                sw.cycle_type == tuple([deg_p] * tab.alpha)
+                and cs.cycle_type == tuple([codeg_p] * tab.beta),
                 octx,
             )
         except AssertionError as exc:
@@ -295,10 +294,9 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             octx,
         )
 
-        # torsor of the finite table group
-        maps = reduced_maps(s, table.size)
-        inner = table.eta // tab.bar_beta
-        torsor = _is_torsor(table.live_residues, maps, tab.bar_beta, inner)
+        # torsor of the finite table group; it also checks the closed-form
+        # eta against the number of live residues
+        torsor = _is_torsor(tab, tab.beta, table.eta // tab.beta)
         rep.check("table torsor simple transitivity", torsor, octx)
 
 

@@ -49,7 +49,7 @@ def test_criterion_1_running_example_n11():
     assert sum_vector(s).lam == 1
 
     tab = ouroboros_partition(omega_table(s, 1))
-    assert (tab.bar_alpha, tab.bar_beta) == (1, 2)
+    assert (tab.alpha, tab.beta) == (1, 2)
     assert fundamental_degrees(s) == (2, 3)
 
     cs = co_swallow(omega_table(s, 1))
@@ -203,7 +203,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
                 total += 1
                 t = omega_table(s, omega)
                 tab = ouroboros_partition(t)
-                eta, a, b = t.eta, tab.bar_alpha, tab.bar_beta
+                eta, a, b = t.eta, tab.alpha, tab.beta
                 g = gcd(a, b)
                 forced = tuple(d for d in (g, eta // g) if d > 1)
                 inv = group_invariants(t)

@@ -116,7 +116,24 @@ def test_bitmask_sweep_matches_sweep():
             assert format(_sweep_mask(int(bits, 2), windows), f"0{n}b") == sweep(bits)
 
 
+def _swept_rows(bits):
+    """The orbit of bits by iterating the string sweep itself."""
+    rows = [bits]
+    cur = sweep(bits)
+    while cur != bits:
+        rows.append(cur)
+        cur = sweep(cur)
+    return tuple(rows)
+
+
 def test_all_orbits_are_simulated_orbits():
     for n in range(2, 17):
         for o in all_orbits(n):
+            assert o.rows == _swept_rows(o.rows[0])
             assert o == orbit(o.rows[0])
+
+
+def test_orbit_rejects_bad_seeds():
+    for bits in ("1", "102", "0110"):
+        with pytest.raises(ValueError):
+            orbit(bits)

@@ -49,7 +49,7 @@ def test_window_size_is_alpha_beta(bits):
     if "1" not in bits:
         return
     part = snakes_and_cosnakes(scroll_from_seed(bits))
-    assert len(part.window) == part.alpha * part.beta
+    assert len(part.live) == part.alpha * part.beta
 
 
 @given(independent_sets(), st.integers(-50, 50), st.data())

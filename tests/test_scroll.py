@@ -43,16 +43,16 @@ def test_steps_reject_dead_indices():
 def test_snake_partition_counts():
     s = scroll_from_seed(SEED11)
     part = snakes_and_cosnakes(s)
-    assert part.sigma == 42
+    assert part.modulus == 42
     assert part.alpha == 2
     assert part.beta == 6
-    assert len(part.window) == 12  # alpha * beta
+    assert len(part.live) == 12  # alpha * beta
 
 
 def test_snake_labels_invariant_under_steps():
     s = scroll_from_seed(SEED11)
     part = snakes_and_cosnakes(s)
-    for t in part.window:
+    for t in part.live:
         assert part.snake_of(s.successor(t)) == part.snake_of(t)
         assert part.cosnake_of(s.co_successor(t)) == part.cosnake_of(t)
 
@@ -60,10 +60,10 @@ def test_snake_labels_invariant_under_steps():
 def test_fibers_are_singletons():
     s = scroll_from_seed(SEED11)
     part = snakes_and_cosnakes(s)
-    for t in part.window:
+    for t in part.live:
         fiber = [
             u
-            for u in part.window
+            for u in part.live
             if part.snake_of(u) == part.snake_of(t)
             and part.cosnake_of(u) == part.cosnake_of(t)
         ]
@@ -108,6 +108,6 @@ def test_step_letters_match_the_reference():
             assert got == reference_step_letters(s.vector, s.n, letters, sign), o.rows[0]
 
 
-def test_metrics_raise_on_inconsistent_use():
+def test_running_example_tape_period():
     s = scroll_from_seed(SEED11)
     assert s.metrics.T_tape == 7

@@ -39,7 +39,7 @@ def test_table_shape():
 def test_running_example_fundamental_counts():
     s = scroll_from_seed(SEED11)
     tab = ouroboros_partition(omega_table(s, 1))
-    assert (tab.bar_alpha, tab.bar_beta) == (1, 2)
+    assert (tab.alpha, tab.beta) == (1, 2)
     assert fundamental_degrees(s) == (2, 3)
 
 
@@ -51,9 +51,9 @@ def test_fundamental_degrees_match_simulated_counts():
     for s in orbits:
         part = snakes_and_cosnakes(s)
         tab = ouroboros_partition(omega_table(s, 1))
-        assert part.alpha % tab.bar_alpha == 0 and part.beta % tab.bar_beta == 0
+        assert part.alpha % tab.alpha == 0 and part.beta % tab.beta == 0
         degrees = fundamental_degrees(s)
-        assert degrees == (part.alpha // tab.bar_alpha, part.beta // tab.bar_beta)
+        assert degrees == (part.alpha // tab.alpha, part.beta // tab.beta)
         assert gcd(*degrees) == 1
 
 
@@ -61,7 +61,7 @@ def test_running_example_predicted_counts():
     s = scroll_from_seed(SEED11)
     for omega in range(1, 13):
         tab = ouroboros_partition(omega_table(s, omega))
-        assert (tab.bar_alpha, tab.bar_beta) == predicted_counts(s, omega)
+        assert (tab.alpha, tab.beta) == predicted_counts(s, omega)
     assert predicted_counts(s, 2) == (2, 2)
     assert predicted_counts(s, 6) == (2, 6)
 
@@ -91,9 +91,9 @@ def test_swallow_cycle_structure_everywhere():
                 table = omega_table(s, omega)
                 tab = ouroboros_partition(table)
                 deg_p, codeg_p = table_degrees(table)
-                assert swallow(table).cycle_type == tuple([deg_p] * tab.bar_alpha)
+                assert swallow(table).cycle_type == tuple([deg_p] * tab.alpha)
                 assert co_swallow(table).cycle_type == tuple(
-                    [codeg_p] * tab.bar_beta
+                    [codeg_p] * tab.beta
                 )
 
 
@@ -183,11 +183,14 @@ def test_permutation_group_oracle_matches_exponent():
         assert permutation_group_invariants(table) == expected
 
 
-def _assert_steps_reduced(s, live, modulus, maps):
-    """maps are s.successor and s.co_successor on live, reduced mod modulus,
-    and None on every other residue."""
+def _assert_steps_reduced(s, live, part):
+    """part's live residues are those of live, and its maps are s.successor
+    and s.co_successor on live, reduced mod its modulus, and None on every
+    other residue."""
+    modulus = part.modulus
     residues = sorted(t % modulus for t in live)
-    for array, step in zip(maps, (s.successor, s.co_successor)):
+    assert list(part.live) == residues
+    for array, step in zip(part.maps, (s.successor, s.co_successor)):
         assert len(array) == modulus
         assert [r for r, u in enumerate(array) if u is not None] == residues
         for t in live:
@@ -199,13 +202,17 @@ def test_reduced_maps_are_the_steps_reduced():
         for o in all_orbits(n):
             s = Scroll(o)
             part = snakes_and_cosnakes(s)
-            maps = reduced_maps(s, part.sigma)
-            _assert_steps_reduced(s, part.window, part.sigma, maps)
+            assert part.modulus == s.metrics.sigma
+            size = len(s.vector)
+            window = [t for t in range(s.metrics.sigma) if s.vector[(t - 1) % size]]
+            _assert_steps_reduced(s, window, part)
     tables = list(_all_tables())
     assert len(tables) == 816
     for table in tables:
-        maps = reduced_maps(table.scroll, table.size)
-        _assert_steps_reduced(table.scroll, table.live, table.size, maps)
+        tab = ouroboros_partition(table)
+        assert tab.modulus == table.size
+        _assert_steps_reduced(table.scroll, table.live, tab)
+        assert table.eta == len(table.live)
     s = scroll_from_seed(SEED11)  # tape period 7
     with pytest.raises(ValueError):
         reduced_maps(s, 12)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from snakescroll import verify
+from snakescroll import render, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
@@ -23,6 +23,29 @@ def test_small_cycles_are_clean():
     assert rep.passed["commutation"] > 0
     assert rep.passed["torsor simple transitivity"] > 0
     assert rep.passed["classification completeness"] == 8
+
+
+def test_each_orbit_and_table_reduces_its_maps_once(monkeypatch):
+    # one partition per orbit (mod sigma) and per table (mod its size): the
+    # laws read its arrays instead of reducing the maps again
+    calls = []
+    original = scroll.reduced_maps
+
+    def counted(s, modulus):
+        calls.append(modulus)
+        return original(s, modulus)
+
+    for mod in (scroll, tables, verify, report, render):
+        if hasattr(mod, "reduced_maps"):
+            monkeypatch.setattr(mod, "reduced_maps", counted)
+    scroll.snakes_and_cosnakes.cache_clear()
+    tables.ouroboros_partition.cache_clear()
+    rep = run_verification(2, 9, omega_max=3)
+    assert not rep.violations
+    orbits = sum(len(all_orbits(n)) for n in range(2, 10))
+    assert orbits == 18
+    assert len(calls) == orbits + 3 * orbits == 72
+    assert sum(rep.passed.values()) == 4320
 
 
 def test_known_evidence_lists_populate():
@@ -64,10 +87,10 @@ def test_theorem_suite_n17_to_18():
 def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
     s = scroll_from_seed("00001010000")
     part = snakes_and_cosnakes(s)
-    t = part.window[0]
+    t = part.live[0]
     u = next(
         u
-        for u in part.window
+        for u in part.live
         if part.snake_label[u] != part.snake_label[t]
         and part.cosnake_label[u] != part.cosnake_label[t]
     )
@@ -82,7 +105,7 @@ def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
     assert fiber_violations == [
         f"{law}: n=11 seed=00001010000 tape {x}" for x in sorted((t, u))
     ]
-    assert rep.passed[law] == len(part.window) - 2
+    assert rep.passed[law] == len(part.live) - 2
 
 
 @pytest.mark.parametrize("seed", ["00001010000", "101010001010", "00100"])
