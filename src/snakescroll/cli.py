@@ -15,8 +15,8 @@ from .cycles import is_independent
 from .cyclic import cyclically_equal
 from .render import ansi_table, svg_table
 from .report import (
+    classification_csv_rows,
     classification_report,
-    classification_to_csv,
     classification_to_text,
     orbit_report,
     report_to_csv,
@@ -59,7 +59,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     elif args.format == "csv":
-        print(classification_to_csv(report), end="")
+        sys.stdout.writelines(classification_csv_rows(report))
     else:
         print(classification_to_text(report), end="")
     return EXIT_OK

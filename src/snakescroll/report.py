@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from math import gcd
-from typing import Any
+from typing import Any, Iterator
 
 from .classify import enumerate_ticker_tapes, feasible_quadruples, gf_count
 from .cyclic import cyclically_equal
@@ -166,12 +166,16 @@ def classification_to_text(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classification_to_csv(report: dict[str, Any]) -> str:
-    lines = ["betaE,alphaS,alphaL,betaD,slither,coslither,firstRow,tapeCanonical"]
+def classification_csv_rows(report: dict[str, Any]) -> Iterator[str]:
+    """The CSV rows, header first, each with its newline, built one at a time."""
+    yield "betaE,alphaS,alphaL,betaD,slither,coslither,firstRow,tapeCanonical\n"
     for rec in report["tapes"]:
         q = rec["quadruple"]
-        lines.append(
+        yield (
             f"{q['betaE']},{q['alphaS']},{q['alphaL']},{q['betaD']},"
-            f"{rec['slither']},{rec['coslither']},{rec['firstRow']},{rec['tapeCanonical']}"
+            f"{rec['slither']},{rec['coslither']},{rec['firstRow']},{rec['tapeCanonical']}\n"
         )
-    return "\n".join(lines) + "\n"
+
+
+def classification_to_csv(report: dict[str, Any]) -> str:
+    return "".join(classification_csv_rows(report))

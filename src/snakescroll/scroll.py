@@ -137,14 +137,8 @@ class Scroll:
     def predecessor_step(self, t: int) -> tuple[int, str]:
         return self._step(self.predecessor_letters, t, -1, "predecessor")
 
-    def predecessor(self, t: int) -> int:
-        return self.predecessor_step(t)[0]
-
     def co_predecessor_step(self, t: int) -> tuple[int, str]:
         return self._step(self.co_predecessor_letters, t, -1, "co-predecessor")
-
-    def co_predecessor(self, t: int) -> int:
-        return self.co_predecessor_step(t)[0]
 
 
 def scroll_from_seed(bits: str) -> Scroll:

@@ -3,11 +3,16 @@
 Every check compares a theorem-level prediction against direct
 simulation of the sweep dynamics.  Violations are collected, never
 silently dropped; an empty violation list is the pass condition.
+
+Each law's checks over one orbit are tallied at once
+(`VerificationReport.tally`): its passes are counted, and a context
+string is built only for a check that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 from .classify import canonical_tape, enumerate_ticker_tapes
@@ -33,7 +38,11 @@ from .tables import (
 
 @dataclass
 class VerificationReport:
+    # checks passed per law, tallied once per law and orbit; a law gets its
+    # key with its first pass, so a law that never passed has none
     passed: dict[str, int] = field(default_factory=dict)
+    # "law: context" per failed check; a context string is built only for
+    # a failure, never for a pass
     violations: list[str] = field(default_factory=list)
     # recorded evidence, not violations: orbits where the same-side degree
     # divisibility deg(p_1) | deg fails (the crossed divisibility
@@ -45,27 +54,28 @@ class VerificationReport:
     # against the torsor oracle permutation_group_invariants
     product_form_failures: list[str] = field(default_factory=list)
 
-    def ok(self, name: str) -> None:
-        self.passed[name] = self.passed.get(name, 0) + 1
-
-    def check(self, name: str, condition: bool, context: str) -> None:
-        if condition:
-            self.ok(name)
-        else:
+    def tally(self, name: str, total: int, failures: list[str]) -> None:
+        """Record total checks of one law; failures holds the contexts of those that failed."""
+        if total > len(failures):
+            self.passed[name] = self.passed.get(name, 0) + total - len(failures)
+        for context in failures:
             self.violations.append(f"{name}: {context}")
 
+    def check(self, name: str, condition: bool, context: str) -> None:
+        self.tally(name, 1, [] if condition else [context])
 
-def _walk(coord: tuple[int, int], n: int, back, forth, k: int) -> list[tuple[int, int]]:
+
+def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list[tuple[int, int]]:
     """Unbounded coordinates after e steps of a step map, for e = -k..k.
 
-    Each step moves by the shape of its letter: the inverse step back,
-    negated, for e < 0 and the step forth for e > 0.
+    back and forth are the letter tables of the inverse step and the step.
+    Each step moves by the shape of its letter, negated for e < 0.
     """
     walks = []
-    for step, sign in ((back, -1), (forth, 1)):
+    for letters, sign in ((back, -1), (forth, 1)):
         (i, j), walk = coord, []
         for _ in range(k):
-            rows, cols = _STEP_SHAPE[step(i * n + j)[1]]
+            rows, cols = _STEP_SHAPE[letters[(i * n + j - 1) % len(letters)]]
             i, j = i + sign * rows, j + sign * cols
             walk.append((i, j))
         walks.append(walk)
@@ -88,46 +98,66 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
 
 
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
-    """The per-orbit theorem suite."""
+    """The per-orbit theorem suite, each law tallied once per orbit.
+
+    Steps read the scroll's letter tables at residue (t - 1) mod m*n.  The
+    laws on the reduced maps and on walks of the steps need all four steps
+    to be maps of the live entries; where a live entry has no unique letter
+    in some table, the unique-candidates or round-trip law reports it and
+    those laws are skipped for the orbit.
+    """
     n, m = s.n, s.m
     ctx = f"n={n} seed={s.base.rows[0]}"
     met = s.metrics
-    part = snakes_and_cosnakes(s)
     size = m * n
     live = [t for t, bit in enumerate(s.vector, 1) if bit]
     # tape(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
     tripled = s.vector * 3
     six = (-n, 1 - n, -1, 1, n - 1, n)
+    sl, cl = s.successor_letters, s.co_successor_letters
+    # signed advance of each step per residue, None where its letter has none
+    forth, back = ({x: s._advance[x, sign] for x in "EDSL"} for sign in (1, -1))
+    sa, ca = list(map(forth.get, sl)), list(map(forth.get, cl))
+    pa, cpa = (list(map(back.get, x)) for x in (s.predecessor_letters, s.co_predecessor_letters))
+    steps_are_maps = all(None not in compress(adv, s.vector) for adv in (sa, ca, pa, cpa))
 
     # local structure at every live entry of the fundamental vector
+    crowded = bytes(map(max, *(tripled[size + d : 2 * size + d] for d in six)))
+    rep.tally(
+        "six-neighbor zeros",
+        len(live),
+        [f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in live if crowded[t - 1]],
+    )
+    unique = [a is not None and b is not None for a, b in zip(sa, ca)]
+    not_unique = []
     for t in live:
-        i, j = divmod(t - 1, n)
-        j += 1
-        rep.check(
-            "six-neighbor zeros",
-            not any(tripled[t - 1 + size + d] for d in six),
-            f"{ctx} at ({i},{j})",
-        )
-        try:
-            st, s_letter = s.successor_step(t)
-            ct, c_letter = s.co_successor_step(t)
-            rep.ok("unique successor candidates")
-        except AssertionError as exc:
-            rep.violations.append(f"unique successor candidates: {ctx}: {exc}")
+        if not unique[t - 1]:
+            try:  # the step raises with the count of live candidates
+                s.successor_step(t)
+                s.co_successor_step(t)
+            except AssertionError as exc:
+                not_unique.append(f"{ctx}: {exc}")
+    rep.tally("unique successor candidates", len(live), not_unique)
+    # an entry stepping onto one without unique letters is left to that one
+    checked, noncommuting, skewed, one_way = 0, [], [], []
+    for t in live:
+        r = t - 1
+        if not unique[r]:
             continue
-        sct, sc_letter = s.successor_step(ct)
-        cst, cs_letter = s.co_successor_step(st)
-        rep.check("commutation", sct == cst, f"{ctx} at tape {t}")
-        rep.check(
-            "parallelogram",
-            sc_letter == s_letter and cs_letter == c_letter,
-            f"{ctx} at tape {t}",
-        )
-        rep.check(
-            "predecessor round trip",
-            s.predecessor(st) == t and s.co_predecessor(ct) == t,
-            f"{ctx} at tape {t}",
-        )
+        rs, rc = (r + sa[r]) % size, (r + ca[r]) % size
+        if not (unique[rs] and unique[rc]):
+            continue
+        checked += 1
+        if sa[r] + ca[rs] != ca[r] + sa[rc]:
+            noncommuting.append(f"{ctx} at tape {t}")
+        if sl[rc] != sl[r] or cl[rs] != cl[r]:
+            skewed.append(f"{ctx} at tape {t}")
+        if pa[rs] != -sa[r] or cpa[rc] != -ca[r]:
+            one_way.append(f"{ctx} at tape {t}")
+    rep.tally("commutation", checked, noncommuting)
+    rep.tally("parallelogram", checked, skewed)
+    rep.tally("predecessor round trip", checked, one_way)
+    part = snakes_and_cosnakes(s) if steps_are_maps else None
 
     # letter-count constraints and scale identities
     ws, wc = met.slither, met.coslither
@@ -144,8 +174,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("deg, codeg coprime", gcd(met.deg, met.codeg) == 1, ctx)
     rep.check("T_tape = gcd(p, q)", met.T_tape == gcd(met.p, met.q), ctx)
     rep.check("orbit length formula", met.T_scroll == m, ctx)
-    rep.check("alpha from letters", part.alpha == wc.alpha, ctx)
-    rep.check("beta from letters", part.beta == ws.beta, ctx)
+    if part:
+        rep.check("alpha from letters", part.alpha == wc.alpha, ctx)
+        rep.check("beta from letters", part.beta == ws.beta, ctx)
 
     # sum-vector laws
     sv = sum_vector(s)
@@ -155,8 +186,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("lambda > 1 implies n >= 4 lambda", sv.lam == 1 or n >= 4 * sv.lam, ctx)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
-    torsor = _is_torsor(part, part.beta, part.alpha)
-    rep.check("torsor simple transitivity", torsor, ctx)
+    if part:
+        torsor = _is_torsor(part, part.beta, part.alpha)
+        rep.check("torsor simple transitivity", torsor, ctx)
 
     if not extended:
         return
@@ -164,12 +196,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # tape period: minimality and the divisibility characterization
     period = met.T_tape
     reads = s.reads(3 * period + size)
-    for ell in range(1, 3 * period + 1):
-        rep.check(
-            "tape shift iff T_tape divides",
-            (reads[ell : ell + size] == reads[:size]) == (ell % period == 0),
-            f"{ctx} shift {ell}",
-        )
+    shifts = range(1, 3 * period + 1)
+    wrong = [ell for ell in shifts if (reads[ell : ell + size] == reads[:size]) != (ell % period == 0)]
+    rep.tally("tape shift iff T_tape divides", len(shifts), [f"{ctx} shift {ell}" for ell in wrong])
+
+    if not part:
+        return
 
     # step-word simulation agreement (slither and co-slither)
     for law, step, length, word in (
@@ -185,50 +217,51 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
 
     # linearity of iterated successor advance
     block = len(ws.word) // met.deg
-    for r in range(1, min(3, met.deg) + 1):
+    rounds = range(1, min(3, met.deg) + 1)
+    nonlinear = []
+    for r in rounds:
         for t in part.live:
             u = t
             for _ in range(r * block):
-                u = s.successor(u)
-            rep.check(
-                "successor advance linear",
-                u - t == r * met.p,
-                f"{ctx} r={r} from {t}",
-            )
+                u += sa[(u - 1) % size]
+            if u - t != r * met.p:
+                nonlinear.append(f"{ctx} r={r} from {t}")
+    rep.tally("successor advance linear", len(rounds) * len(part.live), nonlinear)
 
     # co-snake distinctness within one row span
+    label, sigma = part.cosnake_label, part.modulus
+    near, shared = 0, []
     for t in part.live:
         base = (t - 1) % size + size
         for d in range(1, n):
             if tripled[base + d]:
-                rep.check(
-                    "near-row co-snake distinctness",
-                    part.cosnake_of(t + d) != part.cosnake_of(t),
-                    f"{ctx} tape {t}, {t + d}",
-                )
+                near += 1
+                if label[(t + d) % sigma] == label[t]:
+                    shared.append(f"{ctx} tape {t}, {t + d}")
+    rep.tally("near-row co-snake distinctness", near, shared)
 
     # free action on the universal scroll: s^a c^b moves the start for
     # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha
     i0, j0 = divmod(live[0] - 1, n)
     start = (i0, j0 + 1)
-    s_walk = _walk(start, n, s.predecessor_step, s.successor_step, part.beta)
+    s_walk = _walk(start, n, s.predecessor_letters, s.successor_letters, part.beta)
+    fixed = []
     for a, s_coord in zip(range(-part.beta, part.beta + 1), s_walk):
-        c_walk = _walk(s_coord, n, s.co_predecessor_step, s.co_successor_step, part.alpha)
-        for b, coord in zip(range(-part.alpha, part.alpha + 1), c_walk):
-            if (a, b) != (0, 0):
-                rep.check(
-                    "free affine action",
-                    coord != start,
-                    f"{ctx} exponents ({a},{b})",
-                )
+        c_walk = _walk(s_coord, n, s.co_predecessor_letters, s.co_successor_letters, part.alpha)
+        fixed += [
+            f"{ctx} exponents ({a},{b})"
+            for b, coord in zip(range(-part.alpha, part.alpha + 1), c_walk)
+            if coord == start and (a, b) != (0, 0)
+        ]
+    rep.tally("free affine action", len(s_walk) * (2 * part.alpha + 1) - 1, fixed)
 
     # fibers: residues mod sigma, singletons among the live residues
+    snake, cosnake = part.snake_label, part.cosnake_label
     fibers: dict[tuple[int, int], list[int]] = {}
     for t in part.live:
-        fibers.setdefault((part.snake_label[t], part.cosnake_label[t]), []).append(t)
-    for t in part.live:
-        mates = fibers[part.snake_label[t], part.cosnake_label[t]]
-        rep.check("fibers are residues mod sigma", mates == [t], f"{ctx} tape {t}")
+        fibers.setdefault((snake[t], cosnake[t]), []).append(t)
+    shared = [f"{ctx} tape {t}" for t in part.live if fibers[snake[t], cosnake[t]] != [t]]
+    rep.tally("fibers are residues mod sigma", len(part.live), shared)
 
 
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
@@ -269,23 +302,23 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
                 octx,
             )
         except AssertionError as exc:
-            rep.violations.append(f"swallow uniform shift: {octx}: {exc}")
+            rep.check("swallow uniform shift", False, f"{octx}: {exc}")
             continue
         try:
             inv = group_invariants(table)
-            rep.ok("group order equals live count")
+            rep.check("group order equals live count", True, octx)
             if not (inv.matches_ouro_product and inv.matches_co_ouro_product):
                 rep.product_form_failures.append(
                     f"{octx}: factors {inv.nontrivial}, products "
                     f"{inv.ouro_product} / {inv.co_ouro_product}"
                 )
         except AssertionError as exc:
-            rep.violations.append(f"group order equals live count: {octx}: {exc}")
+            rep.check("group order equals live count", False, f"{octx}: {exc}")
         try:
             is_color_preserving(table, sw, cs)
-            rep.ok("color-preserving conditions agree")
+            rep.check("color-preserving conditions agree", True, octx)
         except AssertionError as exc:
-            rep.violations.append(f"color-preserving conditions: {octx}: {exc}")
+            rep.check("color-preserving conditions", False, f"{octx}: {exc}")
 
         rep.check(
             "table slither power identity",

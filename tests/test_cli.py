@@ -5,6 +5,7 @@ import json
 import pytest
 
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
+from snakescroll.report import classification_report, classification_to_csv
 
 
 def run(capsys, *argv):
@@ -80,6 +81,8 @@ def test_classify_csv(capsys):
     code, out, _ = run(capsys, "classify", "--n", "13", "--format", "csv")
     assert code == EXIT_OK
     assert out.count("\n") == 18  # header + 17 rows
+    # the rows written one at a time are the joined CSV text
+    assert out == classification_to_csv(classification_report(13))
 
 
 def test_classify_rejects_too_few_vertices(capsys):

@@ -23,8 +23,8 @@ def test_successor_steps_on_the_running_example():
     assert s.successor_step(5) == (7, "E")
     t, letter = s.successor_step(7)
     assert (t, letter) == (19, "D")  # lands in row 1
-    assert s.predecessor(7) == 5
-    assert s.co_predecessor(s.co_successor(5)) == 5
+    assert s.predecessor_step(7) == (5, "E")
+    assert s.co_predecessor_step(s.co_successor(5))[0] == 5
 
 
 def test_successor_and_co_successor_commute():

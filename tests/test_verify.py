@@ -118,3 +118,79 @@ def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
     check_tables(s, 3, rep)
     assert [v.split(":")[0] for v in rep.violations] == ["orbit length formula"]
     assert orbit_report(omega_table(s, 1))["agreement"]["scrollPeriodMatchesOrbit"] is False
+
+
+EXTENDED_LAWS = {
+    "six-neighbor zeros",
+    "unique successor candidates",
+    "commutation",
+    "parallelogram",
+    "predecessor round trip",
+    "beta_D = 2 alpha - 1",
+    "2bE + 3aS + 4aL = n+1",
+    "deg, codeg coprime",
+    "T_tape = gcd(p, q)",
+    "orbit length formula",
+    "alpha from letters",
+    "beta from letters",
+    "lambda odd",
+    "lambda | gcd(n, ColScale)",
+    "lambda > 1 implies n >= 4 lambda",
+    "torsor simple transitivity",
+    "tape shift iff T_tape divides",
+    "slither matches simulation",
+    "co-slither matches simulation",
+    "successor advance linear",
+    "free affine action",
+    "fibers are residues mod sigma",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 11])
+def test_a_law_that_never_ran_has_no_key(n):
+    # for n <= 3 no live entry has a live entry within one row span, so the
+    # near-row law makes no check there and must not appear with count 0
+    passed = run_verification(n, n).passed
+    near_row = {"near-row co-snake distinctness"} if n > 3 else set()
+    assert set(passed) == EXTENDED_LAWS | near_row
+    assert all(count > 0 for count in passed.values())
+
+
+@pytest.mark.parametrize("t", [5, 7])
+def test_a_non_unique_step_letter_is_recorded_not_raised(t):
+    # successor letter "2" (two live candidates) at live index t; t = 5 lies
+    # in the first tape period, which the snake partition reads, and t = 7
+    # only in a later one, where the two entries stepping onto it reach it
+    s = scroll_from_seed("00001010000")
+    letters = s.successor_letters
+    s.__dict__["successor_letters"] = letters[: t - 1] + "2" + letters[t:]
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    assert rep.violations == [
+        "unique successor candidates: n=11 seed=00001010000: "
+        f"successor of live index {t}: 2 live candidates, expected 1"
+    ]
+    live = sum(s.vector)
+    assert rep.passed["six-neighbor zeros"] == live
+    assert rep.passed["unique successor candidates"] == live - 1
+    for law in ("commutation", "parallelogram", "predecessor round trip"):
+        assert rep.passed[law] == live - 3, law
+    # the laws on the step maps need every step to be a map: all skipped
+    assert "alpha from letters" not in rep.passed
+    assert "free affine action" not in rep.passed
+
+
+@pytest.mark.parametrize(
+    "table, tape", [("predecessor_letters", 5), ("co_predecessor_letters", 63)]
+)
+def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
+    # inverse letter "0" (no live candidate) at live index 7: the one entry
+    # whose step reaches 7 fails its round trip, and nothing raises
+    s = scroll_from_seed("00001010000")
+    letters = getattr(s, table)
+    s.__dict__[table] = letters[:6] + "0" + letters[7:]
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    assert rep.violations == [f"predecessor round trip: n=11 seed=00001010000 at tape {tape}"]
+    assert rep.passed["predecessor round trip"] == sum(s.vector) - 1
+    assert "free affine action" not in rep.passed
