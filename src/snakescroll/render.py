@@ -17,9 +17,9 @@ COSNAKE_PALETTE = [
 SVG_UNIT = 28  # pixels per table cell
 
 
-def _label_colors(labels: dict[int, int], palette: list) -> dict:
-    """Palette entries, cycled, for the labels in ascending order."""
-    ordered = sorted(set(labels.values()))
+def _label_colors(labels: list, palette: list) -> dict:
+    """Palette entries, cycled, for the labels (the residues labelling themselves), ascending."""
+    ordered = [r for r, label in enumerate(labels) if label == r]
     return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
 
 

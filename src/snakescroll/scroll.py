@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .cycles import Orbit, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
@@ -151,43 +152,33 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     Entry r is the image of every tape index t = r (mod modulus), reduced
     mod modulus, or None for a dead residue.  modulus must be a multiple of
     the tape period, the period of the step letters, so the step of each
-    live t in [0, period) (which raises as usual) moves its whole class.
+    live t < period (which raises as usual) moves its class onto its image's.
     """
     period = s.metrics.T_tape
     if modulus % period:
         raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
     maps = ([None] * modulus, [None] * modulus)
-    for t, bit in enumerate(s.reads(period)):
-        if bit:
-            for image, step in zip(maps, (s.successor, s.co_successor)):
-                d = step(t) - t
-                image[t::period] = [(u + d) % modulus for u in range(t, modulus, period)]
+    for t in compress(range(period), s.reads(period)):
+        for image, step in zip(maps, (s.successor, s.co_successor)):
+            v = step(t) % modulus
+            image[t::period] = [*range(v, modulus, period), *range(v % period, v, period)]
     return maps
 
 
-def cycle_labels(items, step) -> dict:
-    """Map each item to the least member of its cycle under step.
-
-    step must permute items; otherwise AssertionError.  The keys are the
-    caller's own item objects.
-    """
-    label = dict.fromkeys(items)
-    for start in label:
-        if label[start] is not None:
-            continue
-        label[start] = start
-        cycle = [start]
-        x = step(start)
-        while x != start:
-            if x not in label or label[x] is not None:
-                raise AssertionError(f"step is not a permutation of the items: reached {x}")
-            label[x] = start
-            cycle.append(x)
-            x = step(x)
-        least = min(cycle)
-        for x in cycle:
-            label[x] = least
-    return label
+def label_cycles(live, step: list) -> tuple[list, int]:
+    """Labels (None off live) and count of the cycles of step, which must
+    permute live (else AssertionError).  live ascends, so the first
+    unlabelled residue met starts its cycle and is its least member."""
+    label, cycles = [None] * len(step), 0
+    for start in live:
+        if label[start] is None:
+            cycles += 1
+            label[start], x = start, step[start]
+            while x != start:
+                if x is None or label[x] is not None:  # None: it went through a dead residue
+                    raise AssertionError(f"step is not a permutation of live: from {start}")
+                label[x], x = start, step[x]
+    return label, cycles
 
 
 @dataclass(frozen=True)
@@ -196,9 +187,9 @@ class Partition:
 
     modulus: int
     live: tuple[int, ...]  # live residues in [0, modulus), ascending
-    maps: tuple[list, list]  # reduced successor and co-successor
-    snake_label: dict[int, int]
-    cosnake_label: dict[int, int]
+    maps: tuple[list, list]  # reduced successor and co-successor, None on dead residues
+    snake_label: list  # per residue, the least residue of its snake; None if dead
+    cosnake_label: list  # likewise for co-snakes
     alpha: int  # number of snakes: cycles of the reduced successor
     beta: int  # number of co-snakes: cycles of the reduced co-successor
 
@@ -211,10 +202,9 @@ class Partition:
 
 def partition(s: Scroll, modulus: int) -> Partition:
     """The snake partition of s reduced mod modulus, a multiple of its tape period."""
-    live = tuple(t for t, bit in enumerate(s.reads(modulus)) if bit)
+    live = tuple(compress(range(modulus), s.reads(modulus)))
     maps = reduced_maps(s, modulus)
-    snake_label, cosnake_label = (cycle_labels(live, m.__getitem__) for m in maps)
-    alpha, beta = (len(set(label.values())) for label in (snake_label, cosnake_label))
+    (snake_label, alpha), (cosnake_label, beta) = (label_cycles(live, m) for m in maps)
     return Partition(modulus, live, maps, snake_label, cosnake_label, alpha, beta)
 
 

@@ -127,11 +127,9 @@ def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutat
         k = order_step(k)
     if len(image) != count:
         raise AssertionError("step map does not traverse all labels once")
-    pos = {label: i for i, label in enumerate(order)}
-    shift = pos[image[order[0]]]
-    for i, label in enumerate(order):
-        if pos[image[label]] != (i + shift) % count:
-            raise AssertionError("swallow permutation is not a uniform shift")
+    shift = order.index(image[order[0]])
+    if [image[label] for label in order] != order[shift:] + order[:shift]:
+        raise AssertionError("swallow permutation is not a uniform shift")
     return SwallowPermutation(tuple(order), image, shift)
 
 

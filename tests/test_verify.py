@@ -94,7 +94,7 @@ def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
         if part.snake_label[u] != part.snake_label[t]
         and part.cosnake_label[u] != part.cosnake_label[t]
     )
-    snake, cosnake = dict(part.snake_label), dict(part.cosnake_label)
+    snake, cosnake = list(part.snake_label), list(part.cosnake_label)
     snake[u], cosnake[u] = snake[t], cosnake[t]
     broken = replace(part, snake_label=snake, cosnake_label=cosnake)
     monkeypatch.setattr(verify, "snakes_and_cosnakes", lambda _s: broken)
@@ -178,6 +178,14 @@ def test_a_non_unique_step_letter_is_recorded_not_raised(t):
     # the laws on the step maps need every step to be a map: all skipped
     assert "alpha from letters" not in rep.passed
     assert "free affine action" not in rep.passed
+    # so do the table laws: one violation for the orbit, no table law
+    passed = dict(rep.passed)
+    check_tables(s, 2, rep)
+    assert rep.violations[1:] == [
+        "table laws skipped: n=11 seed=00001010000: steps are not maps"
+    ]
+    assert rep.passed == passed
+    assert not rep.same_side_degree_failures and not rep.product_form_failures
 
 
 @pytest.mark.parametrize(
@@ -194,3 +202,30 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     assert rep.violations == [f"predecessor round trip: n=11 seed=00001010000 at tape {tape}"]
     assert rep.passed["predecessor round trip"] == sum(s.vector) - 1
     assert "free affine action" not in rep.passed
+
+
+def _identity_co_successor(tab):
+    # the walk hits its start twice: the early exit on a repeated hit
+    succ, co_succ = tab.maps
+    identity = [r if co_succ[r] is not None else None for r in range(tab.modulus)]
+    return replace(tab, maps=(succ, identity))
+
+
+def _one_more_live_residue(tab):
+    # eta no longer counts the live residues: the count check fails first
+    dead = tab.maps[0].index(None)
+    return replace(tab, live=tuple(sorted(tab.live + (dead,))))
+
+
+@pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
+def test_a_broken_table_torsor_is_a_violation(monkeypatch, breaking):
+    s = scroll_from_seed("00001010000")
+    broken = breaking(tables.ouroboros_partition(omega_table(s, 1)))
+    monkeypatch.setattr(verify, "ouroboros_partition", lambda _t: broken)
+    rep = VerificationReport()
+    check_tables(s, 1, rep)
+    assert rep.violations == [
+        "table torsor simple transitivity: n=11 seed=00001010000 omega=1"
+    ]
+    assert "table torsor simple transitivity" not in rep.passed
+    assert rep.passed["ouroboros counts match formula"] == 1
