@@ -11,8 +11,9 @@ tape(t) = vector[(t-1) % (m*n)].
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod m*n, so each map is stored as one letter per
-residue, found once per orbit by testing that map's own two candidates
-on the vector.
+residue of the vector.  The letters repeat with the vector's least cyclic
+period, so each table is found over one period, by testing that map's own
+two candidates there, and repeated to the full m*n.
 
 Snakes and ouroboroi are one partition at two moduli: successor and
 co-successor commute with shifts by any multiple M of the tape period, so
@@ -34,6 +35,7 @@ from .cycles import Orbit, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to 0/1 bytes
 
 
 def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
@@ -42,16 +44,20 @@ def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
     The candidates of a live residue r are r + sign*advance(letter) for
     each of the two letters.  A dead residue gets DEAD; a live one gets
     its live candidate's letter, or, when not exactly one candidate is
-    live, the digit counting its live candidates.  Each candidate is read
-    from the vector rotated by its advance.
+    live, the digit counting its live candidates.  The letters are found
+    over the vector's least cyclic period P, read off the vector itself,
+    with each candidate read from the period rotated by its advance mod P;
+    the table is that period's letters repeated to len(vector).
     """
     first, second = letters
     # keyed (residue live, first candidate live, second candidate live)
     letter_of = {(0, x, y): DEAD for x in (0, 1) for y in (0, 1)}
     letter_of.update({(1, 1, 0): first, (1, 0, 1): second, (1, 0, 0): "0", (1, 1, 1): "2"})
-    shifts = [(sign * step_advance(letter, n)) % len(vector) for letter in letters]
-    rotated = [vector[d:] + vector[:d] for d in shifts]
-    return "".join(map(letter_of.__getitem__, zip(vector, *rotated)))
+    period = (vector + vector).find(vector, 1)
+    unit = vector[:period]
+    shifts = [(sign * step_advance(letter, n)) % period for letter in letters]
+    rotated = [unit[d:] + unit[:d] for d in shifts]
+    return "".join(map(letter_of.__getitem__, zip(unit, *rotated))) * (len(vector) // period)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class Scroll:
     @cached_property
     def vector(self) -> bytes:
         """The fundamental vector: the first m*n tape symbols, as 0/1 bytes."""
-        return bytes(map(int, "".join(self.base.rows)))
+        return "".join(self.base.rows).encode().translate(_BITS)
 
     def tape(self, t: int) -> int:
         vector = self.vector

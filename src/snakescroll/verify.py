@@ -120,7 +120,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     ctx = f"n={n} seed={s.base.rows[0]}"
     met = s.metrics
     size = m * n
-    live = [t for t, bit in enumerate(s.vector, 1) if bit]
+    live = list(compress(range(1, size + 1), s.vector))
     # tape(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
     tripled = s.vector * 3
     six = (-n, 1 - n, -1, 1, n - 1, n)
@@ -130,12 +130,21 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     sa, ca = list(map(forth.get, sl)), list(map(forth.get, cl))
     pa, cpa = (list(map(back.get, x)) for x in (s.predecessor_letters, s.co_predecessor_letters))
 
-    # local structure at every live entry of the fundamental vector
-    crowded = bytes(map(max, *(tripled[size + d : 2 * size + d] for d in six)))
+    # local structure at every live entry of the fundamental vector: the
+    # vector and its six shifts as integers, one 0/1 byte per residue, so
+    # OR and AND act bytewise; a nonzero byte of crowded is a live entry
+    # with a live neighbour
+    near = 0
+    for d in six:
+        near |= int.from_bytes(tripled[size + d : 2 * size + d], "big")
+    crowded = near & int.from_bytes(s.vector, "big")
     rep.tally(
         "six-neighbor zeros",
         len(live),
-        [f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in live if crowded[t - 1]],
+        [
+            f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})"
+            for t in compress(range(1, size + 1), crowded.to_bytes(size, "big"))
+        ],
     )
     unique = [a is not None and b is not None for a, b in zip(sa, ca)]
     not_unique = []
@@ -313,7 +322,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
                 octx,
             )
         except AssertionError as exc:
-            rep.check("swallow uniform shift", False, f"{octx}: {exc}")
+            rep.check("swallow cycle structure", False, f"{octx}: {exc}")
             continue
         try:
             inv = group_invariants(table)
@@ -329,7 +338,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             is_color_preserving(table, sw, cs)
             rep.check("color-preserving conditions agree", True, octx)
         except AssertionError as exc:
-            rep.check("color-preserving conditions", False, f"{octx}: {exc}")
+            rep.check("color-preserving conditions agree", False, f"{octx}: {exc}")
 
         rep.check(
             "table slither power identity",

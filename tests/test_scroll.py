@@ -95,17 +95,33 @@ def reference_step_letters(vector: bytes, n: int, letters: str, sign: int) -> st
     return "".join(out)
 
 
+def least_cyclic_period(vector: bytes) -> int:
+    return next(p for p in range(1, len(vector) + 1) if vector[p:] + vector[:p] == vector)
+
+
 def test_step_letters_match_the_reference():
-    orbits = [o for n in range(2, 15) for o in all_orbits(n)]
-    for o in orbits + [Orbit(("1000", "0010"))]:
-        s = Scroll(o)
+    # the tables are built over the vector's least period P and repeated:
+    # orbits listed twice have P < m*n, and one symbol flipped in the last
+    # period of such a vector makes P = m*n
+    orbits = [o for n in range(2, 17) for o in all_orbits(n)]
+    scrolls = [Scroll(o) for o in orbits + [Orbit(("1000", "0010"))]]
+    for o in orbits:
+        doubled = Scroll(Orbit(o.rows * 2))
+        assert least_cyclic_period(doubled.vector) < len(doubled.vector)
+        flipped = Scroll(doubled.base)
+        vector = bytearray(doubled.vector)
+        vector[-1] ^= 1
+        flipped.__dict__["vector"] = bytes(vector)
+        assert least_cyclic_period(flipped.vector) == len(vector)
+        scrolls += [doubled, flipped]
+    for s in scrolls:
         for got, letters, sign in (
             (s.successor_letters, "ED", 1),
             (s.co_successor_letters, "SL", 1),
             (s.predecessor_letters, "ED", -1),
             (s.co_predecessor_letters, "SL", -1),
         ):
-            assert got == reference_step_letters(s.vector, s.n, letters, sign), o.rows[0]
+            assert got == reference_step_letters(s.vector, s.n, letters, sign), s.base.rows
 
 
 def test_running_example_tape_period():

@@ -229,3 +229,68 @@ def test_a_broken_table_torsor_is_a_violation(monkeypatch, breaking):
     ]
     assert "table torsor simple transitivity" not in rep.passed
     assert rep.passed["ouroboros counts match formula"] == 1
+
+
+@pytest.mark.parametrize(
+    "row, col, crowded",
+    [
+        # between two live entries of its row
+        (3, 8, ["(3,7)", "(3,8)", "(3,9)"]),
+        # live neighbours above, right and below-left: directions -n, 1, n-1
+        (3, 6, ["(2,6)", "(3,6)", "(3,7)", "(4,5)"]),
+        # live neighbours above-right, left and below: 1-n, -1, n
+        (3, 10, ["(2,11)", "(3,9)", "(3,10)", "(4,10)"]),
+    ],
+)
+def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
+    # an extra 1 at (row, col) (columns from 1), past the first length-n
+    # window, so the metrics read off that window are unchanged: it and its
+    # live neighbours are reported, and nothing raises
+    s = scroll_from_seed("00001010000")
+    met = s.metrics
+    vector = bytearray(s.vector)
+    r = row * 11 + col - 1
+    assert vector[r] == 0
+    vector[r] = 1
+    s.__dict__["vector"] = bytes(vector)
+    assert s.metrics == met
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    law = "six-neighbor zeros"
+    assert [v for v in rep.violations if v.startswith(law)] == [
+        f"{law}: n=11 seed=00001010000 at {at}" for at in crowded
+    ]
+    assert rep.passed[law] == sum(vector) - len(crowded)
+
+
+def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
+    def raising(_table):
+        raise AssertionError("not a uniform shift")
+
+    monkeypatch.setattr(verify, "swallow", raising)
+    rep = VerificationReport()
+    check_tables(scroll_from_seed("00001010000"), 1, rep)
+    assert rep.violations == [
+        "swallow cycle structure: n=11 seed=00001010000 omega=1: not a uniform shift"
+    ]
+    # the failure is recorded under the key its passes are tallied under;
+    # the laws after the swallows are skipped for that omega
+    assert "swallow cycle structure" not in rep.passed
+    assert set(rep.passed) == {"crossed degree divisibility", "ouroboros counts match formula"}
+
+
+def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
+    def raising(_table, _sw, _cs):
+        raise AssertionError("color-preserving conditions disagree: [True, False]")
+
+    monkeypatch.setattr(verify, "is_color_preserving", raising)
+    rep = VerificationReport()
+    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    law = "color-preserving conditions agree"
+    assert rep.violations == [
+        f"{law}: n=11 seed=00001010000 omega={omega}: "
+        "color-preserving conditions disagree: [True, False]"
+        for omega in (1, 2)
+    ]
+    assert law not in rep.passed
+    assert rep.passed["table torsor simple transitivity"] == 2
