@@ -27,7 +27,6 @@ from .scroll import (
     Partition,
     Scroll,
     scroll_from_seed,
-    snakes_and_cosnakes,
 )
 from .slither import (
     CoSlither,
@@ -43,7 +42,6 @@ from .tables import (
     group_invariants,
     is_color_preserving,
     omega_table,
-    ouroboros_partition,
     predicted_counts,
     swallow,
 )

@@ -81,32 +81,25 @@ class Orbit:
         return len(self.rows)
 
 
-def enumerate_independent_sets(n: int) -> list[str]:
-    """All independent sets of C_n in lexicographic order, by backtracking.
+def _independent_words(n: int) -> list[int]:
+    """All independent sets of C_n as n-bit integers (vertex k is bit n-k), ascending.
 
-    Branch on v_1; along the path only the previous bit constrains the
-    next, and the final bit must also respect the wrap edge to v_1.
+    The words of k bits with no two adjacent 1s are those of k-1 bits and,
+    with bit k-1 set, those of k-2 bits; a word whose first and last bits
+    are both 1 breaks the wrap edge.
     """
     if n < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
-    out: list[str] = []
+    shorter, words = [0], [0, 1]
+    for k in range(2, n + 1):
+        shorter, words = words, words + [(1 << (k - 1)) | x for x in shorter]
+    ends = (1 << (n - 1)) | 1
+    return [w for w in words if w & ends != ends]
 
-    def extend(prefix: list[str]) -> None:
-        i = len(prefix)
-        if i == n:
-            if not (prefix[0] == "1" and prefix[-1] == "1"):
-                out.append("".join(prefix))
-            return
-        for b in "01":
-            if b == "1" and prefix[i - 1] == "1":
-                continue
-            prefix.append(b)
-            extend(prefix)
-            prefix.pop()
 
-    for first in "01":
-        extend([first])
-    return out
+def enumerate_independent_sets(n: int) -> list[str]:
+    """All independent sets of C_n in lexicographic order."""
+    return [format(w, f"0{n}b") for w in _independent_words(n)]
 
 
 def _sweep_windows(n: int) -> list[tuple[int, int]]:
@@ -152,8 +145,7 @@ def all_orbits(n: int) -> list[Orbit]:
     windows = _sweep_windows(n)
     seen: set[int] = set()
     parts: list[Orbit] = []
-    for bits in enumerate_independent_sets(n):
-        start = int(bits, 2)
+    for start in _independent_words(n):
         if start in seen:
             continue
         words = _orbit_words(start, windows)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .scroll import snakes_and_cosnakes
+from itertools import compress
+
 from .tables import OrbitTable
 
 ANSI_COLORS = [31, 34, 35, 32, 33, 36, 91, 94, 95, 92, 93, 96]
@@ -26,8 +27,8 @@ def _label_colors(labels: list, palette: list) -> dict:
 def ansi_table(table: OrbitTable) -> str:
     """Two colored copies of the table: snake scheme, then co-snake scheme."""
     s = table.scroll
-    part = snakes_and_cosnakes(s)
-    bits = s.vector * table.omega  # bits[t - 1] is tape(t) for t in 1..size
+    part = s.snakes
+    bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
     blocks = []
     for title, labels in (("snakes", part.snake_label), ("co-snakes", part.cosnake_label)):
         cell = {
@@ -49,7 +50,7 @@ def svg_table(table: OrbitTable) -> str:
     """
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
     snake_color = _label_colors(part.snake_label, SNAKE_PALETTE)
     cosnake_color = _label_colors(part.cosnake_label, COSNAKE_PALETTE)
     width, height = (n + 2) * unit, (r + 2) * unit
@@ -95,7 +96,7 @@ def svg_table(table: OrbitTable) -> str:
     # (t, snake colour, co-snake colour) per live entry, for edges then nodes
     entries = [
         (t, snake_color[part.snake_of(t)], cosnake_color[part.cosnake_of(t)])
-        for t in table.live
+        for t in compress(range(1, table.size + 1), s.vector * table.omega)
     ]
     for t, scolor, ccolor in entries:
         edge(t, s.successor(t), scolor, "")

@@ -8,7 +8,6 @@ from typing import Any, Iterator
 
 from .classify import enumerate_ticker_tapes, feasible_quadruples, gf_count
 from .cyclic import cyclically_equal
-from .scroll import snakes_and_cosnakes
 from .sums import col_scale, sum_vector
 from .tables import (
     OrbitTable,
@@ -16,7 +15,6 @@ from .tables import (
     fundamental_degrees,
     group_invariants,
     is_color_preserving,
-    ouroboros_partition,
     predicted_counts,
     swallow,
     table_coslither,
@@ -33,8 +31,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
     """
     s, omega = table.scroll, table.omega
     met = s.metrics
-    part = snakes_and_cosnakes(s)
-    tab = ouroboros_partition(table)
+    part, tab = s.snakes, table.ouroboroi
     deg_p, codeg_p = table_degrees(table)
     sw, cs = swallow(table), co_swallow(table)
     inv = group_invariants(table)

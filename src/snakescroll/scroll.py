@@ -6,7 +6,7 @@ integer row i and column j, is tape index t = i*n + j; this is the
 cylinder identification, under which (i, j+n) and (i+1, j) are the same
 cell.  So the tape alone is the scroll: the fundamental vector (the m
 orbit rows concatenated) repeated with period m*n, read as
-tape(t) = vector[(t-1) % (m*n)].
+X_t = vector[(t-1) % (m*n)].
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
@@ -21,14 +21,15 @@ co-successor commute with shifts by any multiple M of the tape period, so
 them with the cycle labels of each.  Mod sigma, the advance of a full
 slither, the cycles are the snakes and co-snakes (the shift fixes each
 one, and distinct snakes cannot merge under it, so the quotient is
-faithful).  Mod the size omega*m*n of an orbit table they are the
-ouroboroi (`tables.ouroboros_partition`).
+faithful): that partition is `Scroll.snakes`.  Mod the size omega*m*n of
+an orbit table they are the ouroboroi (`tables.OrbitTable.ouroboroi`).
+Each is built once per object, on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 
 from .cycles import Orbit, orbit
@@ -77,12 +78,8 @@ class Scroll:
         """The fundamental vector: the first m*n tape symbols, as 0/1 bytes."""
         return "".join(self.base.rows).encode().translate(_BITS)
 
-    def tape(self, t: int) -> int:
-        vector = self.vector
-        return vector[(t - 1) % len(vector)]
-
     def reads(self, length: int) -> bytes:
-        """tape(t) for t in [0, length): the vector rotated right by one, repeated."""
+        """X_t for t in [0, length): the vector rotated right by one, repeated."""
         vector = self.vector
         return ((vector[-1:] + vector[:-1]) * (length // len(vector) + 1))[:length]
 
@@ -110,17 +107,18 @@ class Scroll:
         return _step_letters(self.vector, self.n, "SL", -1)
 
     @cached_property
-    def _advance(self) -> dict[tuple[str, int], int]:
-        """Signed tape advance of each step letter, keyed (letter, sign)."""
-        return {
-            (letter, sign): sign * step_advance(letter, self.n)
-            for letter in "EDSL"
-            for sign in (1, -1)
-        }
+    def _advance(self) -> dict[str, int]:
+        """Tape advance of each step letter."""
+        return {letter: step_advance(letter, self.n) for letter in "EDSL"}
 
-    def _step(self, letters: str, t: int, sign: int, what: str) -> tuple[int, str]:
+    @cached_property
+    def snakes(self) -> Partition:
+        """Snakes and co-snakes: the partition mod sigma."""
+        return partition(self, self.metrics.sigma)
+
+    def _step(self, letters: str, t: int, what: str) -> tuple[int, str]:
         letter = letters[(t - 1) % len(letters)]
-        advance = self._advance.get((letter, sign))
+        advance = self._advance.get(letter)
         if advance is None:
             if letter == DEAD:
                 raise ValueError(f"tape index {t} is not live")
@@ -130,22 +128,16 @@ class Scroll:
         return t + advance, letter
 
     def successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.successor_letters, t, 1, "successor")
+        return self._step(self.successor_letters, t, "successor")
 
     def successor(self, t: int) -> int:
         return self.successor_step(t)[0]
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.co_successor_letters, t, 1, "co-successor")
+        return self._step(self.co_successor_letters, t, "co-successor")
 
     def co_successor(self, t: int) -> int:
         return self.co_successor_step(t)[0]
-
-    def predecessor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.predecessor_letters, t, -1, "predecessor")
-
-    def co_predecessor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.co_predecessor_letters, t, -1, "co-predecessor")
 
 
 def scroll_from_seed(bits: str) -> Scroll:
@@ -212,10 +204,3 @@ def partition(s: Scroll, modulus: int) -> Partition:
     maps = reduced_maps(s, modulus)
     (snake_label, alpha), (cosnake_label, beta) = (label_cycles(live, m) for m in maps)
     return Partition(modulus, live, maps, snake_label, cosnake_label, alpha, beta)
-
-
-# Callers ask for one scroll's partition many times in a row and never
-# come back to an earlier scroll, so the cache holds the last one only.
-@lru_cache(maxsize=1)
-def snakes_and_cosnakes(s: Scroll) -> Partition:
-    return partition(s, s.metrics.sigma)

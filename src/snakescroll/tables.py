@@ -3,15 +3,15 @@
 An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
-omega*m*n instead of sigma.  `ouroboros_partition` is that
-`scroll.Partition`: its snakes are the ouroboroi and its co-snakes the
-co-ouroboroi.  The live residues form a torsor of the finite abelian
-group generated by the two reduced maps.  That group has rank at
-most two, so its invariant factors are two gcds of its presentation
-(`group_invariants`); `permutation_group_invariants` reads them off the
-torsor instead, as an oracle.  Covering degrees, predicted counts and
+omega*m*n instead of sigma.  `OrbitTable.ouroboroi` is that
+`scroll.Partition`, built once per table: its snakes are the ouroboroi and
+its co-snakes the co-ouroboroi.  The live residues form a torsor of the
+finite abelian group generated by the two reduced maps.  That group has
+rank at most two, so its invariant factors are two gcds of its
+presentation (`group_invariants`); the test suite's torsor oracle reads
+them off the reduced maps instead.  Covering degrees, predicted counts and
 swallows are closed forms in the scroll's metrics; the cycle counts of the
-reduced maps (`ouroboros_partition`) are what they are checked against.
+reduced maps (`OrbitTable.ouroboroi`) are what they are checked against.
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two
@@ -21,10 +21,10 @@ swallows where needed, to every helper here: no helper builds a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
-from .scroll import Partition, Scroll, partition, snakes_and_cosnakes
+from .scroll import Partition, Scroll, partition
 
 
 @dataclass(frozen=True)
@@ -44,28 +44,21 @@ class OrbitTable:
     def size(self) -> int:
         return self.r * self.n
 
-    @cached_property
-    def live(self) -> tuple[int, ...]:
-        """Live tape indices in 1..r*n."""
-        return tuple(t for t, bit in enumerate(self.scroll.vector * self.omega, 1) if bit)
-
     @property
     def eta(self) -> int:
         """Number of live entries: omega copies of the fundamental vector's."""
         return self.omega * self.scroll.vector.count(1)
+
+    @cached_property
+    def ouroboroi(self) -> Partition:
+        """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod the table size."""
+        return partition(self.scroll, self.size)
 
 
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
     return OrbitTable(s, omega)
-
-
-# One table at a time, like `snakes_and_cosnakes`: the last one is cached.
-@lru_cache(maxsize=1)
-def ouroboros_partition(t: OrbitTable) -> Partition:
-    """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod t.size."""
-    return partition(t.scroll, t.size)
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
@@ -89,8 +82,8 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
 
 def table_degrees(t: OrbitTable) -> tuple[int, int]:
     """(deg p_omega, codeg p_omega) for the omega-fold table."""
-    part = snakes_and_cosnakes(t.scroll)
-    tab = ouroboros_partition(t)
+    part = t.scroll.snakes
+    tab = t.ouroboroi
     return part.alpha // tab.alpha, part.beta // tab.beta
 
 
@@ -135,13 +128,13 @@ def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutat
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
-    part = snakes_and_cosnakes(t.scroll)
+    part = t.scroll.snakes
     # snakes are traversed once per co-slither cycle: order by co-successor
     return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
-    part = snakes_and_cosnakes(t.scroll)
+    part = t.scroll.snakes
     # co-snakes are traversed once per slither cycle: order by successor
     return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor)
 
@@ -189,8 +182,7 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     determinantal divisors (H. J. S. Smith, 1861): d1 is the gcd of its
     entries, and d1*d2 the gcd of its three 2x2 minors, which must be eta.
     The presentation describes the actual permutation group generated by
-    the reduced maps (checked against `permutation_group_invariants` in
-    the test suite).
+    the reduced maps (checked against a torsor oracle in the test suite).
     Simple transitivity gives order eta, ord s = eta/bar_alpha and
     ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
     g = gcd(bar_alpha, bar_beta).  The two product decompositions are
@@ -199,8 +191,8 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
     exactly when gcd(bar_beta, eta/bar_beta) = g.
     """
-    part = snakes_and_cosnakes(t.scroll)
-    tab = ouroboros_partition(t)
+    part = t.scroll.snakes
+    tab = t.ouroboroi
     eta = t.eta
     ord_s, ord_c = eta // tab.alpha, eta // tab.beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
@@ -215,59 +207,21 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     )
 
 
-def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
-    """Nontrivial invariant factors of the group the reduced maps generate.
-
-    Oracle for group_invariants: it reads only the table partition's live
-    residues and its two reduced maps s (successor) and c (co-successor).
-    Commuting maps whose group is transitive on the live entries act simply
-    transitively, so the group is Z^2 modulo the stabiliser lattice of t0.  With l the
-    length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
-    k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
-    """
-    tab = ouroboros_partition(t)
-    live, (s, c) = tab.live, tab.maps
-    for x in live:
-        if s[c[x]] != c[s[x]]:
-            raise AssertionError(f"successor and co-successor do not commute at {x}")
-    t0 = live[0]
-    c_index: dict[int, int] = {}
-    x = t0
-    while x not in c_index:
-        c_index[x] = len(c_index)
-        x = c[x]
-    if x != t0:
-        raise AssertionError("co-successor does not return to t0")
-    ell = len(c_index)
-    x, k = s[t0], 1
-    while x not in c_index:
-        if k == len(live):
-            raise AssertionError("successor does not return to the c-orbit of t0")
-        x, k = s[x], k + 1
-    j = c_index[x]
-    if k * ell != len(live):
-        raise AssertionError(f"the group moves t0 to {k * ell} of {len(live)} entries")
-    d1 = gcd(ell, k, j)
-    return tuple(d for d in (d1, k * ell // d1) if d > 1)
-
-
 def table_slither(t: OrbitTable) -> str:
     """Length bar_beta step word; its codeg(p_omega) power is the scroll slither."""
-    tab = ouroboros_partition(t)
-    return t.scroll.metrics.slither.word[: tab.beta]
+    return t.scroll.metrics.slither.word[: t.ouroboroi.beta]
 
 
 def table_coslither(t: OrbitTable) -> str:
-    tab = ouroboros_partition(t)
-    return t.scroll.metrics.coslither.word[: tab.alpha]
+    return t.scroll.metrics.coslither.word[: t.ouroboroi.alpha]
 
 
 def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
     """Evaluate the five equivalent conditions on table t, whose swallow and
     co-swallow are sw and cs; assert they agree."""
     s = t.scroll
-    part = snakes_and_cosnakes(s)
-    tab = ouroboros_partition(t)
+    part = s.snakes
+    tab = t.ouroboroi
     deg_p1, codeg_p1 = fundamental_degrees(s)
     conditions = {
         "counts": tab.alpha == part.alpha and tab.beta == part.beta,

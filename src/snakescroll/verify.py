@@ -18,7 +18,7 @@ from math import gcd
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import cyclically_equal
-from .scroll import Partition, Scroll, snakes_and_cosnakes
+from .scroll import Partition, Scroll
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -26,7 +26,6 @@ from .tables import (
     fundamental_degrees,
     group_invariants,
     omega_table,
-    ouroboros_partition,
     predicted_counts,
     swallow,
     table_coslither,
@@ -51,7 +50,7 @@ class VerificationReport:
     # tables whose group is not the direct product Z_bar_alpha x Z_(eta/bar_alpha)
     # (resp. the co-ouroboros product); the presentation's closed-form
     # invariants are the ground truth, and the test suite checks them
-    # against the torsor oracle permutation_group_invariants
+    # against a torsor oracle
     product_form_failures: list[str] = field(default_factory=list)
 
     def tally(self, name: str, total: int, failures: list[str]) -> None:
@@ -121,12 +120,13 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     met = s.metrics
     size = m * n
     live = list(compress(range(1, size + 1), s.vector))
-    # tape(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
+    # X_(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
     tripled = s.vector * 3
     six = (-n, 1 - n, -1, 1, n - 1, n)
     sl, cl = s.successor_letters, s.co_successor_letters
     # signed advance of each step per residue, None where its letter has none
-    forth, back = ({x: s._advance[x, sign] for x in "EDSL"} for sign in (1, -1))
+    forth = s._advance
+    back = {x: -advance for x, advance in forth.items()}
     sa, ca = list(map(forth.get, sl)), list(map(forth.get, cl))
     pa, cpa = (list(map(back.get, x)) for x in (s.predecessor_letters, s.co_predecessor_letters))
 
@@ -175,7 +175,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.tally("commutation", checked, noncommuting)
     rep.tally("parallelogram", checked, skewed)
     rep.tally("predecessor round trip", checked, one_way)
-    part = snakes_and_cosnakes(s) if _steps_are_maps(s) else None
+    part = s.snakes if _steps_are_maps(s) else None
 
     # letter-count constraints and scale identities
     ws, wc = met.slither, met.coslither
@@ -305,7 +305,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     for omega in range(1, omega_max + 1):
         octx = f"{ctx} omega={omega}"
         table = omega_table(s, omega)
-        tab = ouroboros_partition(table)
+        tab = table.ouroboroi
         rep.check(
             "ouroboros counts match formula",
             (tab.alpha, tab.beta) == predicted_counts(s, omega),

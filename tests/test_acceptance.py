@@ -17,7 +17,7 @@ from snakescroll.classify import (
 )
 from snakescroll.cycles import all_orbits
 from snakescroll.cyclic import canonical, cyclically_equal
-from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.slither import metrics_from_row
 from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
@@ -25,17 +25,17 @@ from snakescroll.tables import (
     fundamental_degrees,
     group_invariants,
     omega_table,
-    ouroboros_partition,
-    permutation_group_invariants,
 )
 from snakescroll.verify import run_verification
+
+from oracles import permutation_group_invariants
 
 
 def test_criterion_1_running_example_n11():
     start = time.perf_counter()
     s = scroll_from_seed("00001010000")
     met = s.metrics
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
 
     assert s.m == 7
     assert cyclically_equal(met.slither.word, "EDEDED")
@@ -48,7 +48,7 @@ def test_criterion_1_running_example_n11():
     assert col_scale(s) == 9
     assert sum_vector(s).lam == 1
 
-    tab = ouroboros_partition(omega_table(s, 1))
+    tab = omega_table(s, 1).ouroboroi
     assert (tab.alpha, tab.beta) == (1, 2)
     assert fundamental_degrees(s) == (2, 3)
 
@@ -202,7 +202,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
             for omega in range(1, 13):
                 total += 1
                 t = omega_table(s, omega)
-                tab = ouroboros_partition(t)
+                tab = t.ouroboroi
                 eta, a, b = t.eta, tab.alpha, tab.beta
                 g = gcd(a, b)
                 forced = tuple(d for d in (g, eta // g) if d > 1)

@@ -3,8 +3,8 @@
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, label_cycles, snakes_and_cosnakes
-from snakescroll.tables import omega_table, ouroboros_partition
+from snakescroll.scroll import Scroll, label_cycles
+from snakescroll.tables import omega_table
 
 
 def test_labels_are_least_cycle_members():
@@ -62,9 +62,9 @@ def test_labels_match_walked_cycles():
     assert len(orbits) == 159
     tables = 0
     for s in orbits:
-        _assert_labels_walked(s, snakes_and_cosnakes(s))
+        _assert_labels_walked(s, s.snakes)
         if s.n <= 10:
             for omega in range(1, 5):
-                _assert_labels_walked(s, ouroboros_partition(omega_table(s, omega)))
+                _assert_labels_walked(s, omega_table(s, omega).ouroboroi)
                 tables += 1
     assert tables == 4 * sum(len(all_orbits(n)) for n in range(2, 11))

@@ -99,6 +99,10 @@ def test_enumerate_counts_match_lucas_numbers():
         assert len(words) == expected
         assert words == sorted(words)
         assert all(is_independent(w) for w in words)
+    # brute force: every n-bit word with no two cyclically adjacent 1s
+    for n in range(2, 13):
+        every = (format(i, f"0{n}b") for i in range(2**n))
+        assert enumerate_independent_sets(n) == [w for w in every if "11" not in w + w[0]]
 
 
 def test_all_orbits_partition():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit, sweep, toggle
 from snakescroll.cyclic import canonical, canonical_binary, cyclically_equal, least_period
-from snakescroll.scroll import scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import scroll_from_seed
 
 
 @st.composite
@@ -48,7 +48,7 @@ def test_orbit_returns_to_seed(bits):
 def test_window_size_is_alpha_beta(bits):
     if "1" not in bits:
         return
-    part = snakes_and_cosnakes(scroll_from_seed(bits))
+    part = scroll_from_seed(bits).snakes
     assert len(part.live) == part.alpha * part.beta
 
 
@@ -58,7 +58,7 @@ def test_tape_reads_the_cylinder(bits, i, data):
     # cell (i, j) of the scroll is tape index i*n + j
     s = scroll_from_seed(bits)
     j = data.draw(st.integers(1, s.n))
-    assert s.tape(i * s.n + j) == int(s.base.rows[i % s.m][j - 1])
+    assert s.vector[(i * s.n + j - 1) % len(s.vector)] == int(s.base.rows[i % s.m][j - 1])
 
 
 def rotations(word):

@@ -3,7 +3,7 @@
 import pytest
 
 from snakescroll.cycles import Orbit, all_orbits
-from snakescroll.scroll import DEAD, Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import DEAD, Scroll, scroll_from_seed
 from snakescroll.slither import step_advance
 
 SEED11 = "00001010000"
@@ -12,24 +12,29 @@ SEED11 = "00001010000"
 def test_scroll_reads_repeat_the_orbit():
     s = scroll_from_seed(SEED11)
     assert s.m == 7
-    for t in range(-2 * 77, 2 * 77):
-        assert s.tape(t) == s.tape(t + 77)  # one orbit period: m*n tape cells
+    reads = s.reads(4 * 77)
+    for t in range(3 * 77):
+        assert reads[t] == reads[t + 77]  # one orbit period: m*n tape cells
+    for i, row in enumerate(s.base.rows):
+        assert reads[i * 11 + 1 : i * 11 + 12] == bytes(map(int, row))
 
 
 def test_successor_steps_on_the_running_example():
     s = scroll_from_seed(SEED11)
     # row 0 live columns are 5 and 7: tape indices 5 and 7
-    assert s.tape(5) == 1 and s.tape(7) == 1
+    assert s.vector[4] == 1 and s.vector[6] == 1
     assert s.successor_step(5) == (7, "E")
     t, letter = s.successor_step(7)
     assert (t, letter) == (19, "D")  # lands in row 1
-    assert s.predecessor_step(7) == (5, "E")
-    assert s.co_predecessor_step(s.co_successor(5))[0] == 5
+    # the inverse letters, read at the image, step back by their advance
+    assert s.predecessor_letters[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
+    u = s.co_successor(5)
+    assert u - step_advance(s.co_predecessor_letters[(u - 1) % 77], 11) == 5
 
 
 def test_successor_and_co_successor_commute():
     s = scroll_from_seed(SEED11)
-    live = [t for t in range(1, 7 * 11 + 1) if s.tape(t) == 1]
+    live = [t for t in range(1, 7 * 11 + 1) if s.vector[t - 1] == 1]
     for t in live:
         assert s.successor(s.co_successor(t)) == s.co_successor(s.successor(t))
 
@@ -42,7 +47,7 @@ def test_steps_reject_dead_indices():
 
 def test_snake_partition_counts():
     s = scroll_from_seed(SEED11)
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
     assert part.modulus == 42
     assert part.alpha == 2
     assert part.beta == 6
@@ -51,7 +56,7 @@ def test_snake_partition_counts():
 
 def test_snake_labels_invariant_under_steps():
     s = scroll_from_seed(SEED11)
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
     for t in part.live:
         assert part.snake_of(s.successor(t)) == part.snake_of(t)
         assert part.cosnake_of(s.co_successor(t)) == part.cosnake_of(t)
@@ -59,7 +64,7 @@ def test_snake_labels_invariant_under_steps():
 
 def test_fibers_are_singletons():
     s = scroll_from_seed(SEED11)
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
     for t in part.live:
         fiber = [
             u

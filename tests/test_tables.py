@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed
 from snakescroll.tables import (
     _swallow,
     co_swallow,
@@ -13,8 +13,6 @@ from snakescroll.tables import (
     group_invariants,
     is_color_preserving,
     omega_table,
-    ouroboros_partition,
-    permutation_group_invariants,
     predicted_counts,
     product_invariants,
     swallow,
@@ -22,6 +20,8 @@ from snakescroll.tables import (
     table_degrees,
     table_slither,
 )
+
+from oracles import permutation_group_invariants
 
 SEED11 = "00001010000"
 
@@ -38,7 +38,7 @@ def test_table_shape():
 
 def test_running_example_fundamental_counts():
     s = scroll_from_seed(SEED11)
-    tab = ouroboros_partition(omega_table(s, 1))
+    tab = omega_table(s, 1).ouroboroi
     assert (tab.alpha, tab.beta) == (1, 2)
     assert fundamental_degrees(s) == (2, 3)
 
@@ -49,8 +49,8 @@ def test_fundamental_degrees_match_simulated_counts():
     orbits = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
     assert len(orbits) == 159
     for s in orbits:
-        part = snakes_and_cosnakes(s)
-        tab = ouroboros_partition(omega_table(s, 1))
+        part = s.snakes
+        tab = omega_table(s, 1).ouroboroi
         assert part.alpha % tab.alpha == 0 and part.beta % tab.beta == 0
         degrees = fundamental_degrees(s)
         assert degrees == (part.alpha // tab.alpha, part.beta // tab.beta)
@@ -60,7 +60,7 @@ def test_fundamental_degrees_match_simulated_counts():
 def test_running_example_predicted_counts():
     s = scroll_from_seed(SEED11)
     for omega in range(1, 13):
-        tab = ouroboros_partition(omega_table(s, omega))
+        tab = omega_table(s, omega).ouroboroi
         assert (tab.alpha, tab.beta) == predicted_counts(s, omega)
     assert predicted_counts(s, 2) == (2, 2)
     assert predicted_counts(s, 6) == (2, 6)
@@ -77,7 +77,7 @@ def test_running_example_co_swallow():
 
 def test_swallow_rejects_a_non_uniform_shift():
     t = omega_table(scroll_from_seed(SEED11), 1)
-    k0 = t.live[0]
+    k0 = t.scroll.vector.index(1) + 1
     # labels 0, 1, 2 in order, all swallowed onto label 0
     with pytest.raises(AssertionError, match="not a uniform shift"):
         _swallow(t, lambda k: (k - k0) % 3 if k > 0 else 0, 3, lambda k: k + 1)
@@ -89,7 +89,7 @@ def test_swallow_cycle_structure_everywhere():
             s = Scroll(o)
             for omega in (1, 2, 3):
                 table = omega_table(s, omega)
-                tab = ouroboros_partition(table)
+                tab = table.ouroboroi
                 deg_p, codeg_p = table_degrees(table)
                 assert swallow(table).cycle_type == tuple([deg_p] * tab.alpha)
                 assert co_swallow(table).cycle_type == tuple(
@@ -111,42 +111,46 @@ def test_product_invariants():
 
 
 def _all_tables():
-    """Every table with n <= 13 and omega <= 12 (816 tables)."""
-    for n in range(2, 14):
-        for o in all_orbits(n):
-            s = Scroll(o)
-            for omega in range(1, 13):
-                yield omega_table(s, omega)
+    """Every table with n <= 13 and omega <= 12 (816 tables), one at a time:
+    each table keeps its partition, so a list of them would keep them all."""
+    scrolls = [Scroll(o) for n in range(2, 14) for o in all_orbits(n)]
+    assert 12 * len(scrolls) == 816
+    for s in scrolls:
+        for omega in range(1, 13):
+            yield omega_table(s, omega)
 
 
 def test_presentation_matches_permutation_group():
     # the torsor walk over the two reduced maps as an oracle
-    tables = list(_all_tables())
-    assert len(tables) == 816
-    for table in tables:
+    for table in _all_tables():
         inv = group_invariants(table)
         assert inv.nontrivial == permutation_group_invariants(table)
+
+
+def _live(table):
+    """Live tape indices in 1..table.size, ascending."""
+    vector = table.scroll.vector
+    return [t for t in range(1, table.size + 1) if vector[(t - 1) % len(vector)]]
 
 
 def _reference_swallow(t, label_of, count, order_step, table_map):
     """Swallow by head stepping: each label's head, its greatest live index
     in the table, mapped by the reduced table map table_map."""
     order = []
-    k = t.live[0]
+    live = _live(t)
+    k = live[0]
     for _ in range(count):
         order.append(label_of(k))
         k = order_step(k)
-    head = {label_of(k): k for k in t.live}  # live is ascending: last one wins
+    head = {label_of(k): k for k in live}  # live is ascending: last one wins
     image = {label: label_of(table_map[head[label] % t.size]) for label in order}
     return tuple(order), image
 
 
 def test_swallows_match_head_stepping_reference():
-    tables = list(_all_tables())
-    assert len(tables) == 816
-    for table in tables:
+    for table in _all_tables():
         s = table.scroll
-        part = snakes_and_cosnakes(s)
+        part = s.snakes
         succ, co_succ = reduced_maps(s, table.size)
         sw = _reference_swallow(table, part.snake_of, part.alpha, s.co_successor, succ)
         cs = _reference_swallow(table, part.cosnake_of, part.beta, s.successor, co_succ)
@@ -175,9 +179,10 @@ def test_permutation_group_oracle_matches_exponent():
     for table in _all_tables():
         size = table.size
         s = table.scroll
+        live = _live(table)
         e = lcm(
-            _cycle_lengths_lcm(table.live, lambda t: (s.successor(t) - 1) % size + 1),
-            _cycle_lengths_lcm(table.live, lambda t: (s.co_successor(t) - 1) % size + 1),
+            _cycle_lengths_lcm(live, lambda t: (s.successor(t) - 1) % size + 1),
+            _cycle_lengths_lcm(live, lambda t: (s.co_successor(t) - 1) % size + 1),
         )
         expected = tuple(d for d in (table.eta // e, e) if d > 1)
         assert permutation_group_invariants(table) == expected
@@ -201,18 +206,17 @@ def test_reduced_maps_are_the_steps_reduced():
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            part = snakes_and_cosnakes(s)
+            part = s.snakes
             assert part.modulus == s.metrics.sigma
             size = len(s.vector)
             window = [t for t in range(s.metrics.sigma) if s.vector[(t - 1) % size]]
             _assert_steps_reduced(s, window, part)
-    tables = list(_all_tables())
-    assert len(tables) == 816
-    for table in tables:
-        tab = ouroboros_partition(table)
+    for table in _all_tables():
+        tab = table.ouroboroi
         assert tab.modulus == table.size
-        _assert_steps_reduced(table.scroll, table.live, tab)
-        assert table.eta == len(table.live)
+        live = _live(table)
+        _assert_steps_reduced(table.scroll, live, tab)
+        assert table.eta == len(live)
     s = scroll_from_seed(SEED11)  # tape period 7
     with pytest.raises(ValueError):
         reduced_maps(s, 12)

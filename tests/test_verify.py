@@ -7,7 +7,7 @@ import pytest
 from snakescroll import render, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll, scroll_from_seed, snakes_and_cosnakes
+from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import omega_table
 from snakescroll.verify import (
     VerificationReport,
@@ -38,14 +38,30 @@ def test_each_orbit_and_table_reduces_its_maps_once(monkeypatch):
     for mod in (scroll, tables, verify, report, render):
         if hasattr(mod, "reduced_maps"):
             monkeypatch.setattr(mod, "reduced_maps", counted)
-    scroll.snakes_and_cosnakes.cache_clear()
-    tables.ouroboros_partition.cache_clear()
     rep = run_verification(2, 9, omega_max=3)
     assert not rep.violations
     orbits = sum(len(all_orbits(n)) for n in range(2, 10))
     assert orbits == 18
     assert len(calls) == orbits + 3 * orbits == 72
     assert sum(rep.passed.values()) == 4320
+
+
+def test_alternating_partitions_reduce_each_object_once(monkeypatch):
+    # each scroll and each table keeps its own partition: reading two of
+    # each in turn reduces the maps once per object, not once per switch
+    calls = []
+    original = scroll.reduced_maps
+
+    def counted(s, modulus):
+        calls.append(modulus)
+        return original(s, modulus)
+
+    monkeypatch.setattr(scroll, "reduced_maps", counted)
+    a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
+    ta, tb = omega_table(a, 2), omega_table(b, 3)
+    reads = [[a.snakes, b.snakes, ta.ouroboroi, tb.ouroboroi] for _ in range(3)]
+    assert calls == [a.metrics.sigma, b.metrics.sigma, ta.size, tb.size]
+    assert all(x is y for later in reads[1:] for x, y in zip(later, reads[0]))
 
 
 def test_known_evidence_lists_populate():
@@ -84,9 +100,9 @@ def test_theorem_suite_n17_to_18():
     assert sum(rep.passed.values()) == 116035 + 197531
 
 
-def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
+def test_shared_label_pair_is_a_fiber_violation():
     s = scroll_from_seed("00001010000")
-    part = snakes_and_cosnakes(s)
+    part = s.snakes
     t = part.live[0]
     u = next(
         u
@@ -97,7 +113,7 @@ def test_shared_label_pair_is_a_fiber_violation(monkeypatch):
     snake, cosnake = list(part.snake_label), list(part.cosnake_label)
     snake[u], cosnake[u] = snake[t], cosnake[t]
     broken = replace(part, snake_label=snake, cosnake_label=cosnake)
-    monkeypatch.setattr(verify, "snakes_and_cosnakes", lambda _s: broken)
+    vars(s)["snakes"] = broken
     rep = VerificationReport()
     check_scroll(s, rep)
     law = "fibers are residues mod sigma"
@@ -220,8 +236,8 @@ def _one_more_live_residue(tab):
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
 def test_a_broken_table_torsor_is_a_violation(monkeypatch, breaking):
     s = scroll_from_seed("00001010000")
-    broken = breaking(tables.ouroboros_partition(omega_table(s, 1)))
-    monkeypatch.setattr(verify, "ouroboros_partition", lambda _t: broken)
+    broken = breaking(omega_table(s, 1).ouroboroi)
+    monkeypatch.setattr(tables.OrbitTable, "ouroboroi", property(lambda _t: broken))
     rep = VerificationReport()
     check_tables(s, 1, rep)
     assert rep.violations == [
