@@ -2,6 +2,10 @@
 
 Subcommands: orbit, classify, verify, sum-period, construct.
 Exit codes: 0 success, 1 input error, 2 theorem violation.
+
+The parser does not depend on the input, so it is built once, at import,
+as `PARSER`; `main(argv)` only parses, and can be called repeatedly in one
+process.
 """
 
 from __future__ import annotations
@@ -186,9 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -44,12 +44,16 @@ def ansi_table(table: OrbitTable) -> str:
 def svg_table(table: OrbitTable) -> str:
     """Live entries as colored nodes, successor and co-successor edges.
 
-    Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  Edges
-    that overflow the right margin are drawn split, with small re-entry
-    markers.
+    Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  An edge
+    that leaves the table past its last row is drawn split: out to the
+    right margin, and back in from the left margin to its target's wrapped
+    position, with a small re-entry marker at each end.  Each step is read
+    off the scroll's letter tables; a live entry with no unique letter
+    raises that step's AssertionError.
     """
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
+    size = r * n
     part = s.snakes
     snake_color = _label_colors(part.snake_label, SNAKE_PALETTE)
     cosnake_color = _label_colors(part.cosnake_label, COSNAKE_PALETTE)
@@ -73,39 +77,42 @@ def svg_table(table: OrbitTable) -> str:
             f'stroke="#eeeeee"/>'
         )
 
-    def xy(t: int) -> tuple[int, int]:
-        i, j = divmod(t - 1, n)  # tape index t = i*n + (j+1)
-        return (j + 1) * unit, (i + 1) * unit
+    # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then
+    # nodes; tape index t = i*n + (j+1) sits at ((j+1)*unit, (i+1)*unit)
+    modulus, snake, cosnake = part.modulus, part.snake_label, part.cosnake_label
+    entries = []
+    for t in compress(range(1, size + 1), s.vector * table.omega):
+        i, j = divmod(t - 1, n)
+        label = t % modulus
+        colors = snake_color[snake[label]], cosnake_color[cosnake[label]]
+        entries.append((t, (j + 1) * unit, (i + 1) * unit, colors))
 
-    def edge(t: int, u: int, color: str, dash: str) -> None:
-        x1, y1 = xy(t)
-        attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
-        if 1 <= u <= table.size:
-            x2, y2 = xy(u)
-            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
-        else:
-            # wrap past the bottom: split with re-entry markers
-            x2, y2 = xy((u - 1) % table.size + 1)
-            xm = (n + 1) * unit + unit // 2
-            out.append(f'<line x1="{x1}" y1="{y1}" x2="{xm}" y2="{y1}" {attrs}/>')
-            out.append(f'<circle cx="{xm}" cy="{y1}" r="3" fill="{color}"/>')
-            xs = unit // 2
-            out.append(f'<line x1="{xs}" y1="{y2}" x2="{x2}" y2="{y2}" {attrs}/>')
-            out.append(f'<circle cx="{xs}" cy="{y2}" r="3" fill="{color}"/>')
+    steps = (
+        (s.successor_letters, s.successor_step, ""),
+        (s.co_successor_letters, s.co_successor_step, 'stroke-dasharray="4 3"'),
+    )
+    advance, length = s._advance, len(s.successor_letters)
+    x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
+    for t, x1, y1, colors in entries:
+        residue = (t - 1) % length
+        for (letters, step, dash), color in zip(steps, colors):
+            d = advance.get(letters[residue])
+            u = step(t)[0] if d is None else t + d  # the step raises on a count letter
+            attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
+            i, j = divmod((u - 1) % size, n)  # the target, wrapped into the table
+            x2, y2 = (j + 1) * unit, (i + 1) * unit
+            if 1 <= u <= size:
+                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
+            else:
+                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x_right}" y2="{y1}" {attrs}/>')
+                out.append(f'<circle cx="{x_right}" cy="{y1}" r="3" fill="{color}"/>')
+                out.append(f'<line x1="{x_left}" y1="{y2}" x2="{x2}" y2="{y2}" {attrs}/>')
+                out.append(f'<circle cx="{x_left}" cy="{y2}" r="3" fill="{color}"/>')
 
-    # (t, snake colour, co-snake colour) per live entry, for edges then nodes
-    entries = [
-        (t, snake_color[part.snake_of(t)], cosnake_color[part.cosnake_of(t)])
-        for t in compress(range(1, table.size + 1), s.vector * table.omega)
-    ]
-    for t, scolor, ccolor in entries:
-        edge(t, s.successor(t), scolor, "")
-        edge(t, s.co_successor(t), ccolor, 'stroke-dasharray="4 3"')
-
-    for t, scolor, ccolor in entries:
-        x, y = xy(t)
+    radius = unit // 3
+    for t, x, y, (scolor, ccolor) in entries:
         out.append(
-            f'<circle cx="{x}" cy="{y}" r="{unit // 3}" fill="{scolor}" '
+            f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{scolor}" '
             f'stroke="{ccolor}" stroke-width="3"/>'
         )
     out.append("</svg>")

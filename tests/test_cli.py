@@ -1,11 +1,25 @@
 """Exit codes and output formats of the command-line entry point."""
 
+import argparse
+import hashlib
 import json
 
 import pytest
 
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv
+
+
+SEED11 = "00001010000"
+# n = 11, omega = 2 lies outside the benchmark's frozen references (C_8..C_10);
+# its SVG splits 8 edges that leave the table past its last row
+ORBIT_11 = ("orbit", "--n", "11", "--seed", SEED11, "--omega", "2")
+ORBIT_11_SHA256 = {
+    "svg": "03c76d23e0f0eaccf348829cd54dbc1d12b588ed2304caa843f071a95d3ff5c2",
+    "text": "e1345559184a796aa81b25c8ccfd6232d338c47f487bfbabb4a6d5f2f5b2f737",
+    "json": "e48a5d6d40bf627f95bc5284ed56de10864651816993831bc65da8805a189ad6",
+    "csv": "e2f911be984263ae2cf23dd7dfb05d6b982a0d2f15c1aa2e7289e0d543bcb188",
+}
 
 
 def run(capsys, *argv):
@@ -173,3 +187,33 @@ def test_construct_rejects_foreign_letters(capsys):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
+def test_orbit_output_bytes_are_pinned(capsys, fmt):
+    code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
+
+
+def test_main_reuses_one_parser_across_requests(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    request = (*ORBIT_11, "--format", "svg")
+    code, first, err = run(capsys, *request)
+    assert (code, err) == (EXIT_OK, "")
+    assert run(capsys, *request) == (EXIT_OK, first, "")
+    # a usage error, then help: neither changes the next request's output
+    for argv, exit_code in ((["orbit", "--n", "4"], 2), (["orbit", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == exit_code
+        capsys.readouterr()
+        assert run(capsys, *request) == (EXIT_OK, first, "")
+    assert built == []
