@@ -44,15 +44,14 @@ def _cmd_orbit(args) -> int:
         print(f"seed {seed!r} is not an independent set of C_{args.n}", file=sys.stderr)
         return EXIT_INPUT
     table = omega_table(scroll_from_seed(seed), args.omega)
-    report = orbit_report(table)
-    if args.format == "json":
-        print(report_to_json(report))
-    elif args.format == "csv":
-        print(report_to_csv(report), end="")
-    elif args.format == "svg":
+    if args.format == "svg":
         print(svg_table(table), end="")
+    elif args.format == "json":
+        print(report_to_json(orbit_report(table)))
+    elif args.format == "csv":
+        print(report_to_csv(orbit_report(table)), end="")
     else:
-        print(report_to_text(report), end="")
+        print(report_to_text(orbit_report(table)), end="")
         print()
         print(ansi_table(table), end="")
     return EXIT_OK

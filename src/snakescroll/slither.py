@@ -1,8 +1,9 @@
 """Slither calculus: step words extracted from one tape window.
 
 `metrics_from_row` reads a length-n window of the tape that starts at a
-live entry: a scroll takes it from its fundamental vector, and a
-constructed first row is one already.  Such a window decomposes into
+live entry (a scroll takes it from its fundamental vector, and a
+constructed first row is one already) and hands the two words it reads to
+`metrics_from_words`, the closed forms.  Such a window decomposes into
 maximal 0-blocks.  Each inner block of size z contributes the
 subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the trailing block
 contributes the partial subslither D E^(floor((z-1)/2)).  The co-slither
@@ -118,6 +119,25 @@ class ScrollMetrics:
     T_scroll: int
 
 
+def metrics_from_words(slither: str, coslither: str, n: int) -> ScrollMetrics:
+    """All scale data of the tape with these slither and co-slither words."""
+    ws, wc = Slither(slither), CoSlither(coslither)
+    sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d
+    sigma_co = (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l
+    if sigma != sigma_co:
+        raise AssertionError(
+            f"scale closed forms disagree: {sigma} != {sigma_co} on "
+            f"({ws.word}, {wc.word})"
+        )
+    deg = exponent(ws.word)
+    codeg = exponent(wc.word)
+    p = sigma // deg
+    q = sigma // codeg
+    T_tape = gcd(p, q)
+    T_scroll = lcm(T_tape, n) // n
+    return ScrollMetrics(ws, wc, deg, codeg, p, q, sigma, T_tape, T_scroll)
+
+
 def metrics_from_row(row: str, n: int) -> ScrollMetrics:
     """All scale data of the tape window row, which starts at a live entry.
 
@@ -127,18 +147,4 @@ def metrics_from_row(row: str, n: int) -> ScrollMetrics:
     if len(row) != n:
         raise ValueError("row length does not match n")
     blocks = zero_blocks(row)
-    ws = Slither(_slither_word(blocks))
-    wc = CoSlither(_coslither_word(blocks))
-    sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d
-    sigma_co = (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l
-    if sigma != sigma_co:
-        raise AssertionError(
-            f"scale closed forms disagree: {sigma} != {sigma_co} on {row!r}"
-        )
-    deg = exponent(ws.word)
-    codeg = exponent(wc.word)
-    p = sigma // deg
-    q = sigma // codeg
-    T_tape = gcd(p, q)
-    T_scroll = lcm(T_tape, n) // n
-    return ScrollMetrics(ws, wc, deg, codeg, p, q, sigma, T_tape, T_scroll)
+    return metrics_from_words(_slither_word(blocks), _coslither_word(blocks), n)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from snakescroll import cli
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv
 
@@ -19,6 +20,18 @@ ORBIT_11_SHA256 = {
     "text": "e1345559184a796aa81b25c8ccfd6232d338c47f487bfbabb4a6d5f2f5b2f737",
     "json": "e48a5d6d40bf627f95bc5284ed56de10864651816993831bc65da8805a189ad6",
     "csv": "e2f911be984263ae2cf23dd7dfb05d6b982a0d2f15c1aa2e7289e0d543bcb188",
+}
+
+# stdout of requests that read no frozen reference: a constructed row from a
+# non-necklace rotation, one from a necklace pair, and a sum-period scroll
+CONSTRUCTION_SHA256 = {
+    ("construct", "--slither", "DEDEDE", "--coslither", "SS", "--n", "11",
+     "--format", "json"):
+        "906e6bc2e0b2aab3b19aa785dc30a703e3e54af7a5db128c803da8191eb7033d",
+    ("construct", "--slither", "DDEDDDE", "--coslither", "LSS", "--n", "13"):
+        "9f9d9f79735e6d9ab8fd358dca035bee53b04c4462b8e6360cc384b6f7e2f598",
+    ("sum-period", "--lambda", "7", "--k", "4", "--format", "json"):
+        "33b66ea0ce8255b894c5b12e467bebfdc1e2376576f141f6c4646d844b88c34c",
 }
 
 
@@ -194,6 +207,23 @@ def test_orbit_output_bytes_are_pinned(capsys, fmt):
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
+
+
+def test_orbit_svg_builds_no_report(capsys, monkeypatch):
+    def no_report(table):
+        raise AssertionError("orbit --format svg must not build a report")
+
+    monkeypatch.setattr(cli, "orbit_report", no_report)
+    code, out, err = run(capsys, *ORBIT_11, "--format", "svg")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256["svg"]
+
+
+@pytest.mark.parametrize("argv", sorted(CONSTRUCTION_SHA256))
+def test_construction_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCTION_SHA256[argv]
 
 
 def test_main_reuses_one_parser_across_requests(capsys, monkeypatch):
