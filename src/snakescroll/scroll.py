@@ -16,14 +16,22 @@ period, so each table is found over one period, by testing that map's own
 two candidates there, and repeated to the full m*n.
 
 Snakes and ouroboroi are one partition at two moduli: successor and
-co-successor commute with shifts by any multiple M of the tape period, so
-`partition` reduces both to integer arrays on the residues mod M and keeps
-them with the cycle labels of each.  Mod sigma, the advance of a full
-slither, the cycles are the snakes and co-snakes (the shift fixes each
-one, and distinct snakes cannot merge under it, so the quotient is
-faithful): that partition is `Scroll.snakes`.  Mod the size omega*m*n of
-an orbit table they are the ouroboroi (`tables.OrbitTable.ouroboroi`).
-Each is built once per object, on first read.
+co-successor commute with shifts by any multiple M of the tape period T, so
+`partition` reduces both to integer arrays on the residues mod M.  Mod
+sigma, the advance of a full slither, the cycles are the snakes and
+co-snakes (the shift fixes each one, and distinct snakes cannot merge under
+it, so the quotient is faithful): that partition is `Scroll.snakes`.  Mod
+the size omega*m*n of an orbit table they are the ouroboroi
+(`tables.OrbitTable.ouroboroi`).  Each is built once per object, on first
+read.
+
+The cycle counts come from the covering map Z/M -> Z/T.  A cycle of a map
+mod T whose advances sum to w*T lifts to gcd(w, M/T) cycles mod M: the map
+commutes with the shift by T, so going once round the cycle moves each
+point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
+the gcd(w, M/T) orbits of that translation.  So each scroll walks its two
+maps once mod T (`Scroll.windings`), and a partition's counts are sums of
+gcds; its cycle labels are built only when they are read.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from math import gcd
 
 from .cycles import Orbit, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
@@ -116,6 +125,60 @@ class Scroll:
         """Snakes and co-snakes: the partition mod sigma."""
         return partition(self, self.metrics.sigma)
 
+    @cached_property
+    def period_advances(self) -> tuple[tuple[int, ...], tuple[list, list]]:
+        """The live tape indices t in [0, T), T the tape period, and the
+        successor and co-successor advance of each, read off the letter
+        tables; a letter with no advance raises, as its step does."""
+        period = self.metrics.T_tape
+        live = tuple(compress(range(period), self.reads(period)))
+        advances = []
+        for letters, step in (
+            (self.successor_letters, self.successor),
+            (self.co_successor_letters, self.co_successor),
+        ):
+            row = [self._advance.get(letters[t - 1]) for t in live]  # t - 1 = -1 wraps
+            if None in row:
+                step(live[row.index(None)])  # raises with the letter's count
+            advances.append(row)
+        return live, tuple(advances)
+
+    @cached_property
+    def windings(self) -> tuple[list[int], list[int]]:
+        """Per cycle of the successor (then co-successor) mod the tape period
+        T, its summed advance over T; a map that does not permute the live
+        residues raises, as it does mod every multiple of T."""
+        period = self.metrics.T_tape
+        live, advances = self.period_advances
+        windings = []
+        for row in advances:
+            image = [None] * period
+            for t, d in zip(live, row):
+                image[t] = (t + d) % period
+            label, total = label_cycles(live, image), {}
+            for t, d in zip(live, row):
+                total[label[t]] = total.get(label[t], 0) + d
+            windings.append([w // period for w in total.values()])
+        return tuple(windings)
+
+    @cached_property
+    def snake_walk(self) -> tuple[list[int], list]:
+        """Tape indices along the co-successor from the first live one, one
+        per snake, and the snake of each: a co-slither meets each snake once."""
+        return self._label_walk(self.snakes.snake_of, self.snakes.alpha, self.co_successor)
+
+    @cached_property
+    def cosnake_walk(self) -> tuple[list[int], list]:
+        """Likewise along the successor, one per co-snake."""
+        return self._label_walk(self.snakes.cosnake_of, self.snakes.beta, self.successor)
+
+    def _label_walk(self, label_of, count: int, step) -> tuple[list[int], list]:
+        k, indices = self.vector.index(1) + 1, []
+        for _ in range(count):
+            indices.append(k)
+            k = step(k)
+        return indices, [label_of(k) for k in indices]
+
     def _step(self, letters: str, t: int, what: str) -> tuple[int, str]:
         letter = letters[(t - 1) % len(letters)]
         advance = self._advance.get(letter)
@@ -149,34 +212,34 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
 
     Entry r is the image of every tape index t = r (mod modulus), reduced
     mod modulus, or None for a dead residue.  modulus must be a multiple of
-    the tape period, the period of the step letters, so the step of each
-    live t < period (which raises as usual) moves its class onto its image's.
+    the tape period, the period of the step letters, so the advance of each
+    live t < period (`Scroll.period_advances`) moves its class onto its image's.
     """
     period = s.metrics.T_tape
     if modulus % period:
         raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
+    live, advances = s.period_advances
     maps = ([None] * modulus, [None] * modulus)
-    for t in compress(range(period), s.reads(period)):
-        for image, step in zip(maps, (s.successor, s.co_successor)):
-            v = step(t) % modulus
+    for image, row in zip(maps, advances):
+        for t, d in zip(live, row):
+            v = (t + d) % modulus
             image[t::period] = [*range(v, modulus, period), *range(v % period, v, period)]
     return maps
 
 
-def label_cycles(live, step: list) -> tuple[list, int]:
-    """Labels (None off live) and count of the cycles of step, which must
-    permute live (else AssertionError).  live ascends, so the first
-    unlabelled residue met starts its cycle and is its least member."""
-    label, cycles = [None] * len(step), 0
+def label_cycles(live, step: list) -> list:
+    """Per residue, the least member of its cycle of step (None off live);
+    step must permute live (else AssertionError).  live ascends, so the
+    first unlabelled residue met starts its cycle and is its least member."""
+    label = [None] * len(step)
     for start in live:
         if label[start] is None:
-            cycles += 1
             label[start], x = start, step[start]
             while x != start:
                 if x is None or label[x] is not None:  # None: it went through a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
                 label[x], x = start, step[x]
-    return label, cycles
+    return label
 
 
 @dataclass(frozen=True)
@@ -186,10 +249,18 @@ class Partition:
     modulus: int
     live: tuple[int, ...]  # live residues in [0, modulus), ascending
     maps: tuple[list, list]  # reduced successor and co-successor, None on dead residues
-    snake_label: list  # per residue, the least residue of its snake; None if dead
-    cosnake_label: list  # likewise for co-snakes
     alpha: int  # number of snakes: cycles of the reduced successor
     beta: int  # number of co-snakes: cycles of the reduced co-successor
+
+    @cached_property
+    def snake_label(self) -> list:
+        """Per residue, the least residue of its snake; None if dead."""
+        return label_cycles(self.live, self.maps[0])
+
+    @cached_property
+    def cosnake_label(self) -> list:
+        """Likewise for co-snakes."""
+        return label_cycles(self.live, self.maps[1])
 
     def snake_of(self, t: int) -> int:
         return self.snake_label[t % self.modulus]
@@ -199,8 +270,10 @@ class Partition:
 
 
 def partition(s: Scroll, modulus: int) -> Partition:
-    """The snake partition of s reduced mod modulus, a multiple of its tape period."""
-    live = tuple(compress(range(modulus), s.reads(modulus)))
+    """The snake partition of s reduced mod modulus, a multiple of its tape
+    period T: each cycle mod T of winding w lifts to gcd(w, modulus/T) cycles."""
     maps = reduced_maps(s, modulus)
-    (snake_label, alpha), (cosnake_label, beta) = (label_cycles(live, m) for m in maps)
-    return Partition(modulus, live, maps, snake_label, cosnake_label, alpha, beta)
+    live = tuple(compress(range(modulus), s.reads(modulus)))
+    fold = modulus // s.metrics.T_tape
+    alpha, beta = (sum(gcd(w, fold) for w in windings) for windings in s.windings)
+    return Partition(modulus, live, maps, alpha, beta)

@@ -5,13 +5,20 @@ successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
 omega*m*n instead of sigma.  `OrbitTable.ouroboroi` is that
 `scroll.Partition`, built once per table: its snakes are the ouroboroi and
-its co-snakes the co-ouroboroi.  The live residues form a torsor of the
-finite abelian group generated by the two reduced maps.  That group has
-rank at most two, so its invariant factors are two gcds of its
-presentation (`group_invariants`); the test suite's torsor oracle reads
-them off the reduced maps instead.  Covering degrees, predicted counts and
-swallows are closed forms in the scroll's metrics; the cycle counts of the
-reduced maps (`OrbitTable.ouroboroi`) are what they are checked against.
+its co-snakes the co-ouroboroi.  The table covers the tape period T, so its
+counts are lifted, not walked: a cycle mod T of winding w (summed advance
+w*T) splits into gcd(w, omega*m*n/T) cycles of the table, one per orbit of
+the translation by w*T on the cycle's fibre, and no table builds a label
+array.  The live residues form a torsor of the finite abelian group
+generated by the two reduced maps.  That group has rank at most two, so its
+invariant factors are two gcds of its presentation (`group_invariants`);
+the test suite's torsor oracle reads them off the reduced maps instead.
+Covering degrees, predicted counts and swallows are closed forms in the
+scroll's metrics; the cycle counts of the reduced maps
+(`OrbitTable.ouroboroi`) are what they are checked against.  A swallow's
+walk order does not depend on omega: each scroll keeps it
+(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table adds only the
+image of each label.
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two
@@ -106,19 +113,14 @@ class SwallowPermutation:
         return self.shift == 0
 
 
-def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutation:
-    """The count labels in the cyclic order of order_step from the first
-    live entry, each mapped to the label of k - size for any k on it:
-    translation by the table size commutes with both steps.  The image
-    must be a uniform shift of that order; its shift is stored."""
-    order, image = [], {}
-    k = t.scroll.vector.index(1) + 1
-    for _ in range(count):
-        label = label_of(k)
-        order.append(label)
-        image[label] = label_of(k - t.size)
-        k = order_step(k)
-    if len(image) != count:
+def _swallow(t: OrbitTable, label_of, walk: tuple[list[int], list]) -> SwallowPermutation:
+    """The labels of walk, tape indices k in their cyclic order and the
+    label of each, each mapped to the label of k - size: translation by the
+    table size commutes with both steps.  The image must be a uniform shift
+    of that order; its shift is stored."""
+    (indices, order), size = walk, t.size
+    image = {label: label_of(k - size) for k, label in zip(indices, order)}
+    if len(image) != len(order):
         raise AssertionError("step map does not traverse all labels once")
     shift = order.index(image[order[0]])
     if [image[label] for label in order] != order[shift:] + order[:shift]:
@@ -128,15 +130,15 @@ def _swallow(t: OrbitTable, label_of, count: int, order_step) -> SwallowPermutat
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
-    part = t.scroll.snakes
+    s = t.scroll
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, part.snake_of, part.alpha, t.scroll.co_successor)
+    return _swallow(t, s.snakes.snake_of, s.snake_walk)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
-    part = t.scroll.snakes
+    s = t.scroll
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, part.cosnake_of, part.beta, t.scroll.successor)
+    return _swallow(t, s.snakes.cosnake_of, s.cosnake_walk)
 
 
 @dataclass(frozen=True)

@@ -99,11 +99,38 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
     return True
 
 
+# per step letter, a translation table taking it to byte 1 and every other character to 0
+_ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
+
+
 def _steps_are_maps(s: Scroll) -> bool:
-    """Whether all four letter tables give each live residue a step letter, not a count."""
-    tables = (s.successor_letters, s.co_successor_letters)
-    tables += (s.predecessor_letters, s.co_predecessor_letters)
-    return all(set(compress(letters, s.vector)) <= set("EDSL") for letters in tables)
+    """Whether all four letter tables give each live residue one of their
+    two step letters, not a count, and the step lands on a live residue.
+
+    Bytewise, as integers of 0/1 bytes: the live residues with a given
+    letter must be live in the vector shifted by that letter's advance.
+    """
+    vector, size = s.vector, len(s.vector)
+    live = int.from_bytes(vector, "big")
+    # X at residue r + d for each residue r, 0 <= d < size, is doubled[d : d + size]
+    doubled = vector * 2
+    for letters, (x, y), sign in (
+        (s.successor_letters, "ED", 1),
+        (s.co_successor_letters, "SL", 1),
+        (s.predecessor_letters, "ED", -1),
+        (s.co_predecessor_letters, "SL", -1),
+    ):
+        encoded = letters.encode()
+        at_x = int.from_bytes(encoded.translate(_ONLY[x]), "big") & live
+        at_y = int.from_bytes(encoded.translate(_ONLY[y]), "big") & live
+        if at_x | at_y != live:
+            return False
+        dx, dy = sign * s._advance[x] % size, sign * s._advance[y] % size
+        if at_x & ~int.from_bytes(doubled[dx : dx + size], "big"):
+            return False
+        if at_y & ~int.from_bytes(doubled[dy : dy + size], "big"):
+            return False
+    return True
 
 
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
@@ -113,7 +140,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     laws on the reduced maps and on walks of the steps need all four steps
     to be maps of the live entries; where a live entry has no unique letter
     in some table, the unique-candidates or round-trip law reports it and
-    those laws are skipped for the orbit.
+    those laws are skipped for the orbit; they are skipped too where a
+    letter's step lands on a dead entry.
     """
     n, m = s.n, s.m
     ctx = f"n={n} seed={s.base.rows[0]}"

@@ -3,16 +3,16 @@
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, label_cycles
+from snakescroll.scroll import Scroll, label_cycles, reduced_maps, scroll_from_seed
 from snakescroll.tables import omega_table
 
 
 def test_labels_are_least_cycle_members():
     # residue 0 is not live; (2 4) and (3 5) are cycles
     perm = [None, 1, 4, 5, 2, 3]
-    assert label_cycles((1, 2, 3, 4, 5), perm) == ([None, 1, 2, 3, 2, 3], 3)
+    assert label_cycles((1, 2, 3, 4, 5), perm) == [None, 1, 2, 3, 2, 3]
     shift = [(x + 2) % 6 for x in range(6)]
-    assert label_cycles(range(6), shift) == ([0, 1, 0, 1, 0, 1], 2)
+    assert label_cycles(range(6), shift) == [0, 1, 0, 1, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -68,3 +68,58 @@ def test_labels_match_walked_cycles():
                 _assert_labels_walked(s, omega_table(s, omega).ouroboroi)
                 tables += 1
     assert tables == 4 * sum(len(all_orbits(n)) for n in range(2, 11))
+
+
+def _walked_counts(s, modulus):
+    """Number of cycles of successor and co-successor on the live residues
+    mod modulus, walking the tape steps from each residue not yet seen."""
+    size = len(s.vector)
+    live = [r for r in range(modulus) if s.vector[(r - 1) % size]]
+    counts = []
+    for step in (s.successor, s.co_successor):
+        seen, cycles = set(), 0
+        for r in live:
+            if r in seen:
+                continue
+            cycles, t = cycles + 1, r
+            while t not in seen:
+                seen.add(t)
+                t = step(t) % modulus
+            assert t == r  # a permutation closes each cycle at its start
+        counts.append(cycles)
+    return tuple(counts)
+
+
+def test_lifted_counts_match_walked_cycles():
+    # oracle for the counts lifted from the windings mod the tape period:
+    # every snake partition with n <= 16 and every table with n <= 13 and
+    # omega <= 12 (816 tables)
+    tables = 0
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            part = s.snakes
+            assert (part.alpha, part.beta) == _walked_counts(s, part.modulus)
+            if n <= 13:
+                for omega in range(1, 13):
+                    tab = omega_table(s, omega).ouroboroi
+                    assert (tab.alpha, tab.beta) == _walked_counts(s, tab.modulus)
+                    tables += 1
+    assert tables == 816
+
+
+def test_windings_reject_a_non_injective_map():
+    # tape period 7, live residues 0 and 5: send 0 where 5 goes, so both
+    # reach 0; the walk mod 7 raises, as labelling mod a table size does
+    s = scroll_from_seed("00001010000")
+    live, (succ, co_succ) = s.period_advances
+    assert live == (0, 5) and s.metrics.T_tape == 7
+    s.__dict__["period_advances"] = live, ([5 + succ[1], succ[1]], co_succ)
+    with pytest.raises(AssertionError, match="not a permutation"):
+        s.windings
+    table = omega_table(s, 2)
+    table_live = [r for r in range(table.size) if s.vector[(r - 1) % len(s.vector)]]
+    with pytest.raises(AssertionError, match="not a permutation"):
+        label_cycles(table_live, reduced_maps(s, table.size)[0])
+    with pytest.raises(AssertionError, match="not a permutation"):
+        table.ouroboroi

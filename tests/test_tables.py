@@ -80,7 +80,7 @@ def test_swallow_rejects_a_non_uniform_shift():
     k0 = t.scroll.vector.index(1) + 1
     # labels 0, 1, 2 in order, all swallowed onto label 0
     with pytest.raises(AssertionError, match="not a uniform shift"):
-        _swallow(t, lambda k: (k - k0) % 3 if k > 0 else 0, 3, lambda k: k + 1)
+        _swallow(t, lambda k: (k - k0) % 3 if k > 0 else 0, ([k0, k0 + 1, k0 + 2], [0, 1, 2]))
 
 
 def test_swallow_cycle_structure_everywhere():

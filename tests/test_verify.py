@@ -64,6 +64,26 @@ def test_alternating_partitions_reduce_each_object_once(monkeypatch):
     assert all(x is y for later in reads[1:] for x, y in zip(later, reads[0]))
 
 
+def test_no_table_is_labelled(monkeypatch):
+    # table counts are lifted from the windings: label_cycles runs on each
+    # scroll's two maps mod its tape period, and mod sigma where the
+    # swallows read the snake labels, never at a table's modulus
+    calls = []
+    original = scroll.label_cycles
+
+    def counted(live, step):
+        calls.append(len(step))
+        return original(live, step)
+
+    monkeypatch.setattr(scroll, "label_cycles", counted)
+    rep = run_verification(2, 9, omega_max=3, extended=False)
+    assert not rep.violations
+    scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
+    moduli = [(s.metrics.T_tape, s.metrics.sigma) for s in scrolls]
+    assert sorted(calls) == sorted(2 * [x for pair in moduli for x in pair])
+    assert len(calls) == 4 * len(scrolls) == 72
+
+
 def test_known_evidence_lists_populate():
     rep = run_verification(5, 5, omega_max=1)
     assert not rep.violations
@@ -112,7 +132,9 @@ def test_shared_label_pair_is_a_fiber_violation():
     )
     snake, cosnake = list(part.snake_label), list(part.cosnake_label)
     snake[u], cosnake[u] = snake[t], cosnake[t]
-    broken = replace(part, snake_label=snake, cosnake_label=cosnake)
+    # the labels are built on read: the copy is given its own
+    broken = replace(part)
+    vars(broken).update(snake_label=snake, cosnake_label=cosnake)
     vars(s)["snakes"] = broken
     rep = VerificationReport()
     check_scroll(s, rep)
@@ -202,6 +224,45 @@ def test_a_non_unique_step_letter_is_recorded_not_raised(t):
     ]
     assert rep.passed == passed
     assert not rep.same_side_degree_failures and not rep.product_form_failures
+
+
+PARTITION_LAWS = {
+    "alpha from letters",
+    "beta from letters",
+    "torsor simple transitivity",
+    "slither matches simulation",
+    "co-slither matches simulation",
+    "successor advance linear",
+    "near-row co-snake distinctness",
+    "free affine action",
+    "fibers are residues mod sigma",
+}
+TABLE_LAWS = {
+    "crossed degree divisibility",
+    "ouroboros counts match formula",
+    "swallow cycle structure",
+    "group order equals live count",
+    "color-preserving conditions agree",
+    "table slither power identity",
+    "table torsor simple transitivity",
+}
+
+
+@pytest.mark.parametrize("residue", [4, 11, 18])
+def test_a_step_onto_a_dead_residue_skips_the_partition_laws(residue):
+    # successor letter E -> D at a live residue: the step lands on its other
+    # candidate, a dead residue, so the successor is no map of the live
+    # entries; it is recorded, and nothing raises
+    s = scroll_from_seed("00001010000")
+    letters = s.successor_letters
+    assert letters[residue] == "E"
+    s.__dict__["successor_letters"] = letters[:residue] + "D" + letters[residue + 1 :]
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    check_tables(s, 3, rep)
+    assert rep.violations[-1] == "table laws skipped: n=11 seed=00001010000: steps are not maps"
+    assert not (PARTITION_LAWS | TABLE_LAWS) & set(rep.passed)
+    assert "snakes" not in vars(s)
 
 
 @pytest.mark.parametrize(
