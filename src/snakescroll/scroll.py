@@ -17,21 +17,26 @@ two candidates there, and repeated to the full m*n.
 
 Snakes and ouroboroi are one partition at two moduli: successor and
 co-successor commute with shifts by any multiple M of the tape period T, so
-`partition` reduces both to integer arrays on the residues mod M.  Mod
-sigma, the advance of a full slither, the cycles are the snakes and
-co-snakes (the shift fixes each one, and distinct snakes cannot merge under
-it, so the quotient is faithful): that partition is `Scroll.snakes`.  Mod
-the size omega*m*n of an orbit table they are the ouroboroi
-(`tables.OrbitTable.ouroboroi`).  Each is built once per object, on first
-read.
+they descend to the residues mod M.  Mod sigma, the advance of a full
+slither, the cycles are the snakes and co-snakes (the shift fixes each one,
+and distinct snakes cannot merge under it, so the quotient is faithful):
+that partition is `Scroll.snakes`.  Mod the size omega*m*n of an orbit table
+they are the ouroboroi (`tables.OrbitTable.ouroboroi`).  A `Partition` is
+its scroll, its modulus and its two cycle counts; its live residues, its
+maps reduced mod M (`reduced_maps`) and its cycle labels are built on first
+read.  In the library only the sigma partition is read that way, by the
+extended laws, the swallows and the renderers.
 
 The cycle counts come from the covering map Z/M -> Z/T.  A cycle of a map
 mod T whose advances sum to w*T lifts to gcd(w, M/T) cycles mod M: the map
 commutes with the shift by T, so going once round the cycle moves each
 point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
-the gcd(w, M/T) orbits of that translation.  So each scroll walks its two
-maps once mod T (`Scroll.windings`), and a partition's counts are sums of
-gcds; its cycle labels are built only when they are read.
+the gcd(w, M/T) orbits of that translation.  So each scroll reads the
+advance of each step at each residue mod T once (`Scroll.period_advances`)
+and walks its two maps there (`Scroll.windings`); a partition's counts are
+sums of gcds.  The torsor laws of `verify` walk the maps mod M the same
+way, stepping a residue v by the advance at v mod T, and so read no reduced
+map either.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to 0/1 bytes
+# per step letter, a translation table taking it to byte 1 and every other character to 0
+_ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
 
 
 def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
@@ -121,43 +128,71 @@ class Scroll:
         return {letter: step_advance(letter, self.n) for letter in "EDSL"}
 
     @cached_property
+    def steps_are_maps(self) -> bool:
+        """Whether all four letter tables give each live residue one of their
+        two step letters, not a count, and the step lands on a live residue.
+
+        Bytewise, as integers of 0/1 bytes: the live residues with a given
+        letter must be live in the vector shifted by that letter's advance.
+        """
+        vector, size = self.vector, len(self.vector)
+        live = int.from_bytes(vector, "big")
+        # X at residue r + d for each residue r, 0 <= d < size, is doubled[d : d + size]
+        doubled = vector * 2
+        for letters, (x, y), sign in (
+            (self.successor_letters, "ED", 1),
+            (self.co_successor_letters, "SL", 1),
+            (self.predecessor_letters, "ED", -1),
+            (self.co_predecessor_letters, "SL", -1),
+        ):
+            encoded = letters.encode()
+            at_x = int.from_bytes(encoded.translate(_ONLY[x]), "big") & live
+            at_y = int.from_bytes(encoded.translate(_ONLY[y]), "big") & live
+            if at_x | at_y != live:
+                return False
+            dx, dy = sign * self._advance[x] % size, sign * self._advance[y] % size
+            if at_x & ~int.from_bytes(doubled[dx : dx + size], "big"):
+                return False
+            if at_y & ~int.from_bytes(doubled[dy : dy + size], "big"):
+                return False
+        return True
+
+    @cached_property
     def snakes(self) -> Partition:
         """Snakes and co-snakes: the partition mod sigma."""
         return partition(self, self.metrics.sigma)
 
     @cached_property
-    def period_advances(self) -> tuple[tuple[int, ...], tuple[list, list]]:
-        """The live tape indices t in [0, T), T the tape period, and the
-        successor and co-successor advance of each, read off the letter
-        tables; a letter with no advance raises, as its step does."""
-        period = self.metrics.T_tape
-        live = tuple(compress(range(period), self.reads(period)))
-        advances = []
+    def period_advances(self) -> tuple[list, list]:
+        """Per tape index t in [0, T), T the tape period, its successor and
+        co-successor advance, read off the letter tables; None where t is
+        dead.  A live index whose letter has no advance raises, as its step
+        does."""
+        period, arrays = self.metrics.T_tape, []
         for letters, step in (
             (self.successor_letters, self.successor),
             (self.co_successor_letters, self.co_successor),
         ):
-            row = [self._advance.get(letters[t - 1]) for t in live]  # t - 1 = -1 wraps
-            if None in row:
-                step(live[row.index(None)])  # raises with the letter's count
-            advances.append(row)
-        return live, tuple(advances)
+            at = letters[-1:] + letters[: period - 1]  # the letter of t - 1, at t
+            if "0" in at or "2" in at:  # a count of live candidates: the step raises
+                step(next(t for t, letter in enumerate(at) if letter in "02"))
+            arrays.append(list(map(self._advance.get, at)))
+        return tuple(arrays)
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
         """Per cycle of the successor (then co-successor) mod the tape period
         T, its summed advance over T; a map that does not permute the live
         residues raises, as it does mod every multiple of T."""
-        period = self.metrics.T_tape
-        live, advances = self.period_advances
-        windings = []
-        for row in advances:
+        period, windings = self.metrics.T_tape, []
+        live = list(compress(range(period), self.reads(period)))
+        for row in self.period_advances:
             image = [None] * period
-            for t, d in zip(live, row):
-                image[t] = (t + d) % period
+            for t in live:
+                image[t] = (t + row[t]) % period
             label, total = label_cycles(live, image), {}
-            for t, d in zip(live, row):
-                total[label[t]] = total.get(label[t], 0) + d
+            for t in live:
+                total[label[t]] = total.get(label[t], 0) + row[t]
             windings.append([w // period for w in total.values()])
         return tuple(windings)
 
@@ -207,6 +242,14 @@ def scroll_from_seed(bits: str) -> Scroll:
     return Scroll(orbit(bits))
 
 
+def _fold(s: Scroll, modulus: int) -> int:
+    """modulus / T, T the tape period of s; modulus must be a multiple of T."""
+    period = s.metrics.T_tape
+    if modulus % period:
+        raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
+    return modulus // period
+
+
 def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     """Successor and co-successor reduced mod modulus, as integer arrays.
 
@@ -215,14 +258,12 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     the tape period, the period of the step letters, so the advance of each
     live t < period (`Scroll.period_advances`) moves its class onto its image's.
     """
-    period = s.metrics.T_tape
-    if modulus % period:
-        raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
-    live, advances = s.period_advances
+    period = modulus // _fold(s, modulus)
     maps = ([None] * modulus, [None] * modulus)
-    for image, row in zip(maps, advances):
-        for t, d in zip(live, row):
-            v = (t + d) % modulus
+    live = list(compress(range(period), s.reads(period)))
+    for image, row in zip(maps, s.period_advances):
+        for t in live:
+            v = (t + row[t]) % modulus
             image[t::period] = [*range(v, modulus, period), *range(v % period, v, period)]
     return maps
 
@@ -244,13 +285,24 @@ def label_cycles(live, step: list) -> list:
 
 @dataclass(frozen=True)
 class Partition:
-    """Cycles of the successor (snakes) and co-successor (co-snakes) mod modulus."""
+    """Cycles of the successor (snakes) and co-successor (co-snakes) of a
+    scroll mod modulus: their counts, with the residues, maps and labels
+    built on first read."""
 
+    scroll: Scroll
     modulus: int
-    live: tuple[int, ...]  # live residues in [0, modulus), ascending
-    maps: tuple[list, list]  # reduced successor and co-successor, None on dead residues
     alpha: int  # number of snakes: cycles of the reduced successor
     beta: int  # number of co-snakes: cycles of the reduced co-successor
+
+    @cached_property
+    def live(self) -> tuple[int, ...]:
+        """The live residues in [0, modulus), ascending."""
+        return tuple(compress(range(self.modulus), self.scroll.reads(self.modulus)))
+
+    @cached_property
+    def maps(self) -> tuple[list, list]:
+        """Reduced successor and co-successor, None on dead residues."""
+        return reduced_maps(self.scroll, self.modulus)
 
     @cached_property
     def snake_label(self) -> list:
@@ -272,8 +324,6 @@ class Partition:
 def partition(s: Scroll, modulus: int) -> Partition:
     """The snake partition of s reduced mod modulus, a multiple of its tape
     period T: each cycle mod T of winding w lifts to gcd(w, modulus/T) cycles."""
-    maps = reduced_maps(s, modulus)
-    live = tuple(compress(range(modulus), s.reads(modulus)))
-    fold = modulus // s.metrics.T_tape
+    fold = _fold(s, modulus)
     alpha, beta = (sum(gcd(w, fold) for w in windings) for windings in s.windings)
-    return Partition(modulus, live, maps, alpha, beta)
+    return Partition(s, modulus, alpha, beta)

@@ -5,18 +5,19 @@ successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
 omega*m*n instead of sigma.  `OrbitTable.ouroboroi` is that
 `scroll.Partition`, built once per table: its snakes are the ouroboroi and
-its co-snakes the co-ouroboroi.  The table covers the tape period T, so its
-counts are lifted, not walked: a cycle mod T of winding w (summed advance
-w*T) splits into gcd(w, omega*m*n/T) cycles of the table, one per orbit of
-the translation by w*T on the cycle's fibre, and no table builds a label
-array.  The live residues form a torsor of the finite abelian group
-generated by the two reduced maps.  That group has rank at most two, so its
-invariant factors are two gcds of its presentation (`group_invariants`);
-the test suite's torsor oracle reads them off the reduced maps instead.
-Covering degrees, predicted counts and swallows are closed forms in the
-scroll's metrics; the cycle counts of the reduced maps
-(`OrbitTable.ouroboroi`) are what they are checked against.  A swallow's
-walk order does not depend on omega: each scroll keeps it
+its co-snakes the co-ouroboroi.  A table keeps only the two counts.  It
+covers the tape period T, so they are lifted, not walked: a cycle mod T of
+winding w (summed advance w*T) splits into gcd(w, omega*m*n/T) cycles of
+the table, one per orbit of the translation by w*T on the cycle's fibre,
+and no table reduces or labels its maps.  The live residues form a torsor
+of the finite abelian group generated by the two reduced maps; the torsor
+law of `verify` walks that group on the scroll's advances mod T.  The group
+has rank at most two, so its invariant factors are two gcds of its
+presentation (`group_invariants`); the test suite's group oracle reads
+them off the reduced maps instead.  Covering degrees, predicted counts and
+swallows are closed forms in the scroll's metrics; the cycle counts of the
+reduced maps (`OrbitTable.ouroboroi`) are what they are checked against.  A
+swallow's walk order does not depend on omega: each scroll keeps it
 (`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table adds only the
 image of each label.
 

@@ -83,53 +83,24 @@ def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list
 
 def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live residue
-    of part onto each live residue once; s and c are its reduced maps."""
-    (s, c), items = part.maps, part.live
-    if outer * inner != len(items):
+    once onto each live residue mod part.modulus M.  The steps s and c are
+    walked on the scroll's period advances: a residue v of M moves by the
+    advance of v mod T, T the tape period, and the live residues mod M are
+    the M/T lifts of those mod T."""
+    succ, co_succ = part.scroll.period_advances
+    period, modulus = len(succ), part.modulus
+    if outer * inner != modulus // period * (period - succ.count(None)):
         return False
-    hit, cur = bytearray(part.modulus), items[0]
+    hit = bytearray(modulus)
+    cur = next(t for t, d in enumerate(succ) if d is not None)
     for _ in range(outer):
         val = cur
         for _ in range(inner):
             if hit[val]:
                 return False
             hit[val] = 1
-            val = c[val]
-        cur = s[cur]
-    return True
-
-
-# per step letter, a translation table taking it to byte 1 and every other character to 0
-_ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
-
-
-def _steps_are_maps(s: Scroll) -> bool:
-    """Whether all four letter tables give each live residue one of their
-    two step letters, not a count, and the step lands on a live residue.
-
-    Bytewise, as integers of 0/1 bytes: the live residues with a given
-    letter must be live in the vector shifted by that letter's advance.
-    """
-    vector, size = s.vector, len(s.vector)
-    live = int.from_bytes(vector, "big")
-    # X at residue r + d for each residue r, 0 <= d < size, is doubled[d : d + size]
-    doubled = vector * 2
-    for letters, (x, y), sign in (
-        (s.successor_letters, "ED", 1),
-        (s.co_successor_letters, "SL", 1),
-        (s.predecessor_letters, "ED", -1),
-        (s.co_predecessor_letters, "SL", -1),
-    ):
-        encoded = letters.encode()
-        at_x = int.from_bytes(encoded.translate(_ONLY[x]), "big") & live
-        at_y = int.from_bytes(encoded.translate(_ONLY[y]), "big") & live
-        if at_x | at_y != live:
-            return False
-        dx, dy = sign * s._advance[x] % size, sign * s._advance[y] % size
-        if at_x & ~int.from_bytes(doubled[dx : dx + size], "big"):
-            return False
-        if at_y & ~int.from_bytes(doubled[dy : dy + size], "big"):
-            return False
+            val = (val + co_succ[val % period]) % modulus
+        cur = (cur + succ[cur % period]) % modulus
     return True
 
 
@@ -203,7 +174,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.tally("commutation", checked, noncommuting)
     rep.tally("parallelogram", checked, skewed)
     rep.tally("predecessor round trip", checked, one_way)
-    part = s.snakes if _steps_are_maps(s) else None
+    part = s.snakes if s.steps_are_maps else None
 
     # letter-count constraints and scale identities
     ws, wc = met.slither, met.coslither
@@ -314,7 +285,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
     none runs unless all four steps are maps of the live entries."""
     ctx = f"n={s.n} seed={s.base.rows[0]}"
-    if not _steps_are_maps(s):
+    if not s.steps_are_maps:
         rep.violations.append(f"table laws skipped: {ctx}: steps are not maps")
         return
     met = s.metrics

@@ -2,7 +2,30 @@
 
 from math import gcd
 
+from snakescroll.scroll import Partition
 from snakescroll.tables import OrbitTable
+
+
+def map_torsor(part: Partition, outer: int, inner: int) -> bool:
+    """Whether s^a c^b (a < outer, b < inner) moves the first live residue
+    of part onto each live residue once, s and c its reduced maps.
+
+    Oracle for verify._is_torsor, which walks the period advances instead:
+    it reads only the partition's live residues and its arrays mod M.
+    """
+    (s, c), live = part.maps, part.live
+    if outer * inner != len(live):
+        return False
+    seen, cur = set(), live[0]
+    for _ in range(outer):
+        val = cur
+        for _ in range(inner):
+            if val in seen:
+                return False
+            seen.add(val)
+            val = c[val]
+        cur = s[cur]
+    return True
 
 
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:

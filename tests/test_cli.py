@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from snakescroll import cli
+from snakescroll import cli, scroll
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv
 
@@ -217,6 +217,30 @@ def test_orbit_svg_builds_no_report(capsys, monkeypatch):
     code, out, err = run(capsys, *ORBIT_11, "--format", "svg")
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256["svg"]
+
+
+@pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
+def test_orbit_builds_no_table_size_array(capsys, monkeypatch, fmt):
+    # the table's counts are lifted from the windings: the maps are reduced
+    # and labelled only mod the tape period (7) and sigma (42), never at the
+    # table size 2*m*n = 154
+    moduli = []
+
+    def recording(name, size_of):
+        original = getattr(scroll, name)
+
+        def recorded(*args):
+            moduli.append(size_of(*args))
+            return original(*args)
+
+        monkeypatch.setattr(scroll, name, recorded)
+
+    recording("reduced_maps", lambda _s, modulus: modulus)
+    recording("label_cycles", lambda _live, step: len(step))
+    code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
+    assert set(moduli) == {7, 42}
 
 
 @pytest.mark.parametrize("argv", sorted(CONSTRUCTION_SHA256))

@@ -112,9 +112,10 @@ def test_windings_reject_a_non_injective_map():
     # tape period 7, live residues 0 and 5: send 0 where 5 goes, so both
     # reach 0; the walk mod 7 raises, as labelling mod a table size does
     s = scroll_from_seed("00001010000")
-    live, (succ, co_succ) = s.period_advances
-    assert live == (0, 5) and s.metrics.T_tape == 7
-    s.__dict__["period_advances"] = live, ([5 + succ[1], succ[1]], co_succ)
+    succ, co_succ = s.period_advances
+    assert [t for t, d in enumerate(succ) if d is not None] == [0, 5]
+    assert s.metrics.T_tape == len(succ) == 7
+    s.__dict__["period_advances"] = [5 + succ[5], *succ[1:]], co_succ
     with pytest.raises(AssertionError, match="not a permutation"):
         s.windings
     table = omega_table(s, 2)

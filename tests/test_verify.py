@@ -16,6 +16,8 @@ from snakescroll.verify import (
     run_verification,
 )
 
+from oracles import map_torsor
+
 
 def test_small_cycles_are_clean():
     rep = run_verification(2, 9, omega_max=3, extended=True, completeness=True)
@@ -25,9 +27,11 @@ def test_small_cycles_are_clean():
     assert rep.passed["classification completeness"] == 8
 
 
-def test_each_orbit_and_table_reduces_its_maps_once(monkeypatch):
-    # one partition per orbit (mod sigma) and per table (mod its size): the
-    # laws read its arrays instead of reducing the maps again
+def test_no_table_reduces_its_maps(monkeypatch):
+    # table counts are lifted from the windings and the table torsor walks
+    # the period advances: the only reductions are each orbit's sigma
+    # partition, once, where the extended laws and the swallows read its
+    # labels, and none at a table's size
     calls = []
     original = scroll.reduced_maps
 
@@ -40,15 +44,16 @@ def test_each_orbit_and_table_reduces_its_maps_once(monkeypatch):
             monkeypatch.setattr(mod, "reduced_maps", counted)
     rep = run_verification(2, 9, omega_max=3)
     assert not rep.violations
-    orbits = sum(len(all_orbits(n)) for n in range(2, 10))
-    assert orbits == 18
-    assert len(calls) == orbits + 3 * orbits == 72
+    scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
+    assert len(scrolls) == 18
+    assert calls == [s.metrics.sigma for s in scrolls]
     assert sum(rep.passed.values()) == 4320
 
 
 def test_alternating_partitions_reduce_each_object_once(monkeypatch):
-    # each scroll and each table keeps its own partition: reading two of
-    # each in turn reduces the maps once per object, not once per switch
+    # each scroll and each table keeps its own partition, whose maps are
+    # reduced on first read: reading two of each in turn reduces the maps
+    # once per object, not once per switch
     calls = []
     original = scroll.reduced_maps
 
@@ -60,8 +65,41 @@ def test_alternating_partitions_reduce_each_object_once(monkeypatch):
     a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
     ta, tb = omega_table(a, 2), omega_table(b, 3)
     reads = [[a.snakes, b.snakes, ta.ouroboroi, tb.ouroboroi] for _ in range(3)]
+    assert calls == []
+    maps = [[part.maps for part in parts] for parts in reads]
     assert calls == [a.metrics.sigma, b.metrics.sigma, ta.size, tb.size]
     assert all(x is y for later in reads[1:] for x, y in zip(later, reads[0]))
+    assert all(x is y for later in maps[1:] for x, y in zip(later, maps[0]))
+
+
+def _torsor_shapes(count: int, law: tuple[int, int]):
+    """The law's (outer, inner), every factor pair of count, and one pair
+    of the wrong product."""
+    yield law
+    yield from ((d, count // d) for d in range(1, count + 1) if count % d == 0)
+    yield count + 1, 1
+
+
+def test_torsor_walk_matches_the_map_oracle():
+    # the walk on the period advances agrees with the walk on the reduced
+    # maps mod M, for the law's shape and every other factor pair, on every
+    # snake partition with n <= 16 and all 816 tables with n <= 13, omega <= 12
+    tables = 0
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            parts = [(s.snakes, (s.snakes.beta, s.snakes.alpha))]
+            if n <= 13:
+                for omega in range(1, 13):
+                    table = omega_table(s, omega)
+                    tab = table.ouroboroi
+                    parts.append((tab, (tab.beta, table.eta // tab.beta)))
+                    tables += 1
+            for part, law in parts:
+                assert verify._is_torsor(part, *law)
+                for shape in _torsor_shapes(len(part.live), law):
+                    assert verify._is_torsor(part, *shape) == map_torsor(part, *shape), shape
+    assert tables == 816
 
 
 def test_no_table_is_labelled(monkeypatch):
@@ -281,24 +319,24 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     assert "free affine action" not in rep.passed
 
 
-def _identity_co_successor(tab):
+def _identity_co_successor(succ, co_succ):
     # the walk hits its start twice: the early exit on a repeated hit
-    succ, co_succ = tab.maps
-    identity = [r if co_succ[r] is not None else None for r in range(tab.modulus)]
-    return replace(tab, maps=(succ, identity))
+    return succ, [None if d is None else 0 for d in co_succ]
 
 
-def _one_more_live_residue(tab):
+def _one_more_live_residue(succ, co_succ):
     # eta no longer counts the live residues: the count check fails first
-    dead = tab.maps[0].index(None)
-    return replace(tab, live=tuple(sorted(tab.live + (dead,))))
+    dead = succ.index(None)
+    return tuple([*row[:dead], 1, *row[dead + 1 :]] for row in (succ, co_succ))
 
 
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
-def test_a_broken_table_torsor_is_a_violation(monkeypatch, breaking):
+def test_a_broken_table_torsor_is_a_violation(breaking):
+    # the counts and the snake labels the swallows read are built from the
+    # true advances; only the table torsor walks the broken ones
     s = scroll_from_seed("00001010000")
-    broken = breaking(omega_table(s, 1).ouroboroi)
-    monkeypatch.setattr(tables.OrbitTable, "ouroboroi", property(lambda _t: broken))
+    s.windings, s.snakes.snake_label, s.snakes.cosnake_label
+    vars(s)["period_advances"] = breaking(*s.period_advances)
     rep = VerificationReport()
     check_tables(s, 1, rep)
     assert rep.violations == [
