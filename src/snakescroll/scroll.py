@@ -33,10 +33,13 @@ commutes with the shift by T, so going once round the cycle moves each
 point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
 the gcd(w, M/T) orbits of that translation.  So each scroll reads the
 advance of each step at each residue mod T once (`Scroll.period_advances`)
-and walks its two maps there (`Scroll.windings`); a partition's counts are
-sums of gcds.  The torsor laws of `verify` walk the maps mod M the same
-way, stepping a residue v by the advance at v mod T, and so read no reduced
-map either.
+and walks each of its two maps there once (`Scroll.period_cycles`): per
+live residue its cycle, its index on that cycle and its lift, per cycle
+its length and winding (`Scroll.windings`).  A partition's counts are sums
+of gcds.  The same covering places each point mod M on its co-successor
+orbit, so the torsor laws of `verify` walk only the successor mod M,
+stepping a residue v by the advance at v mod T, read the co-successor
+orbits off the cycles mod T, and build nothing of size M.
 """
 
 from __future__ import annotations
@@ -180,21 +183,45 @@ class Scroll:
         return tuple(arrays)
 
     @cached_property
-    def windings(self) -> tuple[list[int], list[int]]:
-        """Per cycle of the successor (then co-successor) mod the tape period
-        T, its summed advance over T; a map that does not permute the live
-        residues raises, as it does mod every multiple of T."""
-        period, windings = self.metrics.T_tape, []
+    def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
+        """The cycles of the successor (then co-successor) mod the tape period
+        T, each map walked once on the period advances, as four arrays
+        (cycle, index, lift, cycles).
+
+        For a live u in [0, T), u is on cycle cycle[u], index[u] = k steps
+        from that cycle's least member u0, and u0 + A_k = u + lift[u]*T, A_k
+        the summed advance of those k steps; the three are None where u is
+        dead.  cycles[i] is the length and the winding of cycle i, the
+        winding being its summed advance over T; cycles are numbered by
+        their least members, ascending.  A map that does not permute the
+        live residues raises, as it does mod every multiple of T."""
+        period, walks = self.metrics.T_tape, []
         live = list(compress(range(period), self.reads(period)))
         for row in self.period_advances:
-            image = [None] * period
-            for t in live:
-                image[t] = (t + row[t]) % period
-            label, total = label_cycles(live, image), {}
-            for t in live:
-                total[label[t]] = total.get(label[t], 0) + row[t]
-            windings.append([w // period for w in total.values()])
-        return tuple(windings)
+            cycle, index, lift, cycles = [None] * period, [None] * period, [None] * period, []
+            for start in live:
+                if cycle[start] is not None:
+                    continue
+                i, k, u = len(cycles), 0, start
+                v = start  # u0 + A_k
+                while True:
+                    cycle[u], index[u], lift[u] = i, k, v // period
+                    v += row[u]
+                    k += 1
+                    u = v % period
+                    if u == start:
+                        break
+                    if row[u] is None or cycle[u] is not None:  # None: a dead residue
+                        raise AssertionError(f"step is not a permutation of live: from {start}")
+                cycles.append((k, (v - start) // period))
+            walks.append((cycle, index, lift, cycles))
+        return tuple(walks)
+
+    @cached_property
+    def windings(self) -> tuple[list[int], list[int]]:
+        """Per cycle of the successor (then co-successor) mod the tape period
+        T, its summed advance over T."""
+        return tuple([w for _, w in cycles] for *_, cycles in self.period_cycles)
 
     @cached_property
     def snake_walk(self) -> tuple[list[int], list]:

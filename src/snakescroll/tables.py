@@ -11,15 +11,16 @@ winding w (summed advance w*T) splits into gcd(w, omega*m*n/T) cycles of
 the table, one per orbit of the translation by w*T on the cycle's fibre,
 and no table reduces or labels its maps.  The live residues form a torsor
 of the finite abelian group generated by the two reduced maps; the torsor
-law of `verify` walks that group on the scroll's advances mod T.  The group
-has rank at most two, so its invariant factors are two gcds of its
-presentation (`group_invariants`); the test suite's group oracle reads
-them off the reduced maps instead.  Covering degrees, predicted counts and
-swallows are closed forms in the scroll's metrics; the cycle counts of the
-reduced maps (`OrbitTable.ouroboroi`) are what they are checked against.  A
-swallow's walk order does not depend on omega: each scroll keeps it
-(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table adds only the
-image of each label.
+law of `verify` checks that in bar_beta successor steps, each placed on
+its co-successor orbit through the same covering, with no walk of size
+eta.  The group has rank at most two, so its invariant factors are two
+gcds of its presentation (`group_invariants`); the test suite's group
+oracle reads them off the reduced maps instead.  Covering degrees,
+predicted counts and swallows are closed forms in the scroll's metrics;
+the cycle counts of the reduced maps (`OrbitTable.ouroboroi`) are what
+they are checked against.  A swallow's walk order does not depend on
+omega: each scroll keeps it (`Scroll.snake_walk`, `Scroll.cosnake_walk`),
+and a table adds only the image of each label.
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd
+from operator import sub
 
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
@@ -60,8 +61,12 @@ class VerificationReport:
         for context in failures:
             self.violations.append(f"{name}: {context}")
 
-    def check(self, name: str, condition: bool, context: str) -> None:
-        self.tally(name, 1, [] if condition else [context])
+    def check(self, name: str, condition: bool, context: str, omega: int = 0) -> None:
+        """Record one check; a failure's context ends with its omega, if given."""
+        if condition:
+            self.tally(name, 1, [])
+        else:
+            self.tally(name, 1, [f"{context} omega={omega}" if omega else context])
 
 
 def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list[tuple[int, int]]:
@@ -83,24 +88,59 @@ def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list
 
 def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live residue
-    once onto each live residue mod part.modulus M.  The steps s and c are
-    walked on the scroll's period advances: a residue v of M moves by the
-    advance of v mod T, T the tape period, and the live residues mod M are
-    the M/T lifts of those mod T."""
-    succ, co_succ = part.scroll.period_advances
+    once onto each live residue mod part.modulus M.
+
+    The number of images is checked first, against F = M/T times the live
+    residues mod T, T the tape period.  Then only s is walked, outer times
+    from the first live residue t0, on the scroll's period advances: a
+    residue v of M moves by the advance of v mod T.  Each s^a(t0) starts an
+    arc of inner consecutive points c^b s^a(t0) on its co-successor orbit
+    mod M, and those orbits are read off the cycles mod T
+    (`Scroll.period_cycles`) through the covering Z/M -> Z/T: a cycle i of
+    length l and winding w lifts to g = gcd(w, F) orbits of length l*h,
+    h = F/g.  For u on cycle i at index k with lift q, u + x*T lies on
+    orbit (i, y mod g), y = (x - q) mod F, at position
+    (y div g)*(w/g)^-1 mod h, times l, plus k: each lap of the cycle moves
+    the lift by w.  The images are distinct iff no arc is longer than its
+    orbit and no two arcs on one orbit start closer than inner, cyclically;
+    so positions are computed only on orbits that two arcs share.
+    """
+    succ = part.scroll.period_advances[0]
+    cycle, index, lift, cycles = part.scroll.period_cycles[1]
     period, modulus = len(succ), part.modulus
-    if outer * inner != modulus // period * (period - succ.count(None)):
+    fold = modulus // period
+    if outer * inner != fold * (period - succ.count(None)):
         return False
-    hit = bytearray(modulus)
+    gcds: dict[int, int] = {}  # per cycle met: g
+    arcs: dict[int, list[int]] = {}  # per orbit i*F + (y mod g): the points starting arcs
     cur = next(t for t, d in enumerate(succ) if d is not None)
     for _ in range(outer):
-        val = cur
-        for _ in range(inner):
-            if hit[val]:
+        u = cur % period
+        i = cycle[u]
+        g = gcds.get(i)
+        if g is None:
+            g = gcds[i] = gcd(cycles[i][1], fold)
+        orbit = i * fold + (cur // period - lift[u]) % g
+        if orbit in arcs:
+            arcs[orbit].append(cur)
+        else:
+            arcs[orbit] = [cur]
+        cur = (cur + succ[u]) % modulus
+    for orbit, points in arcs.items():
+        i = orbit // fold
+        (length, w), g = cycles[i], gcds[i]
+        h = fold // g
+        if length * h < inner:  # an arc longer than its orbit
+            return False
+        if len(points) > 1:  # two arcs starting closer than inner, cyclically
+            inverse = pow(w // g, -1, h)
+            starts = sorted(
+                (x - lift[u]) % fold // g * inverse % h * length + index[u]
+                for x, u in (divmod(v, period) for v in points)
+            )
+            starts.append(starts[0] + length * h)
+            if min(map(sub, starts[1:], starts)) < inner:
                 return False
-            hit[val] = 1
-            val = (val + co_succ[val % period]) % modulus
-        cur = (cur + succ[cur % period]) % modulus
     return True
 
 
@@ -230,7 +270,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
             t, letter = step(t)
             letters.append(letter)
         simulated = "".join(letters)
-        rep.check(law, cyclically_equal(simulated, word), f"{ctx} simulated {simulated}")
+        mismatch = [] if cyclically_equal(simulated, word) else [f"{ctx} simulated {simulated}"]
+        rep.tally(law, 1, mismatch)
 
     # linearity of iterated successor advance
     block = len(ws.word) // met.deg
@@ -302,13 +343,13 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         )
 
     for omega in range(1, omega_max + 1):
-        octx = f"{ctx} omega={omega}"
         table = omega_table(s, omega)
         tab = table.ouroboroi
         rep.check(
             "ouroboros counts match formula",
             (tab.alpha, tab.beta) == predicted_counts(s, omega),
-            octx,
+            ctx,
+            omega,
         )
         deg_p, codeg_p = table_degrees(table)
         try:
@@ -318,38 +359,40 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
                 "swallow cycle structure",
                 sw.cycle_type == tuple([deg_p] * tab.alpha)
                 and cs.cycle_type == tuple([codeg_p] * tab.beta),
-                octx,
+                ctx,
+                omega,
             )
         except AssertionError as exc:
-            rep.check("swallow cycle structure", False, f"{octx}: {exc}")
+            rep.check("swallow cycle structure", False, f"{ctx} omega={omega}: {exc}")
             continue
         try:
             inv = group_invariants(table)
-            rep.check("group order equals live count", True, octx)
+            rep.check("group order equals live count", True, ctx)
             if not (inv.matches_ouro_product and inv.matches_co_ouro_product):
                 rep.product_form_failures.append(
-                    f"{octx}: factors {inv.nontrivial}, products "
+                    f"{ctx} omega={omega}: factors {inv.nontrivial}, products "
                     f"{inv.ouro_product} / {inv.co_ouro_product}"
                 )
         except AssertionError as exc:
-            rep.check("group order equals live count", False, f"{octx}: {exc}")
+            rep.check("group order equals live count", False, f"{ctx} omega={omega}: {exc}")
         try:
             is_color_preserving(table, sw, cs)
-            rep.check("color-preserving conditions agree", True, octx)
+            rep.check("color-preserving conditions agree", True, ctx)
         except AssertionError as exc:
-            rep.check("color-preserving conditions agree", False, f"{octx}: {exc}")
+            rep.check("color-preserving conditions agree", False, f"{ctx} omega={omega}: {exc}")
 
         rep.check(
             "table slither power identity",
             cyclically_equal(table_slither(table) * codeg_p, met.slither.word)
             and cyclically_equal(table_coslither(table) * deg_p, met.coslither.word),
-            octx,
+            ctx,
+            omega,
         )
 
         # torsor of the finite table group; it also checks the closed-form
         # eta against the number of live residues
         torsor = _is_torsor(tab, tab.beta, table.eta // tab.beta)
-        rep.check("table torsor simple transitivity", torsor, octx)
+        rep.check("table torsor simple transitivity", torsor, ctx, omega)
 
 
 def classification_completeness(n: int, rep: VerificationReport) -> None:

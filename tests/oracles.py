@@ -10,8 +10,10 @@ def map_torsor(part: Partition, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live residue
     of part onto each live residue once, s and c its reduced maps.
 
-    Oracle for verify._is_torsor, which walks the period advances instead:
-    it reads only the partition's live residues and its arrays mod M.
+    Oracle for verify._is_torsor, which walks only s and reads the c-orbits
+    mod M off the scroll's cycles mod the tape period instead: this walk
+    visits every image, on the partition's live residues and its reduced
+    maps mod M alone.
     """
     (s, c), live = part.maps, part.live
     if outer * inner != len(live):

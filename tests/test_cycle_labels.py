@@ -124,3 +124,18 @@ def test_windings_reject_a_non_injective_map():
         label_cycles(table_live, reduced_maps(s, table.size)[0])
     with pytest.raises(AssertionError, match="not a permutation"):
         table.ouroboroi
+
+
+def test_windings_reject_a_non_permuting_co_successor():
+    # send live residue 0 where 5 goes under the co-successor mod 7, before
+    # anything reads the windings: the cycle walk raises as label_cycles does
+    s = scroll_from_seed("00001010000")
+    succ, co_succ = s.period_advances
+    co_succ = [5 + co_succ[5], *co_succ[1:]]
+    s.__dict__["period_advances"] = succ, co_succ
+    image = [None if d is None else (t + d) % 7 for t, d in enumerate(co_succ)]
+    with pytest.raises(AssertionError, match="not a permutation") as labelled:
+        label_cycles([0, 5], image)
+    with pytest.raises(AssertionError, match="not a permutation") as walked:
+        s.windings
+    assert str(walked.value) == str(labelled.value)

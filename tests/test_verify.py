@@ -1,6 +1,8 @@
 """The brute-force suite itself stays clean on small cycles."""
 
 from dataclasses import replace
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,10 +104,67 @@ def test_torsor_walk_matches_the_map_oracle():
     assert tables == 816
 
 
+def test_torsor_matches_the_map_oracle_past_omega_12():
+    # the law's shape and its transpose on all 1092 tables with n = 14..16
+    # and 13 <= omega <= 24, where the orbits mod M are longest
+    tables = 0
+    for n in range(14, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            for omega in range(13, 25):
+                table = omega_table(s, omega)
+                tab = table.ouroboroi
+                law = tab.beta, table.eta // tab.beta
+                assert verify._is_torsor(tab, *law)
+                for shape in (law, law[::-1]):
+                    assert verify._is_torsor(tab, *shape) == map_torsor(tab, *shape), shape
+                tables += 1
+    assert tables == 1092
+
+
+def _advances_partition(succ: list, co_succ: list, fold: int) -> SimpleNamespace:
+    """A partition mod fold*T of steps given by their advances per residue
+    mod T (None on dead residues), with its maps and live residues built in
+    the test's own arithmetic for the oracle."""
+    period = len(succ)
+    s = SimpleNamespace(
+        metrics=SimpleNamespace(T_tape=period),
+        period_advances=(succ, co_succ),
+        reads=lambda length: bytes(d is not None for d in succ),
+    )
+    s.period_cycles = Scroll.period_cycles.func(s)
+    modulus = fold * period
+    maps = tuple(
+        [None if d is None else (v + d) % modulus for v, d in enumerate(row * fold)]
+        for row in (succ, co_succ)
+    )
+    live = tuple(v for v, d in enumerate(succ * fold) if d is not None)
+    return SimpleNamespace(scroll=s, modulus=modulus, live=live, maps=maps)
+
+
+def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
+    # steps that need not commute, on tape period 2: the co-successor's
+    # cycle of length 2 winds 1..5 times, so its lifts are orbits of
+    # several laps whose order the inverse of the winding fixes; every
+    # factor pair of the live count, against the oracle walk
+    calls = 0
+    for a0, a1, b0, b1 in product(range(4), range(4), (1, 3, 5), (1, 3, 5)):
+        if (a0 - a1) % 2:
+            continue  # the successor must permute the residues mod 2
+        for fold in (5, 6, 7, 9):
+            part = _advances_partition([a0, a1], [b0, b1], fold)
+            count = len(part.live)
+            for shape in _torsor_shapes(count, (1, count)):
+                assert verify._is_torsor(part, *shape) == map_torsor(part, *shape), shape
+                calls += 1
+    assert calls == 2016
+
+
 def test_no_table_is_labelled(monkeypatch):
-    # table counts are lifted from the windings: label_cycles runs on each
-    # scroll's two maps mod its tape period, and mod sigma where the
-    # swallows read the snake labels, never at a table's modulus
+    # table counts are lifted from the windings, which the walk of each
+    # scroll's two maps mod its tape period gives with no labelling:
+    # label_cycles runs only mod sigma, where the swallows read the snake
+    # labels, never mod T or at a table's modulus
     calls = []
     original = scroll.label_cycles
 
@@ -117,9 +176,8 @@ def test_no_table_is_labelled(monkeypatch):
     rep = run_verification(2, 9, omega_max=3, extended=False)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
-    moduli = [(s.metrics.T_tape, s.metrics.sigma) for s in scrolls]
-    assert sorted(calls) == sorted(2 * [x for pair in moduli for x in pair])
-    assert len(calls) == 4 * len(scrolls) == 72
+    assert sorted(calls) == sorted(2 * [s.metrics.sigma for s in scrolls])
+    assert len(calls) == 2 * len(scrolls) == 36
 
 
 def test_known_evidence_lists_populate():
@@ -319,24 +377,35 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     assert "free affine action" not in rep.passed
 
 
-def _identity_co_successor(succ, co_succ):
-    # the walk hits its start twice: the early exit on a repeated hit
-    return succ, [None if d is None else 0 for d in co_succ]
+def _identity_co_successor(s):
+    # each live residue mod T a cycle of its own, of length 1 and winding 0:
+    # it lifts to orbits of length 1 mod M, shorter than every arc
+    cycle = s.period_cycles[1][0]
+    live = [u for u, i in enumerate(cycle) if i is not None]
+    identity = [None] * len(cycle)
+    for i, u in enumerate(live):
+        identity[u] = i
+    zero = [None if i is None else 0 for i in identity]
+    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0)] * len(live))
 
 
-def _one_more_live_residue(succ, co_succ):
+def _one_more_live_residue(s):
     # eta no longer counts the live residues: the count check fails first
+    succ, co_succ = s.period_advances
     dead = succ.index(None)
-    return tuple([*row[:dead], 1, *row[dead + 1 :]] for row in (succ, co_succ))
+    vars(s)["period_advances"] = tuple(
+        [*row[:dead], 1, *row[dead + 1 :]] for row in (succ, co_succ)
+    )
 
 
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
 def test_a_broken_table_torsor_is_a_violation(breaking):
     # the counts and the snake labels the swallows read are built from the
-    # true advances; only the table torsor walks the broken ones
+    # true advances; only the table torsor reads the broken co-successor
+    # cycles or successor advances
     s = scroll_from_seed("00001010000")
     s.windings, s.snakes.snake_label, s.snakes.cosnake_label
-    vars(s)["period_advances"] = breaking(*s.period_advances)
+    breaking(s)
     rep = VerificationReport()
     check_tables(s, 1, rep)
     assert rep.violations == [
