@@ -12,8 +12,9 @@ Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod m*n, so each map is stored as one letter per
 residue of the vector.  The letters repeat with the vector's least cyclic
-period, so each table is found over one period, by testing that map's own
-two candidates there, and repeated to the full m*n.
+period P (`Scroll.unit`), so each table is stored as that one period, found
+by testing that map's own two candidates there; a step at t reads the
+letter at (t - 1) mod P.
 
 Snakes and ouroboroi are one partition at two moduli: successor and
 co-successor commute with shifts by any multiple M of the tape period T, so
@@ -56,28 +57,34 @@ DEAD = "."  # step letter of a dead residue
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to 0/1 bytes
 # per step letter, a translation table taking it to byte 1 and every other character to 0
 _ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
+# per letter pair, its step letter keyed (residue live, first candidate live,
+# second candidate live)
+_LETTER_OF = {
+    first + second: {
+        **{(0, x, y): DEAD for x in (0, 1) for y in (0, 1)},
+        (1, 1, 0): first,
+        (1, 0, 1): second,
+        (1, 0, 0): "0",
+        (1, 1, 1): "2",
+    }
+    for first, second in ("ED", "SL")
+}
 
 
-def _step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
-    """One step letter per residue of the fundamental vector.
+def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
+    """One step letter per residue of the vector's least cyclic period, unit.
 
     The candidates of a live residue r are r + sign*advance(letter) for
     each of the two letters.  A dead residue gets DEAD; a live one gets
     its live candidate's letter, or, when not exactly one candidate is
-    live, the digit counting its live candidates.  The letters are found
-    over the vector's least cyclic period P, read off the vector itself,
-    with each candidate read from the period rotated by its advance mod P;
-    the table is that period's letters repeated to len(vector).
+    live, the digit counting its live candidates.  Each candidate is read
+    from the unit rotated by its advance mod P = len(unit); the letters of
+    the whole vector are this table repeated.
     """
-    first, second = letters
-    # keyed (residue live, first candidate live, second candidate live)
-    letter_of = {(0, x, y): DEAD for x in (0, 1) for y in (0, 1)}
-    letter_of.update({(1, 1, 0): first, (1, 0, 1): second, (1, 0, 0): "0", (1, 1, 1): "2"})
-    period = (vector + vector).find(vector, 1)
-    unit = vector[:period]
+    period = len(unit)
     shifts = [(sign * step_advance(letter, n)) % period for letter in letters]
     rotated = [unit[d:] + unit[:d] for d in shifts]
-    return "".join(map(letter_of.__getitem__, zip(unit, *rotated))) * (len(vector) // period)
+    return "".join(map(_LETTER_OF[letters].__getitem__, zip(unit, *rotated)))
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,13 @@ class Scroll:
         """The fundamental vector: the first m*n tape symbols, as 0/1 bytes."""
         return "".join(self.base.rows).encode().translate(_BITS)
 
+    @cached_property
+    def unit(self) -> bytes:
+        """The vector's least cyclic period: its first P symbols, P the least
+        shift that fixes it, found on the vector itself."""
+        vector = self.vector
+        return vector[: (vector + vector).find(vector, 1)]
+
     def reads(self, length: int) -> bytes:
         """X_t for t in [0, length): the vector rotated right by one, repeated."""
         vector = self.vector
@@ -110,20 +124,28 @@ class Scroll:
         return metrics_from_row("".join(map(str, window)), self.n)
 
     @cached_property
+    def fundamental_degrees(self) -> tuple[int, int]:
+        """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table:
+        a snake is p-periodic (no shorter shift fixes it), so read mod m*n it
+        winds p / gcd(p, m*n) times around the table; a co-snake likewise, q."""
+        met, size = self.metrics, self.m * self.n
+        return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
+
+    @cached_property
     def successor_letters(self) -> str:
-        return _step_letters(self.vector, self.n, "ED", 1)
+        return _step_letters(self.unit, self.n, "ED", 1)
 
     @cached_property
     def co_successor_letters(self) -> str:
-        return _step_letters(self.vector, self.n, "SL", 1)
+        return _step_letters(self.unit, self.n, "SL", 1)
 
     @cached_property
     def predecessor_letters(self) -> str:
-        return _step_letters(self.vector, self.n, "ED", -1)
+        return _step_letters(self.unit, self.n, "ED", -1)
 
     @cached_property
     def co_predecessor_letters(self) -> str:
-        return _step_letters(self.vector, self.n, "SL", -1)
+        return _step_letters(self.unit, self.n, "SL", -1)
 
     @cached_property
     def _advance(self) -> dict[str, int]:
@@ -135,13 +157,14 @@ class Scroll:
         """Whether all four letter tables give each live residue one of their
         two step letters, not a count, and the step lands on a live residue.
 
-        Bytewise, as integers of 0/1 bytes: the live residues with a given
-        letter must be live in the vector shifted by that letter's advance.
+        Bytewise over the unit, as integers of 0/1 bytes: the live residues
+        with a given letter must be live in the unit shifted by that
+        letter's advance, mod its length P.
         """
-        vector, size = self.vector, len(self.vector)
-        live = int.from_bytes(vector, "big")
+        unit, size = self.unit, len(self.unit)
+        live = int.from_bytes(unit, "big")
         # X at residue r + d for each residue r, 0 <= d < size, is doubled[d : d + size]
-        doubled = vector * 2
+        doubled = unit * 2
         for letters, (x, y), sign in (
             (self.successor_letters, "ED", 1),
             (self.co_successor_letters, "SL", 1),
@@ -168,17 +191,18 @@ class Scroll:
     @cached_property
     def period_advances(self) -> tuple[list, list]:
         """Per tape index t in [0, T), T the tape period, its successor and
-        co-successor advance, read off the letter tables; None where t is
-        dead.  A live index whose letter has no advance raises, as its step
-        does."""
+        co-successor advance, read off the letter tables mod their length;
+        None where t is dead.  A live index whose letter has no advance
+        raises, as its step does, named by its tape index in [1, T]."""
         period, arrays = self.metrics.T_tape, []
         for letters, step in (
             (self.successor_letters, self.successor),
             (self.co_successor_letters, self.co_successor),
         ):
-            at = letters[-1:] + letters[: period - 1]  # the letter of t - 1, at t
+            # the letter of t - 1, at t
+            at = (letters[-1:] + letters * (period // len(letters) + 1))[:period]
             if "0" in at or "2" in at:  # a count of live candidates: the step raises
-                step(next(t for t, letter in enumerate(at) if letter in "02"))
+                step(next(t for t in range(1, period + 1) if at[t % period] in "02"))
             arrays.append(list(map(self._advance.get, at)))
         return tuple(arrays)
 

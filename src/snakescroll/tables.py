@@ -71,11 +71,9 @@ def omega_table(s: Scroll, omega: int) -> OrbitTable:
 
 
 def fundamental_degrees(s: Scroll) -> tuple[int, int]:
-    """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table:
-    a snake is p-periodic (no shorter shift fixes it), so read mod m*n it
-    winds p / gcd(p, m*n) times around the table; a co-snake likewise, q."""
-    met, size = s.metrics, s.m * s.n
-    return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
+    """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table,
+    found once per scroll (`Scroll.fundamental_degrees`)."""
+    return s.fundamental_degrees
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:

@@ -144,23 +144,38 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
     return True
 
 
+def _laps(indices: list[int], period: int, laps: int) -> list[int]:
+    """t + k*period for k = 0..laps-1 (outer) and t in indices (inner): the
+    tape indices in [1, laps*period] that indices, ascending in [1, period],
+    stand for, ascending."""
+    return [t + k * period for k in range(laps) for t in indices]
+
+
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
-    Steps read the scroll's letter tables at residue (t - 1) mod m*n.  The
-    laws on the reduced maps and on walks of the steps need all four steps
-    to be maps of the live entries; where a live entry has no unique letter
-    in some table, the unique-candidates or round-trip law reports it and
-    those laws are skipped for the orbit; they are skipped too where a
-    letter's step lands on a dead entry.
+    Steps read the scroll's letter tables at residue (t - 1) mod P, P the
+    vector's least cyclic period (`Scroll.unit`).  The vector is P-periodic
+    and every table a function of the residue mod P, so the per-residue
+    laws (six-neighbour zeros, unique candidates, commutation,
+    parallelogram, round trip) run on the tape indices [1, P] only: each
+    count is multiplied by laps = m*n/P, and each failure at t stands for
+    t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
+    in tape order.  The successor advance is likewise walked once per
+    residue mod P.  The laws on the reduced maps and on walks of the steps
+    need all four steps to be maps of the live entries; where a live entry
+    has no unique letter in some table, the unique-candidates or round-trip
+    law reports it and those laws are skipped for the orbit; they are
+    skipped too where a letter's step lands on a dead entry.
     """
     n, m = s.n, s.m
     ctx = f"n={n} seed={s.base.rows[0]}"
     met = s.metrics
     size = m * n
-    live = list(compress(range(1, size + 1), s.vector))
-    # X_(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
-    tripled = s.vector * 3
+    unit = s.unit
+    period = len(unit)
+    laps = size // period
+    live = list(compress(range(1, period + 1), unit))
     six = (-n, 1 - n, -1, 1, n - 1, n)
     sl, cl = s.successor_letters, s.co_successor_letters
     # signed advance of each step per residue, None where its letter has none
@@ -169,51 +184,53 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     sa, ca = list(map(forth.get, sl)), list(map(forth.get, cl))
     pa, cpa = (list(map(back.get, x)) for x in (s.predecessor_letters, s.co_predecessor_letters))
 
-    # local structure at every live entry of the fundamental vector: the
-    # vector and its six shifts as integers, one 0/1 byte per residue, so
-    # OR and AND act bytewise; a nonzero byte of crowded is a live entry
-    # with a live neighbour
+    # local structure at every live entry of the unit: the unit and its six
+    # shifts as integers, one 0/1 byte per residue, so OR and AND act
+    # bytewise; a nonzero byte of crowded is a live entry with a live
+    # neighbour.  X_(t + d) for |d| <= n is wide[(t - 1) + reach*P + d]
+    reach = -(-n // period)
+    wide = unit * (2 * reach + 1)
     near = 0
     for d in six:
-        near |= int.from_bytes(tripled[size + d : 2 * size + d], "big")
-    crowded = near & int.from_bytes(s.vector, "big")
+        near |= int.from_bytes(wide[reach * period + d : (reach + 1) * period + d], "big")
+    crowded = near & int.from_bytes(unit, "big")
+    crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
     rep.tally(
         "six-neighbor zeros",
-        len(live),
-        [
-            f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})"
-            for t in compress(range(1, size + 1), crowded.to_bytes(size, "big"))
-        ],
+        laps * len(live),
+        [f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)],
     )
     unique = [a is not None and b is not None for a, b in zip(sa, ca)]
     not_unique = []
-    for t in live:
-        if not unique[t - 1]:
-            try:  # the step raises with the count of live candidates
-                s.successor_step(t)
-                s.co_successor_step(t)
-            except AssertionError as exc:
-                not_unique.append(f"{ctx}: {exc}")
-    rep.tally("unique successor candidates", len(live), not_unique)
+    for t in _laps([t for t in live if not unique[t - 1]], period, laps):
+        try:  # the step raises with the count of live candidates
+            s.successor_step(t)
+            s.co_successor_step(t)
+        except AssertionError as exc:
+            not_unique.append(f"{ctx}: {exc}")
+    rep.tally("unique successor candidates", laps * len(live), not_unique)
     # an entry stepping onto one without unique letters is left to that one
     checked, noncommuting, skewed, one_way = 0, [], [], []
     for t in live:
         r = t - 1
         if not unique[r]:
             continue
-        rs, rc = (r + sa[r]) % size, (r + ca[r]) % size
+        rs, rc = (r + sa[r]) % period, (r + ca[r]) % period
         if not (unique[rs] and unique[rc]):
             continue
         checked += 1
         if sa[r] + ca[rs] != ca[r] + sa[rc]:
-            noncommuting.append(f"{ctx} at tape {t}")
+            noncommuting.append(t)
         if sl[rc] != sl[r] or cl[rs] != cl[r]:
-            skewed.append(f"{ctx} at tape {t}")
+            skewed.append(t)
         if pa[rs] != -sa[r] or cpa[rc] != -ca[r]:
-            one_way.append(f"{ctx} at tape {t}")
-    rep.tally("commutation", checked, noncommuting)
-    rep.tally("parallelogram", checked, skewed)
-    rep.tally("predecessor round trip", checked, one_way)
+            one_way.append(t)
+    for law, failed in (
+        ("commutation", noncommuting),
+        ("parallelogram", skewed),
+        ("predecessor round trip", one_way),
+    ):
+        rep.tally(law, laps * checked, [f"{ctx} at tape {t}" for t in _laps(failed, period, laps)])
     part = s.snakes if s.steps_are_maps else None
 
     # letter-count constraints and scale identities
@@ -251,10 +268,14 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         return
 
     # tape period: minimality and the divisibility characterization
-    period = met.T_tape
-    reads = s.reads(3 * period + size)
-    shifts = range(1, 3 * period + 1)
-    wrong = [ell for ell in shifts if (reads[ell : ell + size] == reads[:size]) != (ell % period == 0)]
+    tape_period = met.T_tape
+    reads = s.reads(3 * tape_period + size)
+    shifts = range(1, 3 * tape_period + 1)
+    wrong = [
+        ell
+        for ell in shifts
+        if (reads[ell : ell + size] == reads[:size]) != (ell % tape_period == 0)
+    ]
     rep.tally("tape shift iff T_tape divides", len(shifts), [f"{ctx} shift {ell}" for ell in wrong])
 
     if not part:
@@ -273,20 +294,30 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         mismatch = [] if cyclically_equal(simulated, word) else [f"{ctx} simulated {simulated}"]
         rep.tally(law, 1, mismatch)
 
-    # linearity of iterated successor advance
+    # linearity of iterated successor advance: the advance of r*block steps
+    # from t depends only on (t - 1) mod P, so it is walked once per live
+    # residue of the unit and read for each t in part.live
     block = len(ws.word) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
-    nonlinear = []
-    for r in rounds:
-        for t in part.live:
-            u = t
-            for _ in range(r * block):
-                u += sa[(u - 1) % size]
-            if u - t != r * met.p:
-                nonlinear.append(f"{ctx} r={r} from {t}")
+    advanced = [None] * period  # per live residue, the advance after each round
+    for t in live:
+        u, after = t, []
+        for _ in rounds:
+            for _ in range(block):
+                u += sa[(u - 1) % period]
+            after.append(u - t)
+        advanced[t - 1] = after
+    nonlinear = [
+        f"{ctx} r={r} from {t}"
+        for r in rounds
+        for t in part.live
+        if advanced[(t - 1) % period][r - 1] != r * met.p
+    ]
     rep.tally("successor advance linear", len(rounds) * len(part.live), nonlinear)
 
-    # co-snake distinctness within one row span
+    # co-snake distinctness within one row span; X_(t + d) for |d| <= size
+    # is tripled[(t - 1) % size + size + d]
+    tripled = s.vector * 3
     label, sigma = part.cosnake_label, part.modulus
     near, shared = 0, []
     for t in part.live:

@@ -2,8 +2,19 @@
 
 from math import gcd
 
-from snakescroll.scroll import Partition
+from snakescroll.scroll import Partition, Scroll
+from snakescroll.slither import step_advance
 from snakescroll.tables import OrbitTable
+
+# the per-residue laws of verify.check_scroll
+RESIDUE_LAWS = (
+    "six-neighbor zeros",
+    "unique successor candidates",
+    "commutation",
+    "parallelogram",
+    "predecessor round trip",
+    "successor advance linear",
+)
 
 
 def map_torsor(part: Partition, outer: int, inner: int) -> bool:
@@ -64,3 +75,83 @@ def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
         raise AssertionError(f"the group moves t0 to {k * ell} of {len(live)} entries")
     d1 = gcd(ell, k, j)
     return tuple(d for d in (d1, k * ell // d1) if d > 1)
+
+
+def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
+    """Passes per law and "law: context" failures of the per-residue laws
+    (`RESIDUE_LAWS`), each checked at every one of the m*n residues.
+
+    Oracle for verify.check_scroll, which runs those laws on the vector's
+    least period and multiplies each count by the laps: this checks each
+    tape index t in [1, m*n] (the linearity law each live residue mod
+    sigma) on its own, reading the letter tables mod their length.  The
+    linearity law needs the steps to be maps, so it runs only where they
+    are, as in check_scroll.
+    """
+    n, size, vector = s.n, s.m * s.n, s.vector
+    ctx = f"n={n} seed={s.base.rows[0]}"
+    advance = {x: step_advance(x, n) for x in "EDSL"}
+    tables = (
+        s.successor_letters,
+        s.co_successor_letters,
+        s.predecessor_letters,
+        s.co_predecessor_letters,
+    )
+
+    def letter(k: int, t: int) -> str:  # table k at tape index t
+        return tables[k][(t - 1) % len(tables[k])]
+
+    def unique(t: int) -> bool:
+        return letter(0, t) in advance and letter(1, t) in advance
+
+    live = [t for t in range(1, size + 1) if vector[t - 1]]
+    totals = dict.fromkeys(RESIDUE_LAWS[:5], 0)
+    failures: dict[str, list[str]] = {law: [] for law in RESIDUE_LAWS}
+    for t in live:
+        totals["six-neighbor zeros"] += 1
+        if any(vector[(t - 1 + d) % size] for d in (-n, 1 - n, -1, 1, n - 1, n)):
+            failures["six-neighbor zeros"].append(f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})")
+        totals["unique successor candidates"] += 1
+        for k, what in ((0, "successor"), (1, "co-successor")):
+            if letter(k, t) not in advance:
+                failures["unique successor candidates"].append(
+                    f"{ctx}: {what} of live index {t}: {letter(k, t)} live candidates, expected 1"
+                )
+                break
+    for t in live:
+        if not unique(t):
+            continue
+        ts, tc = t + advance[letter(0, t)], t + advance[letter(1, t)]
+        if not (unique(ts) and unique(tc)):
+            continue
+        for law in RESIDUE_LAWS[2:5]:
+            totals[law] += 1
+        if ts + advance[letter(1, ts)] != tc + advance[letter(0, tc)]:
+            failures["commutation"].append(f"{ctx} at tape {t}")
+        if letter(0, tc) != letter(0, t) or letter(1, ts) != letter(1, t):
+            failures["parallelogram"].append(f"{ctx} at tape {t}")
+        back = [letter(k, u) for k, u in ((2, ts), (3, tc))]
+        if not all(x in advance for x in back) or (
+            ts - advance[back[0]] != t or tc - advance[back[1]] != t
+        ):
+            failures["predecessor round trip"].append(f"{ctx} at tape {t}")
+    if s.steps_are_maps:
+        met = s.metrics
+        block = len(met.slither.word) // met.deg
+        rounds = range(1, min(3, met.deg) + 1)
+        on_sigma = [t for t in range(met.sigma) if vector[(t - 1) % size]]
+        totals["successor advance linear"] = len(rounds) * len(on_sigma)
+        for r in rounds:
+            for t in on_sigma:
+                u = t
+                for _ in range(r * block):
+                    u += advance[letter(0, u)]
+                if u - t != r * met.p:
+                    failures["successor advance linear"].append(f"{ctx} r={r} from {t}")
+    passed = {
+        law: total - len(failures[law])
+        for law, total in totals.items()
+        if total > len(failures[law])
+    }
+    violations = [f"{law}: {context}" for law in RESIDUE_LAWS for context in failures[law]]
+    return passed, violations

@@ -11,8 +11,9 @@ from snakescroll.tables import omega_table
     "letters, what", [("successor_letters", "successor"), ("co_successor_letters", "co-successor")]
 )
 def test_svg_raises_on_a_non_unique_step_letter(letters, what):
-    # count digit "2" at live index 7: past the first tape period (T_tape = 7),
-    # so the snake partition builds and the edge drawing meets it
+    # count digit "2" at live index 7 of the period table (P = T_tape = 7):
+    # building the snake partition reads the period advances, which raise
+    # with the step's message, naming the index in [1, T]
     s = scroll_from_seed("00001010000")
     table = getattr(s, letters)
     vars(s)[letters] = table[:6] + "2" + table[7:]

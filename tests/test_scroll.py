@@ -28,8 +28,8 @@ def test_successor_steps_on_the_running_example():
     assert (t, letter) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
     assert s.predecessor_letters[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
-    u = s.co_successor(5)
-    assert u - step_advance(s.co_predecessor_letters[(u - 1) % 77], 11) == 5
+    u = s.co_successor(5)  # the tables are one least period, 7 letters
+    assert u - step_advance(s.co_predecessor_letters[(u - 1) % 7], 11) == 5
 
 
 def test_successor_and_co_successor_commute():
@@ -105,9 +105,10 @@ def least_cyclic_period(vector: bytes) -> int:
 
 
 def test_step_letters_match_the_reference():
-    # the tables are built over the vector's least period P and repeated:
-    # orbits listed twice have P < m*n, and one symbol flipped in the last
-    # period of such a vector makes P = m*n
+    # the tables are the vector's least period P, built there: repeated to
+    # the vector's length they are the reference; orbits listed twice have
+    # P < m*n, and one symbol flipped in the last period of such a vector
+    # makes P = m*n
     orbits = [o for n in range(2, 17) for o in all_orbits(n)]
     scrolls = [Scroll(o) for o in orbits + [Orbit(("1000", "0010"))]]
     for o in orbits:
@@ -120,13 +121,16 @@ def test_step_letters_match_the_reference():
         assert least_cyclic_period(flipped.vector) == len(vector)
         scrolls += [doubled, flipped]
     for s in scrolls:
+        period = least_cyclic_period(s.vector)
+        laps = len(s.vector) // period
         for got, letters, sign in (
             (s.successor_letters, "ED", 1),
             (s.co_successor_letters, "SL", 1),
             (s.predecessor_letters, "ED", -1),
             (s.co_predecessor_letters, "SL", -1),
         ):
-            assert got == reference_step_letters(s.vector, s.n, letters, sign), s.base.rows
+            assert len(got) == period, s.base.rows
+            assert got * laps == reference_step_letters(s.vector, s.n, letters, sign), s.base.rows
 
 
 def test_running_example_tape_period():

@@ -18,7 +18,7 @@ from snakescroll.verify import (
     run_verification,
 )
 
-from oracles import map_torsor
+from oracles import RESIDUE_LAWS, map_torsor, residue_laws
 
 
 def test_small_cycles_are_clean():
@@ -292,30 +292,33 @@ def test_a_law_that_never_ran_has_no_key(n):
 
 @pytest.mark.parametrize("t", [5, 7])
 def test_a_non_unique_step_letter_is_recorded_not_raised(t):
-    # successor letter "2" (two live candidates) at live index t; t = 5 lies
-    # in the first tape period, which the snake partition reads, and t = 7
-    # only in a later one, where the two entries stepping onto it reach it
+    # successor letter "2" (two live candidates) at live index t of the
+    # period table (P = 7, the live indices 5 and 7): it stands for
+    # t + 7k in each of the 11 laps of the 77 residues, each recorded
     s = scroll_from_seed("00001010000")
     letters = s.successor_letters
+    assert len(letters) == 7
     s.__dict__["successor_letters"] = letters[: t - 1] + "2" + letters[t:]
     rep = VerificationReport()
     check_scroll(s, rep)
     assert rep.violations == [
         "unique successor candidates: n=11 seed=00001010000: "
-        f"successor of live index {t}: 2 live candidates, expected 1"
+        f"successor of live index {t + 7 * k}: 2 live candidates, expected 1"
+        for k in range(11)
     ]
     live = sum(s.vector)
     assert rep.passed["six-neighbor zeros"] == live
-    assert rep.passed["unique successor candidates"] == live - 1
+    assert rep.passed["unique successor candidates"] == live - 11
+    # the other live index of the period steps onto t: no entry is checked
     for law in ("commutation", "parallelogram", "predecessor round trip"):
-        assert rep.passed[law] == live - 3, law
+        assert law not in rep.passed, law
     # the laws on the step maps need every step to be a map: all skipped
     assert "alpha from letters" not in rep.passed
     assert "free affine action" not in rep.passed
     # so do the table laws: one violation for the orbit, no table law
     passed = dict(rep.passed)
     check_tables(s, 2, rep)
-    assert rep.violations[1:] == [
+    assert rep.violations[11:] == [
         "table laws skipped: n=11 seed=00001010000: steps are not maps"
     ]
     assert rep.passed == passed
@@ -344,36 +347,92 @@ TABLE_LAWS = {
 }
 
 
-@pytest.mark.parametrize("residue", [4, 11, 18])
-def test_a_step_onto_a_dead_residue_skips_the_partition_laws(residue):
-    # successor letter E -> D at a live residue: the step lands on its other
-    # candidate, a dead residue, so the successor is no map of the live
-    # entries; it is recorded, and nothing raises
-    s = scroll_from_seed("00001010000")
+@pytest.mark.parametrize(
+    "seed, residue",
+    [("00001010000", 4), ("00000010000", 11), ("00000010000", 18)],
+    ids=["4", "11", "18"],
+)
+def test_a_step_onto_a_dead_residue_skips_the_partition_laws(seed, residue):
+    # successor letter E -> D at a live residue of the period table (P = 7
+    # for the running example, 21 for the second seed, with E at 11 and 18):
+    # the step lands on its other candidate, a dead residue, so the
+    # successor is no map of the live entries; it is recorded, and nothing
+    # raises
+    s = scroll_from_seed(seed)
     letters = s.successor_letters
     assert letters[residue] == "E"
     s.__dict__["successor_letters"] = letters[:residue] + "D" + letters[residue + 1 :]
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
-    assert rep.violations[-1] == "table laws skipped: n=11 seed=00001010000: steps are not maps"
+    assert rep.violations[-1] == f"table laws skipped: n=11 seed={seed}: steps are not maps"
     assert not (PARTITION_LAWS | TABLE_LAWS) & set(rep.passed)
     assert "snakes" not in vars(s)
+
+
+def _residue_results(s: Scroll) -> tuple[dict[str, int], list[str]]:
+    """check_scroll's passes and violations of the per-residue laws alone."""
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    passed = {law: count for law, count in rep.passed.items() if law in RESIDUE_LAWS}
+    return passed, [v for v in rep.violations if v.split(":")[0] in RESIDUE_LAWS]
+
+
+def test_residue_laws_on_one_period_match_every_residue():
+    # check_scroll runs the per-residue laws on the least period P and
+    # multiplies; the oracle checks all m*n residues, on every orbit n <= 16
+    orbits = 0
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            assert _residue_results(s) == residue_laws(s), o.rows[0]
+            orbits += 1
+    assert orbits == 159
+
+
+@pytest.mark.parametrize(
+    "seed, table, letters",
+    [
+        ("00001010000", "successor_letters", "....2.D"),
+        ("00001010000", "successor_letters", "....E.2"),
+        ("00001010000", "co_successor_letters", "....S.2"),
+        ("00001010000", "successor_letters", "....D.D"),
+        ("00000010000", "successor_letters", "......D....D.E.D..E.D"),
+        ("00000010000", "successor_letters", "......D....E.E.D..D.D"),
+        ("00001010000", "predecessor_letters", "....D.0"),
+        ("00001010000", "co_predecessor_letters", "....S.0"),
+        # two failures per period: reported lap by lap, in tape order
+        ("00001010000", "successor_letters", "....2.2"),
+        ("00001010000", "co_predecessor_letters", "....0.0"),
+    ],
+)
+def test_residue_laws_on_one_period_match_every_residue_when_corrupted(seed, table, letters):
+    # the injections of the tests above into the period tables, each
+    # standing for one per lap of the m*n residues
+    s = scroll_from_seed(seed)
+    assert sum(map(str.__ne__, getattr(s, table), letters)) in (1, 2)
+    vars(s)[table] = letters
+    assert _residue_results(s) == residue_laws(s)
 
 
 @pytest.mark.parametrize(
     "table, tape", [("predecessor_letters", 5), ("co_predecessor_letters", 63)]
 )
 def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
-    # inverse letter "0" (no live candidate) at live index 7: the one entry
-    # whose step reaches 7 fails its round trip, and nothing raises
+    # inverse letter "0" (no live candidate) at live index 7 of the period
+    # table (P = 7): tape is the one entry of the 77 residues whose step
+    # reaches 7, and each entry congruent to it mod 7, one per lap, fails
+    # its round trip; nothing raises
     s = scroll_from_seed("00001010000")
     letters = getattr(s, table)
     s.__dict__[table] = letters[:6] + "0" + letters[7:]
     rep = VerificationReport()
     check_scroll(s, rep)
-    assert rep.violations == [f"predecessor round trip: n=11 seed=00001010000 at tape {tape}"]
-    assert rep.passed["predecessor round trip"] == sum(s.vector) - 1
+    assert rep.violations == [
+        f"predecessor round trip: n=11 seed=00001010000 at tape {(tape - 1) % 7 + 1 + 7 * k}"
+        for k in range(11)
+    ]
+    assert rep.passed["predecessor round trip"] == sum(s.vector) - 11
     assert "free affine action" not in rep.passed
 
 
