@@ -38,7 +38,6 @@ from .sums import col_scale, construct_period_lambda, sum_vector
 from .tables import (
     OrbitTable,
     co_swallow,
-    fundamental_degrees,
     group_invariants,
     is_color_preserving,
     omega_table,

@@ -12,7 +12,6 @@ from .sums import col_scale, sum_vector
 from .tables import (
     OrbitTable,
     co_swallow,
-    fundamental_degrees,
     group_invariants,
     is_color_preserving,
     predicted_counts,
@@ -83,7 +82,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
             "predictedCountsMatch": (tab.alpha, tab.beta)
             == predicted_counts(s, omega),
             "slitherMatchesSimulation": cyclically_equal("".join(sim), met.slither.word),
-            "fundamentalDegreesCoprime": gcd(*fundamental_degrees(s)) == 1,
+            "fundamentalDegreesCoprime": gcd(*s.fundamental_degrees) == 1,
             "groupOrderMatchesEta": inv.order == table.eta,
         },
     }

@@ -24,23 +24,29 @@ and distinct snakes cannot merge under it, so the quotient is faithful):
 that partition is `Scroll.snakes`.  Mod the size omega*m*n of an orbit table
 they are the ouroboroi (`tables.OrbitTable.ouroboroi`).  A `Partition` is
 its scroll, its modulus and its two cycle counts; its live residues, its
-maps reduced mod M (`reduced_maps`) and its cycle labels are built on first
-read.  In the library only the sigma partition is read that way, by the
-extended laws, the swallows and the renderers.
+cycle walk and its cycle labels are built on first read.  In the library
+only the sigma partition is read that way, by the extended laws, the
+swallows and the renderers.
+
+One walker, `walk_cycles`, walks both maps mod any multiple M of T.  Each
+scroll reads the advance of each step at each residue mod T once
+(`Scroll.period_advances`), and the walker steps a residue v by the
+advance at v mod T: per live residue it gives its cycle, its index on that
+cycle and its lift, per cycle its length and winding.  Cycles are numbered
+by their least members, so a residue's label, the least member of its
+cycle, is read off its cycle number (`Partition.snake_label`).
 
 The cycle counts come from the covering map Z/M -> Z/T.  A cycle of a map
 mod T whose advances sum to w*T lifts to gcd(w, M/T) cycles mod M: the map
 commutes with the shift by T, so going once round the cycle moves each
 point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
-the gcd(w, M/T) orbits of that translation.  So each scroll reads the
-advance of each step at each residue mod T once (`Scroll.period_advances`)
-and walks each of its two maps there once (`Scroll.period_cycles`): per
-live residue its cycle, its index on that cycle and its lift, per cycle
-its length and winding (`Scroll.windings`).  A partition's counts are sums
-of gcds.  The same covering places each point mod M on its co-successor
-orbit, so the torsor laws of `verify` walk only the successor mod M,
-stepping a residue v by the advance at v mod T, read the co-successor
-orbits off the cycles mod T, and build nothing of size M.
+the gcd(w, M/T) orbits of that translation.  So each scroll walks its two
+maps mod T once (`Scroll.period_cycles`, `Scroll.windings`), and a
+partition's counts are sums of gcds: only the sigma partition is walked,
+for its labels.  The same covering places each point mod M on its
+co-successor orbit, so the torsor laws of `verify` walk only the successor
+mod M, stepping a residue v by the advance at v mod T, read the
+co-successor orbits off the cycles mod T, and build nothing of size M.
 """
 
 from __future__ import annotations
@@ -208,38 +214,9 @@ class Scroll:
 
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
-        """The cycles of the successor (then co-successor) mod the tape period
-        T, each map walked once on the period advances, as four arrays
-        (cycle, index, lift, cycles).
-
-        For a live u in [0, T), u is on cycle cycle[u], index[u] = k steps
-        from that cycle's least member u0, and u0 + A_k = u + lift[u]*T, A_k
-        the summed advance of those k steps; the three are None where u is
-        dead.  cycles[i] is the length and the winding of cycle i, the
-        winding being its summed advance over T; cycles are numbered by
-        their least members, ascending.  A map that does not permute the
-        live residues raises, as it does mod every multiple of T."""
-        period, walks = self.metrics.T_tape, []
-        live = list(compress(range(period), self.reads(period)))
-        for row in self.period_advances:
-            cycle, index, lift, cycles = [None] * period, [None] * period, [None] * period, []
-            for start in live:
-                if cycle[start] is not None:
-                    continue
-                i, k, u = len(cycles), 0, start
-                v = start  # u0 + A_k
-                while True:
-                    cycle[u], index[u], lift[u] = i, k, v // period
-                    v += row[u]
-                    k += 1
-                    u = v % period
-                    if u == start:
-                        break
-                    if row[u] is None or cycle[u] is not None:  # None: a dead residue
-                        raise AssertionError(f"step is not a permutation of live: from {start}")
-                cycles.append((k, (v - start) // period))
-            walks.append((cycle, index, lift, cycles))
-        return tuple(walks)
+        """The cycles of the successor (then co-successor) mod the tape
+        period T (`walk_cycles` at T)."""
+        return walk_cycles(self, self.metrics.T_tape)
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
@@ -301,44 +278,57 @@ def _fold(s: Scroll, modulus: int) -> int:
     return modulus // period
 
 
-def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
-    """Successor and co-successor reduced mod modulus, as integer arrays.
+def walk_cycles(s: Scroll, modulus: int) -> tuple[tuple[list, list, list, list], ...]:
+    """The cycles of the successor (then co-successor) of s mod modulus M, a
+    multiple of its tape period T, each map walked once on the period
+    advances (`Scroll.period_advances`): a residue v moves by the advance at
+    v mod T.  Four arrays (cycle, index, lift, cycles) per map.
 
-    Entry r is the image of every tape index t = r (mod modulus), reduced
-    mod modulus, or None for a dead residue.  modulus must be a multiple of
-    the tape period, the period of the step letters, so the advance of each
-    live t < period (`Scroll.period_advances`) moves its class onto its image's.
+    For a live u in [0, M), u is on cycle cycle[u], index[u] = k steps from
+    that cycle's least member u0, and u0 + A_k = u + lift[u]*M, A_k the
+    summed advance of those k steps; the three are None where u is dead.
+    cycles[i] is the length and the winding of cycle i, the winding being
+    its summed advance over M; cycles are numbered by their least members,
+    ascending.  A map that does not permute the live residues raises.
     """
     period = modulus // _fold(s, modulus)
-    maps = ([None] * modulus, [None] * modulus)
-    live = list(compress(range(period), s.reads(period)))
-    for image, row in zip(maps, s.period_advances):
-        for t in live:
-            v = (t + row[t]) % modulus
-            image[t::period] = [*range(v, modulus, period), *range(v % period, v, period)]
-    return maps
-
-
-def label_cycles(live, step: list) -> list:
-    """Per residue, the least member of its cycle of step (None off live);
-    step must permute live (else AssertionError).  live ascends, so the
-    first unlabelled residue met starts its cycle and is its least member."""
-    label = [None] * len(step)
-    for start in live:
-        if label[start] is None:
-            label[start], x = start, step[start]
-            while x != start:
-                if x is None or label[x] is not None:  # None: it went through a dead residue
+    live = list(compress(range(modulus), s.reads(modulus)))
+    walks = []
+    for row in s.period_advances:
+        cycle, index, lift, cycles = [None] * modulus, [None] * modulus, [None] * modulus, []
+        for start in live:
+            if cycle[start] is not None:
+                continue
+            i, k, u, d = len(cycles), 0, start, row[start % period]
+            v = start  # u0 + A_k
+            while True:
+                cycle[u], index[u], lift[u] = i, k, v // modulus
+                v += d
+                k += 1
+                u = v % modulus
+                if u == start:
+                    break
+                d = row[u % period]
+                if d is None or cycle[u] is not None:  # None: a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
-                label[x], x = start, step[x]
-    return label
+            cycles.append((k, (v - start) // modulus))
+        walks.append((cycle, index, lift, cycles))
+    return tuple(walks)
+
+
+def _labels(walk: tuple[list, list, list, list]) -> list:
+    """Per residue, the least member of its cycle (None where dead): the
+    residues at index 0, ascending, are the cycles' least members in order."""
+    cycle, index, _, _ = walk
+    starts = [u for u, k in enumerate(index) if k == 0]
+    return [None if i is None else starts[i] for i in cycle]
 
 
 @dataclass(frozen=True)
 class Partition:
     """Cycles of the successor (snakes) and co-successor (co-snakes) of a
-    scroll mod modulus: their counts, with the residues, maps and labels
-    built on first read."""
+    scroll mod modulus: their counts, with the residues, the cycle walk and
+    the labels built on first read."""
 
     scroll: Scroll
     modulus: int
@@ -351,19 +341,19 @@ class Partition:
         return tuple(compress(range(self.modulus), self.scroll.reads(self.modulus)))
 
     @cached_property
-    def maps(self) -> tuple[list, list]:
-        """Reduced successor and co-successor, None on dead residues."""
-        return reduced_maps(self.scroll, self.modulus)
+    def walk(self) -> tuple[tuple[list, list, list, list], ...]:
+        """Both maps walked mod modulus (`walk_cycles`)."""
+        return walk_cycles(self.scroll, self.modulus)
 
     @cached_property
     def snake_label(self) -> list:
         """Per residue, the least residue of its snake; None if dead."""
-        return label_cycles(self.live, self.maps[0])
+        return _labels(self.walk[0])
 
     @cached_property
     def cosnake_label(self) -> list:
         """Likewise for co-snakes."""
-        return label_cycles(self.live, self.maps[1])
+        return _labels(self.walk[1])
 
     def snake_of(self, t: int) -> int:
         return self.snake_label[t % self.modulus]

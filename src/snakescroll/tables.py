@@ -9,18 +9,20 @@ its co-snakes the co-ouroboroi.  A table keeps only the two counts.  It
 covers the tape period T, so they are lifted, not walked: a cycle mod T of
 winding w (summed advance w*T) splits into gcd(w, omega*m*n/T) cycles of
 the table, one per orbit of the translation by w*T on the cycle's fibre,
-and no table reduces or labels its maps.  The live residues form a torsor
-of the finite abelian group generated by the two reduced maps; the torsor
-law of `verify` checks that in bar_beta successor steps, each placed on
-its co-successor orbit through the same covering, with no walk of size
-eta.  The group has rank at most two, so its invariant factors are two
-gcds of its presentation (`group_invariants`); the test suite's group
-oracle reads them off the reduced maps instead.  Covering degrees,
-predicted counts and swallows are closed forms in the scroll's metrics;
-the cycle counts of the reduced maps (`OrbitTable.ouroboroi`) are what
-they are checked against.  A swallow's walk order does not depend on
-omega: each scroll keeps it (`Scroll.snake_walk`, `Scroll.cosnake_walk`),
-and a table adds only the image of each label.
+and no table walks or labels its maps (`scroll.walk_cycles` runs mod T and
+mod sigma only).  The live residues form a torsor of the finite abelian
+group generated by the two maps mod the table size; the torsor law of
+`verify` checks that in bar_beta successor steps, each placed on its
+co-successor orbit through the same covering, with no walk of size eta.
+The group has rank at most two, so its invariant factors are two gcds of
+its presentation (`group_invariants`); the test suite's group oracle reads
+them off the steps reduced mod the table size instead.  Covering degrees
+(`Scroll.fundamental_degrees`), predicted counts and swallows are closed
+forms in the scroll's metrics; the lifted cycle counts
+(`OrbitTable.ouroboroi`) are what they are checked against.  A swallow's
+walk order does not depend on omega: each scroll keeps it
+(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table adds only the
+image of each label.
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two
@@ -70,17 +72,11 @@ def omega_table(s: Scroll, omega: int) -> OrbitTable:
     return OrbitTable(s, omega)
 
 
-def fundamental_degrees(s: Scroll) -> tuple[int, int]:
-    """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table,
-    found once per scroll (`Scroll.fundamental_degrees`)."""
-    return s.fundamental_degrees
-
-
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     """Closed-form (bar_alpha_omega, bar_beta_omega): alpha / deg p_1 and
     beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
     met = s.metrics
-    deg_p1, codeg_p1 = fundamental_degrees(s)
+    deg_p1, codeg_p1 = s.fundamental_degrees
     return (
         met.coslither.alpha // deg_p1 * gcd(deg_p1, omega),
         met.slither.beta // codeg_p1 * gcd(codeg_p1, omega),
@@ -184,9 +180,9 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     determinantal divisors (H. J. S. Smith, 1861): d1 is the gcd of its
     entries, and d1*d2 the gcd of its three 2x2 minors, which must be eta.
     The presentation describes the actual permutation group generated by
-    the reduced maps (checked against a torsor oracle in the test suite).
-    Simple transitivity gives order eta, ord s = eta/bar_alpha and
-    ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
+    the two maps mod the table size (checked against a torsor oracle in the
+    test suite).  Simple transitivity gives order eta, ord s = eta/bar_alpha
+    and ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
     g = gcd(bar_alpha, bar_beta).  The two product decompositions are
     reported alongside as evidence fields rather than assertions:
     Z_bar_alpha x Z_(eta/bar_alpha) agrees exactly when
@@ -224,7 +220,7 @@ def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermut
     s = t.scroll
     part = s.snakes
     tab = t.ouroboroi
-    deg_p1, codeg_p1 = fundamental_degrees(s)
+    deg_p1, codeg_p1 = s.fundamental_degrees
     conditions = {
         "counts": tab.alpha == part.alpha and tab.beta == part.beta,
         "swallows": sw.is_identity and cs.is_identity,

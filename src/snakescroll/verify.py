@@ -24,7 +24,6 @@ from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
     co_swallow,
-    fundamental_degrees,
     group_invariants,
     omega_table,
     predicted_counts,
@@ -162,7 +161,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     count is multiplied by laps = m*n/P, and each failure at t stands for
     t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
     in tape order.  The successor advance is likewise walked once per
-    residue mod P.  The laws on the reduced maps and on walks of the steps
+    residue mod P.  The laws on the snake partition and on walks of the steps
     need all four steps to be maps of the live entries; where a live entry
     has no unique letter in some table, the unique-candidates or round-trip
     law reports it and those laws are skipped for the orbit; they are
@@ -267,15 +266,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     if not extended:
         return
 
-    # tape period: minimality and the divisibility characterization
+    # tape period: minimality and the divisibility characterization; a
+    # shift by ell fixes the tape iff the vector's least period P divides ell
     tape_period = met.T_tape
-    reads = s.reads(3 * tape_period + size)
     shifts = range(1, 3 * tape_period + 1)
-    wrong = [
-        ell
-        for ell in shifts
-        if (reads[ell : ell + size] == reads[:size]) != (ell % tape_period == 0)
-    ]
+    wrong = [ell for ell in shifts if (ell % period == 0) != (ell % tape_period == 0)]
     rep.tally("tape shift iff T_tape divides", len(shifts), [f"{ctx} shift {ell}" for ell in wrong])
 
     if not part:
@@ -362,7 +357,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         return
     met = s.metrics
 
-    deg_p1, codeg_p1 = fundamental_degrees(s)
+    deg_p1, codeg_p1 = s.fundamental_degrees
     rep.check(
         "crossed degree divisibility",
         met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0,

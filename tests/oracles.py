@@ -17,16 +17,39 @@ RESIDUE_LAWS = (
 )
 
 
-def map_torsor(part: Partition, outer: int, inner: int) -> bool:
-    """Whether s^a c^b (a < outer, b < inner) moves the first live residue
-    of part onto each live residue once, s and c its reduced maps.
+def reduced_maps(part: Partition) -> tuple[list, list]:
+    """Successor and co-successor of part's scroll reduced mod its modulus M.
+
+    Entry r is the image of every tape index t = r (mod M), reduced mod M,
+    or None for a dead residue.  Oracle for the cycle walk
+    (`scroll.walk_cycles`), which steps a residue by the scroll's advance
+    at it mod the tape period: this calls each step at each live index of
+    [0, g), g = gcd(M, m*n), and extends by the shift g, which the steps
+    commute with mod M, as they do with the shift by m*n.
+    """
+    s, modulus = part.scroll, part.modulus
+    size = len(s.vector)
+    g = gcd(modulus, size)
+    maps = ([None] * modulus, [None] * modulus)
+    for image, step in zip(maps, (s.successor, s.co_successor)):
+        for r in range(g):
+            if s.vector[(r - 1) % size]:
+                # (t + step(r) - r) mod M for t = r, r + g, ..: up to M, then from v mod g
+                v = step(r) % modulus
+                image[r::g] = [*range(v, modulus, g), *range(v % g, v, g)]
+    return maps
+
+
+def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
+    """Whether s^a c^b (a < outer, b < inner) moves live[0] onto each of the
+    live residues once, (s, c) = maps, a partition's `reduced_maps`.
 
     Oracle for verify._is_torsor, which walks only s and reads the c-orbits
     mod M off the scroll's cycles mod the tape period instead: this walk
-    visits every image, on the partition's live residues and its reduced
-    maps mod M alone.
+    visits every image, on the partition's live residues and its maps
+    reduced mod M alone.
     """
-    (s, c), live = part.maps, part.live
+    s, c = maps
     if outer * inner != len(live):
         return False
     seen, cur = set(), live[0]
@@ -45,14 +68,15 @@ def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
     """Nontrivial invariant factors of the group the reduced maps generate.
 
     Oracle for group_invariants: it reads only the table partition's live
-    residues and its two reduced maps s (successor) and c (co-successor).
+    residues and its two maps reduced mod the table size (`reduced_maps`), s
+    (successor) and c (co-successor).
     Commuting maps whose group is transitive on the live entries act simply
     transitively, so the group is Z^2 modulo the stabiliser lattice of t0.
     With l the length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
     k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
     tab = t.ouroboroi
-    live, (s, c) = tab.live, tab.maps
+    live, (s, c) = tab.live, reduced_maps(tab)
     for x in live:
         if s[c[x]] != c[s[x]]:
             raise AssertionError(f"successor and co-successor do not commute at {x}")
@@ -155,3 +179,21 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     }
     violations = [f"{law}: {context}" for law in RESIDUE_LAWS for context in failures[law]]
     return passed, violations
+
+
+def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
+    """Passes and "law: context" failures of "tape shift iff T_tape divides".
+
+    Oracle for verify.check_scroll, which asks whether the vector's least
+    period divides each shift: this compares the tape read from each shift
+    ell in [1, 3*T_tape] with the tape read from 0, m*n symbols each.
+    """
+    law, size, period = "tape shift iff T_tape divides", s.m * s.n, s.metrics.T_tape
+    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    reads = s.reads(3 * period + size)
+    wrong = [
+        ell
+        for ell in range(1, 3 * period + 1)
+        if (reads[ell : ell + size] == reads[:size]) != (ell % period == 0)
+    ]
+    return 3 * period - len(wrong), [f"{law}: {ctx} shift {ell}" for ell in wrong]

@@ -22,7 +22,6 @@ from snakescroll.slither import metrics_from_row
 from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
     co_swallow,
-    fundamental_degrees,
     group_invariants,
     omega_table,
 )
@@ -50,7 +49,7 @@ def test_criterion_1_running_example_n11():
 
     tab = omega_table(s, 1).ouroboroi
     assert (tab.alpha, tab.beta) == (1, 2)
-    assert fundamental_degrees(s) == (2, 3)
+    assert s.fundamental_degrees == (2, 3)
 
     cs = co_swallow(omega_table(s, 1))
     assert cs.cycle_type == (3, 3)

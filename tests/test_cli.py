@@ -222,25 +222,20 @@ def test_orbit_svg_builds_no_report(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
 def test_orbit_builds_no_table_size_array(capsys, monkeypatch, fmt):
     # the table's counts are lifted from the windings, walked mod the tape
-    # period with no labelling: the maps are reduced and labelled only mod
-    # sigma (42), never at the table size 2*m*n = 154
+    # period: the maps are walked only mod T (7), for the windings, and mod
+    # sigma (42), for the labels, never at the table size 2*m*n = 154
     moduli = []
+    original = scroll.walk_cycles
 
-    def recording(name, size_of):
-        original = getattr(scroll, name)
+    def recorded(s, modulus):
+        moduli.append(modulus)
+        return original(s, modulus)
 
-        def recorded(*args):
-            moduli.append(size_of(*args))
-            return original(*args)
-
-        monkeypatch.setattr(scroll, name, recorded)
-
-    recording("reduced_maps", lambda _s, modulus: modulus)
-    recording("label_cycles", lambda _live, step: len(step))
+    monkeypatch.setattr(scroll, "walk_cycles", recorded)
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
-    assert set(moduli) == {42}
+    assert moduli == [7, 42]
 
 
 @pytest.mark.parametrize("argv", sorted(CONSTRUCTION_SHA256))

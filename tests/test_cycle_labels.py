@@ -1,32 +1,54 @@
 """Cycle labels of a permutation: the partition behind snakes and ouroboroi."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, label_cycles, reduced_maps, scroll_from_seed
+from snakescroll.scroll import Partition, Scroll, scroll_from_seed, walk_cycles
 from snakescroll.tables import omega_table
+
+
+def _advances_scroll(row: list) -> SimpleNamespace:
+    """A scroll of tape period len(row) whose successor and co-successor
+    both move residue u by row[u]; None marks a dead residue."""
+    live = bytes(d is not None for d in row)
+    return SimpleNamespace(
+        metrics=SimpleNamespace(T_tape=len(row)),
+        period_advances=(row, row),
+        reads=lambda length: live * (length // len(row)),
+    )
+
+
+def _labels(row: list, fold: int = 1) -> list:
+    """The snake labels of the partition mod fold*len(row)."""
+    part = Partition(_advances_scroll(row), fold * len(row), 0, 0)
+    assert part.cosnake_label == part.snake_label
+    return part.snake_label
 
 
 def test_labels_are_least_cycle_members():
     # residue 0 is not live; (2 4) and (3 5) are cycles
-    perm = [None, 1, 4, 5, 2, 3]
-    assert label_cycles((1, 2, 3, 4, 5), perm) == [None, 1, 2, 3, 2, 3]
-    shift = [(x + 2) % 6 for x in range(6)]
-    assert label_cycles(range(6), shift) == [0, 1, 0, 1, 0, 1]
+    assert _labels([None, 0, 2, 2, -2, -2]) == [None, 1, 2, 3, 2, 3]
+    assert _labels([2] * 6) == [0, 1, 0, 1, 0, 1]
+    # the same advances mod 12: a cycle of winding 1 mod 6 lifts to one
+    # cycle twice as long, one of winding 0 to two cycles
+    assert _labels([None, 0, 2, 2, -2, -2], 2) == [None, 1, 2, 3, 2, 3] + [None, 7, 8, 9, 8, 9]
+    assert _labels([2] * 6, 2) == [0, 1] * 6
 
 
 @pytest.mark.parametrize(
-    "perm",
+    "row",
     [
-        [1, 2, 1],  # not injective: 0 falls into the cycle (1 2)
-        [1, 0, 1],  # 2 lands in an already labelled cycle
-        [1, 3, None, None],  # leaves the live residues 0, 1
+        [1, 1, -1],  # not injective: 0 falls into the cycle (1 2)
+        [1, -1, -1],  # 2 lands in an already labelled cycle
+        [1, 2, None, None],  # leaves the live residues 0, 1
     ],
 )
-def test_non_permutations_are_rejected(perm):
-    live = [r for r, x in enumerate(perm) if x is not None]
+@pytest.mark.parametrize("fold", [1, 3])
+def test_non_permutations_are_rejected(row, fold):
     with pytest.raises(AssertionError, match="not a permutation"):
-        label_cycles(live, perm)
+        _labels(row, fold)
 
 
 def _walked_labels(s, modulus):
@@ -110,7 +132,7 @@ def test_lifted_counts_match_walked_cycles():
 
 def test_windings_reject_a_non_injective_map():
     # tape period 7, live residues 0 and 5: send 0 where 5 goes, so both
-    # reach 0; the walk mod 7 raises, as labelling mod a table size does
+    # reach 0; the walk mod 7 raises, as the walk mod a table size does
     s = scroll_from_seed("00001010000")
     succ, co_succ = s.period_advances
     assert [t for t, d in enumerate(succ) if d is not None] == [0, 5]
@@ -119,23 +141,21 @@ def test_windings_reject_a_non_injective_map():
     with pytest.raises(AssertionError, match="not a permutation"):
         s.windings
     table = omega_table(s, 2)
-    table_live = [r for r in range(table.size) if s.vector[(r - 1) % len(s.vector)]]
     with pytest.raises(AssertionError, match="not a permutation"):
-        label_cycles(table_live, reduced_maps(s, table.size)[0])
+        walk_cycles(s, table.size)
     with pytest.raises(AssertionError, match="not a permutation"):
         table.ouroboroi
 
 
 def test_windings_reject_a_non_permuting_co_successor():
     # send live residue 0 where 5 goes under the co-successor mod 7, before
-    # anything reads the windings: the cycle walk raises as label_cycles does
+    # anything reads the windings: the walk mod T raises as the walk mod
+    # sigma, where the labels are read, does
     s = scroll_from_seed("00001010000")
     succ, co_succ = s.period_advances
-    co_succ = [5 + co_succ[5], *co_succ[1:]]
-    s.__dict__["period_advances"] = succ, co_succ
-    image = [None if d is None else (t + d) % 7 for t, d in enumerate(co_succ)]
-    with pytest.raises(AssertionError, match="not a permutation") as labelled:
-        label_cycles([0, 5], image)
-    with pytest.raises(AssertionError, match="not a permutation") as walked:
+    s.__dict__["period_advances"] = succ, [5 + co_succ[5], *co_succ[1:]]
+    message = "^step is not a permutation of live: from 0$"
+    with pytest.raises(AssertionError, match=message):
+        walk_cycles(s, s.metrics.sigma)
+    with pytest.raises(AssertionError, match=message):
         s.windings
-    assert str(walked.value) == str(labelled.value)

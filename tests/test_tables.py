@@ -5,11 +5,10 @@ from math import gcd, lcm
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, reduced_maps, scroll_from_seed
+from snakescroll.scroll import Scroll, scroll_from_seed, walk_cycles
 from snakescroll.tables import (
     _swallow,
     co_swallow,
-    fundamental_degrees,
     group_invariants,
     is_color_preserving,
     omega_table,
@@ -21,7 +20,7 @@ from snakescroll.tables import (
     table_slither,
 )
 
-from oracles import permutation_group_invariants
+from oracles import permutation_group_invariants, reduced_maps
 
 SEED11 = "00001010000"
 
@@ -40,7 +39,7 @@ def test_running_example_fundamental_counts():
     s = scroll_from_seed(SEED11)
     tab = omega_table(s, 1).ouroboroi
     assert (tab.alpha, tab.beta) == (1, 2)
-    assert fundamental_degrees(s) == (2, 3)
+    assert s.fundamental_degrees == (2, 3)
 
 
 def test_fundamental_degrees_match_simulated_counts():
@@ -52,7 +51,7 @@ def test_fundamental_degrees_match_simulated_counts():
         part = s.snakes
         tab = omega_table(s, 1).ouroboroi
         assert part.alpha % tab.alpha == 0 and part.beta % tab.beta == 0
-        degrees = fundamental_degrees(s)
+        degrees = s.fundamental_degrees
         assert degrees == (part.alpha // tab.alpha, part.beta // tab.beta)
         assert gcd(*degrees) == 1
 
@@ -151,7 +150,7 @@ def test_swallows_match_head_stepping_reference():
     for table in _all_tables():
         s = table.scroll
         part = s.snakes
-        succ, co_succ = reduced_maps(s, table.size)
+        succ, co_succ = reduced_maps(table.ouroboroi)
         sw = _reference_swallow(table, part.snake_of, part.alpha, s.co_successor, succ)
         cs = _reference_swallow(table, part.cosnake_of, part.beta, s.successor, co_succ)
         for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
@@ -189,13 +188,13 @@ def test_permutation_group_oracle_matches_exponent():
 
 
 def _assert_steps_reduced(s, live, part):
-    """part's live residues are those of live, and its maps are s.successor
-    and s.co_successor on live, reduced mod its modulus, and None on every
-    other residue."""
+    """part's live residues are those of live, and the oracle's maps reduced
+    mod its modulus are s.successor and s.co_successor on live, reduced, and
+    None on every other residue."""
     modulus = part.modulus
     residues = sorted(t % modulus for t in live)
     assert list(part.live) == residues
-    for array, step in zip(part.maps, (s.successor, s.co_successor)):
+    for array, step in zip(reduced_maps(part), (s.successor, s.co_successor)):
         assert len(array) == modulus
         assert [r for r, u in enumerate(array) if u is not None] == residues
         for t in live:
@@ -218,8 +217,8 @@ def test_reduced_maps_are_the_steps_reduced():
         _assert_steps_reduced(table.scroll, live, tab)
         assert table.eta == len(live)
     s = scroll_from_seed(SEED11)  # tape period 7
-    with pytest.raises(ValueError):
-        reduced_maps(s, 12)
+    with pytest.raises(ValueError, match="not a multiple of tape period 7"):
+        walk_cycles(s, 12)
 
 
 def test_direct_product_forms_fail_on_some_tables():
@@ -254,7 +253,7 @@ def test_crossed_degree_divisibility():
         for o in all_orbits(n):
             s = Scroll(o)
             met = s.metrics
-            deg_p1, codeg_p1 = fundamental_degrees(s)
+            deg_p1, codeg_p1 = s.fundamental_degrees
             assert met.codeg % deg_p1 == 0
             assert met.deg % codeg_p1 == 0
 
@@ -262,5 +261,5 @@ def test_crossed_degree_divisibility():
 def test_same_side_divisibility_fails_on_running_example():
     # deg(p_1) = 2 does not divide deg = 3: only the crossed law holds
     s = scroll_from_seed(SEED11)
-    deg_p1, _ = fundamental_degrees(s)
+    deg_p1, _ = s.fundamental_degrees
     assert s.metrics.deg % deg_p1 != 0

@@ -18,7 +18,7 @@ from snakescroll.verify import (
     run_verification,
 )
 
-from oracles import RESIDUE_LAWS, map_torsor, residue_laws
+from oracles import RESIDUE_LAWS, map_torsor, reduced_maps, residue_laws, tape_shift_law
 
 
 def test_small_cycles_are_clean():
@@ -29,49 +29,52 @@ def test_small_cycles_are_clean():
     assert rep.passed["classification completeness"] == 8
 
 
-def test_no_table_reduces_its_maps(monkeypatch):
-    # table counts are lifted from the windings and the table torsor walks
-    # the period advances: the only reductions are each orbit's sigma
-    # partition, once, where the extended laws and the swallows read its
-    # labels, and none at a table's size
+def _recording_walks(monkeypatch) -> list:
+    """The moduli walk_cycles is called at, in call order."""
     calls = []
-    original = scroll.reduced_maps
+    original = scroll.walk_cycles
 
     def counted(s, modulus):
         calls.append(modulus)
         return original(s, modulus)
 
-    for mod in (scroll, tables, verify, report, render):
-        if hasattr(mod, "reduced_maps"):
-            monkeypatch.setattr(mod, "reduced_maps", counted)
+    monkeypatch.setattr(scroll, "walk_cycles", counted)
+    return calls
+
+
+def test_no_table_walks_its_maps(monkeypatch):
+    # table counts are lifted from the windings and the table torsor walks
+    # the period advances: each orbit walks its maps once mod its tape
+    # period, for the windings, and once mod sigma, where the extended laws
+    # and the swallows read its labels, and never at a table's size
+    calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
     assert len(scrolls) == 18
-    assert calls == [s.metrics.sigma for s in scrolls]
+    assert calls == [m for s in scrolls for m in (s.metrics.T_tape, s.metrics.sigma)]
     assert sum(rep.passed.values()) == 4320
 
 
-def test_alternating_partitions_reduce_each_object_once(monkeypatch):
+def test_alternating_partitions_walk_each_object_once(monkeypatch):
     # each scroll and each table keeps its own partition, whose maps are
-    # reduced on first read: reading two of each in turn reduces the maps
-    # once per object, not once per switch
-    calls = []
-    original = scroll.reduced_maps
-
-    def counted(s, modulus):
-        calls.append(modulus)
-        return original(s, modulus)
-
-    monkeypatch.setattr(scroll, "reduced_maps", counted)
+    # walked on the first read of its labels: reading two of each in turn
+    # walks once per object, not once per switch
+    calls = _recording_walks(monkeypatch)
     a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
     ta, tb = omega_table(a, 2), omega_table(b, 3)
     reads = [[a.snakes, b.snakes, ta.ouroboroi, tb.ouroboroi] for _ in range(3)]
-    assert calls == []
-    maps = [[part.maps for part in parts] for parts in reads]
+    assert calls == [a.metrics.T_tape, b.metrics.T_tape]  # the counts: windings only
+    del calls[:]
+    labels = [[(part.snake_label, part.cosnake_label) for part in parts] for parts in reads]
     assert calls == [a.metrics.sigma, b.metrics.sigma, ta.size, tb.size]
     assert all(x is y for later in reads[1:] for x, y in zip(later, reads[0]))
-    assert all(x is y for later in maps[1:] for x, y in zip(later, maps[0]))
+    assert all(
+        x is y
+        for later in labels[1:]
+        for pairs in zip(later, labels[0])
+        for x, y in zip(*pairs)
+    )
 
 
 def _torsor_shapes(count: int, law: tuple[int, int]):
@@ -99,8 +102,10 @@ def test_torsor_walk_matches_the_map_oracle():
                     tables += 1
             for part, law in parts:
                 assert verify._is_torsor(part, *law)
+                maps = reduced_maps(part)
                 for shape in _torsor_shapes(len(part.live), law):
-                    assert verify._is_torsor(part, *shape) == map_torsor(part, *shape), shape
+                    oracle = map_torsor(maps, part.live, *shape)
+                    assert verify._is_torsor(part, *shape) == oracle, shape
     assert tables == 816
 
 
@@ -116,30 +121,30 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
                 tab = table.ouroboroi
                 law = tab.beta, table.eta // tab.beta
                 assert verify._is_torsor(tab, *law)
+                maps = reduced_maps(tab)
                 for shape in (law, law[::-1]):
-                    assert verify._is_torsor(tab, *shape) == map_torsor(tab, *shape), shape
+                    oracle = map_torsor(maps, tab.live, *shape)
+                    assert verify._is_torsor(tab, *shape) == oracle, shape
                 tables += 1
     assert tables == 1092
 
 
 def _advances_partition(succ: list, co_succ: list, fold: int) -> SimpleNamespace:
     """A partition mod fold*T of steps given by their advances per residue
-    mod T (None on dead residues), with its maps and live residues built in
+    mod T (None on dead residues), with its steps and live residues given in
     the test's own arithmetic for the oracle."""
     period = len(succ)
     s = SimpleNamespace(
         metrics=SimpleNamespace(T_tape=period),
         period_advances=(succ, co_succ),
         reads=lambda length: bytes(d is not None for d in succ),
+        vector=bytes(d is not None for d in succ[1:] + succ[:1]),  # X_t at t - 1
+        successor=lambda t: t + succ[t % period],
+        co_successor=lambda t: t + co_succ[t % period],
     )
     s.period_cycles = Scroll.period_cycles.func(s)
-    modulus = fold * period
-    maps = tuple(
-        [None if d is None else (v + d) % modulus for v, d in enumerate(row * fold)]
-        for row in (succ, co_succ)
-    )
     live = tuple(v for v, d in enumerate(succ * fold) if d is not None)
-    return SimpleNamespace(scroll=s, modulus=modulus, live=live, maps=maps)
+    return SimpleNamespace(scroll=s, modulus=fold * period, live=live)
 
 
 def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
@@ -153,30 +158,24 @@ def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
             continue  # the successor must permute the residues mod 2
         for fold in (5, 6, 7, 9):
             part = _advances_partition([a0, a1], [b0, b1], fold)
-            count = len(part.live)
+            count, maps = len(part.live), reduced_maps(part)
             for shape in _torsor_shapes(count, (1, count)):
-                assert verify._is_torsor(part, *shape) == map_torsor(part, *shape), shape
+                oracle = map_torsor(maps, part.live, *shape)
+                assert verify._is_torsor(part, *shape) == oracle, shape
                 calls += 1
     assert calls == 2016
 
 
 def test_no_table_is_labelled(monkeypatch):
     # table counts are lifted from the windings, which the walk of each
-    # scroll's two maps mod its tape period gives with no labelling:
-    # label_cycles runs only mod sigma, where the swallows read the snake
-    # labels, never mod T or at a table's modulus
-    calls = []
-    original = scroll.label_cycles
-
-    def counted(live, step):
-        calls.append(len(step))
-        return original(live, step)
-
-    monkeypatch.setattr(scroll, "label_cycles", counted)
+    # scroll's two maps mod its tape period gives: the core laws and the
+    # swallows walk once mod T and once mod sigma, where the swallows read
+    # the snake labels, and never at a table's modulus
+    calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3, extended=False)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
-    assert sorted(calls) == sorted(2 * [s.metrics.sigma for s in scrolls])
+    assert calls == [m for s in scrolls for m in (s.metrics.T_tape, s.metrics.sigma)]
     assert len(calls) == 2 * len(scrolls) == 36
 
 
@@ -413,6 +412,54 @@ def test_residue_laws_on_one_period_match_every_residue_when_corrupted(seed, tab
     assert sum(map(str.__ne__, getattr(s, table), letters)) in (1, 2)
     vars(s)[table] = letters
     assert _residue_results(s) == residue_laws(s)
+
+
+def test_nonlinear_advance_is_held_to_the_oracle():
+    # metrics claiming deg = 2, p = 21 where the true ones are 3 and 14: the
+    # steps stay maps, and the advance after one block of the slither word
+    # misses 21 from 12 live residues mod sigma, after two blocks from none;
+    # the per-residue results must equal the oracle's, round by round
+    s = scroll_from_seed("00001010000")
+    vars(s)["metrics"] = replace(s.metrics, deg=2, p=21)
+    assert s.steps_are_maps
+    passed, violations = _residue_results(s)
+    assert (passed, violations) == residue_laws(s)
+    law = "successor advance linear"
+    failed = [v for v in violations if v.startswith(law)]
+    assert len(failed) == 12
+    assert all(" r=1 from " in v for v in failed)
+
+
+def _tape_shift_results(s: Scroll) -> tuple[int, list[str]]:
+    law = "tape shift iff T_tape divides"
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    return rep.passed.get(law, 0), [v for v in rep.violations if v.startswith(law)]
+
+
+def test_tape_shift_law_matches_the_slice_oracle():
+    # the law asks whether the vector's least period divides each shift;
+    # the oracle compares the tape read from each shift, on every orbit
+    # n <= 16
+    orbits = 0
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            assert _tape_shift_results(s) == tape_shift_law(s), o.rows[0]
+            orbits += 1
+    assert orbits == 159
+
+
+def test_a_wrong_tape_period_fails_the_tape_shift_law():
+    # T_tape claimed as 14 on a tape of period 7: the shifts by 7, 21 and 35
+    # fix the tape but are no multiple of 14
+    s = scroll_from_seed("00001010000")
+    vars(s)["metrics"] = replace(s.metrics, T_tape=14)
+    law = "tape shift iff T_tape divides"
+    assert _tape_shift_results(s) == tape_shift_law(s) == (
+        39,
+        [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in (7, 21, 35)],
+    )
 
 
 @pytest.mark.parametrize(
