@@ -6,6 +6,14 @@ sweep applies the single-vertex toggles at 1, 2, ..., n in order, each
 acting on the word produced by the previous one, so the test at vertex n
 sees the already-updated value at vertex 1.
 
+So the rows of an orbit, read one after another, form a ticker tape
+with X_t = NOR(X_(t-1), X_(t-n), X_(t-n+1)): the toggle at t sees its
+left neighbour already updated, and its right one updated only at the
+wrap.  `orbit` and `all_orbits` run this recurrence on an n-bit state
+until the state first returns, after T steps, T the tape period; the
+rows are the states at steps k*n mod T.  `sweep` is the string
+definition they are tested against.
+
 >>> sweep("00001010000")
 '10100001010'
 >>> orbit("00").rows
@@ -15,6 +23,7 @@ sees the already-updated value at vertex 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 def _check_word(bits: str) -> None:
@@ -102,53 +111,52 @@ def enumerate_independent_sets(n: int) -> list[str]:
     return [format(w, f"0{n}b") for w in _independent_words(n)]
 
 
-def _sweep_windows(n: int) -> list[tuple[int, int]]:
-    """(bit, window) per vertex in sweep order, for words as n-bit integers.
+def _tape_states(start: int, n: int) -> list[int]:
+    """The n-bit tape states from start until it first returns.
 
-    Vertex k is bit n-k, so int(bits, 2) is the word's integer; a window is
-    the vertex's own bit and its two cyclic neighbours'.
+    Read row by row, the sweep is the recurrence
+    X_t = NOR(X_(t-1), X_(t-n), X_(t-n+1)); a state holds the last n tape
+    symbols, X_(t-1) as bit 0 and X_(t-n) as bit n-1, so int(row, 2) is the
+    state after that row.  A state determines every later one, so the
+    number of states before the first return is the tape period T.
     """
-    bit = [1 << (n - 1 - i) for i in range(n)]
-    return [(bit[i], bit[i - 1] | bit[i] | bit[(i + 1) % n]) for i in range(n)]
+    mask, near = (1 << n) - 1, 1 | 3 << (n - 2)
+    states, w = [], start
+    while True:
+        states.append(w)
+        w = (w << 1 & mask) | (0 if w & near else 1)
+        if w == start:
+            return states
 
 
-def _sweep_mask(word: int, windows: list[tuple[int, int]]) -> int:
-    """`sweep` on an integer word: each toggle is the NOR of its window."""
-    for bit, window in windows:
-        word = word & ~bit if word & window else word | bit
-    return word
-
-
-def _orbit_words(start: int, windows: list[tuple[int, int]]) -> list[int]:
-    """The integer sweep iterates of start until first return."""
-    words = [start]
-    cur = _sweep_mask(start, windows)
-    while cur != start:
-        words.append(cur)
-        cur = _sweep_mask(cur, windows)
-    return words
+def _orbit_rows(start: int, n: int) -> list[int]:
+    """The orbit rows of seed start as integers: the tape states at steps
+    k*n mod T, for k < lcm(T, n)/n."""
+    states = _tape_states(start, n)
+    period = len(states)
+    return [states[k * n % period] for k in range(period // gcd(period, n))]
 
 
 def orbit(bits: str) -> Orbit:
-    """The sweep orbit of one seed, checked once, swept as an integer."""
+    """The sweep orbit of one seed, checked once, simulated over one tape period."""
     _require_independent(bits)
     n = len(bits)
-    words = _orbit_words(int(bits, 2), _sweep_windows(n))
-    return Orbit(tuple(format(w, f"0{n}b") for w in words))
+    return Orbit(tuple(format(w, f"0{n}b") for w in _orbit_rows(int(bits, 2), n)))
 
 
 def all_orbits(n: int) -> list[Orbit]:
     """Partition of all independent sets of C_n into sweep orbits.
 
-    The sweep runs on integer words; each orbit's rows become strings once.
+    Each orbit is simulated on its tape over one period, from its least
+    row; its rows become strings once.
     """
-    windows = _sweep_windows(n)
+    fmt = f"0{n}b"
     seen: set[int] = set()
     parts: list[Orbit] = []
     for start in _independent_words(n):
         if start in seen:
             continue
-        words = _orbit_words(start, windows)
-        seen.update(words)
-        parts.append(Orbit(tuple(format(w, f"0{n}b") for w in words)))
+        rows = _orbit_rows(start, n)
+        seen.update(rows)
+        parts.append(Orbit(tuple(format(w, fmt) for w in rows)))
     return parts

@@ -31,10 +31,11 @@ swallows and the renderers.
 One walker, `walk_cycles`, walks both maps mod any multiple M of T.  Each
 scroll reads the advance of each step at each residue mod T once
 (`Scroll.period_advances`), and the walker steps a residue v by the
-advance at v mod T: per live residue it gives its cycle, its index on that
-cycle and its lift, per cycle its length and winding.  Cycles are numbered
-by their least members, so a residue's label, the least member of its
-cycle, is read off its cycle number (`Partition.snake_label`).
+advance at v mod T, starting from the live residues its partition reads
+once: per live residue it gives its cycle, its index on that cycle and its
+lift, per cycle its length, its winding and its start, the least member.
+So a residue's label, the least member of its cycle, is read off its cycle
+number (`Partition.snake_label`).
 
 The cycle counts come from the covering map Z/M -> Z/T.  A cycle of a map
 mod T whose advances sum to w*T lifts to gcd(w, M/T) cycles mod M: the map
@@ -63,17 +64,11 @@ DEAD = "."  # step letter of a dead residue
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to 0/1 bytes
 # per step letter, a translation table taking it to byte 1 and every other character to 0
 _ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
-# per letter pair, its step letter keyed (residue live, first candidate live,
-# second candidate live)
+# per letter pair, a translation table from the code byte 4*(residue live) +
+# 2*(first candidate live) + (second candidate live) to its step letter
 _LETTER_OF = {
-    first + second: {
-        **{(0, x, y): DEAD for x in (0, 1) for y in (0, 1)},
-        (1, 1, 0): first,
-        (1, 0, 1): second,
-        (1, 0, 0): "0",
-        (1, 1, 1): "2",
-    }
-    for first, second in ("ED", "SL")
+    pair: (DEAD * 4 + "0" + pair[1] + pair[0] + "2").encode().ljust(256, DEAD.encode())
+    for pair in ("ED", "SL")
 }
 
 
@@ -84,13 +79,16 @@ def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
     each of the two letters.  A dead residue gets DEAD; a live one gets
     its live candidate's letter, or, when not exactly one candidate is
     live, the digit counting its live candidates.  Each candidate is read
-    from the unit rotated by its advance mod P = len(unit); the letters of
-    the whole vector are this table repeated.
+    from the unit rotated by its advance mod P = len(unit), and the three
+    0/1 bytes of a residue are summed into one code byte as integers (no
+    byte carries); the letters of the whole vector are this table repeated.
     """
     period = len(unit)
-    shifts = [(sign * step_advance(letter, n)) % period for letter in letters]
-    rotated = [unit[d:] + unit[:d] for d in shifts]
-    return "".join(map(_LETTER_OF[letters].__getitem__, zip(unit, *rotated)))
+    code = int.from_bytes(unit, "big") * 4
+    for weight, letter in zip((2, 1), letters):
+        d = sign * step_advance(letter, n) % period
+        code += int.from_bytes(unit[d:] + unit[:d], "big") * weight
+    return code.to_bytes(period, "big").translate(_LETTER_OF[letters]).decode()
 
 
 @dataclass(frozen=True)
@@ -216,13 +214,14 @@ class Scroll:
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod the tape
         period T (`walk_cycles` at T)."""
-        return walk_cycles(self, self.metrics.T_tape)
+        period = self.metrics.T_tape
+        return walk_cycles(self, period, tuple(compress(range(period), self.reads(period))))
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
         """Per cycle of the successor (then co-successor) mod the tape period
         T, its summed advance over T."""
-        return tuple([w for _, w in cycles] for *_, cycles in self.period_cycles)
+        return tuple([w for _, w, _ in cycles] for *_, cycles in self.period_cycles)
 
     @cached_property
     def snake_walk(self) -> tuple[list[int], list]:
@@ -278,21 +277,24 @@ def _fold(s: Scroll, modulus: int) -> int:
     return modulus // period
 
 
-def walk_cycles(s: Scroll, modulus: int) -> tuple[tuple[list, list, list, list], ...]:
+def walk_cycles(
+    s: Scroll, modulus: int, live: tuple[int, ...]
+) -> tuple[tuple[list, list, list, list], ...]:
     """The cycles of the successor (then co-successor) of s mod modulus M, a
-    multiple of its tape period T, each map walked once on the period
-    advances (`Scroll.period_advances`): a residue v moves by the advance at
-    v mod T.  Four arrays (cycle, index, lift, cycles) per map.
+    multiple of its tape period T, on live, its live residues mod M in
+    ascending order, each map walked once on the period advances
+    (`Scroll.period_advances`): a residue v moves by the advance at v mod T.
+    Four arrays (cycle, index, lift, cycles) per map.
 
     For a live u in [0, M), u is on cycle cycle[u], index[u] = k steps from
     that cycle's least member u0, and u0 + A_k = u + lift[u]*M, A_k the
     summed advance of those k steps; the three are None where u is dead.
-    cycles[i] is the length and the winding of cycle i, the winding being
-    its summed advance over M; cycles are numbered by their least members,
-    ascending.  A map that does not permute the live residues raises.
+    cycles[i] is the length, the winding and the least member of cycle i,
+    the winding being its summed advance over M; cycles are numbered by
+    their least members, ascending.  A map that does not permute the live
+    residues raises.
     """
     period = modulus // _fold(s, modulus)
-    live = list(compress(range(modulus), s.reads(modulus)))
     walks = []
     for row in s.period_advances:
         cycle, index, lift, cycles = [None] * modulus, [None] * modulus, [None] * modulus, []
@@ -311,17 +313,16 @@ def walk_cycles(s: Scroll, modulus: int) -> tuple[tuple[list, list, list, list],
                 d = row[u % period]
                 if d is None or cycle[u] is not None:  # None: a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
-            cycles.append((k, (v - start) // modulus))
+            cycles.append((k, (v - start) // modulus, start))
         walks.append((cycle, index, lift, cycles))
     return tuple(walks)
 
 
 def _labels(walk: tuple[list, list, list, list]) -> list:
-    """Per residue, the least member of its cycle (None where dead): the
-    residues at index 0, ascending, are the cycles' least members in order."""
-    cycle, index, _, _ = walk
-    starts = [u for u, k in enumerate(index) if k == 0]
-    return [None if i is None else starts[i] for i in cycle]
+    """Per residue, the least member of its cycle: the start kept for its
+    cycle number, or None where dead (no cycle is numbered None)."""
+    cycle, _, _, cycles = walk
+    return list(map({i: start for i, (_, _, start) in enumerate(cycles)}.get, cycle))
 
 
 @dataclass(frozen=True)
@@ -342,8 +343,8 @@ class Partition:
 
     @cached_property
     def walk(self) -> tuple[tuple[list, list, list, list], ...]:
-        """Both maps walked mod modulus (`walk_cycles`)."""
-        return walk_cycles(self.scroll, self.modulus)
+        """Both maps walked mod modulus (`walk_cycles`) on the live residues."""
+        return walk_cycles(self.scroll, self.modulus, self.live)
 
     @cached_property
     def snake_label(self) -> list:

@@ -127,7 +127,7 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
         cur = (cur + succ[u]) % modulus
     for orbit, points in arcs.items():
         i = orbit // fold
-        (length, w), g = cycles[i], gcds[i]
+        (length, w, _), g = cycles[i], gcds[i]
         h = fold // g
         if length * h < inner:  # an arc longer than its orbit
             return False
@@ -310,34 +310,43 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     ]
     rep.tally("successor advance linear", len(rounds) * len(part.live), nonlinear)
 
-    # co-snake distinctness within one row span; X_(t + d) for |d| <= size
-    # is tripled[(t - 1) % size + size + d]
+    # co-snake distinctness within one row span, at the live entries t + d,
+    # 0 < d < n; X_(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
     tripled = s.vector * 3
     label, sigma = part.cosnake_label, part.modulus
+    offsets = range(1, n)
     near, shared = 0, []
     for t in part.live:
         base = (t - 1) % size + size
-        for d in range(1, n):
-            if tripled[base + d]:
-                near += 1
-                if label[(t + d) % sigma] == label[t]:
-                    shared.append(f"{ctx} tape {t}, {t + d}")
+        for d in compress(offsets, tripled[base + 1 : base + n]):
+            near += 1
+            if label[(t + d) % sigma] == label[t]:
+                shared.append(f"{ctx} tape {t}, {t + d}")
     rep.tally("near-row co-snake distinctness", near, shared)
 
     # free action on the universal scroll: s^a c^b moves the start for
-    # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha
+    # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A walk reads
+    # its letters at (i*n + j - 1) mod P, so the displacement of c^b from a
+    # coordinate depends only on that residue: c is walked once per residue
+    # among the s^a(start).  Every step shape is lexicographically positive,
+    # so one walk's displacements are distinct and each is keyed to its b
     i0, j0 = divmod(live[0] - 1, n)
     start = (i0, j0 + 1)
     s_walk = _walk(start, n, s.predecessor_letters, s.successor_letters, part.beta)
+    co_back, co_forth = s.co_predecessor_letters, s.co_successor_letters
+    exponents = range(-part.alpha, part.alpha + 1)
+    displaced: dict[int, dict[tuple[int, int], int]] = {}
     fixed = []
-    for a, s_coord in zip(range(-part.beta, part.beta + 1), s_walk):
-        c_walk = _walk(s_coord, n, s.co_predecessor_letters, s.co_successor_letters, part.alpha)
-        fixed += [
-            f"{ctx} exponents ({a},{b})"
-            for b, coord in zip(range(-part.alpha, part.alpha + 1), c_walk)
-            if coord == start and (a, b) != (0, 0)
-        ]
-    rep.tally("free affine action", len(s_walk) * (2 * part.alpha + 1) - 1, fixed)
+    for a, (i, j) in zip(range(-part.beta, part.beta + 1), s_walk):
+        residue = (i * n + j - 1) % period
+        moves = displaced.get(residue)
+        if moves is None:
+            c_walk = _walk((i, j), n, co_back, co_forth, part.alpha)
+            moves = displaced[residue] = {(x - i, y - j): b for b, (x, y) in zip(exponents, c_walk)}
+        b = moves.get((start[0] - i, start[1] - j))
+        if b is not None and (a, b) != (0, 0):
+            fixed.append(f"{ctx} exponents ({a},{b})")
+    rep.tally("free affine action", len(s_walk) * len(exponents) - 1, fixed)
 
     # fibers: residues mod sigma, singletons among the live residues
     snake, cosnake = part.snake_label, part.cosnake_label

@@ -3,7 +3,7 @@
 from math import gcd
 
 from snakescroll.scroll import Partition, Scroll
-from snakescroll.slither import step_advance
+from snakescroll.slither import _STEP_SHAPE, step_advance
 from snakescroll.tables import OrbitTable
 
 # the per-residue laws of verify.check_scroll
@@ -197,3 +197,61 @@ def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
         if (reads[ell : ell + size] == reads[:size]) != (ell % period == 0)
     ]
     return 3 * period - len(wrong), [f"{law}: {ctx} shift {ell}" for ell in wrong]
+
+
+def free_action_law(s: Scroll) -> tuple[int, list[str]]:
+    """Passes and "law: context" failures of "free affine action".
+
+    Oracle for verify.check_scroll, which walks the co-successor once per
+    residue among the s^a(start) and looks up each displacement: this walks
+    c^b from every s^a(start), |a| <= beta and |b| <= alpha (the counts of
+    the sigma partition), and compares each coordinate with the start.  A
+    coordinate (i, j) steps by the shape of the letter at (i*n + j - 1)
+    mod its table's length, negated for a negative exponent.
+    """
+    law, n, part = "free affine action", s.n, s.snakes
+    ctx = f"n={n} seed={s.base.rows[0]}"
+
+    def walk(coord, back, forth, k):  # coordinates after e = -k..k steps
+        walks = []
+        for letters, sign in ((back, -1), (forth, 1)):
+            (i, j), steps = coord, []
+            for _ in range(k):
+                rows, cols = _STEP_SHAPE[letters[(i * n + j - 1) % len(letters)]]
+                i, j = i + sign * rows, j + sign * cols
+                steps.append((i, j))
+            walks.append(steps)
+        return walks[0][::-1] + [coord] + walks[1]
+
+    i0, j0 = divmod(s.vector.index(1), n)
+    start = (i0, j0 + 1)
+    s_walk = walk(start, s.predecessor_letters, s.successor_letters, part.beta)
+    fixed, checks = [], 0
+    for a, coord in zip(range(-part.beta, part.beta + 1), s_walk):
+        c_walk = walk(coord, s.co_predecessor_letters, s.co_successor_letters, part.alpha)
+        for b, image in zip(range(-part.alpha, part.alpha + 1), c_walk):
+            if (a, b) != (0, 0):
+                checks += 1
+                if image == start:
+                    fixed.append(f"{law}: {ctx} exponents ({a},{b})")
+    return checks - len(fixed), fixed
+
+
+def near_row_law(s: Scroll) -> tuple[int, list[str]]:
+    """Passes and "law: context" failures of "near-row co-snake distinctness".
+
+    Oracle for verify.check_scroll, which steps only to the live entries
+    within one row span: this tests every t + d, d = 1..n-1, for each live
+    residue t mod sigma, and compares co-snake labels where X_(t + d) is live.
+    """
+    law, n, size, part = "near-row co-snake distinctness", s.n, s.m * s.n, s.snakes
+    ctx = f"n={n} seed={s.base.rows[0]}"
+    label = part.cosnake_label
+    near, shared = 0, []
+    for t in part.live:
+        for d in range(1, n):
+            if s.vector[(t + d - 1) % size]:
+                near += 1
+                if label[(t + d) % part.modulus] == label[t]:
+                    shared.append(f"{law}: {ctx} tape {t}, {t + d}")
+    return near - len(shared), shared

@@ -227,9 +227,9 @@ def test_orbit_builds_no_table_size_array(capsys, monkeypatch, fmt):
     moduli = []
     original = scroll.walk_cycles
 
-    def recorded(s, modulus):
+    def recorded(s, modulus, live):
         moduli.append(modulus)
-        return original(s, modulus)
+        return original(s, modulus, live)
 
     monkeypatch.setattr(scroll, "walk_cycles", recorded)
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)

@@ -130,6 +130,11 @@ def test_lifted_counts_match_walked_cycles():
     assert tables == 816
 
 
+def _live(s, modulus):
+    """The live residues mod modulus, ascending."""
+    return tuple(r for r in range(modulus) if s.vector[(r - 1) % len(s.vector)])
+
+
 def test_windings_reject_a_non_injective_map():
     # tape period 7, live residues 0 and 5: send 0 where 5 goes, so both
     # reach 0; the walk mod 7 raises, as the walk mod a table size does
@@ -142,7 +147,7 @@ def test_windings_reject_a_non_injective_map():
         s.windings
     table = omega_table(s, 2)
     with pytest.raises(AssertionError, match="not a permutation"):
-        walk_cycles(s, table.size)
+        walk_cycles(s, table.size, _live(s, table.size))
     with pytest.raises(AssertionError, match="not a permutation"):
         table.ouroboroi
 
@@ -156,6 +161,6 @@ def test_windings_reject_a_non_permuting_co_successor():
     s.__dict__["period_advances"] = succ, [5 + co_succ[5], *co_succ[1:]]
     message = "^step is not a permutation of live: from 0$"
     with pytest.raises(AssertionError, match=message):
-        walk_cycles(s, s.metrics.sigma)
+        walk_cycles(s, s.metrics.sigma, _live(s, s.metrics.sigma))
     with pytest.raises(AssertionError, match=message):
         s.windings

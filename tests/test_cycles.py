@@ -3,8 +3,7 @@
 import pytest
 
 from snakescroll.cycles import (
-    _sweep_mask,
-    _sweep_windows,
+    _tape_states,
     all_orbits,
     enumerate_independent_sets,
     eca1_local,
@@ -113,13 +112,6 @@ def test_all_orbits_partition():
         assert sorted(seen) == enumerate_independent_sets(n)
 
 
-def test_bitmask_sweep_matches_sweep():
-    for n in range(2, 15):
-        windows = _sweep_windows(n)
-        for bits in enumerate_independent_sets(n):
-            assert format(_sweep_mask(int(bits, 2), windows), f"0{n}b") == sweep(bits)
-
-
 def _swept_rows(bits):
     """The orbit of bits by iterating the string sweep itself."""
     rows = [bits]
@@ -128,6 +120,22 @@ def _swept_rows(bits):
         rows.append(cur)
         cur = sweep(cur)
     return tuple(rows)
+
+
+def test_bitmask_sweep_matches_sweep():
+    # the tape recurrence on n-bit states: from each independent set, n
+    # steps give its sweep, and the state first returns after the least
+    # period of its swept orbit's rows joined into one cyclic tape
+    for n in range(2, 15):
+        period_of = {}
+        for bits in enumerate_independent_sets(n):
+            if bits not in period_of:
+                rows = _swept_rows(bits)
+                tape = "".join(rows)
+                period_of.update(dict.fromkeys(rows, (tape * 2).find(tape, 1)))
+            states = _tape_states(int(bits, 2), n)
+            assert len(states) == period_of[bits], bits
+            assert format(states[n % len(states)], f"0{n}b") == sweep(bits)
 
 
 def test_all_orbits_are_simulated_orbits():

@@ -218,7 +218,7 @@ def test_reduced_maps_are_the_steps_reduced():
         assert table.eta == len(live)
     s = scroll_from_seed(SEED11)  # tape period 7
     with pytest.raises(ValueError, match="not a multiple of tape period 7"):
-        walk_cycles(s, 12)
+        walk_cycles(s, 12, ())
 
 
 def test_direct_product_forms_fail_on_some_tables():

@@ -18,7 +18,15 @@ from snakescroll.verify import (
     run_verification,
 )
 
-from oracles import RESIDUE_LAWS, map_torsor, reduced_maps, residue_laws, tape_shift_law
+from oracles import (
+    RESIDUE_LAWS,
+    free_action_law,
+    map_torsor,
+    near_row_law,
+    reduced_maps,
+    residue_laws,
+    tape_shift_law,
+)
 
 
 def test_small_cycles_are_clean():
@@ -34,9 +42,9 @@ def _recording_walks(monkeypatch) -> list:
     calls = []
     original = scroll.walk_cycles
 
-    def counted(s, modulus):
+    def counted(s, modulus, live):
         calls.append(modulus)
-        return original(s, modulus)
+        return original(s, modulus, live)
 
     monkeypatch.setattr(scroll, "walk_cycles", counted)
     return calls
@@ -430,8 +438,8 @@ def test_nonlinear_advance_is_held_to_the_oracle():
     assert all(" r=1 from " in v for v in failed)
 
 
-def _tape_shift_results(s: Scroll) -> tuple[int, list[str]]:
-    law = "tape shift iff T_tape divides"
+def _law_results(s: Scroll, law: str) -> tuple[int, list[str]]:
+    """check_scroll's passes and violations of one law."""
     rep = VerificationReport()
     check_scroll(s, rep)
     return rep.passed.get(law, 0), [v for v in rep.violations if v.startswith(law)]
@@ -445,7 +453,7 @@ def test_tape_shift_law_matches_the_slice_oracle():
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            assert _tape_shift_results(s) == tape_shift_law(s), o.rows[0]
+            assert _law_results(s, "tape shift iff T_tape divides") == tape_shift_law(s), o.rows[0]
             orbits += 1
     assert orbits == 159
 
@@ -456,10 +464,78 @@ def test_a_wrong_tape_period_fails_the_tape_shift_law():
     s = scroll_from_seed("00001010000")
     vars(s)["metrics"] = replace(s.metrics, T_tape=14)
     law = "tape shift iff T_tape divides"
-    assert _tape_shift_results(s) == tape_shift_law(s) == (
+    assert _law_results(s, law) == tape_shift_law(s) == (
         39,
         [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in (7, 21, 35)],
     )
+
+
+FREE_ACTION, NEAR_ROW = "free affine action", "near-row co-snake distinctness"
+
+
+def test_free_action_and_near_row_match_their_oracles():
+    # check_scroll walks the co-successor once per residue among the
+    # s^a(start) and steps only to the live entries within a row span; the
+    # oracles walk every (a, b) and test every entry, on every orbit n <= 16
+    orbits = 0
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            assert _law_results(s, FREE_ACTION) == free_action_law(s), o.rows[0]
+            assert _law_results(s, NEAR_ROW) == near_row_law(s), o.rows[0]
+            orbits += 1
+    assert orbits == 159
+
+
+CROSSED = {
+    "successor_letters": "co_successor_letters",
+    "co_successor_letters": "successor_letters",
+    "predecessor_letters": "co_predecessor_letters",
+    "co_predecessor_letters": "predecessor_letters",
+}
+
+
+@pytest.mark.parametrize("table", sorted(CROSSED))
+def test_free_action_on_crossed_letters_matches_the_oracle(table):
+    # one letter of the period table replaced by the other map's letter at
+    # the same live residue.  The crossed step still lands on a live
+    # residue, so the steps stay maps of the live entries and every walk
+    # reads step letters; steps_are_maps and the labels are read before the
+    # injection, so the extended laws run.  One map can then undo the
+    # other, s^a c^b fixing the start for some (a, b) != (0, 0): on every
+    # orbit n <= 10, 88 injections, 23 of them with a fixed point
+    cases = fixed = 0
+    for n in range(2, 11):
+        for o in all_orbits(n):
+            true = Scroll(o)
+            letters, donor = getattr(true, table), getattr(true, CROSSED[table])
+            for r in (r for r, x in enumerate(letters) if x != "."):
+                s = Scroll(o)
+                assert s.steps_are_maps
+                s.snakes.snake_label, s.snakes.cosnake_label
+                vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
+                result = _law_results(s, FREE_ACTION)
+                assert result == free_action_law(s), (o.rows[0], r)
+                cases, fixed = cases + 1, fixed + bool(result[1])
+    assert (cases, fixed) == (88, 23)
+
+
+def test_near_row_on_merged_co_snakes_matches_the_oracle():
+    # every co-snake relabelled as the first one: each live entry within a
+    # row span of a live residue shares its label; every orbit with
+    # 4 <= n <= 16 has such an entry
+    orbits = merged = 0
+    for n in range(4, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            first = s.snakes.live[0]
+            vars(s.snakes)["cosnake_label"] = [
+                None if x is None else first for x in s.snakes.cosnake_label
+            ]
+            result = _law_results(s, NEAR_ROW)
+            assert result == near_row_law(s), o.rows[0]
+            orbits, merged = orbits + 1, merged + bool(result[1])
+    assert merged == orbits == 157
 
 
 @pytest.mark.parametrize(
@@ -484,15 +560,16 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
 
 
 def _identity_co_successor(s):
-    # each live residue mod T a cycle of its own, of length 1 and winding 0:
-    # it lifts to orbits of length 1 mod M, shorter than every arc
+    # each live residue mod T a cycle of its own, of length 1, winding 0 and
+    # least member itself: it lifts to orbits of length 1 mod M, shorter
+    # than every arc
     cycle = s.period_cycles[1][0]
     live = [u for u, i in enumerate(cycle) if i is not None]
     identity = [None] * len(cycle)
     for i, u in enumerate(live):
         identity[u] = i
     zero = [None if i is None else 0 for i in identity]
-    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0)] * len(live))
+    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0, u) for u in live])
 
 
 def _one_more_live_residue(s):
