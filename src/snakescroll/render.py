@@ -29,13 +29,16 @@ def ansi_table(table: OrbitTable) -> str:
     s = table.scroll
     part = s.snakes
     bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
+    live = list(compress(range(1, len(bits) + 1), bits))
     blocks = []
     for title, labels in (("snakes", part.snake_label), ("co-snakes", part.cosnake_label)):
         cell = {
             label: f"\x1b[{color}m1\x1b[0m"
             for label, color in _label_colors(labels, ANSI_COLORS).items()
         }
-        chars = [cell[labels[t % part.modulus]] if bit else "." for t, bit in enumerate(bits, 1)]
+        chars = ["."] * len(bits)
+        for t in live:
+            chars[t - 1] = cell[labels[t % part.modulus]]
         rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
         blocks.append("\n".join([title + ":", *rows]))
     return "\n\n".join(blocks) + "\n"
@@ -78,29 +81,34 @@ def svg_table(table: OrbitTable) -> str:
         )
 
     # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then
-    # nodes; tape index t = i*n + (j+1) sits at ((j+1)*unit, (i+1)*unit)
+    # nodes, x and y formatted once; tape index t = i*n + (j+1) sits at
+    # ((j+1)*unit, (i+1)*unit)
     modulus, snake, cosnake = part.modulus, part.snake_label, part.cosnake_label
-    entries = []
+    entries, xy = [], {}
     for t in compress(range(1, size + 1), s.vector * table.omega):
         i, j = divmod(t - 1, n)
+        xy[t] = x, y = str((j + 1) * unit), str((i + 1) * unit)
         label = t % modulus
-        colors = snake_color[snake[label]], cosnake_color[cosnake[label]]
-        entries.append((t, (j + 1) * unit, (i + 1) * unit, colors))
+        entries.append((t, x, y, (snake_color[snake[label]], cosnake_color[cosnake[label]])))
 
+    # the edge attributes of each colour, formatted once per step
+    snake_strokes, cosnake_strokes = (
+        {c: f'stroke="{c}" stroke-width="2" {dash} fill="none"' for c in colors.values()}
+        for colors, dash in ((snake_color, ""), (cosnake_color, 'stroke-dasharray="4 3"'))
+    )
     steps = (
-        (s.successor_letters, s.successor_step, ""),
-        (s.co_successor_letters, s.co_successor_step, 'stroke-dasharray="4 3"'),
+        (s.successor_letters, s.successor_step, snake_strokes),
+        (s.co_successor_letters, s.co_successor_step, cosnake_strokes),
     )
     advance, length = s._advance, len(s.successor_letters)
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
     for t, x1, y1, colors in entries:
         residue = (t - 1) % length
-        for (letters, step, dash), color in zip(steps, colors):
+        for (letters, step, strokes), color in zip(steps, colors):
             d = advance.get(letters[residue])
             u = step(t)[0] if d is None else t + d  # the step raises on a count letter
-            attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
-            i, j = divmod((u - 1) % size, n)  # the target, wrapped into the table
-            x2, y2 = (j + 1) * unit, (i + 1) * unit
+            attrs = strokes[color]
+            x2, y2 = xy[(u - 1) % size + 1]  # the target, wrapped into the table
             if 1 <= u <= size:
                 out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
             else:

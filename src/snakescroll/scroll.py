@@ -25,8 +25,8 @@ that partition is `Scroll.snakes`.  Mod the size omega*m*n of an orbit table
 they are the ouroboroi (`tables.OrbitTable.ouroboroi`).  A `Partition` is
 its scroll, its modulus and its two cycle counts; its live residues, its
 cycle walk and its cycle labels are built on first read.  In the library
-only the sigma partition is read that way, by the extended laws, the
-swallows and the renderers.
+only the sigma partition is read that way, by the swallows and the
+renderers alone.
 
 One walker, `walk_cycles`, walks both maps mod any multiple M of T.  Each
 scroll reads the advance of each step at each residue mod T once
@@ -44,10 +44,13 @@ point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
 the gcd(w, M/T) orbits of that translation.  So each scroll walks its two
 maps mod T once (`Scroll.period_cycles`, `Scroll.windings`), and a
 partition's counts are sums of gcds: only the sigma partition is walked,
-for its labels.  The same covering places each point mod M on its
-co-successor orbit, so the torsor laws of `verify` walk only the successor
-mod M, stepping a residue v by the advance at v mod T, read the
-co-successor orbits off the cycles mod T, and build nothing of size M.
+for its labels.  The same covering places each point mod M on its cycle
+of each map: u + x*T, u < T with lift q on cycle i of winding w, lies on
+the lift numbered (x - q) mod gcd(w, M/T).  So the torsor laws of `verify`
+walk only the successor mod M, stepping a residue v by the advance at v
+mod T, and read the co-successor orbits off the cycles mod T; its laws on
+snakes and co-snakes mod sigma read both off the cycles mod T and run on
+the residues mod T alone.  None builds anything of size M.
 """
 
 from __future__ import annotations

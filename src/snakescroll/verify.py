@@ -7,13 +7,21 @@ silently dropped; an empty violation list is the pass condition.
 Each law's checks over one orbit are tallied at once
 (`VerificationReport.tally`): its passes are counted, and a context
 string is built only for a check that fails.
+
+Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
+period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
+through the covering Z/M -> Z/T, so `check_scroll` walks no cycles mod
+sigma and `check_tables` none mod a table's size; only the swallows read
+the snake labels mod sigma.  The tests hold each such law to an oracle
+that walks the maps mod M.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from operator import sub
 
 from .classify import canonical_tape, enumerate_ticker_tapes
@@ -145,8 +153,8 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
 
 def _laps(indices: list[int], period: int, laps: int) -> list[int]:
     """t + k*period for k = 0..laps-1 (outer) and t in indices (inner): the
-    tape indices in [1, laps*period] that indices, ascending in [1, period],
-    stand for, ascending."""
+    tape indices that indices, ascending within one period, stand for over
+    laps periods, ascending."""
     return [t + k * period for k in range(laps) for t in indices]
 
 
@@ -160,9 +168,14 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     parallelogram, round trip) run on the tape indices [1, P] only: each
     count is multiplied by laps = m*n/P, and each failure at t stands for
     t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
-    in tape order.  The successor advance is likewise walked once per
-    residue mod P.  The laws on the snake partition and on walks of the steps
-    need all four steps to be maps of the live entries; where a live entry
+    in tape order.  The laws on the snakes and co-snakes mod sigma
+    (successor advance linear, near-row distinctness, fibers) run on the
+    live residues [0, T) only, T the tape period: they read both maps'
+    cycles mod T (`Scroll.period_cycles`) through the covering
+    Z/sigma -> Z/T, each count is multiplied by F = sigma/T, and each
+    failure at v stands for v + k*T, k = 0..F-1, in tape order; no map is
+    walked mod sigma.  The laws on the snake partition and on walks of the
+    steps need all four steps to be maps of the live entries; where a live entry
     has no unique letter in some table, the unique-candidates or round-trip
     law reports it and those laws are skipped for the orbit; they are
     skipped too where a letter's step lands on a dead entry.
@@ -267,11 +280,15 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         return
 
     # tape period: minimality and the divisibility characterization; a
-    # shift by ell fixes the tape iff the vector's least period P divides ell
+    # shift by ell fixes the tape iff the vector's least period P divides
+    # ell, so the shifts in [1, 3*T_tape] failing it are the multiples of
+    # exactly one of P and T_tape
     tape_period = met.T_tape
-    shifts = range(1, 3 * tape_period + 1)
-    wrong = [ell for ell in shifts if (ell % period == 0) != (ell % tape_period == 0)]
-    rep.tally("tape shift iff T_tape divides", len(shifts), [f"{ctx} shift {ell}" for ell in wrong])
+    bound = 3 * tape_period
+    wrong = sorted(
+        set(range(period, bound + 1, period)) ^ set(range(tape_period, bound + 1, tape_period))
+    )
+    rep.tally("tape shift iff T_tape divides", bound, [f"{ctx} shift {ell}" for ell in wrong])
 
     if not part:
         return
@@ -289,40 +306,65 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         mismatch = [] if cyclically_equal(simulated, word) else [f"{ctx} simulated {simulated}"]
         rep.tally(law, 1, mismatch)
 
-    # linearity of iterated successor advance: the advance of r*block steps
-    # from t depends only on (t - 1) mod P, so it is walked once per live
-    # residue of the unit and read for each t in part.live
+    # the rest read both maps mod sigma through the covering Z/sigma -> Z/T,
+    # T the tape period (as `_is_torsor` does): a cycle i mod T of winding w
+    # lifts to g = gcd(w, F) snakes (co-snakes), F = sigma/T, and u + x*T,
+    # u < T with lift q, lies on the one numbered (i, (x - q) mod g).  The
+    # shift by T commutes with both maps, so each result at a live v < T
+    # holds at v + k*T, k < F: each count is multiplied by F, and each
+    # failure at v stands for each v + k*T, in tape order
+    fold = part.modulus // tape_period
+    (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, c_cycles) = s.period_cycles
+    on_period = [v for v, i in enumerate(s_cycle) if i is not None]
+    s_gcd = [gcd(w, fold) for _, w, _ in s_cycles]
+    c_gcd = [gcd(w, fold) for _, w, _ in c_cycles]
+
+    # linearity of iterated successor advance: K = r*block steps from v, at
+    # index k on a cycle of length l, go (k + K) // l laps of the cycle and
+    # end at u, its member at index (k + K) mod l, so they advance
+    # laps*w*T + (u + lift[u]*T) - (v + lift[v]*T)
     block = len(ws.word) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
-    advanced = [None] * period  # per live residue, the advance after each round
-    for t in live:
-        u, after = t, []
-        for _ in rounds:
-            for _ in range(block):
-                u += sa[(u - 1) % period]
-            after.append(u - t)
-        advanced[t - 1] = after
-    nonlinear = [
-        f"{ctx} r={r} from {t}"
-        for r in rounds
-        for t in part.live
-        if advanced[(t - 1) % period][r - 1] != r * met.p
-    ]
-    rep.tally("successor advance linear", len(rounds) * len(part.live), nonlinear)
+    members = [[None] * length for length, _, _ in s_cycles]
+    for v in on_period:
+        members[s_cycle[v]][s_index[v]] = v
+    nonlinear = []
+    for r in rounds:
+        failed = []
+        for v in on_period:
+            i = s_cycle[v]
+            length, w, _ = s_cycles[i]
+            laps, at = divmod(s_index[v] + r * block, length)
+            u = members[i][at]
+            if (laps * w + s_lift[u] - s_lift[v]) * tape_period + u - v != r * met.p:
+                failed.append(v)
+        nonlinear += [f"{ctx} r={r} from {t}" for t in _laps(failed, tape_period, fold)]
+    rep.tally("successor advance linear", len(rounds) * fold * len(on_period), nonlinear)
 
-    # co-snake distinctness within one row span, at the live entries t + d,
-    # 0 < d < n; X_(t + d) for |d| <= size is tripled[(t - 1) % size + size + d]
+    # co-snake distinctness within one row span, at the live entries v + d,
+    # 0 < d < n: with v + d = u + j*T, u < T, v + x*T and v + d + x*T lie
+    # on one co-snake iff u is on v's cycle i and j - lift[u] + lift[v] is
+    # 0 mod g_i.  X_(v + d) for |d| <= size is tripled[(v - 1) % size + size + d]
     tripled = s.vector * 3
-    label, sigma = part.cosnake_label, part.modulus
     offsets = range(1, n)
     near, shared = 0, []
-    for t in part.live:
-        base = (t - 1) % size + size
+    for v in on_period:
+        base = (v - 1) % size + size
+        i, q = c_cycle[v], c_lift[v]
         for d in compress(offsets, tripled[base + 1 : base + n]):
             near += 1
-            if label[(t + d) % sigma] == label[t]:
-                shared.append(f"{ctx} tape {t}, {t + d}")
-    rep.tally("near-row co-snake distinctness", near, shared)
+            j, u = divmod(v + d, tape_period)
+            if c_cycle[u] == i and (j - c_lift[u] + q) % c_gcd[i] == 0:
+                shared.append((v, d))
+    rep.tally(
+        "near-row co-snake distinctness",
+        fold * near,
+        [
+            f"{ctx} tape {v + k}, {v + k + d}"
+            for k in range(0, fold * tape_period, tape_period)
+            for v, d in shared
+        ],
+    )
 
     # free action on the universal scroll: s^a c^b moves the start for
     # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A walk reads
@@ -348,13 +390,27 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
             fixed.append(f"{ctx} exponents ({a},{b})")
     rep.tally("free affine action", len(s_walk) * len(exponents) - 1, fixed)
 
-    # fibers: residues mod sigma, singletons among the live residues
-    snake, cosnake = part.snake_label, part.cosnake_label
-    fibers: dict[tuple[int, int], list[int]] = {}
-    for t in part.live:
-        fibers.setdefault((snake[t], cosnake[t]), []).append(t)
-    shared = [f"{ctx} tape {t}" for t in part.live if fibers[snake[t], cosnake[t]] != [t]]
-    rep.tally("fibers are residues mod sigma", len(part.live), shared)
+    # fibers: residues mod sigma, singletons among the live residues.  v +
+    # x*T and v' + x'*T share a snake and a co-snake iff v and v' lie on the
+    # same cycles i (successor) and j (co-successor), and x' - x is
+    # s_lift[v'] - s_lift[v] mod g_i and c_lift[v'] - c_lift[v] mod g_j.
+    # For v' != v some x' solves both iff s_lift - c_lift agrees at v and
+    # v' mod gcd(g_i, g_j); for v' = v some x' != x does iff lcm(g_i, g_j) < F
+    keys = []
+    for v in on_period:
+        i, j = s_cycle[v], c_cycle[v]
+        keys.append((i, j, (s_lift[v] - c_lift[v]) % gcd(s_gcd[i], c_gcd[j])))
+    count = Counter(keys)
+    met_twice = [
+        v
+        for v, key in zip(on_period, keys)
+        if count[key] > 1 or lcm(s_gcd[key[0]], c_gcd[key[1]]) < fold
+    ]
+    rep.tally(
+        "fibers are residues mod sigma",
+        fold * len(on_period),
+        [f"{ctx} tape {t}" for t in _laps(met_twice, tape_period, fold)],
+    )
 
 
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:

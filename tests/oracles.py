@@ -1,5 +1,6 @@
 """Oracles the tests check library code against, kept apart from that code."""
 
+from collections import Counter
 from math import gcd
 
 from snakescroll.scroll import Partition, Scroll
@@ -108,9 +109,9 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     Oracle for verify.check_scroll, which runs those laws on the vector's
     least period and multiplies each count by the laps: this checks each
     tape index t in [1, m*n] (the linearity law each live residue mod
-    sigma) on its own, reading the letter tables mod their length.  The
-    linearity law needs the steps to be maps, so it runs only where they
-    are, as in check_scroll.
+    sigma, by `advance_linear_law`) on its own, reading the letter tables
+    mod their length.  The linearity law needs the steps to be maps, so it
+    runs only where they are, as in check_scroll.
     """
     n, size, vector = s.n, s.m * s.n, s.vector
     ctx = f"n={n} seed={s.base.rows[0]}"
@@ -130,7 +131,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
 
     live = [t for t in range(1, size + 1) if vector[t - 1]]
     totals = dict.fromkeys(RESIDUE_LAWS[:5], 0)
-    failures: dict[str, list[str]] = {law: [] for law in RESIDUE_LAWS}
+    failures: dict[str, list[str]] = {law: [] for law in RESIDUE_LAWS[:5]}
     for t in live:
         totals["six-neighbor zeros"] += 1
         if any(vector[(t - 1 + d) % size] for d in (-n, 1 - n, -1, 1, n - 1, n)):
@@ -159,26 +160,42 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
             ts - advance[back[0]] != t or tc - advance[back[1]] != t
         ):
             failures["predecessor round trip"].append(f"{ctx} at tape {t}")
-    if s.steps_are_maps:
-        met = s.metrics
-        block = len(met.slither.word) // met.deg
-        rounds = range(1, min(3, met.deg) + 1)
-        on_sigma = [t for t in range(met.sigma) if vector[(t - 1) % size]]
-        totals["successor advance linear"] = len(rounds) * len(on_sigma)
-        for r in rounds:
-            for t in on_sigma:
-                u = t
-                for _ in range(r * block):
-                    u += advance[letter(0, u)]
-                if u - t != r * met.p:
-                    failures["successor advance linear"].append(f"{ctx} r={r} from {t}")
     passed = {
         law: total - len(failures[law])
         for law, total in totals.items()
         if total > len(failures[law])
     }
-    violations = [f"{law}: {context}" for law in RESIDUE_LAWS for context in failures[law]]
+    violations = [f"{law}: {context}" for law in RESIDUE_LAWS[:5] for context in failures[law]]
+    if s.steps_are_maps:
+        linear_passes, nonlinear = advance_linear_law(s)
+        if linear_passes:
+            passed[RESIDUE_LAWS[5]] = linear_passes
+        violations += nonlinear
     return passed, violations
+
+
+def advance_linear_law(s: Scroll) -> tuple[int, list[str]]:
+    """Passes and "law: context" failures of "successor advance linear".
+
+    Oracle for verify.check_scroll, which reads the advance of r*block
+    successor steps off the cycles mod the tape period: this steps
+    `Scroll.successor` r*block times from each live residue t mod sigma,
+    for r = 1..min(3, deg), and compares the advance with r*p.
+    """
+    law, met = RESIDUE_LAWS[5], s.metrics
+    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    block = len(met.slither.word) // met.deg
+    rounds = range(1, min(3, met.deg) + 1)
+    on_sigma = [t for t in range(met.sigma) if s.vector[(t - 1) % len(s.vector)]]
+    nonlinear = []
+    for r in rounds:
+        for t in on_sigma:
+            u = t
+            for _ in range(r * block):
+                u = s.successor(u)
+            if u - t != r * met.p:
+                nonlinear.append(f"{law}: {ctx} r={r} from {t}")
+    return len(rounds) * len(on_sigma) - len(nonlinear), nonlinear
 
 
 def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
@@ -241,8 +258,10 @@ def near_row_law(s: Scroll) -> tuple[int, list[str]]:
     """Passes and "law: context" failures of "near-row co-snake distinctness".
 
     Oracle for verify.check_scroll, which steps only to the live entries
-    within one row span: this tests every t + d, d = 1..n-1, for each live
-    residue t mod sigma, and compares co-snake labels where X_(t + d) is live.
+    within one row span of each live residue mod the tape period and reads
+    their co-snakes off the cycles mod that period: this tests every t + d,
+    d = 1..n-1, for each live residue t mod sigma, and compares co-snake
+    labels walked mod sigma where X_(t + d) is live.
     """
     law, n, size, part = "near-row co-snake distinctness", s.n, s.m * s.n, s.snakes
     ctx = f"n={n} seed={s.base.rows[0]}"
@@ -255,3 +274,19 @@ def near_row_law(s: Scroll) -> tuple[int, list[str]]:
                 if label[(t + d) % part.modulus] == label[t]:
                     shared.append(f"{law}: {ctx} tape {t}, {t + d}")
     return near - len(shared), shared
+
+
+def fibers_law(s: Scroll) -> tuple[int, list[str]]:
+    """Passes and "law: context" failures of "fibers are residues mod sigma".
+
+    Oracle for verify.check_scroll, which reads each residue's snake and
+    co-snake off the cycles mod the tape period: this groups the live
+    residues mod sigma by their snake and co-snake labels walked mod sigma,
+    and reports each residue that shares its pair.
+    """
+    law, part = "fibers are residues mod sigma", s.snakes
+    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    pairs = [(part.snake_label[t], part.cosnake_label[t]) for t in part.live]
+    count = Counter(pairs)
+    shared = [f"{law}: {ctx} tape {t}" for t, pair in zip(part.live, pairs) if count[pair] > 1]
+    return len(part.live) - len(shared), shared

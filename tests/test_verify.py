@@ -20,6 +20,8 @@ from snakescroll.verify import (
 
 from oracles import (
     RESIDUE_LAWS,
+    advance_linear_law,
+    fibers_law,
     free_action_law,
     map_torsor,
     near_row_law,
@@ -27,6 +29,9 @@ from oracles import (
     residue_laws,
     tape_shift_law,
 )
+
+FREE_ACTION, NEAR_ROW = "free affine action", "near-row co-snake distinctness"
+FIBERS, LINEAR = "fibers are residues mod sigma", "successor advance linear"
 
 
 def test_small_cycles_are_clean():
@@ -224,29 +229,51 @@ def test_theorem_suite_n17_to_18():
 
 
 def test_shared_label_pair_is_a_fiber_violation():
-    s = scroll_from_seed("00001010000")
-    part = s.snakes
-    t = part.live[0]
-    u = next(
-        u
-        for u in part.live
-        if part.snake_label[u] != part.snake_label[t]
-        and part.cosnake_label[u] != part.cosnake_label[t]
+    # the co-successor cycle mod T of a live residue u renumbered as that of
+    # t: the successor has one cycle mod T here, so t and u share both
+    # cycles, and with F = sigma/T = 2 they meet in one fiber at each lift.
+    # Each co-successor cycle has winding 1, so it lifts to one co-snake:
+    # the labels mod sigma the oracle reads get the same fault when u's
+    # co-snake is relabelled as t's
+    s = scroll_from_seed("00000010000")
+    period, sigma = s.metrics.T_tape, s.metrics.sigma
+    assert (period, sigma) == (21, 42)
+    (s_cycle, *_), (c_cycle, index, lift, cycles) = s.period_cycles
+    assert len(set(s_cycle) - {None}) == 1 and all(w == 1 for _, w, _ in cycles)
+    t, u = [v for v, i in enumerate(c_cycle) if i is not None][:2]
+    c_cycle = list(c_cycle)
+    c_cycle[u] = c_cycle[t]
+    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, lift, cycles)
+    cosnake = list(s.snakes.cosnake_label)
+    for x in range(u, sigma, period):
+        cosnake[x] = cosnake[t]
+    vars(s.snakes)["cosnake_label"] = cosnake
+    assert _law_results(s, FIBERS) == fibers_law(s) == (
+        len(s.snakes.live) - 4,
+        [f"{FIBERS}: n=11 seed=00000010000 tape {x}" for x in (t, u, t + period, u + period)],
     )
-    snake, cosnake = list(part.snake_label), list(part.cosnake_label)
-    snake[u], cosnake[u] = snake[t], cosnake[t]
-    # the labels are built on read: the copy is given its own
-    broken = replace(part)
-    vars(broken).update(snake_label=snake, cosnake_label=cosnake)
-    vars(s)["snakes"] = broken
-    rep = VerificationReport()
-    check_scroll(s, rep)
-    law = "fibers are residues mod sigma"
-    fiber_violations = [v for v in rep.violations if v.startswith(law)]
-    assert fiber_violations == [
-        f"{law}: n=11 seed=00001010000 tape {x}" for x in sorted((t, u))
-    ]
-    assert rep.passed[law] == len(part.live) - 2
+
+
+@pytest.mark.parametrize("winding, lift, shared", [(6, 0, False), (6, 1, True), (2, 0, True)])
+def test_fibers_on_a_merged_co_successor_cycle(winding, lift, shared):
+    # the running example's two live residues mod T = 7, 0 and 5 (F =
+    # sigma/T = 6), put on one co-successor cycle of length 2, 5 at the
+    # given lift: it lifts to g = gcd(winding, 6) co-snakes, and 5 + x*T
+    # lies on that of (x - lift)*T mod g.  The successor's one cycle lifts
+    # to two snakes, x*T and 5 + x*T on those of x and x - 1 mod 2.  With
+    # winding 6 and lift 0 the snakes keep 5 + x*T and x*T apart; with lift
+    # 1 they share a fiber, and with winding 2 each point meets itself two
+    # lifts on (lcm(2, 2) < 6): then each of the 12 live residues fails
+    s = scroll_from_seed("00001010000")
+    assert (s.metrics.T_tape, s.metrics.sigma) == (7, 42)
+    (_, _, s_lift, s_cycles), (c_cycle, index, c_lift, _) = s.period_cycles
+    assert (s_lift[0], s_lift[5], s_cycles) == (0, 1, [(2, 2, 0)])
+    c_cycle, index, c_lift = list(c_cycle), list(index), list(c_lift)
+    c_cycle[5], index[5], c_lift[5] = 0, 1, lift
+    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, c_lift, [(2, winding, 0)])
+    live = [v + k for k in range(0, 42, 7) for v in (0, 5)]
+    expected = [f"{FIBERS}: n=11 seed=00001010000 tape {t}" for t in live] if shared else []
+    assert _law_results(s, FIBERS) == (12 - len(expected), expected)
 
 
 @pytest.mark.parametrize("seed", ["00001010000", "101010001010", "00100"])
@@ -438,6 +465,25 @@ def test_nonlinear_advance_is_held_to_the_oracle():
     assert all(" r=1 from " in v for v in failed)
 
 
+@pytest.mark.parametrize("p, failing_at_r1", [(26, 5), (16, 0)])
+def test_an_advance_off_whole_laps_reads_the_lifts(p, failing_at_r1):
+    # metrics claiming deg = 2, so a block is 3 steps, no whole number of
+    # laps of the successor cycle mod T (length 2, through 0 and 5 at lifts
+    # 0 and 1): the advance after one block from 0 is 26 and from 5 is 16,
+    # read off the lift of the end point.  A claimed p equal to one of them
+    # holds from that residue alone for r = 1, and from none for r = 2 (42
+    # from each); each failure at v < 7 stands for v + 7k, k < 6
+    s = scroll_from_seed("00001010000")
+    vars(s)["metrics"] = replace(s.metrics, deg=2, p=p)
+    passed, violations = _residue_results(s)
+    assert (passed, violations) == residue_laws(s)
+    failed = [v for v in violations if v.startswith(LINEAR)]
+    assert failed[:6] == [
+        f"{LINEAR}: n=11 seed=00001010000 r=1 from {failing_at_r1 + k}" for k in range(0, 42, 7)
+    ]
+    assert len(failed) == 18 and passed[LINEAR] == 6
+
+
 def _law_results(s: Scroll, law: str) -> tuple[int, list[str]]:
     """check_scroll's passes and violations of one law."""
     rep = VerificationReport()
@@ -468,9 +514,6 @@ def test_a_wrong_tape_period_fails_the_tape_shift_law():
         39,
         [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in (7, 21, 35)],
     )
-
-
-FREE_ACTION, NEAR_ROW = "free affine action", "near-row co-snake distinctness"
 
 
 def test_free_action_and_near_row_match_their_oracles():
@@ -521,13 +564,19 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
 
 
 def test_near_row_on_merged_co_snakes_matches_the_oracle():
-    # every co-snake relabelled as the first one: each live entry within a
-    # row span of a live residue shares its label; every orbit with
-    # 4 <= n <= 16 has such an entry
+    # every co-successor cycle mod T merged into one of winding 1, which
+    # lifts to one co-snake mod sigma: each live entry within a row span of
+    # a live residue shares its co-snake.  The oracle reads the same fault
+    # in the labels mod sigma, every co-snake relabelled as the first one;
+    # every orbit with 4 <= n <= 16 has such an entry
     orbits = merged = 0
     for n in range(4, 17):
         for o in all_orbits(n):
             s = Scroll(o)
+            cycle, index, lift, cycles = s.period_cycles[1]
+            one = [None if i is None else 0 for i in cycle]
+            one_cycle = [(sum(length for length, _, _ in cycles), 1, cycles[0][2])]
+            vars(s)["period_cycles"] = s.period_cycles[0], (one, index, lift, one_cycle)
             first = s.snakes.live[0]
             vars(s.snakes)["cosnake_label"] = [
                 None if x is None else first for x in s.snakes.cosnake_label
@@ -536,6 +585,46 @@ def test_near_row_on_merged_co_snakes_matches_the_oracle():
             assert result == near_row_law(s), o.rows[0]
             orbits, merged = orbits + 1, merged + bool(result[1])
     assert merged == orbits == 157
+
+
+def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
+    # check_scroll reads the snakes and co-snakes of the live residues mod
+    # T off the cycles mod T and multiplies; the oracles walk the labels mod
+    # sigma and step the successor from every live residue mod sigma, on
+    # every orbit n <= 16.  The suite walks the maps' cycles mod T alone
+    calls = _recording_walks(monkeypatch)
+    run_verification(2, 16)
+    scrolls = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
+    assert len(scrolls) == 159
+    assert calls == [s.metrics.T_tape for s in scrolls]
+    for s in scrolls:
+        rep = VerificationReport()
+        check_scroll(s, rep)
+        for law, oracle in (
+            (FIBERS, fibers_law),
+            (LINEAR, advance_linear_law),
+            (NEAR_ROW, near_row_law),
+        ):
+            failed = [v for v in rep.violations if v.startswith(law)]
+            assert (rep.passed.get(law, 0), failed) == oracle(s), (law, s.base.rows[0])
+
+
+def test_a_wrong_winding_breaks_the_advance_linearity():
+    # the second successor cycle mod T = 7 (the residue 4 alone, winding 1)
+    # given winding 2: K steps from 4 now advance 2*K*T, not K*p = K*T, for
+    # each of the rounds K = 1..3; the failure at 4 stands for 4, 11, 18
+    s = scroll_from_seed("000100")
+    met = s.metrics
+    assert (met.T_tape, met.sigma, met.deg, met.p) == (7, 21, 3, 7)
+    cycle, index, lift, cycles = s.period_cycles[0]
+    assert cycles == [(1, 1, 0), (1, 1, 4)]
+    s.snakes  # the counts read the true windings
+    vars(s)["period_cycles"] = (cycle, index, lift, [(1, 1, 0), (1, 2, 4)]), s.period_cycles[1]
+    assert _law_results(s, LINEAR) == (
+        9,
+        [f"{LINEAR}: n=6 seed=000100 r={r} from {t}" for r in (1, 2, 3) for t in (4, 11, 18)],
+    )
+    assert advance_linear_law(s) == (18, [])
 
 
 @pytest.mark.parametrize(
