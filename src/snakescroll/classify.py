@@ -14,11 +14,14 @@ the OR of the slither-prefix mask rotated by each co-slither prefix.  It
 must follow the sweep read as a tape, X_{t+n} = NOR(X_{t+n-1}, X_t,
 X_{t+1}), at every offset and have least period T_tape.  The first row is
 the period's window, its first n symbols, and must read back exactly the
-two words it was built from.  `canonical_binary` gives the period's least
-rotation, and the fundamental vector is that repeated lcm(T_tape, n) /
-T_tape times (the least rotation of a power is the power of the least
-rotation).  `canonical_tape` still reads the simulated orbit rows with
-Booth's `canonical`: `verify` compares the two paths.
+two words it was built from (`words_from_row`): the metrics are a
+function of the two words and hold them, so comparing the words is
+comparing the metrics, and each class builds one `ScrollMetrics`, from
+its words.  `canonical_binary` gives the period's least rotation, and the
+fundamental vector is that repeated lcm(T_tape, n) / T_tape times (the
+least rotation of a power is the power of the least rotation).
+`canonical_tape` still reads the simulated orbit rows with Booth's
+`canonical`: `verify` compares the two paths.
 
 The slithers and co-slithers of a quadruple are its fixed-content
 necklaces (`necklaces`), and each of the two word lists is built once per
@@ -34,7 +37,7 @@ from .cycles import is_independent
 from .cyclic import canonical, canonical_binary, least_period
 from .necklaces import necklaces_fixed_content
 from .scroll import Scroll
-from .slither import ScrollMetrics, metrics_from_row, metrics_from_words, step_advance
+from .slither import ScrollMetrics, metrics_from_words, words_from_row
 
 
 @dataclass(frozen=True, order=True)
@@ -126,7 +129,13 @@ def tape_period(met: ScrollMetrics, n: int) -> str:
     mod T_tape is read off the torsor and checked by `checked_period`.
     """
     size = met.T_tape
-    advance = {k: step_advance(k, n) % size for k in "DESL"}
+    # the step advances (`step_advance`) mod the period
+    advance = {
+        "E": 2 % size,
+        "D": (n + 1) % size,
+        "S": (2 * n - 1) % size,
+        "L": (2 * n - 2) % size,
+    }
     # bit i of a mask is tape index i (0-based) mod size
     slither_mask, t = 0, 0
     for letter in met.slither.word:
@@ -190,7 +199,7 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
                 period = tape_period(met, n)
                 row = _window(period, n)
                 # the row must read back exactly the words it was built from
-                if metrics_from_row(row, n) != met:
+                if words_from_row(row, n) != (ws, wc):
                     raise AssertionError(
                         f"round trip failed for ({ws}, {wc}) at n={n}"
                     )

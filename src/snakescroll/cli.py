@@ -28,7 +28,7 @@ from .report import (
     report_to_text,
 )
 from .scroll import scroll_from_seed
-from .slither import metrics_from_row
+from .slither import words_from_row
 from .sums import construct_period_lambda, sum_vector
 from .tables import omega_table
 from .verify import run_verification
@@ -119,8 +119,7 @@ def _cmd_sum_period(args) -> int:
 
 def _cmd_construct(args) -> int:
     row = construct_first_row(args.slither, args.coslither, args.n)
-    met = metrics_from_row(row, args.n)
-    back_s, back_c = met.slither.word, met.coslither.word
+    back_s, back_c = words_from_row(row, args.n)
     ok = cyclically_equal(back_s, args.slither) and cyclically_equal(
         back_c, args.coslither
     )

@@ -1,18 +1,17 @@
 """Slither calculus: step words extracted from one tape window.
 
-`metrics_from_row` reads a length-n window of the tape that starts at a
-live entry (a scroll takes it from its fundamental vector, and a
-constructed first row is one already) and hands the two words it reads to
-`metrics_from_words`, the closed forms.  Such a window decomposes into
-maximal 0-blocks.  Each inner block of size z contributes the
-subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the trailing block
-contributes the partial subslither D E^(floor((z-1)/2)).  The co-slither
-starts with a letter read off the trailing-zero parity (odd -> S, even
--> L) followed by one letter per inner block of size z>1, taken right to
-left (z even -> S, z odd -> L).
+`words_from_row` reads the two words off a length-n window of the tape
+that starts at a live entry (a scroll takes it from its fundamental
+vector, and a constructed first row is one already), and
+`metrics_from_row` hands them to `metrics_from_words`, the closed forms.
+Such a window decomposes into maximal 0-blocks.  Each inner block of size
+z contributes the subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the
+trailing block contributes the partial subslither D E^(floor((z-1)/2)).
+The co-slither starts with a letter read off the trailing-zero parity
+(odd -> S, even -> L) followed by one letter per inner block of size z>1,
+taken right to left (z even -> S, z odd -> L).
 
->>> met = metrics_from_row("10100001010", 11)
->>> met.slither.word, met.coslither.word
+>>> words_from_row("10100001010", 11)
 ('EDEDED', 'SS')
 """
 
@@ -138,13 +137,19 @@ def metrics_from_words(slither: str, coslither: str, n: int) -> ScrollMetrics:
     return ScrollMetrics(ws, wc, deg, codeg, p, q, sigma, T_tape, T_scroll)
 
 
-def metrics_from_row(row: str, n: int) -> ScrollMetrics:
-    """All scale data of the tape window row, which starts at a live entry.
+def words_from_row(row: str, n: int) -> tuple[str, str]:
+    """The slither and co-slither words of the tape window row.
 
-    A row of the scroll that is dead in column 1 is not such a window:
-    rotating it splices in the wrong zeros, so it is rejected.
+    The row must start at a live entry.  A row of the scroll that is dead
+    in column 1 is not such a window: rotating it splices in the wrong
+    zeros, so it is rejected.
     """
     if len(row) != n:
         raise ValueError("row length does not match n")
     blocks = zero_blocks(row)
-    return metrics_from_words(_slither_word(blocks), _coslither_word(blocks), n)
+    return _slither_word(blocks), _coslither_word(blocks)
+
+
+def metrics_from_row(row: str, n: int) -> ScrollMetrics:
+    """All scale data of the tape window row, which starts at a live entry."""
+    return metrics_from_words(*words_from_row(row, n), n)

@@ -1,10 +1,12 @@
 """Feasible pairs, first-row construction, tape enumeration."""
 
+import re
 from dataclasses import replace
 from math import gcd
 
 import pytest
 
+from snakescroll import classify, slither
 from snakescroll.classify import (
     FeasibleQuadruple,
     canonical_tape,
@@ -18,7 +20,7 @@ from snakescroll.classify import (
 from snakescroll.cycles import all_orbits, enumerate_independent_sets
 from snakescroll.cyclic import canonical, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
-from snakescroll.slither import metrics_from_row
+from snakescroll.slither import metrics_from_row, words_from_row
 
 
 def test_quadruple_constraints():
@@ -50,9 +52,62 @@ def test_construct_running_example():
 def test_construct_round_trip():
     for n in range(2, 15):
         for rec in enumerate_ticker_tapes(n):
-            met = metrics_from_row(rec.first_row, n)
-            assert met.slither.word == rec.slither
-            assert met.coslither.word == rec.coslither
+            assert words_from_row(rec.first_row, n) == (rec.slither, rec.coslither)
+
+
+def test_a_row_reading_back_other_words_fails_the_round_trip(monkeypatch):
+    first, other = enumerate_ticker_tapes(11)[:2]
+    window = classify._window
+
+    def swapped(period, n):
+        row = window(period, n)
+        return other.first_row if row == first.first_row else row
+
+    monkeypatch.setattr(classify, "_window", swapped)
+    want = f"round trip failed for ({first.slither}, {first.coslither}) at n=11"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        enumerate_ticker_tapes(11)
+
+
+def test_two_classes_on_one_tape_fail_the_distinctness_guard(monkeypatch):
+    # DDDEE/LL and DDEDE/LL both have tape period 20 at n = 11: give the
+    # second the canonical period of the first
+    recs = enumerate_ticker_tapes(11)
+    a, b = (
+        next(rec for rec in recs if (rec.slither, rec.coslither) == words)
+        for words in (("DDDEE", "LL"), ("DDEDE", "LL"))
+    )
+    least = classify.canonical_binary
+
+    def colliding(period):
+        word = least(period)
+        return a.tape[:20] if word == b.tape[:20] else word
+
+    monkeypatch.setattr(classify, "canonical_binary", colliding)
+    with pytest.raises(AssertionError, match="n=11: 10 necklace pairs but 9 distinct tapes"):
+        enumerate_ticker_tapes(11)
+
+
+def test_each_class_builds_one_metrics(monkeypatch):
+    # the round trip compares words: the metrics of the words are the only
+    # ScrollMetrics a class builds, and no row's metrics are read back
+    calls = {"metrics_from_words": 0, "metrics_from_row": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(slither, "metrics_from_row")
+    counted(slither, "metrics_from_words")
+    counted(classify, "metrics_from_words")
+    records = sum(len(enumerate_ticker_tapes(n)) for n in range(2, 21))
+    assert records == 579
+    assert calls == {"metrics_from_words": records, "metrics_from_row": 0}
 
 
 def recurrence_period(row, period):

@@ -4,7 +4,7 @@ import pytest
 
 from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, scroll_from_seed
-from snakescroll.slither import metrics_from_row, step_advance, zero_blocks
+from snakescroll.slither import metrics_from_row, step_advance, words_from_row, zero_blocks
 
 
 def live_windows(s: Scroll):
@@ -24,10 +24,13 @@ def test_step_advances():
 
 
 def test_metrics_reject_a_window_not_starting_live():
-    with pytest.raises(ValueError, match="live entry"):
-        metrics_from_row("00001010000", 11)
-    with pytest.raises(ValueError):
-        metrics_from_row("0000", 4)
+    for read in (metrics_from_row, words_from_row):
+        with pytest.raises(ValueError, match="live entry"):
+            read("00001010000", 11)
+        with pytest.raises(ValueError):
+            read("0000", 4)
+        with pytest.raises(ValueError, match="length"):
+            read("10100001010", 12)
 
 
 def test_scroll_metrics_read_the_vector_window():
@@ -42,9 +45,9 @@ def test_zero_blocks():
 
 
 def test_running_example_words():
+    assert words_from_row("10100001010", 11) == ("EDEDED", "SS")
     met = metrics_from_row("10100001010", 11)
-    assert met.slither.word == "EDEDED"
-    assert met.coslither.word == "SS"
+    assert (met.slither.word, met.coslither.word) == ("EDEDED", "SS")
 
 
 def test_words_constant_on_the_orbit():
