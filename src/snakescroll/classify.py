@@ -191,6 +191,9 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
     if n < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
     records: list[TapeClass] = []
+    # for a fixed n a tape is its primitive canonical period repeated
+    # lcm(T_tape, n) / T_tape times, so tapes are distinct iff those periods are
+    periods: set[str] = set()
     for quad in feasible_quadruples(n):
         coslithers = necklaces_fixed_content("S", "L", quad.alpha_s, quad.alpha_l)
         for ws in necklaces_fixed_content("D", "E", quad.beta_d, quad.beta_e):
@@ -203,12 +206,12 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
                     raise AssertionError(
                         f"round trip failed for ({ws}, {wc}) at n={n}"
                     )
-                size = met.T_tape
-                tape = canonical_binary(period) * (lcm(size, n) // size)
+                size, canonical_period = met.T_tape, canonical_binary(period)
+                periods.add(canonical_period)
+                tape = canonical_period * (lcm(size, n) // size)
                 records.append(TapeClass(quad, ws, wc, row, tape))
-    tapes = {rec.tape for rec in records}
-    if len(tapes) != len(records):
+    if len(periods) != len(records):
         raise AssertionError(
-            f"n={n}: {len(records)} necklace pairs but {len(tapes)} distinct tapes"
+            f"n={n}: {len(records)} necklace pairs but {len(periods)} distinct tapes"
         )
     return records

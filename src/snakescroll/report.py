@@ -17,7 +17,6 @@ from .tables import (
     predicted_counts,
     swallow,
     table_coslither,
-    table_degrees,
     table_slither,
 )
 
@@ -30,8 +29,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
     """
     s, omega = table.scroll, table.omega
     met = s.metrics
-    part, tab = s.snakes, table.ouroboroi
-    deg_p, codeg_p = table_degrees(table)
+    part = s.snakes
     sw, cs = swallow(table), co_swallow(table)
     inv = group_invariants(table)
     sv = sum_vector(s)
@@ -65,10 +63,10 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "sumPeriod": sv.lam,
         "tableRows": table.r,
         "eta": table.eta,
-        "barAlpha": tab.alpha,
-        "barBeta": tab.beta,
-        "degP": deg_p,
-        "codegP": codeg_p,
+        "barAlpha": table.alpha,
+        "barBeta": table.beta,
+        "degP": table.deg,
+        "codegP": table.codeg,
         "tableSlither": table_slither(table),
         "tableCoslither": table_coslither(table),
         "swallowShift": sw.shift,
@@ -79,7 +77,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "colorPreserving": is_color_preserving(table, sw, cs),
         "agreement": {
             "scrollPeriodMatchesOrbit": met.T_scroll == s.m,
-            "predictedCountsMatch": (tab.alpha, tab.beta)
+            "predictedCountsMatch": (table.alpha, table.beta)
             == predicted_counts(s, omega),
             "slitherMatchesSimulation": cyclically_equal("".join(sim), met.slither.word),
             "fundamentalDegreesCoprime": gcd(*s.fundamental_degrees) == 1,

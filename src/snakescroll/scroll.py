@@ -131,12 +131,24 @@ class Scroll:
         return metrics_from_row("".join(map(str, window)), self.n)
 
     @cached_property
+    def live_count(self) -> int:
+        """Live entries of the fundamental vector, counted on its least period."""
+        return self.unit.count(1) * (len(self.vector) // len(self.unit))
+
+    @cached_property
     def fundamental_degrees(self) -> tuple[int, int]:
         """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table:
         a snake is p-periodic (no shorter shift fixes it), so read mod m*n it
         winds p / gcd(p, m*n) times around the table; a co-snake likewise, q."""
         met, size = self.metrics, self.m * self.n
         return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
+
+    @cached_property
+    def fundamental_counts(self) -> tuple[int, int]:
+        """The predicted (bar_alpha_1, bar_beta_1) of the omega = 1 table:
+        alpha / deg p_1 and beta / codeg p_1, alpha and beta read off the words."""
+        met, (deg_p1, codeg_p1) = self.metrics, self.fundamental_degrees
+        return met.coslither.alpha // deg_p1, met.slither.beta // codeg_p1
 
     @cached_property
     def successor_letters(self) -> str:
@@ -212,6 +224,13 @@ class Scroll:
                 step(next(t for t in range(1, period + 1) if at[t % period] in "02"))
             arrays.append(list(map(self._advance.get, at)))
         return tuple(arrays)
+
+    @cached_property
+    def period_live(self) -> tuple[int, int]:
+        """The least live index in [0, T), T the tape period, and the number
+        of live ones, read off the successor's period advances."""
+        succ = self.period_advances[0]
+        return next(t for t, d in enumerate(succ) if d is not None), len(succ) - succ.count(None)
 
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
@@ -366,9 +385,14 @@ class Partition:
         return self.cosnake_label[t % self.modulus]
 
 
+def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
+    """The cycle counts of the successor and co-successor of s mod fold*T,
+    T its tape period: each cycle mod T of winding w lifts to gcd(w, fold)."""
+    succ, co_succ = s.windings
+    return sum(gcd(w, fold) for w in succ), sum(gcd(w, fold) for w in co_succ)
+
+
 def partition(s: Scroll, modulus: int) -> Partition:
     """The snake partition of s reduced mod modulus, a multiple of its tape
-    period T: each cycle mod T of winding w lifts to gcd(w, modulus/T) cycles."""
-    fold = _fold(s, modulus)
-    alpha, beta = (sum(gcd(w, fold) for w in windings) for windings in s.windings)
-    return Partition(s, modulus, alpha, beta)
+    period T, with its counts lifted from the windings (`lifted_counts`)."""
+    return Partition(s, modulus, *lifted_counts(s, _fold(s, modulus)))

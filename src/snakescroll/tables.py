@@ -3,26 +3,36 @@
 An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
-omega*m*n instead of sigma.  `OrbitTable.ouroboroi` is that
-`scroll.Partition`, built once per table: its snakes are the ouroboroi and
-its co-snakes the co-ouroboroi.  A table keeps only the two counts.  It
-covers the tape period T, so they are lifted, not walked: a cycle mod T of
-winding w (summed advance w*T) splits into gcd(w, omega*m*n/T) cycles of
-the table, one per orbit of the translation by w*T on the cycle's fibre,
-and no table walks or labels its maps (`scroll.walk_cycles` runs mod T and
-mod sigma only).  The live residues form a torsor of the finite abelian
-group generated by the two maps mod the table size; the torsor law of
-`verify` checks that in bar_beta successor steps, each placed on its
-co-successor orbit through the same covering, with no walk of size eta.
-The group has rank at most two, so its invariant factors are two gcds of
-its presentation (`group_invariants`); the test suite's group oracle reads
-them off the steps reduced mod the table size instead.  Covering degrees
-(`Scroll.fundamental_degrees`), predicted counts and swallows are closed
-forms in the scroll's metrics; the lifted cycle counts
-(`OrbitTable.ouroboroi`) are what they are checked against.  A swallow's
-walk order does not depend on omega: each scroll keeps it
-(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table adds only the
-image of each label.
+omega*m*n instead of sigma.  Their cycles there are the ouroboroi and
+co-ouroboroi.  A table covers the tape period T, so their counts are
+lifted, not walked: a cycle mod T of winding w (summed advance w*T) splits
+into gcd(w, omega*m*n/T) cycles of the table, one per orbit of the
+translation by w*T on the cycle's fibre (`scroll.lifted_counts`).
+
+`omega_table` computes a table's scalars once, when it builds it: its
+size omega*m*n, its live count eta, its counts bar_alpha and bar_beta and
+its degrees deg p_omega = alpha/bar_alpha and codeg p_omega =
+beta/bar_beta.  It reads them off constants each scroll keeps for every
+omega: its live count (`Scroll.live_count`), its windings mod T
+(`Scroll.windings`) and its snake counts (`Scroll.snakes`).  Every helper
+here reads those scalars and builds nothing of size omega*m*n.
+`OrbitTable.ouroboroi` is the table's `scroll.Partition` with the same
+counts, built on first read for the callers that walk or label it; no
+law does.
+
+The live residues form a torsor of the finite abelian group generated by
+the two maps mod the table size; the torsor law of `verify` checks that in
+bar_beta successor steps, each placed on its co-successor orbit through
+the same covering, with no walk of size eta.  The group has rank at most
+two, so its invariant factors are two gcds of its presentation
+(`group_invariants`); the test suite's group oracle reads them off the
+steps reduced mod the table size instead.  Covering degrees
+(`Scroll.fundamental_degrees`), predicted counts (from
+`Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
+metrics; the lifted cycle counts are what they are checked against.  A
+swallow's walk order does not depend on omega: each scroll keeps it
+(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table reads only the
+image of each label in the scroll's label arrays mod sigma.
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two
@@ -35,13 +45,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .scroll import Partition, Scroll, partition
+from .scroll import Partition, Scroll, lifted_counts
 
 
-@dataclass(frozen=True)
+@dataclass
 class OrbitTable:
+    """The omega-fold table of a scroll and its scalars, each computed once
+    by `omega_table`; every helper reads them."""
+
     scroll: Scroll
     omega: int
+    size: int  # omega*m*n residues
+    eta: int  # live entries: omega copies of the fundamental vector's
+    alpha: int  # bar_alpha, the ouroboroi
+    beta: int  # bar_beta, the co-ouroboroi
+    deg: int  # deg p_omega = alpha / bar_alpha
+    codeg: int  # codeg p_omega = beta / bar_beta
 
     @property
     def n(self) -> int:
@@ -51,126 +70,132 @@ class OrbitTable:
     def r(self) -> int:
         return self.omega * self.scroll.m
 
-    @property
-    def size(self) -> int:
-        return self.r * self.n
-
-    @property
-    def eta(self) -> int:
-        """Number of live entries: omega copies of the fundamental vector's."""
-        return self.omega * self.scroll.vector.count(1)
-
     @cached_property
     def ouroboroi(self) -> Partition:
-        """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod the table size."""
-        return partition(self.scroll, self.size)
+        """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod the
+        table size, with the table's counts."""
+        return Partition(self.scroll, self.size, self.alpha, self.beta)
 
 
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
-    return OrbitTable(s, omega)
+    size = omega * len(s.vector)
+    alpha, beta = lifted_counts(s, size // s.metrics.T_tape)
+    part = s.snakes
+    return OrbitTable(
+        s, omega, size, omega * s.live_count, alpha, beta, part.alpha // alpha, part.beta // beta
+    )
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     """Closed-form (bar_alpha_omega, bar_beta_omega): alpha / deg p_1 and
     beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
-    met = s.metrics
-    deg_p1, codeg_p1 = s.fundamental_degrees
-    return (
-        met.coslither.alpha // deg_p1 * gcd(deg_p1, omega),
-        met.slither.beta // codeg_p1 * gcd(codeg_p1, omega),
-    )
+    (alpha_1, beta_1), (deg_p1, codeg_p1) = s.fundamental_counts, s.fundamental_degrees
+    return alpha_1 * gcd(deg_p1, omega), beta_1 * gcd(codeg_p1, omega)
 
 
-def table_degrees(t: OrbitTable) -> tuple[int, int]:
-    """(deg p_omega, codeg p_omega) for the omega-fold table."""
-    part = t.scroll.snakes
-    tab = t.ouroboroi
-    return part.alpha // tab.alpha, part.beta // tab.beta
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwallowPermutation:
     """A permutation of snake labels in their cyclic traversal order."""
 
     order: tuple[int, ...]  # labels in cyclic order
-    image: dict[int, int]  # label -> label under the swallow map
     shift: int  # uniform shift k with image(order[i]) = order[i+k]
+
+    @property
+    def image(self) -> dict[int, int]:
+        """Label -> label under the swallow map."""
+        order, shift = self.order, self.shift
+        return dict(zip(order, order[shift:] + order[:shift]))
 
     @property
     def cycle_type(self) -> tuple[int, ...]:
         size = len(self.order)
         cycles = gcd(self.shift, size)
-        return tuple(sorted([size // cycles] * cycles))
+        return (size // cycles,) * cycles
 
     @property
     def is_identity(self) -> bool:
         return self.shift == 0
 
 
-def _swallow(t: OrbitTable, label_of, walk: tuple[list[int], list]) -> SwallowPermutation:
+def _swallow(t: OrbitTable, labels: list, walk: tuple[list[int], list]) -> SwallowPermutation:
     """The labels of walk, tape indices k in their cyclic order and the
-    label of each, each mapped to the label of k - size: translation by the
-    table size commutes with both steps.  The image must be a uniform shift
-    of that order; its shift is stored."""
-    (indices, order), size = walk, t.size
-    image = {label: label_of(k - size) for k, label in zip(indices, order)}
-    if len(image) != len(order):
+    label of each, each mapped to the label of k - size, read off labels
+    (indexed by residue mod its length): translation by the table size
+    commutes with both steps.  The image must be a uniform shift of that
+    order; its shift is stored."""
+    (indices, order), size, modulus = walk, t.size, len(labels)
+    if len(set(order)) != len(order):
         raise AssertionError("step map does not traverse all labels once")
-    shift = order.index(image[order[0]])
-    if [image[label] for label in order] != order[shift:] + order[:shift]:
+    image = [labels[(k - size) % modulus] for k in indices]
+    shift = order.index(image[0])
+    if image != order[shift:] + order[:shift]:
         raise AssertionError("swallow permutation is not a uniform shift")
-    return SwallowPermutation(tuple(order), image, shift)
+    return SwallowPermutation(tuple(order), shift)
 
 
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     s = t.scroll
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, s.snakes.snake_of, s.snake_walk)
+    return _swallow(t, s.snakes.snake_label, s.snake_walk)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     s = t.scroll
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, s.snakes.cosnake_of, s.cosnake_walk)
+    return _swallow(t, s.snakes.cosnake_label, s.cosnake_walk)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupInvariants:
-    factors: tuple[int, ...]  # invariant factors d1 | d2, possibly with d1 = 1
-    # invariant factors of Z_bar_alpha x Z_(eta/bar_alpha); the group's own
-    # are those of Z_g x Z_(eta/g), g = gcd(bar_alpha, bar_beta), so they
-    # agree exactly when gcd(bar_alpha, eta/bar_alpha) = g
-    ouro_product: tuple[int, ...]
-    # likewise Z_bar_beta x Z_(eta/bar_beta): agrees exactly when
-    # gcd(bar_beta, eta/bar_beta) = g
-    co_ouro_product: tuple[int, ...]
+    factors: tuple[int, int]  # invariant factors d1 | d2, possibly with d1 = 1
+    ouro: tuple[int, int]  # (bar_alpha, eta/bar_alpha)
+    co_ouro: tuple[int, int]  # (bar_beta, eta/bar_beta)
 
     @property
     def order(self) -> int:
-        total = 1
-        for d in self.factors:
-            total *= d
-        return total
+        return self.factors[0] * self.factors[1]
 
     @property
     def nontrivial(self) -> tuple[int, ...]:
         return tuple(d for d in self.factors if d > 1)
 
+    # invariant factors of Z_bar_alpha x Z_(eta/bar_alpha); the group's own
+    # are those of Z_g x Z_(eta/g), g = gcd(bar_alpha, bar_beta), so they
+    # agree exactly when gcd(bar_alpha, eta/bar_alpha) = g
+    @property
+    def ouro_product(self) -> tuple[int, ...]:
+        return product_invariants(*self.ouro)
+
+    # likewise Z_bar_beta x Z_(eta/bar_beta): agrees exactly when
+    # gcd(bar_beta, eta/bar_beta) = g
+    @property
+    def co_ouro_product(self) -> tuple[int, ...]:
+        return product_invariants(*self.co_ouro)
+
+    # both pairs are (x, y) with 1 <= x | y (an ouroboros holds a live
+    # entry, so bar_alpha <= eta), so they agree exactly when their
+    # nontrivial factors do
     @property
     def matches_ouro_product(self) -> bool:
-        return self.nontrivial == self.ouro_product
+        return self.factors == _product_pair(*self.ouro)
 
     @property
     def matches_co_ouro_product(self) -> bool:
-        return self.nontrivial == self.co_ouro_product
+        return self.factors == _product_pair(*self.co_ouro)
+
+
+def _product_pair(a: int, b: int) -> tuple[int, int]:
+    """(gcd, lcm) of a and b: the invariant factors of Z_a x Z_b, with 1s."""
+    d = gcd(a, b)
+    return d, a * b // d
 
 
 def product_invariants(a: int, b: int) -> tuple[int, ...]:
     """Invariant factors of Z_a x Z_b."""
-    return tuple(d for d in (gcd(a, b), (a * b) // gcd(a, b)) if d > 1)
+    return tuple(d for d in _product_pair(a, b) if d > 1)
 
 
 def group_invariants(t: OrbitTable) -> GroupInvariants:
@@ -189,29 +214,23 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
     exactly when gcd(bar_beta, eta/bar_beta) = g.
     """
-    part = t.scroll.snakes
-    tab = t.ouroboroi
-    eta = t.eta
-    ord_s, ord_c = eta // tab.alpha, eta // tab.beta
+    part, eta = t.scroll.snakes, t.eta
+    ord_s, ord_c = eta // t.alpha, eta // t.beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
     d1 = gcd(part.alpha, part.beta, ord_s, ord_c)
     order = gcd(part.alpha * ord_s, part.beta * ord_c, ord_s * ord_c)
     if order != eta:
         raise AssertionError(f"group order {order} != live count {eta}")
-    return GroupInvariants(
-        (d1, order // d1),
-        product_invariants(tab.alpha, ord_s),
-        product_invariants(tab.beta, ord_c),
-    )
+    return GroupInvariants((d1, order // d1), (t.alpha, ord_s), (t.beta, ord_c))
 
 
 def table_slither(t: OrbitTable) -> str:
     """Length bar_beta step word; its codeg(p_omega) power is the scroll slither."""
-    return t.scroll.metrics.slither.word[: t.ouroboroi.beta]
+    return t.scroll.metrics.slither.word[: t.beta]
 
 
 def table_coslither(t: OrbitTable) -> str:
-    return t.scroll.metrics.coslither.word[: t.ouroboroi.alpha]
+    return t.scroll.metrics.coslither.word[: t.alpha]
 
 
 def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
@@ -219,16 +238,15 @@ def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermut
     co-swallow are sw and cs; assert they agree."""
     s = t.scroll
     part = s.snakes
-    tab = t.ouroboroi
     deg_p1, codeg_p1 = s.fundamental_degrees
-    conditions = {
-        "counts": tab.alpha == part.alpha and tab.beta == part.beta,
-        "swallows": sw.is_identity and cs.is_identity,
-        "bijection": part.alpha // tab.alpha == 1 and part.beta // tab.beta == 1,
-        "scale": t.size % part.modulus == 0,
-        "frequency": t.omega % (deg_p1 * codeg_p1) == 0,
-    }
-    values = set(conditions.values())
-    if len(values) != 1:
-        raise AssertionError(f"color-preserving conditions disagree: {conditions}")
-    return values.pop()
+    counts = t.alpha == part.alpha and t.beta == part.beta
+    swallows = sw.is_identity and cs.is_identity
+    bijection = t.deg == 1 and t.codeg == 1
+    scale = t.size % part.modulus == 0
+    frequency = t.omega % (deg_p1 * codeg_p1) == 0
+    if counts == swallows == bijection == scale == frequency:
+        return counts
+    conditions = dict(
+        counts=counts, swallows=swallows, bijection=bijection, scale=scale, frequency=frequency
+    )
+    raise AssertionError(f"color-preserving conditions disagree: {conditions}")

@@ -27,7 +27,7 @@ from operator import sub
 from .classify import canonical_tape, enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import cyclically_equal
-from .scroll import Partition, Scroll
+from .scroll import Scroll
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -37,7 +37,6 @@ from .tables import (
     predicted_counts,
     swallow,
     table_coslither,
-    table_degrees,
     table_slither,
     is_color_preserving,
 )
@@ -71,9 +70,10 @@ class VerificationReport:
     def check(self, name: str, condition: bool, context: str, omega: int = 0) -> None:
         """Record one check; a failure's context ends with its omega, if given."""
         if condition:
-            self.tally(name, 1, [])
+            self.passed[name] = self.passed.get(name, 0) + 1
         else:
-            self.tally(name, 1, [f"{context} omega={omega}" if omega else context])
+            context = f"{context} omega={omega}" if omega else context
+            self.violations.append(f"{name}: {context}")
 
 
 def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list[tuple[int, int]]:
@@ -93,13 +93,14 @@ def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list
     return walks[0][::-1] + [coord] + walks[1]
 
 
-def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
+def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live residue
-    once onto each live residue mod part.modulus M.
+    of scroll once onto each of its live residues mod M = modulus, a
+    multiple of its tape period T.
 
     The number of images is checked first, against F = M/T times the live
-    residues mod T, T the tape period.  Then only s is walked, outer times
-    from the first live residue t0, on the scroll's period advances: a
+    residues mod T (`Scroll.period_live`).  Then only s is walked, outer
+    times from the first live residue t0, on the scroll's period advances: a
     residue v of M moves by the advance of v mod T.  Each s^a(t0) starts an
     arc of inner consecutive points c^b s^a(t0) on its co-successor orbit
     mod M, and those orbits are read off the cycles mod T
@@ -112,15 +113,15 @@ def _is_torsor(part: Partition, outer: int, inner: int) -> bool:
     orbit and no two arcs on one orbit start closer than inner, cyclically;
     so positions are computed only on orbits that two arcs share.
     """
-    succ = part.scroll.period_advances[0]
-    cycle, index, lift, cycles = part.scroll.period_cycles[1]
-    period, modulus = len(succ), part.modulus
+    succ = scroll.period_advances[0]
+    cycle, index, lift, cycles = scroll.period_cycles[1]
+    cur, live = scroll.period_live
+    period = len(succ)
     fold = modulus // period
-    if outer * inner != fold * (period - succ.count(None)):
+    if outer * inner != fold * live:
         return False
     gcds: dict[int, int] = {}  # per cycle met: g
     arcs: dict[int, list[int]] = {}  # per orbit i*F + (y mod g): the points starting arcs
-    cur = next(t for t, d in enumerate(succ) if d is not None)
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
@@ -273,7 +274,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
     if part:
-        torsor = _is_torsor(part, part.beta, part.alpha)
+        torsor = _is_torsor(s, part.modulus, part.beta, part.alpha)
         rep.check("torsor simple transitivity", torsor, ctx)
 
     if not extended:
@@ -433,23 +434,22 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
         )
 
+    slither, coslither = met.slither.word, met.coslither.word
     for omega in range(1, omega_max + 1):
         table = omega_table(s, omega)
-        tab = table.ouroboroi
+        alpha, beta, deg_p, codeg_p = table.alpha, table.beta, table.deg, table.codeg
         rep.check(
             "ouroboros counts match formula",
-            (tab.alpha, tab.beta) == predicted_counts(s, omega),
+            (alpha, beta) == predicted_counts(s, omega),
             ctx,
             omega,
         )
-        deg_p, codeg_p = table_degrees(table)
         try:
             sw = swallow(table)
             cs = co_swallow(table)
             rep.check(
                 "swallow cycle structure",
-                sw.cycle_type == tuple([deg_p] * tab.alpha)
-                and cs.cycle_type == tuple([codeg_p] * tab.beta),
+                sw.cycle_type == (deg_p,) * alpha and cs.cycle_type == (codeg_p,) * beta,
                 ctx,
                 omega,
             )
@@ -474,15 +474,15 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
         rep.check(
             "table slither power identity",
-            cyclically_equal(table_slither(table) * codeg_p, met.slither.word)
-            and cyclically_equal(table_coslither(table) * deg_p, met.coslither.word),
+            cyclically_equal(table_slither(table) * codeg_p, slither)
+            and cyclically_equal(table_coslither(table) * deg_p, coslither),
             ctx,
             omega,
         )
 
         # torsor of the finite table group; it also checks the closed-form
         # eta against the number of live residues
-        torsor = _is_torsor(tab, tab.beta, table.eta // tab.beta)
+        torsor = _is_torsor(s, table.size, beta, table.eta // beta)
         rep.check("table torsor simple transitivity", torsor, ctx, omega)
 
 

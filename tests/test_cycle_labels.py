@@ -115,17 +115,27 @@ def _walked_counts(s, modulus):
 def test_lifted_counts_match_walked_cycles():
     # oracle for the counts lifted from the windings mod the tape period:
     # every snake partition with n <= 16 and every table with n <= 13 and
-    # omega <= 12 (816 tables)
+    # omega <= 12 (816 tables); with them the per-orbit constants each
+    # table is built from, and the table's live count and degrees
     tables = 0
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
+            assert s.live_count == s.vector.count(1)
+            succ = s.period_advances[0]
+            on_period = [t for t, d in enumerate(succ) if d is not None]
+            assert s.period_live == (on_period[0], len(on_period))
             part = s.snakes
             assert (part.alpha, part.beta) == _walked_counts(s, part.modulus)
             if n <= 13:
                 for omega in range(1, 13):
-                    tab = omega_table(s, omega).ouroboroi
-                    assert (tab.alpha, tab.beta) == _walked_counts(s, tab.modulus)
+                    t = omega_table(s, omega)
+                    tab = t.ouroboroi
+                    assert (tab.modulus, tab.alpha, tab.beta) == (t.size, t.alpha, t.beta)
+                    assert t.eta == len(tab.live)
+                    alpha, beta = _walked_counts(s, t.size)
+                    assert (t.alpha, t.beta) == (alpha, beta)
+                    assert (t.deg, t.codeg) == (part.alpha // alpha, part.beta // beta)
                     tables += 1
     assert tables == 816
 
@@ -145,11 +155,11 @@ def test_windings_reject_a_non_injective_map():
     s.__dict__["period_advances"] = [5 + succ[5], *succ[1:]], co_succ
     with pytest.raises(AssertionError, match="not a permutation"):
         s.windings
-    table = omega_table(s, 2)
+    size = 2 * len(s.vector)  # the omega = 2 table, which lifts its counts when built
     with pytest.raises(AssertionError, match="not a permutation"):
-        walk_cycles(s, table.size, _live(s, table.size))
+        walk_cycles(s, size, _live(s, size))
     with pytest.raises(AssertionError, match="not a permutation"):
-        table.ouroboroi
+        omega_table(s, 2)
 
 
 def test_windings_reject_a_non_permuting_co_successor():

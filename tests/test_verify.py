@@ -90,6 +90,11 @@ def test_alternating_partitions_walk_each_object_once(monkeypatch):
     )
 
 
+def _torsor(part, outer: int, inner: int) -> bool:
+    """The torsor law of verify on a partition's scroll and modulus."""
+    return verify._is_torsor(part.scroll, part.modulus, outer, inner)
+
+
 def _torsor_shapes(count: int, law: tuple[int, int]):
     """The law's (outer, inner), every factor pair of count, and one pair
     of the wrong product."""
@@ -114,11 +119,11 @@ def test_torsor_walk_matches_the_map_oracle():
                     parts.append((tab, (tab.beta, table.eta // tab.beta)))
                     tables += 1
             for part, law in parts:
-                assert verify._is_torsor(part, *law)
+                assert _torsor(part, *law)
                 maps = reduced_maps(part)
                 for shape in _torsor_shapes(len(part.live), law):
                     oracle = map_torsor(maps, part.live, *shape)
-                    assert verify._is_torsor(part, *shape) == oracle, shape
+                    assert _torsor(part, *shape) == oracle, shape
     assert tables == 816
 
 
@@ -133,11 +138,11 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
                 table = omega_table(s, omega)
                 tab = table.ouroboroi
                 law = tab.beta, table.eta // tab.beta
-                assert verify._is_torsor(tab, *law)
+                assert _torsor(tab, *law)
                 maps = reduced_maps(tab)
                 for shape in (law, law[::-1]):
                     oracle = map_torsor(maps, tab.live, *shape)
-                    assert verify._is_torsor(tab, *shape) == oracle, shape
+                    assert _torsor(tab, *shape) == oracle, shape
                 tables += 1
     assert tables == 1092
 
@@ -156,6 +161,7 @@ def _advances_partition(succ: list, co_succ: list, fold: int) -> SimpleNamespace
         co_successor=lambda t: t + co_succ[t % period],
     )
     s.period_cycles = Scroll.period_cycles.func(s)
+    s.period_live = Scroll.period_live.func(s)
     live = tuple(v for v, d in enumerate(succ * fold) if d is not None)
     return SimpleNamespace(scroll=s, modulus=fold * period, live=live)
 
@@ -174,7 +180,7 @@ def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
             count, maps = len(part.live), reduced_maps(part)
             for shape in _torsor_shapes(count, (1, count)):
                 oracle = map_torsor(maps, part.live, *shape)
-                assert verify._is_torsor(part, *shape) == oracle, shape
+                assert _torsor(part, *shape) == oracle, shape
                 calls += 1
     assert calls == 2016
 
@@ -750,3 +756,58 @@ def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
     ]
     assert law not in rep.passed
     assert rep.passed["table torsor simple transitivity"] == 2
+
+
+def test_wrong_predicted_counts_fail_the_counting_law(monkeypatch):
+    monkeypatch.setattr(verify, "predicted_counts", lambda _s, _omega: (0, 0))
+    rep = VerificationReport()
+    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    law = "ouroboros counts match formula"
+    assert rep.violations == [f"{law}: n=11 seed=00001010000 omega={omega}" for omega in (1, 2)]
+    # a wrong count skips nothing: every later law still tallies per omega
+    assert law not in rep.passed
+    assert rep.passed == {
+        "crossed degree divisibility": 1,
+        "swallow cycle structure": 2,
+        "group order equals live count": 2,
+        "color-preserving conditions agree": 2,
+        "table slither power identity": 2,
+        "table torsor simple transitivity": 2,
+    }
+
+
+def test_a_raising_group_fails_the_group_order_law(monkeypatch):
+    def raising(_table):
+        raise AssertionError("group order 21 != live count 22")
+
+    monkeypatch.setattr(verify, "group_invariants", raising)
+    rep = VerificationReport()
+    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    law = "group order equals live count"
+    assert rep.violations == [
+        f"{law}: n=11 seed=00001010000 omega={omega}: group order 21 != live count 22"
+        for omega in (1, 2)
+    ]
+    # no invariants, so no product-form evidence; the later laws still run
+    assert law not in rep.passed
+    assert not rep.product_form_failures
+    for later in (
+        "color-preserving conditions agree",
+        "table slither power identity",
+        "table torsor simple transitivity",
+    ):
+        assert rep.passed[later] == 2, later
+
+
+@pytest.mark.parametrize("helper", ["table_slither", "table_coslither"])
+def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, helper):
+    # either word alone breaks the identity: "D" to any power is no slither
+    # (it has E) and no co-slither (it has no S or L)
+    monkeypatch.setattr(verify, helper, lambda _table: "D")
+    rep = VerificationReport()
+    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    law = "table slither power identity"
+    assert rep.violations == [f"{law}: n=11 seed=00001010000 omega={omega}" for omega in (1, 2)]
+    assert law not in rep.passed
+    assert rep.passed["table torsor simple transitivity"] == 2
+    assert rep.passed["ouroboros counts match formula"] == 2
