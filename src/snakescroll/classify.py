@@ -17,11 +17,11 @@ the period's window, its first n symbols, and must read back exactly the
 two words it was built from (`words_from_row`): the metrics are a
 function of the two words and hold them, so comparing the words is
 comparing the metrics, and each class builds one `ScrollMetrics`, from
-its words.  `canonical_binary` gives the period's least rotation, and the
-fundamental vector is that repeated lcm(T_tape, n) / T_tape times (the
-least rotation of a power is the power of the least rotation).
-`canonical_tape` still reads the simulated orbit rows with Booth's
-`canonical`: `verify` compares the two paths.
+its words.  A class keeps the period's least rotation (`canonical_binary`),
+and its tape, the fundamental vector's, is that repeated lcm(T_tape, n) /
+T_tape times when read (the least rotation of a power is the power of the
+least rotation).  `canonical_tape` reads the simulated orbit's rows with
+Booth's `canonical`: `verify` compares the two paths.
 
 The slithers and co-slithers of a quadruple are its fixed-content
 necklaces (`necklaces`), and each of the two word lists is built once per
@@ -183,7 +183,13 @@ class TapeClass:
     slither: str  # necklace representative
     coslither: str
     first_row: str
-    tape: str  # canonical rotation of the fundamental orbit vector
+    period: str  # least rotation of one least tape period
+
+    @property
+    def tape(self) -> str:
+        """Canonical rotation of the fundamental orbit vector."""
+        size, n = len(self.period), len(self.first_row)
+        return self.period * (lcm(size, n) // size)
 
 
 def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
@@ -191,9 +197,6 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
     if n < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
     records: list[TapeClass] = []
-    # for a fixed n a tape is its primitive canonical period repeated
-    # lcm(T_tape, n) / T_tape times, so tapes are distinct iff those periods are
-    periods: set[str] = set()
     for quad in feasible_quadruples(n):
         coslithers = necklaces_fixed_content("S", "L", quad.alpha_s, quad.alpha_l)
         for ws in necklaces_fixed_content("D", "E", quad.beta_d, quad.beta_e):
@@ -206,12 +209,12 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
                     raise AssertionError(
                         f"round trip failed for ({ws}, {wc}) at n={n}"
                     )
-                size, canonical_period = met.T_tape, canonical_binary(period)
-                periods.add(canonical_period)
-                tape = canonical_period * (lcm(size, n) // size)
-                records.append(TapeClass(quad, ws, wc, row, tape))
-    if len(periods) != len(records):
+                records.append(TapeClass(quad, ws, wc, row, canonical_binary(period)))
+    # for a fixed n a tape is its primitive canonical period repeated
+    # lcm(T_tape, n) / T_tape times, so tapes are distinct iff those periods are
+    distinct = len({rec.period for rec in records})
+    if distinct != len(records):
         raise AssertionError(
-            f"n={n}: {len(records)} necklace pairs but {len(periods)} distinct tapes"
+            f"n={n}: {len(records)} necklace pairs but {distinct} distinct tapes"
         )
     return records

@@ -104,7 +104,7 @@ def _cmd_sum_period(args) -> int:
         "lambda": args.lam,
         "k": args.k,
         "n": s.n,
-        "seed": s.base.rows[0],
+        "seed": s.base.seed,
         "orbitLength": s.m,
         "sumVector": list(sv.sums),
         "achievedPeriod": sv.lam,

@@ -10,8 +10,9 @@ So the rows of an orbit, read one after another, form a ticker tape
 with X_t = NOR(X_(t-1), X_(t-n), X_(t-n+1)): the toggle at t sees its
 left neighbour already updated, and its right one updated only at the
 wrap.  `orbit` and `all_orbits` run this recurrence on an n-bit state
-until the state first returns, after T steps, T the tape period; the
-rows are the states at steps k*n mod T.  `sweep` is the string
+until the state first returns, after T steps, T the tape period; an
+`Orbit` keeps that one tape period, and its rows, the states at steps
+k*n mod T, are built from it on request.  `sweep` is the string
 definition they are tested against.
 
 >>> sweep("00001010000")
@@ -23,7 +24,8 @@ definition they are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 
 def _check_word(bits: str) -> None:
@@ -75,19 +77,33 @@ def sweep(bits: str) -> str:
     return "".join(word)
 
 
+_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to "0"/"1" characters
+
+
 @dataclass(frozen=True)
 class Orbit:
-    """The sweep iterates of a seed until first return."""
+    """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
+    not be the least), and n: its m rows are the first lcm(T, n) symbols."""
 
-    rows: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
+    period: bytes
+    n: int
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return lcm(len(self.period), self.n) // self.n
+
+    @property
+    def seed(self) -> str:
+        """The first row: X_1..X_n."""
+        n, period = self.n, self.period
+        return (period * (n // len(period) + 1))[:n].translate(_CHARS).decode()
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        """The m rows as words, for callers that print or compare them."""
+        n, period = self.n, self.period
+        tape = (period * (self.m * n // len(period))).translate(_CHARS).decode()
+        return tuple(tape[i : i + n] for i in range(0, len(tape), n))
 
 
 def _independent_words(n: int) -> list[int]:
@@ -129,34 +145,26 @@ def _tape_states(start: int, n: int) -> list[int]:
             return states
 
 
-def _orbit_rows(start: int, n: int) -> list[int]:
-    """The orbit rows of seed start as integers: the tape states at steps
-    k*n mod T, for k < lcm(T, n)/n."""
-    states = _tape_states(start, n)
-    period = len(states)
-    return [states[k * n % period] for k in range(period // gcd(period, n))]
-
-
 def orbit(bits: str) -> Orbit:
     """The sweep orbit of one seed, checked once, simulated over one tape period."""
     _require_independent(bits)
     n = len(bits)
-    return Orbit(tuple(format(w, f"0{n}b") for w in _orbit_rows(int(bits, 2), n)))
+    # X_1..X_T: the leading bit of each tape state
+    return Orbit(bytes([w >> n - 1 for w in _tape_states(int(bits, 2), n)]), n)
 
 
 def all_orbits(n: int) -> list[Orbit]:
     """Partition of all independent sets of C_n into sweep orbits.
 
-    Each orbit is simulated on its tape over one period, from its least
-    row; its rows become strings once.
+    Each orbit is simulated on its tape over one period T from its least
+    row; its rows, the states at the multiples of gcd(T, n), are marked seen.
     """
-    fmt = f"0{n}b"
     seen: set[int] = set()
     parts: list[Orbit] = []
     for start in _independent_words(n):
         if start in seen:
             continue
-        rows = _orbit_rows(start, n)
-        seen.update(rows)
-        parts.append(Orbit(tuple(format(w, fmt) for w in rows)))
+        states = _tape_states(start, n)
+        seen.update(states[:: gcd(len(states), n)])
+        parts.append(Orbit(bytes([w >> n - 1 for w in states]), n))
     return parts

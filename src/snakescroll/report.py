@@ -43,7 +43,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
 
     return {
         "n": s.n,
-        "seed": s.base.rows[0],
+        "seed": s.base.seed,
         "omega": omega,
         "rows": list(s.base.rows),
         "orbitLength": s.m,

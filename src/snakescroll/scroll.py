@@ -1,20 +1,20 @@
 """The scroll as one flat ticker tape: successor maps, snake partitions.
 
-The scroll repeats the fundamental orbit rows cyclically, and the ticker
-tape X_t is its row-major reading.  Cell (i, j) of the scroll, for any
-integer row i and column j, is tape index t = i*n + j; this is the
-cylinder identification, under which (i, j+n) and (i+1, j) are the same
-cell.  So the tape alone is the scroll: the fundamental vector (the m
-orbit rows concatenated) repeated with period m*n, read as
-X_t = vector[(t-1) % (m*n)].
+The scroll stacks the orbit's rows cyclically, and the ticker tape X_t
+is its row-major reading.  Cell (i, j) of the scroll, for any integer row
+i and column j, is tape index t = i*n + j; this is the cylinder
+identification, under which (i, j+n) and (i+1, j) are the same cell.  So
+the tape alone is the scroll, and the orbit holds one period of it: the
+fundamental vector, the first m*n = lcm(T, n) symbols, is that period
+repeated, and X_t = vector[(t-1) % (m*n)].
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod m*n, so each map is stored as one letter per
-residue of the vector.  The letters repeat with the vector's least cyclic
-period P (`Scroll.unit`), so each table is stored as that one period, found
-by testing that map's own two candidates there; a step at t reads the
-letter at (t - 1) mod P.
+residue of the vector.  The letters repeat with the tape's least period P
+(`Scroll.unit`, found on the orbit's period), so each table is stored as
+that one period, found by testing that map's own two candidates there; a
+step at t reads the letter at (t - 1) mod P.
 
 Snakes and ouroboroi are one partition at two moduli: successor and
 co-successor commute with shifts by any multiple M of the tape period T, so
@@ -64,7 +64,6 @@ from .cycles import Orbit, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
-_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to 0/1 bytes
 # per step letter, a translation table taking it to byte 1 and every other character to 0
 _ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
 # per letter pair, a translation table from the code byte 4*(residue live) +
@@ -98,25 +97,25 @@ def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
 class Scroll:
     base: Orbit
 
-    @cached_property
+    @property
     def n(self) -> int:
         return self.base.n
 
-    @cached_property
+    @property
     def m(self) -> int:
         return self.base.m
 
     @cached_property
     def vector(self) -> bytes:
-        """The fundamental vector: the first m*n tape symbols, as 0/1 bytes."""
-        return "".join(self.base.rows).encode().translate(_BITS)
+        """The fundamental vector: the orbit's period repeated to m*n symbols."""
+        return self.base.period * (self.m * self.n // len(self.base.period))
 
     @cached_property
     def unit(self) -> bytes:
-        """The vector's least cyclic period: its first P symbols, P the least
-        shift that fixes it, found on the vector itself."""
-        vector = self.vector
-        return vector[: (vector + vector).find(vector, 1)]
+        """The tape's least cyclic period: its first P symbols, P the least
+        shift that fixes it, found on the orbit's period."""
+        period = self.base.period
+        return period[: (period + period).find(period, 1)]
 
     def reads(self, length: int) -> bytes:
         """X_t for t in [0, length): the vector rotated right by one, repeated."""

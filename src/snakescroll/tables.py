@@ -63,10 +63,6 @@ class OrbitTable:
     codeg: int  # codeg p_omega = beta / bar_beta
 
     @property
-    def n(self) -> int:
-        return self.scroll.n
-
-    @property
     def r(self) -> int:
         return self.omega * self.scroll.m
 
@@ -101,12 +97,6 @@ class SwallowPermutation:
 
     order: tuple[int, ...]  # labels in cyclic order
     shift: int  # uniform shift k with image(order[i]) = order[i+k]
-
-    @property
-    def image(self) -> dict[int, int]:
-        """Label -> label under the swallow map."""
-        order, shift = self.order, self.shift
-        return dict(zip(order, order[shift:] + order[:shift]))
 
     @property
     def cycle_type(self) -> tuple[int, ...]:

@@ -182,7 +182,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     skipped too where a letter's step lands on a dead entry.
     """
     n, m = s.n, s.m
-    ctx = f"n={n} seed={s.base.rows[0]}"
+    ctx = f"n={n} seed={s.base.seed}"
     met = s.metrics
     size = m * n
     unit = s.unit
@@ -417,7 +417,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
     none runs unless all four steps are maps of the live entries."""
-    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    ctx = f"n={s.n} seed={s.base.seed}"
     if not s.steps_are_maps:
         rep.violations.append(f"table laws skipped: {ctx}: steps are not maps")
         return

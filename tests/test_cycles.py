@@ -3,6 +3,7 @@
 import pytest
 
 from snakescroll.cycles import (
+    Orbit,
     _tape_states,
     all_orbits,
     enumerate_independent_sets,
@@ -12,6 +13,7 @@ from snakescroll.cycles import (
     sweep,
     toggle,
 )
+from snakescroll.scroll import Scroll
 
 LUCAS = {2: 3, 3: 4, 4: 7, 5: 11, 6: 18, 7: 29, 8: 47, 9: 76, 10: 123}
 
@@ -82,7 +84,9 @@ def test_sweep_is_a_bijection():
 
 
 def test_orbit_smallest_cycle():
-    assert orbit("00").rows == ("00", "10", "01")
+    o = orbit("00")
+    assert o == Orbit(bytes([0, 0, 1]), 2)  # the tape 001001...: T = 3
+    assert (o.m, o.seed, o.rows) == (3, "00", ("00", "10", "01"))
 
 
 def test_orbit_running_example_length():
@@ -139,10 +143,14 @@ def test_bitmask_sweep_matches_sweep():
 
 
 def test_all_orbits_are_simulated_orbits():
+    # an orbit is one tape period: its seed and the scroll's vector, derived
+    # from it, are the first row and the rows joined
     for n in range(2, 17):
         for o in all_orbits(n):
-            assert o.rows == _swept_rows(o.rows[0])
-            assert o == orbit(o.rows[0])
+            assert o.seed == o.rows[0]
+            assert o.rows == _swept_rows(o.seed)
+            assert Scroll(o).vector == bytes(int(c) for c in "".join(o.rows))
+            assert o == orbit(o.seed)
 
 
 def test_orbit_rejects_bad_seeds():

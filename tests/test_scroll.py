@@ -79,7 +79,7 @@ def test_fibers_are_singletons():
 
 def test_step_failures_are_per_index():
     # not a sweep orbit: tape 10000010 repeating, live at residues 1 and 7
-    s = Scroll(Orbit(("1000", "0010")))
+    s = Scroll(Orbit(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4))
     with pytest.raises(AssertionError, match="0 live candidates"):
         s.successor_step(1)
     with pytest.raises(ValueError):
@@ -106,18 +106,18 @@ def least_cyclic_period(vector: bytes) -> int:
 
 def test_step_letters_match_the_reference():
     # the tables are the vector's least period P, built there: repeated to
-    # the vector's length they are the reference; orbits listed twice have
-    # P < m*n, and one symbol flipped in the last period of such a vector
-    # makes P = m*n
+    # the vector's length they are the reference; an orbit given twice its
+    # vector as its period has P < m*n, and one symbol flipped in the last
+    # period of that period makes P = m*n
     orbits = [o for n in range(2, 17) for o in all_orbits(n)]
-    scrolls = [Scroll(o) for o in orbits + [Orbit(("1000", "0010"))]]
+    scrolls = [Scroll(o) for o in orbits + [Orbit(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)]]
     for o in orbits:
-        doubled = Scroll(Orbit(o.rows * 2))
+        doubled = Scroll(Orbit(Scroll(o).vector * 2, o.n))
         assert least_cyclic_period(doubled.vector) < len(doubled.vector)
-        flipped = Scroll(doubled.base)
         vector = bytearray(doubled.vector)
         vector[-1] ^= 1
-        flipped.__dict__["vector"] = bytes(vector)
+        flipped = Scroll(Orbit(bytes(vector), o.n))
+        assert flipped.vector == vector
         assert least_cyclic_period(flipped.vector) == len(vector)
         scrolls += [doubled, flipped]
     for s in scrolls:

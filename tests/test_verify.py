@@ -282,11 +282,22 @@ def test_fibers_on_a_merged_co_successor_cycle(winding, lift, shared):
     assert _law_results(s, FIBERS) == (12 - len(expected), expected)
 
 
+def test_the_suite_formats_no_orbit_rows(monkeypatch):
+    # the laws read the tape period and the seed; the rows as words are
+    # for the report and the completeness check alone
+    def raising(_orbit):
+        raise AssertionError("Orbit.rows read")
+
+    monkeypatch.setattr(Orbit, "rows", property(raising))
+    rep = run_verification(2, 12, omega_max=3)
+    assert not rep.violations and rep.passed
+
+
 @pytest.mark.parametrize("seed", ["00001010000", "101010001010", "00100"])
 def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
-    # the rows repeated twice are the same tape with m doubled: the closed
-    # form read off one window still gives the true orbit length
-    s = Scroll(Orbit(orbit(seed).rows * 2))
+    # the vector repeated twice is a period of the same tape with m doubled:
+    # the closed form read off one window still gives the true orbit length
+    s = Scroll(Orbit(Scroll(orbit(seed)).vector * 2, len(seed)))
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -707,14 +718,15 @@ def test_a_broken_table_torsor_is_a_violation(breaking):
 def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
     # an extra 1 at (row, col) (columns from 1), past the first length-n
     # window, so the metrics read off that window are unchanged: it and its
-    # live neighbours are reported, and nothing raises
-    s = scroll_from_seed("00001010000")
-    met = s.metrics
-    vector = bytearray(s.vector)
+    # live neighbours are reported, and nothing raises.  The corrupted vector
+    # is the orbit's period, so the least period the laws run on is m*n
+    met = scroll_from_seed("00001010000").metrics
+    vector = bytearray(scroll_from_seed("00001010000").vector)
     r = row * 11 + col - 1
     assert vector[r] == 0
     vector[r] = 1
-    s.__dict__["vector"] = bytes(vector)
+    s = Scroll(Orbit(bytes(vector), 11))
+    assert s.vector == vector and len(s.unit) == 77
     assert s.metrics == met
     rep = VerificationReport()
     check_scroll(s, rep)
