@@ -24,7 +24,6 @@ from .cycles import (
     toggle,
 )
 from .scroll import (
-    Partition,
     Scroll,
     scroll_from_seed,
 )

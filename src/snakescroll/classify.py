@@ -20,8 +20,8 @@ comparing the metrics, and each class builds one `ScrollMetrics`, from
 its words.  A class keeps the period's least rotation (`canonical_binary`),
 and its tape, the fundamental vector's, is that repeated lcm(T_tape, n) /
 T_tape times when read (the least rotation of a power is the power of the
-least rotation).  `canonical_tape` reads the simulated orbit's rows with
-Booth's `canonical`: `verify` compares the two paths.
+least rotation).  `verify` compares these periods with the least periods
+of the simulated orbits, each in its least rotation.
 
 The slithers and co-slithers of a quadruple are its fixed-content
 necklaces (`necklaces`), and each of the two word lists is built once per
@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cycles import is_independent
-from .cyclic import canonical, canonical_binary, least_period
+from .cyclic import canonical_binary, least_period
 from .necklaces import necklaces_fixed_content
-from .scroll import Scroll
 from .slither import ScrollMetrics, metrics_from_words, words_from_row
 
 
@@ -170,11 +169,6 @@ def checked_period(period: int, size: int, n: int) -> str:
             f"tape period {word} has least period {least_period(word)}, not {size}"
         )
     return word
-
-
-def canonical_tape(s: Scroll) -> str:
-    """Least rotation of the fundamental orbit vector."""
-    return canonical("".join(s.base.rows))
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,13 @@
 """Small helpers for words considered up to cyclic rotation.
 
-The canonical form is the least rotation, found in O(L) time and memory
-by Booth's algorithm (K. S. Booth, "Lexicographically least circular
-substrings", IPL 1980).  Classification canonicalises its tape periods
-with `canonical_binary`, which only compares the rotations at the
-longest zero runs; Booth's `canonical` is the simulation-side oracle,
-the form of the simulated orbit rows that `verify` compares them with.
+The canonical form of a tape period is its least rotation
+(`canonical_binary`), found by comparing only the rotations that start at
+its longest zero runs.  Classification stores each class's period that
+way, and `verify` puts each simulated orbit's least period in the same
+form to compare the two.
 """
 
 from __future__ import annotations
-
-
-_LETTER_RANK = str.maketrans("DESL01", "010101")
-
-
-def canonical(word: str) -> str:
-    """Least rotation in lexicographic order with D < E and S < L.
-
-    ASCII agrees for D/E but not for S/L, so Booth's algorithm runs on
-    the rank translation, and the start it finds rotates the raw word.
-    """
-    ranked = word.translate(_LETTER_RANK) * 2
-    # fail[d]: failure function of the least candidate so far, which starts at k.
-    fail = [-1] * len(ranked)
-    k = 0
-    for j in range(1, len(ranked)):
-        c = ranked[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ranked[k + i + 1]:
-            if c < ranked[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != ranked[k + i + 1]:  # here i == -1
-            if c < ranked[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return word[k:] + word[:k]
 
 
 def canonical_binary(word: str) -> str:

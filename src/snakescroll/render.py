@@ -27,18 +27,17 @@ def _label_colors(labels: list, palette: list) -> dict:
 def ansi_table(table: OrbitTable) -> str:
     """Two colored copies of the table: snake scheme, then co-snake scheme."""
     s = table.scroll
-    part = s.snakes
     bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
     live = list(compress(range(1, len(bits) + 1), bits))
     blocks = []
-    for title, labels in (("snakes", part.snake_label), ("co-snakes", part.cosnake_label)):
+    for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
         cell = {
             label: f"\x1b[{color}m1\x1b[0m"
             for label, color in _label_colors(labels, ANSI_COLORS).items()
         }
         chars = ["."] * len(bits)
         for t in live:
-            chars[t - 1] = cell[labels[t % part.modulus]]
+            chars[t - 1] = cell[labels[t % len(labels)]]
         rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
         blocks.append("\n".join([title + ":", *rows]))
     return "\n\n".join(blocks) + "\n"
@@ -57,9 +56,9 @@ def svg_table(table: OrbitTable) -> str:
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
     size = r * n
-    part = s.snakes
-    snake_color = _label_colors(part.snake_label, SNAKE_PALETTE)
-    cosnake_color = _label_colors(part.cosnake_label, COSNAKE_PALETTE)
+    snake, cosnake = s.snake_labels
+    snake_color = _label_colors(snake, SNAKE_PALETTE)
+    cosnake_color = _label_colors(cosnake, COSNAKE_PALETTE)
     width, height = (n + 2) * unit, (r + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -83,8 +82,7 @@ def svg_table(table: OrbitTable) -> str:
     # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then
     # nodes, x and y formatted once; tape index t = i*n + (j+1) sits at
     # ((j+1)*unit, (i+1)*unit)
-    modulus, snake, cosnake = part.modulus, part.snake_label, part.cosnake_label
-    entries, xy = [], {}
+    modulus, entries, xy = len(snake), [], {}
     for t in compress(range(1, size + 1), s.vector * table.omega):
         i, j = divmod(t - 1, n)
         xy[t] = x, y = str((j + 1) * unit), str((i + 1) * unit)

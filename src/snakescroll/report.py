@@ -29,7 +29,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
     """
     s, omega = table.scroll, table.omega
     met = s.metrics
-    part = s.snakes
+    snakes = s.snakes
     sw, cs = swallow(table), co_swallow(table)
     inv = group_invariants(table)
     sv = sum_vector(s)
@@ -37,7 +37,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
     # simulate one slither to double-check the row extraction
     sim = []
     t = s.vector.index(1) + 1  # the first live entry
-    for _ in range(part.beta):
+    for _ in range(snakes.beta):
         t, letter = s.successor_step(t)
         sim.append(letter)
 
@@ -56,8 +56,8 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "sigma": met.sigma,
         "tapePeriod": met.T_tape,
         "scrollPeriod": met.T_scroll,
-        "alpha": part.alpha,
-        "beta": part.beta,
+        "alpha": snakes.alpha,
+        "beta": snakes.beta,
         "colScale": col_scale(s),
         "sumVector": list(sv.sums),
         "sumPeriod": sv.lam,

@@ -1,4 +1,4 @@
-"""The scroll as one flat ticker tape: successor maps, snake partitions.
+"""The scroll as one flat ticker tape: successor maps, snakes and their cycles.
 
 The scroll stacks the orbit's rows cyclically, and the ticker tape X_t
 is its row-major reading.  Cell (i, j) of the scroll, for any integer row
@@ -16,41 +16,33 @@ residue of the vector.  The letters repeat with the tape's least period P
 that one period, found by testing that map's own two candidates there; a
 step at t reads the letter at (t - 1) mod P.
 
-Snakes and ouroboroi are one partition at two moduli: successor and
-co-successor commute with shifts by any multiple M of the tape period T, so
-they descend to the residues mod M.  Mod sigma, the advance of a full
-slither, the cycles are the snakes and co-snakes (the shift fixes each one,
-and distinct snakes cannot merge under it, so the quotient is faithful):
-that partition is `Scroll.snakes`.  Mod the size omega*m*n of an orbit table
-they are the ouroboroi (`tables.OrbitTable.ouroboroi`).  A `Partition` is
-its scroll, its modulus and its two cycle counts; its live residues, its
-cycle walk and its cycle labels are built on first read.  In the library
-only the sigma partition is read that way, by the swallows and the
-renderers alone.
+Snakes and co-snakes are the cycles of the successor and co-successor
+mod sigma, the advance of a full slither, and ouroboroi those mod the size
+omega*m*n of an orbit table: both maps commute with shifts by any multiple
+M of the tape period T, so they descend to the residues mod M.  Each
+scroll walks its two maps once, mod T (`walk_cycles`, read as
+`Scroll.period_cycles`), stepping a residue v by its advance
+(`Scroll.period_advances`): per live residue it gives its cycle, its
+index on that cycle and its lift, per cycle its length, its winding and
+its start, the least member.  Every cycle mod M is read off those cycles
+through the covering map Z/M -> Z/T.
 
-One walker, `walk_cycles`, walks both maps mod any multiple M of T.  Each
-scroll reads the advance of each step at each residue mod T once
-(`Scroll.period_advances`), and the walker steps a residue v by the
-advance at v mod T, starting from the live residues its partition reads
-once: per live residue it gives its cycle, its index on that cycle and its
-lift, per cycle its length, its winding and its start, the least member.
-So a residue's label, the least member of its cycle, is read off its cycle
-number (`Partition.snake_label`).
-
-The cycle counts come from the covering map Z/M -> Z/T.  A cycle of a map
-mod T whose advances sum to w*T lifts to gcd(w, M/T) cycles mod M: the map
-commutes with the shift by T, so going once round the cycle moves each
-point of its fibre, a coset of T*Z/M*Z, by w*T, and the fibre splits into
-the gcd(w, M/T) orbits of that translation.  So each scroll walks its two
-maps mod T once (`Scroll.period_cycles`, `Scroll.windings`), and a
-partition's counts are sums of gcds: only the sigma partition is walked,
-for its labels.  The same covering places each point mod M on its cycle
-of each map: u + x*T, u < T with lift q on cycle i of winding w, lies on
-the lift numbered (x - q) mod gcd(w, M/T).  So the torsor laws of `verify`
-walk only the successor mod M, stepping a residue v by the advance at v
-mod T, and read the co-successor orbits off the cycles mod T; its laws on
-snakes and co-snakes mod sigma read both off the cycles mod T and run on
-the residues mod T alone.  None builds anything of size M.
+A cycle of a map mod T whose advances sum to w*T lifts to gcd(w, M/T)
+cycles mod M: the map commutes with the shift by T, so going once round
+the cycle moves each point of its fibre, a coset of T*Z/M*Z, by w*T, and
+the fibre splits into the gcd(w, M/T) orbits of that translation.  So the
+counts at any M are sums of gcds of the windings (`lifted_counts`), and
+`Scroll.snakes` is the pair (alpha, beta) at sigma.  The same covering
+places each point mod M on its cycle of each map: u + x*T, u < T with
+lift q on cycle i of winding w, lies on the lift numbered
+(x - q) mod gcd(w, M/T).  The snake labels mod sigma, the least residue
+of each residue's snake and co-snake (`Scroll.snake_labels`), are read
+that way in one ascending pass, for the swallows and the renderers
+alone.  The torsor laws of `verify` walk only the successor mod M,
+stepping a residue v by the advance at v mod T, and read the
+co-successor orbits off the cycles mod T; its laws on snakes and
+co-snakes mod sigma read both off the cycles mod T and run on the
+residues mod T alone.  No law builds anything of size M.
 """
 
 from __future__ import annotations
@@ -59,6 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd
+from typing import NamedTuple
 
 from .cycles import Orbit, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
@@ -72,6 +65,11 @@ _LETTER_OF = {
     pair: (DEAD * 4 + "0" + pair[1] + pair[0] + "2").encode().ljust(256, DEAD.encode())
     for pair in ("ED", "SL")
 }
+
+
+class SnakeCounts(NamedTuple):
+    alpha: int  # snakes: cycles of the successor mod sigma
+    beta: int  # co-snakes: cycles of the co-successor mod sigma
 
 
 def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
@@ -202,9 +200,11 @@ class Scroll:
         return True
 
     @cached_property
-    def snakes(self) -> Partition:
-        """Snakes and co-snakes: the partition mod sigma."""
-        return partition(self, self.metrics.sigma)
+    def snakes(self) -> SnakeCounts:
+        """The numbers of snakes and co-snakes: the cycle counts of both maps
+        mod sigma, lifted from the windings mod T (`lifted_counts`)."""
+        met = self.metrics
+        return SnakeCounts(*lifted_counts(self, met.sigma // met.T_tape))
 
     @cached_property
     def period_advances(self) -> tuple[list, list]:
@@ -234,9 +234,9 @@ class Scroll:
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod the tape
-        period T (`walk_cycles` at T)."""
+        period T (`walk_cycles`) on the live residues mod T."""
         period = self.metrics.T_tape
-        return walk_cycles(self, period, tuple(compress(range(period), self.reads(period))))
+        return walk_cycles(self.period_advances, tuple(compress(range(period), self.reads(period))))
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
@@ -245,22 +245,45 @@ class Scroll:
         return tuple([w for _, w, _ in cycles] for *_, cycles in self.period_cycles)
 
     @cached_property
+    def snake_labels(self) -> tuple[list, list]:
+        """Per residue mod sigma, the least residue of its snake (then its
+        co-snake), None where dead, read off the cycles mod T through the
+        covering: u + x*T, u < T with lift q on cycle i of winding w, lies
+        on the lift numbered (x - q) mod gcd(w, sigma/T).  The residues are
+        visited in ascending order, so each lift is named by the first
+        residue met on it."""
+        period = self.metrics.T_tape
+        fold = self.metrics.sigma // period
+        labels = []
+        for cycle, _, lift, cycles in self.period_cycles:
+            gcds = [gcd(w, fold) for _, w, _ in cycles]
+            # per live residue u < T: u, the key of its cycle, its lift, its gcd
+            on = [(u, i * fold, lift[u], gcds[i]) for u, i in enumerate(cycle) if i is not None]
+            label, least = [None] * (fold * period), {}
+            for x in range(fold):
+                base = x * period
+                for u, key, q, g in on:
+                    label[base + u] = least.setdefault(key + (x - q) % g, base + u)
+            labels.append(label)
+        return tuple(labels)
+
+    @cached_property
     def snake_walk(self) -> tuple[list[int], list]:
         """Tape indices along the co-successor from the first live one, one
         per snake, and the snake of each: a co-slither meets each snake once."""
-        return self._label_walk(self.snakes.snake_of, self.snakes.alpha, self.co_successor)
+        return self._label_walk(self.snake_labels[0], self.snakes.alpha, self.co_successor)
 
     @cached_property
     def cosnake_walk(self) -> tuple[list[int], list]:
         """Likewise along the successor, one per co-snake."""
-        return self._label_walk(self.snakes.cosnake_of, self.snakes.beta, self.successor)
+        return self._label_walk(self.snake_labels[1], self.snakes.beta, self.successor)
 
-    def _label_walk(self, label_of, count: int, step) -> tuple[list[int], list]:
+    def _label_walk(self, labels: list, count: int, step) -> tuple[list[int], list]:
         k, indices = self.vector.index(1) + 1, []
         for _ in range(count):
             indices.append(k)
             k = step(k)
-        return indices, [label_of(k) for k in indices]
+        return indices, [labels[k % len(labels)] for k in indices]
 
     def _step(self, letters: str, t: int, what: str) -> tuple[int, str]:
         letter = letters[(t - 1) % len(letters)]
@@ -290,98 +313,44 @@ def scroll_from_seed(bits: str) -> Scroll:
     return Scroll(orbit(bits))
 
 
-def _fold(s: Scroll, modulus: int) -> int:
-    """modulus / T, T the tape period of s; modulus must be a multiple of T."""
-    period = s.metrics.T_tape
-    if modulus % period:
-        raise ValueError(f"modulus {modulus} is not a multiple of tape period {period}")
-    return modulus // period
-
-
 def walk_cycles(
-    s: Scroll, modulus: int, live: tuple[int, ...]
+    advances: tuple[list, list], live: tuple[int, ...]
 ) -> tuple[tuple[list, list, list, list], ...]:
-    """The cycles of the successor (then co-successor) of s mod modulus M, a
-    multiple of its tape period T, on live, its live residues mod M in
-    ascending order, each map walked once on the period advances
-    (`Scroll.period_advances`): a residue v moves by the advance at v mod T.
+    """The cycles of the successor (then co-successor) mod the tape period
+    T, each map given by its advance per residue mod T (`Scroll.period_advances`)
+    and walked once on live, the live residues mod T in ascending order.
     Four arrays (cycle, index, lift, cycles) per map.
 
-    For a live u in [0, M), u is on cycle cycle[u], index[u] = k steps from
-    that cycle's least member u0, and u0 + A_k = u + lift[u]*M, A_k the
+    For a live u in [0, T), u is on cycle cycle[u], index[u] = k steps from
+    that cycle's least member u0, and u0 + A_k = u + lift[u]*T, A_k the
     summed advance of those k steps; the three are None where u is dead.
     cycles[i] is the length, the winding and the least member of cycle i,
-    the winding being its summed advance over M; cycles are numbered by
+    the winding being its summed advance over T; cycles are numbered by
     their least members, ascending.  A map that does not permute the live
     residues raises.
     """
-    period = modulus // _fold(s, modulus)
     walks = []
-    for row in s.period_advances:
-        cycle, index, lift, cycles = [None] * modulus, [None] * modulus, [None] * modulus, []
+    for row in advances:
+        period = len(row)
+        cycle, index, lift, cycles = [None] * period, [None] * period, [None] * period, []
         for start in live:
             if cycle[start] is not None:
                 continue
-            i, k, u, d = len(cycles), 0, start, row[start % period]
+            i, k, u, d = len(cycles), 0, start, row[start]
             v = start  # u0 + A_k
             while True:
-                cycle[u], index[u], lift[u] = i, k, v // modulus
+                cycle[u], index[u], lift[u] = i, k, v // period
                 v += d
                 k += 1
-                u = v % modulus
+                u = v % period
                 if u == start:
                     break
-                d = row[u % period]
+                d = row[u]
                 if d is None or cycle[u] is not None:  # None: a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
-            cycles.append((k, (v - start) // modulus, start))
+            cycles.append((k, (v - start) // period, start))
         walks.append((cycle, index, lift, cycles))
     return tuple(walks)
-
-
-def _labels(walk: tuple[list, list, list, list]) -> list:
-    """Per residue, the least member of its cycle: the start kept for its
-    cycle number, or None where dead (no cycle is numbered None)."""
-    cycle, _, _, cycles = walk
-    return list(map({i: start for i, (_, _, start) in enumerate(cycles)}.get, cycle))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Cycles of the successor (snakes) and co-successor (co-snakes) of a
-    scroll mod modulus: their counts, with the residues, the cycle walk and
-    the labels built on first read."""
-
-    scroll: Scroll
-    modulus: int
-    alpha: int  # number of snakes: cycles of the reduced successor
-    beta: int  # number of co-snakes: cycles of the reduced co-successor
-
-    @cached_property
-    def live(self) -> tuple[int, ...]:
-        """The live residues in [0, modulus), ascending."""
-        return tuple(compress(range(self.modulus), self.scroll.reads(self.modulus)))
-
-    @cached_property
-    def walk(self) -> tuple[tuple[list, list, list, list], ...]:
-        """Both maps walked mod modulus (`walk_cycles`) on the live residues."""
-        return walk_cycles(self.scroll, self.modulus, self.live)
-
-    @cached_property
-    def snake_label(self) -> list:
-        """Per residue, the least residue of its snake; None if dead."""
-        return _labels(self.walk[0])
-
-    @cached_property
-    def cosnake_label(self) -> list:
-        """Likewise for co-snakes."""
-        return _labels(self.walk[1])
-
-    def snake_of(self, t: int) -> int:
-        return self.snake_label[t % self.modulus]
-
-    def cosnake_of(self, t: int) -> int:
-        return self.cosnake_label[t % self.modulus]
 
 
 def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
@@ -389,9 +358,3 @@ def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
     T its tape period: each cycle mod T of winding w lifts to gcd(w, fold)."""
     succ, co_succ = s.windings
     return sum(gcd(w, fold) for w in succ), sum(gcd(w, fold) for w in co_succ)
-
-
-def partition(s: Scroll, modulus: int) -> Partition:
-    """The snake partition of s reduced mod modulus, a multiple of its tape
-    period T, with its counts lifted from the windings (`lifted_counts`)."""
-    return Partition(s, modulus, *lifted_counts(s, _fold(s, modulus)))

@@ -7,7 +7,8 @@ omega*m*n instead of sigma.  Their cycles there are the ouroboroi and
 co-ouroboroi.  A table covers the tape period T, so their counts are
 lifted, not walked: a cycle mod T of winding w (summed advance w*T) splits
 into gcd(w, omega*m*n/T) cycles of the table, one per orbit of the
-translation by w*T on the cycle's fibre (`scroll.lifted_counts`).
+translation by w*T on the cycle's fibre (`scroll.lifted_counts`).  No
+table walks or labels its cycles.
 
 `omega_table` computes a table's scalars once, when it builds it: its
 size omega*m*n, its live count eta, its counts bar_alpha and bar_beta and
@@ -16,9 +17,6 @@ beta/bar_beta.  It reads them off constants each scroll keeps for every
 omega: its live count (`Scroll.live_count`), its windings mod T
 (`Scroll.windings`) and its snake counts (`Scroll.snakes`).  Every helper
 here reads those scalars and builds nothing of size omega*m*n.
-`OrbitTable.ouroboroi` is the table's `scroll.Partition` with the same
-counts, built on first read for the callers that walk or label it; no
-law does.
 
 The live residues form a torsor of the finite abelian group generated by
 the two maps mod the table size; the torsor law of `verify` checks that in
@@ -32,7 +30,8 @@ steps reduced mod the table size instead.  Covering degrees
 metrics; the lifted cycle counts are what they are checked against.  A
 swallow's walk order does not depend on omega: each scroll keeps it
 (`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table reads only the
-image of each label in the scroll's label arrays mod sigma.
+image of each label in the scroll's label arrays mod sigma
+(`Scroll.snake_labels`, read off its cycles mod T).
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
 per omega, the `orbit` command per request) and hands it, with its two
@@ -42,10 +41,9 @@ swallows where needed, to every helper here: no helper builds a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
-from .scroll import Partition, Scroll, lifted_counts
+from .scroll import Scroll, lifted_counts
 
 
 @dataclass
@@ -66,22 +64,15 @@ class OrbitTable:
     def r(self) -> int:
         return self.omega * self.scroll.m
 
-    @cached_property
-    def ouroboroi(self) -> Partition:
-        """Ouroboroi (alpha) and co-ouroboroi (beta): the partition mod the
-        table size, with the table's counts."""
-        return Partition(self.scroll, self.size, self.alpha, self.beta)
-
 
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
     size = omega * len(s.vector)
     alpha, beta = lifted_counts(s, size // s.metrics.T_tape)
-    part = s.snakes
-    return OrbitTable(
-        s, omega, size, omega * s.live_count, alpha, beta, part.alpha // alpha, part.beta // beta
-    )
+    snakes = s.snakes
+    deg, codeg = snakes.alpha // alpha, snakes.beta // beta
+    return OrbitTable(s, omega, size, omega * s.live_count, alpha, beta, deg, codeg)
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
@@ -129,13 +120,13 @@ def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     s = t.scroll
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, s.snakes.snake_label, s.snake_walk)
+    return _swallow(t, s.snake_labels[0], s.snake_walk)
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     s = t.scroll
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, s.snakes.cosnake_label, s.cosnake_walk)
+    return _swallow(t, s.snake_labels[1], s.cosnake_walk)
 
 
 @dataclass(slots=True)
@@ -204,11 +195,11 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
     exactly when gcd(bar_beta, eta/bar_beta) = g.
     """
-    part, eta = t.scroll.snakes, t.eta
+    snakes, eta = t.scroll.snakes, t.eta
     ord_s, ord_c = eta // t.alpha, eta // t.beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
-    d1 = gcd(part.alpha, part.beta, ord_s, ord_c)
-    order = gcd(part.alpha * ord_s, part.beta * ord_c, ord_s * ord_c)
+    d1 = gcd(snakes.alpha, snakes.beta, ord_s, ord_c)
+    order = gcd(snakes.alpha * ord_s, snakes.beta * ord_c, ord_s * ord_c)
     if order != eta:
         raise AssertionError(f"group order {order} != live count {eta}")
     return GroupInvariants((d1, order // d1), (t.alpha, ord_s), (t.beta, ord_c))
@@ -227,12 +218,12 @@ def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermut
     """Evaluate the five equivalent conditions on table t, whose swallow and
     co-swallow are sw and cs; assert they agree."""
     s = t.scroll
-    part = s.snakes
+    snakes = s.snakes
     deg_p1, codeg_p1 = s.fundamental_degrees
-    counts = t.alpha == part.alpha and t.beta == part.beta
+    counts = t.alpha == snakes.alpha and t.beta == snakes.beta
     swallows = sw.is_identity and cs.is_identity
     bijection = t.deg == 1 and t.codeg == 1
-    scale = t.size % part.modulus == 0
+    scale = t.size % s.metrics.sigma == 0
     frequency = t.omega % (deg_p1 * codeg_p1) == 0
     if counts == swallows == bijection == scale == frequency:
         return counts

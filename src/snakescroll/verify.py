@@ -10,10 +10,16 @@ string is built only for a check that fails.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
 period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
-through the covering Z/M -> Z/T, so `check_scroll` walks no cycles mod
-sigma and `check_tables` none mod a table's size; only the swallows read
-the snake labels mod sigma.  The tests hold each such law to an oracle
-that walks the maps mod M.
+through the covering Z/M -> Z/T, so each orbit walks its maps once, mod
+T; only the swallows read the snake labels mod sigma, which the same
+covering gives.  The tests hold each such law to an oracle that steps the
+maps mod M.
+
+Classification completeness compares, for each n, the least tape periods
+of the simulated orbits (`Scroll.unit`, in its least rotation), collected
+while each orbit is checked, with the canonical periods of the classified
+tape classes: a tape is its least period repeated, so the two sets agree
+exactly when the canonical tapes do.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from itertools import compress
 from math import gcd, lcm
 from operator import sub
 
-from .classify import canonical_tape, enumerate_ticker_tapes
-from .cycles import all_orbits
-from .cyclic import cyclically_equal
+from .classify import enumerate_ticker_tapes
+from .cycles import _CHARS, all_orbits
+from .cyclic import canonical_binary, cyclically_equal
 from .scroll import Scroll
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
@@ -175,7 +181,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     cycles mod T (`Scroll.period_cycles`) through the covering
     Z/sigma -> Z/T, each count is multiplied by F = sigma/T, and each
     failure at v stands for v + k*T, k = 0..F-1, in tape order; no map is
-    walked mod sigma.  The laws on the snake partition and on walks of the
+    walked mod sigma.  The laws on the snakes and on walks of the
     steps need all four steps to be maps of the live entries; where a live entry
     has no unique letter in some table, the unique-candidates or round-trip
     law reports it and those laws are skipped for the orbit; they are
@@ -244,7 +250,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         ("predecessor round trip", one_way),
     ):
         rep.tally(law, laps * checked, [f"{ctx} at tape {t}" for t in _laps(failed, period, laps)])
-    part = s.snakes if s.steps_are_maps else None
+    snakes = s.snakes if s.steps_are_maps else None
 
     # letter-count constraints and scale identities
     ws, wc = met.slither, met.coslither
@@ -261,9 +267,9 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("deg, codeg coprime", gcd(met.deg, met.codeg) == 1, ctx)
     rep.check("T_tape = gcd(p, q)", met.T_tape == gcd(met.p, met.q), ctx)
     rep.check("orbit length formula", met.T_scroll == m, ctx)
-    if part:
-        rep.check("alpha from letters", part.alpha == wc.alpha, ctx)
-        rep.check("beta from letters", part.beta == ws.beta, ctx)
+    if snakes:
+        rep.check("alpha from letters", snakes.alpha == wc.alpha, ctx)
+        rep.check("beta from letters", snakes.beta == ws.beta, ctx)
 
     # sum-vector laws
     sv = sum_vector(s)
@@ -273,8 +279,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     rep.check("lambda > 1 implies n >= 4 lambda", sv.lam == 1 or n >= 4 * sv.lam, ctx)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
-    if part:
-        torsor = _is_torsor(s, part.modulus, part.beta, part.alpha)
+    if snakes:
+        torsor = _is_torsor(s, met.sigma, snakes.beta, snakes.alpha)
         rep.check("torsor simple transitivity", torsor, ctx)
 
     if not extended:
@@ -291,13 +297,13 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     )
     rep.tally("tape shift iff T_tape divides", bound, [f"{ctx} shift {ell}" for ell in wrong])
 
-    if not part:
+    if not snakes:
         return
 
     # step-word simulation agreement (slither and co-slither)
     for law, step, length, word in (
-        ("slither matches simulation", s.successor_step, part.beta, ws.word),
-        ("co-slither matches simulation", s.co_successor_step, part.alpha, wc.word),
+        ("slither matches simulation", s.successor_step, snakes.beta, ws.word),
+        ("co-slither matches simulation", s.co_successor_step, snakes.alpha, wc.word),
     ):
         t, letters = live[0], []
         for _ in range(length):
@@ -314,7 +320,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # shift by T commutes with both maps, so each result at a live v < T
     # holds at v + k*T, k < F: each count is multiplied by F, and each
     # failure at v stands for each v + k*T, in tape order
-    fold = part.modulus // tape_period
+    fold = met.sigma // tape_period
     (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, c_cycles) = s.period_cycles
     on_period = [v for v, i in enumerate(s_cycle) if i is not None]
     s_gcd = [gcd(w, fold) for _, w, _ in s_cycles]
@@ -375,16 +381,16 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # so one walk's displacements are distinct and each is keyed to its b
     i0, j0 = divmod(live[0] - 1, n)
     start = (i0, j0 + 1)
-    s_walk = _walk(start, n, s.predecessor_letters, s.successor_letters, part.beta)
+    s_walk = _walk(start, n, s.predecessor_letters, s.successor_letters, snakes.beta)
     co_back, co_forth = s.co_predecessor_letters, s.co_successor_letters
-    exponents = range(-part.alpha, part.alpha + 1)
+    exponents = range(-snakes.alpha, snakes.alpha + 1)
     displaced: dict[int, dict[tuple[int, int], int]] = {}
     fixed = []
-    for a, (i, j) in zip(range(-part.beta, part.beta + 1), s_walk):
+    for a, (i, j) in zip(range(-snakes.beta, snakes.beta + 1), s_walk):
         residue = (i * n + j - 1) % period
         moves = displaced.get(residue)
         if moves is None:
-            c_walk = _walk((i, j), n, co_back, co_forth, part.alpha)
+            c_walk = _walk((i, j), n, co_back, co_forth, snakes.alpha)
             moves = displaced[residue] = {(x - i, y - j): b for b, (x, y) in zip(exponents, c_walk)}
         b = moves.get((start[0] - i, start[1] - j))
         if b is not None and (a, b) != (0, 0):
@@ -486,10 +492,10 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         rep.check("table torsor simple transitivity", torsor, ctx, omega)
 
 
-def classification_completeness(n: int, rep: VerificationReport) -> None:
-    """Simulated canonical tapes equal the classified canonical tapes."""
-    simulated = {canonical_tape(Scroll(o)) for o in all_orbits(n)}
-    classified = {rec.tape for rec in enumerate_ticker_tapes(n)}
+def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:
+    """The simulated least tape periods, each in its least rotation, equal
+    the classified canonical periods."""
+    classified = {rec.period for rec in enumerate_ticker_tapes(n)}
     rep.check(
         "classification completeness",
         simulated == classified,
@@ -510,11 +516,14 @@ def run_verification(
         raise ValueError(f"empty range: n_min {n_min} > n_max {n_max}")
     rep = VerificationReport()
     for n in range(n_min, n_max + 1):
+        periods = set()
         for o in all_orbits(n):
             s = Scroll(o)
             check_scroll(s, rep, extended=extended)
             if omega_max:
                 check_tables(s, omega_max, rep)
+            if completeness:
+                periods.add(canonical_binary(s.unit.translate(_CHARS).decode()))
         if completeness:
-            classification_completeness(n, rep)
+            classification_completeness(n, periods, rep)
     return rep

@@ -3,7 +3,7 @@
 from collections import Counter
 from math import gcd
 
-from snakescroll.scroll import Partition, Scroll
+from snakescroll.scroll import Scroll
 from snakescroll.slither import _STEP_SHAPE, step_advance
 from snakescroll.tables import OrbitTable
 
@@ -18,8 +18,65 @@ RESIDUE_LAWS = (
 )
 
 
-def reduced_maps(part: Partition) -> tuple[list, list]:
-    """Successor and co-successor of part's scroll reduced mod its modulus M.
+def live_residues(s: Scroll, modulus: int) -> list[int]:
+    """The live residues mod modulus, ascending, read off the vector."""
+    size = len(s.vector)
+    return [r for r in range(modulus) if s.vector[(r - 1) % size]]
+
+
+def walked_labels(s: Scroll, modulus: int) -> list[list]:
+    """Per residue mod modulus, the least member of its cycle of the
+    successor (then co-successor), None on dead residues.
+
+    Oracle for `Scroll.snake_labels`, which reads the cycles mod sigma off
+    the cycles mod the tape period: this steps `Scroll.successor` and
+    `Scroll.co_successor` round each cycle mod modulus, from its least live
+    residue, and labels every residue it passes.
+    """
+    live = live_residues(s, modulus)
+    labels = []
+    for step in (s.successor, s.co_successor):
+        label = [None] * modulus
+        for r in live:
+            if label[r] is not None:
+                continue
+            cycle, t = [r], step(r) % modulus
+            while t != r:
+                if len(cycle) > len(live):
+                    raise AssertionError(f"the step does not return to {r}")
+                cycle.append(t)
+                t = step(t) % modulus
+            for t in cycle:
+                label[t] = r
+        labels.append(label)
+    return labels
+
+
+def walked_counts(s: Scroll, modulus: int) -> tuple[int, int]:
+    """Number of cycles of successor and co-successor on the live residues
+    mod modulus, walking the tape steps from each residue not yet seen.
+
+    Oracle for `scroll.lifted_counts`, which sums gcds of the windings mod
+    the tape period.
+    """
+    live = live_residues(s, modulus)
+    counts = []
+    for step in (s.successor, s.co_successor):
+        seen, cycles = set(), 0
+        for r in live:
+            if r in seen:
+                continue
+            cycles, t = cycles + 1, r
+            while t not in seen:
+                seen.add(t)
+                t = step(t) % modulus
+            assert t == r  # a permutation closes each cycle at its start
+        counts.append(cycles)
+    return tuple(counts)
+
+
+def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
+    """Successor and co-successor of s reduced mod M = modulus.
 
     Entry r is the image of every tape index t = r (mod M), reduced mod M,
     or None for a dead residue.  Oracle for the cycle walk
@@ -28,7 +85,6 @@ def reduced_maps(part: Partition) -> tuple[list, list]:
     [0, g), g = gcd(M, m*n), and extends by the shift g, which the steps
     commute with mod M, as they do with the shift by m*n.
     """
-    s, modulus = part.scroll, part.modulus
     size = len(s.vector)
     g = gcd(modulus, size)
     maps = ([None] * modulus, [None] * modulus)
@@ -43,12 +99,13 @@ def reduced_maps(part: Partition) -> tuple[list, list]:
 
 def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves live[0] onto each of the
-    live residues once, (s, c) = maps, a partition's `reduced_maps`.
+    live residues once, (s, c) = maps, the `reduced_maps` mod some M and live
+    the live residues mod M.
 
     Oracle for verify._is_torsor, which walks only s and reads the c-orbits
     mod M off the scroll's cycles mod the tape period instead: this walk
-    visits every image, on the partition's live residues and its maps
-    reduced mod M alone.
+    visits every image, on the live residues and the maps reduced mod M
+    alone.
     """
     s, c = maps
     if outer * inner != len(live):
@@ -68,16 +125,16 @@ def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
     """Nontrivial invariant factors of the group the reduced maps generate.
 
-    Oracle for group_invariants: it reads only the table partition's live
-    residues and its two maps reduced mod the table size (`reduced_maps`), s
-    (successor) and c (co-successor).
+    Oracle for group_invariants: it reads only the table's live residues
+    and the two maps reduced mod the table size (`reduced_maps`), s
+    (successor) and c (co-successor), both read off the scroll's vector and
+    steps.
     Commuting maps whose group is transitive on the live entries act simply
     transitively, so the group is Z^2 modulo the stabiliser lattice of t0.
     With l the length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
     k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
-    tab = t.ouroboroi
-    live, (s, c) = tab.live, reduced_maps(tab)
+    live, (s, c) = live_residues(t.scroll, t.size), reduced_maps(t.scroll, t.size)
     for x in live:
         if s[c[x]] != c[s[x]]:
             raise AssertionError(f"successor and co-successor do not commute at {x}")
@@ -222,7 +279,7 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
     Oracle for verify.check_scroll, which walks the co-successor once per
     residue among the s^a(start) and looks up each displacement: this walks
     c^b from every s^a(start), |a| <= beta and |b| <= alpha (the counts of
-    the sigma partition), and compares each coordinate with the start.  A
+    the snake counts), and compares each coordinate with the start.  A
     coordinate (i, j) steps by the shape of the letter at (i*n + j - 1)
     mod its table's length, negated for a negative exponent.
     """
@@ -254,39 +311,43 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
     return checks - len(fixed), fixed
 
 
-def near_row_law(s: Scroll) -> tuple[int, list[str]]:
+def near_row_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[int, list[str]]:
     """Passes and "law: context" failures of "near-row co-snake distinctness".
 
     Oracle for verify.check_scroll, which steps only to the live entries
     within one row span of each live residue mod the tape period and reads
     their co-snakes off the cycles mod that period: this tests every t + d,
     d = 1..n-1, for each live residue t mod sigma, and compares co-snake
-    labels walked mod sigma where X_(t + d) is live.
+    labels where X_(t + d) is live: the labels walked mod sigma
+    (`walked_labels`), or labels given, as a fault test injects them.
     """
-    law, n, size, part = "near-row co-snake distinctness", s.n, s.m * s.n, s.snakes
+    law, n, size, sigma = "near-row co-snake distinctness", s.n, s.m * s.n, s.metrics.sigma
     ctx = f"n={n} seed={s.base.rows[0]}"
-    label = part.cosnake_label
+    label = (labels or walked_labels(s, sigma))[1]
     near, shared = 0, []
-    for t in part.live:
+    for t in live_residues(s, sigma):
         for d in range(1, n):
             if s.vector[(t + d - 1) % size]:
                 near += 1
-                if label[(t + d) % part.modulus] == label[t]:
+                if label[(t + d) % sigma] == label[t]:
                     shared.append(f"{law}: {ctx} tape {t}, {t + d}")
     return near - len(shared), shared
 
 
-def fibers_law(s: Scroll) -> tuple[int, list[str]]:
+def fibers_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[int, list[str]]:
     """Passes and "law: context" failures of "fibers are residues mod sigma".
 
     Oracle for verify.check_scroll, which reads each residue's snake and
     co-snake off the cycles mod the tape period: this groups the live
-    residues mod sigma by their snake and co-snake labels walked mod sigma,
-    and reports each residue that shares its pair.
+    residues mod sigma by their snake and co-snake labels, walked mod sigma
+    (`walked_labels`) or given, and reports each residue that shares its
+    pair.
     """
-    law, part = "fibers are residues mod sigma", s.snakes
+    law, sigma = "fibers are residues mod sigma", s.metrics.sigma
     ctx = f"n={s.n} seed={s.base.rows[0]}"
-    pairs = [(part.snake_label[t], part.cosnake_label[t]) for t in part.live]
+    snake, cosnake = labels or walked_labels(s, sigma)
+    live = live_residues(s, sigma)
+    pairs = [(snake[t], cosnake[t]) for t in live]
     count = Counter(pairs)
-    shared = [f"{law}: {ctx} tape {t}" for t, pair in zip(part.live, pairs) if count[pair] > 1]
-    return len(part.live) - len(shared), shared
+    shared = [f"{law}: {ctx} tape {t}" for t, pair in zip(live, pairs) if count[pair] > 1]
+    return len(live) - len(shared), shared

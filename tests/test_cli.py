@@ -222,20 +222,21 @@ def test_orbit_svg_builds_no_report(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
 def test_orbit_builds_no_table_size_array(capsys, monkeypatch, fmt):
     # the table's counts are lifted from the windings, walked mod the tape
-    # period: the maps are walked only mod T (7), for the windings, and mod
-    # sigma (42), for the labels, never at the table size 2*m*n = 154
+    # period, and the labels mod sigma (42) are read off the same walk: the
+    # maps are walked once, mod T (7), never at sigma or the table size
+    # 2*m*n = 154
     moduli = []
     original = scroll.walk_cycles
 
-    def recorded(s, modulus, live):
-        moduli.append(modulus)
-        return original(s, modulus, live)
+    def recorded(advances, live):
+        moduli.append(len(advances[0]))
+        return original(advances, live)
 
     monkeypatch.setattr(scroll, "walk_cycles", recorded)
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
-    assert moduli == [7, 42]
+    assert moduli == [7]
 
 
 @pytest.mark.parametrize("argv", sorted(CONSTRUCTION_SHA256))

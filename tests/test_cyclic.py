@@ -3,28 +3,11 @@
 import pytest
 
 from snakescroll.cyclic import (
-    canonical,
     canonical_binary,
     cyclically_equal,
     exponent,
     least_period,
 )
-
-
-def test_canonical_orders_d_before_e():
-    assert canonical("EDEDED") == "DEDEDE"
-    assert canonical("EEEDDD") == "DDDEEE"
-
-
-def test_canonical_orders_s_before_l():
-    # letter order S < L disagrees with ASCII
-    assert canonical("LLSS") == "SSLL"
-    assert canonical("LSLS") == "SLSL"
-    assert canonical("LS") == "SL"
-
-
-def test_canonical_binary_words():
-    assert canonical("10100001010") == "00001010101"
 
 
 def test_canonical_binary_starts_at_a_longest_zero_run():
@@ -37,7 +20,7 @@ def test_canonical_binary_starts_at_a_longest_zero_run():
             canonical_binary(word)
 
 
-def test_canonical_of_periodic_words():
+def test_canonical_binary_of_periodic_words():
     # powers of a shorter block: every period offers a tied least start
     cases = {
         "0101": "0101",
@@ -45,21 +28,16 @@ def test_canonical_of_periodic_words():
         "001001": "001001",
         "100100": "001001",
         "010010": "001001",
-        "DEDEDE": "DEDEDE",
-        "EDEDED": "DEDEDE",
-        "LSLSLS": "SLSLSL",
-        "LLSLLS": "SLLSLL",
-        "0000": "0000",
-        "E": "E",
+        "1": "1",
     }
     for word, least in cases.items():
-        assert canonical(word) == least, word
+        assert canonical_binary(word) == least, word
 
 
-def test_canonical_is_a_fixed_point():
-    for w in ("DDEDE", "SLLSL", "0010010"):
-        assert canonical(canonical(w)) == canonical(w)
-        assert cyclically_equal(canonical(w), w)
+def test_canonical_binary_is_a_fixed_point():
+    for w in ("0010010", "1101000", "0100101"):
+        assert canonical_binary(canonical_binary(w)) == canonical_binary(w)
+        assert cyclically_equal(canonical_binary(w), w)
 
 
 def test_cyclically_equal():

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit, sweep, toggle
-from snakescroll.cyclic import canonical, canonical_binary, cyclically_equal, least_period
+from snakescroll.cyclic import canonical_binary, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
+
+from oracles import walked_labels
 
 
 @st.composite
@@ -48,8 +50,20 @@ def test_orbit_returns_to_seed(bits):
 def test_window_size_is_alpha_beta(bits):
     if "1" not in bits:
         return
-    part = scroll_from_seed(bits).snakes
-    assert len(part.live) == part.alpha * part.beta
+    s = scroll_from_seed(bits)
+    live = [t for t, label in enumerate(s.snake_labels[0]) if label is not None]
+    assert len(live) == s.snakes.alpha * s.snakes.beta
+
+
+@given(independent_sets(min_n=17, max_n=22))
+@settings(deadline=None, max_examples=20)
+def test_snake_labels_match_walked_cycles_past_n16(bits):
+    # past the exhaustive n <= 16 check: the labels read off the cycles mod
+    # T equal those of the steps walked mod sigma
+    if "1" not in bits:
+        return
+    s = scroll_from_seed(bits)
+    assert list(s.snake_labels) == walked_labels(s, s.metrics.sigma)
 
 
 @given(independent_sets(), st.integers(-50, 50), st.data())
@@ -62,7 +76,7 @@ def test_tape_reads_the_cylinder(bits, i, data):
 
 
 def rotations(word):
-    """Every rotation of word: the brute-force reference for canonical."""
+    """Every rotation of word: the brute-force reference for canonical_binary."""
     return [word[i:] + word[:i] for i in range(len(word))]
 
 
@@ -70,32 +84,18 @@ def test_rotations():
     assert rotations("abc") == ["abc", "bca", "cab"]
 
 
-@given(st.text(alphabet="DE", min_size=1, max_size=12))
-def test_canonical_represents_the_rotation_class(word):
-    c = canonical(word)
-    assert cyclically_equal(c, word)
-    assert all(canonical(r) == c for r in rotations(word))
-
-
-# The letter order D < E, S < L, 0 < 1, written out independently of the
-# library so the brute-force least rotation shares nothing with Booth's.
-_ORDER = {"D": 0, "E": 1, "S": 0, "L": 1, "0": 0, "1": 1}
-
-
 def least_rotation(word):
-    return min(rotations(word), key=lambda r: [_ORDER[c] for c in r])
-
-
-@given(
-    st.sampled_from(["DE", "SL", "01"]).flatmap(
-        lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=40)
-    )
-)
-def test_canonical_is_the_least_rotation(word):
-    assert canonical(word) == least_rotation(word)
+    return min(rotations(word))
 
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40).filter(lambda w: "1" in w)
+
+
+@given(binary_words)
+def test_canonical_binary_represents_the_rotation_class(word):
+    c = canonical_binary(word)
+    assert cyclically_equal(c, word)
+    assert all(canonical_binary(r) == c for r in rotations(word))
 
 
 @st.composite
@@ -116,7 +116,7 @@ def wrapping_zero_runs(draw):
     )
 )
 def test_canonical_binary_is_the_least_rotation(word):
-    assert canonical_binary(word) == least_rotation(word) == canonical(word)
+    assert canonical_binary(word) == least_rotation(word)
 
 
 @given(wrapping_zero_runs())

@@ -12,7 +12,7 @@ from snakescroll.tables import omega_table
 )
 def test_svg_raises_on_a_non_unique_step_letter(letters, what):
     # count digit "2" at live index 7 of the period table (P = T_tape = 7):
-    # building the snake partition reads the period advances, which raise
+    # building the table reads the period advances, for its counts, which raise
     # with the step's message, naming the index in [1, T]
     s = scroll_from_seed("00001010000")
     table = getattr(s, letters)

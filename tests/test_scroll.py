@@ -1,4 +1,4 @@
-"""The flat ticker tape, successor maps, snake partitions."""
+"""The flat ticker tape, successor maps, snake counts and labels."""
 
 import pytest
 
@@ -45,36 +45,35 @@ def test_steps_reject_dead_indices():
         s.successor(6)
 
 
-def test_snake_partition_counts():
+def _live(labels: list) -> list[int]:
+    return [t for t, label in enumerate(labels) if label is not None]
+
+
+def test_snake_counts():
     s = scroll_from_seed(SEED11)
-    part = s.snakes
-    assert part.modulus == 42
-    assert part.alpha == 2
-    assert part.beta == 6
-    assert len(part.live) == 12  # alpha * beta
+    assert s.snakes == (2, 6)
+    assert (s.snakes.alpha, s.snakes.beta) == (2, 6)
+    snake, cosnake = s.snake_labels
+    assert len(snake) == len(cosnake) == s.metrics.sigma == 42
+    assert len(_live(snake)) == 12  # alpha * beta
+    assert (len(set(snake) - {None}), len(set(cosnake) - {None})) == (2, 6)
 
 
 def test_snake_labels_invariant_under_steps():
     s = scroll_from_seed(SEED11)
-    part = s.snakes
-    for t in part.live:
-        assert part.snake_of(s.successor(t)) == part.snake_of(t)
-        assert part.cosnake_of(s.co_successor(t)) == part.cosnake_of(t)
+    snake, cosnake = s.snake_labels
+    for t in _live(snake):
+        assert snake[s.successor(t) % 42] == snake[t]
+        assert cosnake[s.co_successor(t) % 42] == cosnake[t]
 
 
 def test_fibers_are_singletons():
     s = scroll_from_seed(SEED11)
-    part = s.snakes
-    for t in part.live:
-        fiber = [
-            u
-            for u in part.live
-            if part.snake_of(u) == part.snake_of(t)
-            and part.cosnake_of(u) == part.cosnake_of(t)
-        ]
+    snake, cosnake = s.snake_labels
+    live = _live(snake)
+    for t in live:
+        fiber = [u for u in live if snake[u] == snake[t] and cosnake[u] == cosnake[t]]
         assert fiber == [t]
-        assert part.snake_of(t + 42) == part.snake_of(t)
-        assert part.cosnake_of(t + 42) == part.cosnake_of(t)
 
 
 def test_step_failures_are_per_index():

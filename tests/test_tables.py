@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, scroll_from_seed, walk_cycles
+from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import (
     _swallow,
     co_swallow,
@@ -19,7 +19,7 @@ from snakescroll.tables import (
     table_slither,
 )
 
-from oracles import permutation_group_invariants, reduced_maps
+from oracles import live_residues, permutation_group_invariants, reduced_maps, walked_labels
 
 SEED11 = "00001010000"
 
@@ -36,7 +36,7 @@ def test_table_shape():
 
 def test_running_example_fundamental_counts():
     s = scroll_from_seed(SEED11)
-    tab = omega_table(s, 1).ouroboroi
+    tab = omega_table(s, 1)
     assert (tab.alpha, tab.beta) == (1, 2)
     assert s.fundamental_degrees == (2, 3)
 
@@ -47,18 +47,18 @@ def test_fundamental_degrees_match_simulated_counts():
     orbits = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
     assert len(orbits) == 159
     for s in orbits:
-        part = s.snakes
-        tab = omega_table(s, 1).ouroboroi
-        assert part.alpha % tab.alpha == 0 and part.beta % tab.beta == 0
+        snakes = s.snakes
+        tab = omega_table(s, 1)
+        assert snakes.alpha % tab.alpha == 0 and snakes.beta % tab.beta == 0
         degrees = s.fundamental_degrees
-        assert degrees == (part.alpha // tab.alpha, part.beta // tab.beta)
+        assert degrees == (snakes.alpha // tab.alpha, snakes.beta // tab.beta)
         assert gcd(*degrees) == 1
 
 
 def test_running_example_predicted_counts():
     s = scroll_from_seed(SEED11)
     for omega in range(1, 13):
-        tab = omega_table(s, omega).ouroboroi
+        tab = omega_table(s, omega)
         assert (tab.alpha, tab.beta) == predicted_counts(s, omega)
     assert predicted_counts(s, 2) == (2, 2)
     assert predicted_counts(s, 6) == (2, 6)
@@ -87,9 +87,8 @@ def test_swallow_cycle_structure_everywhere():
             s = Scroll(o)
             for omega in (1, 2, 3):
                 table = omega_table(s, omega)
-                tab = table.ouroboroi
-                assert swallow(table).cycle_type == tuple([table.deg] * tab.alpha)
-                assert co_swallow(table).cycle_type == tuple([table.codeg] * tab.beta)
+                assert swallow(table).cycle_type == tuple([table.deg] * table.alpha)
+                assert co_swallow(table).cycle_type == tuple([table.codeg] * table.beta)
 
 
 def test_running_example_group():
@@ -106,8 +105,7 @@ def test_product_invariants():
 
 
 def _all_tables():
-    """Every table with n <= 13 and omega <= 12 (816 tables), one at a time:
-    each table keeps its partition, so a list of them would keep them all."""
+    """Every table with n <= 13 and omega <= 12 (816 tables), one at a time."""
     scrolls = [Scroll(o) for n in range(2, 14) for o in all_orbits(n)]
     assert 12 * len(scrolls) == 816
     for s in scrolls:
@@ -128,9 +126,14 @@ def _live(table):
     return [t for t in range(1, table.size + 1) if vector[(t - 1) % len(vector)]]
 
 
-def _reference_swallow(t, label_of, count, order_step, table_map):
+def _reference_swallow(t, labels, count, order_step, table_map):
     """Swallow by head stepping: each label's head, its greatest live index
-    in the table, mapped by the reduced table map table_map."""
+    in the table, mapped by the reduced table map table_map; labels are
+    indexed by residue mod their length."""
+
+    def label_of(k):
+        return labels[k % len(labels)]
+
     order = []
     live = _live(t)
     k = live[0]
@@ -145,10 +148,10 @@ def _reference_swallow(t, label_of, count, order_step, table_map):
 def test_swallows_match_head_stepping_reference():
     for table in _all_tables():
         s = table.scroll
-        part = s.snakes
-        succ, co_succ = reduced_maps(table.ouroboroi)
-        sw = _reference_swallow(table, part.snake_of, part.alpha, s.co_successor, succ)
-        cs = _reference_swallow(table, part.cosnake_of, part.beta, s.successor, co_succ)
+        snake, cosnake = walked_labels(s, s.metrics.sigma)
+        succ, co_succ = reduced_maps(s, table.size)
+        sw = _reference_swallow(table, snake, s.snakes.alpha, s.co_successor, succ)
+        cs = _reference_swallow(table, cosnake, s.snakes.beta, s.successor, co_succ)
         for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
             image = dict(zip(got.order, got.order[got.shift :] + got.order[: got.shift]))
             assert (got.order, image) == want
@@ -184,14 +187,13 @@ def test_permutation_group_oracle_matches_exponent():
         assert permutation_group_invariants(table) == expected
 
 
-def _assert_steps_reduced(s, live, part):
-    """part's live residues are those of live, and the oracle's maps reduced
-    mod its modulus are s.successor and s.co_successor on live, reduced, and
-    None on every other residue."""
-    modulus = part.modulus
+def _assert_steps_reduced(s, live, modulus):
+    """The oracle's live residues mod modulus are those of live, and its maps
+    reduced mod modulus are s.successor and s.co_successor on live, reduced,
+    and None on every other residue."""
     residues = sorted(t % modulus for t in live)
-    assert list(part.live) == residues
-    for array, step in zip(reduced_maps(part), (s.successor, s.co_successor)):
+    assert live_residues(s, modulus) == residues
+    for array, step in zip(reduced_maps(s, modulus), (s.successor, s.co_successor)):
         assert len(array) == modulus
         assert [r for r, u in enumerate(array) if u is not None] == residues
         for t in live:
@@ -202,20 +204,13 @@ def test_reduced_maps_are_the_steps_reduced():
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            part = s.snakes
-            assert part.modulus == s.metrics.sigma
             size = len(s.vector)
             window = [t for t in range(s.metrics.sigma) if s.vector[(t - 1) % size]]
-            _assert_steps_reduced(s, window, part)
+            _assert_steps_reduced(s, window, s.metrics.sigma)
     for table in _all_tables():
-        tab = table.ouroboroi
-        assert tab.modulus == table.size
         live = _live(table)
-        _assert_steps_reduced(table.scroll, live, tab)
+        _assert_steps_reduced(table.scroll, live, table.size)
         assert table.eta == len(live)
-    s = scroll_from_seed(SEED11)  # tape period 7
-    with pytest.raises(ValueError, match="not a multiple of tape period 7"):
-        walk_cycles(s, 12, ())
 
 
 def test_direct_product_forms_fail_on_some_tables():

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from snakescroll import render, report, scroll, tables, verify
+from snakescroll import cycles, render, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
-from snakescroll.tables import omega_table
+from snakescroll.tables import co_swallow, omega_table, swallow
 from snakescroll.verify import (
     VerificationReport,
     check_scroll,
@@ -23,6 +23,7 @@ from oracles import (
     advance_linear_law,
     fibers_law,
     free_action_law,
+    live_residues,
     map_torsor,
     near_row_law,
     reduced_maps,
@@ -42,57 +43,85 @@ def test_small_cycles_are_clean():
     assert rep.passed["classification completeness"] == 8
 
 
+def test_completeness_simulates_each_orbit_once(monkeypatch):
+    # the least periods are collected while each orbit is checked: one
+    # all_orbits per n, and no orbit's rows are built
+    simulated = []
+    original = cycles.all_orbits
+
+    def counted(n):
+        simulated.append(n)
+        return original(n)
+
+    def raising(_orbit):
+        raise AssertionError("Orbit.rows read")
+
+    monkeypatch.setattr(verify, "all_orbits", counted)
+    monkeypatch.setattr(Orbit, "rows", property(raising))
+    rep = run_verification(2, 14, extended=False, completeness=True)
+    assert not rep.violations
+    assert rep.passed["classification completeness"] == 13
+    assert simulated == list(range(2, 15))
+
+
+def test_a_missing_tape_class_fails_completeness(monkeypatch):
+    # one class dropped from the classification at n = 11: the simulated
+    # least periods no longer match, and the context gives both counts
+    original = verify.enumerate_ticker_tapes
+
+    def dropping(n):
+        return original(n)[1:] if n == 11 else original(n)
+
+    monkeypatch.setattr(verify, "enumerate_ticker_tapes", dropping)
+    rep = run_verification(10, 11, extended=False, completeness=True)
+    law = "classification completeness"
+    classes = len(original(11))
+    assert rep.violations == [f"{law}: n=11: {classes} simulated vs {classes - 1} classified"]
+    assert rep.passed[law] == 1
+
+
 def _recording_walks(monkeypatch) -> list:
-    """The moduli walk_cycles is called at, in call order."""
+    """The moduli walk_cycles is called at, the length of its advance
+    arrays, in call order."""
     calls = []
     original = scroll.walk_cycles
 
-    def counted(s, modulus, live):
-        calls.append(modulus)
-        return original(s, modulus, live)
+    def counted(advances, live):
+        calls.append(len(advances[0]))
+        return original(advances, live)
 
     monkeypatch.setattr(scroll, "walk_cycles", counted)
     return calls
 
 
 def test_no_table_walks_its_maps(monkeypatch):
-    # table counts are lifted from the windings and the table torsor walks
-    # the period advances: each orbit walks its maps once mod its tape
-    # period, for the windings, and once mod sigma, where the extended laws
-    # and the swallows read its labels, and never at a table's size
+    # table counts are lifted from the windings, the table torsor walks the
+    # period advances and the swallows read the labels mod sigma off the
+    # cycles mod T: each orbit walks its maps once, mod its tape period,
+    # and never mod sigma or a table's size
     calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
     assert len(scrolls) == 18
-    assert calls == [m for s in scrolls for m in (s.metrics.T_tape, s.metrics.sigma)]
+    assert calls == [s.metrics.T_tape for s in scrolls]
     assert sum(rep.passed.values()) == 4320
 
 
-def test_alternating_partitions_walk_each_object_once(monkeypatch):
-    # each scroll and each table keeps its own partition, whose maps are
-    # walked on the first read of its labels: reading two of each in turn
-    # walks once per object, not once per switch
+def test_alternating_scrolls_walk_each_once(monkeypatch):
+    # each scroll keeps its cycles mod T and the labels read off them:
+    # reading the labels and swallows of two scrolls and their tables in
+    # turn walks each scroll once, not once per switch
     calls = _recording_walks(monkeypatch)
     a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
     ta, tb = omega_table(a, 2), omega_table(b, 3)
-    reads = [[a.snakes, b.snakes, ta.ouroboroi, tb.ouroboroi] for _ in range(3)]
-    assert calls == [a.metrics.T_tape, b.metrics.T_tape]  # the counts: windings only
-    del calls[:]
-    labels = [[(part.snake_label, part.cosnake_label) for part in parts] for parts in reads]
-    assert calls == [a.metrics.sigma, b.metrics.sigma, ta.size, tb.size]
-    assert all(x is y for later in reads[1:] for x, y in zip(later, reads[0]))
-    assert all(
-        x is y
-        for later in labels[1:]
-        for pairs in zip(later, labels[0])
-        for x, y in zip(*pairs)
-    )
-
-
-def _torsor(part, outer: int, inner: int) -> bool:
-    """The torsor law of verify on a partition's scroll and modulus."""
-    return verify._is_torsor(part.scroll, part.modulus, outer, inner)
+    reads = [
+        [a.snake_labels, b.snake_labels, swallow(ta).order, co_swallow(tb).order]
+        for _ in range(3)
+    ]
+    assert calls == [a.metrics.T_tape, b.metrics.T_tape]
+    assert all(x is y for later in reads[1:] for x, y in zip(later[:2], reads[0][:2]))
+    assert all(later[2:] == reads[0][2:] for later in reads[1:])
 
 
 def _torsor_shapes(count: int, law: tuple[int, int]):
@@ -106,24 +135,23 @@ def _torsor_shapes(count: int, law: tuple[int, int]):
 def test_torsor_walk_matches_the_map_oracle():
     # the walk on the period advances agrees with the walk on the reduced
     # maps mod M, for the law's shape and every other factor pair, on every
-    # snake partition with n <= 16 and all 816 tables with n <= 13, omega <= 12
+    # orbit mod sigma with n <= 16 and all 816 tables with n <= 13, omega <= 12
     tables = 0
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            parts = [(s.snakes, (s.snakes.beta, s.snakes.alpha))]
+            moduli = [(s.metrics.sigma, (s.snakes.beta, s.snakes.alpha))]
             if n <= 13:
                 for omega in range(1, 13):
                     table = omega_table(s, omega)
-                    tab = table.ouroboroi
-                    parts.append((tab, (tab.beta, table.eta // tab.beta)))
+                    moduli.append((table.size, (table.beta, table.eta // table.beta)))
                     tables += 1
-            for part, law in parts:
-                assert _torsor(part, *law)
-                maps = reduced_maps(part)
-                for shape in _torsor_shapes(len(part.live), law):
-                    oracle = map_torsor(maps, part.live, *shape)
-                    assert _torsor(part, *shape) == oracle, shape
+            for modulus, law in moduli:
+                assert verify._is_torsor(s, modulus, *law)
+                maps, live = reduced_maps(s, modulus), live_residues(s, modulus)
+                for shape in _torsor_shapes(len(live), law):
+                    oracle = map_torsor(maps, live, *shape)
+                    assert verify._is_torsor(s, modulus, *shape) == oracle, shape
     assert tables == 816
 
 
@@ -136,21 +164,20 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
             s = Scroll(o)
             for omega in range(13, 25):
                 table = omega_table(s, omega)
-                tab = table.ouroboroi
-                law = tab.beta, table.eta // tab.beta
-                assert _torsor(tab, *law)
-                maps = reduced_maps(tab)
+                law = table.beta, table.eta // table.beta
+                assert verify._is_torsor(s, table.size, *law)
+                maps, live = reduced_maps(s, table.size), live_residues(s, table.size)
                 for shape in (law, law[::-1]):
-                    oracle = map_torsor(maps, tab.live, *shape)
-                    assert _torsor(tab, *shape) == oracle, shape
+                    oracle = map_torsor(maps, live, *shape)
+                    assert verify._is_torsor(s, table.size, *shape) == oracle, shape
                 tables += 1
     assert tables == 1092
 
 
-def _advances_partition(succ: list, co_succ: list, fold: int) -> SimpleNamespace:
-    """A partition mod fold*T of steps given by their advances per residue
-    mod T (None on dead residues), with its steps and live residues given in
-    the test's own arithmetic for the oracle."""
+def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
+    """A scroll of tape period T = len(succ) whose steps are given by their
+    advances per residue mod T (None on dead residues), with its steps and
+    vector given in the test's own arithmetic for the oracle."""
     period = len(succ)
     s = SimpleNamespace(
         metrics=SimpleNamespace(T_tape=period),
@@ -162,8 +189,7 @@ def _advances_partition(succ: list, co_succ: list, fold: int) -> SimpleNamespace
     )
     s.period_cycles = Scroll.period_cycles.func(s)
     s.period_live = Scroll.period_live.func(s)
-    live = tuple(v for v, d in enumerate(succ * fold) if d is not None)
-    return SimpleNamespace(scroll=s, modulus=fold * period, live=live)
+    return s
 
 
 def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
@@ -175,12 +201,13 @@ def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
     for a0, a1, b0, b1 in product(range(4), range(4), (1, 3, 5), (1, 3, 5)):
         if (a0 - a1) % 2:
             continue  # the successor must permute the residues mod 2
+        s = _advances_scroll([a0, a1], [b0, b1])
         for fold in (5, 6, 7, 9):
-            part = _advances_partition([a0, a1], [b0, b1], fold)
-            count, maps = len(part.live), reduced_maps(part)
+            live = live_residues(s, 2 * fold)
+            count, maps = len(live), reduced_maps(s, 2 * fold)
             for shape in _torsor_shapes(count, (1, count)):
-                oracle = map_torsor(maps, part.live, *shape)
-                assert _torsor(part, *shape) == oracle, shape
+                oracle = map_torsor(maps, live, *shape)
+                assert verify._is_torsor(s, 2 * fold, *shape) == oracle, shape
                 calls += 1
     assert calls == 2016
 
@@ -188,14 +215,14 @@ def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
 def test_no_table_is_labelled(monkeypatch):
     # table counts are lifted from the windings, which the walk of each
     # scroll's two maps mod its tape period gives: the core laws and the
-    # swallows walk once mod T and once mod sigma, where the swallows read
-    # the snake labels, and never at a table's modulus
+    # swallows walk once mod T, the swallows reading the snake labels mod
+    # sigma off that walk, and never at sigma or a table's modulus
     calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3, extended=False)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
-    assert calls == [m for s in scrolls for m in (s.metrics.T_tape, s.metrics.sigma)]
-    assert len(calls) == 2 * len(scrolls) == 36
+    assert calls == [s.metrics.T_tape for s in scrolls]
+    assert len(calls) == len(scrolls) == 18
 
 
 def test_known_evidence_lists_populate():
@@ -239,23 +266,24 @@ def test_shared_label_pair_is_a_fiber_violation():
     # t: the successor has one cycle mod T here, so t and u share both
     # cycles, and with F = sigma/T = 2 they meet in one fiber at each lift.
     # Each co-successor cycle has winding 1, so it lifts to one co-snake:
-    # the labels mod sigma the oracle reads get the same fault when u's
-    # co-snake is relabelled as t's
+    # the labels mod sigma get the same fault when u's co-snake is
+    # relabelled as t's, and the oracle is given those labels
     s = scroll_from_seed("00000010000")
     period, sigma = s.metrics.T_tape, s.metrics.sigma
     assert (period, sigma) == (21, 42)
     (s_cycle, *_), (c_cycle, index, lift, cycles) = s.period_cycles
     assert len(set(s_cycle) - {None}) == 1 and all(w == 1 for _, w, _ in cycles)
     t, u = [v for v, i in enumerate(c_cycle) if i is not None][:2]
+    snake, cosnake = s.snake_labels
     c_cycle = list(c_cycle)
     c_cycle[u] = c_cycle[t]
     vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, lift, cycles)
-    cosnake = list(s.snakes.cosnake_label)
+    cosnake = list(cosnake)
     for x in range(u, sigma, period):
         cosnake[x] = cosnake[t]
-    vars(s.snakes)["cosnake_label"] = cosnake
-    assert _law_results(s, FIBERS) == fibers_law(s) == (
-        len(s.snakes.live) - 4,
+    vars(s)["snake_labels"] = snake, cosnake
+    assert _law_results(s, FIBERS) == fibers_law(s, s.snake_labels) == (
+        len(live_residues(s, sigma)) - 4,
         [f"{FIBERS}: n=11 seed=00000010000 tape {x}" for x in (t, u, t + period, u + period)],
     )
 
@@ -560,8 +588,8 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     # one letter of the period table replaced by the other map's letter at
     # the same live residue.  The crossed step still lands on a live
     # residue, so the steps stay maps of the live entries and every walk
-    # reads step letters; steps_are_maps and the labels are read before the
-    # injection, so the extended laws run.  One map can then undo the
+    # reads step letters; steps_are_maps and the snake counts are read
+    # before the injection, so the extended laws run.  One map can then undo the
     # other, s^a c^b fixing the start for some (a, b) != (0, 0): on every
     # orbit n <= 10, 88 injections, 23 of them with a fixed point
     cases = fixed = 0
@@ -572,7 +600,7 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
             for r in (r for r, x in enumerate(letters) if x != "."):
                 s = Scroll(o)
                 assert s.steps_are_maps
-                s.snakes.snake_label, s.snakes.cosnake_label
+                s.snakes
                 vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
                 result = _law_results(s, FREE_ACTION)
                 assert result == free_action_law(s), (o.rows[0], r)
@@ -583,32 +611,32 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
 def test_near_row_on_merged_co_snakes_matches_the_oracle():
     # every co-successor cycle mod T merged into one of winding 1, which
     # lifts to one co-snake mod sigma: each live entry within a row span of
-    # a live residue shares its co-snake.  The oracle reads the same fault
-    # in the labels mod sigma, every co-snake relabelled as the first one;
-    # every orbit with 4 <= n <= 16 has such an entry
+    # a live residue shares its co-snake.  The oracle is given the same
+    # fault injected into the labels mod sigma, every co-snake relabelled as
+    # the first one; every orbit with 4 <= n <= 16 has such an entry
     orbits = merged = 0
     for n in range(4, 17):
         for o in all_orbits(n):
             s = Scroll(o)
+            snake, cosnake = s.snake_labels
             cycle, index, lift, cycles = s.period_cycles[1]
             one = [None if i is None else 0 for i in cycle]
             one_cycle = [(sum(length for length, _, _ in cycles), 1, cycles[0][2])]
             vars(s)["period_cycles"] = s.period_cycles[0], (one, index, lift, one_cycle)
-            first = s.snakes.live[0]
-            vars(s.snakes)["cosnake_label"] = [
-                None if x is None else first for x in s.snakes.cosnake_label
-            ]
+            first = live_residues(s, s.metrics.sigma)[0]
+            vars(s)["snake_labels"] = snake, [None if x is None else first for x in cosnake]
             result = _law_results(s, NEAR_ROW)
-            assert result == near_row_law(s), o.rows[0]
+            assert result == near_row_law(s, s.snake_labels), o.rows[0]
             orbits, merged = orbits + 1, merged + bool(result[1])
     assert merged == orbits == 157
 
 
 def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
     # check_scroll reads the snakes and co-snakes of the live residues mod
-    # T off the cycles mod T and multiplies; the oracles walk the labels mod
-    # sigma and step the successor from every live residue mod sigma, on
-    # every orbit n <= 16.  The suite walks the maps' cycles mod T alone
+    # T off the cycles mod T and multiplies; the oracles step both maps
+    # round their cycles mod sigma for the labels and step the successor
+    # from every live residue mod sigma, on every orbit n <= 16.  The suite
+    # walks the maps' cycles mod T alone
     calls = _recording_walks(monkeypatch)
     run_verification(2, 16)
     scrolls = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
@@ -693,7 +721,7 @@ def test_a_broken_table_torsor_is_a_violation(breaking):
     # true advances; only the table torsor reads the broken co-successor
     # cycles or successor advances
     s = scroll_from_seed("00001010000")
-    s.windings, s.snakes.snake_label, s.snakes.cosnake_label
+    s.windings, s.snake_labels
     breaking(s)
     rep = VerificationReport()
     check_tables(s, 1, rep)
