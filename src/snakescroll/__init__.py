@@ -20,8 +20,6 @@ from .cycles import (
     enumerate_independent_sets,
     is_independent,
     orbit,
-    sweep,
-    toggle,
 )
 from .scroll import (
     Scroll,

@@ -12,10 +12,10 @@ left neighbour already updated, and its right one updated only at the
 wrap.  `orbit` and `all_orbits` run this recurrence on an n-bit state
 until the state first returns, after T steps, T the tape period; an
 `Orbit` keeps that one tape period, and its rows, the states at steps
-k*n mod T, are built from it on request.  `sweep` is the string
-definition they are tested against.
+k*n mod T, are built from it on request.  The tests hold them to the
+sweep as a string function, one toggle at a time.
 
->>> sweep("00001010000")
+>>> orbit("00001010000").rows[1]
 '10100001010'
 >>> orbit("00").rows
 ('00', '10', '01')
@@ -45,36 +45,6 @@ def _require_independent(bits: str) -> None:
     # The toggle maps are only defined on independent sets; reject the rest.
     if not is_independent(bits):
         raise ValueError(f"not an independent set of C_{len(bits)}: {bits!r}")
-
-
-def eca1_local(a: int, b: int, c: int) -> int:
-    """Local rule of elementary cellular automaton 1: NOR of the window."""
-    return 1 if (a, b, c) == (0, 0, 0) else 0
-
-
-def toggle(bits: str, k: int) -> str:
-    """Attempt to flip vertex k (1-based); adds only when both neighbors are 0."""
-    _require_independent(bits)
-    n = len(bits)
-    if not 1 <= k <= n:
-        raise ValueError(f"vertex index {k} out of range 1..{n}")
-    i = k - 1
-    left, mid, right = bits[i - 1], bits[i], bits[(i + 1) % n]
-    new = eca1_local(int(left), int(mid), int(right))
-    if int(mid) == new:
-        return bits
-    return bits[:i] + str(new) + bits[i + 1 :]
-
-
-def sweep(bits: str) -> str:
-    """One full pass of toggles at vertices 1..n on the evolving word."""
-    _require_independent(bits)
-    n = len(bits)
-    word = list(bits)
-    for i in range(n):
-        window = (int(word[i - 1]), int(word[i]), int(word[(i + 1) % n]))
-        word[i] = str(eca1_local(*window))
-    return "".join(word)
 
 
 _CHARS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to "0"/"1" characters

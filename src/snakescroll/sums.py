@@ -1,7 +1,8 @@
 """Column-sum vectors of orbit tables and the period-lambda constructions.
 
-The sum vector of the omega = 1 table is read off the scroll's fundamental
-vector, the table's rows concatenated, so no table is built here.
+The sum vector of the omega = 1 table is read off the tape's least period
+(`Scroll.unit`): the table's rows concatenated are that period repeated,
+so no table or full vector is built here.
 """
 
 from __future__ import annotations
@@ -21,10 +22,20 @@ class SumVector:
 
 
 def sum_vector(s: Scroll) -> SumVector:
-    """Column sums of the omega = 1 table: column j is vector[j::n]."""
-    sums = tuple(sum(s.vector[j :: s.n]) for j in range(s.n))
-    # least_period reads a string: one character per column sum
-    return SumVector(sums, least_period("".join(map(chr, sums))))
+    """Column sums of the omega = 1 table, read off the tape's least period.
+
+    Column j is vector[j::n], m symbols, and the vector is the unit (length
+    P) repeated; with g = gcd(n, P), the column meets each residue mod P
+    that is j mod g equally often, m*g/P times.  So the sums repeat with
+    period g, and column j is (m*g/P)*sum(unit[j mod g :: g]).
+    """
+    unit, n = s.unit, s.n
+    g = gcd(n, len(unit))
+    scale = s.m * g // len(unit)
+    block = [scale * sum(unit[j::g]) for j in range(g)]
+    # least_period reads a string: one character per column sum; the sums
+    # are the block repeated, so their least period is the block's
+    return SumVector(tuple(block * (n // g)), least_period("".join(map(chr, block))))
 
 
 def col_scale(s: Scroll) -> int:

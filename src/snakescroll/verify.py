@@ -82,23 +82,6 @@ class VerificationReport:
             self.violations.append(f"{name}: {context}")
 
 
-def _walk(coord: tuple[int, int], n: int, back: str, forth: str, k: int) -> list[tuple[int, int]]:
-    """Unbounded coordinates after e steps of a step map, for e = -k..k.
-
-    back and forth are the letter tables of the inverse step and the step.
-    Each step moves by the shape of its letter, negated for e < 0.
-    """
-    walks = []
-    for letters, sign in ((back, -1), (forth, 1)):
-        (i, j), walk = coord, []
-        for _ in range(k):
-            rows, cols = _STEP_SHAPE[letters[(i * n + j - 1) % len(letters)]]
-            i, j = i + sign * rows, j + sign * cols
-            walk.append((i, j))
-        walks.append(walk)
-    return walks[0][::-1] + [coord] + walks[1]
-
-
 def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live residue
     of scroll once onto each of its live residues mod M = modulus, a
@@ -373,29 +356,38 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         ],
     )
 
-    # free action on the universal scroll: s^a c^b moves the start for
-    # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A walk reads
-    # its letters at (i*n + j - 1) mod P, so the displacement of c^b from a
-    # coordinate depends only on that residue: c is walked once per residue
-    # among the s^a(start).  Every step shape is lexicographically positive,
-    # so one walk's displacements are distinct and each is keyed to its b
-    i0, j0 = divmod(live[0] - 1, n)
-    start = (i0, j0 + 1)
-    s_walk = _walk(start, n, s.predecessor_letters, s.successor_letters, snakes.beta)
-    co_back, co_forth = s.co_predecessor_letters, s.co_successor_letters
-    exponents = range(-snakes.alpha, snakes.alpha + 1)
-    displaced: dict[int, dict[tuple[int, int], int]] = {}
-    fixed = []
-    for a, (i, j) in zip(range(-snakes.beta, snakes.beta + 1), s_walk):
-        residue = (i * n + j - 1) % period
-        moves = displaced.get(residue)
-        if moves is None:
-            c_walk = _walk((i, j), n, co_back, co_forth, snakes.alpha)
-            moves = displaced[residue] = {(x - i, y - j): b for b, (x, y) in zip(exponents, c_walk)}
-        b = moves.get((start[0] - i, start[1] - j))
-        if b is not None and (a, b) != (0, 0):
-            fixed.append(f"{ctx} exponents ({a},{b})")
-    rep.tally("free affine action", len(s_walk) * len(exponents) - 1, fixed)
+    # free action on the universal scroll: s^a c^b moves the start t0 for
+    # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A point of
+    # the plane is its tape index and its row; a step reads its letter at
+    # (t - 1) mod P and moves by that letter's advance and row step,
+    # negated for an inverse step.  Every advance is positive, so each walk
+    # is monotone in the tape: a = 0, or a and b of one sign, never fix t0,
+    # and c is walked from s^a(t0) toward t0 only, stopping at the first
+    # step that reaches or passes it.  Each a fixes t0 for at most one b
+    shape = {x: (s._advance[x], rows) for x, (rows, _) in _STEP_SHAPE.items()}
+    t0, alpha = live[0], snakes.alpha
+    fixed = {}
+    for sign, s_letters, c_letters in (
+        (-1, s.predecessor_letters, s.co_successor_letters),
+        (1, s.successor_letters, s.co_predecessor_letters),
+    ):
+        t = row = 0  # s^a(t0) - t0 and its row, a = sign*1, sign*2, ...
+        for a in range(sign, sign * (snakes.beta + 1), sign):
+            d, dr = shape[s_letters[(t0 + t - 1) % period]]
+            t, row = t + sign * d, row + sign * dr
+            u, r = t, row
+            for b in range(1, alpha + 1):
+                d, dr = shape[c_letters[(t0 + u - 1) % period]]
+                u, r = u - sign * d, r - sign * dr
+                if sign * u <= 0:
+                    if u == r == 0:
+                        fixed[a] = f"{ctx} exponents ({a},{-sign * b})"
+                    break
+    rep.tally(
+        "free affine action",
+        (2 * snakes.beta + 1) * (2 * alpha + 1) - 1,
+        [fixed[a] for a in sorted(fixed)],
+    )
 
     # fibers: residues mod sigma, singletons among the live residues.  v +
     # x*T and v' + x'*T share a snake and a co-snake iff v and v' lie on the

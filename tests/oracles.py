@@ -3,6 +3,7 @@
 from collections import Counter
 from math import gcd
 
+from snakescroll.cycles import _require_independent
 from snakescroll.scroll import Scroll
 from snakescroll.slither import _STEP_SHAPE, step_advance
 from snakescroll.tables import OrbitTable
@@ -16,6 +17,37 @@ RESIDUE_LAWS = (
     "predecessor round trip",
     "successor advance linear",
 )
+
+
+def eca1_local(a: int, b: int, c: int) -> int:
+    """Local rule of elementary cellular automaton 1: NOR of the window."""
+    return 1 if (a, b, c) == (0, 0, 0) else 0
+
+
+def toggle(bits: str, k: int) -> str:
+    """Attempt to flip vertex k (1-based); adds only when both neighbors are 0."""
+    _require_independent(bits)
+    n = len(bits)
+    if not 1 <= k <= n:
+        raise ValueError(f"vertex index {k} out of range 1..{n}")
+    i = k - 1
+    left, mid, right = bits[i - 1], bits[i], bits[(i + 1) % n]
+    new = eca1_local(int(left), int(mid), int(right))
+    if int(mid) == new:
+        return bits
+    return bits[:i] + str(new) + bits[i + 1 :]
+
+
+def sweep(bits: str) -> str:
+    """One full pass of toggles at vertices 1..n on the evolving word: the
+    string definition the tape recurrence of `cycles` is held to."""
+    _require_independent(bits)
+    n = len(bits)
+    word = list(bits)
+    for i in range(n):
+        window = (int(word[i - 1]), int(word[i]), int(word[(i + 1) % n]))
+        word[i] = str(eca1_local(*window))
+    return "".join(word)
 
 
 def live_residues(s: Scroll, modulus: int) -> list[int]:
@@ -276,10 +308,10 @@ def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
 def free_action_law(s: Scroll) -> tuple[int, list[str]]:
     """Passes and "law: context" failures of "free affine action".
 
-    Oracle for verify.check_scroll, which walks the co-successor once per
-    residue among the s^a(start) and looks up each displacement: this walks
-    c^b from every s^a(start), |a| <= beta and |b| <= alpha (the counts of
-    the snake counts), and compares each coordinate with the start.  A
+    Oracle for verify.check_scroll, which walks c from each s^a(start)
+    toward the start only, on the tape index and row: this walks c^b from
+    every s^a(start), |a| <= beta and |b| <= alpha (the counts of the snake
+    counts), and compares each (row, column) coordinate with the start.  A
     coordinate (i, j) steps by the shape of the letter at (i*n + j - 1)
     mod its table's length, negated for a negative exponent.
     """

@@ -7,13 +7,12 @@ from snakescroll.cycles import (
     _tape_states,
     all_orbits,
     enumerate_independent_sets,
-    eca1_local,
     is_independent,
     orbit,
-    sweep,
-    toggle,
 )
 from snakescroll.scroll import Scroll
+
+from oracles import eca1_local, sweep, toggle
 
 LUCAS = {2: 3, 3: 4, 4: 7, 5: 11, 6: 18, 7: 29, 8: 47, 9: 76, 10: 123}
 

@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snakescroll.cycles import is_independent, orbit, sweep, toggle
+from snakescroll.cycles import is_independent, orbit
 from snakescroll.cyclic import canonical_binary, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
 
-from oracles import walked_labels
+from oracles import sweep, toggle, walked_labels
 
 
 @st.composite

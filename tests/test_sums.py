@@ -15,16 +15,18 @@ from snakescroll.sums import (
 
 
 def test_vector_period():
-    # sum_vector reads only s.n and s.vector: build rows with given column sums
+    # sum_vector reads only s.n, s.m and s.unit: build rows with given
+    # column sums; the closed form holds for any period of the vector, so
+    # the whole vector serves as the unit
     for sums, lam in [((3, 4, 5, 3, 4, 5), 3), ((7, 7, 7), 1), ((1, 2, 3), 3)]:
         rows = [[1 if i < v else 0 for v in sums] for i in range(max(sums))]
         vector = bytes(bit for row in rows for bit in row)
-        sv = sum_vector(SimpleNamespace(n=len(sums), vector=vector))
+        sv = sum_vector(SimpleNamespace(n=len(sums), m=len(rows), unit=vector))
         assert (sv.sums, sv.lam) == (sums, lam)
 
 
 def test_sums_are_the_column_sums_of_the_rows():
-    for n in range(2, 17):
+    for n in range(2, 21):
         for o in all_orbits(n):
             s = Scroll(o)
             columns = [0] * n

@@ -10,6 +10,7 @@ from snakescroll import cycles, render, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.slither import _STEP_SHAPE
 from snakescroll.tables import co_swallow, omega_table, swallow
 from snakescroll.verify import (
     VerificationReport,
@@ -562,9 +563,9 @@ def test_a_wrong_tape_period_fails_the_tape_shift_law():
 
 
 def test_free_action_and_near_row_match_their_oracles():
-    # check_scroll walks the co-successor once per residue among the
-    # s^a(start) and steps only to the live entries within a row span; the
-    # oracles walk every (a, b) and test every entry, on every orbit n <= 16
+    # check_scroll walks c from each s^a(start) toward the start only and
+    # steps only to the live entries within a row span; the oracles walk
+    # every (a, b) and test every entry, on every orbit n <= 16
     orbits = 0
     for n in range(2, 17):
         for o in all_orbits(n):
@@ -606,6 +607,44 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
                 assert result == free_action_law(s), (o.rows[0], r)
                 cases, fixed = cases + 1, fixed + bool(result[1])
     assert (cases, fixed) == (88, 23)
+
+
+def _plane_walk(s: Scroll, back: str, forth: str, k: int) -> list[tuple[int, int]]:
+    """(tape index, row) of the first live index after e = -k..k steps of
+    the map with letter tables back and forth; a step moves by the shape of
+    the letter at (t - 1) mod its table's length, negated for e < 0."""
+    t0 = s.vector.index(1) + 1
+    walks = []
+    for letters, sign in ((back, -1), (forth, 1)):
+        t, row, steps = t0, 0, []
+        for _ in range(k):
+            rows, cols = _STEP_SHAPE[letters[(t - 1) % len(letters)]]
+            t, row = t + sign * (rows * s.n + cols), row + sign * rows
+            steps.append((t, row))
+        walks.append(steps)
+    return walks[0][::-1] + [(t0, 0)] + walks[1]
+
+
+def test_free_action_needs_the_row_not_only_the_tape():
+    # s^a(t0) and c^-b(t0), |a| <= beta and |b| <= alpha, can share a tape
+    # index on different rows: a law read on the tape alone would call
+    # s^a c^b a fixed point there.  Every orbit with n <= 16 has such
+    # pairs, 318 in all, the first at n = 2, seed 00; the law carries each
+    # point's row, and passes on every one of them
+    false_fixed, orbits = 0, []
+    for n in range(2, 17):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            alpha, beta = s.snakes
+            s_rows = dict(_plane_walk(s, s.predecessor_letters, s.successor_letters, beta))
+            c_walk = _plane_walk(s, s.co_predecessor_letters, s.co_successor_letters, alpha)
+            shared = sum(t in s_rows and s_rows[t] != row for t, row in c_walk)
+            if shared:
+                false_fixed += shared
+                orbits.append((n, o.rows[0]))
+                assert _law_results(s, FREE_ACTION)[1] == [], o.rows[0]
+    assert false_fixed == 318 and len(orbits) == 159
+    assert orbits[0] == (2, "00")
 
 
 def test_near_row_on_merged_co_snakes_matches_the_oracle():
