@@ -1,8 +1,15 @@
-"""ANSI and SVG renderings of orbit tables with snake/co-snake coloring."""
+"""ANSI and SVG renderings of orbit tables with snake/co-snake coloring.
+
+A cell's colours depend only on its tape index mod sigma, so both renderers
+work from one label period of the scroll's snake labels: the ANSI table
+builds only its distinct rows, the SVG formats each coordinate and colour
+once.  `tests/oracles.py` keeps the per-cell renderers as their reference.
+"""
 
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
 
 from .tables import OrbitTable
 
@@ -25,21 +32,28 @@ def _label_colors(labels: list, palette: list) -> dict:
 
 
 def ansi_table(table: OrbitTable) -> str:
-    """Two colored copies of the table: snake scheme, then co-snake scheme."""
+    """Two colored copies of the table: snake scheme, then co-snake scheme.
+
+    The cell at tape index t depends only on t mod sigma = len(labels), dead
+    exactly where its label is None, so one label period of cells is built;
+    row i starts at t = i*n + 1, so it equals row i mod sigma/gcd(sigma, n),
+    and only the distinct rows are joined.
+    """
     s = table.scroll
-    bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
-    live = list(compress(range(1, len(bits) + 1), bits))
+    n, r = s.n, table.r
     blocks = []
     for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
         cell = {
             label: f"\x1b[{color}m1\x1b[0m"
             for label, color in _label_colors(labels, ANSI_COLORS).items()
         }
-        chars = ["."] * len(bits)
-        for t in live:
-            chars[t - 1] = cell[labels[t % len(labels)]]
-        rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
-        blocks.append("\n".join([title + ":", *rows]))
+        sigma = len(labels)
+        distinct = min(r, sigma // gcd(sigma, n))
+        # cells[t - 1] is the cell at tape index t, for t in 1..distinct*n
+        period = [cell[label] if label is not None else "." for label in labels]
+        cells = (period[1:] + period[:1]) * (distinct * n // sigma + 1)
+        rows = ["".join(cells[i:i + n]) for i in range(0, distinct * n, n)]
+        blocks.append("\n".join([title + ":", *(rows[i % distinct] for i in range(r))]))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -57,8 +71,6 @@ def svg_table(table: OrbitTable) -> str:
     n, r = s.n, table.r
     size = r * n
     snake, cosnake = s.snake_labels
-    snake_color = _label_colors(snake, SNAKE_PALETTE)
-    cosnake_color = _label_colors(cosnake, COSNAKE_PALETTE)
     width, height = (n + 2) * unit, (r + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -79,34 +91,44 @@ def svg_table(table: OrbitTable) -> str:
             f'stroke="#eeeeee"/>'
         )
 
-    # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then
-    # nodes, x and y formatted once; tape index t = i*n + (j+1) sits at
-    # ((j+1)*unit, (i+1)*unit)
-    modulus, entries, xy = len(snake), [], {}
+    # tape index t = i*n + (j+1) sits at (xs[j], ys[i]), each formatted once
+    xs = [str((j + 1) * unit) for j in range(n)]
+    ys = [str((i + 1) * unit) for i in range(r)]
+    # per residue mod sigma, the snake (then co-snake) colour, None where dead,
+    # and the edge attributes of each colour, formatted once per step
+    fills, strokes = [], []
+    for labels, palette, dash in (
+        (snake, SNAKE_PALETTE, ""),
+        (cosnake, COSNAKE_PALETTE, 'stroke-dasharray="4 3"'),
+    ):
+        color = _label_colors(labels, palette)
+        fills.append([None if label is None else color[label] for label in labels])
+        strokes.append(
+            {c: f'stroke="{c}" stroke-width="2" {dash} fill="none"' for c in color.values()}
+        )
+    snake_fill, cosnake_fill = fills
+    # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then nodes
+    modulus, entries = len(snake), []
     for t in compress(range(1, size + 1), s.vector * table.omega):
         i, j = divmod(t - 1, n)
-        xy[t] = x, y = str((j + 1) * unit), str((i + 1) * unit)
         label = t % modulus
-        entries.append((t, x, y, (snake_color[snake[label]], cosnake_color[cosnake[label]])))
+        entries.append((t, xs[j], ys[i], (snake_fill[label], cosnake_fill[label])))
 
-    # the edge attributes of each colour, formatted once per step
-    snake_strokes, cosnake_strokes = (
-        {c: f'stroke="{c}" stroke-width="2" {dash} fill="none"' for c in colors.values()}
-        for colors, dash in ((snake_color, ""), (cosnake_color, 'stroke-dasharray="4 3"'))
-    )
+    advance = s._advance
     steps = (
-        (s.successor_letters, s.successor_step, snake_strokes),
-        (s.co_successor_letters, s.co_successor_step, cosnake_strokes),
+        ([advance.get(c) for c in s.successor_letters], s.successor_step, strokes[0]),
+        ([advance.get(c) for c in s.co_successor_letters], s.co_successor_step, strokes[1]),
     )
-    advance, length = s._advance, len(s.successor_letters)
+    length = len(s.successor_letters)
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
     for t, x1, y1, colors in entries:
         residue = (t - 1) % length
-        for (letters, step, strokes), color in zip(steps, colors):
-            d = advance.get(letters[residue])
+        for (advances, step, attrs_of), color in zip(steps, colors):
+            d = advances[residue]
             u = step(t)[0] if d is None else t + d  # the step raises on a count letter
-            attrs = strokes[color]
-            x2, y2 = xy[(u - 1) % size + 1]  # the target, wrapped into the table
+            attrs = attrs_of[color]
+            i, j = divmod((u - 1) % size, n)  # the target, wrapped into the table
+            x2, y2 = xs[j], ys[i]
             if 1 <= u <= size:
                 out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
             else:

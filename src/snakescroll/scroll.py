@@ -48,12 +48,11 @@ residues mod T alone.  No law builds anything of size M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
-from .cycles import Orbit, orbit
+from .cycles import _CHARS, Orbit, cached_property, orbit
 from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
@@ -125,7 +124,7 @@ class Scroll:
         """Metrics of the length-n tape window from the first live entry."""
         start = self.vector.index(1)
         window = (self.vector * 2)[start : start + self.n]
-        return metrics_from_row("".join(map(str, window)), self.n)
+        return metrics_from_row(window.translate(_CHARS).decode(), self.n)
 
     @cached_property
     def live_count(self) -> int:

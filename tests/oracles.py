@@ -1,9 +1,13 @@
 """Oracles the tests check library code against, kept apart from that code."""
 
 from collections import Counter
+from itertools import compress
 from math import gcd
 
 from snakescroll.cycles import _require_independent
+from snakescroll.render import (
+    ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT, _label_colors,
+)
 from snakescroll.scroll import Scroll
 from snakescroll.slither import _STEP_SHAPE, step_advance
 from snakescroll.tables import OrbitTable
@@ -383,3 +387,86 @@ def fibers_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[int,
     count = Counter(pairs)
     shared = [f"{law}: {ctx} tape {t}" for t, pair in zip(live, pairs) if count[pair] > 1]
     return len(live) - len(shared), shared
+
+
+def ansi_table(table: OrbitTable) -> str:
+    """Oracle for render.ansi_table, which builds one label period of cells
+    and each distinct row once: every cell of every row, one at a time."""
+    s = table.scroll
+    bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
+    live = list(compress(range(1, len(bits) + 1), bits))
+    blocks = []
+    for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
+        cell = {
+            label: f"\x1b[{color}m1\x1b[0m"
+            for label, color in _label_colors(labels, ANSI_COLORS).items()
+        }
+        chars = ["."] * len(bits)
+        for t in live:
+            chars[t - 1] = cell[labels[t % len(labels)]]
+        rows = ["".join(chars[i:i + s.n]) for i in range(0, len(chars), s.n)]
+        blocks.append("\n".join([title + ":", *rows]))
+    return "\n\n".join(blocks) + "\n"
+
+
+def svg_table(table: OrbitTable) -> str:
+    """Oracle for render.svg_table, which formats each coordinate and colour
+    once: every live entry places itself and both its targets by tape index."""
+    s, unit = table.scroll, SVG_UNIT
+    n, r = s.n, table.r
+    size = r * n
+    snake, cosnake = s.snake_labels
+    snake_color = _label_colors(snake, SNAKE_PALETTE)
+    cosnake_color = _label_colors(cosnake, COSNAKE_PALETTE)
+    width, height = (n + 2) * unit, (r + 2) * unit
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i in range(r + 1):
+        y = (i + 1) * unit
+        out.append(
+            f'<line x1="{unit}" y1="{y}" x2="{(n + 1) * unit}" y2="{y}" '
+            f'stroke="#eeeeee"/>'
+        )
+    for j in range(n + 1):
+        x = (j + 1) * unit
+        out.append(
+            f'<line x1="{x}" y1="{unit}" x2="{x}" y2="{(r + 1) * unit}" '
+            f'stroke="#eeeeee"/>'
+        )
+    live = list(compress(range(1, size + 1), s.vector * table.omega))
+
+    # tape index t = i*n + (j+1) sits at ((j+1)*unit, (i+1)*unit)
+    def at(t: int) -> tuple[int, int]:
+        i, j = divmod(t - 1, n)
+        return (j + 1) * unit, (i + 1) * unit
+
+    x_right, x_left = (n + 1) * unit + unit // 2, unit // 2
+    for t in live:
+        x1, y1 = at(t)
+        label = t % len(snake)
+        for step, dash, color in (
+            (s.successor_step, "", snake_color[snake[label]]),
+            (s.co_successor_step, 'stroke-dasharray="4 3"', cosnake_color[cosnake[label]]),
+        ):
+            u = step(t)[0]
+            attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
+            x2, y2 = at((u - 1) % size + 1)
+            if 1 <= u <= size:
+                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
+            else:
+                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x_right}" y2="{y1}" {attrs}/>')
+                out.append(f'<circle cx="{x_right}" cy="{y1}" r="3" fill="{color}"/>')
+                out.append(f'<line x1="{x_left}" y1="{y2}" x2="{x2}" y2="{y2}" {attrs}/>')
+                out.append(f'<circle cx="{x_left}" cy="{y2}" r="3" fill="{color}"/>')
+    for t in live:
+        x, y = at(t)
+        label = t % len(snake)
+        out.append(
+            f'<circle cx="{x}" cy="{y}" r="{unit // 3}" fill="{snake_color[snake[label]]}" '
+            f'stroke="{cosnake_color[cosnake[label]]}" stroke-width="3"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

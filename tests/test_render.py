@@ -1,10 +1,36 @@
-"""SVG rendering of orbit tables."""
+"""ANSI and SVG rendering of orbit tables."""
 
 import pytest
 
-from snakescroll.render import svg_table
+import oracles
+from snakescroll.cycles import enumerate_independent_sets
+from snakescroll.render import ansi_table, svg_table
 from snakescroll.scroll import scroll_from_seed
 from snakescroll.tables import omega_table
+
+# C_2..C_10 at omega 1..4; then n = 16 at omega 3, 369 rows of which 123 are
+# distinct (sigma = 123, gcd(sigma, 16) = 1), with split edges
+TABLES = [
+    (seed, omega)
+    for n in range(2, 11)
+    for seed in sorted(enumerate_independent_sets(n))
+    for omega in range(1, 5)
+] + [("0000000100100100", 3)]
+
+
+def test_renderers_match_the_per_cell_oracles():
+    for seed, omega in TABLES:
+        table = omega_table(scroll_from_seed(seed), omega)
+        assert ansi_table(table) == oracles.ansi_table(table), (seed, omega)
+        assert svg_table(table) == oracles.svg_table(table), (seed, omega)
+
+
+def test_the_n16_table_reuses_rows_and_splits_edges():
+    table = omega_table(scroll_from_seed("0000000100100100"), 3)
+    assert table.r == 369 and table.scroll.metrics.sigma == 123
+    rows = ansi_table(table).split("\n\n")[0].splitlines()[1:]
+    assert len(rows) == 369 and len(set(rows)) == 123
+    assert 'cx="14"' in svg_table(table)  # a re-entry marker on the left margin
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """The flat ticker tape, successor maps, snake counts and labels."""
 
+import functools
+
 import pytest
 
-from snakescroll.cycles import Orbit, all_orbits
+from snakescroll.cycles import Orbit, all_orbits, cached_property, orbit
 from snakescroll.scroll import DEAD, Scroll, scroll_from_seed
 from snakescroll.slither import step_advance
 
@@ -135,3 +137,43 @@ def test_step_letters_match_the_reference():
 def test_running_example_tape_period():
     s = scroll_from_seed(SEED11)
     assert s.metrics.T_tape == 7
+
+
+def test_cached_values_are_stdlib_cached_properties_stored_on_first_read():
+    assert isinstance(Scroll.snake_labels, functools.cached_property)
+    assert isinstance(Orbit.rows, functools.cached_property)
+    # every cached value reads without the stdlib lock
+    cached = [v for v in vars(Scroll).values() if isinstance(v, functools.cached_property)]
+    assert cached and all(type(v) is cached_property for v in cached + [Orbit.rows])
+    s = scroll_from_seed(SEED11)
+    assert "snake_labels" not in vars(s)
+    labels = s.snake_labels
+    assert vars(s)["snake_labels"] is labels and s.snake_labels is labels
+    o = orbit(SEED11)
+    rows = o.rows
+    assert vars(o)["rows"] is rows
+
+
+def test_an_injected_value_is_read_without_its_builder(monkeypatch):
+    s = scroll_from_seed(SEED11)
+
+    def builder(_):
+        raise AssertionError("builder called")
+
+    monkeypatch.setattr(Scroll.__dict__["metrics"], "func", builder)
+    vars(s)["metrics"] = "injected"
+    assert s.metrics == "injected"
+
+
+def test_a_raising_builder_stores_nothing_and_raises_again(monkeypatch):
+    s, calls = scroll_from_seed(SEED11), []
+
+    def builder(_):
+        calls.append(1)
+        raise AssertionError("builder raised")
+
+    monkeypatch.setattr(Scroll.__dict__["unit"], "func", builder)
+    for expected in (1, 2):
+        with pytest.raises(AssertionError, match="^builder raised$"):
+            s.unit
+        assert "unit" not in vars(s) and len(calls) == expected
