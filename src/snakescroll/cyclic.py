@@ -35,15 +35,10 @@ def cyclically_equal(a: str, b: str) -> bool:
     return len(a) == len(b) and (len(a) == 0 or b in a + a)
 
 
-def least_period(word: str) -> int:
-    """Smallest d with word equal to its rotation by d; divides len(word)."""
-    doubled = word + word
-    d = doubled.find(word, 1)
-    # The failure-function trick: the first nontrivial occurrence of word in
-    # word+word starts at the least period.
-    if d <= 0 or len(word) % d != 0:
-        return len(word)
-    return d
+def least_period(word: str | bytes) -> int:
+    """Smallest d > 0 with a nonempty word equal to its rotation by d: the
+    first match of word in word+word after 0, which divides len(word)."""
+    return (word + word).find(word, 1)
 
 
 def exponent(word: str) -> int:

@@ -64,8 +64,8 @@ def svg_table(table: OrbitTable) -> str:
     that leaves the table past its last row is drawn split: out to the
     right margin, and back in from the left margin to its target's wrapped
     position, with a small re-entry marker at each end.  Each step is read
-    off the scroll's letter tables; a live entry with no unique letter
-    raises that step's AssertionError.
+    off the scroll's step advances (`Scroll.step_advances`); a live entry
+    with no unique letter raises that step's AssertionError.
     """
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
@@ -109,17 +109,14 @@ def svg_table(table: OrbitTable) -> str:
     snake_fill, cosnake_fill = fills
     # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then nodes
     modulus, entries = len(snake), []
-    for t in compress(range(1, size + 1), s.vector * table.omega):
+    period = s.unit  # X_t is period[(t - 1) % P]
+    for t in compress(range(1, size + 1), period * (size // len(period))):
         i, j = divmod(t - 1, n)
         label = t % modulus
         entries.append((t, xs[j], ys[i], (snake_fill[label], cosnake_fill[label])))
 
-    advance = s._advance
-    steps = (
-        ([advance.get(c) for c in s.successor_letters], s.successor_step, strokes[0]),
-        ([advance.get(c) for c in s.co_successor_letters], s.co_successor_step, strokes[1]),
-    )
-    length = len(s.successor_letters)
+    steps = tuple(zip(s.step_advances, (s.successor_step, s.co_successor_step), strokes))
+    length = len(period)
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
     for t, x1, y1, colors in entries:
         residue = (t - 1) % length

@@ -1,20 +1,23 @@
-"""The scroll as one flat ticker tape: successor maps, snakes and their cycles.
+"""The scroll as one flat ticker tape: step maps, snakes and their cycles.
 
 The scroll stacks the orbit's rows cyclically, and the ticker tape X_t
 is its row-major reading.  Cell (i, j) of the scroll, for any integer row
 i and column j, is tape index t = i*n + j; this is the cylinder
 identification, under which (i, j+n) and (i+1, j) are the same cell.  So
-the tape alone is the scroll, and the orbit holds one period of it: the
-fundamental vector, the first m*n = lcm(T, n) symbols, is that period
-repeated, and X_t = vector[(t-1) % (m*n)].
+the tape alone is the scroll, and a scroll keeps one least period P of it
+(`Scroll.unit`, found on the orbit's period): X_t = unit[(t - 1) % P],
+and the m*n = lcm(T, n) residues of the orbit are the unit repeated.
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
-live depends only on t mod m*n, so each map is stored as one letter per
-residue of the vector.  The letters repeat with the tape's least period P
-(`Scroll.unit`, found on the orbit's period), so each table is stored as
-that one period, found by testing that map's own two candidates there; a
-step at t reads the letter at (t - 1) mod P.
+live depends only on t mod P, so each map is stored as one letter per
+residue of the unit, found by testing that map's own two candidates
+there, and as one signed advance per residue (`Scroll.step_advances`),
+the one place letters become advances; a step at t reads both at
+(t - 1) mod P.  The walk of one slither (co-slither) from the first live
+index, its tape indices and letters, is kept once per scroll
+(`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
+the swallows and the orbit report read it.
 
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
@@ -53,11 +56,10 @@ from math import gcd
 from typing import NamedTuple
 
 from .cycles import _CHARS, Orbit, cached_property, orbit
+from .cyclic import least_period
 from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
-# per step letter, a translation table taking it to byte 1 and every other character to 0
-_ONLY = {letter: bytes(int(i == ord(letter)) for i in range(256)) for letter in "EDSL"}
 # per letter pair, a translation table from the code byte 4*(residue live) +
 # 2*(first candidate live) + (second candidate live) to its step letter
 _LETTER_OF = {
@@ -72,7 +74,7 @@ class SnakeCounts(NamedTuple):
 
 
 def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
-    """One step letter per residue of the vector's least cyclic period, unit.
+    """One step letter per residue of the tape's least cyclic period, unit.
 
     The candidates of a live residue r are r + sign*advance(letter) for
     each of the two letters.  A dead residue gets DEAD; a live one gets
@@ -80,7 +82,7 @@ def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
     live, the digit counting its live candidates.  Each candidate is read
     from the unit rotated by its advance mod P = len(unit), and the three
     0/1 bytes of a residue are summed into one code byte as integers (no
-    byte carries); the letters of the whole vector are this table repeated.
+    byte carries); the letters of all m*n residues are this table repeated.
     """
     period = len(unit)
     code = int.from_bytes(unit, "big") * 4
@@ -103,33 +105,24 @@ class Scroll:
         return self.base.m
 
     @cached_property
-    def vector(self) -> bytes:
-        """The fundamental vector: the orbit's period repeated to m*n symbols."""
-        return self.base.period * (self.m * self.n // len(self.base.period))
-
-    @cached_property
     def unit(self) -> bytes:
-        """The tape's least cyclic period: its first P symbols, P the least
-        shift that fixes it, found on the orbit's period."""
+        """The tape's least cyclic period: its first P symbols, P found on
+        the orbit's period (`least_period`); X_t = unit[(t - 1) % P]."""
         period = self.base.period
-        return period[: (period + period).find(period, 1)]
-
-    def reads(self, length: int) -> bytes:
-        """X_t for t in [0, length): the vector rotated right by one, repeated."""
-        vector = self.vector
-        return ((vector[-1:] + vector[:-1]) * (length // len(vector) + 1))[:length]
+        return period[: least_period(period)]
 
     @cached_property
     def metrics(self) -> ScrollMetrics:
         """Metrics of the length-n tape window from the first live entry."""
-        start = self.vector.index(1)
-        window = (self.vector * 2)[start : start + self.n]
+        unit = self.unit
+        start = unit.index(1)
+        window = (unit * (self.n // len(unit) + 2))[start : start + self.n]
         return metrics_from_row(window.translate(_CHARS).decode(), self.n)
 
     @cached_property
     def live_count(self) -> int:
-        """Live entries of the fundamental vector, counted on its least period."""
-        return self.unit.count(1) * (len(self.vector) // len(self.unit))
+        """Live entries of the m*n residues, counted on the least period."""
+        return self.unit.count(1) * (self.m * self.n // len(self.unit))
 
     @cached_property
     def fundamental_degrees(self) -> tuple[int, int]:
@@ -163,40 +156,36 @@ class Scroll:
         return _step_letters(self.unit, self.n, "SL", -1)
 
     @cached_property
-    def _advance(self) -> dict[str, int]:
-        """Tape advance of each step letter."""
-        return {letter: step_advance(letter, self.n) for letter in "EDSL"}
+    def step_advances(self) -> tuple[list, list, list, list]:
+        """Per residue of the unit, the signed tape advance of the successor,
+        co-successor, predecessor and co-predecessor: that of its letter,
+        negated for an inverse step, or None where the letter has none (a
+        dead residue, or a count of live candidates)."""
+        forth = {x: step_advance(x, self.n) for x in "EDSL"}
+        back = {x: -advance for x, advance in forth.items()}
+        return tuple(
+            list(map(advance.get, letters))
+            for advance, letters in (
+                (forth, self.successor_letters),
+                (forth, self.co_successor_letters),
+                (back, self.predecessor_letters),
+                (back, self.co_predecessor_letters),
+            )
+        )
 
     @cached_property
     def steps_are_maps(self) -> bool:
-        """Whether all four letter tables give each live residue one of their
-        two step letters, not a count, and the step lands on a live residue.
-
-        Bytewise over the unit, as integers of 0/1 bytes: the live residues
-        with a given letter must be live in the unit shifted by that
-        letter's advance, mod its length P.
-        """
-        unit, size = self.unit, len(self.unit)
-        live = int.from_bytes(unit, "big")
-        # X at residue r + d for each residue r, 0 <= d < size, is doubled[d : d + size]
-        doubled = unit * 2
-        for letters, (x, y), sign in (
-            (self.successor_letters, "ED", 1),
-            (self.co_successor_letters, "SL", 1),
-            (self.predecessor_letters, "ED", -1),
-            (self.co_predecessor_letters, "SL", -1),
-        ):
-            encoded = letters.encode()
-            at_x = int.from_bytes(encoded.translate(_ONLY[x]), "big") & live
-            at_y = int.from_bytes(encoded.translate(_ONLY[y]), "big") & live
-            if at_x | at_y != live:
-                return False
-            dx, dy = sign * self._advance[x] % size, sign * self._advance[y] % size
-            if at_x & ~int.from_bytes(doubled[dx : dx + size], "big"):
-                return False
-            if at_y & ~int.from_bytes(doubled[dy : dy + size], "big"):
-                return False
-        return True
+        """Whether all four steps are maps of the live entries: every live
+        residue of the unit has an advance in each table, and it lands on a
+        live residue."""
+        unit = self.unit
+        size = len(unit)
+        live = list(compress(range(size), unit))
+        return all(
+            row[r] is not None and unit[(r + row[r]) % size]
+            for row in self.step_advances
+            for r in live
+        )
 
     @cached_property
     def snakes(self) -> SnakeCounts:
@@ -208,19 +197,16 @@ class Scroll:
     @cached_property
     def period_advances(self) -> tuple[list, list]:
         """Per tape index t in [0, T), T the tape period, its successor and
-        co-successor advance, read off the letter tables mod their length;
-        None where t is dead.  A live index whose letter has no advance
-        raises, as its step does, named by its tape index in [1, T]."""
-        period, arrays = self.metrics.T_tape, []
-        for letters, step in (
-            (self.successor_letters, self.successor),
-            (self.co_successor_letters, self.co_successor),
-        ):
-            # the letter of t - 1, at t
-            at = (letters[-1:] + letters * (period // len(letters) + 1))[:period]
-            if "0" in at or "2" in at:  # a count of live candidates: the step raises
-                step(next(t for t in range(1, period + 1) if at[t % period] in "02"))
-            arrays.append(list(map(self._advance.get, at)))
+        co-successor advance, read off `step_advances` at (t - 1) mod P;
+        None where t is dead.  A live index with no advance raises, as its
+        step does, named by its tape index in [1, P]."""
+        period, unit, arrays = self.metrics.T_tape, self.unit, []
+        for row, step in zip(self.step_advances, (self.successor_step, self.co_successor_step)):
+            for r in compress(range(len(unit)), unit):
+                if row[r] is None:
+                    step(r + 1)  # raises with the count of live candidates
+            # the advance of t - 1, at t
+            arrays.append((row[-1:] + row * (period // len(row) + 1))[:period])
         return tuple(arrays)
 
     @cached_property
@@ -233,9 +219,10 @@ class Scroll:
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod the tape
-        period T (`walk_cycles`) on the live residues mod T."""
-        period = self.metrics.T_tape
-        return walk_cycles(self.period_advances, tuple(compress(range(period), self.reads(period))))
+        period T (`walk_cycles`) on the live residues mod T, those with a
+        successor advance."""
+        succ = self.period_advances[0]
+        return walk_cycles(self.period_advances, tuple(t for t, d in enumerate(succ) if d is not None))
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
@@ -267,45 +254,40 @@ class Scroll:
         return tuple(labels)
 
     @cached_property
-    def snake_walk(self) -> tuple[list[int], list]:
-        """Tape indices along the co-successor from the first live one, one
-        per snake, and the snake of each: a co-slither meets each snake once."""
-        return self._label_walk(self.snake_labels[0], self.snakes.alpha, self.co_successor)
+    def slither_walk(self) -> tuple[list[int], str]:
+        """The tape indices and letters of beta successor steps from the
+        first live index: a slither meets each co-snake once."""
+        return self._walk(self.successor_step, self.snakes.beta)
 
     @cached_property
-    def cosnake_walk(self) -> tuple[list[int], list]:
-        """Likewise along the successor, one per co-snake."""
-        return self._label_walk(self.snake_labels[1], self.snakes.beta, self.successor)
+    def coslither_walk(self) -> tuple[list[int], str]:
+        """Likewise alpha co-successor steps: a co-slither meets each snake once."""
+        return self._walk(self.co_successor_step, self.snakes.alpha)
 
-    def _label_walk(self, labels: list, count: int, step) -> tuple[list[int], list]:
-        k, indices = self.vector.index(1) + 1, []
+    def _walk(self, step, count: int) -> tuple[list[int], str]:
+        t, indices, letters = self.unit.index(1) + 1, [], []
         for _ in range(count):
-            indices.append(k)
-            k = step(k)
-        return indices, [labels[k % len(labels)] for k in indices]
+            indices.append(t)
+            t, letter = step(t)
+            letters.append(letter)
+        return indices, "".join(letters)
 
-    def _step(self, letters: str, t: int, what: str) -> tuple[int, str]:
-        letter = letters[(t - 1) % len(letters)]
-        advance = self._advance.get(letter)
+    def _step(self, map_index: int, letters: str, t: int, what: str) -> tuple[int, str]:
+        r = (t - 1) % len(letters)
+        advance = self.step_advances[map_index][r]
         if advance is None:
-            if letter == DEAD:
+            if letters[r] == DEAD:
                 raise ValueError(f"tape index {t} is not live")
             raise AssertionError(
-                f"{what} of live index {t}: {letter} live candidates, expected 1"
+                f"{what} of live index {t}: {letters[r]} live candidates, expected 1"
             )
-        return t + advance, letter
+        return t + advance, letters[r]
 
     def successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.successor_letters, t, "successor")
-
-    def successor(self, t: int) -> int:
-        return self.successor_step(t)[0]
+        return self._step(0, self.successor_letters, t, "successor")
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(self.co_successor_letters, t, "co-successor")
-
-    def co_successor(self, t: int) -> int:
-        return self.co_successor_step(t)[0]
+        return self._step(1, self.co_successor_letters, t, "co-successor")
 
 
 def scroll_from_seed(bits: str) -> Scroll:

@@ -1,8 +1,8 @@
 """Slither calculus: step words extracted from one tape window.
 
 `words_from_row` reads the two words off a length-n window of the tape
-that starts at a live entry (a scroll takes it from its fundamental
-vector, and a constructed first row is one already), and
+that starts at a live entry (a scroll takes it from its least tape
+period, and a constructed first row is one already), and
 `metrics_from_row` hands them to `metrics_from_words`, the closed forms.
 Such a window decomposes into maximal 0-blocks.  Each inner block of size
 z contributes the subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the

@@ -24,8 +24,8 @@ class SumVector:
 def sum_vector(s: Scroll) -> SumVector:
     """Column sums of the omega = 1 table, read off the tape's least period.
 
-    Column j is vector[j::n], m symbols, and the vector is the unit (length
-    P) repeated; with g = gcd(n, P), the column meets each residue mod P
+    Column j is X_(j+1), X_(j+1+n), ..., m symbols of the tape, which is the
+    unit (length P) repeated; with g = gcd(n, P), the column meets each residue mod P
     that is j mod g equally often, m*g/P times.  So the sums repeat with
     period g, and column j is (m*g/P)*sum(unit[j mod g :: g]).
     """

@@ -28,9 +28,10 @@ steps reduced mod the table size instead.  Covering degrees
 (`Scroll.fundamental_degrees`), predicted counts (from
 `Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
 metrics; the lifted cycle counts are what they are checked against.  A
-swallow's walk order does not depend on omega: each scroll keeps it
-(`Scroll.snake_walk`, `Scroll.cosnake_walk`), and a table reads only the
-image of each label in the scroll's label arrays mod sigma
+swallow's walk order does not depend on omega: it is the tape indices of
+the scroll's one co-slither (slither) walk (`Scroll.coslither_walk`,
+`Scroll.slither_walk`), and a swallow reads the label of each index and
+of its image in the scroll's label arrays mod sigma
 (`Scroll.snake_labels`, read off its cycles mod T).
 
 A caller builds one table per omega with `omega_table` (`verify.check_tables`
@@ -54,7 +55,7 @@ class OrbitTable:
     scroll: Scroll
     omega: int
     size: int  # omega*m*n residues
-    eta: int  # live entries: omega copies of the fundamental vector's
+    eta: int  # live entries: omega copies of the m*n residues'
     alpha: int  # bar_alpha, the ouroboroi
     beta: int  # bar_beta, the co-ouroboroi
     deg: int  # deg p_omega = alpha / bar_alpha
@@ -68,7 +69,7 @@ class OrbitTable:
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
-    size = omega * len(s.vector)
+    size = omega * s.m * s.n
     alpha, beta = lifted_counts(s, size // s.metrics.T_tape)
     snakes = s.snakes
     deg, codeg = snakes.alpha // alpha, snakes.beta // beta
@@ -100,13 +101,13 @@ class SwallowPermutation:
         return self.shift == 0
 
 
-def _swallow(t: OrbitTable, labels: list, walk: tuple[list[int], list]) -> SwallowPermutation:
-    """The labels of walk, tape indices k in their cyclic order and the
-    label of each, each mapped to the label of k - size, read off labels
-    (indexed by residue mod its length): translation by the table size
-    commutes with both steps.  The image must be a uniform shift of that
-    order; its shift is stored."""
-    (indices, order), size, modulus = walk, t.size, len(labels)
+def _swallow(t: OrbitTable, labels: list, indices: list[int]) -> SwallowPermutation:
+    """The labels of the tape indices k, in their cyclic order, each mapped
+    to the label of k - size, both read off labels (indexed by residue mod
+    its length): translation by the table size commutes with both steps.
+    The image must be a uniform shift of that order; its shift is stored."""
+    size, modulus = t.size, len(labels)
+    order = [labels[k % modulus] for k in indices]
     if len(set(order)) != len(order):
         raise AssertionError("step map does not traverse all labels once")
     image = [labels[(k - size) % modulus] for k in indices]
@@ -120,13 +121,13 @@ def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     s = t.scroll
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, s.snake_labels[0], s.snake_walk)
+    return _swallow(t, s.snake_labels[0], s.coslither_walk[0])
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     s = t.scroll
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, s.snake_labels[1], s.cosnake_walk)
+    return _swallow(t, s.snake_labels[1], s.slither_walk[0])
 
 
 @dataclass(slots=True)

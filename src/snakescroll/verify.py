@@ -151,24 +151,27 @@ def _laps(indices: list[int], period: int, laps: int) -> list[int]:
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
-    Steps read the scroll's letter tables at residue (t - 1) mod P, P the
-    vector's least cyclic period (`Scroll.unit`).  The vector is P-periodic
-    and every table a function of the residue mod P, so the per-residue
-    laws (six-neighbour zeros, unique candidates, commutation,
-    parallelogram, round trip) run on the tape indices [1, P] only: each
-    count is multiplied by laps = m*n/P, and each failure at t stands for
-    t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
-    in tape order.  The laws on the snakes and co-snakes mod sigma
-    (successor advance linear, near-row distinctness, fibers) run on the
-    live residues [0, T) only, T the tape period: they read both maps'
-    cycles mod T (`Scroll.period_cycles`) through the covering
-    Z/sigma -> Z/T, each count is multiplied by F = sigma/T, and each
-    failure at v stands for v + k*T, k = 0..F-1, in tape order; no map is
-    walked mod sigma.  The laws on the snakes and on walks of the
-    steps need all four steps to be maps of the live entries; where a live entry
-    has no unique letter in some table, the unique-candidates or round-trip
-    law reports it and those laws are skipped for the orbit; they are
-    skipped too where a letter's step lands on a dead entry.
+    Steps read the scroll's step advances and letters at residue
+    (t - 1) mod P, P the tape's least cyclic period (`Scroll.unit`).  The
+    tape is P-periodic and every table a function of the residue mod P,
+    so the per-residue laws (six-neighbour zeros, unique candidates,
+    commutation, parallelogram, round trip) run on the tape indices
+    [1, P] only: each count is multiplied by laps = m*n/P, and each
+    failure at t stands for t + k*P, k = 0..laps-1, so the contexts are
+    those of all m*n residues, in tape order.  The laws on the snakes and
+    co-snakes mod sigma (successor advance linear, near-row distinctness,
+    fibers) run on the live residues [0, T) only, T the tape period: they
+    read both maps' cycles mod T (`Scroll.period_cycles`) through the
+    covering Z/sigma -> Z/T, each count is multiplied by F = sigma/T, and
+    each failure at v stands for v + k*T, k = 0..F-1, in tape order; no
+    map is walked mod sigma.  The slither and co-slither simulations read
+    the scroll's walks (`Scroll.slither_walk`, `Scroll.coslither_walk`),
+    which the swallows reuse.  The laws on the snakes and on walks of the
+    steps need all four steps to be maps of the live entries; where a
+    live entry has no unique letter in some table, the unique-candidates
+    or round-trip law reports it and those laws are skipped for the
+    orbit; they are skipped too where a letter's step lands on a dead
+    entry.
     """
     n, m = s.n, s.m
     ctx = f"n={n} seed={s.base.seed}"
@@ -181,10 +184,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     six = (-n, 1 - n, -1, 1, n - 1, n)
     sl, cl = s.successor_letters, s.co_successor_letters
     # signed advance of each step per residue, None where its letter has none
-    forth = s._advance
-    back = {x: -advance for x, advance in forth.items()}
-    sa, ca = list(map(forth.get, sl)), list(map(forth.get, cl))
-    pa, cpa = (list(map(back.get, x)) for x in (s.predecessor_letters, s.co_predecessor_letters))
+    sa, ca, pa, cpa = s.step_advances
 
     # local structure at every live entry of the unit: the unit and its six
     # shifts as integers, one 0/1 byte per residue, so OR and AND act
@@ -270,7 +270,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         return
 
     # tape period: minimality and the divisibility characterization; a
-    # shift by ell fixes the tape iff the vector's least period P divides
+    # shift by ell fixes the tape iff its least period P divides
     # ell, so the shifts in [1, 3*T_tape] failing it are the multiples of
     # exactly one of P and T_tape
     tape_period = met.T_tape
@@ -283,16 +283,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     if not snakes:
         return
 
-    # step-word simulation agreement (slither and co-slither)
-    for law, step, length, word in (
-        ("slither matches simulation", s.successor_step, snakes.beta, ws.word),
-        ("co-slither matches simulation", s.co_successor_step, snakes.alpha, wc.word),
+    # step-word simulation agreement (slither and co-slither), on the
+    # scroll's walks from the first live index, which the swallows reuse
+    for law, (_, simulated), word in (
+        ("slither matches simulation", s.slither_walk, ws.word),
+        ("co-slither matches simulation", s.coslither_walk, wc.word),
     ):
-        t, letters = live[0], []
-        for _ in range(length):
-            t, letter = step(t)
-            letters.append(letter)
-        simulated = "".join(letters)
         mismatch = [] if cyclically_equal(simulated, word) else [f"{ctx} simulated {simulated}"]
         rep.tally(law, 1, mismatch)
 
@@ -334,14 +330,13 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # co-snake distinctness within one row span, at the live entries v + d,
     # 0 < d < n: with v + d = u + j*T, u < T, v + x*T and v + d + x*T lie
     # on one co-snake iff u is on v's cycle i and j - lift[u] + lift[v] is
-    # 0 mod g_i.  X_(v + d) for |d| <= size is tripled[(v - 1) % size + size + d]
-    tripled = s.vector * 3
+    # 0 mod g_i.  X_(v + d) is wide[(v - 1) % P + reach*P + d], as above
     offsets = range(1, n)
     near, shared = 0, []
     for v in on_period:
-        base = (v - 1) % size + size
+        base = (v - 1) % period + reach * period
         i, q = c_cycle[v], c_lift[v]
-        for d in compress(offsets, tripled[base + 1 : base + n]):
+        for d in compress(offsets, wide[base + 1 : base + n]):
             near += 1
             j, u = divmod(v + d, tape_period)
             if c_cycle[u] == i and (j - c_lift[u] + q) % c_gcd[i] == 0:
@@ -358,27 +353,28 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
 
     # free action on the universal scroll: s^a c^b moves the start t0 for
     # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A point of
-    # the plane is its tape index and its row; a step reads its letter at
-    # (t - 1) mod P and moves by that letter's advance and row step,
-    # negated for an inverse step.  Every advance is positive, so each walk
-    # is monotone in the tape: a = 0, or a and b of one sign, never fix t0,
-    # and c is walked from s^a(t0) toward t0 only, stopping at the first
-    # step that reaches or passes it.  Each a fixes t0 for at most one b
-    shape = {x: (s._advance[x], rows) for x, (rows, _) in _STEP_SHAPE.items()}
+    # the plane is its tape index and its row; a step at t reads its signed
+    # advance and its letter at (t - 1) mod P and moves by that advance and
+    # the letter's row step, negated for an inverse step.  Every advance of
+    # s and c is positive, so each walk is monotone in the tape: a = 0, or
+    # a and b of one sign, never fix t0, and c is walked from s^a(t0)
+    # toward t0 only, stopping at the first step that reaches or passes it.
+    # Each a fixes t0 for at most one b
+    row_step = {x: rows for x, (rows, _) in _STEP_SHAPE.items()}
     t0, alpha = live[0], snakes.alpha
     fixed = {}
-    for sign, s_letters, c_letters in (
-        (-1, s.predecessor_letters, s.co_successor_letters),
-        (1, s.successor_letters, s.co_predecessor_letters),
+    for sign, s_advances, s_letters, c_advances, c_letters in (
+        (-1, pa, s.predecessor_letters, ca, s.co_successor_letters),
+        (1, sa, s.successor_letters, cpa, s.co_predecessor_letters),
     ):
         t = row = 0  # s^a(t0) - t0 and its row, a = sign*1, sign*2, ...
         for a in range(sign, sign * (snakes.beta + 1), sign):
-            d, dr = shape[s_letters[(t0 + t - 1) % period]]
-            t, row = t + sign * d, row + sign * dr
+            x = (t0 + t - 1) % period
+            t, row = t + s_advances[x], row + sign * row_step[s_letters[x]]
             u, r = t, row
             for b in range(1, alpha + 1):
-                d, dr = shape[c_letters[(t0 + u - 1) % period]]
-                u, r = u - sign * d, r - sign * dr
+                x = (t0 + u - 1) % period
+                u, r = u + c_advances[x], r - sign * row_step[c_letters[x]]
                 if sign * u <= 0:
                     if u == r == 0:
                         fixed[a] = f"{ctx} exponents ({a},{-sign * b})"

@@ -54,10 +54,25 @@ def sweep(bits: str) -> str:
     return "".join(word)
 
 
+def vector(s: Scroll) -> bytes:
+    """X_1..X_(m*n), the orbit's m*n residues: its period repeated."""
+    return s.base.period * (s.m * s.n // len(s.base.period))
+
+
+def successor(s: Scroll, t: int) -> int:
+    """The successor of the live tape index t, read off its step."""
+    return s.successor_step(t)[0]
+
+
+def co_successor(s: Scroll, t: int) -> int:
+    """The co-successor of the live tape index t, read off its step."""
+    return s.co_successor_step(t)[0]
+
+
 def live_residues(s: Scroll, modulus: int) -> list[int]:
     """The live residues mod modulus, ascending, read off the vector."""
-    size = len(s.vector)
-    return [r for r in range(modulus) if s.vector[(r - 1) % size]]
+    bits = vector(s)
+    return [r for r in range(modulus) if bits[(r - 1) % len(bits)]]
 
 
 def walked_labels(s: Scroll, modulus: int) -> list[list]:
@@ -65,23 +80,23 @@ def walked_labels(s: Scroll, modulus: int) -> list[list]:
     successor (then co-successor), None on dead residues.
 
     Oracle for `Scroll.snake_labels`, which reads the cycles mod sigma off
-    the cycles mod the tape period: this steps `Scroll.successor` and
-    `Scroll.co_successor` round each cycle mod modulus, from its least live
+    the cycles mod the tape period: this steps `successor` and
+    `co_successor` round each cycle mod modulus, from its least live
     residue, and labels every residue it passes.
     """
     live = live_residues(s, modulus)
     labels = []
-    for step in (s.successor, s.co_successor):
+    for step in (successor, co_successor):
         label = [None] * modulus
         for r in live:
             if label[r] is not None:
                 continue
-            cycle, t = [r], step(r) % modulus
+            cycle, t = [r], step(s, r) % modulus
             while t != r:
                 if len(cycle) > len(live):
                     raise AssertionError(f"the step does not return to {r}")
                 cycle.append(t)
-                t = step(t) % modulus
+                t = step(s, t) % modulus
             for t in cycle:
                 label[t] = r
         labels.append(label)
@@ -97,7 +112,7 @@ def walked_counts(s: Scroll, modulus: int) -> tuple[int, int]:
     """
     live = live_residues(s, modulus)
     counts = []
-    for step in (s.successor, s.co_successor):
+    for step in (successor, co_successor):
         seen, cycles = set(), 0
         for r in live:
             if r in seen:
@@ -105,7 +120,7 @@ def walked_counts(s: Scroll, modulus: int) -> tuple[int, int]:
             cycles, t = cycles + 1, r
             while t not in seen:
                 seen.add(t)
-                t = step(t) % modulus
+                t = step(s, t) % modulus
             assert t == r  # a permutation closes each cycle at its start
         counts.append(cycles)
     return tuple(counts)
@@ -121,14 +136,14 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
     [0, g), g = gcd(M, m*n), and extends by the shift g, which the steps
     commute with mod M, as they do with the shift by m*n.
     """
-    size = len(s.vector)
-    g = gcd(modulus, size)
+    bits = vector(s)
+    g = gcd(modulus, len(bits))
     maps = ([None] * modulus, [None] * modulus)
-    for image, step in zip(maps, (s.successor, s.co_successor)):
+    for image, step in zip(maps, (successor, co_successor)):
         for r in range(g):
-            if s.vector[(r - 1) % size]:
+            if bits[(r - 1) % len(bits)]:
                 # (t + step(r) - r) mod M for t = r, r + g, ..: up to M, then from v mod g
-                v = step(r) % modulus
+                v = step(s, r) % modulus
                 image[r::g] = [*range(v, modulus, g), *range(v % g, v, g)]
     return maps
 
@@ -206,7 +221,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     mod their length.  The linearity law needs the steps to be maps, so it
     runs only where they are, as in check_scroll.
     """
-    n, size, vector = s.n, s.m * s.n, s.vector
+    n, size, bits = s.n, s.m * s.n, vector(s)
     ctx = f"n={n} seed={s.base.rows[0]}"
     advance = {x: step_advance(x, n) for x in "EDSL"}
     tables = (
@@ -222,12 +237,12 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     def unique(t: int) -> bool:
         return letter(0, t) in advance and letter(1, t) in advance
 
-    live = [t for t in range(1, size + 1) if vector[t - 1]]
+    live = [t for t in range(1, size + 1) if bits[t - 1]]
     totals = dict.fromkeys(RESIDUE_LAWS[:5], 0)
     failures: dict[str, list[str]] = {law: [] for law in RESIDUE_LAWS[:5]}
     for t in live:
         totals["six-neighbor zeros"] += 1
-        if any(vector[(t - 1 + d) % size] for d in (-n, 1 - n, -1, 1, n - 1, n)):
+        if any(bits[(t - 1 + d) % size] for d in (-n, 1 - n, -1, 1, n - 1, n)):
             failures["six-neighbor zeros"].append(f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})")
         totals["unique successor candidates"] += 1
         for k, what in ((0, "successor"), (1, "co-successor")):
@@ -272,20 +287,20 @@ def advance_linear_law(s: Scroll) -> tuple[int, list[str]]:
 
     Oracle for verify.check_scroll, which reads the advance of r*block
     successor steps off the cycles mod the tape period: this steps
-    `Scroll.successor` r*block times from each live residue t mod sigma,
+    `successor` r*block times from each live residue t mod sigma,
     for r = 1..min(3, deg), and compares the advance with r*p.
     """
     law, met = RESIDUE_LAWS[5], s.metrics
     ctx = f"n={s.n} seed={s.base.rows[0]}"
     block = len(met.slither.word) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
-    on_sigma = [t for t in range(met.sigma) if s.vector[(t - 1) % len(s.vector)]]
+    on_sigma = live_residues(s, met.sigma)
     nonlinear = []
     for r in rounds:
         for t in on_sigma:
             u = t
             for _ in range(r * block):
-                u = s.successor(u)
+                u = successor(s, u)
             if u - t != r * met.p:
                 nonlinear.append(f"{law}: {ctx} r={r} from {t}")
     return len(rounds) * len(on_sigma) - len(nonlinear), nonlinear
@@ -300,7 +315,8 @@ def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
     """
     law, size, period = "tape shift iff T_tape divides", s.m * s.n, s.metrics.T_tape
     ctx = f"n={s.n} seed={s.base.rows[0]}"
-    reads = s.reads(3 * period + size)
+    bits = vector(s)
+    reads = (bits[-1:] + bits[:-1]) * (3 * period // size + 2)  # X_t at t
     wrong = [
         ell
         for ell in range(1, 3 * period + 1)
@@ -333,7 +349,7 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
             walks.append(steps)
         return walks[0][::-1] + [coord] + walks[1]
 
-    i0, j0 = divmod(s.vector.index(1), n)
+    i0, j0 = divmod(vector(s).index(1), n)
     start = (i0, j0 + 1)
     s_walk = walk(start, s.predecessor_letters, s.successor_letters, part.beta)
     fixed, checks = [], 0
@@ -361,9 +377,10 @@ def near_row_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[in
     ctx = f"n={n} seed={s.base.rows[0]}"
     label = (labels or walked_labels(s, sigma))[1]
     near, shared = 0, []
+    bits = vector(s)
     for t in live_residues(s, sigma):
         for d in range(1, n):
-            if s.vector[(t + d - 1) % size]:
+            if bits[(t + d - 1) % size]:
                 near += 1
                 if label[(t + d) % sigma] == label[t]:
                     shared.append(f"{law}: {ctx} tape {t}, {t + d}")
@@ -393,7 +410,7 @@ def ansi_table(table: OrbitTable) -> str:
     """Oracle for render.ansi_table, which builds one label period of cells
     and each distinct row once: every cell of every row, one at a time."""
     s = table.scroll
-    bits = s.vector * table.omega  # bits[t - 1] is X_t for t in 1..size
+    bits = vector(s) * table.omega  # bits[t - 1] is X_t for t in 1..size
     live = list(compress(range(1, len(bits) + 1), bits))
     blocks = []
     for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
@@ -436,7 +453,7 @@ def svg_table(table: OrbitTable) -> str:
             f'<line x1="{x}" y1="{unit}" x2="{x}" y2="{(r + 1) * unit}" '
             f'stroke="#eeeeee"/>'
         )
-    live = list(compress(range(1, size + 1), s.vector * table.omega))
+    live = list(compress(range(1, size + 1), vector(s) * table.omega))
 
     # tape index t = i*n + (j+1) sits at ((j+1)*unit, (i+1)*unit)
     def at(t: int) -> tuple[int, int]:

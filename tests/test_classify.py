@@ -21,6 +21,8 @@ from snakescroll.cyclic import cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
 from snakescroll.slither import metrics_from_row, words_from_row
 
+from oracles import vector
+
 
 def test_quadruple_constraints():
     for n in range(2, 30):
@@ -135,7 +137,7 @@ def test_torsor_period_is_the_simulated_tape():
     rows = 0
     for row, met in live_first_rows(14):
         n, period = len(row), met.T_tape
-        want = "".join(map(str, scroll_from_seed(row).vector[:period]))
+        want = "".join(map(str, vector(scroll_from_seed(row))[:period]))
         assert tape_period(met, n) == want, row
         assert recurrence_period(row, period) == want, row
         rows += 1

@@ -9,7 +9,7 @@ from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, scroll_from_seed, walk_cycles
 from snakescroll.tables import omega_table
 
-from oracles import live_residues, walked_counts, walked_labels
+from oracles import live_residues, vector, walked_counts, walked_labels
 
 
 def _labels(row: list, fold: int = 1) -> list:
@@ -88,7 +88,7 @@ def test_lifted_counts_match_walked_cycles():
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            assert s.live_count == s.vector.count(1)
+            assert s.live_count == vector(s).count(1)
             succ = s.period_advances[0]
             on_period = [t for t, d in enumerate(succ) if d is not None]
             assert s.period_live == (on_period[0], len(on_period))

@@ -12,7 +12,7 @@ from snakescroll.cycles import (
 )
 from snakescroll.scroll import Scroll
 
-from oracles import eca1_local, sweep, toggle
+from oracles import eca1_local, sweep, toggle, vector
 
 LUCAS = {2: 3, 3: 4, 4: 7, 5: 11, 6: 18, 7: 29, 8: 47, 9: 76, 10: 123}
 
@@ -148,7 +148,7 @@ def test_all_orbits_are_simulated_orbits():
         for o in all_orbits(n):
             assert o.seed == o.rows[0]
             assert o.rows == _swept_rows(o.seed)
-            assert Scroll(o).vector == bytes(int(c) for c in "".join(o.rows))
+            assert vector(Scroll(o)) == bytes(int(c) for c in "".join(o.rows))
             assert o == orbit(o.seed)
 
 

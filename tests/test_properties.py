@@ -7,7 +7,7 @@ from snakescroll.cycles import is_independent, orbit
 from snakescroll.cyclic import canonical_binary, cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
 
-from oracles import sweep, toggle, walked_labels
+from oracles import sweep, toggle, vector, walked_labels
 
 
 @st.composite
@@ -72,7 +72,8 @@ def test_tape_reads_the_cylinder(bits, i, data):
     # cell (i, j) of the scroll is tape index i*n + j
     s = scroll_from_seed(bits)
     j = data.draw(st.integers(1, s.n))
-    assert s.vector[(i * s.n + j - 1) % len(s.vector)] == int(s.base.rows[i % s.m][j - 1])
+    bits = vector(s)
+    assert bits[(i * s.n + j - 1) % len(bits)] == int(s.base.rows[i % s.m][j - 1])
 
 
 def rotations(word):

@@ -8,13 +8,16 @@ from snakescroll.cycles import Orbit, all_orbits, cached_property, orbit
 from snakescroll.scroll import DEAD, Scroll, scroll_from_seed
 from snakescroll.slither import step_advance
 
+from oracles import co_successor, successor, vector
+
 SEED11 = "00001010000"
 
 
 def test_scroll_reads_repeat_the_orbit():
     s = scroll_from_seed(SEED11)
     assert s.m == 7
-    reads = s.reads(4 * 77)
+    # X_t for t in [0, 4*m*n), read off the tape's least period
+    reads = bytes(s.unit[(t - 1) % len(s.unit)] for t in range(4 * 77))
     for t in range(3 * 77):
         assert reads[t] == reads[t + 77]  # one orbit period: m*n tape cells
     for i, row in enumerate(s.base.rows):
@@ -24,27 +27,27 @@ def test_scroll_reads_repeat_the_orbit():
 def test_successor_steps_on_the_running_example():
     s = scroll_from_seed(SEED11)
     # row 0 live columns are 5 and 7: tape indices 5 and 7
-    assert s.vector[4] == 1 and s.vector[6] == 1
+    assert vector(s)[4] == 1 and vector(s)[6] == 1
     assert s.successor_step(5) == (7, "E")
     t, letter = s.successor_step(7)
     assert (t, letter) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
     assert s.predecessor_letters[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
-    u = s.co_successor(5)  # the tables are one least period, 7 letters
+    u = co_successor(s, 5)  # the tables are one least period, 7 letters
     assert u - step_advance(s.co_predecessor_letters[(u - 1) % 7], 11) == 5
 
 
 def test_successor_and_co_successor_commute():
     s = scroll_from_seed(SEED11)
-    live = [t for t in range(1, 7 * 11 + 1) if s.vector[t - 1] == 1]
+    live = [t for t in range(1, 7 * 11 + 1) if vector(s)[t - 1] == 1]
     for t in live:
-        assert s.successor(s.co_successor(t)) == s.co_successor(s.successor(t))
+        assert successor(s, co_successor(s, t)) == co_successor(s, successor(s, t))
 
 
 def test_steps_reject_dead_indices():
     s = scroll_from_seed(SEED11)
     with pytest.raises(ValueError):
-        s.successor(6)
+        successor(s, 6)
 
 
 def _live(labels: list) -> list[int]:
@@ -65,8 +68,8 @@ def test_snake_labels_invariant_under_steps():
     s = scroll_from_seed(SEED11)
     snake, cosnake = s.snake_labels
     for t in _live(snake):
-        assert snake[s.successor(t) % 42] == snake[t]
-        assert cosnake[s.co_successor(t) % 42] == cosnake[t]
+        assert snake[successor(s, t) % 42] == snake[t]
+        assert cosnake[co_successor(s, t) % 42] == cosnake[t]
 
 
 def test_fibers_are_singletons():
@@ -88,21 +91,21 @@ def test_step_failures_are_per_index():
     assert s.co_successor_step(1) == (7, "L")
 
 
-def reference_step_letters(vector: bytes, n: int, letters: str, sign: int) -> str:
+def reference_step_letters(bits: bytes, n: int, letters: str, sign: int) -> str:
     """Brute-force step letters: each residue's candidates read mod the size."""
-    size = len(vector)
+    size = len(bits)
     out = []
-    for r, bit in enumerate(vector):
+    for r, bit in enumerate(bits):
         if not bit:
             out.append(DEAD)
             continue
-        hits = [x for x in letters if vector[(r + sign * step_advance(x, n)) % size]]
+        hits = [x for x in letters if bits[(r + sign * step_advance(x, n)) % size]]
         out.append(hits[0] if len(hits) == 1 else str(len(hits)))
     return "".join(out)
 
 
-def least_cyclic_period(vector: bytes) -> int:
-    return next(p for p in range(1, len(vector) + 1) if vector[p:] + vector[:p] == vector)
+def least_cyclic_period(bits: bytes) -> int:
+    return next(p for p in range(1, len(bits) + 1) if bits[p:] + bits[:p] == bits)
 
 
 def test_step_letters_match_the_reference():
@@ -113,25 +116,35 @@ def test_step_letters_match_the_reference():
     orbits = [o for n in range(2, 17) for o in all_orbits(n)]
     scrolls = [Scroll(o) for o in orbits + [Orbit(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)]]
     for o in orbits:
-        doubled = Scroll(Orbit(Scroll(o).vector * 2, o.n))
-        assert least_cyclic_period(doubled.vector) < len(doubled.vector)
-        vector = bytearray(doubled.vector)
-        vector[-1] ^= 1
-        flipped = Scroll(Orbit(bytes(vector), o.n))
-        assert flipped.vector == vector
-        assert least_cyclic_period(flipped.vector) == len(vector)
+        doubled = Scroll(Orbit(vector(Scroll(o)) * 2, o.n))
+        assert least_cyclic_period(vector(doubled)) < len(vector(doubled))
+        bits = bytearray(vector(doubled))
+        bits[-1] ^= 1
+        flipped = Scroll(Orbit(bytes(bits), o.n))
+        assert vector(flipped) == bits
+        assert least_cyclic_period(vector(flipped)) == len(bits)
         scrolls += [doubled, flipped]
     for s in scrolls:
-        period = least_cyclic_period(s.vector)
-        laps = len(s.vector) // period
-        for got, letters, sign in (
-            (s.successor_letters, "ED", 1),
-            (s.co_successor_letters, "SL", 1),
-            (s.predecessor_letters, "ED", -1),
-            (s.co_predecessor_letters, "SL", -1),
+        bits = vector(s)
+        period = least_cyclic_period(bits)
+        laps = len(bits) // period
+        for got, advances, letters, sign in zip(
+            (
+                s.successor_letters,
+                s.co_successor_letters,
+                s.predecessor_letters,
+                s.co_predecessor_letters,
+            ),
+            s.step_advances,
+            ("ED", "SL", "ED", "SL"),
+            (1, 1, -1, -1),
         ):
             assert len(got) == period, s.base.rows
-            assert got * laps == reference_step_letters(s.vector, s.n, letters, sign), s.base.rows
+            assert got * laps == reference_step_letters(bits, s.n, letters, sign), s.base.rows
+            # the signed advance of each letter, None on a dead or count letter
+            assert advances == [
+                sign * step_advance(x, s.n) if x in letters else None for x in got
+            ], s.base.rows
 
 
 def test_running_example_tape_period():

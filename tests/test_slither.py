@@ -6,11 +6,14 @@ from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.slither import metrics_from_row, step_advance, words_from_row, zero_blocks
 
+from oracles import vector
+
 
 def live_windows(s: Scroll):
     """The length-n tape window from every live index of the vector, as 0/1 words."""
-    doubled = "".join(map(str, s.vector * 2))
-    for start, bit in enumerate(s.vector):
+    bits = vector(s)
+    doubled = "".join(map(str, bits * 2))
+    for start, bit in enumerate(bits):
         if bit:
             yield doubled[start : start + s.n]
 

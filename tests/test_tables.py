@@ -19,7 +19,15 @@ from snakescroll.tables import (
     table_slither,
 )
 
-from oracles import live_residues, permutation_group_invariants, reduced_maps, walked_labels
+from oracles import (
+    co_successor,
+    live_residues,
+    permutation_group_invariants,
+    reduced_maps,
+    successor,
+    vector,
+    walked_labels,
+)
 
 SEED11 = "00001010000"
 
@@ -75,10 +83,14 @@ def test_running_example_co_swallow():
 
 def test_swallow_rejects_a_non_uniform_shift():
     t = omega_table(scroll_from_seed(SEED11), 1)
-    k0 = t.scroll.vector.index(1) + 1
-    # labels 0, 1, 2 in order, all swallowed onto label 0
+    k0 = vector(t.scroll).index(1) + 1
+    # labels 0, 1, 2 in order, all swallowed onto label 0: labels mod 100
+    # give k0, k0 + 1, k0 + 2 the labels 0, 1, 2 and each k - 77 label 0
+    assert t.size == 77
+    labels = [0] * 100
+    labels[k0 + 1], labels[k0 + 2] = 1, 2
     with pytest.raises(AssertionError, match="not a uniform shift"):
-        _swallow(t, [0] * 7, ([k0, k0 + 1, k0 + 2], [0, 1, 2]))
+        _swallow(t, labels, [k0, k0 + 1, k0 + 2])
 
 
 def test_swallow_cycle_structure_everywhere():
@@ -122,8 +134,8 @@ def test_presentation_matches_permutation_group():
 
 def _live(table):
     """Live tape indices in 1..table.size, ascending."""
-    vector = table.scroll.vector
-    return [t for t in range(1, table.size + 1) if vector[(t - 1) % len(vector)]]
+    bits = vector(table.scroll)
+    return [t for t in range(1, table.size + 1) if bits[(t - 1) % len(bits)]]
 
 
 def _reference_swallow(t, labels, count, order_step, table_map):
@@ -150,8 +162,8 @@ def test_swallows_match_head_stepping_reference():
         s = table.scroll
         snake, cosnake = walked_labels(s, s.metrics.sigma)
         succ, co_succ = reduced_maps(s, table.size)
-        sw = _reference_swallow(table, snake, s.snakes.alpha, s.co_successor, succ)
-        cs = _reference_swallow(table, cosnake, s.snakes.beta, s.successor, co_succ)
+        sw = _reference_swallow(table, snake, s.snakes.alpha, lambda t: co_successor(s, t), succ)
+        cs = _reference_swallow(table, cosnake, s.snakes.beta, lambda t: successor(s, t), co_succ)
         for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
             image = dict(zip(got.order, got.order[got.shift :] + got.order[: got.shift]))
             assert (got.order, image) == want
@@ -180,8 +192,8 @@ def test_permutation_group_oracle_matches_exponent():
         s = table.scroll
         live = _live(table)
         e = lcm(
-            _cycle_lengths_lcm(live, lambda t: (s.successor(t) - 1) % size + 1),
-            _cycle_lengths_lcm(live, lambda t: (s.co_successor(t) - 1) % size + 1),
+            _cycle_lengths_lcm(live, lambda t: (successor(s, t) - 1) % size + 1),
+            _cycle_lengths_lcm(live, lambda t: (co_successor(s, t) - 1) % size + 1),
         )
         expected = tuple(d for d in (table.eta // e, e) if d > 1)
         assert permutation_group_invariants(table) == expected
@@ -189,23 +201,23 @@ def test_permutation_group_oracle_matches_exponent():
 
 def _assert_steps_reduced(s, live, modulus):
     """The oracle's live residues mod modulus are those of live, and its maps
-    reduced mod modulus are s.successor and s.co_successor on live, reduced,
+    reduced mod modulus are the successor and co-successor on live, reduced,
     and None on every other residue."""
     residues = sorted(t % modulus for t in live)
     assert live_residues(s, modulus) == residues
-    for array, step in zip(reduced_maps(s, modulus), (s.successor, s.co_successor)):
+    for array, step in zip(reduced_maps(s, modulus), (successor, co_successor)):
         assert len(array) == modulus
         assert [r for r, u in enumerate(array) if u is not None] == residues
         for t in live:
-            assert array[t % modulus] == step(t) % modulus
+            assert array[t % modulus] == step(s, t) % modulus
 
 
 def test_reduced_maps_are_the_steps_reduced():
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
-            size = len(s.vector)
-            window = [t for t in range(s.metrics.sigma) if s.vector[(t - 1) % size]]
+            bits = vector(s)
+            window = [t for t in range(s.metrics.sigma) if bits[(t - 1) % len(bits)]]
             _assert_steps_reduced(s, window, s.metrics.sigma)
     for table in _all_tables():
         live = _live(table)

@@ -30,6 +30,7 @@ from oracles import (
     reduced_maps,
     residue_laws,
     tape_shift_law,
+    vector,
 )
 
 FREE_ACTION, NEAR_ROW = "free affine action", "near-row co-snake distinctness"
@@ -125,6 +126,26 @@ def test_alternating_scrolls_walk_each_once(monkeypatch):
     assert all(later[2:] == reads[0][2:] for later in reads[1:])
 
 
+def test_each_scroll_walks_its_slither_and_coslither_once(monkeypatch):
+    # the simulation laws, the swallows of every omega and the orbit report
+    # all read the scroll's one walk per word: two walks in all
+    calls = []
+    original = Scroll._walk
+
+    def counted(self, step, count):
+        calls.append(count)
+        return original(self, step, count)
+
+    monkeypatch.setattr(Scroll, "_walk", counted)
+    s = scroll_from_seed("00001010000")
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    check_tables(s, 3, rep)
+    report = orbit_report(omega_table(s, 3))
+    assert not rep.violations and report["agreement"]["slitherMatchesSimulation"]
+    assert calls == [s.snakes.beta, s.snakes.alpha] == [6, 2]
+
+
 def _torsor_shapes(count: int, law: tuple[int, int]):
     """The law's (outer, inner), every factor pair of count, and one pair
     of the wrong product."""
@@ -178,15 +199,18 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
 def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
     """A scroll of tape period T = len(succ) whose steps are given by their
     advances per residue mod T (None on dead residues), with its steps and
-    vector given in the test's own arithmetic for the oracle."""
+    tape, one period of m*n = T residues, given in the test's own
+    arithmetic for the oracle."""
     period = len(succ)
     s = SimpleNamespace(
         metrics=SimpleNamespace(T_tape=period),
         period_advances=(succ, co_succ),
-        reads=lambda length: bytes(d is not None for d in succ),
-        vector=bytes(d is not None for d in succ[1:] + succ[:1]),  # X_t at t - 1
-        successor=lambda t: t + succ[t % period],
-        co_successor=lambda t: t + co_succ[t % period],
+        # X_t at t - 1, for t in [1, T]
+        base=SimpleNamespace(period=bytes(d is not None for d in succ[1:] + succ[:1])),
+        m=1,
+        n=period,
+        successor_step=lambda t: (t + succ[t % period], None),
+        co_successor_step=lambda t: (t + co_succ[t % period], None),
     )
     s.period_cycles = Scroll.period_cycles.func(s)
     s.period_live = Scroll.period_live.func(s)
@@ -326,7 +350,7 @@ def test_the_suite_formats_no_orbit_rows(monkeypatch):
 def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
     # the vector repeated twice is a period of the same tape with m doubled:
     # the closed form read off one window still gives the true orbit length
-    s = Scroll(Orbit(Scroll(orbit(seed)).vector * 2, len(seed)))
+    s = Scroll(Orbit(vector(Scroll(orbit(seed))) * 2, len(seed)))
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -386,7 +410,7 @@ def test_a_non_unique_step_letter_is_recorded_not_raised(t):
         f"successor of live index {t + 7 * k}: 2 live candidates, expected 1"
         for k in range(11)
     ]
-    live = sum(s.vector)
+    live = sum(vector(s))
     assert rep.passed["six-neighbor zeros"] == live
     assert rep.passed["unique successor candidates"] == live - 11
     # the other live index of the period steps onto t: no entry is checked
@@ -590,7 +614,8 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     # the same live residue.  The crossed step still lands on a live
     # residue, so the steps stay maps of the live entries and every walk
     # reads step letters; steps_are_maps and the snake counts are read
-    # before the injection, so the extended laws run.  One map can then undo the
+    # before the injection, so the extended laws run, and the step advances
+    # are rebuilt from the injected letters.  One map can then undo the
     # other, s^a c^b fixing the start for some (a, b) != (0, 0): on every
     # orbit n <= 10, 88 injections, 23 of them with a fixed point
     cases = fixed = 0
@@ -603,6 +628,7 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
                 assert s.steps_are_maps
                 s.snakes
                 vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
+                vars(s)["step_advances"] = Scroll.step_advances.func(s)
                 result = _law_results(s, FREE_ACTION)
                 assert result == free_action_law(s), (o.rows[0], r)
                 cases, fixed = cases + 1, fixed + bool(result[1])
@@ -613,7 +639,7 @@ def _plane_walk(s: Scroll, back: str, forth: str, k: int) -> list[tuple[int, int
     """(tape index, row) of the first live index after e = -k..k steps of
     the map with letter tables back and forth; a step moves by the shape of
     the letter at (t - 1) mod its table's length, negated for e < 0."""
-    t0 = s.vector.index(1) + 1
+    t0 = vector(s).index(1) + 1
     walks = []
     for letters, sign in ((back, -1), (forth, 1)):
         t, row, steps = t0, 0, []
@@ -728,7 +754,7 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
         f"predecessor round trip: n=11 seed=00001010000 at tape {(tape - 1) % 7 + 1 + 7 * k}"
         for k in range(11)
     ]
-    assert rep.passed["predecessor round trip"] == sum(s.vector) - 11
+    assert rep.passed["predecessor round trip"] == sum(vector(s)) - 11
     assert "free affine action" not in rep.passed
 
 
@@ -788,12 +814,12 @@ def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
     # live neighbours are reported, and nothing raises.  The corrupted vector
     # is the orbit's period, so the least period the laws run on is m*n
     met = scroll_from_seed("00001010000").metrics
-    vector = bytearray(scroll_from_seed("00001010000").vector)
+    bits = bytearray(vector(scroll_from_seed("00001010000")))
     r = row * 11 + col - 1
-    assert vector[r] == 0
-    vector[r] = 1
-    s = Scroll(Orbit(bytes(vector), 11))
-    assert s.vector == vector and len(s.unit) == 77
+    assert bits[r] == 0
+    bits[r] = 1
+    s = Scroll(Orbit(bytes(bits), 11))
+    assert vector(s) == bits and len(s.unit) == 77
     assert s.metrics == met
     rep = VerificationReport()
     check_scroll(s, rep)
@@ -801,7 +827,7 @@ def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
     assert [v for v in rep.violations if v.startswith(law)] == [
         f"{law}: n=11 seed=00001010000 at {at}" for at in crowded
     ]
-    assert rep.passed[law] == sum(vector) - len(crowded)
+    assert rep.passed[law] == sum(bits) - len(crowded)
 
 
 def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
