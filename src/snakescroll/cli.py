@@ -4,8 +4,11 @@ Subcommands: orbit, classify, verify, sum-period, construct.
 Exit codes: 0 success, 1 input error, 2 theorem violation.
 
 The parser does not depend on the input, so it is built once, at import,
-as `PARSER`; `main(argv)` only parses, and can be called repeatedly in one
-process.
+as `PARSER`, with its subcommand parsers by name in `COMMANDS`; `main(argv)`
+only parses, and can be called repeatedly in one process.  An argv that
+starts with a command name is parsed once, by that command's parser, with
+the top-level parser reporting any leftover arguments as its own pass
+would; any other argv (empty, help, an unknown name) goes through `PARSER`.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="snakescroll",
         description="Orbits, scrolls, and slither classification for toggled "
@@ -185,14 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_construct)
-    return parser
+    return parser, sub.choices
 
 
-PARSER = build_parser()
+PARSER, COMMANDS = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = PARSER.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -63,9 +63,11 @@ def svg_table(table: OrbitTable) -> str:
     Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  An edge
     that leaves the table past its last row is drawn split: out to the
     right margin, and back in from the left margin to its target's wrapped
-    position, with a small re-entry marker at each end.  Each step is read
-    off the scroll's step advances (`Scroll.step_advances`); a live entry
-    with no unique letter raises that step's AssertionError.
+    position, with a small re-entry marker at each end.  Per live entry, in
+    tape order, both steps are read off the scroll's forward advances
+    (`Scroll.step_advances`), and both edges are formatted together when
+    neither leaves the table; a live entry with no unique letter raises
+    that step's AssertionError, the successor's before the co-successor's.
     """
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
@@ -107,26 +109,41 @@ def svg_table(table: OrbitTable) -> str:
             {c: f'stroke="{c}" stroke-width="2" {dash} fill="none"' for c in color.values()}
         )
     snake_fill, cosnake_fill = fills
-    # (t, x, y, (snake colour, co-snake colour)) per live entry, for edges then nodes
-    modulus, entries = len(snake), []
+    snake_stroke, cosnake_stroke = strokes
+    # (t, x, y, snake colour, co-snake colour) per live entry, for edges then nodes
+    modulus = len(snake)
     period = s.unit  # X_t is period[(t - 1) % P]
-    for t in compress(range(1, size + 1), period * (size // len(period))):
-        i, j = divmod(t - 1, n)
-        label = t % modulus
-        entries.append((t, xs[j], ys[i], (snake_fill[label], cosnake_fill[label])))
-
-    steps = tuple(zip(s.step_advances, (s.successor_step, s.co_successor_step), strokes))
     length = len(period)
+    entries = [
+        (t, xs[(t - 1) % n], ys[(t - 1) // n], snake_fill[t % modulus], cosnake_fill[t % modulus])
+        for t in compress(range(1, size + 1), period * (size // length))
+    ]
+
+    succ, co_succ = s.step_advances
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
-    for t, x1, y1, colors in entries:
+    for t, x1, y1, scolor, ccolor in entries:
         residue = (t - 1) % length
-        for (advances, step, attrs_of), color in zip(steps, colors):
-            d = advances[residue]
-            u = step(t)[0] if d is None else t + d  # the step raises on a count letter
+        d, e = succ[residue], co_succ[residue]
+        if d is None:
+            s.successor_step(t)  # raises with the count of live candidates
+        if e is None:
+            s.co_successor_step(t)
+        # the targets' offsets t' - 1: every advance is positive, so an edge
+        # leaves the table exactly when its target is past the last entry
+        u, v = t - 1 + d, t - 1 + e
+        if u < size and v < size:
+            out.append(
+                f'<line x1="{x1}" y1="{y1}" x2="{xs[u % n]}" y2="{ys[u // n]}" '
+                f'{snake_stroke[scolor]}/>\n'
+                f'<line x1="{x1}" y1="{y1}" x2="{xs[v % n]}" y2="{ys[v // n]}" '
+                f'{cosnake_stroke[ccolor]}/>'
+            )
+            continue
+        for w, attrs_of, color in ((u, snake_stroke, scolor), (v, cosnake_stroke, ccolor)):
             attrs = attrs_of[color]
-            i, j = divmod((u - 1) % size, n)  # the target, wrapped into the table
+            i, j = divmod(w % size, n)  # the target, wrapped into the table
             x2, y2 = xs[j], ys[i]
-            if 1 <= u <= size:
+            if w < size:
                 out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
             else:
                 out.append(f'<line x1="{x1}" y1="{y1}" x2="{x_right}" y2="{y1}" {attrs}/>')
@@ -135,10 +152,10 @@ def svg_table(table: OrbitTable) -> str:
                 out.append(f'<circle cx="{x_left}" cy="{y2}" r="3" fill="{color}"/>')
 
     radius = unit // 3
-    for t, x, y, (scolor, ccolor) in entries:
-        out.append(
-            f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{scolor}" '
-            f'stroke="{ccolor}" stroke-width="3"/>'
-        )
+    out.extend(
+        f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{scolor}" '
+        f'stroke="{ccolor}" stroke-width="3"/>'
+        for _, x, y, scolor, ccolor in entries
+    )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -12,12 +12,16 @@ Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod P, so each map is stored as one letter per
 residue of the unit, found by testing that map's own two candidates
-there, and as one signed advance per residue (`Scroll.step_advances`),
-the one place letters become advances; a step at t reads both at
-(t - 1) mod P.  The walk of one slither (co-slither) from the first live
-index, its tape indices and letters, is kept once per scroll
-(`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
-the swallows and the orbit report read it.
+there, and as one signed advance per residue: `Scroll.step_advances` for
+the successor and co-successor, `Scroll.inverse_advances` for their
+inverses, both built by `Scroll._advances`, the one place letters become
+advances.  A step at t reads its letter and advance at (t - 1) mod P.
+Only the laws of `verify` read the inverse steps, so a scroll that is
+only rendered or reported builds neither their letters nor advances.
+The walk of one slither (co-slither) from the first live index, its tape
+indices and letters, is kept once per scroll (`Scroll.slither_walk`,
+`Scroll.coslither_walk`): the simulation laws, the swallows and the orbit
+report read it.
 
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
@@ -155,23 +159,25 @@ class Scroll:
     def co_predecessor_letters(self) -> str:
         return _step_letters(self.unit, self.n, "SL", -1)
 
+    def _advances(self, sign: int, *tables: str) -> tuple[list, ...]:
+        """Per table of letters, per residue of the unit, the signed tape
+        advance of its letter (sign 1 for a forward step, -1 for an inverse
+        one), or None where the letter has none (a dead residue, or a count
+        of live candidates)."""
+        advance = {x: sign * step_advance(x, self.n) for x in "EDSL"}
+        return tuple(list(map(advance.get, letters)) for letters in tables)
+
     @cached_property
-    def step_advances(self) -> tuple[list, list, list, list]:
-        """Per residue of the unit, the signed tape advance of the successor,
-        co-successor, predecessor and co-predecessor: that of its letter,
-        negated for an inverse step, or None where the letter has none (a
-        dead residue, or a count of live candidates)."""
-        forth = {x: step_advance(x, self.n) for x in "EDSL"}
-        back = {x: -advance for x, advance in forth.items()}
-        return tuple(
-            list(map(advance.get, letters))
-            for advance, letters in (
-                (forth, self.successor_letters),
-                (forth, self.co_successor_letters),
-                (back, self.predecessor_letters),
-                (back, self.co_predecessor_letters),
-            )
-        )
+    def step_advances(self) -> tuple[list, list]:
+        """Per residue of the unit, the advance of the successor and
+        co-successor (`_advances`)."""
+        return self._advances(1, self.successor_letters, self.co_successor_letters)
+
+    @cached_property
+    def inverse_advances(self) -> tuple[list, list]:
+        """Per residue of the unit, the (negative) advance of the predecessor
+        and co-predecessor (`_advances`); only the laws read them."""
+        return self._advances(-1, self.predecessor_letters, self.co_predecessor_letters)
 
     @cached_property
     def steps_are_maps(self) -> bool:
@@ -183,7 +189,7 @@ class Scroll:
         live = list(compress(range(size), unit))
         return all(
             row[r] is not None and unit[(r + row[r]) % size]
-            for row in self.step_advances
+            for row in self.step_advances + self.inverse_advances
             for r in live
         )
 

@@ -184,7 +184,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     six = (-n, 1 - n, -1, 1, n - 1, n)
     sl, cl = s.successor_letters, s.co_successor_letters
     # signed advance of each step per residue, None where its letter has none
-    sa, ca, pa, cpa = s.step_advances
+    (sa, ca), (pa, cpa) = s.step_advances, s.inverse_advances
 
     # local structure at every live entry of the unit: the unit and its six
     # shifts as integers, one 0/1 byte per residue, so OR and AND act

@@ -1,9 +1,11 @@
 """Oracles the tests check library code against, kept apart from that code."""
 
+import sys
 from collections import Counter
 from itertools import compress
 from math import gcd
 
+from snakescroll import cli
 from snakescroll.cycles import _require_independent
 from snakescroll.render import (
     ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT, _label_colors,
@@ -487,3 +489,18 @@ def svg_table(table: OrbitTable) -> str:
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def cli_main(argv: list[str]) -> int:
+    """Oracle for cli.main, which parses a command's arguments once, with
+    that command's parser: the top-level parser parses the whole argv and
+    hands the command's arguments on to its parser."""
+    args = cli.PARSER.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return cli.EXIT_INPUT
+    except AssertionError as exc:
+        print(f"theorem violation: {exc}", file=sys.stderr)
+        return cli.EXIT_VIOLATION

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import oracles
 from snakescroll import cli, scroll
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv
@@ -33,6 +34,49 @@ CONSTRUCTION_SHA256 = {
     ("sum-period", "--lambda", "7", "--k", "4", "--format", "json"):
         "33b66ea0ce8255b894c5b12e467bebfdc1e2376576f141f6c4646d844b88c34c",
 }
+
+
+# usage errors, help and edge cases of argument parsing, each parsed and
+# reported as the top-level parser would
+ARGV_BATTERY = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frob"],
+    ["frob", "--n", "8"],
+    ["--n", "8", "orbit"],
+    ["orbit"],
+    ["orbit", "-h"],
+    ["orbit", "--n", "8", "--help"],
+    ["orbit", "--n", "8"],
+    ["orbit", "--n", "eight", "--seed", "00000000"],
+    ["orbit", "--n", "8", "--seed", "00000000", "--bogus"],
+    ["orbit", "--n", "8", "--seed", "00000000", "--format", "pdf"],
+    ["orbit", "--n", "8", "--seed", "00000000", "stray", "--bogus=1"],
+    ["orbit", "--", "--n", "8", "--seed", "00000000"],
+    ["orbit", "--n=8", "--seed", "00100000"],
+    ["orbit", "--n", "8", "--seed", "00100000", "--om", "2", "--format", "csv"],
+    ["orbit", "--n", "8", "--seed", "11000000"],
+    ["classify", "--n", "5", "--format", "xml"],
+]
+# one valid request per subcommand
+VALID_ARGV = [
+    ["orbit", "--n", "8", "--seed", "00100100", "--format", "json"],
+    ["classify", "--n", "7", "--format", "csv"],
+    ["verify", "--n-min", "2", "--n-max", "5", "--omega-max", "1"],
+    ["sum-period", "--lambda", "3", "--k", "4"],
+    ["construct", "--slither", "ED", "--coslither", "L", "--n", "5"],
+]
+
+
+def outcome(capsys, main, argv):
+    """(exit code, stdout, stderr) of main(argv), returned or raised."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def run(capsys, *argv):
@@ -267,3 +311,38 @@ def test_main_reuses_one_parser_across_requests(capsys, monkeypatch):
         capsys.readouterr()
         assert run(capsys, *request) == (EXIT_OK, first, "")
     assert built == []
+
+
+@pytest.mark.parametrize("argv", ARGV_BATTERY + VALID_ARGV, ids=" ".join)
+def test_main_matches_the_two_pass_parse(capsys, argv):
+    want = outcome(capsys, oracles.cli_main, argv)
+    assert outcome(capsys, main, argv) == want
+
+
+def test_an_orbit_request_is_parsed_once(capsys, monkeypatch):
+    # the orbit parser parses the request; the top-level parser never does
+    def no_top_level_parse(*args, **kwargs):
+        raise AssertionError("an orbit request must not pass the top-level parser")
+
+    monkeypatch.setattr(cli.PARSER, "parse_known_args", no_top_level_parse)
+    code, out, err = run(capsys, *ORBIT_11, "--format", "svg")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256["svg"]
+
+
+@pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
+def test_orbit_builds_no_inverse_step_letters(capsys, monkeypatch, fmt):
+    # no orbit format reads the predecessor or co-predecessor, so neither's
+    # letters (nor advances) are built; the forward letters are, once each
+    signs = []
+    original = scroll._step_letters
+
+    def recorded(unit, n, letters, sign):
+        signs.append(sign)
+        return original(unit, n, letters, sign)
+
+    monkeypatch.setattr(scroll, "_step_letters", recorded)
+    code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
+    assert signs == [1, 1]

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from snakescroll.cycles import enumerate_independent_sets
 from snakescroll.render import ansi_table, svg_table
-from snakescroll.scroll import scroll_from_seed
+from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import omega_table
 
 # C_2..C_10 at omega 1..4; then n = 16 at omega 3, 369 rows of which 123 are
@@ -47,3 +47,46 @@ def test_svg_raises_on_a_non_unique_step_letter(letters, what):
         AssertionError, match=f"^{what} of live index 7: 2 live candidates, expected 1$"
     ):
         svg_table(omega_table(s, 1))
+
+
+@pytest.mark.parametrize(
+    "co_index, succ_index, what",
+    [(5, 7, "co-successor of live index 5"), (5, 5, "successor of live index 5")],
+)
+def test_svg_raises_at_the_first_entry_without_a_unique_letter(co_index, succ_index, what):
+    # the table, its counts and its labels are built before a count digit
+    # "2" is injected into the co-successor letters at live index co_index
+    # and into the successor letters at succ_index (P = 7, live indices 5
+    # and 7), and the step advances are rebuilt: svg_table's own step reads
+    # raise, at the first entry in tape order, the successor before the
+    # co-successor, as the per-entry oracle does
+    s = scroll_from_seed("00001010000")
+    table = omega_table(s, 1)
+    s.snake_labels
+    for letters, index in (("co_successor_letters", co_index), ("successor_letters", succ_index)):
+        old = getattr(s, letters)
+        vars(s)[letters] = old[: index - 1] + "2" + old[index:]
+    vars(s)["step_advances"] = Scroll.step_advances.func(s)
+    message = f"^{what}: 2 live candidates, expected 1$"
+    with pytest.raises(AssertionError, match=message):
+        oracles.svg_table(table)
+    with pytest.raises(AssertionError, match=message):
+        svg_table(table)
+
+
+def test_svg_tests_both_targets_of_an_entry():
+    # at n = 2 a successor D (advance 3) passes the last row of the table
+    # where a co-successor L (advance 2) from the same entry would not; no
+    # orbit has that pair (the co-successor letters of C_2 are all S), so L
+    # is injected after the table is built: from the last live entry, t = 4
+    # of 6, the successor edge is drawn split and the co-successor straight,
+    # as the per-entry oracle draws them
+    s = scroll_from_seed("10")
+    table = omega_table(s, 1)
+    s.snake_labels
+    assert (s.successor_letters, s.co_successor_letters, table.r) == ("D..", "S..", 3)
+    vars(s)["co_successor_letters"] = "L.."
+    vars(s)["step_advances"] = Scroll.step_advances.func(s)
+    svg = svg_table(table)
+    assert svg == oracles.svg_table(table)
+    assert svg.count('r="3"') == 2  # one split edge: its two re-entry markers

@@ -135,7 +135,7 @@ def test_step_letters_match_the_reference():
                 s.predecessor_letters,
                 s.co_predecessor_letters,
             ),
-            s.step_advances,
+            s.step_advances + s.inverse_advances,
             ("ED", "SL", "ED", "SL"),
             (1, 1, -1, -1),
         ):

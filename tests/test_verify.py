@@ -614,10 +614,11 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     # the same live residue.  The crossed step still lands on a live
     # residue, so the steps stay maps of the live entries and every walk
     # reads step letters; steps_are_maps and the snake counts are read
-    # before the injection, so the extended laws run, and the step advances
-    # are rebuilt from the injected letters.  One map can then undo the
-    # other, s^a c^b fixing the start for some (a, b) != (0, 0): on every
-    # orbit n <= 10, 88 injections, 23 of them with a fixed point
+    # before the injection, so the extended laws run, and the forward and
+    # inverse step advances are rebuilt from the injected letters.  One map
+    # can then undo the other, s^a c^b fixing the start for some (a, b) !=
+    # (0, 0): on every orbit n <= 10, 88 injections, 23 of them with a
+    # fixed point
     cases = fixed = 0
     for n in range(2, 11):
         for o in all_orbits(n):
@@ -629,6 +630,7 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
                 s.snakes
                 vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
                 vars(s)["step_advances"] = Scroll.step_advances.func(s)
+                vars(s)["inverse_advances"] = Scroll.inverse_advances.func(s)
                 result = _law_results(s, FREE_ACTION)
                 assert result == free_action_law(s), (o.rows[0], r)
                 cases, fixed = cases + 1, fixed + bool(result[1])
