@@ -14,29 +14,32 @@ the OR of the slither-prefix mask rotated by each co-slither prefix.  It
 must follow the sweep read as a tape, X_{t+n} = NOR(X_{t+n-1}, X_t,
 X_{t+1}), at every offset and have least period T_tape.  The first row is
 the period's window, its first n symbols, and must read back exactly the
-two words it was built from (`words_from_row`): the metrics are a
-function of the two words and hold them, so comparing the words is
-comparing the metrics, and each class builds one `ScrollMetrics`, from
-its words.  A class keeps the period's least rotation (`canonical_binary`),
-and its tape, the fundamental vector's, is that repeated lcm(T_tape, n) /
-T_tape times when read (the least rotation of a power is the power of the
-least rotation).  `verify` compares these periods with the least periods
-of the simulated orbits, each in its least rotation.
+two words it was built from (`words_from_row`).  No class builds a
+`ScrollMetrics`: the scale sigma = 2 beta_E + (n+1) beta_D depends on the
+letter counts alone, so it is computed and checked against the co-slither
+form (2n-1) alpha_S + (2n-2) alpha_L once per quadruple, and each class's
+T_tape is gcd(sigma / deg, sigma / codeg), deg and codeg the exponents of
+its two words, as in `metrics_from_words`.  A class keeps the period's
+least rotation (`canonical_binary`), and its tape, the fundamental
+vector's, is that repeated lcm(T_tape, n) / T_tape times when read (the
+least rotation of a power is the power of the least rotation).  `verify`
+compares these periods with the least periods of the simulated orbits,
+each in its least rotation.
 
 The slithers and co-slithers of a quadruple are its fixed-content
-necklaces (`necklaces`), and each of the two word lists is built once per
-quadruple.
+necklaces, generated over their gaps (`necklaces`), and each of the two
+word lists is built once per quadruple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .cycles import is_independent
-from .cyclic import canonical_binary, least_period
+from .cyclic import canonical_binary, exponent, least_period
 from .necklaces import necklaces_fixed_content
-from .slither import ScrollMetrics, metrics_from_words, words_from_row
+from .slither import metrics_from_words, words_from_row
 
 
 @dataclass(frozen=True, order=True)
@@ -110,7 +113,7 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
     if weight != n + 1:
         raise ValueError(f"letter counts give 2E + 3S + 4L = {weight}, not n + 1 = {n + 1}")
     met = metrics_from_words(ws, wc, n)
-    return _window(tape_period(met, n), n)
+    return _window(tape_period(ws, wc, met.T_tape, n), n)
 
 
 def _window(period: str, n: int) -> str:
@@ -121,13 +124,13 @@ def _window(period: str, n: int) -> str:
     return row
 
 
-def tape_period(met: ScrollMetrics, n: int) -> str:
-    """The first T_tape symbols of the tape with met's slither and co-slither.
+def tape_period(ws: str, wc: str, size: int, n: int) -> str:
+    """The first size = T_tape symbols of the tape with slither ws and
+    co-slither wc.
 
     Tape index 0 is the live entry where both words start.  The live set
     mod T_tape is read off the torsor and checked by `checked_period`.
     """
-    size = met.T_tape
     # the step advances (`step_advance`) mod the period
     advance = {
         "E": 2 % size,
@@ -137,12 +140,12 @@ def tape_period(met: ScrollMetrics, n: int) -> str:
     }
     # bit i of a mask is tape index i (0-based) mod size
     slither_mask, t = 0, 0
-    for letter in met.slither.word:
+    for letter in ws:
         slither_mask |= 1 << t
         t = (t + advance[letter]) % size
     doubled = slither_mask | (slither_mask << size)
     period, t = 0, 0
-    for letter in met.coslither.word:
+    for letter in wc:
         period |= doubled >> (size - t)  # the mask rotated by t
         t = (t + advance[letter]) % size
     return checked_period(period & ((1 << size) - 1), size, n)
@@ -192,11 +195,22 @@ def enumerate_ticker_tapes(n: int) -> list[TapeClass]:
         raise ValueError("cycle graphs need at least 2 vertices")
     records: list[TapeClass] = []
     for quad in feasible_quadruples(n):
-        coslithers = necklaces_fixed_content("S", "L", quad.alpha_s, quad.alpha_l)
+        # the scale sigma and its check depend on the letter counts alone
+        sigma = 2 * quad.beta_e + (n + 1) * quad.beta_d
+        sigma_co = (2 * n - 1) * quad.alpha_s + (2 * n - 2) * quad.alpha_l
+        if sigma != sigma_co:
+            raise AssertionError(
+                f"scale closed forms disagree: {sigma} != {sigma_co} on {quad}"
+            )
+        # each word with its scale: p = sigma / deg, q = sigma / codeg
+        coslithers = [
+            (wc, sigma // exponent(wc))
+            for wc in necklaces_fixed_content("S", "L", quad.alpha_s, quad.alpha_l)
+        ]
         for ws in necklaces_fixed_content("D", "E", quad.beta_d, quad.beta_e):
-            for wc in coslithers:
-                met = metrics_from_words(ws, wc, n)
-                period = tape_period(met, n)
+            p = sigma // exponent(ws)
+            for wc, q in coslithers:
+                period = tape_period(ws, wc, gcd(p, q), n)
                 row = _window(period, n)
                 # the row must read back exactly the words it was built from
                 if words_from_row(row, n) != (ws, wc):

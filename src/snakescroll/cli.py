@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .classify import construct_first_row
+from .classify import construct_first_row, enumerate_ticker_tapes
 from .cycles import is_independent
 from .cyclic import cyclically_equal
 from .render import ansi_table, svg_table
@@ -29,6 +29,7 @@ from .report import (
     report_to_csv,
     report_to_json,
     report_to_text,
+    tape_row,
 )
 from .scroll import scroll_from_seed
 from .slither import words_from_row
@@ -61,11 +62,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.format == "csv":
+        # each class's full tape is expanded only while its row is written
+        rows = map(tape_row, enumerate_ticker_tapes(args.n))
+        sys.stdout.writelines(classification_csv_rows(rows))
+        return EXIT_OK
     report = classification_report(args.n)
     if args.format == "json":
         print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        sys.stdout.writelines(classification_csv_rows(report))
     else:
         print(classification_to_text(report), end="")
     return EXIT_OK

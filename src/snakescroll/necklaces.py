@@ -1,15 +1,18 @@
-"""Binary necklaces with fixed content, generated directly.
+"""Binary necklaces with fixed content, generated over their gaps.
 
 A necklace is an equivalence class of words under rotation; we represent
-each class by its least rotation.  The generator is the simple
-fixed-content recursion (J. Sawada, "A fast algorithm to generate
-necklaces with fixed content", TCS 2003): it extends prenecklaces (prefixes
-of necklaces) one letter at a time within the remaining letter counts,
-tracking the period p of the longest Lyndon prefix, and emits a completed
-word exactly when p divides its length L.  Only prenecklaces are built,
-never the other arrangements of the content.  Counts are cross-checked
-against the Burnside formula (1/L) * sum over d | gcd(k, L-k) of
-phi(d)*C(L/d, k/d).
+each class by its least rotation.  A word over a < b that starts with
+one of its ca >= 1 copies of a is a b^g1 a b^g2 ... a b^g_ca, read off its
+gap sequence (g1, ..., g_ca), which sums to cb.  Two such words of equal
+content compare as their gap sequences do, and the rotations that start
+at an a, among them the least, are the rotations of the gaps: a word is
+a necklace exactly when its gap sequence is one.  The generator is the
+Fredricksen-Kessler-Maiorana prenecklace recursion on gap sequences of
+length ca: each gap is at least the one a period p back and at most the
+sum left, the last gap takes what is left, and a sequence is emitted
+exactly when p divides ca.  Only prenecklaces are built, never the other
+arrangements of the content.  Counts are cross-checked against the
+Burnside formula (1/L) * sum over d | gcd(k, L-k) of phi(d)*C(L/d, k/d).
 """
 
 from __future__ import annotations
@@ -46,31 +49,27 @@ def necklaces_fixed_content(a: str, b: str, ca: int, cb: int) -> list[str]:
 
     a ranks below b (D < E, S < L); the list is in ASCII order.
     """
-    length = ca + cb
     if ca == 0:
         reps = [b * cb]
     else:
-        out: list[str] = []
-        letters = (a, b)
-        word = [0] * (length + 1)  # word[1..length] in ranks; word[1] = 0
-        left = [ca - 1, cb]
+        reps = []
+        pieces = [a + b * g for g in range(cb + 1)]  # a and the gap after it
+        gaps = [0] * (ca + 1)  # gaps[1..ca]; gaps[0] = 0 bounds the first
 
-        def gen(t: int, p: int) -> None:
-            if t > length:
-                if length % p == 0:
-                    out.append("".join([letters[x] for x in word[1:]]))
+        def gen(t: int, p: int, left: int) -> None:
+            prev = gaps[t - p]
+            if t == ca:  # the last gap takes what is left
+                if left > prev or (left == prev and ca % p == 0):
+                    gaps[t] = left
+                    reps.append("".join([pieces[g] for g in gaps[1:]]))
                 return
-            prev = word[t - p]
-            for j in range(prev, 2):
-                if left[j]:
-                    left[j] -= 1
-                    word[t] = j
-                    gen(t + 1, p if j == prev else t)
-                    left[j] += 1
+            for g in range(prev, left + 1):
+                gaps[t] = g
+                gen(t + 1, p if g == prev else t, left - g)
 
-        gen(2, 1)
-        reps = sorted(out)
-    expected = binary_necklace_count(length, ca)
+        gen(1, 1, cb)
+        reps.sort()  # emitted in rank order, which for S < L is not ASCII's
+    expected = binary_necklace_count(ca + cb, ca)
     if len(reps) != expected:
         raise AssertionError(
             f"necklace generator found {len(reps)}, Burnside says {expected}"

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from math import gcd
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-from .classify import enumerate_ticker_tapes, feasible_quadruples, gf_count
+from .classify import TapeClass, enumerate_ticker_tapes, feasible_quadruples, gf_count
 from .cyclic import cyclically_equal
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -111,6 +111,23 @@ def report_to_text(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tape_row(rec: TapeClass) -> dict[str, Any]:
+    """One class's entry of the classification report; `tapeCanonical`
+    expands its full fundamental vector."""
+    return {
+        "quadruple": {
+            "betaE": rec.quadruple.beta_e,
+            "alphaS": rec.quadruple.alpha_s,
+            "alphaL": rec.quadruple.alpha_l,
+            "betaD": rec.quadruple.beta_d,
+        },
+        "slither": rec.slither,
+        "coslither": rec.coslither,
+        "firstRow": rec.first_row,
+        "tapeCanonical": rec.tape,
+    }
+
+
 def classification_report(n: int) -> dict[str, Any]:
     quads = feasible_quadruples(n)
     records = enumerate_ticker_tapes(n)
@@ -119,21 +136,7 @@ def classification_report(n: int) -> dict[str, Any]:
         "quadrupleCount": len(quads),
         "gfCount": gf_count(n),
         "tapeCount": len(records),
-        "tapes": [
-            {
-                "quadruple": {
-                    "betaE": rec.quadruple.beta_e,
-                    "alphaS": rec.quadruple.alpha_s,
-                    "alphaL": rec.quadruple.alpha_l,
-                    "betaD": rec.quadruple.beta_d,
-                },
-                "slither": rec.slither,
-                "coslither": rec.coslither,
-                "firstRow": rec.first_row,
-                "tapeCanonical": rec.tape,
-            }
-            for rec in records
-        ],
+        "tapes": [tape_row(rec) for rec in records],
     }
 
 
@@ -154,10 +157,11 @@ def classification_to_text(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classification_csv_rows(report: dict[str, Any]) -> Iterator[str]:
-    """The CSV rows, header first, each with its newline, built one at a time."""
+def classification_csv_rows(tapes: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """The CSV rows of these report entries (`tape_row`), header first, each
+    with its newline, built one at a time."""
     yield "betaE,alphaS,alphaL,betaD,slither,coslither,firstRow,tapeCanonical\n"
-    for rec in report["tapes"]:
+    for rec in tapes:
         q = rec["quadruple"]
         yield (
             f"{q['betaE']},{q['alphaS']},{q['alphaL']},{q['betaD']},"
@@ -166,4 +170,4 @@ def classification_csv_rows(report: dict[str, Any]) -> Iterator[str]:
 
 
 def classification_to_csv(report: dict[str, Any]) -> str:
-    return "".join(classification_csv_rows(report))
+    return "".join(classification_csv_rows(report["tapes"]))

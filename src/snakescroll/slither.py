@@ -83,14 +83,10 @@ def zero_blocks(row: str) -> ZeroBlocks:
     return ZeroBlocks(tuple(map(len, inner)), len(trailing))
 
 
-def _subslither(z: int) -> str:
-    if z == 1:
-        return "E"
-    return "D" + "E" * (z // 2 - 1) + "D"
-
-
 def _slither_word(blocks: ZeroBlocks) -> str:
-    parts = [_subslither(z) for z in blocks.inner_lengths]
+    parts = [
+        "E" if z == 1 else "D" + "E" * (z // 2 - 1) + "D" for z in blocks.inner_lengths
+    ]
     parts.append("D" + "E" * ((blocks.trailing_length - 1) // 2))
     return "".join(parts)
 

@@ -56,6 +56,40 @@ def sweep(bits: str) -> str:
     return "".join(word)
 
 
+def sawada_necklaces(a: str, b: str, ca: int, cb: int) -> list[str]:
+    """Necklaces over {a, b} (a < b) with ca a's and cb b's, in ASCII order.
+
+    The letter-by-letter fixed-content recursion (J. Sawada, "A fast
+    algorithm to generate necklaces with fixed content", TCS 2003): it
+    extends prenecklaces one letter at a time within the remaining letter
+    counts, tracking the period p of the longest Lyndon prefix, and emits a
+    completed word exactly when p divides its length.
+    """
+    length = ca + cb
+    if ca == 0:
+        return [b * cb]
+    out: list[str] = []
+    letters = (a, b)
+    word = [0] * (length + 1)  # word[1..length] in ranks; word[1] = 0
+    left = [ca - 1, cb]
+
+    def gen(t: int, p: int) -> None:
+        if t > length:
+            if length % p == 0:
+                out.append("".join([letters[x] for x in word[1:]]))
+            return
+        prev = word[t - p]
+        for j in range(prev, 2):
+            if left[j]:
+                left[j] -= 1
+                word[t] = j
+                gen(t + 1, p if j == prev else t)
+                left[j] += 1
+
+    gen(2, 1)
+    return sorted(out)
+
+
 def vector(s: Scroll) -> bytes:
     """X_1..X_(m*n), the orbit's m*n residues: its period repeated."""
     return s.base.period * (s.m * s.n // len(s.base.period))

@@ -1,7 +1,6 @@
 """Feasible pairs, first-row construction, tape enumeration."""
 
 import re
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -19,7 +18,7 @@ from snakescroll.classify import (
 from snakescroll.cycles import all_orbits, enumerate_independent_sets
 from snakescroll.cyclic import cyclically_equal, least_period
 from snakescroll.scroll import scroll_from_seed
-from snakescroll.slither import metrics_from_row, words_from_row
+from snakescroll.slither import metrics_from_row, metrics_from_words, words_from_row
 
 from oracles import vector
 
@@ -89,9 +88,10 @@ def test_two_classes_on_one_tape_fail_the_distinctness_guard(monkeypatch):
         enumerate_ticker_tapes(11)
 
 
-def test_each_class_builds_one_metrics(monkeypatch):
-    # the round trip compares words: the metrics of the words are the only
-    # ScrollMetrics a class builds, and no row's metrics are read back
+def test_enumeration_builds_no_metrics(monkeypatch):
+    # the tape period of each class comes from sigma, fixed per quadruple,
+    # and the exponents of its two words; no ScrollMetrics is built, and
+    # the round trip compares words
     calls = {"metrics_from_words": 0, "metrics_from_row": 0}
 
     def counted(module, name):
@@ -108,7 +108,16 @@ def test_each_class_builds_one_metrics(monkeypatch):
     counted(classify, "metrics_from_words")
     records = sum(len(enumerate_ticker_tapes(n)) for n in range(2, 21))
     assert records == 579
-    assert calls == {"metrics_from_words": records, "metrics_from_row": 0}
+    assert calls == {"metrics_from_words": 0, "metrics_from_row": 0}
+
+
+def test_each_class_period_is_the_metrics_tape_period():
+    classes = 0
+    for n in range(2, 21):
+        for rec in enumerate_ticker_tapes(n):
+            assert len(rec.period) == metrics_from_words(rec.slither, rec.coslither, n).T_tape
+            classes += 1
+    assert classes == 579
 
 
 def recurrence_period(row, period):
@@ -138,7 +147,7 @@ def test_torsor_period_is_the_simulated_tape():
     for row, met in live_first_rows(14):
         n, period = len(row), met.T_tape
         want = "".join(map(str, vector(scroll_from_seed(row))[:period]))
-        assert tape_period(met, n) == want, row
+        assert tape_period(met.slither.word, met.coslither.word, period, n) == want, row
         assert recurrence_period(row, period) == want, row
         rows += 1
     assert rows == 609  # sum of F(n - 1) for n = 2..14: column 1 live, 2 and n dead
@@ -147,7 +156,7 @@ def test_torsor_period_is_the_simulated_tape():
 def test_every_single_bit_corruption_breaks_the_recurrence():
     for row, met in live_first_rows(14):
         n, size = len(row), met.T_tape
-        word = tape_period(met, n)
+        word = tape_period(met.slither.word, met.coslither.word, size, n)
         period = int(word[::-1], 2)  # bit i is tape index i
         assert checked_period(period, size, n) == word
         for i in range(size):
@@ -159,7 +168,7 @@ def test_a_wrong_tape_period_is_rejected():
     for row, met in live_first_rows(14):
         for wrong in (met.T_tape - 1, 2 * met.T_tape):
             with pytest.raises(AssertionError):
-                tape_period(replace(met, T_tape=wrong), len(row))
+                tape_period(met.slither.word, met.coslither.word, wrong, len(row))
 
 
 def test_construction_inverts_the_slither_calculus():

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from snakescroll import cli, scroll
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
-from snakescroll.report import classification_report, classification_to_csv
+from snakescroll.report import classification_report, classification_to_csv, tape_row
 
 
 SEED11 = "00001010000"
@@ -156,12 +156,32 @@ def test_classify_csv(capsys):
     assert out == classification_to_csv(classification_report(13))
 
 
+def test_classify_csv_expands_each_tape_as_its_row_is_written(monkeypatch):
+    events = []
+
+    class Out:
+        def writelines(self, lines):
+            for _ in lines:
+                events.append("write")
+
+    def row(rec):
+        events.append("expand")
+        return tape_row(rec)
+
+    monkeypatch.setattr(cli, "tape_row", row)
+    monkeypatch.setattr(cli, "classification_report", None)  # no report is built
+    monkeypatch.setattr(cli.sys, "stdout", Out())
+    assert main(["classify", "--n", "13", "--format", "csv"]) == EXIT_OK
+    assert events == ["write"] + ["expand", "write"] * 17
+
+
 def test_classify_rejects_too_few_vertices(capsys):
     for n in ("0", "1"):
-        code, out, err = run(capsys, "classify", "--n", n)
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "cycle graphs need at least 2 vertices" in err
+        for fmt in ("text", "csv"):
+            code, out, err = run(capsys, "classify", "--n", n, "--format", fmt)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "cycle graphs need at least 2 vertices" in err
 
 
 def test_verify_subcommand(capsys):

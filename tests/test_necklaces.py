@@ -1,6 +1,9 @@
 """Fixed-content binary necklaces and the Burnside cross-check."""
 
+from snakescroll.classify import feasible_quadruples
 from snakescroll.necklaces import binary_necklace_count, necklaces_fixed_content
+
+from oracles import sawada_necklaces
 
 
 def test_counts_against_known_values():
@@ -72,3 +75,24 @@ def test_single_letter_and_empty_contents():
     assert necklaces_fixed_content("S", "L", 0, 3) == ["LLL"]
     assert necklaces_fixed_content("S", "L", 3, 0) == ["SSS"]
     assert necklaces_fixed_content("D", "E", 0, 1) == ["E"]
+
+
+def test_gap_generator_matches_the_letter_recursion():
+    # every slither content (D/E) and co-slither content (S/L) of every
+    # feasible quadruple with n <= 32, each in both alphabets
+    contents = set()
+    for n in range(2, 33):
+        for q in feasible_quadruples(n):
+            contents |= {(q.beta_d, q.beta_e), (q.alpha_s, q.alpha_l)}
+    assert len(contents) == 120
+    for ca, cb in sorted(contents):
+        for a, b in (("D", "E"), ("S", "L")):
+            assert necklaces_fixed_content(a, b, ca, cb) == sawada_necklaces(a, b, ca, cb), (ca, cb)
+
+
+def test_gap_generator_matches_the_letter_recursion_at_the_edges():
+    # no a (no gaps), no b (every gap 0) and one a (a single gap)
+    for k in range(0, 25):
+        for ca, cb in ((0, k), (k, 0), (1, k)):
+            for a, b in (("D", "E"), ("S", "L")):
+                assert necklaces_fixed_content(a, b, ca, cb) == sawada_necklaces(a, b, ca, cb), (ca, cb)
