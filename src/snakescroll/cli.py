@@ -24,7 +24,7 @@ from .render import ansi_table, svg_table
 from .report import (
     classification_csv_rows,
     classification_report,
-    classification_to_text,
+    classification_text_rows,
     orbit_report,
     report_to_csv,
     report_to_json,
@@ -62,16 +62,17 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.format == "csv":
-        # each class's full tape is expanded only while its row is written
-        rows = map(tape_row, enumerate_ticker_tapes(args.n))
-        sys.stdout.writelines(classification_csv_rows(rows))
-        return EXIT_OK
-    report = classification_report(args.n)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(classification_report(args.n), indent=2))
+        return EXIT_OK
+    records = enumerate_ticker_tapes(args.n)
+    # each row is built only while it is written: a CSV row expands its
+    # class's full tape then, and the text table expands none
+    if args.format == "csv":
+        rows = classification_csv_rows(map(tape_row, records))
     else:
-        print(classification_to_text(report), end="")
+        rows = classification_text_rows(args.n, records)
+    sys.stdout.writelines(rows)
     return EXIT_OK
 
 

@@ -140,21 +140,23 @@ def classification_report(n: int) -> dict[str, Any]:
     }
 
 
-def classification_to_text(report: dict[str, Any]) -> str:
-    lines = [
-        f"n = {report['n']}: {report['quadrupleCount']} feasible quadruples "
-        f"(generating function: {report['gfCount']}), "
-        f"{report['tapeCount']} ticker tapes up to cyclic shift",
-        "",
-        f"{'bE':>3} {'aS':>3} {'aL':>3} {'bD':>3}  {'slither':<16} {'co-slither':<10} first row",
-    ]
-    for rec in report["tapes"]:
-        q = rec["quadruple"]
-        lines.append(
-            f"{q['betaE']:>3} {q['alphaS']:>3} {q['alphaL']:>3} {q['betaD']:>3}  "
-            f"{rec['slither']:<16} {rec['coslither']:<10} {rec['firstRow']}"
+def classification_text_rows(n: int, records: list[TapeClass]) -> Iterator[str]:
+    """The lines of the classification table of these records (all the
+    classes of n), header first, each with its newline, built one at a
+    time; no class's full tape is expanded."""
+    yield (
+        f"n = {n}: {len(feasible_quadruples(n))} feasible quadruples "
+        f"(generating function: {gf_count(n)}), "
+        f"{len(records)} ticker tapes up to cyclic shift\n"
+    )
+    yield "\n"
+    yield f"{'bE':>3} {'aS':>3} {'aL':>3} {'bD':>3}  {'slither':<16} {'co-slither':<10} first row\n"
+    for rec in records:
+        q = rec.quadruple
+        yield (
+            f"{q.beta_e:>3} {q.alpha_s:>3} {q.alpha_l:>3} {q.beta_d:>3}  "
+            f"{rec.slither:<16} {rec.coslither:<10} {rec.first_row}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
 def classification_csv_rows(tapes: Iterable[dict[str, Any]]) -> Iterator[str]:

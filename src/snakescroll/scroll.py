@@ -55,7 +55,7 @@ residues mod T alone.  No law builds anything of size M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -109,6 +109,11 @@ class Scroll:
         return self.base.m
 
     @cached_property
+    def size(self) -> int:
+        """m*n, the residues of the orbit: one table's worth per omega."""
+        return self.base.m * self.base.n
+
+    @cached_property
     def unit(self) -> bytes:
         """The tape's least cyclic period: its first P symbols, P found on
         the orbit's period (`least_period`); X_t = unit[(t - 1) % P]."""
@@ -126,14 +131,14 @@ class Scroll:
     @cached_property
     def live_count(self) -> int:
         """Live entries of the m*n residues, counted on the least period."""
-        return self.unit.count(1) * (self.m * self.n // len(self.unit))
+        return self.unit.count(1) * (self.size // len(self.unit))
 
     @cached_property
     def fundamental_degrees(self) -> tuple[int, int]:
         """(deg p_1, codeg p_1), the covering degrees onto the omega = 1 table:
         a snake is p-periodic (no shorter shift fixes it), so read mod m*n it
         winds p / gcd(p, m*n) times around the table; a co-snake likewise, q."""
-        met, size = self.metrics, self.m * self.n
+        met, size = self.metrics, self.size
         return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
 
     @cached_property
@@ -270,6 +275,23 @@ class Scroll:
         """Likewise alpha co-successor steps: a co-slither meets each snake once."""
         return self._walk(self.co_successor_step, self.snakes.alpha)
 
+    @cached_property
+    def swallow_orders(self) -> tuple[tuple, tuple]:
+        """The snake labels at the co-slither walk's tape indices, then the
+        co-snake labels at the slither walk's: each walk meets each of its
+        snakes (co-snakes) once, so these are the labels in the cyclic order
+        every swallow (co-swallow) permutes, whatever the table."""
+        orders = []
+        for labels, (indices, _) in zip(
+            self.snake_labels, (self.coslither_walk, self.slither_walk)
+        ):
+            modulus = len(labels)
+            order = tuple([labels[k % modulus] for k in indices])
+            if len(set(order)) != len(order):
+                raise AssertionError("step map does not traverse all labels once")
+            orders.append(order)
+        return tuple(orders)
+
     def _walk(self, step, count: int) -> tuple[list[int], str]:
         t, indices, letters = self.unit.index(1) + 1, [], []
         for _ in range(count):
@@ -344,4 +366,4 @@ def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
     """The cycle counts of the successor and co-successor of s mod fold*T,
     T its tape period: each cycle mod T of winding w lifts to gcd(w, fold)."""
     succ, co_succ = s.windings
-    return sum(gcd(w, fold) for w in succ), sum(gcd(w, fold) for w in co_succ)
+    return sum(map(gcd, succ, repeat(fold))), sum(map(gcd, co_succ, repeat(fold)))

@@ -10,33 +10,40 @@ into gcd(w, omega*m*n/T) cycles of the table, one per orbit of the
 translation by w*T on the cycle's fibre (`scroll.lifted_counts`).  No
 table walks or labels its cycles.
 
-`omega_table` computes a table's scalars once, when it builds it: its
-size omega*m*n, its live count eta, its counts bar_alpha and bar_beta and
-its degrees deg p_omega = alpha/bar_alpha and codeg p_omega =
-beta/bar_beta.  It reads them off constants each scroll keeps for every
-omega: its live count (`Scroll.live_count`), its windings mod T
-(`Scroll.windings`) and its snake counts (`Scroll.snakes`).  Every helper
-here reads those scalars and builds nothing of size omega*m*n.
+A table is its scalars: its size omega*m*n, its live count eta, its
+counts bar_alpha and bar_beta and its degrees deg p_omega =
+alpha/bar_alpha and codeg p_omega = beta/bar_beta, read off constants
+each scroll keeps for every omega: its size m*n (`Scroll.size`), its live
+count (`Scroll.live_count`), its windings mod T (`Scroll.windings`) and
+its snake counts (`Scroll.snakes`).  Each per-table value has one scalar
+implementation here, a function of the scroll and those scalars: the
+swallow shifts (`swallow_shift`), the invariant factors
+(`group_factors`), the colour-preserving conditions
+(`color_preserving`) and the table words (`table_words`).
+`verify.check_tables` calls them directly for every omega.
 
 The live residues form a torsor of the finite abelian group generated by
 the two maps mod the table size; the torsor law of `verify` checks that in
 bar_beta successor steps, each placed on its co-successor orbit through
 the same covering, with no walk of size eta.  The group has rank at most
 two, so its invariant factors are two gcds of its presentation
-(`group_invariants`); the test suite's group oracle reads them off the
+(`group_factors`); the test suite's group oracle reads them off the
 steps reduced mod the table size instead.  Covering degrees
 (`Scroll.fundamental_degrees`), predicted counts (from
 `Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
 metrics; the lifted cycle counts are what they are checked against.  A
-swallow's walk order does not depend on omega: it is the tape indices of
-the scroll's one co-slither (slither) walk (`Scroll.coslither_walk`,
-`Scroll.slither_walk`), and a swallow reads the label of each index and
-of its image in the scroll's label arrays mod sigma
-(`Scroll.snake_labels`, read off its cycles mod T).
+swallow's walk order does not depend on omega: it is the labels, in the
+scroll's label arrays mod sigma (`Scroll.snake_labels`, read off its
+cycles mod T), of the tape indices of the scroll's one co-slither
+(slither) walk (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept
+once per scroll (`Scroll.swallow_orders`); a swallow reads the label of
+each index's image.
 
-A caller builds one table per omega with `omega_table` (`verify.check_tables`
-per omega, the `orbit` command per request) and hands it, with its two
-swallows where needed, to every helper here: no helper builds a table.
+The records `OrbitTable` (built by `omega_table`), `SwallowPermutation`
+(`swallow`, `co_swallow`) and `GroupInvariants` (`group_invariants`), and
+`is_color_preserving`, `table_slither` and `table_coslither`, are thin
+builders over the scalar cores, for the `orbit` command's report and
+renderers: one table per request.
 """
 
 from __future__ import annotations
@@ -47,10 +54,10 @@ from math import gcd
 from .scroll import Scroll, lifted_counts
 
 
-@dataclass
+@dataclass(slots=True)
 class OrbitTable:
     """The omega-fold table of a scroll and its scalars, each computed once
-    by `omega_table`; every helper reads them."""
+    by `omega_table`; the record helpers read them."""
 
     scroll: Scroll
     omega: int
@@ -69,11 +76,10 @@ class OrbitTable:
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
-    size = omega * s.m * s.n
-    alpha, beta = lifted_counts(s, size // s.metrics.T_tape)
+    alpha, beta = lifted_counts(s, omega * s.size // s.metrics.T_tape)
     snakes = s.snakes
     deg, codeg = snakes.alpha // alpha, snakes.beta // beta
-    return OrbitTable(s, omega, size, omega * s.live_count, alpha, beta, deg, codeg)
+    return OrbitTable(s, omega, omega * s.size, omega * s.live_count, alpha, beta, deg, codeg)
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
@@ -81,6 +87,23 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
     (alpha_1, beta_1), (deg_p1, codeg_p1) = s.fundamental_counts, s.fundamental_degrees
     return alpha_1 * gcd(deg_p1, omega), beta_1 * gcd(codeg_p1, omega)
+
+
+def swallow_shift(s: Scroll, which: int, size: int) -> int:
+    """The uniform shift k of the swallow (which = 0) or co-swallow (1) of
+    the table of size residues: the label of each tape index of the
+    co-slither (slither) walk maps to the label of that index minus size,
+    both read off the snake (co-snake) labels mod sigma: translation by the
+    table size commutes with both steps.  The images must be the labels'
+    cyclic order (`Scroll.swallow_orders`) rotated by k."""
+    order, labels = s.swallow_orders[which], s.snake_labels[which]
+    indices = (s.slither_walk if which else s.coslither_walk)[0]
+    modulus = len(labels)
+    image = tuple([labels[(k - size) % modulus] for k in indices])
+    shift = order.index(image[0])
+    if image != order[shift:] + order[:shift]:
+        raise AssertionError("swallow permutation is not a uniform shift")
+    return shift
 
 
 @dataclass(slots=True)
@@ -101,33 +124,17 @@ class SwallowPermutation:
         return self.shift == 0
 
 
-def _swallow(t: OrbitTable, labels: list, indices: list[int]) -> SwallowPermutation:
-    """The labels of the tape indices k, in their cyclic order, each mapped
-    to the label of k - size, both read off labels (indexed by residue mod
-    its length): translation by the table size commutes with both steps.
-    The image must be a uniform shift of that order; its shift is stored."""
-    size, modulus = t.size, len(labels)
-    order = [labels[k % modulus] for k in indices]
-    if len(set(order)) != len(order):
-        raise AssertionError("step map does not traverse all labels once")
-    image = [labels[(k - size) % modulus] for k in indices]
-    shift = order.index(image[0])
-    if image != order[shift:] + order[:shift]:
-        raise AssertionError("swallow permutation is not a uniform shift")
-    return SwallowPermutation(tuple(order), shift)
-
-
 def swallow(t: OrbitTable) -> SwallowPermutation:
     """Permutation of snakes induced by stepping past each omega-head."""
     s = t.scroll
     # snakes are traversed once per co-slither cycle: order by co-successor
-    return _swallow(t, s.snake_labels[0], s.coslither_walk[0])
+    return SwallowPermutation(s.swallow_orders[0], swallow_shift(s, 0, t.size))
 
 
 def co_swallow(t: OrbitTable) -> SwallowPermutation:
     s = t.scroll
     # co-snakes are traversed once per slither cycle: order by successor
-    return _swallow(t, s.snake_labels[1], s.slither_walk[0])
+    return SwallowPermutation(s.swallow_orders[1], swallow_shift(s, 1, t.size))
 
 
 @dataclass(slots=True)
@@ -157,16 +164,13 @@ class GroupInvariants:
     def co_ouro_product(self) -> tuple[int, ...]:
         return product_invariants(*self.co_ouro)
 
-    # both pairs are (x, y) with 1 <= x | y (an ouroboros holds a live
-    # entry, so bar_alpha <= eta), so they agree exactly when their
-    # nontrivial factors do
     @property
     def matches_ouro_product(self) -> bool:
-        return self.factors == _product_pair(*self.ouro)
+        return matches_product(self.factors, *self.ouro)
 
     @property
     def matches_co_ouro_product(self) -> bool:
-        return self.factors == _product_pair(*self.co_ouro)
+        return matches_product(self.factors, *self.co_ouro)
 
 
 def _product_pair(a: int, b: int) -> tuple[int, int]:
@@ -176,12 +180,21 @@ def _product_pair(a: int, b: int) -> tuple[int, int]:
 
 
 def product_invariants(a: int, b: int) -> tuple[int, ...]:
-    """Invariant factors of Z_a x Z_b."""
-    return tuple(d for d in _product_pair(a, b) if d > 1)
+    """Invariant factors of Z_a x Z_b, the nontrivial ones of its pair d | l."""
+    d, l = _product_pair(a, b)
+    return (d, l) if d > 1 else (l,) if l > 1 else ()
 
 
-def group_invariants(t: OrbitTable) -> GroupInvariants:
-    """Invariant factors of <s, c | sc=cs, s^beta=c^alpha, s^(eta/a)=c^(eta/b)=1>.
+def matches_product(factors: tuple[int, int], a: int, b: int) -> bool:
+    """Whether invariant factors (d1, d2), d1 | d2, are those of Z_a x Z_b,
+    the gcd and lcm of a and b."""
+    return factors == _product_pair(a, b)
+
+
+def group_factors(s: Scroll, eta: int, alpha: int, beta: int) -> tuple[int, int]:
+    """Invariant factors (d1, d2) of
+    <s, c | sc=cs, s^beta=c^alpha, s^(eta/a)=c^(eta/b)=1>, a = bar_alpha and
+    b = bar_beta the table's counts and eta its live count.
 
     The relation matrix has two columns, so its invariant factors are its
     determinantal divisors (H. J. S. Smith, 1861): d1 is the gcd of its
@@ -190,45 +203,67 @@ def group_invariants(t: OrbitTable) -> GroupInvariants:
     the two maps mod the table size (checked against a torsor oracle in the
     test suite).  Simple transitivity gives order eta, ord s = eta/bar_alpha
     and ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
-    g = gcd(bar_alpha, bar_beta).  The two product decompositions are
-    reported alongside as evidence fields rather than assertions:
-    Z_bar_alpha x Z_(eta/bar_alpha) agrees exactly when
-    gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
-    exactly when gcd(bar_beta, eta/bar_beta) = g.
+    g = gcd(bar_alpha, bar_beta).
     """
-    snakes, eta = t.scroll.snakes, t.eta
-    ord_s, ord_c = eta // t.alpha, eta // t.beta
+    snakes = s.snakes
+    ord_s, ord_c = eta // alpha, eta // beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
     d1 = gcd(snakes.alpha, snakes.beta, ord_s, ord_c)
     order = gcd(snakes.alpha * ord_s, snakes.beta * ord_c, ord_s * ord_c)
     if order != eta:
         raise AssertionError(f"group order {order} != live count {eta}")
-    return GroupInvariants((d1, order // d1), (t.alpha, ord_s), (t.beta, ord_c))
+    return d1, order // d1
+
+
+def group_invariants(t: OrbitTable) -> GroupInvariants:
+    """The table's invariant factors (`group_factors`) and its two product
+    decompositions, reported alongside as evidence fields rather than
+    assertions: Z_bar_alpha x Z_(eta/bar_alpha) agrees exactly when
+    gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
+    exactly when gcd(bar_beta, eta/bar_beta) = g."""
+    eta = t.eta
+    factors = group_factors(t.scroll, eta, t.alpha, t.beta)
+    return GroupInvariants(factors, (t.alpha, eta // t.alpha), (t.beta, eta // t.beta))
+
+
+def table_words(s: Scroll, alpha: int, beta: int) -> tuple[str, str]:
+    """The table slither, of length bar_beta = beta, and co-slither, of
+    length bar_alpha = alpha: their codeg(p_omega) and deg(p_omega) powers
+    are the scroll's words."""
+    met = s.metrics
+    return met.slither.word[:beta], met.coslither.word[:alpha]
 
 
 def table_slither(t: OrbitTable) -> str:
-    """Length bar_beta step word; its codeg(p_omega) power is the scroll slither."""
-    return t.scroll.metrics.slither.word[: t.beta]
+    return table_words(t.scroll, t.alpha, t.beta)[0]
 
 
 def table_coslither(t: OrbitTable) -> str:
-    return t.scroll.metrics.coslither.word[: t.alpha]
+    return table_words(t.scroll, t.alpha, t.beta)[1]
 
 
-def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
-    """Evaluate the five equivalent conditions on table t, whose swallow and
-    co-swallow are sw and cs; assert they agree."""
-    s = t.scroll
+def color_preserving(
+    s: Scroll, omega: int, size: int, alpha: int, beta: int, shifts: tuple[int, int]
+) -> bool:
+    """Evaluate the five equivalent conditions on the omega-fold table of
+    size residues, counts alpha = bar_alpha and beta = bar_beta, whose
+    swallow and co-swallow have the given shifts; assert they agree."""
     snakes = s.snakes
     deg_p1, codeg_p1 = s.fundamental_degrees
-    counts = t.alpha == snakes.alpha and t.beta == snakes.beta
-    swallows = sw.is_identity and cs.is_identity
-    bijection = t.deg == 1 and t.codeg == 1
-    scale = t.size % s.metrics.sigma == 0
-    frequency = t.omega % (deg_p1 * codeg_p1) == 0
+    counts = alpha == snakes.alpha and beta == snakes.beta
+    swallows = shifts == (0, 0)
+    bijection = snakes.alpha // alpha == 1 and snakes.beta // beta == 1
+    scale = size % s.metrics.sigma == 0
+    frequency = omega % (deg_p1 * codeg_p1) == 0
     if counts == swallows == bijection == scale == frequency:
         return counts
     conditions = dict(
         counts=counts, swallows=swallows, bijection=bijection, scale=scale, frequency=frequency
     )
     raise AssertionError(f"color-preserving conditions disagree: {conditions}")
+
+
+def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
+    """The five conditions (`color_preserving`) on table t, whose swallow
+    and co-swallow are sw and cs."""
+    return color_preserving(t.scroll, t.omega, t.size, t.alpha, t.beta, (sw.shift, cs.shift))

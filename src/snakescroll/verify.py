@@ -6,7 +6,10 @@ silently dropped; an empty violation list is the pass condition.
 
 Each law's checks over one orbit are tallied at once
 (`VerificationReport.tally`): its passes are counted, and a context
-string is built only for a check that fails.
+string is built only for a check that fails.  The table laws of
+`check_tables` are tallied so too, once per orbit over all its omegas:
+each table is its scalars alone, read off `tables`' scalar cores, and no
+table, swallow or group record is built.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
 period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
@@ -33,18 +36,17 @@ from operator import sub
 from .classify import enumerate_ticker_tapes
 from .cycles import _CHARS, all_orbits
 from .cyclic import canonical_binary, cyclically_equal
-from .scroll import Scroll
+from .scroll import Scroll, lifted_counts
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
-    co_swallow,
-    group_invariants,
-    omega_table,
+    color_preserving,
+    group_factors,
+    matches_product,
     predicted_counts,
-    swallow,
-    table_coslither,
-    table_slither,
-    is_color_preserving,
+    product_invariants,
+    swallow_shift,
+    table_words,
 )
 
 
@@ -408,9 +410,27 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     )
 
 
+# the table laws, in the order each table checks them
+TABLE_LAWS = (
+    "ouroboros counts match formula",
+    "swallow cycle structure",
+    "group order equals live count",
+    "color-preserving conditions agree",
+    "table slither power identity",
+    "table torsor simple transitivity",
+)
+
+
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
-    none runs unless all four steps are maps of the live entries."""
+    none runs unless all four steps are maps of the live entries.
+
+    Each table law is evaluated on the table's scalars (`tables`' scalar
+    cores) and tallied once per orbit: a failure is recorded as it occurs,
+    so the violations keep their omega order, and the passes of each law
+    are added up when the orbit is done.  A swallow that raises skips that
+    omega's later laws.
+    """
     ctx = f"n={s.n} seed={s.base.seed}"
     if not s.steps_are_maps:
         rep.violations.append(f"table laws skipped: {ctx}: steps are not maps")
@@ -429,55 +449,63 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
         )
 
     slither, coslither = met.slither.word, met.coslither.word
+    snake_count, cosnake_count = s.snakes
+    unit_size, unit_live = s.size, s.live_count
+    fold = unit_size // met.T_tape
+    violations, failed, skipped = rep.violations, dict.fromkeys(TABLE_LAWS, 0), 0
+
+    def fail(law: str, omega: int, detail: str = "") -> None:
+        failed[law] += 1
+        violations.append(f"{law}: {ctx} omega={omega}{detail}")
+
     for omega in range(1, omega_max + 1):
-        table = omega_table(s, omega)
-        alpha, beta, deg_p, codeg_p = table.alpha, table.beta, table.deg, table.codeg
-        rep.check(
-            "ouroboros counts match formula",
-            (alpha, beta) == predicted_counts(s, omega),
-            ctx,
-            omega,
-        )
+        size, eta = omega * unit_size, omega * unit_live
+        alpha, beta = lifted_counts(s, omega * fold)
+        deg_p, codeg_p = snake_count // alpha, cosnake_count // beta
+        if (alpha, beta) != predicted_counts(s, omega):
+            fail("ouroboros counts match formula", omega)
         try:
-            sw = swallow(table)
-            cs = co_swallow(table)
-            rep.check(
-                "swallow cycle structure",
-                sw.cycle_type == (deg_p,) * alpha and cs.cycle_type == (codeg_p,) * beta,
-                ctx,
-                omega,
-            )
+            shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
         except AssertionError as exc:
-            rep.check("swallow cycle structure", False, f"{ctx} omega={omega}: {exc}")
+            fail("swallow cycle structure", omega, f": {exc}")
+            skipped += 1
             continue
+        # a shift k of L labels has gcd(k, L) cycles, each of length
+        # L / gcd(k, L): cycle type (deg p,)*bar_alpha iff gcd(k, L) = bar_alpha
+        if gcd(shifts[0], snake_count) != alpha or gcd(shifts[1], cosnake_count) != beta:
+            fail("swallow cycle structure", omega)
         try:
-            inv = group_invariants(table)
-            rep.check("group order equals live count", True, ctx)
-            if not (inv.matches_ouro_product and inv.matches_co_ouro_product):
+            factors = group_factors(s, eta, alpha, beta)
+            if not (
+                matches_product(factors, alpha, eta // alpha)
+                and matches_product(factors, beta, eta // beta)
+            ):
                 rep.product_form_failures.append(
-                    f"{ctx} omega={omega}: factors {inv.nontrivial}, products "
-                    f"{inv.ouro_product} / {inv.co_ouro_product}"
+                    f"{ctx} omega={omega}: factors {product_invariants(*factors)}, products "
+                    f"{product_invariants(alpha, eta // alpha)} / "
+                    f"{product_invariants(beta, eta // beta)}"
                 )
         except AssertionError as exc:
-            rep.check("group order equals live count", False, f"{ctx} omega={omega}: {exc}")
+            fail("group order equals live count", omega, f": {exc}")
         try:
-            is_color_preserving(table, sw, cs)
-            rep.check("color-preserving conditions agree", True, ctx)
+            color_preserving(s, omega, size, alpha, beta, shifts)
         except AssertionError as exc:
-            rep.check("color-preserving conditions agree", False, f"{ctx} omega={omega}: {exc}")
-
-        rep.check(
-            "table slither power identity",
-            cyclically_equal(table_slither(table) * codeg_p, slither)
-            and cyclically_equal(table_coslither(table) * deg_p, coslither),
-            ctx,
-            omega,
-        )
-
+            fail("color-preserving conditions agree", omega, f": {exc}")
+        table_slither, table_coslither = table_words(s, alpha, beta)
+        if not (
+            cyclically_equal(table_slither * codeg_p, slither)
+            and cyclically_equal(table_coslither * deg_p, coslither)
+        ):
+            fail("table slither power identity", omega)
         # torsor of the finite table group; it also checks the closed-form
         # eta against the number of live residues
-        torsor = _is_torsor(s, table.size, beta, table.eta // beta)
-        rep.check("table torsor simple transitivity", torsor, ctx, omega)
+        if not _is_torsor(s, size, beta, eta // beta):
+            fail("table torsor simple transitivity", omega)
+
+    # every law checks every omega but the swallows' skipped ones
+    checked = omega_max - skipped
+    for law, total in zip(TABLE_LAWS, (omega_max, omega_max) + (checked,) * 4):
+        rep.tally(law, total - failed[law], [])  # the failures are recorded above
 
 
 def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import oracles
-from snakescroll import cli, scroll
+from snakescroll import classify, cli, scroll
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv, tape_row
 
@@ -22,6 +22,9 @@ ORBIT_11_SHA256 = {
     "json": "e48a5d6d40bf627f95bc5284ed56de10864651816993831bc65da8805a189ad6",
     "csv": "e2f911be984263ae2cf23dd7dfb05d6b982a0d2f15c1aa2e7289e0d543bcb188",
 }
+
+# `classify --n 13` in the default text format
+CLASSIFY_13_TEXT_SHA256 = "4627a8d8ee0673376d0b48c57a6230d82b955b0ca70b9cf3407356f31d0b9e3d"
 
 # stdout of requests that read no frozen reference: a constructed row from a
 # non-necklace rotation, one from a necklace pair, and a sum-period scroll
@@ -138,6 +141,21 @@ def test_classify_text(capsys):
     assert code == EXIT_OK
     assert "7 feasible quadruples" in out
     assert "17 ticker tapes" in out
+
+
+def test_classify_text_expands_no_tape(capsys, monkeypatch):
+    # the text table is streamed from the records, as the CSV is: no report
+    # is built and no class's full tape is read; the output keeps the
+    # SHA-256 of the table the report used to give
+    def unread(_rec):
+        raise AssertionError("a full tape was expanded")
+
+    monkeypatch.setattr(classify.TapeClass, "tape", property(unread))
+    monkeypatch.setattr(cli, "classification_report", None)
+    code, out, _ = run(capsys, "classify", "--n", "13")
+    assert code == EXIT_OK
+    assert out.count("\n") == 3 + 17  # header, blank line, column names, rows
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_13_TEXT_SHA256
 
 
 def test_classify_json(capsys):

@@ -7,7 +7,6 @@ import pytest
 from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import (
-    _swallow,
     co_swallow,
     group_invariants,
     is_color_preserving,
@@ -15,6 +14,7 @@ from snakescroll.tables import (
     predicted_counts,
     product_invariants,
     swallow,
+    swallow_shift,
     table_coslither,
     table_slither,
 )
@@ -89,8 +89,13 @@ def test_swallow_rejects_a_non_uniform_shift():
     assert t.size == 77
     labels = [0] * 100
     labels[k0 + 1], labels[k0 + 2] = 1, 2
+    s = t.scroll
+    # both label arrays and both walks are replaced: the orders are built together
+    vars(s)["snake_labels"] = (labels, labels)
+    vars(s)["coslither_walk"] = vars(s)["slither_walk"] = ([k0, k0 + 1, k0 + 2], "")
+    assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))
     with pytest.raises(AssertionError, match="not a uniform shift"):
-        _swallow(t, labels, [k0, k0 + 1, k0 + 2])
+        swallow_shift(s, 0, t.size)
 
 
 def test_swallow_cycle_structure_everywhere():

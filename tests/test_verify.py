@@ -146,6 +146,39 @@ def test_each_scroll_walks_its_slither_and_coslither_once(monkeypatch):
     assert calls == [s.snakes.beta, s.snakes.alpha] == [6, 2]
 
 
+def test_table_laws_build_no_table_records(monkeypatch):
+    # the table laws read each table's scalars off the scalar cores: over
+    # every orbit with n <= 10 and omega <= 12 no table, swallow or group
+    # record is built, and each scroll builds its swallow orders once
+    def unbuilt(self, *_args, **_kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for record in (tables.OrbitTable, tables.SwallowPermutation, tables.GroupInvariants):
+        monkeypatch.setattr(record, "__init__", unbuilt)
+    built = []
+    orders = Scroll.__dict__["swallow_orders"]
+    original = orders.func
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(orders, "func", counted)
+    scrolls = [Scroll(o) for n in range(2, 11) for o in all_orbits(n)]
+    rep = VerificationReport()
+    for s in scrolls:
+        check_tables(s, 12, rep)
+    assert not rep.violations
+    assert len(scrolls) == 23
+    assert len(built) == len(scrolls) and all(a is b for a, b in zip(built, scrolls))
+    assert rep.passed == {
+        "crossed degree divisibility": 23,
+        **{law: 276 for law in verify.TABLE_LAWS},
+    }
+    assert list(rep.passed)[1:] == list(verify.TABLE_LAWS)
+    assert (len(rep.product_form_failures), len(rep.same_side_degree_failures)) == (167, 9)
+
+
 def _torsor_shapes(count: int, law: tuple[int, int]):
     """The law's (outer, inner), every factor pair of count, and one pair
     of the wrong product."""
@@ -833,10 +866,10 @@ def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
 
 
 def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
-    def raising(_table):
+    def raising(_s, _which, _size):
         raise AssertionError("not a uniform shift")
 
-    monkeypatch.setattr(verify, "swallow", raising)
+    monkeypatch.setattr(verify, "swallow_shift", raising)
     rep = VerificationReport()
     check_tables(scroll_from_seed("00001010000"), 1, rep)
     assert rep.violations == [
@@ -849,10 +882,10 @@ def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
 
 
 def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
-    def raising(_table, _sw, _cs):
+    def raising(_s, _omega, _size, _alpha, _beta, _shifts):
         raise AssertionError("color-preserving conditions disagree: [True, False]")
 
-    monkeypatch.setattr(verify, "is_color_preserving", raising)
+    monkeypatch.setattr(verify, "color_preserving", raising)
     rep = VerificationReport()
     check_tables(scroll_from_seed("00001010000"), 2, rep)
     law = "color-preserving conditions agree"
@@ -884,10 +917,10 @@ def test_wrong_predicted_counts_fail_the_counting_law(monkeypatch):
 
 
 def test_a_raising_group_fails_the_group_order_law(monkeypatch):
-    def raising(_table):
+    def raising(_s, _eta, _alpha, _beta):
         raise AssertionError("group order 21 != live count 22")
 
-    monkeypatch.setattr(verify, "group_invariants", raising)
+    monkeypatch.setattr(verify, "group_factors", raising)
     rep = VerificationReport()
     check_tables(scroll_from_seed("00001010000"), 2, rep)
     law = "group order equals live count"
@@ -909,8 +942,17 @@ def test_a_raising_group_fails_the_group_order_law(monkeypatch):
 @pytest.mark.parametrize("helper", ["table_slither", "table_coslither"])
 def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, helper):
     # either word alone breaks the identity: "D" to any power is no slither
-    # (it has E) and no co-slither (it has no S or L)
-    monkeypatch.setattr(verify, helper, lambda _table: "D")
+    # (it has E) and no co-slither (it has no S or L); the loop cuts both
+    # words at once (`table_words`), so the helper's one word is replaced
+    which = ("table_slither", "table_coslither").index(helper)
+    words = verify.table_words
+
+    def one_wrong(s, alpha, beta):
+        cut = list(words(s, alpha, beta))
+        cut[which] = "D"
+        return tuple(cut)
+
+    monkeypatch.setattr(verify, "table_words", one_wrong)
     rep = VerificationReport()
     check_tables(scroll_from_seed("00001010000"), 2, rep)
     law = "table slither power identity"
