@@ -23,7 +23,7 @@ from .cyclic import cyclically_equal
 from .render import ansi_table, svg_table
 from .report import (
     classification_csv_rows,
-    classification_report,
+    classification_json_chunks,
     classification_text_rows,
     orbit_report,
     report_to_csv,
@@ -62,13 +62,12 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.format == "json":
-        print(json.dumps(classification_report(args.n), indent=2))
-        return EXIT_OK
     records = enumerate_ticker_tapes(args.n)
-    # each row is built only while it is written: a CSV row expands its
-    # class's full tape then, and the text table expands none
-    if args.format == "csv":
+    # each row is built only while it is written: a CSV row or JSON entry
+    # expands its class's full tape then, and the text table expands none
+    if args.format == "json":
+        rows = classification_json_chunks(args.n, records)
+    elif args.format == "csv":
         rows = classification_csv_rows(map(tape_row, records))
     else:
         rows = classification_text_rows(args.n, records)

@@ -140,6 +140,29 @@ def classification_report(n: int) -> dict[str, Any]:
     }
 
 
+def classification_json_chunks(n: int, records: list[TapeClass]) -> Iterator[str]:
+    """`classification_report` of these records (all the classes of n) as
+    `print(json.dumps(report, indent=2))` writes it, in pieces: the header
+    keys, then each class's entry (`tape_row`) as it is built.  An
+    indented JSON value nests by prefixing every line of its own indented
+    text, so each entry is dumped alone and indented two levels."""
+    head = json.dumps(
+        {
+            "n": n,
+            "quadrupleCount": len(feasible_quadruples(n)),
+            "gfCount": gf_count(n),
+            "tapeCount": len(records),
+        },
+        indent=2,
+    )
+    yield head[: -len("\n}")] + ',\n  "tapes": ['
+    separator = "\n    "
+    for rec in records:
+        yield separator + json.dumps(tape_row(rec), indent=2).replace("\n", "\n    ")
+        separator = ",\n    "
+    yield "\n  ]\n}\n" if records else "]\n}\n"
+
+
 def classification_text_rows(n: int, records: list[TapeClass]) -> Iterator[str]:
     """The lines of the classification table of these records (all the
     classes of n), header first, each with its newline, built one at a

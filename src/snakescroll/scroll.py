@@ -6,22 +6,29 @@ i and column j, is tape index t = i*n + j; this is the cylinder
 identification, under which (i, j+n) and (i+1, j) are the same cell.  So
 the tape alone is the scroll, and a scroll keeps one least period P of it
 (`Scroll.unit`, found on the orbit's period): X_t = unit[(t - 1) % P],
-and the m*n = lcm(T, n) residues of the orbit are the unit repeated.
+and the m*n = lcm(T, n) residues of the orbit are the unit repeated.  Its
+live residues, those r with X_(r+1) live, are listed once
+(`Scroll.unit_live`) and read by every builder and law that visits them.
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod P, so each map is stored as one letter per
-residue of the unit, found by testing that map's own two candidates
-there, and as one signed advance per residue: `Scroll.step_advances` for
-the successor and co-successor, `Scroll.inverse_advances` for their
-inverses, both built by `Scroll._advances`, the one place letters become
-advances.  A step at t reads its letter and advance at (t - 1) mod P.
-Only the laws of `verify` read the inverse steps, so a scroll that is
-only rendered or reported builds neither their letters nor advances.
-The walk of one slither (co-slither) from the first live index, its tape
-indices and letters, is kept once per scroll (`Scroll.slither_walk`,
-`Scroll.coslither_walk`): the simulation laws, the swallows and the orbit
-report read it.
+residue of the unit and as one signed advance per residue.  The letters
+of both maps of one direction, forward or inverse, are built in one pass
+(`_step_letters`): the unit and its four rotations by the letters'
+advances, summed bytewise into one integer with one bit per candidate,
+give one code byte per residue, and two byte translations read both
+maps' letters off it.  The advances are the letters mapped through one
+table per direction fixed by n (`Scroll.advance_tables`):
+`Scroll.step_advances` for the successor and co-successor,
+`Scroll.inverse_advances` for their inverses.  A step at t reads its
+letter and advance at (t - 1) mod P.  Only the laws of `verify` read the
+inverse steps, so a scroll that is only rendered or reported builds
+neither their letters nor advances.  The walk of one slither
+(co-slither) from the first live index, its tape indices and letters, is
+read straight off the forward tables and kept once per scroll
+(`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
+the swallows and the orbit report read it.
 
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
@@ -57,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import gcd
+from operator import is_not, itemgetter
 from typing import NamedTuple
 
 from .cycles import _CHARS, Orbit, cached_property, orbit
@@ -64,12 +72,25 @@ from .cyclic import least_period
 from .slither import ScrollMetrics, metrics_from_row, step_advance
 
 DEAD = "."  # step letter of a dead residue
-# per letter pair, a translation table from the code byte 4*(residue live) +
-# 2*(first candidate live) + (second candidate live) to its step letter
-_LETTER_OF = {
-    pair: (DEAD * 4 + "0" + pair[1] + pair[0] + "2").encode().ljust(256, DEAD.encode())
-    for pair in ("ED", "SL")
-}
+# The code byte of a residue is 16*(residue live) + 8*(E candidate live) +
+# 4*(D candidate live) + 2*(S candidate live) + (L candidate live).  Per
+# map, a translation table from the code byte to its step letter, reading
+# the bits of the map's two candidates (shift 2: E and D, shift 0: S and L)
+_LETTER_OF = tuple(
+    bytes(
+        ord((DEAD * 4 + "0" + pair[1] + pair[0] + "2")[4 * (code >> 4) + (code >> shift & 3)])
+        for code in range(32)
+    ).ljust(256, DEAD.encode())
+    for pair, shift in (("ED", 2), ("SL", 0))
+)
+
+
+# the names the letter tables of each direction, forward and inverse, are kept under
+_LETTER_NAMES = (
+    ("successor_letters", "co_successor_letters"),
+    ("predecessor_letters", "co_predecessor_letters"),
+)
+_WINDING = itemgetter(1)  # of a cycle (length, winding, start)
 
 
 class SnakeCounts(NamedTuple):
@@ -77,34 +98,43 @@ class SnakeCounts(NamedTuple):
     beta: int  # co-snakes: cycles of the co-successor mod sigma
 
 
-def _step_letters(unit: bytes, n: int, letters: str, sign: int) -> str:
-    """One step letter per residue of the tape's least cyclic period, unit.
+def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
+    """One step letter per residue of the tape's least cyclic period, unit,
+    for both maps of one direction, given the signed advance of each letter
+    in that direction (`Scroll.advance_tables`): the successor and
+    co-successor, or their inverses.
 
-    The candidates of a live residue r are r + sign*advance(letter) for
-    each of the two letters.  A dead residue gets DEAD; a live one gets
-    its live candidate's letter, or, when not exactly one candidate is
-    live, the digit counting its live candidates.  Each candidate is read
-    from the unit rotated by its advance mod P = len(unit), and the three
-    0/1 bytes of a residue are summed into one code byte as integers (no
-    byte carries); the letters of all m*n residues are this table repeated.
+    The candidates of a live residue r are r + advance[letter] for each
+    letter.  A dead residue gets DEAD; a live one gets its live
+    candidate's letter, or, when not exactly one of its map's two
+    candidates is live, the digit counting them.  Each candidate is read
+    from the unit rotated by its advance mod P = len(unit), a shift of the
+    unit repeated three times read as one integer, and the five 0/1 bytes
+    of a residue are summed into one code byte as integers (no byte
+    carries), so one integer holds both maps' candidates; the letters of
+    all m*n residues are these tables repeated.
     """
     period = len(unit)
-    code = int.from_bytes(unit, "big") * 4
-    for weight, letter in zip((2, 1), letters):
-        d = sign * step_advance(letter, n) % period
-        code += int.from_bytes(unit[d:] + unit[:d], "big") * weight
-    return code.to_bytes(period, "big").translate(_LETTER_OF[letters]).decode()
+    bits = 8 * period
+    mask = (1 << bits) - 1
+    three = int.from_bytes(unit * 3, "big")
+    code = (three >> bits & mask) * 16
+    for weight, letter in zip((8, 4, 2, 1), "EDSL"):
+        # bytes P + d .. 2P + d - 1 of the three units: the unit rotated by d
+        code += (three >> bits - 8 * (advance[letter] % period) & mask) * weight
+    codes = code.to_bytes(period, "big")
+    return codes.translate(_LETTER_OF[0]).decode(), codes.translate(_LETTER_OF[1]).decode()
 
 
 @dataclass(frozen=True)
 class Scroll:
     base: Orbit
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.base.n
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.base.m
 
@@ -123,10 +153,10 @@ class Scroll:
     @cached_property
     def metrics(self) -> ScrollMetrics:
         """Metrics of the length-n tape window from the first live entry."""
-        unit = self.unit
-        start = unit.index(1)
-        window = (unit * (self.n // len(unit) + 2))[start : start + self.n]
-        return metrics_from_row(window.translate(_CHARS).decode(), self.n)
+        unit, n = self.unit, self.n
+        start = self.unit_live[0]
+        window = (unit * (n // len(unit) + 2))[start : start + n]
+        return metrics_from_row(window.translate(_CHARS).decode(), n)
 
     @cached_property
     def live_count(self) -> int:
@@ -149,54 +179,79 @@ class Scroll:
         return met.coslither.alpha // deg_p1, met.slither.beta // codeg_p1
 
     @cached_property
+    def unit_live(self) -> list[int]:
+        """The residues r of the unit whose entry X_(r+1) is live, ascending:
+        listed once, for `steps_are_maps`, `period_advances`, the walks and
+        the laws of `verify`."""
+        unit = self.unit
+        return list(compress(range(len(unit)), unit))
+
+    @cached_property
+    def advance_tables(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per step letter, its tape advance (`step_advance`), then its
+        negation, the advance of the inverse step: the one table of each
+        direction, fixed by n."""
+        forward = {x: step_advance(x, self.n) for x in "EDSL"}
+        return forward, {x: -d for x, d in forward.items()}
+
+    def _letters(self, direction: int) -> tuple[str, str]:
+        """Both letter tables of one direction, forward (0) or inverse (1),
+        from one pass (`_step_letters`); each is kept under its name unless
+        a value is already there."""
+        tables = _step_letters(self.unit, self.advance_tables[direction])
+        for name, letters in zip(_LETTER_NAMES[direction], tables):
+            vars(self).setdefault(name, letters)
+        return tables
+
+    @cached_property
     def successor_letters(self) -> str:
-        return _step_letters(self.unit, self.n, "ED", 1)
+        return self._letters(0)[0]
 
     @cached_property
     def co_successor_letters(self) -> str:
-        return _step_letters(self.unit, self.n, "SL", 1)
+        return self._letters(0)[1]
 
     @cached_property
     def predecessor_letters(self) -> str:
-        return _step_letters(self.unit, self.n, "ED", -1)
+        return self._letters(1)[0]
 
     @cached_property
     def co_predecessor_letters(self) -> str:
-        return _step_letters(self.unit, self.n, "SL", -1)
+        return self._letters(1)[1]
 
-    def _advances(self, sign: int, *tables: str) -> tuple[list, ...]:
+    def _advances(self, direction: int, first: str, second: str) -> tuple[list, list]:
         """Per table of letters, per residue of the unit, the signed tape
-        advance of its letter (sign 1 for a forward step, -1 for an inverse
-        one), or None where the letter has none (a dead residue, or a count
-        of live candidates)."""
-        advance = {x: sign * step_advance(x, self.n) for x in "EDSL"}
-        return tuple(list(map(advance.get, letters)) for letters in tables)
+        advance of its letter in that direction (`advance_tables`), or None
+        where the letter has none (a dead residue, or a count of live
+        candidates)."""
+        get = self.advance_tables[direction].get
+        return list(map(get, first)), list(map(get, second))
 
     @cached_property
     def step_advances(self) -> tuple[list, list]:
         """Per residue of the unit, the advance of the successor and
         co-successor (`_advances`)."""
-        return self._advances(1, self.successor_letters, self.co_successor_letters)
+        return self._advances(0, self.successor_letters, self.co_successor_letters)
 
     @cached_property
     def inverse_advances(self) -> tuple[list, list]:
         """Per residue of the unit, the (negative) advance of the predecessor
         and co-predecessor (`_advances`); only the laws read them."""
-        return self._advances(-1, self.predecessor_letters, self.co_predecessor_letters)
+        return self._advances(1, self.predecessor_letters, self.co_predecessor_letters)
 
     @cached_property
     def steps_are_maps(self) -> bool:
         """Whether all four steps are maps of the live entries: every live
         residue of the unit has an advance in each table, and it lands on a
         live residue."""
-        unit = self.unit
+        unit, live = self.unit, self.unit_live
         size = len(unit)
-        live = list(compress(range(size), unit))
-        return all(
-            row[r] is not None and unit[(r + row[r]) % size]
-            for row in self.step_advances + self.inverse_advances
-            for r in live
-        )
+        for row in self.step_advances + self.inverse_advances:
+            for r in live:
+                d = row[r]
+                if d is None or not unit[(r + d) % size]:
+                    return False
+        return True
 
     @cached_property
     def snakes(self) -> SnakeCounts:
@@ -210,12 +265,15 @@ class Scroll:
         """Per tape index t in [0, T), T the tape period, its successor and
         co-successor advance, read off `step_advances` at (t - 1) mod P;
         None where t is dead.  A live index with no advance raises, as its
-        step does, named by its tape index in [1, P]."""
-        period, unit, arrays = self.metrics.T_tape, self.unit, []
+        step does, named by its tape index in [1, P]: the Nones of each row
+        are counted at C level, and the live residues scanned only to name
+        the first one that has no advance."""
+        period, live, arrays = self.metrics.T_tape, self.unit_live, []
         for row, step in zip(self.step_advances, (self.successor_step, self.co_successor_step)):
-            for r in compress(range(len(unit)), unit):
-                if row[r] is None:
-                    step(r + 1)  # raises with the count of live candidates
+            if row.count(None) > len(row) - len(live):  # no dead residue has an advance
+                for r in live:
+                    if row[r] is None:
+                        step(r + 1)  # raises with the count of live candidates
             # the advance of t - 1, at t
             arrays.append((row[-1:] + row * (period // len(row) + 1))[:period])
         return tuple(arrays)
@@ -225,21 +283,21 @@ class Scroll:
         """The least live index in [0, T), T the tape period, and the number
         of live ones, read off the successor's period advances."""
         succ = self.period_advances[0]
-        return next(t for t, d in enumerate(succ) if d is not None), len(succ) - succ.count(None)
+        return next(_with_advance(succ)), len(succ) - succ.count(None)
 
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod the tape
         period T (`walk_cycles`) on the live residues mod T, those with a
         successor advance."""
-        succ = self.period_advances[0]
-        return walk_cycles(self.period_advances, tuple(t for t, d in enumerate(succ) if d is not None))
+        return walk_cycles(self.period_advances, tuple(_with_advance(self.period_advances[0])))
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
         """Per cycle of the successor (then co-successor) mod the tape period
         T, its summed advance over T."""
-        return tuple([w for _, w, _ in cycles] for *_, cycles in self.period_cycles)
+        (*_, succ), (*_, co_succ) = self.period_cycles
+        return list(map(_WINDING, succ)), list(map(_WINDING, co_succ))
 
     @cached_property
     def snake_labels(self) -> tuple[list, list]:
@@ -268,12 +326,12 @@ class Scroll:
     def slither_walk(self) -> tuple[list[int], str]:
         """The tape indices and letters of beta successor steps from the
         first live index: a slither meets each co-snake once."""
-        return self._walk(self.successor_step, self.snakes.beta)
+        return self._walk(0, self.snakes.beta)
 
     @cached_property
     def coslither_walk(self) -> tuple[list[int], str]:
         """Likewise alpha co-successor steps: a co-slither meets each snake once."""
-        return self._walk(self.co_successor_step, self.snakes.alpha)
+        return self._walk(1, self.snakes.alpha)
 
     @cached_property
     def swallow_orders(self) -> tuple[tuple, tuple]:
@@ -292,13 +350,23 @@ class Scroll:
             orders.append(order)
         return tuple(orders)
 
-    def _walk(self, step, count: int) -> tuple[list[int], str]:
-        t, indices, letters = self.unit.index(1) + 1, [], []
-        for _ in range(count):
-            indices.append(t)
-            t, letter = step(t)
-            letters.append(letter)
-        return indices, "".join(letters)
+    def _walk(self, step: int, count: int) -> tuple[list[int], str]:
+        """The tape indices and letters of count steps of the successor
+        (step 0) or co-successor (1) from the first live index, read off
+        the step advances and letters; a live index without an advance
+        raises through its step."""
+        advances = self.step_advances[step]
+        letters = (self.successor_letters, self.co_successor_letters)[step]
+        period = len(letters)
+        t, indices = self.unit_live[0] + 1, []
+        try:
+            for _ in range(count):
+                indices.append(t)
+                t += advances[(t - 1) % period]
+        except TypeError:  # no advance at indices[-1]
+            (self.successor_step, self.co_successor_step)[step](indices[-1])
+            raise
+        return indices, "".join([letters[(t - 1) % period] for t in indices])
 
     def _step(self, map_index: int, letters: str, t: int, what: str) -> tuple[int, str]:
         r = (t - 1) % len(letters)
@@ -316,6 +384,11 @@ class Scroll:
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
         return self._step(1, self.co_successor_letters, t, "co-successor")
+
+
+def _with_advance(row: list) -> compress:
+    """The indices of row that hold an advance (not None), ascending."""
+    return compress(range(len(row)), map(is_not, row, repeat(None)))
 
 
 def scroll_from_seed(bits: str) -> Scroll:

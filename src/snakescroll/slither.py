@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .cycles import cached_property
 from .cyclic import exponent
 
 # (rows, columns) one step of each type moves across the scroll
@@ -36,11 +37,11 @@ def step_advance(kind: str, n: int) -> int:
 class Slither:
     word: str
 
-    @property
+    @cached_property
     def beta_d(self) -> int:
         return self.word.count("D")
 
-    @property
+    @cached_property
     def beta_e(self) -> int:
         return self.word.count("E")
 
@@ -53,11 +54,11 @@ class Slither:
 class CoSlither:
     word: str
 
-    @property
+    @cached_property
     def alpha_s(self) -> int:
         return self.word.count("S")
 
-    @property
+    @cached_property
     def alpha_l(self) -> int:
         return self.word.count("L")
 

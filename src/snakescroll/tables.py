@@ -140,8 +140,6 @@ def co_swallow(t: OrbitTable) -> SwallowPermutation:
 @dataclass(slots=True)
 class GroupInvariants:
     factors: tuple[int, int]  # invariant factors d1 | d2, possibly with d1 = 1
-    ouro: tuple[int, int]  # (bar_alpha, eta/bar_alpha)
-    co_ouro: tuple[int, int]  # (bar_beta, eta/bar_beta)
 
     @property
     def order(self) -> int:
@@ -150,27 +148,6 @@ class GroupInvariants:
     @property
     def nontrivial(self) -> tuple[int, ...]:
         return tuple(d for d in self.factors if d > 1)
-
-    # invariant factors of Z_bar_alpha x Z_(eta/bar_alpha); the group's own
-    # are those of Z_g x Z_(eta/g), g = gcd(bar_alpha, bar_beta), so they
-    # agree exactly when gcd(bar_alpha, eta/bar_alpha) = g
-    @property
-    def ouro_product(self) -> tuple[int, ...]:
-        return product_invariants(*self.ouro)
-
-    # likewise Z_bar_beta x Z_(eta/bar_beta): agrees exactly when
-    # gcd(bar_beta, eta/bar_beta) = g
-    @property
-    def co_ouro_product(self) -> tuple[int, ...]:
-        return product_invariants(*self.co_ouro)
-
-    @property
-    def matches_ouro_product(self) -> bool:
-        return matches_product(self.factors, *self.ouro)
-
-    @property
-    def matches_co_ouro_product(self) -> bool:
-        return matches_product(self.factors, *self.co_ouro)
 
 
 def _product_pair(a: int, b: int) -> tuple[int, int]:
@@ -216,14 +193,8 @@ def group_factors(s: Scroll, eta: int, alpha: int, beta: int) -> tuple[int, int]
 
 
 def group_invariants(t: OrbitTable) -> GroupInvariants:
-    """The table's invariant factors (`group_factors`) and its two product
-    decompositions, reported alongside as evidence fields rather than
-    assertions: Z_bar_alpha x Z_(eta/bar_alpha) agrees exactly when
-    gcd(bar_alpha, eta/bar_alpha) = g, Z_bar_beta x Z_(eta/bar_beta)
-    exactly when gcd(bar_beta, eta/bar_beta) = g."""
-    eta = t.eta
-    factors = group_factors(t.scroll, eta, t.alpha, t.beta)
-    return GroupInvariants(factors, (t.alpha, eta // t.alpha), (t.beta, eta // t.beta))
+    """The table's invariant factors (`group_factors`)."""
+    return GroupInvariants(group_factors(t.scroll, t.eta, t.alpha, t.beta))
 
 
 def table_words(s: Scroll, alpha: int, beta: int) -> tuple[str, str]:

@@ -6,10 +6,13 @@ silently dropped; an empty violation list is the pass condition.
 
 Each law's checks over one orbit are tallied at once
 (`VerificationReport.tally`): its passes are counted, and a context
-string is built only for a check that fails.  The table laws of
-`check_tables` are tallied so too, once per orbit over all its omegas:
-each table is its scalars alone, read off `tables`' scalar cores, and no
-table, swallow or group record is built.
+string is built only for a check that fails.  `check_scroll` hands on
+one entry per law and tallies the orbit's entries together, and a law
+that passes builds no context, no tape index list and no sorted or
+counted failure set.  The table laws of `check_tables` are tallied so
+too, once per orbit over all its omegas: each table is its scalars
+alone, read off `tables`' scalar cores, and no table, swallow or group
+record is built.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
 period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
@@ -27,11 +30,13 @@ exactly when the canonical tapes do.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import is_not, sub
 
 from .classify import enumerate_ticker_tapes
 from .cycles import _CHARS, all_orbits
@@ -48,6 +53,11 @@ from .tables import (
     swallow_shift,
     table_words,
 )
+
+
+# one law's checks on one orbit: its name, its number of checks and the
+# contexts of those that failed
+Law = tuple[str, int, Sequence[str]]
 
 
 @dataclass
@@ -68,12 +78,17 @@ class VerificationReport:
     # against a torsor oracle
     product_form_failures: list[str] = field(default_factory=list)
 
-    def tally(self, name: str, total: int, failures: list[str]) -> None:
-        """Record total checks of one law; failures holds the contexts of those that failed."""
-        if total > len(failures):
-            self.passed[name] = self.passed.get(name, 0) + total - len(failures)
-        for context in failures:
-            self.violations.append(f"{name}: {context}")
+    def tally(self, laws: Iterable[Law]) -> None:
+        """Record the checks of laws, each (name, total, failures): failures
+        holds the contexts of the checks that failed, empty for a law that
+        passed."""
+        passed, violations = self.passed, self.violations
+        for name, total, failures in laws:
+            if failures:
+                total -= len(failures)
+                violations += [f"{name}: {context}" for context in failures]
+            if total > 0:
+                passed[name] = passed.get(name, 0) + total
 
     def check(self, name: str, condition: bool, context: str, omega: int = 0) -> None:
         """Record one check; a failure's context ends with its omega, if given."""
@@ -112,35 +127,39 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     if outer * inner != fold * live:
         return False
     gcds: dict[int, int] = {}  # per cycle met: g
-    arcs: dict[int, list[int]] = {}  # per orbit i*F + (y mod g): the points starting arcs
+    firsts: dict[int, int] = {}  # per orbit i*F + (y mod g): the first point starting an arc
+    shared: dict[int, list[int]] = {}  # per orbit met more than once: its arcs' points
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
         g = gcds.get(i)
         if g is None:
             g = gcds[i] = gcd(cycles[i][1], fold)
+            if cycles[i][0] * (fold // g) < inner:  # an arc longer than its orbit
+                return False
         orbit = i * fold + (cur // period - lift[u]) % g
-        if orbit in arcs:
-            arcs[orbit].append(cur)
+        if orbit in firsts:
+            shared.setdefault(orbit, [firsts[orbit]]).append(cur)
         else:
-            arcs[orbit] = [cur]
+            firsts[orbit] = cur
         cur = (cur + succ[u]) % modulus
-    for orbit, points in arcs.items():
+    for orbit, points in shared.items():  # two arcs starting closer than inner, cyclically
         i = orbit // fold
         (length, w, _), g = cycles[i], gcds[i]
         h = fold // g
-        if length * h < inner:  # an arc longer than its orbit
+        inverse = pow(w // g, -1, h)
+        starts = sorted(
+            (x - lift[u]) % fold // g * inverse % h * length + index[u]
+            for x, u in (divmod(v, period) for v in points)
+        )
+        starts.append(starts[0] + length * h)
+        if min(map(sub, starts[1:], starts)) < inner:
             return False
-        if len(points) > 1:  # two arcs starting closer than inner, cyclically
-            inverse = pow(w // g, -1, h)
-            starts = sorted(
-                (x - lift[u]) % fold // g * inverse % h * length + index[u]
-                for x, u in (divmod(v, period) for v in points)
-            )
-            starts.append(starts[0] + length * h)
-            if min(map(sub, starts[1:], starts)) < inner:
-                return False
     return True
+
+
+# rows one step of each letter moves down the scroll
+_ROW_STEP = {x: rows for x, (rows, _) in _STEP_SHAPE.items()}
 
 
 def _laps(indices: list[int], period: int, laps: int) -> list[int]:
@@ -153,134 +172,174 @@ def _laps(indices: list[int], period: int, laps: int) -> list[int]:
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
+    Every law is evaluated on every orbit (`_scroll_laws`), each handing
+    on one (law, checks, failure contexts) entry, and the entries are
+    tallied together once the orbit is done (`VerificationReport.tally`),
+    or where a law raises, up to that law.  A law that passes costs that
+    one entry: its context strings, the tape indices its failures stand
+    for, and any sorting or counting that only orders or names failures
+    are built only for a law that failed.
+
     Steps read the scroll's step advances and letters at residue
-    (t - 1) mod P, P the tape's least cyclic period (`Scroll.unit`).  The
-    tape is P-periodic and every table a function of the residue mod P,
-    so the per-residue laws (six-neighbour zeros, unique candidates,
-    commutation, parallelogram, round trip) run on the tape indices
-    [1, P] only: each count is multiplied by laps = m*n/P, and each
-    failure at t stands for t + k*P, k = 0..laps-1, so the contexts are
-    those of all m*n residues, in tape order.  The laws on the snakes and
-    co-snakes mod sigma (successor advance linear, near-row distinctness,
-    fibers) run on the live residues [0, T) only, T the tape period: they
-    read both maps' cycles mod T (`Scroll.period_cycles`) through the
-    covering Z/sigma -> Z/T, each count is multiplied by F = sigma/T, and
-    each failure at v stands for v + k*T, k = 0..F-1, in tape order; no
-    map is walked mod sigma.  The slither and co-slither simulations read
-    the scroll's walks (`Scroll.slither_walk`, `Scroll.coslither_walk`),
-    which the swallows reuse.  The laws on the snakes and on walks of the
-    steps need all four steps to be maps of the live entries; where a
-    live entry has no unique letter in some table, the unique-candidates
-    or round-trip law reports it and those laws are skipped for the
-    orbit; they are skipped too where a letter's step lands on a dead
-    entry.
+    (t - 1) mod P, P the tape's least cyclic period (`Scroll.unit`), on its
+    live residues (`Scroll.unit_live`).  The tape is P-periodic and every
+    table a function of the residue mod P, so the per-residue laws
+    (six-neighbour zeros, unique candidates, commutation, parallelogram,
+    round trip) run on the tape indices [1, P] only: each count is
+    multiplied by laps = m*n/P, and each failure at t stands for t + k*P,
+    k = 0..laps-1, so the contexts are those of all m*n residues, in tape
+    order.  The laws on the snakes and co-snakes mod sigma (successor
+    advance linear, near-row distinctness, fibers) run on the live
+    residues [0, T) only, T the tape period: they read both maps' cycles
+    mod T (`Scroll.period_cycles`) through the covering Z/sigma -> Z/T,
+    each count is multiplied by F = sigma/T, and each failure at v stands
+    for v + k*T, k = 0..F-1, in tape order; no map is walked mod sigma.
+    The slither and co-slither simulations read the scroll's walks
+    (`Scroll.slither_walk`, `Scroll.coslither_walk`), which the swallows
+    reuse.  The laws on the snakes and on walks of the steps need all four
+    steps to be maps of the live entries; where a live entry has no unique
+    letter in some table, the unique-candidates or round-trip law reports
+    it and those laws are skipped for the orbit; they are skipped too where
+    a letter's step lands on a dead entry.
     """
+    laws: list[Law] = []
+    try:
+        _scroll_laws(s, extended, laws.append)
+    finally:
+        rep.tally(laws)
+
+
+def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
+    """The laws of `check_scroll` on s, each handed to add as (law, checks,
+    failure contexts), in law order."""
     n, m = s.n, s.m
-    ctx = f"n={n} seed={s.base.seed}"
     met = s.metrics
-    size = m * n
     unit = s.unit
     period = len(unit)
-    laps = size // period
-    live = list(compress(range(1, period + 1), unit))
-    six = (-n, 1 - n, -1, 1, n - 1, n)
+    laps = m * n // period
+    live = s.unit_live  # residues r of the unit: tape indices r + 1
+
+    def ctx() -> str:
+        return f"n={n} seed={s.base.seed}"
+
+    # local structure at every live entry of the unit: the unit and its
+    # shifts as integers, one 0/1 byte per residue, so OR and AND act
+    # bytewise; a nonzero byte of crowded is a live entry with a live
+    # neighbour.  The unit repeated 2*reach + 1 times holds X_(t + d),
+    # |d| <= n, at byte (t - 1) + reach*P + d, so read as one integer
+    # (wide) and shifted right by reach*P - d bytes, cut to P bytes, it
+    # gives X_(t + d) for t in [1, P].  A live t with a live t - d is a
+    # live t - d with a live t + d, so the backward shifts are read only
+    # where a forward one crowds an entry
+    reach = -(-n // period)
+    wide = int.from_bytes(unit * (2 * reach + 1), "big")
+    offset, mask = reach * period, (1 << 8 * period) - 1
+    here = wide >> 8 * offset & mask
+    crowded = 0
+    for d in (1, n - 1, n):
+        crowded |= here & wide >> 8 * (offset - d) & mask
+    failed = ()
+    if crowded:
+        for d in (-1, 1 - n, -n):
+            crowded |= here & wide >> 8 * (offset - d) & mask
+        crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
+        c = ctx()
+        failed = [
+            f"{c} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
+        ]
+    add(("six-neighbor zeros", laps * len(live), failed))
+
+    # unique candidates, then commutation, parallelogram and round trip at
+    # each entry whose own and target entries have unique letters (an
+    # entry stepping onto one without them is left to that one)
     sl, cl = s.successor_letters, s.co_successor_letters
     # signed advance of each step per residue, None where its letter has none
     (sa, ca), (pa, cpa) = s.step_advances, s.inverse_advances
-
-    # local structure at every live entry of the unit: the unit and its six
-    # shifts as integers, one 0/1 byte per residue, so OR and AND act
-    # bytewise; a nonzero byte of crowded is a live entry with a live
-    # neighbour.  X_(t + d) for |d| <= n is wide[(t - 1) + reach*P + d]
-    reach = -(-n // period)
-    wide = unit * (2 * reach + 1)
-    near = 0
-    for d in six:
-        near |= int.from_bytes(wide[reach * period + d : (reach + 1) * period + d], "big")
-    crowded = near & int.from_bytes(unit, "big")
-    crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
-    rep.tally(
-        "six-neighbor zeros",
-        laps * len(live),
-        [f"{ctx} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)],
-    )
-    unique = [a is not None and b is not None for a, b in zip(sa, ca)]
-    not_unique = []
-    for t in _laps([t for t in live if not unique[t - 1]], period, laps):
-        try:  # the step raises with the count of live candidates
-            s.successor_step(t)
-            s.co_successor_step(t)
-        except AssertionError as exc:
-            not_unique.append(f"{ctx}: {exc}")
-    rep.tally("unique successor candidates", laps * len(live), not_unique)
-    # an entry stepping onto one without unique letters is left to that one
-    checked, noncommuting, skewed, one_way = 0, [], [], []
-    for t in live:
-        r = t - 1
-        if not unique[r]:
+    not_unique, noncommuting, skewed, one_way, skipped = [], [], [], [], 0
+    for r in live:
+        d, e = sa[r], ca[r]
+        if d is None or e is None:
+            not_unique.append(r + 1)
             continue
-        rs, rc = (r + sa[r]) % period, (r + ca[r]) % period
-        if not (unique[rs] and unique[rc]):
+        rs, rc = (r + d) % period, (r + e) % period
+        es, dc = ca[rs], sa[rc]
+        if es is None or dc is None or sa[rs] is None or ca[rc] is None:
+            skipped += 1
             continue
-        checked += 1
-        if sa[r] + ca[rs] != ca[r] + sa[rc]:
-            noncommuting.append(t)
+        if d + es != e + dc:
+            noncommuting.append(r + 1)
         if sl[rc] != sl[r] or cl[rs] != cl[r]:
-            skewed.append(t)
-        if pa[rs] != -sa[r] or cpa[rc] != -ca[r]:
-            one_way.append(t)
+            skewed.append(r + 1)
+        if pa[rs] != -d or cpa[rc] != -e:
+            one_way.append(r + 1)
+    failed = []
+    if not_unique:
+        c = ctx()
+        for t in _laps(not_unique, period, laps):
+            try:  # the step raises with the count of live candidates
+                s.successor_step(t)
+                s.co_successor_step(t)
+            except AssertionError as exc:
+                failed.append(f"{c}: {exc}")
+    add(("unique successor candidates", laps * len(live), failed))
     for law, failed in (
         ("commutation", noncommuting),
         ("parallelogram", skewed),
         ("predecessor round trip", one_way),
     ):
-        rep.tally(law, laps * checked, [f"{ctx} at tape {t}" for t in _laps(failed, period, laps)])
+        if failed:
+            c = ctx()
+            failed = [f"{c} at tape {t}" for t in _laps(failed, period, laps)]
+        add((law, laps * (len(live) - len(not_unique) - skipped), failed))
     snakes = s.snakes if s.steps_are_maps else None
 
     # letter-count constraints and scale identities
     ws, wc = met.slither, met.coslither
-    rep.check(
-        "beta_D = 2 alpha - 1",
-        ws.beta_d == 2 * (wc.alpha_s + wc.alpha_l) - 1,
-        ctx,
-    )
-    rep.check(
-        "2bE + 3aS + 4aL = n+1",
-        2 * ws.beta_e + 3 * wc.alpha_s + 4 * wc.alpha_l == n + 1,
-        ctx,
-    )
-    rep.check("deg, codeg coprime", gcd(met.deg, met.codeg) == 1, ctx)
-    rep.check("T_tape = gcd(p, q)", met.T_tape == gcd(met.p, met.q), ctx)
-    rep.check("orbit length formula", met.T_scroll == m, ctx)
+    beta_d, alpha_s, alpha_l = ws.beta_d, wc.alpha_s, wc.alpha_l
+    held = [
+        ("beta_D = 2 alpha - 1", beta_d == 2 * (alpha_s + alpha_l) - 1),
+        ("2bE + 3aS + 4aL = n+1", 2 * ws.beta_e + 3 * alpha_s + 4 * alpha_l == n + 1),
+        ("deg, codeg coprime", gcd(met.deg, met.codeg) == 1),
+        ("T_tape = gcd(p, q)", met.T_tape == gcd(met.p, met.q)),
+        ("orbit length formula", met.T_scroll == m),
+    ]
     if snakes:
-        rep.check("alpha from letters", snakes.alpha == wc.alpha, ctx)
-        rep.check("beta from letters", snakes.beta == ws.beta, ctx)
+        held += [
+            ("alpha from letters", snakes.alpha == wc.alpha),
+            ("beta from letters", snakes.beta == ws.beta),
+        ]
+    for law, holds in held:
+        add((law, 1, () if holds else (ctx(),)))
 
     # sum-vector laws
-    sv = sum_vector(s)
-    cs = col_scale(s)
-    rep.check("lambda odd", sv.lam % 2 == 1, ctx)
-    rep.check("lambda | gcd(n, ColScale)", gcd(n, cs) % sv.lam == 0, ctx)
-    rep.check("lambda > 1 implies n >= 4 lambda", sv.lam == 1 or n >= 4 * sv.lam, ctx)
+    lam, cs = sum_vector(s).lam, col_scale(s)
+    for law, holds in (
+        ("lambda odd", lam % 2 == 1),
+        ("lambda | gcd(n, ColScale)", gcd(n, cs) % lam == 0),
+        ("lambda > 1 implies n >= 4 lambda", lam == 1 or n >= 4 * lam),
+    ):
+        add((law, 1, () if holds else (ctx(),)))
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
     if snakes:
         torsor = _is_torsor(s, met.sigma, snakes.beta, snakes.alpha)
-        rep.check("torsor simple transitivity", torsor, ctx)
+        add(("torsor simple transitivity", 1, () if torsor else (ctx(),)))
 
     if not extended:
         return
 
     # tape period: minimality and the divisibility characterization; a
-    # shift by ell fixes the tape iff its least period P divides
-    # ell, so the shifts in [1, 3*T_tape] failing it are the multiples of
-    # exactly one of P and T_tape
+    # shift by ell fixes the tape iff its least period P divides ell, so
+    # the shifts in [1, 3*T_tape] failing it are the multiples of exactly
+    # one of P and T_tape, and there are none where P = T_tape
     tape_period = met.T_tape
-    bound = 3 * tape_period
-    wrong = sorted(
-        set(range(period, bound + 1, period)) ^ set(range(tape_period, bound + 1, tape_period))
-    )
-    rep.tally("tape shift iff T_tape divides", bound, [f"{ctx} shift {ell}" for ell in wrong])
+    bound, failed = 3 * tape_period, ()
+    if period != tape_period:
+        c = ctx()
+        fixing = set(range(period, bound + 1, period))
+        wrong = fixing ^ set(range(tape_period, bound + 1, tape_period))
+        failed = [f"{c} shift {ell}" for ell in sorted(wrong)]
+    add(("tape shift iff T_tape divides", bound, failed))
 
     if not snakes:
         return
@@ -291,8 +350,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
         ("slither matches simulation", s.slither_walk, ws.word),
         ("co-slither matches simulation", s.coslither_walk, wc.word),
     ):
-        mismatch = [] if cyclically_equal(simulated, word) else [f"{ctx} simulated {simulated}"]
-        rep.tally(law, 1, mismatch)
+        failed = () if cyclically_equal(simulated, word) else (f"{ctx()} simulated {simulated}",)
+        add((law, 1, failed))
 
     # the rest read both maps mod sigma through the covering Z/sigma -> Z/T,
     # T the tape period (as `_is_torsor` does): a cycle i mod T of winding w
@@ -303,55 +362,72 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # failure at v stands for each v + k*T, in tape order
     fold = met.sigma // tape_period
     (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, c_cycles) = s.period_cycles
-    on_period = [v for v, i in enumerate(s_cycle) if i is not None]
+    on_period = list(compress(range(tape_period), map(is_not, s_cycle, repeat(None))))
     s_gcd = [gcd(w, fold) for _, w, _ in s_cycles]
     c_gcd = [gcd(w, fold) for _, w, _ in c_cycles]
+    # each live v < T is read once for the three laws below: its place on
+    # its successor cycle (by index), the numbering of its co-snake and its
+    # key for the fibers
+    members = [[None] * length for length, _, _ in s_cycles]
+    positions = [[None] * length for length, _, _ in s_cycles]
+    cosnake, keys, looped = [], [], False
+    for v in on_period:
+        i, j, q, cq = s_cycle[v], c_cycle[v], s_lift[v], c_lift[v]
+        k = s_index[v]
+        members[i][k], positions[i][k] = v, v + q * tape_period
+        g, h = s_gcd[i], c_gcd[j]
+        cosnake.append((j * fold, cq, h))
+        keys.append((i, j, (q - cq) % gcd(g, h)))
+        looped = looped or lcm(g, h) < fold
 
-    # linearity of iterated successor advance: K = r*block steps from v, at
-    # index k on a cycle of length l, go (k + K) // l laps of the cycle and
-    # end at u, its member at index (k + K) mod l, so they advance
-    # laps*w*T + (u + lift[u]*T) - (v + lift[v]*T)
+    # linearity of iterated successor advance: on a cycle of length l and
+    # winding w, the member at index k is at u0 + A_k = u + lift[u]*T, and
+    # A_(k + l) = A_k + w*T, so K = r*block steps from index k advance
+    # A_(k + K) - A_k: with K = c*l + j, that is (A_(k + j) - A_k) + c*w*T,
+    # A_(k + j) read off the cycle's positions over two laps
     block = len(ws.word) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
-    members = [[None] * length for length, _, _ in s_cycles]
-    for v in on_period:
-        members[s_cycle[v]][s_index[v]] = v
     nonlinear = []
     for r in rounds:
         failed = []
-        for v in on_period:
-            i = s_cycle[v]
-            length, w, _ = s_cycles[i]
-            laps, at = divmod(s_index[v] + r * block, length)
-            u = members[i][at]
-            if (laps * w + s_lift[u] - s_lift[v]) * tape_period + u - v != r * met.p:
-                failed.append(v)
-        nonlinear += [f"{ctx} r={r} from {t}" for t in _laps(failed, tape_period, fold)]
-    rep.tally("successor advance linear", len(rounds) * fold * len(on_period), nonlinear)
+        for on_cycle, at, (length, w, _) in zip(members, positions, s_cycles):
+            turns, j = divmod(r * block, length)
+            lap = w * tape_period
+            goal = r * met.p - turns * lap
+            advances = list(map(sub, at[j:] + [x + lap for x in at[:j]], at))
+            if advances.count(goal) != length:
+                failed += [v for v, a in zip(on_cycle, advances) if a != goal]
+        if failed:
+            c = ctx()
+            nonlinear += [f"{c} r={r} from {t}" for t in _laps(sorted(failed), tape_period, fold)]
+    add(("successor advance linear", len(rounds) * fold * len(on_period), nonlinear))
 
-    # co-snake distinctness within one row span, at the live entries v + d,
-    # 0 < d < n: with v + d = u + j*T, u < T, v + x*T and v + d + x*T lie
-    # on one co-snake iff u is on v's cycle i and j - lift[u] + lift[v] is
-    # 0 mod g_i.  X_(v + d) is wide[(v - 1) % P + reach*P + d], as above
-    offsets = range(1, n)
+    # co-snake distinctness within one row span: no live x < T shares its
+    # co-snake with a live y, x < y < x + n (by the shift by T, every pair
+    # is such a pair shifted).  x = v + j*T, v < T on co-successor cycle i
+    # with lift q, lies on the co-snake numbered (i, (j - q) mod g_i).  The
+    # live entries of [0, T + n - 1) are listed ascending with their
+    # co-snakes; each x < T is compared with the entries up to x + n
+    span, label = [], []
+    for j in range((tape_period + n - 2) // tape_period + 1):  # laps of T up to T + n - 1
+        cut = bisect_left(on_period, tape_period + n - 1 - j * tape_period)
+        span += [v + j * tape_period for v in on_period[:cut]]
+        label += [i + (j - q) % g for i, q, g in cosnake[:cut]]
     near, shared = 0, []
-    for v in on_period:
-        base = (v - 1) % period + reach * period
-        i, q = c_cycle[v], c_lift[v]
-        for d in compress(offsets, wide[base + 1 : base + n]):
-            near += 1
-            j, u = divmod(v + d, tape_period)
-            if c_cycle[u] == i and (j - c_lift[u] + q) % c_gcd[i] == 0:
-                shared.append((v, d))
-    rep.tally(
-        "near-row co-snake distinctness",
-        fold * near,
-        [
-            f"{ctx} tape {v + k}, {v + k + d}"
+    for a, x in enumerate(on_period):
+        b = bisect_left(span, x + n)
+        near += b - a - 1
+        if label[a] in label[a + 1 : b]:
+            shared += [(x, span[k] - x) for k in range(a + 1, b) if label[k] == label[a]]
+    failed = []
+    if shared:
+        c = ctx()
+        failed = [
+            f"{c} tape {v + k}, {v + k + d}"
             for k in range(0, fold * tape_period, tape_period)
             for v, d in shared
-        ],
-    )
+        ]
+    add(("near-row co-snake distinctness", fold * near, failed))
 
     # free action on the universal scroll: s^a c^b moves the start t0 for
     # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A point of
@@ -361,31 +437,35 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # s and c is positive, so each walk is monotone in the tape: a = 0, or
     # a and b of one sign, never fix t0, and c is walked from s^a(t0)
     # toward t0 only, stopping at the first step that reaches or passes it.
-    # Each a fixes t0 for at most one b
-    row_step = {x: rows for x, (rows, _) in _STEP_SHAPE.items()}
-    t0, alpha = live[0], snakes.alpha
+    # Each a fixes t0 for at most one b.  The rows of that walk matter
+    # only where it stops on t0's tape index, so only then is it walked
+    # again with its rows.  A point at tape index t is kept as its offset
+    # t - 1, whose residue mod P indexes the tables
+    start, alpha = live[0], snakes.alpha  # the offset of t0
     fixed = {}
     for sign, s_advances, s_letters, c_advances, c_letters in (
         (-1, pa, s.predecessor_letters, ca, s.co_successor_letters),
         (1, sa, s.successor_letters, cpa, s.co_predecessor_letters),
     ):
-        t = row = 0  # s^a(t0) - t0 and its row, a = sign*1, sign*2, ...
+        stop = sign * start
+        y, row = start, 0  # s^a(t0) and its row, a = sign*1, sign*2, ...
         for a in range(sign, sign * (snakes.beta + 1), sign):
-            x = (t0 + t - 1) % period
-            t, row = t + s_advances[x], row + sign * row_step[s_letters[x]]
-            u, r = t, row
+            x = y % period
+            y, row = y + s_advances[x], row + sign * _ROW_STEP[s_letters[x]]
+            z = y
             for b in range(1, alpha + 1):
-                x = (t0 + u - 1) % period
-                u, r = u + c_advances[x], r - sign * row_step[c_letters[x]]
-                if sign * u <= 0:
-                    if u == r == 0:
-                        fixed[a] = f"{ctx} exponents ({a},{-sign * b})"
+                z += c_advances[z % period]
+                if sign * z <= stop:
                     break
-    rep.tally(
-        "free affine action",
-        (2 * snakes.beta + 1) * (2 * alpha + 1) - 1,
-        [fixed[a] for a in sorted(fixed)],
-    )
+            if z == start:
+                z, r = y, row
+                for _ in range(b):
+                    x = z % period
+                    z, r = z + c_advances[x], r - sign * _ROW_STEP[c_letters[x]]
+                if r == 0:
+                    fixed[a] = f"{ctx()} exponents ({a},{-sign * b})"
+    failed = [fixed[a] for a in sorted(fixed)] if fixed else ()
+    add(("free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed))
 
     # fibers: residues mod sigma, singletons among the live residues.  v +
     # x*T and v' + x'*T share a snake and a co-snake iff v and v' lie on the
@@ -393,21 +473,17 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     # s_lift[v'] - s_lift[v] mod g_i and c_lift[v'] - c_lift[v] mod g_j.
     # For v' != v some x' solves both iff s_lift - c_lift agrees at v and
     # v' mod gcd(g_i, g_j); for v' = v some x' != x does iff lcm(g_i, g_j) < F
-    keys = []
-    for v in on_period:
-        i, j = s_cycle[v], c_cycle[v]
-        keys.append((i, j, (s_lift[v] - c_lift[v]) % gcd(s_gcd[i], c_gcd[j])))
-    count = Counter(keys)
-    met_twice = [
-        v
-        for v, key in zip(on_period, keys)
-        if count[key] > 1 or lcm(s_gcd[key[0]], c_gcd[key[1]]) < fold
-    ]
-    rep.tally(
-        "fibers are residues mod sigma",
-        fold * len(on_period),
-        [f"{ctx} tape {t}" for t in _laps(met_twice, tape_period, fold)],
-    )
+    failed = ()
+    if looped or len(set(keys)) < len(keys):
+        count = Counter(keys)
+        met_twice = [
+            v
+            for v, key in zip(on_period, keys)
+            if count[key] > 1 or lcm(s_gcd[key[0]], c_gcd[key[1]]) < fold
+        ]
+        c = ctx()
+        failed = [f"{c} tape {t}" for t in _laps(met_twice, tape_period, fold)]
+    add(("fibers are residues mod sigma", fold * len(on_period), failed))
 
 
 # the table laws, in the order each table checks them
@@ -504,8 +580,9 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
     # every law checks every omega but the swallows' skipped ones
     checked = omega_max - skipped
-    for law, total in zip(TABLE_LAWS, (omega_max, omega_max) + (checked,) * 4):
-        rep.tally(law, total - failed[law], [])  # the failures are recorded above
+    totals = (omega_max, omega_max) + (checked,) * 4
+    # the failures are recorded above
+    rep.tally((law, total - failed[law], ()) for law, total in zip(TABLE_LAWS, totals))
 
 
 def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:

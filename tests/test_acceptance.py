@@ -22,6 +22,7 @@ from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
     co_swallow,
     group_invariants,
+    matches_product,
     omega_table,
 )
 from snakescroll.verify import run_verification
@@ -211,12 +212,13 @@ def test_criterion_5_invariant_factors_direct_product_form():
                     disagreements.append(
                         f"{ctx}: factors {inv.nontrivial}, forced {forced}"
                     )
-                if inv.matches_ouro_product != (gcd(a, eta // a) == g):
+                matches = matches_product(inv.factors, a, eta // a)
+                if matches != (gcd(a, eta // a) == g):
                     disagreements.append(
-                        f"{ctx}: matches_ouro_product is "
-                        f"{inv.matches_ouro_product}, gcd condition disagrees"
+                        f"{ctx}: the Z_a x Z_(eta/a) product form matches is "
+                        f"{matches}, gcd condition disagrees"
                     )
-                if not inv.matches_ouro_product:
+                if not matches:
                     product_form_failures.add((n, o.rows[0], omega))
     assert total == 816
     assert not disagreements, (

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import oracles
-from snakescroll import classify, cli, scroll
+from snakescroll import classify, cli, report, scroll
 from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
 from snakescroll.report import classification_report, classification_to_csv, tape_row
 
@@ -151,7 +151,7 @@ def test_classify_text_expands_no_tape(capsys, monkeypatch):
         raise AssertionError("a full tape was expanded")
 
     monkeypatch.setattr(classify.TapeClass, "tape", property(unread))
-    monkeypatch.setattr(cli, "classification_report", None)
+    monkeypatch.setattr(report, "classification_report", None)
     code, out, _ = run(capsys, "classify", "--n", "13")
     assert code == EXIT_OK
     assert out.count("\n") == 3 + 17  # header, blank line, column names, rows
@@ -164,6 +164,34 @@ def test_classify_json(capsys):
     payload = json.loads(out)
     assert payload["tapeCount"] == 17
     assert len(payload["tapes"]) == 17
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_classify_json_is_the_report_dump(capsys, n):
+    # the entries are dumped one at a time, and the bytes are those of the
+    # whole report dumped at once
+    code, out, err = run(capsys, "classify", "--n", str(n), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(classification_report(n), indent=2) + "\n"
+
+
+def test_classify_json_expands_each_tape_as_its_entry_is_written(monkeypatch):
+    events = []
+
+    class Out:
+        def writelines(self, lines):
+            for _ in lines:
+                events.append("write")
+
+    def row(rec):
+        events.append("expand")
+        return tape_row(rec)
+
+    monkeypatch.setattr(report, "tape_row", row)
+    monkeypatch.setattr(report, "classification_report", None)  # no report is built
+    monkeypatch.setattr(cli.sys, "stdout", Out())
+    assert main(["classify", "--n", "13", "--format", "json"]) == EXIT_OK
+    assert events == ["write"] + ["expand", "write"] * 17 + ["write"]
 
 
 def test_classify_csv(capsys):
@@ -187,7 +215,7 @@ def test_classify_csv_expands_each_tape_as_its_row_is_written(monkeypatch):
         return tape_row(rec)
 
     monkeypatch.setattr(cli, "tape_row", row)
-    monkeypatch.setattr(cli, "classification_report", None)  # no report is built
+    monkeypatch.setattr(report, "classification_report", None)  # no report is built
     monkeypatch.setattr(cli.sys, "stdout", Out())
     assert main(["classify", "--n", "13", "--format", "csv"]) == EXIT_OK
     assert events == ["write"] + ["expand", "write"] * 17
@@ -371,16 +399,17 @@ def test_an_orbit_request_is_parsed_once(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
 def test_orbit_builds_no_inverse_step_letters(capsys, monkeypatch, fmt):
     # no orbit format reads the predecessor or co-predecessor, so neither's
-    # letters (nor advances) are built; the forward letters are, once each
-    signs = []
+    # letters (nor advances) are built; the forward letters are, both in
+    # one pass
+    forward = []
     original = scroll._step_letters
 
-    def recorded(unit, n, letters, sign):
-        signs.append(sign)
-        return original(unit, n, letters, sign)
+    def recorded(unit, advance):
+        forward.append(advance["E"] > 0)
+        return original(unit, advance)
 
     monkeypatch.setattr(scroll, "_step_letters", recorded)
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
-    assert signs == [1, 1]
+    assert forward == [True]

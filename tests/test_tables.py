@@ -10,6 +10,7 @@ from snakescroll.tables import (
     co_swallow,
     group_invariants,
     is_color_preserving,
+    matches_product,
     omega_table,
     predicted_counts,
     product_invariants,
@@ -232,12 +233,16 @@ def test_reduced_maps_are_the_steps_reduced():
 
 def test_direct_product_forms_fail_on_some_tables():
     # Z_bar_alpha x Z_(eta/bar_alpha) is not always the table group
-    inv = group_invariants(omega_table(scroll_from_seed("0000"), 1))
+    t = omega_table(scroll_from_seed("0000"), 1)
+    inv = group_invariants(t)
     assert inv.nontrivial == (8,)
-    assert not inv.matches_co_ouro_product  # product form says (2, 4)
-    inv = group_invariants(omega_table(scroll_from_seed("000100"), 1))
+    # product form Z_bar_beta x Z_(eta/bar_beta) says (2, 4)
+    assert not matches_product(inv.factors, t.beta, t.eta // t.beta)
+    t = omega_table(scroll_from_seed("000100"), 1)
+    inv = group_invariants(t)
     assert inv.nontrivial == (12,)
-    assert not inv.matches_ouro_product  # product form says (2, 6)
+    # product form Z_bar_alpha x Z_(eta/bar_alpha) says (2, 6)
+    assert not matches_product(inv.factors, t.alpha, t.eta // t.alpha)
 
 
 def test_table_words_power_up_to_scroll_words():

@@ -10,7 +10,8 @@ from snakescroll import cycles, render, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
-from snakescroll.slither import _STEP_SHAPE
+from snakescroll.slither import _STEP_SHAPE, CoSlither, Slither
+from snakescroll.sums import SumVector
 from snakescroll.tables import co_swallow, omega_table, swallow
 from snakescroll.verify import (
     VerificationReport,
@@ -960,3 +961,55 @@ def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, helper):
     assert law not in rep.passed
     assert rep.passed["table torsor simple transitivity"] == 2
     assert rep.passed["ouroboros counts match formula"] == 2
+
+
+def _metrics(s, **changes):
+    vars(s)["metrics"] = replace(s.metrics, **changes)
+
+
+def _lam(monkeypatch, lam):
+    sums = verify.sum_vector
+    monkeypatch.setattr(verify, "sum_vector", lambda s: SumVector(sums(s).sums, lam))
+
+
+def _walk(s, name, letters):
+    vars(s)[name] = getattr(s, name)[0], letters
+    return f" simulated {letters}"
+
+
+# one fault per per-scroll law of check_scroll on the running example
+# (slither EDEDED, co-slither SS, deg 3, codeg 2, p 14, q 21, T 7, lambda 1,
+# ColScale 9, 2 live residues mod T), each injected through the scroll's
+# metrics or cached values or the sum vector; a fault may break other laws
+# too.  A word injected keeps both ColScale forms at 9 (beta_D + 2 beta_E
+# and n - alpha_S - 2 alpha_L), which col_scale asserts.  Each returns what
+# its law's context has after the seed
+PER_SCROLL_FAULTS = {
+    "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
+    "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
+    "deg, codeg coprime": lambda s, mp: _metrics(s, codeg=3),
+    "T_tape = gcd(p, q)": lambda s, mp: _metrics(s, q=42),
+    "alpha from letters": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
+    "beta from letters": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
+    "lambda odd": lambda s, mp: _lam(mp, 2),
+    "lambda | gcd(n, ColScale)": lambda s, mp: _lam(mp, 3),
+    "lambda > 1 implies n >= 4 lambda": lambda s, mp: _lam(mp, 3),
+    "torsor simple transitivity": lambda s, mp: vars(s).update(period_live=(0, 3)),
+    "slither matches simulation": lambda s, mp: _walk(s, "slither_walk", "EEEEEE"),
+    "co-slither matches simulation": lambda s, mp: _walk(s, "coslither_walk", "LL"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(PER_SCROLL_FAULTS))
+def test_a_per_scroll_fault_is_recorded_and_not_passed(monkeypatch, law):
+    # every law is evaluated on every orbit: a faulted law records its
+    # violation with its context and loses the pass it has on the clean scroll
+    clean = VerificationReport()
+    check_scroll(scroll_from_seed("00001010000"), clean)
+    assert not clean.violations and clean.passed[law] == 1
+    s = scroll_from_seed("00001010000")
+    detail = PER_SCROLL_FAULTS[law](s, monkeypatch) or ""
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    assert f"{law}: n=11 seed=00001010000{detail}" in rep.violations
+    assert rep.passed.get(law, 0) == clean.passed[law] - 1
