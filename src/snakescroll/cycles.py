@@ -98,16 +98,18 @@ def _independent_words(n: int) -> list[int]:
     """All independent sets of C_n as n-bit integers (vertex k is bit n-k), ascending.
 
     The words of k bits with no two adjacent 1s are those of k-1 bits and,
-    with bit k-1 set, those of k-2 bits; a word whose first and last bits
-    are both 1 breaks the wrap edge.
+    with bit k-1 set, those of k-2 bits (one word, 0, of k <= 0 bits).  A
+    set of C_n with vertex 1 out is such a word of n-1 bits; with vertex 1
+    in, vertices 2 and n are out, and the rest is such a word x of n-3
+    bits: 1 << (n-1) | x << 1, after all the others.
     """
     if n < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
-    shorter, words = [0], [0, 1]
-    for k in range(2, n + 1):
-        shorter, words = words, words + [(1 << (k - 1)) | x for x in shorter]
-    ends = (1 << (n - 1)) | 1
-    return [w for w in words if w & ends != ends]
+    older, shorter, words = [0], [0], [0, 1]  # the words of k-2, k-1 and k bits, k = 1
+    for k in range(2, n):
+        older, shorter, words = shorter, words, words + [1 << (k - 1) | x for x in shorter]
+    top = 1 << (n - 1)
+    return words + [top | x << 1 for x in older]
 
 
 def enumerate_independent_sets(n: int) -> list[str]:

@@ -56,18 +56,26 @@ def necklaces_fixed_content(a: str, b: str, ca: int, cb: int) -> list[str]:
         pieces = [a + b * g for g in range(cb + 1)]  # a and the gap after it
         gaps = [0] * (ca + 1)  # gaps[1..ca]; gaps[0] = 0 bounds the first
 
-        def gen(t: int, p: int, left: int) -> None:
-            prev = gaps[t - p]
+        def gen(t: int, p: int, left: int, word: str) -> None:
             if t == ca:  # the last gap takes what is left
-                if left > prev or (left == prev and ca % p == 0):
-                    gaps[t] = left
-                    reps.append("".join([pieces[g] for g in gaps[1:]]))
+                reps.append(word + pieces[left])
                 return
-            for g in range(prev, left + 1):
+            # the gaps after t get what gap t leaves: each at least the
+            # first, the next at least the gap a period back.  Less ends in
+            # no necklace, and so does exactly that for the last gap unless
+            # the period divides ca, so every leaf is a necklace
+            prev = gaps[t] = gaps[t - p]  # the period stays p
+            rest, need = left - prev, gaps[t + 1 - p] + (ca - t - 1) * gaps[1]
+            if rest > need or rest == need and (t + 1 < ca or ca % p == 0):
+                gen(t + 1, p, rest, word + pieces[prev])
+            # a greater gap makes the period t: the first gap is the least
+            # of ca, and a last gap equal to the first is no necklace
+            top = left // ca if t == 1 else left - (ca - t) * gaps[1] - (t + 1 == ca)
+            for g in range(prev + 1, top + 1):
                 gaps[t] = g
-                gen(t + 1, p if g == prev else t, left - g)
+                gen(t + 1, t, left - g, word + pieces[g])
 
-        gen(1, 1, cb)
+        gen(1, 1, cb, "")
         reps.sort()  # emitted in rank order, which for S < L is not ASCII's
     expected = binary_necklace_count(ca + cb, ca)
     if len(reps) != expected:

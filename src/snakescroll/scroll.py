@@ -49,10 +49,11 @@ counts at any M are sums of gcds of the windings (`lifted_counts`), and
 `Scroll.snakes` is the pair (alpha, beta) at sigma.  The same covering
 places each point mod M on its cycle of each map: u + x*T, u < T with
 lift q on cycle i of winding w, lies on the lift numbered
-(x - q) mod gcd(w, M/T).  The snake labels mod sigma, the least residue
-of each residue's snake and co-snake (`Scroll.snake_labels`), are read
-that way in one ascending pass, for the swallows and the renderers
-alone.  The torsor laws of `verify` walk only the successor mod M,
+(x - q) mod gcd(w, M/T).  A snake's (co-snake's) label is its least
+residue mod sigma, kept once per lift of each cycle mod T
+(`Scroll.lift_labels`): the swallows read the labels there, through the
+covering, and the renderers alone spread them over the sigma residues
+(`Scroll.snake_labels`).  The torsor laws of `verify` walk only the successor mod M,
 stepping a residue v by the advance at v mod T, and read the
 co-successor orbits off the cycles mod T; its laws on snakes and
 co-snakes mod sigma read both off the cycles mod T and run on the
@@ -64,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import gcd
-from operator import is_not, itemgetter
+from operator import eq, is_not, itemgetter
 from typing import NamedTuple
 
 from .cycles import _CHARS, Orbit, cached_property, orbit
@@ -300,25 +301,58 @@ class Scroll:
         return list(map(_WINDING, succ)), list(map(_WINDING, co_succ))
 
     @cached_property
+    def lift_labels(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per cycle i of the successor (then co-successor) mod T, per lift
+        y < g_i = gcd(w_i, sigma/T), the label of snake (co-snake) (i, y):
+        its least residue mod sigma.  u + x*T, u < T with lift q on cycle i,
+        lies on lift (x - q) mod g_i, so lift y holds u' + x'*T for each
+        member u' of cycle i, x' = (y + q') mod g_i, and its label is the
+        least of these.  Per lift residue r = q' mod g_i, only its least
+        member u_r can give it, and lift y takes the r with least
+        (y + r) mod g_i: the lifts y = (z - r) mod g_i, z below the gap from
+        the r before, take z*T + u_r.  One table per map of sum g_i = alpha
+        (beta) entries, the one definition of a label: the swallows read
+        it, and `snake_labels` for the renderers."""
+        period = self.metrics.T_tape
+        fold = self.metrics.sigma // period
+        tables = []
+        for cycle, _, lift, cycles in self.period_cycles:
+            per_cycle = []
+            for i, (_, w, start) in enumerate(cycles):
+                g = gcd(w, fold)
+                if g == 1:  # one lift, named by the cycle's least member
+                    per_cycle.append([start])
+                    continue
+                first = {}  # per lift residue r, its least member u_r
+                for u in compress(range(period), map(eq, cycle, repeat(i))):
+                    first.setdefault(lift[u] % g, u)
+                labels, residues = [0] * g, sorted(first)
+                before = residues[-1] - g
+                for r in residues:
+                    u = first[r]
+                    for z in range(r - before):
+                        labels[(z - r) % g] = z * period + u
+                    before = r
+                per_cycle.append(labels)
+            tables.append(per_cycle)
+        return tuple(tables)
+
+    @cached_property
     def snake_labels(self) -> tuple[list, list]:
         """Per residue mod sigma, the least residue of its snake (then its
-        co-snake), None where dead, read off the cycles mod T through the
-        covering: u + x*T, u < T with lift q on cycle i of winding w, lies
-        on the lift numbered (x - q) mod gcd(w, sigma/T).  The residues are
-        visited in ascending order, so each lift is named by the first
-        residue met on it."""
+        co-snake), None where dead: u + x*T, u < T with lift q on cycle i,
+        lies on lift (x - q) mod g_i, labelled in `lift_labels`.  Only the
+        renderers read these arrays of sigma entries."""
         period = self.metrics.T_tape
         fold = self.metrics.sigma // period
         labels = []
-        for cycle, _, lift, cycles in self.period_cycles:
-            gcds = [gcd(w, fold) for _, w, _ in cycles]
-            # per live residue u < T: u, the key of its cycle, its lift, its gcd
-            on = [(u, i * fold, lift[u], gcds[i]) for u, i in enumerate(cycle) if i is not None]
-            label, least = [None] * (fold * period), {}
+        for (cycle, _, lift, _), tables in zip(self.period_cycles, self.lift_labels):
+            on = [(u, tables[cycle[u]], lift[u]) for u in _with_advance(cycle)]
+            label = [None] * (fold * period)
             for x in range(fold):
                 base = x * period
-                for u, key, q, g in on:
-                    label[base + u] = least.setdefault(key + (x - q) % g, base + u)
+                for u, table, q in on:
+                    label[base + u] = table[(x - q) % len(table)]
             labels.append(label)
         return tuple(labels)
 
@@ -334,17 +368,34 @@ class Scroll:
         return self._walk(1, self.snakes.alpha)
 
     @cached_property
+    def swallow_lifts(self) -> tuple[list, list]:
+        """Per tape index k = u + x*T of the co-slither walk, the lift labels
+        of the successor cycle i of u (`lift_labels`) and the lift
+        (x - q_u) mod g_i its snake is; then likewise for the slither walk
+        and the co-successor: what every swallow (co-swallow) reads."""
+        period = self.metrics.T_tape
+        lifts = []
+        for (cycle, _, lift, _), tables, (indices, _) in zip(
+            self.period_cycles, self.lift_labels, (self.coslither_walk, self.slither_walk)
+        ):
+            on_walk = []
+            for k in indices:
+                x, u = divmod(k, period)
+                table = tables[cycle[u]]
+                on_walk.append((table, (x - lift[u]) % len(table)))
+            lifts.append(on_walk)
+        return tuple(lifts)
+
+    @cached_property
     def swallow_orders(self) -> tuple[tuple, tuple]:
         """The snake labels at the co-slither walk's tape indices, then the
-        co-snake labels at the slither walk's: each walk meets each of its
-        snakes (co-snakes) once, so these are the labels in the cyclic order
-        every swallow (co-swallow) permutes, whatever the table."""
+        co-snake labels at the slither walk's (`swallow_lifts`): each walk
+        meets each of its snakes (co-snakes) once, so these are the labels
+        in the cyclic order every swallow (co-swallow) permutes, whatever
+        the table."""
         orders = []
-        for labels, (indices, _) in zip(
-            self.snake_labels, (self.coslither_walk, self.slither_walk)
-        ):
-            modulus = len(labels)
-            order = tuple([labels[k % modulus] for k in indices])
+        for lifts in self.swallow_lifts:
+            order = tuple([table[y] for table, y in lifts])
             if len(set(order)) != len(order):
                 raise AssertionError("step map does not traverse all labels once")
             orders.append(order)
@@ -437,6 +488,12 @@ def walk_cycles(
 
 def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
     """The cycle counts of the successor and co-successor of s mod fold*T,
-    T its tape period: each cycle mod T of winding w lifts to gcd(w, fold)."""
+    T its tape period: each cycle mod T of winding w lifts to gcd(w, fold).
+    Plain loops: a map over a few windings costs twice as much to set up."""
     succ, co_succ = s.windings
-    return sum(map(gcd, succ, repeat(fold))), sum(map(gcd, co_succ, repeat(fold)))
+    alpha = beta = 0
+    for w in succ:
+        alpha += gcd(w, fold)
+    for w in co_succ:
+        beta += gcd(w, fold)
+    return alpha, beta

@@ -20,7 +20,10 @@ implementation here, a function of the scroll and those scalars: the
 swallow shifts (`swallow_shift`), the invariant factors
 (`group_factors`), the colour-preserving conditions
 (`color_preserving`) and the table words (`table_words`).
-`verify.check_tables` calls them directly for every omega.
+`verify.check_tables` calls them for every omega, except where a value
+reads omega only through a key that several omegas share: the swallow
+shifts read the table size only mod sigma, and the table words only
+bar_alpha and bar_beta, so each is computed once per key and orbit.
 
 The live residues form a torsor of the finite abelian group generated by
 the two maps mod the table size; the torsor law of `verify` checks that in
@@ -32,12 +35,18 @@ steps reduced mod the table size instead.  Covering degrees
 (`Scroll.fundamental_degrees`), predicted counts (from
 `Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
 metrics; the lifted cycle counts are what they are checked against.  A
-swallow's walk order does not depend on omega: it is the labels, in the
-scroll's label arrays mod sigma (`Scroll.snake_labels`, read off its
-cycles mod T), of the tape indices of the scroll's one co-slither
-(slither) walk (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept
-once per scroll (`Scroll.swallow_orders`); a swallow reads the label of
-each index's image.
+swallow's walk order does not depend on omega: it is the labels of the
+tape indices of the scroll's one co-slither (slither) walk
+(`Scroll.coslither_walk`, `Scroll.slither_walk`), kept once per scroll
+(`Scroll.swallow_orders`).  The labels are read through the covering
+Z/sigma -> Z/T, never off an array of sigma entries: u + x*T, u < T with
+lift q on cycle i of the map mod T, lies on lift y = (x - q) mod g_i,
+g_i = gcd(w_i, sigma/T), of that cycle, and each cycle keeps one label
+per lift (`Scroll.lift_labels`, alpha and beta entries in all).  Each
+walk index is placed on its lift once per scroll (`Scroll.swallow_lifts`),
+and a swallow reads the label of each index's image, less the table
+size, at lift y - size/T.  Only the renderers build the label arrays mod
+sigma (`Scroll.snake_labels`), from the same lift labels.
 
 The records `OrbitTable` (built by `omega_table`), `SwallowPermutation`
 (`swallow`, `co_swallow`) and `GroupInvariants` (`group_invariants`), and
@@ -91,15 +100,16 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
 
 def swallow_shift(s: Scroll, which: int, size: int) -> int:
     """The uniform shift k of the swallow (which = 0) or co-swallow (1) of
-    the table of size residues: the label of each tape index of the
-    co-slither (slither) walk maps to the label of that index minus size,
-    both read off the snake (co-snake) labels mod sigma: translation by the
-    table size commutes with both steps.  The images must be the labels'
-    cyclic order (`Scroll.swallow_orders`) rotated by k."""
-    order, labels = s.swallow_orders[which], s.snake_labels[which]
-    indices = (s.slither_walk if which else s.coslither_walk)[0]
-    modulus = len(labels)
-    image = tuple([labels[(k - size) % modulus] for k in indices])
+    the table of size residues, a multiple of the tape period T: the label
+    of each tape index of the co-slither (slither) walk maps to the label
+    of that index minus size, translation by the table size commuting with
+    both steps.  An index on lift y of its cycle i lies, less size, on lift
+    (y - size/T) mod g_i, read off the cycle's lift labels
+    (`Scroll.swallow_lifts`).  The images must be the labels' cyclic order
+    (`Scroll.swallow_orders`) rotated by k."""
+    order, lifts = s.swallow_orders[which], s.swallow_lifts[which]
+    back = size // s.metrics.T_tape
+    image = tuple([table[(y - back) % len(table)] for table, y in lifts])
     shift = order.index(image[0])
     if image != order[shift:] + order[:shift]:
         raise AssertionError("swallow permutation is not a uniform shift")
@@ -147,25 +157,27 @@ class GroupInvariants:
 
     @property
     def nontrivial(self) -> tuple[int, ...]:
-        return tuple(d for d in self.factors if d > 1)
+        return nontrivial(self.factors)
 
 
-def _product_pair(a: int, b: int) -> tuple[int, int]:
-    """(gcd, lcm) of a and b: the invariant factors of Z_a x Z_b, with 1s."""
-    d = gcd(a, b)
-    return d, a * b // d
-
-
-def product_invariants(a: int, b: int) -> tuple[int, ...]:
-    """Invariant factors of Z_a x Z_b, the nontrivial ones of its pair d | l."""
-    d, l = _product_pair(a, b)
+def nontrivial(pair: tuple[int, int]) -> tuple[int, ...]:
+    """The invariant factors above 1 of a pair d | l."""
+    d, l = pair
     return (d, l) if d > 1 else (l,) if l > 1 else ()
 
 
-def matches_product(factors: tuple[int, int], a: int, b: int) -> bool:
-    """Whether invariant factors (d1, d2), d1 | d2, are those of Z_a x Z_b,
-    the gcd and lcm of a and b."""
-    return factors == _product_pair(a, b)
+def nontrivial_text(pair: tuple[int, int]) -> str:
+    """`nontrivial(pair)` written as Python writes that tuple, for evidence
+    strings: formatted from the two integers, in about half the time of
+    formatting the tuple."""
+    d, l = pair
+    return f"({d}, {l})" if d > 1 else f"({l},)" if l > 1 else "()"
+
+
+def product_pair(a: int, b: int) -> tuple[int, int]:
+    """(gcd, lcm) of a and b: the invariant factors of Z_a x Z_b, with 1s."""
+    d = gcd(a, b)
+    return d, a * b // d
 
 
 def group_factors(s: Scroll, eta: int, alpha: int, beta: int) -> tuple[int, int]:

@@ -17,9 +17,9 @@ record is built.
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
 period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
 through the covering Z/M -> Z/T, so each orbit walks its maps once, mod
-T; only the swallows read the snake labels mod sigma, which the same
-covering gives.  The tests hold each such law to an oracle that steps the
-maps mod M.
+T; the swallows read the snake labels mod sigma through the same
+covering, one per lift of each cycle mod T.  The tests hold each such law
+to an oracle that steps the maps mod M.
 
 Classification completeness compares, for each n, the least tape periods
 of the simulated orbits (`Scroll.unit`, in its least rotation), collected
@@ -47,9 +47,9 @@ from .sums import col_scale, sum_vector
 from .tables import (
     color_preserving,
     group_factors,
-    matches_product,
+    nontrivial_text,
     predicted_counts,
-    product_invariants,
+    product_pair,
     swallow_shift,
     table_words,
 )
@@ -126,17 +126,15 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     fold = modulus // period
     if outer * inner != fold * live:
         return False
-    gcds: dict[int, int] = {}  # per cycle met: g
     firsts: dict[int, int] = {}  # per orbit i*F + (y mod g): the first point starting an arc
     shared: dict[int, list[int]] = {}  # per orbit met more than once: its arcs' points
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
-        g = gcds.get(i)
-        if g is None:
-            g = gcds[i] = gcd(cycles[i][1], fold)
-            if cycles[i][0] * (fold // g) < inner:  # an arc longer than its orbit
-                return False
+        length, w, _ = cycles[i]
+        g = gcd(w, fold)
+        if length * (fold // g) < inner:  # an arc longer than its orbit
+            return False
         orbit = i * fold + (cur // period - lift[u]) % g
         if orbit in firsts:
             shared.setdefault(orbit, [firsts[orbit]]).append(cur)
@@ -144,14 +142,15 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
             firsts[orbit] = cur
         cur = (cur + succ[u]) % modulus
     for orbit, points in shared.items():  # two arcs starting closer than inner, cyclically
-        i = orbit // fold
-        (length, w, _), g = cycles[i], gcds[i]
+        length, w, _ = cycles[orbit // fold]
+        g = gcd(w, fold)
         h = fold // g
         inverse = pow(w // g, -1, h)
-        starts = sorted(
-            (x - lift[u]) % fold // g * inverse % h * length + index[u]
-            for x, u in (divmod(v, period) for v in points)
-        )
+        starts = []  # a plain loop: a comprehension here would make the walk's locals cells
+        for v in points:
+            x, u = divmod(v, period)
+            starts.append((x - lift[u]) % fold // g * inverse % h * length + index[u])
+        starts.sort()
         starts.append(starts[0] + length * h)
         if min(map(sub, starts[1:], starts)) < inner:
             return False
@@ -506,6 +505,19 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     so the violations keep their omega order, and the passes of each law
     are added up when the orbit is done.  A swallow that raises skips that
     omega's later laws.
+
+    Two values are computed once per distinct argument and orbit, in
+    dicts local to this call.  The swallow shifts read the table size only
+    mod sigma (a lift y of a cycle i moves to y - size/T mod g_i, and g_i
+    divides sigma/T), so they are kept per size mod sigma, and a raising
+    swallow is raised again for each omega with its key.  The table
+    slither power identity reads only (bar_alpha, bar_beta), so its result
+    is kept per pair.  A value that is a pure function of its key is the
+    same check at every omega with that key, as the per-residue laws of
+    `check_scroll` count one least period times laps: each omega still
+    counts, or fails, each law.  The counts, the torsor, the group factors
+    and the colour-preserving conditions read omega itself or eta, and are
+    evaluated at every omega.
     """
     ctx = f"n={s.n} seed={s.base.seed}"
     if not s.steps_are_maps:
@@ -526,9 +538,14 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
     slither, coslither = met.slither.word, met.coslither.word
     snake_count, cosnake_count = s.snakes
-    unit_size, unit_live = s.size, s.live_count
+    unit_size, unit_live, sigma = s.size, s.live_count, met.sigma
     fold = unit_size // met.T_tape
     violations, failed, skipped = rep.violations, dict.fromkeys(TABLE_LAWS, 0), 0
+    product_failures = rep.product_form_failures
+    # per size mod sigma, the swallow shifts or the error they raised; per
+    # (bar_alpha, bar_beta), whether the table words power up
+    shifts_at: dict[int, tuple[int, int] | AssertionError] = {}
+    words_at: dict[tuple[int, int], bool] = {}
 
     def fail(law: str, omega: int, detail: str = "") -> None:
         failed[law] += 1
@@ -537,13 +554,17 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     for omega in range(1, omega_max + 1):
         size, eta = omega * unit_size, omega * unit_live
         alpha, beta = lifted_counts(s, omega * fold)
-        deg_p, codeg_p = snake_count // alpha, cosnake_count // beta
         if (alpha, beta) != predicted_counts(s, omega):
             fail("ouroboros counts match formula", omega)
-        try:
-            shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
-        except AssertionError as exc:
-            fail("swallow cycle structure", omega, f": {exc}")
+        shifts = shifts_at.get(size % sigma)
+        if shifts is None:
+            try:
+                shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
+            except AssertionError as exc:
+                shifts = exc
+            shifts_at[size % sigma] = shifts
+        if isinstance(shifts, AssertionError):
+            fail("swallow cycle structure", omega, f": {shifts}")
             skipped += 1
             continue
         # a shift k of L labels has gcd(k, L) cycles, each of length
@@ -552,26 +573,26 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             fail("swallow cycle structure", omega)
         try:
             factors = group_factors(s, eta, alpha, beta)
-            if not (
-                matches_product(factors, alpha, eta // alpha)
-                and matches_product(factors, beta, eta // beta)
-            ):
-                rep.product_form_failures.append(
-                    f"{ctx} omega={omega}: factors {product_invariants(*factors)}, products "
-                    f"{product_invariants(alpha, eta // alpha)} / "
-                    f"{product_invariants(beta, eta // beta)}"
-                )
         except AssertionError as exc:
             fail("group order equals live count", omega, f": {exc}")
+        else:
+            by_s, by_c = product_pair(alpha, eta // alpha), product_pair(beta, eta // beta)
+            if not factors == by_s == by_c:
+                product_failures.append(
+                    f"{ctx} omega={omega}: factors {nontrivial_text(factors)}, products "
+                    f"{nontrivial_text(by_s)} / {nontrivial_text(by_c)}"
+                )
         try:
             color_preserving(s, omega, size, alpha, beta, shifts)
         except AssertionError as exc:
             fail("color-preserving conditions agree", omega, f": {exc}")
-        table_slither, table_coslither = table_words(s, alpha, beta)
-        if not (
-            cyclically_equal(table_slither * codeg_p, slither)
-            and cyclically_equal(table_coslither * deg_p, coslither)
-        ):
+        powers_up = words_at.get((alpha, beta))
+        if powers_up is None:
+            table_slither, table_coslither = table_words(s, alpha, beta)
+            powers_up = words_at[alpha, beta] = cyclically_equal(
+                table_slither * (cosnake_count // beta), slither
+            ) and cyclically_equal(table_coslither * (snake_count // alpha), coslither)
+        if not powers_up:
             fail("table slither power identity", omega)
         # torsor of the finite table group; it also checks the closed-form
         # eta against the number of live residues

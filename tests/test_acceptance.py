@@ -22,8 +22,8 @@ from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
     co_swallow,
     group_invariants,
-    matches_product,
     omega_table,
+    product_pair,
 )
 from snakescroll.verify import run_verification
 
@@ -212,7 +212,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
                     disagreements.append(
                         f"{ctx}: factors {inv.nontrivial}, forced {forced}"
                     )
-                matches = matches_product(inv.factors, a, eta // a)
+                matches = inv.factors == product_pair(a, eta // a)
                 if matches != (gcd(a, eta // a) == g):
                     disagreements.append(
                         f"{ctx}: the Z_a x Z_(eta/a) product form matches is "

@@ -22,6 +22,7 @@ def _labels(row: list, fold: int = 1) -> list:
         metrics=SimpleNamespace(T_tape=period, sigma=fold * period),
         period_cycles=walk_cycles((row, row), live),
     )
+    s.lift_labels = Scroll.lift_labels.func(s)
     snake, cosnake = Scroll.snake_labels.func(s)
     assert cosnake == snake
     return snake
@@ -77,6 +78,33 @@ def test_snake_labels_match_walked_cycles():
             assert s.snakes == (len(set(snake) - {None}), len(set(cosnake) - {None}))
             orbits += 1
     assert orbits == 159
+
+
+def test_lift_labels_match_walked_cycles():
+    # oracle: on every orbit with n <= 13, each live residue k = u + x*T
+    # mod sigma, u on cycle i with lift q, reads on lift (x - q) mod g_i of
+    # that cycle's lift labels the label walked mod sigma; each lift is one
+    # snake (co-snake), and the swallows' walk lifts read the same labels
+    orbits = 0
+    for n in range(2, 14):
+        for o in all_orbits(n):
+            s = Scroll(o)
+            period, sigma = s.metrics.T_tape, s.metrics.sigma
+            walked = walked_labels(s, sigma)
+            for (cycle, _, lift, _), lifts, labels in zip(s.period_cycles, s.lift_labels, walked):
+                read = [None] * sigma
+                for k in range(sigma):
+                    x, u = divmod(k, period)
+                    if cycle[u] is not None:
+                        table = lifts[cycle[u]]
+                        read[k] = table[(x - lift[u]) % len(table)]
+                assert read == labels, o.seed
+                assert sorted(x for table in lifts for x in table) == sorted(set(labels) - {None})
+            walks = s.coslither_walk[0], s.slither_walk[0]
+            for on_walk, labels, indices in zip(s.swallow_lifts, walked, walks):
+                assert [table[y] for table, y in on_walk] == [labels[k % sigma] for k in indices]
+            orbits += 1
+    assert orbits == 68
 
 
 def test_lifted_counts_match_walked_cycles():

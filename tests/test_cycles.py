@@ -4,6 +4,7 @@ import pytest
 
 from snakescroll.cycles import (
     Orbit,
+    _independent_words,
     _tape_states,
     all_orbits,
     enumerate_independent_sets,
@@ -105,6 +106,17 @@ def test_enumerate_counts_match_lucas_numbers():
     for n in range(2, 13):
         every = (format(i, f"0{n}b") for i in range(2**n))
         assert enumerate_independent_sets(n) == [w for w in every if "11" not in w + w[0]]
+
+
+def test_independent_words_match_the_filtered_construction():
+    # the words of n bits with no two adjacent 1s, from the linear
+    # recurrence, less those with both end bits set (the wrap edge)
+    for n in range(2, 21):
+        shorter, words = [0], [0, 1]
+        for k in range(2, n + 1):
+            shorter, words = words, words + [1 << (k - 1) | x for x in shorter]
+        ends = 1 << (n - 1) | 1
+        assert _independent_words(n) == [w for w in words if w & ends != ends], n
 
 
 def test_all_orbits_partition():

@@ -96,3 +96,12 @@ def test_gap_generator_matches_the_letter_recursion_at_the_edges():
         for ca, cb in ((0, k), (k, 0), (1, k)):
             for a, b in (("D", "E"), ("S", "L")):
                 assert necklaces_fixed_content(a, b, ca, cb) == sawada_necklaces(a, b, ca, cb), (ca, cb)
+
+
+def test_gap_generator_matches_the_letter_recursion_up_to_length_20():
+    # every content of every length up to 20, in both alphabets
+    for length in range(21):
+        for ca in range(length + 1):
+            for a, b in (("D", "E"), ("S", "L")):
+                expected = sawada_necklaces(a, b, ca, length - ca)
+                assert necklaces_fixed_content(a, b, ca, length - ca) == expected, (ca, length)

@@ -10,10 +10,11 @@ from snakescroll.tables import (
     co_swallow,
     group_invariants,
     is_color_preserving,
-    matches_product,
     omega_table,
     predicted_counts,
-    product_invariants,
+    nontrivial,
+    nontrivial_text,
+    product_pair,
     swallow,
     swallow_shift,
     table_coslither,
@@ -84,16 +85,15 @@ def test_running_example_co_swallow():
 
 def test_swallow_rejects_a_non_uniform_shift():
     t = omega_table(scroll_from_seed(SEED11), 1)
-    k0 = vector(t.scroll).index(1) + 1
-    # labels 0, 1, 2 in order, all swallowed onto label 0: labels mod 100
-    # give k0, k0 + 1, k0 + 2 the labels 0, 1, 2 and each k - 77 label 0
-    assert t.size == 77
-    labels = [0] * 100
-    labels[k0 + 1], labels[k0 + 2] = 1, 2
+    # labels 0, 1, 2 in order, all swallowed onto label 0: the walk sits on
+    # lifts 0, 1, 2 of one cycle of 100 lifts, labelled 0, 1, 2, and each
+    # lift less size/T = 11 is labelled 0
+    assert t.size == 77 and t.scroll.metrics.T_tape == 7
+    table = [0] * 100
+    table[1], table[2] = 1, 2
     s = t.scroll
-    # both label arrays and both walks are replaced: the orders are built together
-    vars(s)["snake_labels"] = (labels, labels)
-    vars(s)["coslither_walk"] = vars(s)["slither_walk"] = ([k0, k0 + 1, k0 + 2], "")
+    # both maps' walk lifts are replaced: the orders are built together
+    vars(s)["swallow_lifts"] = ([(table, y) for y in range(3)],) * 2
     assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))
     with pytest.raises(AssertionError, match="not a uniform shift"):
         swallow_shift(s, 0, t.size)
@@ -117,9 +117,12 @@ def test_running_example_group():
 
 
 def test_product_invariants():
-    assert product_invariants(2, 11) == (22,)
-    assert product_invariants(2, 4) == (2, 4)
-    assert product_invariants(1, 5) == (5,)
+    assert nontrivial(product_pair(2, 11)) == (22,)
+    assert nontrivial(product_pair(2, 4)) == (2, 4)
+    assert nontrivial(product_pair(1, 5)) == (5,)
+    # the evidence text is the tuple as Python writes it
+    for pair in ((1, 1), (1, 5), (2, 4), (12, 144000)):
+        assert nontrivial_text(pair) == str(nontrivial(pair))
 
 
 def _all_tables():
@@ -237,12 +240,12 @@ def test_direct_product_forms_fail_on_some_tables():
     inv = group_invariants(t)
     assert inv.nontrivial == (8,)
     # product form Z_bar_beta x Z_(eta/bar_beta) says (2, 4)
-    assert not matches_product(inv.factors, t.beta, t.eta // t.beta)
+    assert inv.factors != product_pair(t.beta, t.eta // t.beta)
     t = omega_table(scroll_from_seed("000100"), 1)
     inv = group_invariants(t)
     assert inv.nontrivial == (12,)
     # product form Z_bar_alpha x Z_(eta/bar_alpha) says (2, 6)
-    assert not matches_product(inv.factors, t.alpha, t.eta // t.alpha)
+    assert inv.factors != product_pair(t.alpha, t.eta // t.alpha)
 
 
 def test_table_words_power_up_to_scroll_words():

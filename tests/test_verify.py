@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -178,6 +179,106 @@ def test_table_laws_build_no_table_records(monkeypatch):
     }
     assert list(rep.passed)[1:] == list(verify.TABLE_LAWS)
     assert (len(rep.product_form_failures), len(rep.same_side_degree_failures)) == (167, 9)
+
+
+def _reference_table_laws(s, omega_max, rep):
+    """The table laws of `check_tables`, every value computed afresh at each
+    omega and each check recorded as it is made: the swallow shifts and
+    the table words are read through `verify`, so a patch there reaches
+    both."""
+    ctx, met = f"n={s.n} seed={s.base.seed}", s.metrics
+    deg_p1, codeg_p1 = s.fundamental_degrees
+    rep.check(
+        "crossed degree divisibility",
+        met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0,
+        ctx,
+    )
+    if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
+        rep.same_side_degree_failures.append(
+            f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
+        )
+    snakes = s.snakes
+    for omega in range(1, omega_max + 1):
+        size, eta = omega * s.size, omega * s.live_count
+        alpha, beta = scroll.lifted_counts(s, size // met.T_tape)
+        counts = (alpha, beta) == tables.predicted_counts(s, omega)
+        rep.check("ouroboros counts match formula", counts, ctx, omega)
+        try:
+            shifts = verify.swallow_shift(s, 0, size), verify.swallow_shift(s, 1, size)
+        except AssertionError as exc:
+            rep.violations.append(f"swallow cycle structure: {ctx} omega={omega}: {exc}")
+            continue
+        structure = (gcd(shifts[0], snakes.alpha), gcd(shifts[1], snakes.beta)) == (alpha, beta)
+        rep.check("swallow cycle structure", structure, ctx, omega)
+        try:
+            factors = tables.group_factors(s, eta, alpha, beta)
+            rep.check("group order equals live count", True, ctx)
+            by_s = tables.product_pair(alpha, eta // alpha)
+            by_c = tables.product_pair(beta, eta // beta)
+            if factors != by_s or factors != by_c:
+                rep.product_form_failures.append(
+                    f"{ctx} omega={omega}: factors {tables.nontrivial(factors)}, "
+                    f"products {tables.nontrivial(by_s)} / {tables.nontrivial(by_c)}"
+                )
+        except AssertionError as exc:
+            rep.violations.append(f"group order equals live count: {ctx} omega={omega}: {exc}")
+        law = "color-preserving conditions agree"
+        try:
+            tables.color_preserving(s, omega, size, alpha, beta, shifts)
+            rep.check(law, True, ctx)
+        except AssertionError as exc:
+            rep.violations.append(f"{law}: {ctx} omega={omega}: {exc}")
+        words = verify.table_words(s, alpha, beta)
+        powers = verify.cyclically_equal(
+            words[0] * (snakes.beta // beta), met.slither.word
+        ) and verify.cyclically_equal(words[1] * (snakes.alpha // alpha), met.coslither.word)
+        rep.check("table slither power identity", powers, ctx, omega)
+        torsor = verify._is_torsor(s, size, beta, eta // beta)
+        rep.check("table torsor simple transitivity", torsor, ctx, omega)
+
+
+def _breaking_swallows_and_words(monkeypatch):
+    # a swallow raising on every table whose size is a multiple of sigma,
+    # and a table slither (co-slither) one letter too long where each
+    # co-snake (snake) is its own co-ouroboros (ouroboros): each a function
+    # of the key its value is computed once per, and of all of it
+    shift, words = verify.swallow_shift, verify.table_words
+
+    def raising(s, which, size):
+        if size % s.metrics.sigma == 0:
+            raise AssertionError(f"no swallow at size {size % s.metrics.sigma}")
+        return shift(s, which, size)
+
+    def longer(s, alpha, beta):
+        slither, coslither = words(s, alpha, beta)
+        snakes = s.snakes
+        return slither + "D" * (beta == snakes.beta), coslither + "S" * (alpha == snakes.alpha)
+
+    monkeypatch.setattr(verify, "swallow_shift", raising)
+    monkeypatch.setattr(verify, "table_words", longer)
+
+
+@pytest.mark.parametrize("breaking", [None, _breaking_swallows_and_words])
+def test_table_laws_match_a_reference_without_memo(breaking, monkeypatch):
+    # the swallow shifts (per table size mod sigma) and the table words
+    # (per (bar_alpha, bar_beta)) are computed once per key and orbit;
+    # every orbit with n <= 13 and omega <= 60 gets the passes, the
+    # violations in omega order and the evidence of a fresh evaluation at
+    # every omega, both on the true values and where both raise or fail
+    if breaking:
+        breaking(monkeypatch)
+    scrolls = [Scroll(o) for n in range(2, 14) for o in all_orbits(n)]
+    assert len(scrolls) == 68
+    got, want = VerificationReport(), VerificationReport()
+    for s in scrolls:
+        check_tables(s, 60, got)
+        _reference_table_laws(s, 60, want)
+    assert got.passed == want.passed
+    assert got.violations == want.violations
+    assert got.product_form_failures == want.product_form_failures
+    assert got.same_side_degree_failures == want.same_side_degree_failures
+    broken = {"swallow cycle structure", "table slither power identity"} if breaking else set()
+    assert {v.split(":")[0] for v in got.violations} == broken
 
 
 def _torsor_shapes(count: int, law: tuple[int, int]):
@@ -818,11 +919,11 @@ def _one_more_live_residue(s):
 
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
 def test_a_broken_table_torsor_is_a_violation(breaking):
-    # the counts and the snake labels the swallows read are built from the
+    # the counts and the walk lifts the swallows read are built from the
     # true advances; only the table torsor reads the broken co-successor
     # cycles or successor advances
     s = scroll_from_seed("00001010000")
-    s.windings, s.snake_labels
+    s.windings, s.swallow_lifts
     breaking(s)
     rep = VerificationReport()
     check_tables(s, 1, rep)
