@@ -34,12 +34,12 @@ from .slither import (
 from .sums import col_scale, construct_period_lambda, sum_vector
 from .tables import (
     OrbitTable,
-    co_swallow,
-    group_invariants,
-    is_color_preserving,
+    color_preserving,
+    group_factors,
     omega_table,
     predicted_counts,
-    swallow,
+    swallow_shift,
+    table_words,
 )
 from .verify import run_verification
 

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from .cycles import is_independent
 from .cyclic import canonical_binary, exponent, least_period
 from .necklaces import necklaces_fixed_content
-from .slither import metrics_from_words, words_from_row
+from .slither import metrics_from_words, step_advance, words_from_row
 
 
 @dataclass(frozen=True, order=True)
@@ -131,13 +131,7 @@ def tape_period(ws: str, wc: str, size: int, n: int) -> str:
     Tape index 0 is the live entry where both words start.  The live set
     mod T_tape is read off the torsor and checked by `checked_period`.
     """
-    # the step advances (`step_advance`) mod the period
-    advance = {
-        "E": 2 % size,
-        "D": (n + 1) % size,
-        "S": (2 * n - 1) % size,
-        "L": (2 * n - 2) % size,
-    }
+    advance = {letter: step_advance(letter, n) % size for letter in "EDSL"}
     # bit i of a mask is tape index i (0-based) mod size
     slither_mask, t = 0, 0
     for letter in ws:

@@ -11,28 +11,39 @@ from .cyclic import cyclically_equal
 from .sums import col_scale, sum_vector
 from .tables import (
     OrbitTable,
-    co_swallow,
-    group_invariants,
-    is_color_preserving,
+    color_preserving,
+    group_factors,
+    nontrivial,
     predicted_counts,
-    swallow,
-    table_coslither,
-    table_slither,
+    swallow_shift,
+    table_words,
 )
+
+
+def _cycle_type(shift: int, labels: int) -> list[int]:
+    """A shift k of L labels in their cyclic order has gcd(k, L) cycles,
+    each of length L / gcd(k, L)."""
+    cycles = gcd(shift, labels)
+    return [labels // cycles] * cycles
 
 
 def orbit_report(table: OrbitTable) -> dict[str, Any]:
     """Everything the library can say about one table's seed, in one record.
 
     Closed-form values are embedded next to their simulated counterparts
-    with explicit agreement flags.
+    with explicit agreement flags.  The per-table values are read off
+    `tables`' scalar cores, as `verify.check_tables` reads them, in the
+    order it does: swallow, co-swallow, group factors, then the
+    colour-preserving conditions.
     """
-    s, omega = table.scroll, table.omega
+    s, omega, size = table.scroll, table.omega, table.size
+    alpha, beta = table.alpha, table.beta
     met = s.metrics
     snakes = s.snakes
-    sw, cs = swallow(table), co_swallow(table)
-    inv = group_invariants(table)
+    shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
+    factors = group_factors(s, table.eta, alpha, beta)
     sv = sum_vector(s)
+    words = table_words(s, alpha, beta)
 
     return {
         "n": s.n,
@@ -56,26 +67,25 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "sumPeriod": sv.lam,
         "tableRows": table.r,
         "eta": table.eta,
-        "barAlpha": table.alpha,
-        "barBeta": table.beta,
+        "barAlpha": alpha,
+        "barBeta": beta,
         "degP": table.deg,
         "codegP": table.codeg,
-        "tableSlither": table_slither(table),
-        "tableCoslither": table_coslither(table),
-        "swallowShift": sw.shift,
-        "coSwallowShift": cs.shift,
-        "swallowCycles": list(sw.cycle_type),
-        "coSwallowCycles": list(cs.cycle_type),
-        "invariantFactors": list(inv.nontrivial) or [1],
-        "colorPreserving": is_color_preserving(table, sw, cs),
+        "tableSlither": words[0],
+        "tableCoslither": words[1],
+        "swallowShift": shifts[0],
+        "coSwallowShift": shifts[1],
+        "swallowCycles": _cycle_type(shifts[0], snakes.alpha),
+        "coSwallowCycles": _cycle_type(shifts[1], snakes.beta),
+        "invariantFactors": list(nontrivial(factors)) or [1],
+        "colorPreserving": color_preserving(s, omega, size, alpha, beta, shifts),
         "agreement": {
             "scrollPeriodMatchesOrbit": met.T_scroll == s.m,
-            "predictedCountsMatch": (table.alpha, table.beta)
-            == predicted_counts(s, omega),
+            "predictedCountsMatch": (alpha, beta) == predicted_counts(s, omega),
             # one simulated slither double-checks the row extraction
             "slitherMatchesSimulation": cyclically_equal(s.slither_walk[1], met.slither.word),
             "fundamentalDegreesCoprime": gcd(*s.fundamental_degrees) == 1,
-            "groupOrderMatchesEta": inv.order == table.eta,
+            "groupOrderMatchesEta": factors[0] * factors[1] == table.eta,
         },
     }
 

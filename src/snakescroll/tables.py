@@ -1,4 +1,4 @@
-"""Finite orbit tables: ouroboroi, swallow permutations, group invariants.
+"""Finite orbit tables: ouroboroi, swallow shifts, group invariants.
 
 An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by the reduction that gives the
@@ -48,11 +48,10 @@ and a swallow reads the label of each index's image, less the table
 size, at lift y - size/T.  Only the renderers build the label arrays mod
 sigma (`Scroll.snake_labels`), from the same lift labels.
 
-The records `OrbitTable` (built by `omega_table`), `SwallowPermutation`
-(`swallow`, `co_swallow`) and `GroupInvariants` (`group_invariants`), and
-`is_color_preserving`, `table_slither` and `table_coslither`, are thin
-builders over the scalar cores, for the `orbit` command's report and
-renderers: one table per request.
+The one table record, `OrbitTable` (built by `omega_table`), holds these
+scalars for the `orbit` command's report and renderers, one table per
+request; the report reads each per-table value off the same scalar cores
+as `verify`.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .scroll import Scroll, lifted_counts
 @dataclass(slots=True)
 class OrbitTable:
     """The omega-fold table of a scroll and its scalars, each computed once
-    by `omega_table`; the record helpers read them."""
+    by `omega_table`."""
 
     scroll: Scroll
     omega: int
@@ -116,50 +115,6 @@ def swallow_shift(s: Scroll, which: int, size: int) -> int:
     return shift
 
 
-@dataclass(slots=True)
-class SwallowPermutation:
-    """A permutation of snake labels in their cyclic traversal order."""
-
-    order: tuple[int, ...]  # labels in cyclic order
-    shift: int  # uniform shift k with image(order[i]) = order[i+k]
-
-    @property
-    def cycle_type(self) -> tuple[int, ...]:
-        size = len(self.order)
-        cycles = gcd(self.shift, size)
-        return (size // cycles,) * cycles
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0
-
-
-def swallow(t: OrbitTable) -> SwallowPermutation:
-    """Permutation of snakes induced by stepping past each omega-head."""
-    s = t.scroll
-    # snakes are traversed once per co-slither cycle: order by co-successor
-    return SwallowPermutation(s.swallow_orders[0], swallow_shift(s, 0, t.size))
-
-
-def co_swallow(t: OrbitTable) -> SwallowPermutation:
-    s = t.scroll
-    # co-snakes are traversed once per slither cycle: order by successor
-    return SwallowPermutation(s.swallow_orders[1], swallow_shift(s, 1, t.size))
-
-
-@dataclass(slots=True)
-class GroupInvariants:
-    factors: tuple[int, int]  # invariant factors d1 | d2, possibly with d1 = 1
-
-    @property
-    def order(self) -> int:
-        return self.factors[0] * self.factors[1]
-
-    @property
-    def nontrivial(self) -> tuple[int, ...]:
-        return nontrivial(self.factors)
-
-
 def nontrivial(pair: tuple[int, int]) -> tuple[int, ...]:
     """The invariant factors above 1 of a pair d | l."""
     d, l = pair
@@ -204,25 +159,12 @@ def group_factors(s: Scroll, eta: int, alpha: int, beta: int) -> tuple[int, int]
     return d1, order // d1
 
 
-def group_invariants(t: OrbitTable) -> GroupInvariants:
-    """The table's invariant factors (`group_factors`)."""
-    return GroupInvariants(group_factors(t.scroll, t.eta, t.alpha, t.beta))
-
-
 def table_words(s: Scroll, alpha: int, beta: int) -> tuple[str, str]:
     """The table slither, of length bar_beta = beta, and co-slither, of
     length bar_alpha = alpha: their codeg(p_omega) and deg(p_omega) powers
     are the scroll's words."""
     met = s.metrics
     return met.slither.word[:beta], met.coslither.word[:alpha]
-
-
-def table_slither(t: OrbitTable) -> str:
-    return table_words(t.scroll, t.alpha, t.beta)[0]
-
-
-def table_coslither(t: OrbitTable) -> str:
-    return table_words(t.scroll, t.alpha, t.beta)[1]
 
 
 def color_preserving(
@@ -244,9 +186,3 @@ def color_preserving(
         counts=counts, swallows=swallows, bijection=bijection, scale=scale, frequency=frequency
     )
     raise AssertionError(f"color-preserving conditions disagree: {conditions}")
-
-
-def is_color_preserving(t: OrbitTable, sw: SwallowPermutation, cs: SwallowPermutation) -> bool:
-    """The five conditions (`color_preserving`) on table t, whose swallow
-    and co-swallow are sw and cs."""
-    return color_preserving(t.scroll, t.omega, t.size, t.alpha, t.beta, (sw.shift, cs.shift))

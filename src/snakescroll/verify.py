@@ -11,8 +11,7 @@ one entry per law and tallies the orbit's entries together, and a law
 that passes builds no context, no tape index list and no sorted or
 counted failure set.  The table laws of `check_tables` are tallied so
 too, once per orbit over all its omegas: each table is its scalars
-alone, read off `tables`' scalar cores, and no table, swallow or group
-record is built.
+alone, read off `tables`' scalar cores, and no table record is built.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
 period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
@@ -89,14 +88,6 @@ class VerificationReport:
                 violations += [f"{name}: {context}" for context in failures]
             if total > 0:
                 passed[name] = passed.get(name, 0) + total
-
-    def check(self, name: str, condition: bool, context: str, omega: int = 0) -> None:
-        """Record one check; a failure's context ends with its omega, if given."""
-        if condition:
-            self.passed[name] = self.passed.get(name, 0) + 1
-        else:
-            context = f"{context} omega={omega}" if omega else context
-            self.violations.append(f"{name}: {context}")
 
 
 def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
@@ -526,11 +517,8 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     met = s.metrics
 
     deg_p1, codeg_p1 = s.fundamental_degrees
-    rep.check(
-        "crossed degree divisibility",
-        met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0,
-        ctx,
-    )
+    crossed = met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0
+    rep.tally([("crossed degree divisibility", 1, () if crossed else (ctx,))])
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
             f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
@@ -588,10 +576,10 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             fail("color-preserving conditions agree", omega, f": {exc}")
         powers_up = words_at.get((alpha, beta))
         if powers_up is None:
-            table_slither, table_coslither = table_words(s, alpha, beta)
+            cut_slither, cut_coslither = table_words(s, alpha, beta)
             powers_up = words_at[alpha, beta] = cyclically_equal(
-                table_slither * (cosnake_count // beta), slither
-            ) and cyclically_equal(table_coslither * (snake_count // alpha), coslither)
+                cut_slither * (cosnake_count // beta), slither
+            ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
         if not powers_up:
             fail("table slither power identity", omega)
         # torsor of the finite table group; it also checks the closed-form
@@ -610,11 +598,10 @@ def classification_completeness(n: int, simulated: set[str], rep: VerificationRe
     """The simulated least tape periods, each in its least rotation, equal
     the classified canonical periods."""
     classified = {rec.period for rec in enumerate_ticker_tapes(n)}
-    rep.check(
-        "classification completeness",
-        simulated == classified,
+    failed = () if simulated == classified else (
         f"n={n}: {len(simulated)} simulated vs {len(classified)} classified",
     )
+    rep.tally([("classification completeness", 1, failed)])
 
 
 def run_verification(

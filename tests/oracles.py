@@ -212,7 +212,7 @@ def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
 def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
     """Nontrivial invariant factors of the group the reduced maps generate.
 
-    Oracle for group_invariants: it reads only the table's live residues
+    Oracle for group_factors: it reads only the table's live residues
     and the two maps reduced mod the table size (`reduced_maps`), s
     (successor) and c (co-successor), both read off the scroll's vector and
     steps.

@@ -5,20 +5,18 @@ from math import gcd, lcm
 import pytest
 
 from snakescroll.cycles import all_orbits
+from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import (
-    co_swallow,
-    group_invariants,
-    is_color_preserving,
+    color_preserving,
+    group_factors,
     omega_table,
     predicted_counts,
     nontrivial,
     nontrivial_text,
     product_pair,
-    swallow,
     swallow_shift,
-    table_coslither,
-    table_slither,
+    table_words,
 )
 
 from oracles import (
@@ -76,11 +74,11 @@ def test_running_example_predicted_counts():
 
 def test_running_example_co_swallow():
     s = scroll_from_seed(SEED11)
-    cs = co_swallow(omega_table(s, 1))
-    assert cs.shift == 4
-    assert cs.cycle_type == (3, 3)
-    sw = swallow(omega_table(s, 1))
-    assert sw.cycle_type == (2,)  # alpha=2 snakes folded into one ouroboros
+    t = omega_table(s, 1)
+    assert swallow_shift(s, 1, t.size) == 4
+    report = orbit_report(t)
+    assert report["coSwallowCycles"] == [3, 3]
+    assert report["swallowCycles"] == [2]  # alpha=2 snakes folded into one ouroboros
 
 
 def test_swallow_rejects_a_non_uniform_shift():
@@ -99,21 +97,35 @@ def test_swallow_rejects_a_non_uniform_shift():
         swallow_shift(s, 0, t.size)
 
 
-def test_swallow_cycle_structure_everywhere():
+def test_report_table_fields_match_oracles():
+    # the fields the orbit report derives from the scalar cores, on every
+    # table with n <= 9 and omega <= 3: each swallow folds deg p (codeg p)
+    # snakes (co-snakes) into each of its bar_alpha (bar_beta) cycles, the
+    # invariant factors are the torsor oracle's, and a table preserves
+    # colours exactly at the multiples of deg p_1 * codeg p_1
+    tables = 0
     for n in range(2, 10):
         for o in all_orbits(n):
             s = Scroll(o)
+            deg_p1, codeg_p1 = s.fundamental_degrees
             for omega in (1, 2, 3):
+                tables += 1
                 table = omega_table(s, omega)
-                assert swallow(table).cycle_type == tuple([table.deg] * table.alpha)
-                assert co_swallow(table).cycle_type == tuple([table.codeg] * table.beta)
+                report = orbit_report(table)
+                assert report["swallowCycles"] == [report["degP"]] * report["barAlpha"]
+                assert report["coSwallowCycles"] == [report["codegP"]] * report["barBeta"]
+                group = permutation_group_invariants(table)
+                assert report["invariantFactors"] == (list(group) or [1])
+                assert report["colorPreserving"] == (omega % (deg_p1 * codeg_p1) == 0)
+    assert tables == 54
 
 
 def test_running_example_group():
     s = scroll_from_seed(SEED11)
-    inv = group_invariants(omega_table(s, 1))
-    assert inv.nontrivial == (22,)
-    assert inv.order == 22
+    t = omega_table(s, 1)
+    factors = group_factors(s, t.eta, t.alpha, t.beta)
+    assert nontrivial(factors) == (22,)
+    assert factors[0] * factors[1] == 22
 
 
 def test_product_invariants():
@@ -137,8 +149,8 @@ def _all_tables():
 def test_presentation_matches_permutation_group():
     # the torsor walk over the two reduced maps as an oracle
     for table in _all_tables():
-        inv = group_invariants(table)
-        assert inv.nontrivial == permutation_group_invariants(table)
+        factors = group_factors(table.scroll, table.eta, table.alpha, table.beta)
+        assert nontrivial(factors) == permutation_group_invariants(table)
 
 
 def _live(table):
@@ -173,9 +185,10 @@ def test_swallows_match_head_stepping_reference():
         succ, co_succ = reduced_maps(s, table.size)
         sw = _reference_swallow(table, snake, s.snakes.alpha, lambda t: co_successor(s, t), succ)
         cs = _reference_swallow(table, cosnake, s.snakes.beta, lambda t: successor(s, t), co_succ)
-        for got, want in ((swallow(table), sw), (co_swallow(table), cs)):
-            image = dict(zip(got.order, got.order[got.shift :] + got.order[: got.shift]))
-            assert (got.order, image) == want
+        for which, want in enumerate((sw, cs)):
+            order, shift = s.swallow_orders[which], swallow_shift(s, which, table.size)
+            image = dict(zip(order, order[shift:] + order[:shift]))
+            assert (order, image) == want
 
 
 def _cycle_lengths_lcm(live, step) -> int:
@@ -237,32 +250,33 @@ def test_reduced_maps_are_the_steps_reduced():
 def test_direct_product_forms_fail_on_some_tables():
     # Z_bar_alpha x Z_(eta/bar_alpha) is not always the table group
     t = omega_table(scroll_from_seed("0000"), 1)
-    inv = group_invariants(t)
-    assert inv.nontrivial == (8,)
+    factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
+    assert nontrivial(factors) == (8,)
     # product form Z_bar_beta x Z_(eta/bar_beta) says (2, 4)
-    assert inv.factors != product_pair(t.beta, t.eta // t.beta)
+    assert factors != product_pair(t.beta, t.eta // t.beta)
     t = omega_table(scroll_from_seed("000100"), 1)
-    inv = group_invariants(t)
-    assert inv.nontrivial == (12,)
+    factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
+    assert nontrivial(factors) == (12,)
     # product form Z_bar_alpha x Z_(eta/bar_alpha) says (2, 6)
-    assert inv.factors != product_pair(t.alpha, t.eta // t.alpha)
+    assert factors != product_pair(t.alpha, t.eta // t.alpha)
 
 
 def test_table_words_power_up_to_scroll_words():
     s = scroll_from_seed(SEED11)
     t1 = omega_table(s, 1)
-    assert table_slither(t1) == "ED"
-    assert table_coslither(t1) == "S"
-    deg_p, codeg_p = t1.deg, t1.codeg
-    assert table_slither(t1) * codeg_p == s.metrics.slither.word
-    assert table_coslither(t1) * deg_p == s.metrics.coslither.word
+    slither, coslither = table_words(s, t1.alpha, t1.beta)
+    assert (slither, coslither) == ("ED", "S")
+    assert slither * t1.codeg == s.metrics.slither.word
+    assert coslither * t1.deg == s.metrics.coslither.word
 
 
 def test_color_preserving_running_example():
     s = scroll_from_seed(SEED11)
     for omega in range(1, 13):
         t = omega_table(s, omega)
-        assert is_color_preserving(t, swallow(t), co_swallow(t)) == (omega % 6 == 0)
+        shifts = swallow_shift(s, 0, t.size), swallow_shift(s, 1, t.size)
+        preserving = color_preserving(s, omega, t.size, t.alpha, t.beta, shifts)
+        assert preserving == (omega % 6 == 0)
 
 
 def test_crossed_degree_divisibility():

@@ -13,7 +13,7 @@ from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.slither import _STEP_SHAPE, CoSlither, Slither
 from snakescroll.sums import SumVector
-from snakescroll.tables import co_swallow, omega_table, swallow
+from snakescroll.tables import omega_table, swallow_shift
 from snakescroll.verify import (
     VerificationReport,
     check_scroll,
@@ -120,7 +120,12 @@ def test_alternating_scrolls_walk_each_once(monkeypatch):
     a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
     ta, tb = omega_table(a, 2), omega_table(b, 3)
     reads = [
-        [a.snake_labels, b.snake_labels, swallow(ta).order, co_swallow(tb).order]
+        [
+            a.snake_labels,
+            b.snake_labels,
+            swallow_shift(a, 0, ta.size),
+            swallow_shift(b, 1, tb.size),
+        ]
         for _ in range(3)
     ]
     assert calls == [a.metrics.T_tape, b.metrics.T_tape]
@@ -150,13 +155,12 @@ def test_each_scroll_walks_its_slither_and_coslither_once(monkeypatch):
 
 def test_table_laws_build_no_table_records(monkeypatch):
     # the table laws read each table's scalars off the scalar cores: over
-    # every orbit with n <= 10 and omega <= 12 no table, swallow or group
-    # record is built, and each scroll builds its swallow orders once
+    # every orbit with n <= 10 and omega <= 12 no table record is built,
+    # and each scroll builds its swallow orders once
     def unbuilt(self, *_args, **_kwargs):
         raise AssertionError(f"{type(self).__name__} built")
 
-    for record in (tables.OrbitTable, tables.SwallowPermutation, tables.GroupInvariants):
-        monkeypatch.setattr(record, "__init__", unbuilt)
+    monkeypatch.setattr(tables.OrbitTable, "__init__", unbuilt)
     built = []
     orders = Scroll.__dict__["swallow_orders"]
     original = orders.func
@@ -181,14 +185,24 @@ def test_table_laws_build_no_table_records(monkeypatch):
     assert (len(rep.product_form_failures), len(rep.same_side_degree_failures)) == (167, 9)
 
 
+def _check(rep, name, condition, context, omega=0):
+    """Record one check as it is made; a failure's context ends with its
+    omega, if given."""
+    if condition:
+        rep.passed[name] = rep.passed.get(name, 0) + 1
+    else:
+        rep.violations.append(f"{name}: {context} omega={omega}" if omega else f"{name}: {context}")
+
+
 def _reference_table_laws(s, omega_max, rep):
     """The table laws of `check_tables`, every value computed afresh at each
-    omega and each check recorded as it is made: the swallow shifts and
-    the table words are read through `verify`, so a patch there reaches
-    both."""
+    omega and each check recorded as it is made (`_check`): the swallow
+    shifts and the table words are read through `verify`, so a patch there
+    reaches both."""
     ctx, met = f"n={s.n} seed={s.base.seed}", s.metrics
     deg_p1, codeg_p1 = s.fundamental_degrees
-    rep.check(
+    _check(
+        rep,
         "crossed degree divisibility",
         met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0,
         ctx,
@@ -202,17 +216,17 @@ def _reference_table_laws(s, omega_max, rep):
         size, eta = omega * s.size, omega * s.live_count
         alpha, beta = scroll.lifted_counts(s, size // met.T_tape)
         counts = (alpha, beta) == tables.predicted_counts(s, omega)
-        rep.check("ouroboros counts match formula", counts, ctx, omega)
+        _check(rep, "ouroboros counts match formula", counts, ctx, omega)
         try:
             shifts = verify.swallow_shift(s, 0, size), verify.swallow_shift(s, 1, size)
         except AssertionError as exc:
             rep.violations.append(f"swallow cycle structure: {ctx} omega={omega}: {exc}")
             continue
         structure = (gcd(shifts[0], snakes.alpha), gcd(shifts[1], snakes.beta)) == (alpha, beta)
-        rep.check("swallow cycle structure", structure, ctx, omega)
+        _check(rep, "swallow cycle structure", structure, ctx, omega)
         try:
             factors = tables.group_factors(s, eta, alpha, beta)
-            rep.check("group order equals live count", True, ctx)
+            _check(rep, "group order equals live count", True, ctx)
             by_s = tables.product_pair(alpha, eta // alpha)
             by_c = tables.product_pair(beta, eta // beta)
             if factors != by_s or factors != by_c:
@@ -225,16 +239,16 @@ def _reference_table_laws(s, omega_max, rep):
         law = "color-preserving conditions agree"
         try:
             tables.color_preserving(s, omega, size, alpha, beta, shifts)
-            rep.check(law, True, ctx)
+            _check(rep, law, True, ctx)
         except AssertionError as exc:
             rep.violations.append(f"{law}: {ctx} omega={omega}: {exc}")
         words = verify.table_words(s, alpha, beta)
         powers = verify.cyclically_equal(
             words[0] * (snakes.beta // beta), met.slither.word
         ) and verify.cyclically_equal(words[1] * (snakes.alpha // alpha), met.coslither.word)
-        rep.check("table slither power identity", powers, ctx, omega)
+        _check(rep, "table slither power identity", powers, ctx, omega)
         torsor = verify._is_torsor(s, size, beta, eta // beta)
-        rep.check("table torsor simple transitivity", torsor, ctx, omega)
+        _check(rep, "table torsor simple transitivity", torsor, ctx, omega)
 
 
 def _breaking_swallows_and_words(monkeypatch):
@@ -1041,12 +1055,12 @@ def test_a_raising_group_fails_the_group_order_law(monkeypatch):
         assert rep.passed[later] == 2, later
 
 
-@pytest.mark.parametrize("helper", ["table_slither", "table_coslither"])
-def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, helper):
+@pytest.mark.parametrize("word", ["slither", "coslither"])
+def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, word):
     # either word alone breaks the identity: "D" to any power is no slither
-    # (it has E) and no co-slither (it has no S or L); the loop cuts both
-    # words at once (`table_words`), so the helper's one word is replaced
-    which = ("table_slither", "table_coslither").index(helper)
+    # (it has E) and no co-slither (it has no S or L); `table_words` cuts
+    # both words at once, so one of the two is replaced
+    which = ("slither", "coslither").index(word)
     words = verify.table_words
 
     def one_wrong(s, alpha, beta):
