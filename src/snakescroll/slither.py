@@ -119,12 +119,6 @@ def metrics_from_words(slither: str, coslither: str, n: int) -> ScrollMetrics:
     """All scale data of the tape with these slither and co-slither words."""
     ws, wc = Slither(slither), CoSlither(coslither)
     sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d
-    sigma_co = (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l
-    if sigma != sigma_co:
-        raise AssertionError(
-            f"scale closed forms disagree: {sigma} != {sigma_co} on "
-            f"({ws.word}, {wc.word})"
-        )
     deg = exponent(ws.word)
     codeg = exponent(wc.word)
     p = sigma // deg

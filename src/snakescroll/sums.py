@@ -39,16 +39,10 @@ def sum_vector(s: Scroll) -> SumVector:
 
 
 def col_scale(s: Scroll) -> int:
-    """Scale mod n; both letter-count forms evaluated and checked."""
-    met = s.metrics
-    via_slither = met.slither.beta_d + 2 * met.slither.beta_e
-    via_coslither = s.n - met.coslither.alpha_s - 2 * met.coslither.alpha_l
-    if via_slither != via_coslither or via_slither != met.sigma % s.n:
-        raise AssertionError(
-            f"ColScale forms disagree: {via_slither}, {via_coslither}, "
-            f"{met.sigma % s.n}"
-        )
-    return via_slither
+    """Scale mod n, beta_D + 2 beta_E; the count identities make it equal
+    n - alpha_S - 2 alpha_L and sigma mod n."""
+    ws = s.metrics.slither
+    return ws.beta_d + 2 * ws.beta_e
 
 
 def period_lambda_words(lam: int, k: int) -> tuple[str, str]:

@@ -283,14 +283,15 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         add((law, laps * (len(live) - len(not_unique) - skipped), failed))
     snakes = s.snakes if s.steps_are_maps else None
 
-    # letter-count constraints and scale identities
+    # letter-count constraints and scale identities; T_tape, gcd(p, q) of
+    # the words, against the simulated least period
     ws, wc = met.slither, met.coslither
     beta_d, alpha_s, alpha_l = ws.beta_d, wc.alpha_s, wc.alpha_l
     held = [
         ("beta_D = 2 alpha - 1", beta_d == 2 * (alpha_s + alpha_l) - 1),
         ("2bE + 3aS + 4aL = n+1", 2 * ws.beta_e + 3 * alpha_s + 4 * alpha_l == n + 1),
         ("deg, codeg coprime", gcd(met.deg, met.codeg) == 1),
-        ("T_tape = gcd(p, q)", met.T_tape == gcd(met.p, met.q)),
+        ("T_tape = gcd(p, q)", met.T_tape == period),
         ("orbit length formula", met.T_scroll == m),
     ]
     if snakes:

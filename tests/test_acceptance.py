@@ -7,8 +7,6 @@ the exhaustive suites at full size, with the stated runtime budgets.
 import time
 from math import gcd
 
-import pytest
-
 from snakescroll.classify import (
     enumerate_ticker_tapes,
     feasible_quadruples,

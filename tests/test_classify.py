@@ -24,11 +24,18 @@ from oracles import vector
 
 
 def test_quadruple_constraints():
-    for n in range(2, 30):
+    # the two count identities and what follows from them, which the library
+    # relies on unchecked: sigma equals its co-slither form, and ColScale's
+    # two letter forms equal sigma mod n
+    for n in range(2, 301):
         for quad in feasible_quadruples(n):
-            assert quad.beta_d == 2 * (quad.alpha_s + quad.alpha_l) - 1
-            assert 2 * quad.beta_e + 3 * quad.alpha_s + 4 * quad.alpha_l == n + 1
-            assert quad.alpha > 0
+            e, s, l, d = quad.beta_e, quad.alpha_s, quad.alpha_l, quad.beta_d
+            assert d == 2 * (s + l) - 1
+            assert 2 * e + 3 * s + 4 * l == n + 1
+            assert s + l > 0
+            sigma = 2 * e + (n + 1) * d
+            assert sigma == (2 * n - 1) * s + (2 * n - 2) * l
+            assert d + 2 * e == n - s - 2 * l == sigma % n
 
 
 def test_gf_count_small_values():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from snakescroll import cycles, render, report, scroll, tables, verify
+from snakescroll import cycles, report, scroll, tables, verify
 from snakescroll.cycles import Orbit, all_orbits, orbit
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, scroll_from_seed
@@ -1096,14 +1096,15 @@ def _walk(s, name, letters):
 # (slither EDEDED, co-slither SS, deg 3, codeg 2, p 14, q 21, T 7, lambda 1,
 # ColScale 9, 2 live residues mod T), each injected through the scroll's
 # metrics or cached values or the sum vector; a fault may break other laws
-# too.  A word injected keeps both ColScale forms at 9 (beta_D + 2 beta_E
-# and n - alpha_S - 2 alpha_L), which col_scale asserts.  Each returns what
-# its law's context has after the seed
+# too.  A slither injected keeps ColScale, beta_D + 2 beta_E, at 9.  The
+# T_tape law's fault is on the simulated side: the tape's least period read
+# as all m*n = 77 symbols.  Each returns what its law's context has after
+# the seed
 PER_SCROLL_FAULTS = {
     "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
     "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
     "deg, codeg coprime": lambda s, mp: _metrics(s, codeg=3),
-    "T_tape = gcd(p, q)": lambda s, mp: _metrics(s, q=42),
+    "T_tape = gcd(p, q)": lambda s, mp: vars(s).update(unit=s.unit * 11),
     "alpha from letters": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
     "beta from letters": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
     "lambda odd": lambda s, mp: _lam(mp, 2),
