@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: orbit, classify, verify, sum-period, construct.
-Exit codes: 0 success, 1 input error, 2 theorem violation.
+Exit codes: 0 success, 1 input error, 2 theorem violation.  A reader that
+closes the output early (`snakescroll classify --n 20 | head`) ends the
+command quietly with exit 0: it has all the output it asked for.
 
 The parser does not depend on the input, so it is built once, at import,
 as `PARSER`, with its subcommand parsers by name in `COMMANDS`; `main(argv)`
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import construct_first_row, enumerate_ticker_tapes
@@ -210,7 +213,15 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit meets no broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

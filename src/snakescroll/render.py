@@ -26,8 +26,9 @@ SVG_UNIT = 28  # pixels per table cell
 
 
 def _label_colors(labels: list, palette: list) -> dict:
-    """Palette entries, cycled, for the labels (the residues labelling themselves), ascending."""
-    ordered = [r for r, label in enumerate(labels) if label == r]
+    """Palette entries, cycled, for the snake ids in the order tape indices
+    0, 1, ... first meet them: the order of their snakes' least residues."""
+    ordered = [label for label in dict.fromkeys(labels) if label is not None]
     return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
 
 

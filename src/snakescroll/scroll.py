@@ -6,7 +6,7 @@ i and column j, is tape index t = i*n + j; this is the cylinder
 identification, under which (i, j+n) and (i+1, j) are the same cell.  So
 the tape alone is the scroll, and a scroll keeps one least period P of it
 (`Scroll.unit`, found on the orbit's period): X_t = unit[(t - 1) % P],
-and the m*n = lcm(T, n) residues of the orbit are the unit repeated.  Its
+and the m*n = lcm(P, n) residues of the orbit are the unit repeated.  Its
 live residues, those r with X_(r+1) live, are listed once
 (`Scroll.unit_live`) and read by every builder and law that visits them.
 
@@ -33,39 +33,36 @@ the swallows and the orbit report read it.
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
 omega*m*n of an orbit table: both maps commute with shifts by any multiple
-M of the tape period T, so they descend to the residues mod M.  Each
-scroll walks its two maps once, mod T (`walk_cycles`, read as
-`Scroll.period_cycles`), stepping a residue v by its advance
-(`Scroll.period_advances`): per live residue it gives its cycle, its
-index on that cycle and its lift, per cycle its length, its winding and
-its start, the least member.  Every cycle mod M is read off those cycles
-through the covering map Z/M -> Z/T.
+M of P, so they descend to the residues mod M.  Each scroll walks its two
+maps once, mod P, on the offsets r = t - 1 its steps read (`walk_cycles`,
+read as `Scroll.period_cycles`), stepping a live residue r by its step
+advance: per live residue it gives its cycle, its index on that cycle and
+its lift, per cycle its length and its winding.  Every cycle mod M is read
+off those cycles through the covering map Z/M -> Z/P.
 
-A cycle of a map mod T whose advances sum to w*T lifts to gcd(w, M/T)
-cycles mod M: the map commutes with the shift by T, so going once round
-the cycle moves each point of its fibre, a coset of T*Z/M*Z, by w*T, and
-the fibre splits into the gcd(w, M/T) orbits of that translation.  So the
+A cycle of a map mod P whose advances sum to w*P lifts to gcd(w, M/P)
+cycles mod M: the map commutes with the shift by P, so going once round
+the cycle moves each point of its fibre, a coset of P*Z/M*Z, by w*P, and
+the fibre splits into the gcd(w, M/P) orbits of that translation.  So the
 counts at any M are sums of gcds of the windings (`lifted_counts`), and
 `Scroll.snakes` is the pair (alpha, beta) at sigma.  The same covering
-places each point mod M on its cycle of each map: u + x*T, u < T with
+places each point mod M on its cycle of each map: r + x*P, r < P with
 lift q on cycle i of winding w, lies on the lift numbered
-(x - q) mod gcd(w, M/T).  A snake's (co-snake's) label is its least
-residue mod sigma, kept once per lift of each cycle mod T
-(`Scroll.lift_labels`): the swallows read the labels there, through the
-covering, and the renderers alone spread them over the sigma residues
-(`Scroll.snake_labels`).  The torsor laws of `verify` walk only the successor mod M,
-stepping a residue v by the advance at v mod T, and read the
-co-successor orbits off the cycles mod T; its laws on snakes and
-co-snakes mod sigma read both off the cycles mod T and run on the
-residues mod T alone.  No law builds anything of size M.
+(x - q) mod gcd(w, M/P).  Snake (co-snake) (i, y) is named by its id,
+the first id of cycle i plus y (`Scroll.cycle_lifts`): the swallows read
+the ids through the covering, and the renderers alone spread them over
+the sigma residues (`Scroll.snake_labels`).  The torsor laws of `verify`
+walk only the successor mod M, stepping an offset v by the advance at
+v mod P, and read the co-successor orbits off the cycles mod P; its laws
+on snakes and co-snakes mod sigma read both off the cycles mod P and run
+on the live residues of the unit alone.  No law builds anything of size M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress
 from math import gcd
-from operator import eq, is_not, itemgetter
 from typing import NamedTuple
 
 from .cycles import _CHARS, Orbit, cached_property, orbit
@@ -91,7 +88,6 @@ _LETTER_NAMES = (
     ("successor_letters", "co_successor_letters"),
     ("predecessor_letters", "co_predecessor_letters"),
 )
-_WINDING = itemgetter(1)  # of a cycle (length, winding, start)
 
 
 class SnakeCounts(NamedTuple):
@@ -182,8 +178,8 @@ class Scroll:
     @cached_property
     def unit_live(self) -> list[int]:
         """The residues r of the unit whose entry X_(r+1) is live, ascending:
-        listed once, for `steps_are_maps`, `period_advances`, the walks and
-        the laws of `verify`."""
+        listed once, for `steps_are_maps`, the walks, the cycles and the
+        laws of `verify`."""
         unit = self.unit
         return list(compress(range(len(unit)), unit))
 
@@ -257,103 +253,64 @@ class Scroll:
     @cached_property
     def snakes(self) -> SnakeCounts:
         """The numbers of snakes and co-snakes: the cycle counts of both maps
-        mod sigma, lifted from the windings mod T (`lifted_counts`)."""
-        met = self.metrics
-        return SnakeCounts(*lifted_counts(self, met.sigma // met.T_tape))
+        mod sigma, lifted from the windings mod P (`lifted_counts`)."""
+        return SnakeCounts(*lifted_counts(self, self.metrics.sigma // len(self.unit)))
 
     @cached_property
-    def period_advances(self) -> tuple[list, list]:
-        """Per tape index t in [0, T), T the tape period, its successor and
-        co-successor advance, read off `step_advances` at (t - 1) mod P;
-        None where t is dead.  A live index with no advance raises, as its
-        step does, named by its tape index in [1, P]: the Nones of each row
-        are counted at C level, and the live residues scanned only to name
-        the first one that has no advance."""
-        period, live, arrays = self.metrics.T_tape, self.unit_live, []
+    def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
+        """The cycles of the successor (then co-successor) mod P = len(unit)
+        (`walk_cycles`), walked on the step advances and the live residues
+        of the unit.  A live residue with no advance raises, as its step
+        does, named by its tape index in [1, P]: the Nones of each row are
+        counted at C level, and the live residues scanned only to name the
+        first one that has no advance."""
+        live = self.unit_live
         for row, step in zip(self.step_advances, (self.successor_step, self.co_successor_step)):
             if row.count(None) > len(row) - len(live):  # no dead residue has an advance
                 for r in live:
                     if row[r] is None:
                         step(r + 1)  # raises with the count of live candidates
-            # the advance of t - 1, at t
-            arrays.append((row[-1:] + row * (period // len(row) + 1))[:period])
-        return tuple(arrays)
-
-    @cached_property
-    def period_live(self) -> tuple[int, int]:
-        """The least live index in [0, T), T the tape period, and the number
-        of live ones, read off the successor's period advances."""
-        succ = self.period_advances[0]
-        return next(_with_advance(succ)), len(succ) - succ.count(None)
-
-    @cached_property
-    def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
-        """The cycles of the successor (then co-successor) mod the tape
-        period T (`walk_cycles`) on the live residues mod T, those with a
-        successor advance."""
-        return walk_cycles(self.period_advances, tuple(_with_advance(self.period_advances[0])))
+        return walk_cycles(self.step_advances, live)
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
-        """Per cycle of the successor (then co-successor) mod the tape period
-        T, its summed advance over T."""
-        (*_, succ), (*_, co_succ) = self.period_cycles
-        return list(map(_WINDING, succ)), list(map(_WINDING, co_succ))
+        """Per cycle of the successor (then co-successor) mod P, its summed
+        advance over P."""
+        return tuple([w for _, w in cycles] for *_, cycles in self.period_cycles)
 
     @cached_property
-    def lift_labels(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per cycle i of the successor (then co-successor) mod T, per lift
-        y < g_i = gcd(w_i, sigma/T), the label of snake (co-snake) (i, y):
-        its least residue mod sigma.  u + x*T, u < T with lift q on cycle i,
-        lies on lift (x - q) mod g_i, so lift y holds u' + x'*T for each
-        member u' of cycle i, x' = (y + q') mod g_i, and its label is the
-        least of these.  Per lift residue r = q' mod g_i, only its least
-        member u_r can give it, and lift y takes the r with least
-        (y + r) mod g_i: the lifts y = (z - r) mod g_i, z below the gap from
-        the r before, take z*T + u_r.  One table per map of sum g_i = alpha
-        (beta) entries, the one definition of a label: the swallows read
-        it, and `snake_labels` for the renderers."""
-        period = self.metrics.T_tape
-        fold = self.metrics.sigma // period
+    def cycle_lifts(self) -> tuple[list, list]:
+        """Per cycle i of the successor (then co-successor) mod P, the id of
+        its first snake (co-snake) and its number of lifts mod sigma,
+        g_i = gcd(w_i, sigma/P): snake (i, y), y < g_i, has id first_i + y,
+        so the ids of each map run over 0..alpha-1 (0..beta-1), cycle by
+        cycle.  The one definition of a snake's name: the swallows, the
+        laws of `verify` on snakes mod sigma and `snake_labels` read it."""
+        fold = self.metrics.sigma // len(self.unit)
         tables = []
-        for cycle, _, lift, cycles in self.period_cycles:
-            per_cycle = []
-            for i, (_, w, start) in enumerate(cycles):
-                g = gcd(w, fold)
-                if g == 1:  # one lift, named by the cycle's least member
-                    per_cycle.append([start])
-                    continue
-                first = {}  # per lift residue r, its least member u_r
-                for u in compress(range(period), map(eq, cycle, repeat(i))):
-                    first.setdefault(lift[u] % g, u)
-                labels, residues = [0] * g, sorted(first)
-                before = residues[-1] - g
-                for r in residues:
-                    u = first[r]
-                    for z in range(r - before):
-                        labels[(z - r) % g] = z * period + u
-                    before = r
-                per_cycle.append(labels)
-            tables.append(per_cycle)
+        for windings in self.windings:
+            lifts = [gcd(w, fold) for w in windings]
+            tables.append(list(zip(accumulate(lifts, initial=0), lifts)))
         return tuple(tables)
 
     @cached_property
     def snake_labels(self) -> tuple[list, list]:
-        """Per residue mod sigma, the least residue of its snake (then its
-        co-snake), None where dead: u + x*T, u < T with lift q on cycle i,
-        lies on lift (x - q) mod g_i, labelled in `lift_labels`.  Only the
-        renderers read these arrays of sigma entries."""
-        period = self.metrics.T_tape
+        """Per tape index t mod sigma, the id of its snake (then its
+        co-snake), None where dead: its offset t - 1 = r + x*P, r < P with
+        lift q on cycle i, lies on snake first_i + (x - q) mod g_i
+        (`cycle_lifts`).  Only the renderers read these arrays of sigma
+        entries."""
+        period = len(self.unit)
         fold = self.metrics.sigma // period
         labels = []
-        for (cycle, _, lift, _), tables in zip(self.period_cycles, self.lift_labels):
-            on = [(u, tables[cycle[u]], lift[u]) for u in _with_advance(cycle)]
-            label = [None] * (fold * period)
+        for (cycle, _, lift, _), lifts in zip(self.period_cycles, self.cycle_lifts):
+            on = [(r, *lifts[cycle[r]], lift[r]) for r in self.unit_live]
+            ids = [None] * (fold * period)
             for x in range(fold):
                 base = x * period
-                for u, table, q in on:
-                    label[base + u] = table[(x - q) % len(table)]
-            labels.append(label)
+                for r, first, g, q in on:
+                    ids[base + r] = first + (x - q) % g
+            labels.append(ids[-1:] + ids[:-1])  # the id of offset t - 1, at t
         return tuple(labels)
 
     @cached_property
@@ -369,33 +326,34 @@ class Scroll:
 
     @cached_property
     def swallow_lifts(self) -> tuple[list, list]:
-        """Per tape index k = u + x*T of the co-slither walk, the lift labels
-        of the successor cycle i of u (`lift_labels`) and the lift
-        (x - q_u) mod g_i its snake is; then likewise for the slither walk
-        and the co-successor: what every swallow (co-swallow) reads."""
-        period = self.metrics.T_tape
+        """Per tape index k of the co-slither walk, offset k - 1 = r + x*P
+        with r on successor cycle i and lift q, the first id and lift count
+        of that cycle (`cycle_lifts`) and the lift (x - q) mod g_i its snake
+        is; then likewise for the slither walk and the co-successor: what
+        every swallow (co-swallow) reads."""
+        period = len(self.unit)
         lifts = []
         for (cycle, _, lift, _), tables, (indices, _) in zip(
-            self.period_cycles, self.lift_labels, (self.coslither_walk, self.slither_walk)
+            self.period_cycles, self.cycle_lifts, (self.coslither_walk, self.slither_walk)
         ):
             on_walk = []
             for k in indices:
-                x, u = divmod(k, period)
-                table = tables[cycle[u]]
-                on_walk.append((table, (x - lift[u]) % len(table)))
+                x, r = divmod(k - 1, period)
+                first, g = tables[cycle[r]]
+                on_walk.append((first, g, (x - lift[r]) % g))
             lifts.append(on_walk)
         return tuple(lifts)
 
     @cached_property
     def swallow_orders(self) -> tuple[tuple, tuple]:
-        """The snake labels at the co-slither walk's tape indices, then the
-        co-snake labels at the slither walk's (`swallow_lifts`): each walk
-        meets each of its snakes (co-snakes) once, so these are the labels
-        in the cyclic order every swallow (co-swallow) permutes, whatever
-        the table."""
+        """The snake ids at the co-slither walk's tape indices, then the
+        co-snake ids at the slither walk's (`swallow_lifts`): each walk
+        meets each of its snakes (co-snakes) once, so these are the ids in
+        the cyclic order every swallow (co-swallow) permutes, whatever the
+        table."""
         orders = []
         for lifts in self.swallow_lifts:
-            order = tuple([table[y] for table, y in lifts])
+            order = tuple([first + y for first, _, y in lifts])
             if len(set(order)) != len(order):
                 raise AssertionError("step map does not traverse all labels once")
             orders.append(order)
@@ -437,30 +395,24 @@ class Scroll:
         return self._step(1, self.co_successor_letters, t, "co-successor")
 
 
-def _with_advance(row: list) -> compress:
-    """The indices of row that hold an advance (not None), ascending."""
-    return compress(range(len(row)), map(is_not, row, repeat(None)))
-
-
 def scroll_from_seed(bits: str) -> Scroll:
     return Scroll(orbit(bits))
 
 
 def walk_cycles(
-    advances: tuple[list, list], live: tuple[int, ...]
+    advances: tuple[list, list], live: list[int]
 ) -> tuple[tuple[list, list, list, list], ...]:
-    """The cycles of the successor (then co-successor) mod the tape period
-    T, each map given by its advance per residue mod T (`Scroll.period_advances`)
-    and walked once on live, the live residues mod T in ascending order.
-    Four arrays (cycle, index, lift, cycles) per map.
+    """The cycles of the successor (then co-successor) mod P, each map given
+    by its advance per residue r = t - 1 of the unit (`Scroll.step_advances`)
+    and walked once on live, the live residues in ascending order.  Four
+    arrays (cycle, index, lift, cycles) per map.
 
-    For a live u in [0, T), u is on cycle cycle[u], index[u] = k steps from
-    that cycle's least member u0, and u0 + A_k = u + lift[u]*T, A_k the
-    summed advance of those k steps; the three are None where u is dead.
-    cycles[i] is the length, the winding and the least member of cycle i,
-    the winding being its summed advance over T; cycles are numbered by
-    their least members, ascending.  A map that does not permute the live
-    residues raises.
+    For a live r in [0, P), r is on cycle cycle[r], index[r] = k steps from
+    that cycle's least member r0, and r0 + A_k = r + lift[r]*P, A_k the
+    summed advance of those k steps; the three are None where r is dead.
+    cycles[i] is the length and the winding of cycle i, the winding being
+    its summed advance over P; cycles are numbered by their least members,
+    ascending.  A map that does not permute the live residues raises.
     """
     walks = []
     for row in advances:
@@ -470,7 +422,7 @@ def walk_cycles(
             if cycle[start] is not None:
                 continue
             i, k, u, d = len(cycles), 0, start, row[start]
-            v = start  # u0 + A_k
+            v = start  # r0 + A_k
             while True:
                 cycle[u], index[u], lift[u] = i, k, v // period
                 v += d
@@ -481,14 +433,14 @@ def walk_cycles(
                 d = row[u]
                 if d is None or cycle[u] is not None:  # None: a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
-            cycles.append((k, (v - start) // period, start))
+            cycles.append((k, (v - start) // period))
         walks.append((cycle, index, lift, cycles))
     return tuple(walks)
 
 
 def lifted_counts(s: Scroll, fold: int) -> tuple[int, int]:
-    """The cycle counts of the successor and co-successor of s mod fold*T,
-    T its tape period: each cycle mod T of winding w lifts to gcd(w, fold).
+    """The cycle counts of the successor and co-successor of s mod fold*P,
+    P = len(s.unit): each cycle mod P of winding w lifts to gcd(w, fold).
     Plain loops: a map over a few windings costs twice as much to set up."""
     succ, co_succ = s.windings
     alpha = beta = 0

@@ -4,17 +4,17 @@ An omega-fold orbit table stacks omega copies of the fundamental orbit;
 successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
 omega*m*n instead of sigma.  Their cycles there are the ouroboroi and
-co-ouroboroi.  A table covers the tape period T, so their counts are
-lifted, not walked: a cycle mod T of winding w (summed advance w*T) splits
-into gcd(w, omega*m*n/T) cycles of the table, one per orbit of the
-translation by w*T on the cycle's fibre (`scroll.lifted_counts`).  No
+co-ouroboroi.  A table covers the tape's least period P, so their counts
+are lifted, not walked: a cycle mod P of winding w (summed advance w*P)
+splits into gcd(w, omega*m*n/P) cycles of the table, one per orbit of the
+translation by w*P on the cycle's fibre (`scroll.lifted_counts`).  No
 table walks or labels its cycles.
 
 A table is its scalars: its size omega*m*n, its live count eta, its
 counts bar_alpha and bar_beta and its degrees deg p_omega =
 alpha/bar_alpha and codeg p_omega = beta/bar_beta, read off constants
 each scroll keeps for every omega: its size m*n (`Scroll.size`), its live
-count (`Scroll.live_count`), its windings mod T (`Scroll.windings`) and
+count (`Scroll.live_count`), its windings mod P (`Scroll.windings`) and
 its snake counts (`Scroll.snakes`).  Each per-table value has one scalar
 implementation here, a function of the scroll and those scalars: the
 swallow shifts (`swallow_shift`), the invariant factors
@@ -38,15 +38,16 @@ metrics; the lifted cycle counts are what they are checked against.  A
 swallow's walk order does not depend on omega: it is the labels of the
 tape indices of the scroll's one co-slither (slither) walk
 (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept once per scroll
-(`Scroll.swallow_orders`).  The labels are read through the covering
-Z/sigma -> Z/T, never off an array of sigma entries: u + x*T, u < T with
-lift q on cycle i of the map mod T, lies on lift y = (x - q) mod g_i,
-g_i = gcd(w_i, sigma/T), of that cycle, and each cycle keeps one label
-per lift (`Scroll.lift_labels`, alpha and beta entries in all).  Each
-walk index is placed on its lift once per scroll (`Scroll.swallow_lifts`),
-and a swallow reads the label of each index's image, less the table
-size, at lift y - size/T.  Only the renderers build the label arrays mod
-sigma (`Scroll.snake_labels`), from the same lift labels.
+(`Scroll.swallow_orders`).  A snake is named by an id, read through the
+covering Z/sigma -> Z/P, never off an array of sigma entries: the offset
+r + x*P, r < P with lift q on cycle i of the map mod P, lies on lift
+y = (x - q) mod g_i, g_i = gcd(w_i, sigma/P), of that cycle, and has id
+first_i + y, each cycle keeping its first id and g_i
+(`Scroll.cycle_lifts`).  Each walk index is placed on its lift once per
+scroll (`Scroll.swallow_lifts`), and a swallow reads the id of each
+index's image, less the table size, at lift y - size/P.  Only the
+renderers build the id arrays mod sigma (`Scroll.snake_labels`), from the
+same table.
 
 The one table record, `OrbitTable` (built by `omega_table`), holds these
 scalars for the `orbit` command's report and renderers, one table per
@@ -84,7 +85,7 @@ class OrbitTable:
 def omega_table(s: Scroll, omega: int) -> OrbitTable:
     if omega < 1:
         raise ValueError("omega must be a positive integer")
-    alpha, beta = lifted_counts(s, omega * s.size // s.metrics.T_tape)
+    alpha, beta = lifted_counts(s, omega * s.size // len(s.unit))
     snakes = s.snakes
     deg, codeg = snakes.alpha // alpha, snakes.beta // beta
     return OrbitTable(s, omega, omega * s.size, omega * s.live_count, alpha, beta, deg, codeg)
@@ -99,16 +100,16 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
 
 def swallow_shift(s: Scroll, which: int, size: int) -> int:
     """The uniform shift k of the swallow (which = 0) or co-swallow (1) of
-    the table of size residues, a multiple of the tape period T: the label
-    of each tape index of the co-slither (slither) walk maps to the label
-    of that index minus size, translation by the table size commuting with
+    the table of size residues, a multiple of P = len(s.unit): the snake of
+    each tape index of the co-slither (slither) walk maps to the snake of
+    that index minus size, translation by the table size commuting with
     both steps.  An index on lift y of its cycle i lies, less size, on lift
-    (y - size/T) mod g_i, read off the cycle's lift labels
-    (`Scroll.swallow_lifts`).  The images must be the labels' cyclic order
-    (`Scroll.swallow_orders`) rotated by k."""
+    (y - size/P) mod g_i, so its id first_i + y maps to
+    first_i + (y - size/P) mod g_i (`Scroll.swallow_lifts`).  The images
+    must be the ids' cyclic order (`Scroll.swallow_orders`) rotated by k."""
     order, lifts = s.swallow_orders[which], s.swallow_lifts[which]
-    back = size // s.metrics.T_tape
-    image = tuple([table[(y - back) % len(table)] for table, y in lifts])
+    back = size // len(s.unit)
+    image = tuple([first + (y - back) % g for first, g, y in lifts])
     shift = order.index(image[0])
     if image != order[shift:] + order[:shift]:
         raise AssertionError("swallow permutation is not a uniform shift")

@@ -13,12 +13,15 @@ counted failure set.  The table laws of `check_tables` are tallied so
 too, once per orbit over all its omegas: each table is its scalars
 alone, read off `tables`' scalar cores, and no table record is built.
 
-Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the tape
-period T, read both step maps' cycles mod T (`Scroll.period_cycles`)
-through the covering Z/M -> Z/T, so each orbit walks its maps once, mod
-T; the swallows read the snake labels mod sigma through the same
-covering, one per lift of each cycle mod T.  The tests hold each such law
-to an oracle that steps the maps mod M.
+Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
+tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
+(`Scroll.period_cycles`) through the covering Z/M -> Z/P, so each orbit
+walks its maps once, mod P, on the offsets t - 1 its steps read; the
+swallows read the snake ids mod sigma through the same covering, per
+cycle mod P its first id and its number of lifts.  A failure is named by
+its tape index, offset plus one, mod P plus whole laps.  The closed form
+T_tape is compared with P, and never used as a modulus.  The tests hold
+each such law to an oracle that steps the maps mod M.
 
 Classification completeness compares, for each n, the least tape periods
 of the simulated orbits (`Scroll.unit`, in its least rotation), collected
@@ -33,9 +36,9 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
-from operator import is_not, sub
+from operator import sub
 
 from .classify import enumerate_ticker_tapes
 from .cycles import _CHARS, all_orbits
@@ -91,38 +94,40 @@ class VerificationReport:
 
 
 def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
-    """Whether s^a c^b (a < outer, b < inner) moves the first live residue
-    of scroll once onto each of its live residues mod M = modulus, a
-    multiple of its tape period T.
+    """Whether s^a c^b (a < outer, b < inner) moves the first live index
+    t0 of scroll once onto each of its live residues mod M = modulus, a
+    multiple of P = len(scroll.unit).
 
-    The number of images is checked first, against F = M/T times the live
-    residues mod T (`Scroll.period_live`).  Then only s is walked, outer
-    times from the first live residue t0, on the scroll's period advances: a
-    residue v of M moves by the advance of v mod T.  Each s^a(t0) starts an
+    Points are offsets t - 1 mod M, as the steps read their tables.  The
+    number of images is checked first, against F = M/P times the live
+    residues of the unit (`Scroll.unit_live`).  Then only s is walked,
+    outer times from the offset of t0, on the scroll's step advances: an
+    offset v of M moves by the advance at v mod P.  Each s^a(t0) starts an
     arc of inner consecutive points c^b s^a(t0) on its co-successor orbit
-    mod M, and those orbits are read off the cycles mod T
-    (`Scroll.period_cycles`) through the covering Z/M -> Z/T: a cycle i of
+    mod M, and those orbits are read off the cycles mod P
+    (`Scroll.period_cycles`) through the covering Z/M -> Z/P: a cycle i of
     length l and winding w lifts to g = gcd(w, F) orbits of length l*h,
-    h = F/g.  For u on cycle i at index k with lift q, u + x*T lies on
+    h = F/g.  For r on cycle i at index k with lift q, r + x*P lies on
     orbit (i, y mod g), y = (x - q) mod F, at position
     (y div g)*(w/g)^-1 mod h, times l, plus k: each lap of the cycle moves
     the lift by w.  The images are distinct iff no arc is longer than its
     orbit and no two arcs on one orbit start closer than inner, cyclically;
     so positions are computed only on orbits that two arcs share.
     """
-    succ = scroll.period_advances[0]
+    succ = scroll.step_advances[0]
     cycle, index, lift, cycles = scroll.period_cycles[1]
-    cur, live = scroll.period_live
+    live = scroll.unit_live
     period = len(succ)
     fold = modulus // period
-    if outer * inner != fold * live:
+    if outer * inner != fold * len(live):
         return False
+    cur = live[0]
     firsts: dict[int, int] = {}  # per orbit i*F + (y mod g): the first point starting an arc
     shared: dict[int, list[int]] = {}  # per orbit met more than once: its arcs' points
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
-        length, w, _ = cycles[i]
+        length, w = cycles[i]
         g = gcd(w, fold)
         if length * (fold // g) < inner:  # an arc longer than its orbit
             return False
@@ -133,7 +138,7 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
             firsts[orbit] = cur
         cur = (cur + succ[u]) % modulus
     for orbit, points in shared.items():  # two arcs starting closer than inner, cyclically
-        length, w, _ = cycles[orbit // fold]
+        length, w = cycles[orbit // fold]
         g = gcd(w, fold)
         h = fold // g
         inverse = pow(w // g, -1, h)
@@ -159,6 +164,13 @@ def _laps(indices: list[int], period: int, laps: int) -> list[int]:
     return [t + k * period for k in range(laps) for t in indices]
 
 
+def _tape_laps(offsets: list[int], period: int, laps: int) -> list[int]:
+    """The tape indices that offsets r < period stand for over laps
+    periods, ascending (`_laps`): offset r is tape index r + 1, named
+    mod period."""
+    return _laps(sorted([(r + 1) % period for r in offsets]), period, laps)
+
+
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
@@ -180,10 +192,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     k = 0..laps-1, so the contexts are those of all m*n residues, in tape
     order.  The laws on the snakes and co-snakes mod sigma (successor
     advance linear, near-row distinctness, fibers) run on the live
-    residues [0, T) only, T the tape period: they read both maps' cycles
-    mod T (`Scroll.period_cycles`) through the covering Z/sigma -> Z/T,
-    each count is multiplied by F = sigma/T, and each failure at v stands
-    for v + k*T, k = 0..F-1, in tape order; no map is walked mod sigma.
+    residues of the unit only: they read both maps' cycles mod P
+    (`Scroll.period_cycles`) through the covering Z/sigma -> Z/P, each
+    count is multiplied by F = sigma/P, and each failure at offset v stands
+    for tape index (v + 1) mod P plus k*P, k = 0..F-1, in tape order; no
+    map is walked mod sigma.
     The slither and co-slither simulations read the scroll's walks
     (`Scroll.slither_walk`, `Scroll.coslither_walk`), which the swallows
     reuse.  The laws on the snakes and on walks of the steps need all four
@@ -344,68 +357,67 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         failed = () if cyclically_equal(simulated, word) else (f"{ctx()} simulated {simulated}",)
         add((law, 1, failed))
 
-    # the rest read both maps mod sigma through the covering Z/sigma -> Z/T,
-    # T the tape period (as `_is_torsor` does): a cycle i mod T of winding w
-    # lifts to g = gcd(w, F) snakes (co-snakes), F = sigma/T, and u + x*T,
-    # u < T with lift q, lies on the one numbered (i, (x - q) mod g).  The
-    # shift by T commutes with both maps, so each result at a live v < T
-    # holds at v + k*T, k < F: each count is multiplied by F, and each
-    # failure at v stands for each v + k*T, in tape order
-    fold = met.sigma // tape_period
-    (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, c_cycles) = s.period_cycles
-    on_period = list(compress(range(tape_period), map(is_not, s_cycle, repeat(None))))
-    s_gcd = [gcd(w, fold) for _, w, _ in s_cycles]
-    c_gcd = [gcd(w, fold) for _, w, _ in c_cycles]
-    # each live v < T is read once for the three laws below: its place on
-    # its successor cycle (by index), the numbering of its co-snake and its
-    # key for the fibers
-    members = [[None] * length for length, _, _ in s_cycles]
-    positions = [[None] * length for length, _, _ in s_cycles]
+    # the rest read both maps mod sigma through the covering Z/sigma -> Z/P
+    # on offsets t - 1 (as `_is_torsor` does): a cycle i mod P of winding w
+    # lifts to g = gcd(w, F) snakes (co-snakes), F = sigma/P, and r + x*P,
+    # r < P with lift q, lies on the one numbered (i, (x - q) mod g).  The
+    # shift by P commutes with both maps, so each result at a live v < P
+    # holds at v + k*P, k < F: each count is multiplied by F, and each
+    # failure at v stands for each v + k*P, named by tape index in tape
+    # order (`_tape_laps`)
+    fold = met.sigma // period
+    (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, _) = s.period_cycles
+    s_lifts, c_lifts = s.cycle_lifts  # per cycle, its first id and g
+    # each live v < P is read once for the three laws below: its place on
+    # its successor cycle (by index), its co-snake's first id, lift and g,
+    # and its key for the fibers
+    members = [[None] * length for length, _ in s_cycles]
+    positions = [[None] * length for length, _ in s_cycles]
     cosnake, keys, looped = [], [], False
-    for v in on_period:
+    for v in live:
         i, j, q, cq = s_cycle[v], c_cycle[v], s_lift[v], c_lift[v]
         k = s_index[v]
-        members[i][k], positions[i][k] = v, v + q * tape_period
-        g, h = s_gcd[i], c_gcd[j]
-        cosnake.append((j * fold, cq, h))
+        members[i][k], positions[i][k] = v, v + q * period
+        g, (first, h) = s_lifts[i][1], c_lifts[j]
+        cosnake.append((first, cq, h))
         keys.append((i, j, (q - cq) % gcd(g, h)))
         looped = looped or lcm(g, h) < fold
 
     # linearity of iterated successor advance: on a cycle of length l and
-    # winding w, the member at index k is at u0 + A_k = u + lift[u]*T, and
-    # A_(k + l) = A_k + w*T, so K = r*block steps from index k advance
-    # A_(k + K) - A_k: with K = c*l + j, that is (A_(k + j) - A_k) + c*w*T,
+    # winding w, the member at index k is at v0 + A_k = v + lift[v]*P, and
+    # A_(k + l) = A_k + w*P, so K = r*block steps from index k advance
+    # A_(k + K) - A_k: with K = c*l + j, that is (A_(k + j) - A_k) + c*w*P,
     # A_(k + j) read off the cycle's positions over two laps
     block = len(ws.word) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
     nonlinear = []
     for r in rounds:
         failed = []
-        for on_cycle, at, (length, w, _) in zip(members, positions, s_cycles):
+        for on_cycle, at, (length, w) in zip(members, positions, s_cycles):
             turns, j = divmod(r * block, length)
-            lap = w * tape_period
+            lap = w * period
             goal = r * met.p - turns * lap
             advances = list(map(sub, at[j:] + [x + lap for x in at[:j]], at))
             if advances.count(goal) != length:
                 failed += [v for v, a in zip(on_cycle, advances) if a != goal]
         if failed:
             c = ctx()
-            nonlinear += [f"{c} r={r} from {t}" for t in _laps(sorted(failed), tape_period, fold)]
-    add(("successor advance linear", len(rounds) * fold * len(on_period), nonlinear))
+            nonlinear += [f"{c} r={r} from {t}" for t in _tape_laps(failed, period, fold)]
+    add(("successor advance linear", len(rounds) * fold * len(live), nonlinear))
 
-    # co-snake distinctness within one row span: no live x < T shares its
-    # co-snake with a live y, x < y < x + n (by the shift by T, every pair
-    # is such a pair shifted).  x = v + j*T, v < T on co-successor cycle i
-    # with lift q, lies on the co-snake numbered (i, (j - q) mod g_i).  The
-    # live entries of [0, T + n - 1) are listed ascending with their
-    # co-snakes; each x < T is compared with the entries up to x + n
+    # co-snake distinctness within one row span: no live offset x < P shares
+    # its co-snake with a live y, x < y < x + n (by the shift by P, every
+    # pair is such a pair shifted).  x = v + j*P, v < P on co-successor
+    # cycle i with lift q, lies on the co-snake of id first_i + (j - q) mod g_i.
+    # The live offsets of [0, P + n - 1) are listed ascending with their
+    # co-snakes; each x < P is compared with the offsets up to x + n
     span, label = [], []
-    for j in range((tape_period + n - 2) // tape_period + 1):  # laps of T up to T + n - 1
-        cut = bisect_left(on_period, tape_period + n - 1 - j * tape_period)
-        span += [v + j * tape_period for v in on_period[:cut]]
-        label += [i + (j - q) % g for i, q, g in cosnake[:cut]]
+    for j in range((period + n - 2) // period + 1):  # laps of P up to P + n - 1
+        cut = bisect_left(live, period + n - 1 - j * period)
+        span += [v + j * period for v in live[:cut]]
+        label += [first + (j - q) % g for first, q, g in cosnake[:cut]]
     near, shared = 0, []
-    for a, x in enumerate(on_period):
+    for a, x in enumerate(live):
         b = bisect_left(span, x + n)
         near += b - a - 1
         if label[a] in label[a + 1 : b]:
@@ -413,9 +425,11 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     failed = []
     if shared:
         c = ctx()
+        # each pair at tape indices x + 1 and x + 1 + d, named as by `_tape_laps`
+        shared = sorted([((x + 1) % period, d) for x, d in shared])
         failed = [
             f"{c} tape {v + k}, {v + k + d}"
-            for k in range(0, fold * tape_period, tape_period)
+            for k in range(0, fold * period, period)
             for v, d in shared
         ]
     add(("near-row co-snake distinctness", fold * near, failed))
@@ -459,7 +473,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     add(("free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed))
 
     # fibers: residues mod sigma, singletons among the live residues.  v +
-    # x*T and v' + x'*T share a snake and a co-snake iff v and v' lie on the
+    # x*P and v' + x'*P share a snake and a co-snake iff v and v' lie on the
     # same cycles i (successor) and j (co-successor), and x' - x is
     # s_lift[v'] - s_lift[v] mod g_i and c_lift[v'] - c_lift[v] mod g_j.
     # For v' != v some x' solves both iff s_lift - c_lift agrees at v and
@@ -469,12 +483,12 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         count = Counter(keys)
         met_twice = [
             v
-            for v, key in zip(on_period, keys)
-            if count[key] > 1 or lcm(s_gcd[key[0]], c_gcd[key[1]]) < fold
+            for v, key in zip(live, keys)
+            if count[key] > 1 or lcm(s_lifts[key[0]][1], c_lifts[key[1]][1]) < fold
         ]
         c = ctx()
-        failed = [f"{c} tape {t}" for t in _laps(met_twice, tape_period, fold)]
-    add(("fibers are residues mod sigma", fold * len(on_period), failed))
+        failed = [f"{c} tape {t}" for t in _tape_laps(met_twice, period, fold)]
+    add(("fibers are residues mod sigma", fold * len(live), failed))
 
 
 # the table laws, in the order each table checks them
@@ -500,8 +514,8 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
     Two values are computed once per distinct argument and orbit, in
     dicts local to this call.  The swallow shifts read the table size only
-    mod sigma (a lift y of a cycle i moves to y - size/T mod g_i, and g_i
-    divides sigma/T), so they are kept per size mod sigma, and a raising
+    mod sigma (a lift y of a cycle i moves to y - size/P mod g_i, and g_i
+    divides sigma/P), so they are kept per size mod sigma, and a raising
     swallow is raised again for each omega with its key.  The table
     slither power identity reads only (bar_alpha, bar_beta), so its result
     is kept per pair.  A value that is a pure function of its key is the
@@ -528,7 +542,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     slither, coslither = met.slither.word, met.coslither.word
     snake_count, cosnake_count = s.snakes
     unit_size, unit_live, sigma = s.size, s.live_count, met.sigma
-    fold = unit_size // met.T_tape
+    fold = unit_size // len(s.unit)
     violations, failed, skipped = rep.violations, dict.fromkeys(TABLE_LAWS, 0), 0
     product_failures = rep.product_form_failures
     # per size mod sigma, the swallow shifts or the error they raised; per

@@ -7,9 +7,7 @@ from math import gcd
 
 from snakescroll import cli
 from snakescroll.cycles import _require_independent
-from snakescroll.render import (
-    ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT, _label_colors,
-)
+from snakescroll.render import ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT
 from snakescroll.scroll import Scroll
 from snakescroll.slither import _STEP_SHAPE, step_advance
 from snakescroll.tables import OrbitTable
@@ -116,7 +114,8 @@ def walked_labels(s: Scroll, modulus: int) -> list[list]:
     successor (then co-successor), None on dead residues.
 
     Oracle for `Scroll.snake_labels`, which reads the cycles mod sigma off
-    the cycles mod the tape period: this steps `successor` and
+    the cycles mod the tape period and names each by an id (compare after
+    `relabelled`): this steps `successor` and
     `co_successor` round each cycle mod modulus, from its least live
     residue, and labels every residue it passes.
     """
@@ -137,6 +136,24 @@ def walked_labels(s: Scroll, modulus: int) -> list[list]:
                 label[t] = r
         labels.append(label)
     return labels
+
+
+def least_residues(labels: list) -> dict:
+    """Per label of labels, the least index that carries it; None, the
+    label of a dead residue, has none."""
+    first: dict = {}
+    for t, label in enumerate(labels):
+        first.setdefault(label, t)
+    first.pop(None, None)
+    return first
+
+
+def relabelled(labels: list) -> list:
+    """labels with each label replaced by the least index that carries it,
+    None kept: two labellings of one partition relabel alike, and
+    `walked_labels` labels so already."""
+    first = least_residues(labels)
+    return [None if label is None else first[label] for label in labels]
 
 
 def walked_counts(s: Scroll, modulus: int) -> tuple[int, int]:
@@ -185,9 +202,10 @@ def reduced_maps(s: Scroll, modulus: int) -> tuple[list, list]:
 
 
 def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
-    """Whether s^a c^b (a < outer, b < inner) moves live[0] onto each of the
-    live residues once, (s, c) = maps, the `reduced_maps` mod some M and live
-    the live residues mod M.
+    """Whether s^a c^b (a < outer, b < inner) moves t0, the least live tape
+    index t >= 1 (tape index 0 is tape index M), onto each of the live
+    residues once, (s, c) = maps, the `reduced_maps` mod some M and live the
+    live residues mod M.
 
     Oracle for verify._is_torsor, which walks only s and reads the c-orbits
     mod M off the scroll's cycles mod the tape period instead: this walk
@@ -197,7 +215,7 @@ def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
     s, c = maps
     if outer * inner != len(live):
         return False
-    seen, cur = set(), live[0]
+    seen, cur = set(), min(live, key=lambda t: t or len(s))
     for _ in range(outer):
         val = cur
         for _ in range(inner):
@@ -442,17 +460,25 @@ def fibers_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[int,
     return len(live) - len(shared), shared
 
 
+def _palette(labels: list, palette: list) -> dict:
+    """Per label of `walked_labels`, a least residue, its palette entry:
+    the entries in turn, cycled, in ascending order of the labels."""
+    ordered = sorted(set(labels) - {None})
+    return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
+
+
 def ansi_table(table: OrbitTable) -> str:
     """Oracle for render.ansi_table, which builds one label period of cells
-    and each distinct row once: every cell of every row, one at a time."""
+    and each distinct row once, coloured by snake ids: every cell of every
+    row, one at a time, coloured by the labels walked mod sigma."""
     s = table.scroll
     bits = vector(s) * table.omega  # bits[t - 1] is X_t for t in 1..size
     live = list(compress(range(1, len(bits) + 1), bits))
     blocks = []
-    for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
+    for title, labels in zip(("snakes", "co-snakes"), walked_labels(s, s.metrics.sigma)):
         cell = {
             label: f"\x1b[{color}m1\x1b[0m"
-            for label, color in _label_colors(labels, ANSI_COLORS).items()
+            for label, color in _palette(labels, ANSI_COLORS).items()
         }
         chars = ["."] * len(bits)
         for t in live:
@@ -462,15 +488,17 @@ def ansi_table(table: OrbitTable) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def svg_table(table: OrbitTable) -> str:
+def svg_table(table: OrbitTable, labels: list[list] | None = None) -> str:
     """Oracle for render.svg_table, which formats each coordinate and colour
-    once: every live entry places itself and both its targets by tape index."""
+    once: every live entry places itself and both its targets by tape index,
+    coloured by the labels walked mod sigma (`walked_labels`), or labels
+    given, as a fault test walks them before it injects a step."""
     s, unit = table.scroll, SVG_UNIT
     n, r = s.n, table.r
     size = r * n
-    snake, cosnake = s.snake_labels
-    snake_color = _label_colors(snake, SNAKE_PALETTE)
-    cosnake_color = _label_colors(cosnake, COSNAKE_PALETTE)
+    snake, cosnake = labels or walked_labels(s, s.metrics.sigma)
+    snake_color = _palette(snake, SNAKE_PALETTE)
+    cosnake_color = _palette(cosnake, COSNAKE_PALETTE)
     width, height = (n + 2) * unit, (r + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -3,6 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,9 @@ def test_classify_json_expands_each_tape_as_its_entry_is_written(monkeypatch):
             for _ in lines:
                 events.append("write")
 
+        def flush(self):
+            events.append("flush")
+
     def row(rec):
         events.append("expand")
         return tape_row(rec)
@@ -191,7 +198,7 @@ def test_classify_json_expands_each_tape_as_its_entry_is_written(monkeypatch):
     monkeypatch.setattr(report, "classification_report", None)  # no report is built
     monkeypatch.setattr(cli.sys, "stdout", Out())
     assert main(["classify", "--n", "13", "--format", "json"]) == EXIT_OK
-    assert events == ["write"] + ["expand", "write"] * 17 + ["write"]
+    assert events == ["write"] + ["expand", "write"] * 17 + ["write", "flush"]
 
 
 def test_classify_csv(capsys):
@@ -210,6 +217,9 @@ def test_classify_csv_expands_each_tape_as_its_row_is_written(monkeypatch):
             for _ in lines:
                 events.append("write")
 
+        def flush(self):
+            events.append("flush")
+
     def row(rec):
         events.append("expand")
         return tape_row(rec)
@@ -218,7 +228,7 @@ def test_classify_csv_expands_each_tape_as_its_row_is_written(monkeypatch):
     monkeypatch.setattr(report, "classification_report", None)  # no report is built
     monkeypatch.setattr(cli.sys, "stdout", Out())
     assert main(["classify", "--n", "13", "--format", "csv"]) == EXIT_OK
-    assert events == ["write"] + ["expand", "write"] * 17
+    assert events == ["write"] + ["expand", "write"] * 17 + ["flush"]
 
 
 def test_classify_rejects_too_few_vertices(capsys):
@@ -413,3 +423,33 @@ def test_orbit_builds_no_inverse_step_letters(capsys, monkeypatch, fmt):
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]
     assert forward == [True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--n", "20", "--format", "csv"),
+        ("orbit", "--n", "16", "--seed", "0000000100100100", "--omega", "3", "--format", "svg"),
+    ],
+    ids=["classify", "orbit"],
+)
+def test_a_reader_closing_early_ends_the_command_quietly(argv):
+    # the reader takes 10 bytes of an output far longer than a pipe holds
+    # (190 kB and 529 kB) and closes its end: the command stops with exit 0
+    # and nothing on stderr, not a BrokenPipeError traceback and exit 1.
+    # Stdout is buffered, as by default: unbuffered (PYTHONUNBUFFERED), a
+    # write the reader cuts short ends partial, with no error
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "snakescroll.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (len(head), proc.wait(), err) == (10, EXIT_OK, b"")

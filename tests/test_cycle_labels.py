@@ -9,23 +9,30 @@ from snakescroll.cycles import all_orbits
 from snakescroll.scroll import Scroll, scroll_from_seed, walk_cycles
 from snakescroll.tables import omega_table
 
-from oracles import live_residues, vector, walked_counts, walked_labels
+from oracles import live_residues, relabelled, vector, walked_counts, walked_labels
 
 
 def _labels(row: list, fold: int = 1) -> list:
-    """The snake labels mod fold*T of a scroll of tape period T = len(row)
-    whose successor and co-successor both move residue u by row[u]; None
-    marks a dead residue."""
+    """The snake labels mod fold*P, each the least residue of its snake
+    (the ids `relabelled`), of a scroll of tape period P = len(row) whose
+    successor and co-successor both move tape index u by row[u mod P];
+    None marks a dead residue."""
     period = len(row)
-    live = tuple(u for u, d in enumerate(row) if d is not None)
+    advances = row[1:] + row[:1]  # at offset r, the advance of tape index r + 1
+    live = [r for r, d in enumerate(advances) if d is not None]
     s = SimpleNamespace(
-        metrics=SimpleNamespace(T_tape=period, sigma=fold * period),
-        period_cycles=walk_cycles((row, row), live),
+        unit=bytes(d is not None for d in advances),
+        unit_live=live,
+        metrics=SimpleNamespace(sigma=fold * period),
+        period_cycles=walk_cycles((advances, advances), live),
     )
-    s.lift_labels = Scroll.lift_labels.func(s)
+    s.windings = Scroll.windings.func(s)
+    s.cycle_lifts = Scroll.cycle_lifts.func(s)
     snake, cosnake = Scroll.snake_labels.func(s)
     assert cosnake == snake
-    return snake
+    # the ids of each map are 0, 1, ..: one per snake
+    assert sorted(set(snake) - {None}) == list(range(len(set(snake) - {None})))
+    return relabelled(snake)
 
 
 def test_labels_are_least_cycle_members():
@@ -44,7 +51,7 @@ def test_labels_name_each_lift_by_its_least_residue():
     # cycles, u + 3x on the one numbered (x - lift[u]) mod 2: 1 and 2 lie on
     # the cycle of 3, named 1, and 4 and 5 on that of 0
     (cycle, index, lift, cycles), _ = walk_cycles(([4, 1, 1], [4, 1, 1]), (0, 1, 2))
-    assert (cycle, index, lift, cycles) == ([0, 0, 0], [0, 1, 2], [0, 1, 1], [(3, 2, 0)])
+    assert (cycle, index, lift, cycles) == ([0, 0, 0], [0, 1, 2], [0, 1, 1], [(3, 2)])
     assert _labels([4, 1, 1], 4) == [0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
 
 
@@ -67,42 +74,47 @@ def test_non_permutations_are_rejected(row, which):
 
 
 def test_snake_labels_match_walked_cycles():
-    # oracle: the labels mod sigma of every orbit with n <= 16, read off the
-    # cycles mod T through the covering, against the steps walked mod sigma
+    # oracle: the partition into snakes (co-snakes) mod sigma of every orbit
+    # with n <= 16, read off the cycles mod P through the covering as ids
+    # 0..alpha-1 (0..beta-1), against the steps walked mod sigma
     orbits = 0
     for n in range(2, 17):
         for o in all_orbits(n):
             s = Scroll(o)
             snake, cosnake = walked_labels(s, s.metrics.sigma)
-            assert s.snake_labels == (snake, cosnake), o.seed
+            assert list(map(relabelled, s.snake_labels)) == [snake, cosnake], o.seed
             assert s.snakes == (len(set(snake) - {None}), len(set(cosnake) - {None}))
+            for ids, count in zip(s.snake_labels, s.snakes):
+                assert set(ids) - {None} == set(range(count)), o.seed
             orbits += 1
     assert orbits == 159
 
 
 def test_lift_labels_match_walked_cycles():
-    # oracle: on every orbit with n <= 13, each live residue k = u + x*T
-    # mod sigma, u on cycle i with lift q, reads on lift (x - q) mod g_i of
-    # that cycle's lift labels the label walked mod sigma; each lift is one
-    # snake (co-snake), and the swallows' walk lifts read the same labels
+    # oracle: on every orbit with n <= 13, each live tape index k mod sigma,
+    # offset k - 1 = r + x*P with r on cycle i and lift q, is given the id
+    # first_i + (x - q) mod g_i of that cycle's lifts; the ids partition
+    # the live residues as the snakes (co-snakes) walked mod sigma do, one
+    # id per lift, and the swallows' walk lifts read the same ids
     orbits = 0
     for n in range(2, 14):
         for o in all_orbits(n):
             s = Scroll(o)
-            period, sigma = s.metrics.T_tape, s.metrics.sigma
-            walked = walked_labels(s, sigma)
-            for (cycle, _, lift, _), lifts, labels in zip(s.period_cycles, s.lift_labels, walked):
+            period, sigma = len(s.unit), s.metrics.sigma
+            walked, reads = walked_labels(s, sigma), []
+            for (cycle, _, lift, _), lifts, labels in zip(s.period_cycles, s.cycle_lifts, walked):
                 read = [None] * sigma
                 for k in range(sigma):
-                    x, u = divmod(k, period)
-                    if cycle[u] is not None:
-                        table = lifts[cycle[u]]
-                        read[k] = table[(x - lift[u]) % len(table)]
-                assert read == labels, o.seed
-                assert sorted(x for table in lifts for x in table) == sorted(set(labels) - {None})
+                    x, r = divmod((k - 1) % sigma, period)
+                    if cycle[r] is not None:
+                        first, g = lifts[cycle[r]]
+                        read[k] = first + (x - lift[r]) % g
+                assert relabelled(read) == labels, o.seed
+                assert sum(g for _, g in lifts) == len(set(labels) - {None})
+                reads.append(read)
             walks = s.coslither_walk[0], s.slither_walk[0]
-            for on_walk, labels, indices in zip(s.swallow_lifts, walked, walks):
-                assert [table[y] for table, y in on_walk] == [labels[k % sigma] for k in indices]
+            for on_walk, ids, indices in zip(s.swallow_lifts, reads, walks):
+                assert [first + y for first, _, y in on_walk] == [ids[k % sigma] for k in indices]
             orbits += 1
     assert orbits == 68
 
@@ -117,9 +129,8 @@ def test_lifted_counts_match_walked_cycles():
         for o in all_orbits(n):
             s = Scroll(o)
             assert s.live_count == vector(s).count(1)
-            succ = s.period_advances[0]
-            on_period = [t for t, d in enumerate(succ) if d is not None]
-            assert s.period_live == (on_period[0], len(on_period))
+            # the live residues of the unit are those with a successor advance
+            assert s.unit_live == [r for r, d in enumerate(s.step_advances[0]) if d is not None]
             snakes = s.snakes
             assert snakes == walked_counts(s, s.metrics.sigma)
             if n <= 13:
@@ -134,27 +145,27 @@ def test_lifted_counts_match_walked_cycles():
 
 
 def test_windings_reject_a_non_injective_map():
-    # tape period 7, live residues 0 and 5: send 0 where 5 goes, so both
-    # reach 0; the walk mod 7 raises, and so does every table built on it
+    # tape period 7, live offsets 4 and 6 (tape indices 5 and 7): send 4
+    # where 6 goes, so both reach 4; the walk mod 7 raises, and so does
+    # every table built on it
     s = scroll_from_seed("00001010000")
-    succ, co_succ = s.period_advances
-    assert [t for t, d in enumerate(succ) if d is not None] == [0, 5]
-    assert s.metrics.T_tape == len(succ) == 7
-    s.__dict__["period_advances"] = [5 + succ[5], *succ[1:]], co_succ
-    with pytest.raises(AssertionError, match="not a permutation"):
+    succ, co_succ = s.step_advances
+    assert s.unit_live == [4, 6] and len(s.unit) == len(succ) == 7
+    s.__dict__["step_advances"] = [*succ[:4], 2 + succ[6], *succ[5:]], co_succ
+    with pytest.raises(AssertionError, match="^step is not a permutation of live: from 6$"):
         s.windings
     with pytest.raises(AssertionError, match="not a permutation"):
         omega_table(s, 2)
 
 
 def test_windings_reject_a_non_permuting_co_successor():
-    # send live residue 0 where 5 goes under the co-successor mod 7, before
+    # send live offset 4 where 6 goes under the co-successor mod 7, before
     # anything reads the windings: the labels mod sigma raise as the walk
-    # mod T does, since they are read off it
+    # mod P does, since they are read off it
     s = scroll_from_seed("00001010000")
-    succ, co_succ = s.period_advances
-    s.__dict__["period_advances"] = succ, [5 + co_succ[5], *co_succ[1:]]
-    message = "^step is not a permutation of live: from 0$"
+    succ, co_succ = s.step_advances
+    s.__dict__["step_advances"] = succ, [*co_succ[:4], 2 + co_succ[6], *co_succ[5:]]
+    message = "^step is not a permutation of live: from 4$"
     with pytest.raises(AssertionError, match=message):
         s.snake_labels
     with pytest.raises(AssertionError, match=message):

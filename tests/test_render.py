@@ -37,9 +37,9 @@ def test_the_n16_table_reuses_rows_and_splits_edges():
     "letters, what", [("successor_letters", "successor"), ("co_successor_letters", "co-successor")]
 )
 def test_svg_raises_on_a_non_unique_step_letter(letters, what):
-    # count digit "2" at live index 7 of the period table (P = T_tape = 7):
-    # building the table reads the period advances, for its counts, which raise
-    # with the step's message, naming the index in [1, T]
+    # count digit "2" at live index 7 of the letter table (P = 7): building
+    # the table walks the cycles mod P, for its counts, which raise with the
+    # step's message, naming the index in [1, P]
     s = scroll_from_seed("00001010000")
     table = getattr(s, letters)
     vars(s)[letters] = table[:6] + "2" + table[7:]
@@ -54,22 +54,23 @@ def test_svg_raises_on_a_non_unique_step_letter(letters, what):
     [(5, 7, "co-successor of live index 5"), (5, 5, "successor of live index 5")],
 )
 def test_svg_raises_at_the_first_entry_without_a_unique_letter(co_index, succ_index, what):
-    # the table, its counts and its labels are built before a count digit
-    # "2" is injected into the co-successor letters at live index co_index
-    # and into the successor letters at succ_index (P = 7, live indices 5
-    # and 7), and the step advances are rebuilt: svg_table's own step reads
-    # raise, at the first entry in tape order, the successor before the
-    # co-successor, as the per-entry oracle does
+    # the table, its counts and its labels (and the oracle's) are built
+    # before a count digit "2" is injected into the co-successor letters at
+    # live index co_index and into the successor letters at succ_index
+    # (P = 7, live indices 5 and 7), and the step advances are rebuilt:
+    # svg_table's own step reads raise, at the first entry in tape order,
+    # the successor before the co-successor, as the per-entry oracle does
     s = scroll_from_seed("00001010000")
     table = omega_table(s, 1)
     s.snake_labels
+    labels = oracles.walked_labels(s, s.metrics.sigma)
     for letters, index in (("co_successor_letters", co_index), ("successor_letters", succ_index)):
         old = getattr(s, letters)
         vars(s)[letters] = old[: index - 1] + "2" + old[index:]
     vars(s)["step_advances"] = Scroll.step_advances.func(s)
     message = f"^{what}: 2 live candidates, expected 1$"
     with pytest.raises(AssertionError, match=message):
-        oracles.svg_table(table)
+        oracles.svg_table(table, labels)
     with pytest.raises(AssertionError, match=message):
         svg_table(table)
 
@@ -84,9 +85,10 @@ def test_svg_tests_both_targets_of_an_entry():
     s = scroll_from_seed("10")
     table = omega_table(s, 1)
     s.snake_labels
+    labels = oracles.walked_labels(s, s.metrics.sigma)
     assert (s.successor_letters, s.co_successor_letters, table.r) == ("D..", "S..", 3)
     vars(s)["co_successor_letters"] = "L.."
     vars(s)["step_advances"] = Scroll.step_advances.func(s)
     svg = svg_table(table)
-    assert svg == oracles.svg_table(table)
+    assert svg == oracles.svg_table(table, labels)
     assert svg.count('r="3"') == 2  # one split edge: its two re-entry markers

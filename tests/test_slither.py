@@ -2,7 +2,7 @@
 
 import pytest
 
-from snakescroll.cycles import all_orbits
+from snakescroll.cycles import all_orbits, enumerate_independent_sets
 from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.slither import metrics_from_row, step_advance, words_from_row, zero_blocks
 
@@ -72,6 +72,30 @@ def test_letter_counts():
     assert (ws.beta_e, ws.beta_d) == (3, 3)
     assert (wc.alpha_s, wc.alpha_l) == (2, 0)
     assert ws.beta == 6 and wc.alpha == 2
+
+
+def test_extraction_identities_on_every_live_row_to_n20():
+    # the letter-count laws "beta_D = 2 alpha - 1" and "2bE + 3aS + 4aL =
+    # n+1" are identities of the word extraction, checked on every
+    # independent row of C_2..C_20 that starts at a live entry, with the
+    # gaps between live entries counted here: beta_D = 2 alpha - 1 =
+    # 2 #(inner gaps >= 2) + 1, and each inner gap z adds z + 1 and the
+    # trailing gap z_t adds z_t + 2 to 2 beta_E + 3 alpha_S + 4 alpha_L
+    rows = 0
+    for n in range(2, 21):
+        for row in enumerate_independent_sets(n):
+            if row[0] != "1":
+                continue
+            slither, coslither = words_from_row(row, n)
+            live = [j for j, x in enumerate(row) if x == "1"]
+            inner = [b - a - 1 for a, b in zip(live, live[1:])]
+            wide = sum(z >= 2 for z in inner)
+            assert slither.count("D") == 2 * len(coslither) - 1 == 2 * wide + 1, row
+            weighted = 2 * slither.count("E") + 3 * coslither.count("S") + 4 * coslither.count("L")
+            trailing = n - 1 - live[-1]
+            assert weighted == sum(z + 1 for z in inner) + trailing + 2 == n + 1, row
+            rows += 1
+    assert rows == 10945
 
 
 def test_running_example_metrics():

@@ -21,6 +21,7 @@ from snakescroll.tables import (
 
 from oracles import (
     co_successor,
+    least_residues,
     live_residues,
     permutation_group_invariants,
     reduced_maps,
@@ -83,15 +84,14 @@ def test_running_example_co_swallow():
 
 def test_swallow_rejects_a_non_uniform_shift():
     t = omega_table(scroll_from_seed(SEED11), 1)
-    # labels 0, 1, 2 in order, all swallowed onto label 0: the walk sits on
-    # lifts 0, 1, 2 of one cycle of 100 lifts, labelled 0, 1, 2, and each
-    # lift less size/T = 11 is labelled 0
-    assert t.size == 77 and t.scroll.metrics.T_tape == 7
-    table = [0] * 100
-    table[1], table[2] = 1, 2
+    # ids 0, 1, 2 in order, swallowed onto 0, 2, 1: the walk meets the one
+    # snake of a cycle of one lift (first id 0), then lifts 0 and 1 of a
+    # cycle of two (first id 1), which swap less size/P = 11 laps, an odd
+    # number; (0, 2, 1) is no rotation of the order
+    assert t.size == 77 and len(t.scroll.unit) == 7
     s = t.scroll
     # both maps' walk lifts are replaced: the orders are built together
-    vars(s)["swallow_lifts"] = ([(table, y) for y in range(3)],) * 2
+    vars(s)["swallow_lifts"] = ([(0, 1, 0), (1, 2, 0), (1, 2, 1)],) * 2
     assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))
     with pytest.raises(AssertionError, match="not a uniform shift"):
         swallow_shift(s, 0, t.size)
@@ -186,9 +186,12 @@ def test_swallows_match_head_stepping_reference():
         sw = _reference_swallow(table, snake, s.snakes.alpha, lambda t: co_successor(s, t), succ)
         cs = _reference_swallow(table, cosnake, s.snakes.beta, lambda t: successor(s, t), co_succ)
         for which, want in enumerate((sw, cs)):
-            order, shift = s.swallow_orders[which], swallow_shift(s, which, table.size)
+            # each snake id named by its snake's least residue, as walked
+            name = least_residues(s.snake_labels[which])
+            order = [name[x] for x in s.swallow_orders[which]]
+            shift = swallow_shift(s, which, table.size)
             image = dict(zip(order, order[shift:] + order[:shift]))
-            assert (order, image) == want
+            assert (tuple(order), image) == want
 
 
 def _cycle_lengths_lcm(live, step) -> int:

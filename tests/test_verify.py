@@ -86,7 +86,7 @@ def test_a_missing_tape_class_fails_completeness(monkeypatch):
 
 def _recording_walks(monkeypatch) -> list:
     """The moduli walk_cycles is called at, the length of its advance
-    arrays, in call order."""
+    arrays, in call order: P = len(unit) for each scroll it walks."""
     calls = []
     original = scroll.walk_cycles
 
@@ -108,7 +108,7 @@ def test_no_table_walks_its_maps(monkeypatch):
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
     assert len(scrolls) == 18
-    assert calls == [s.metrics.T_tape for s in scrolls]
+    assert calls == [len(s.unit) for s in scrolls]
     assert sum(rep.passed.values()) == 4320
 
 
@@ -128,7 +128,7 @@ def test_alternating_scrolls_walk_each_once(monkeypatch):
         ]
         for _ in range(3)
     ]
-    assert calls == [a.metrics.T_tape, b.metrics.T_tape]
+    assert calls == [len(a.unit), len(b.unit)]
     assert all(x is y for later in reads[1:] for x, y in zip(later[:2], reads[0][:2]))
     assert all(later[2:] == reads[0][2:] for later in reads[1:])
 
@@ -214,7 +214,7 @@ def _reference_table_laws(s, omega_max, rep):
     snakes = s.snakes
     for omega in range(1, omega_max + 1):
         size, eta = omega * s.size, omega * s.live_count
-        alpha, beta = scroll.lifted_counts(s, size // met.T_tape)
+        alpha, beta = scroll.lifted_counts(s, size // len(s.unit))
         counts = (alpha, beta) == tables.predicted_counts(s, omega)
         _check(rep, "ouroboros counts match formula", counts, ctx, omega)
         try:
@@ -346,23 +346,22 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
 
 
 def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
-    """A scroll of tape period T = len(succ) whose steps are given by their
-    advances per residue mod T (None on dead residues), with its steps and
-    tape, one period of m*n = T residues, given in the test's own
+    """A scroll of tape period P = len(succ) whose steps are given by their
+    advances per offset r = t - 1 mod P (None on dead residues), with its
+    steps and tape, one period of m*n = P residues, given in the test's own
     arithmetic for the oracle."""
     period = len(succ)
     s = SimpleNamespace(
-        metrics=SimpleNamespace(T_tape=period),
-        period_advances=(succ, co_succ),
-        # X_t at t - 1, for t in [1, T]
-        base=SimpleNamespace(period=bytes(d is not None for d in succ[1:] + succ[:1])),
+        step_advances=(succ, co_succ),
+        unit_live=[r for r, d in enumerate(succ) if d is not None],
+        # X_t at t - 1, for t in [1, P]
+        base=SimpleNamespace(period=bytes(d is not None for d in succ)),
         m=1,
         n=period,
-        successor_step=lambda t: (t + succ[t % period], None),
-        co_successor_step=lambda t: (t + co_succ[t % period], None),
+        successor_step=lambda t: (t + succ[(t - 1) % period], None),
+        co_successor_step=lambda t: (t + co_succ[(t - 1) % period], None),
     )
     s.period_cycles = Scroll.period_cycles.func(s)
-    s.period_live = Scroll.period_live.func(s)
     return s
 
 
@@ -395,7 +394,7 @@ def test_no_table_is_labelled(monkeypatch):
     rep = run_verification(2, 9, omega_max=3, extended=False)
     assert not rep.violations
     scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
-    assert calls == [s.metrics.T_tape for s in scrolls]
+    assert calls == [len(s.unit) for s in scrolls]
     assert len(calls) == len(scrolls) == 18
 
 
@@ -436,21 +435,22 @@ def test_theorem_suite_n17_to_18():
 
 
 def test_shared_label_pair_is_a_fiber_violation():
-    # the co-successor cycle mod T of a live residue u renumbered as that of
-    # t: the successor has one cycle mod T here, so t and u share both
-    # cycles, and with F = sigma/T = 2 they meet in one fiber at each lift.
-    # Each co-successor cycle has winding 1, so it lifts to one co-snake:
-    # the labels mod sigma get the same fault when u's co-snake is
-    # relabelled as t's, and the oracle is given those labels
+    # the co-successor cycle mod P of the second live tape index u mod P
+    # renumbered as that of the first, t (at offsets t - 1 and u - 1): the
+    # successor has one cycle mod P here, so t and u share both cycles, and
+    # with F = sigma/P = 2 they meet in one fiber at each lift.  Each
+    # co-successor cycle has winding 1, so it lifts to one co-snake: the
+    # labels mod sigma get the same fault when u's co-snake is relabelled
+    # as t's, and the oracle is given those labels
     s = scroll_from_seed("00000010000")
-    period, sigma = s.metrics.T_tape, s.metrics.sigma
+    period, sigma = len(s.unit), s.metrics.sigma
     assert (period, sigma) == (21, 42)
     (s_cycle, *_), (c_cycle, index, lift, cycles) = s.period_cycles
-    assert len(set(s_cycle) - {None}) == 1 and all(w == 1 for _, w, _ in cycles)
-    t, u = [v for v, i in enumerate(c_cycle) if i is not None][:2]
+    assert len(set(s_cycle) - {None}) == 1 and all(w == 1 for _, w in cycles)
+    t, u = live_residues(s, period)[:2]
     snake, cosnake = s.snake_labels
     c_cycle = list(c_cycle)
-    c_cycle[u] = c_cycle[t]
+    c_cycle[u - 1] = c_cycle[t - 1]
     vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, lift, cycles)
     cosnake = list(cosnake)
     for x in range(u, sigma, period):
@@ -464,21 +464,25 @@ def test_shared_label_pair_is_a_fiber_violation():
 
 @pytest.mark.parametrize("winding, lift, shared", [(6, 0, False), (6, 1, True), (2, 0, True)])
 def test_fibers_on_a_merged_co_successor_cycle(winding, lift, shared):
-    # the running example's two live residues mod T = 7, 0 and 5 (F =
-    # sigma/T = 6), put on one co-successor cycle of length 2, 5 at the
-    # given lift: it lifts to g = gcd(winding, 6) co-snakes, and 5 + x*T
-    # lies on that of (x - lift)*T mod g.  The successor's one cycle lifts
-    # to two snakes, x*T and 5 + x*T on those of x and x - 1 mod 2.  With
-    # winding 6 and lift 0 the snakes keep 5 + x*T and x*T apart; with lift
-    # 1 they share a fiber, and with winding 2 each point meets itself two
-    # lifts on (lcm(2, 2) < 6): then each of the 12 live residues fails
+    # the running example's two live tape indices mod P = 7, 0 and 5 (F =
+    # sigma/P = 6), put on one co-successor cycle of length 2, 5 at the
+    # given lift: it lifts to g = gcd(winding, 6) co-snakes, and 5 + x*P
+    # lies on that of (x - lift)*P mod g.  The cycles are walked on offsets
+    # t - 1: tape index 0 is offset 6 one lap back, so the cycle is walked
+    # from offset 6, and offset 4 (tape index 5) is at lift lift + 1.  The
+    # successor's one cycle lifts to two snakes, x*P and 5 + x*P on those
+    # of x and x - 1 mod 2.  With winding 6 and lift 0 the snakes keep
+    # 5 + x*P and x*P apart; with lift 1 they share a fiber, and with
+    # winding 2 each point meets itself two lifts on (lcm(2, 2) < 6): then
+    # each of the 12 live residues fails
     s = scroll_from_seed("00001010000")
-    assert (s.metrics.T_tape, s.metrics.sigma) == (7, 42)
+    assert (len(s.unit), s.metrics.sigma) == (7, 42)
     (_, _, s_lift, s_cycles), (c_cycle, index, c_lift, _) = s.period_cycles
-    assert (s_lift[0], s_lift[5], s_cycles) == (0, 1, [(2, 2, 0)])
+    assert (s_lift[4], s_lift[6], s_cycles) == (0, 0, [(2, 2)])
     c_cycle, index, c_lift = list(c_cycle), list(index), list(c_lift)
-    c_cycle[5], index[5], c_lift[5] = 0, 1, lift
-    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, c_lift, [(2, winding, 0)])
+    c_cycle[6], index[6], c_lift[6] = 0, 0, 0
+    c_cycle[4], index[4], c_lift[4] = 0, 1, lift + 1
+    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, c_lift, [(2, winding)])
     live = [v + k for k in range(0, 42, 7) for v in (0, 5)]
     expected = [f"{FIBERS}: n=11 seed=00001010000 tape {t}" for t in live] if shared else []
     assert _law_results(s, FIBERS) == (12 - len(expected), expected)
@@ -825,11 +829,12 @@ def test_free_action_needs_the_row_not_only_the_tape():
 
 
 def test_near_row_on_merged_co_snakes_matches_the_oracle():
-    # every co-successor cycle mod T merged into one of winding 1, which
-    # lifts to one co-snake mod sigma: each live entry within a row span of
-    # a live residue shares its co-snake.  The oracle is given the same
-    # fault injected into the labels mod sigma, every co-snake relabelled as
-    # the first one; every orbit with 4 <= n <= 16 has such an entry
+    # every co-successor cycle mod P merged into one of winding 1, which
+    # lifts to one co-snake mod sigma (one first id and one lift): each live
+    # entry within a row span of a live residue shares its co-snake.  The
+    # oracle is given the same fault injected into the labels mod sigma,
+    # every co-snake relabelled as the first one; every orbit with
+    # 4 <= n <= 16 has such an entry
     orbits = merged = 0
     for n in range(4, 17):
         for o in all_orbits(n):
@@ -837,8 +842,9 @@ def test_near_row_on_merged_co_snakes_matches_the_oracle():
             snake, cosnake = s.snake_labels
             cycle, index, lift, cycles = s.period_cycles[1]
             one = [None if i is None else 0 for i in cycle]
-            one_cycle = [(sum(length for length, _, _ in cycles), 1, cycles[0][2])]
+            one_cycle = [(sum(length for length, _ in cycles), 1)]
             vars(s)["period_cycles"] = s.period_cycles[0], (one, index, lift, one_cycle)
+            vars(s)["cycle_lifts"] = s.cycle_lifts[0], [(0, 1)]
             first = live_residues(s, s.metrics.sigma)[0]
             vars(s)["snake_labels"] = snake, [None if x is None else first for x in cosnake]
             result = _law_results(s, NEAR_ROW)
@@ -857,7 +863,7 @@ def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
     run_verification(2, 16)
     scrolls = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
     assert len(scrolls) == 159
-    assert calls == [s.metrics.T_tape for s in scrolls]
+    assert calls == [len(s.unit) for s in scrolls]
     for s in scrolls:
         rep = VerificationReport()
         check_scroll(s, rep)
@@ -871,16 +877,17 @@ def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
 
 
 def test_a_wrong_winding_breaks_the_advance_linearity():
-    # the second successor cycle mod T = 7 (the residue 4 alone, winding 1)
-    # given winding 2: K steps from 4 now advance 2*K*T, not K*p = K*T, for
-    # each of the rounds K = 1..3; the failure at 4 stands for 4, 11, 18
+    # the first successor cycle mod P = 7 (offset 3 alone, tape index 4,
+    # winding 1) given winding 2: K steps from 4 now advance 2*K*P, not
+    # K*p = K*P, for each of the rounds K = 1..3; the failure at 4 stands
+    # for 4, 11, 18
     s = scroll_from_seed("000100")
     met = s.metrics
-    assert (met.T_tape, met.sigma, met.deg, met.p) == (7, 21, 3, 7)
+    assert (len(s.unit), met.sigma, met.deg, met.p) == (7, 21, 3, 7)
     cycle, index, lift, cycles = s.period_cycles[0]
-    assert cycles == [(1, 1, 0), (1, 1, 4)]
+    assert (cycle[3], cycles) == (0, [(1, 1), (1, 1)])
     s.snakes  # the counts read the true windings
-    vars(s)["period_cycles"] = (cycle, index, lift, [(1, 1, 0), (1, 2, 4)]), s.period_cycles[1]
+    vars(s)["period_cycles"] = (cycle, index, lift, [(1, 2), (1, 1)]), s.period_cycles[1]
     assert _law_results(s, LINEAR) == (
         9,
         [f"{LINEAR}: n=6 seed=000100 r={r} from {t}" for r in (1, 2, 3) for t in (4, 11, 18)],
@@ -910,34 +917,29 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
 
 
 def _identity_co_successor(s):
-    # each live residue mod T a cycle of its own, of length 1, winding 0 and
-    # least member itself: it lifts to orbits of length 1 mod M, shorter
-    # than every arc
-    cycle = s.period_cycles[1][0]
-    live = [u for u, i in enumerate(cycle) if i is not None]
-    identity = [None] * len(cycle)
-    for i, u in enumerate(live):
-        identity[u] = i
+    # each live residue mod P a cycle of its own, of length 1 and winding
+    # 0: it lifts to orbits of length 1 mod M, shorter than every arc
+    live = s.unit_live
+    identity = [None] * len(s.unit)
+    for i, r in enumerate(live):
+        identity[r] = i
     zero = [None if i is None else 0 for i in identity]
-    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0, u) for u in live])
+    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0)] * len(live))
 
 
 def _one_more_live_residue(s):
-    # eta no longer counts the live residues: the count check fails first
-    succ, co_succ = s.period_advances
-    dead = succ.index(None)
-    vars(s)["period_advances"] = tuple(
-        [*row[:dead], 1, *row[dead + 1 :]] for row in (succ, co_succ)
-    )
+    # a dead residue listed as live: the live residues no longer number
+    # eta/F, and the count check fails first
+    vars(s)["unit_live"] = sorted([*s.unit_live, s.unit.index(0)])
 
 
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
 def test_a_broken_table_torsor_is_a_violation(breaking):
-    # the counts and the walk lifts the swallows read are built from the
-    # true advances; only the table torsor reads the broken co-successor
-    # cycles or successor advances
+    # the counts, the walk lifts the swallows read and the check that the
+    # steps are maps are built from the true scroll; only the table torsor
+    # reads the broken co-successor cycles or live residues
     s = scroll_from_seed("00001010000")
-    s.windings, s.swallow_lifts
+    s.windings, s.swallow_lifts, s.steps_are_maps
     breaking(s)
     rep = VerificationReport()
     check_tables(s, 1, rep)
@@ -1110,7 +1112,7 @@ PER_SCROLL_FAULTS = {
     "lambda odd": lambda s, mp: _lam(mp, 2),
     "lambda | gcd(n, ColScale)": lambda s, mp: _lam(mp, 3),
     "lambda > 1 implies n >= 4 lambda": lambda s, mp: _lam(mp, 3),
-    "torsor simple transitivity": lambda s, mp: vars(s).update(period_live=(0, 3)),
+    "torsor simple transitivity": lambda s, mp: _identity_co_successor(s),
     "slither matches simulation": lambda s, mp: _walk(s, "slither_walk", "EEEEEE"),
     "co-slither matches simulation": lambda s, mp: _walk(s, "coslither_walk", "LL"),
 }
