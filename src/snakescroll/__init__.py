@@ -14,23 +14,9 @@ from .classify import (
     feasible_quadruples,
     gf_count,
 )
-from .cycles import (
-    Orbit,
-    all_orbits,
-    enumerate_independent_sets,
-    is_independent,
-    orbit,
-)
-from .scroll import (
-    Scroll,
-    scroll_from_seed,
-)
-from .slither import (
-    CoSlither,
-    ScrollMetrics,
-    Slither,
-    metrics_from_row,
-)
+from .cycles import all_orbits, enumerate_independent_sets, is_independent, orbit
+from .scroll import Scroll
+from .slither import ScrollMetrics, metrics_from_row
 from .sums import col_scale, construct_period_lambda, sum_vector
 from .tables import (
     OrbitTable,

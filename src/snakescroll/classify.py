@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .cycles import is_independent
 from .cyclic import canonical_binary, exponent, least_period
 from .necklaces import necklaces_fixed_content
 from .slither import metrics_from_words, step_advance, words_from_row
@@ -110,11 +109,12 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
 
 
 def _window(period: str, n: int) -> str:
-    """The first n symbols of the tape with this period: its first row."""
-    row = (period * (n // len(period) + 1))[:n]
-    if not is_independent(row):
-        raise AssertionError(f"constructed row is not independent: {row!r}")
-    return row
+    """The first n symbols of the tape with this period: its first row.  It
+    is independent: `checked_period` holds the period to the sweep
+    recurrence X_(t+n) = NOR(X_(t+n-1), X_t, X_(t+1)) at every offset, so
+    a 0 follows each 1 one place and n - 1 places on, the next column and,
+    from column n, column 1 of the row."""
+    return (period * (n // len(period) + 1))[:n]
 
 
 def tape_period(ws: str, wc: str, size: int, n: int) -> str:

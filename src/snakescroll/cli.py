@@ -21,7 +21,7 @@ import os
 import sys
 
 from .classify import construct_first_row, enumerate_ticker_tapes
-from .cycles import is_independent
+from .cycles import is_independent, orbit
 from .cyclic import cyclically_equal
 from .render import ansi_table, svg_table
 from .report import (
@@ -34,7 +34,6 @@ from .report import (
     report_to_text,
     tape_row,
 )
-from .scroll import scroll_from_seed
 from .slither import words_from_row
 from .sums import construct_period_lambda, sum_vector
 from .tables import omega_table
@@ -50,7 +49,7 @@ def _cmd_orbit(args) -> int:
     if len(seed) != args.n or not is_independent(seed):
         print(f"seed {seed!r} is not an independent set of C_{args.n}", file=sys.stderr)
         return EXIT_INPUT
-    table = omega_table(scroll_from_seed(seed), args.omega)
+    table = omega_table(orbit(seed), args.omega)
     if args.format == "svg":
         print(svg_table(table), end="")
     elif args.format == "json":
@@ -114,7 +113,7 @@ def _cmd_sum_period(args) -> int:
         "lambda": args.lam,
         "k": args.k,
         "n": s.n,
-        "seed": s.base.seed,
+        "seed": s.seed,
         "orbitLength": s.m,
         "sumVector": list(sv.sums),
         "achievedPeriod": sv.lam,

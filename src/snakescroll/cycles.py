@@ -10,10 +10,10 @@ So the rows of an orbit, read one after another, form a ticker tape
 with X_t = NOR(X_(t-1), X_(t-n), X_(t-n+1)): the toggle at t sees its
 left neighbour already updated, and its right one updated only at the
 wrap.  `orbit` and `all_orbits` run this recurrence on an n-bit state
-until the state first returns, after T steps, T the tape period; an
-`Orbit` keeps that one tape period, and its rows, the states at steps
-k*n mod T, are built from it on request.  The tests hold them to the
-sweep as a string function, one toggle at a time.
+until the state first returns, after T steps, T the tape period, and
+hand that one tape period to a `Scroll`, the one record of an orbit; its
+rows, the states at steps k*n mod T, are built from it on request.  The
+tests hold them to the sweep as a string function, one toggle at a time.
 
 >>> orbit("00001010000").rows[1]
 '10100001010'
@@ -23,9 +23,10 @@ sweep as a string function, one toggle at a time.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from math import gcd, lcm
+from collections.abc import Iterator
+from math import gcd
+
+from .scroll import Scroll
 
 
 def _check_word(bits: str) -> None:
@@ -45,53 +46,6 @@ def _require_independent(bits: str) -> None:
     # The toggle maps are only defined on independent sets; reject the rest.
     if not is_independent(bits):
         raise ValueError(f"not an independent set of C_{len(bits)}: {bits!r}")
-
-
-_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to "0"/"1" characters
-
-
-class cached_property(functools.cached_property):
-    """A value computed on its first read and kept in the instance dict.
-
-    The stdlib descriptor takes a lock on every first read on Python 3.10
-    and 3.11 (about 1.3 us a read against 0.5 us for this one, Python 3.11
-    on a 2-core Xeon); this one reads as 3.12 does: compute, store, return.
-    A builder that raises stores nothing.  It stays an instance of the
-    stdlib class, so `.func` and values set through `vars(instance)` work
-    as before.
-    """
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
-    not be the least), and n: its m rows are the first lcm(T, n) symbols."""
-
-    period: bytes
-    n: int
-
-    @property
-    def m(self) -> int:
-        return lcm(len(self.period), self.n) // self.n
-
-    @property
-    def seed(self) -> str:
-        """The first row: X_1..X_n."""
-        n, period = self.n, self.period
-        return (period * (n // len(period) + 1))[:n].translate(_CHARS).decode()
-
-    @cached_property
-    def rows(self) -> tuple[str, ...]:
-        """The m rows as words, for callers that print or compare them."""
-        n, period = self.n, self.period
-        tape = (period * (self.m * n // len(period))).translate(_CHARS).decode()
-        return tuple(tape[i : i + n] for i in range(0, len(tape), n))
 
 
 def _independent_words(n: int) -> list[int]:
@@ -135,26 +89,25 @@ def _tape_states(start: int, n: int) -> list[int]:
             return states
 
 
-def orbit(bits: str) -> Orbit:
+def orbit(bits: str) -> Scroll:
     """The sweep orbit of one seed, checked once, simulated over one tape period."""
     _require_independent(bits)
     n = len(bits)
     # X_1..X_T: the leading bit of each tape state
-    return Orbit(bytes([w >> n - 1 for w in _tape_states(int(bits, 2), n)]), n)
+    return Scroll(bytes([w >> n - 1 for w in _tape_states(int(bits, 2), n)]), n)
 
 
-def all_orbits(n: int) -> list[Orbit]:
-    """Partition of all independent sets of C_n into sweep orbits.
+def all_orbits(n: int) -> Iterator[Scroll]:
+    """The sweep orbits of C_n, one per orbit, each yielded as it is found.
 
     Each orbit is simulated on its tape over one period T from its least
-    row; its rows, the states at the multiples of gcd(T, n), are marked seen.
+    row; its rows, the states at the multiples of gcd(T, n), are marked
+    seen.  A caller that checks each orbit and drops it holds one at a time.
     """
     seen: set[int] = set()
-    parts: list[Orbit] = []
     for start in _independent_words(n):
         if start in seen:
             continue
         states = _tape_states(start, n)
         seen.update(states[:: gcd(len(states), n)])
-        parts.append(Orbit(bytes([w >> n - 1 for w in states]), n))
-    return parts
+        yield Scroll(bytes([w >> n - 1 for w in states]), n)

@@ -47,12 +47,12 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
 
     return {
         "n": s.n,
-        "seed": s.base.seed,
+        "seed": s.seed,
         "omega": omega,
-        "rows": list(s.base.rows),
+        "rows": list(s.rows),
         "orbitLength": s.m,
-        "slither": met.slither.word,
-        "coslither": met.coslither.word,
+        "slither": met.slither,
+        "coslither": met.coslither,
         "deg": met.deg,
         "codeg": met.codeg,
         "p": met.p,
@@ -83,7 +83,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
             "scrollPeriodMatchesOrbit": met.T_scroll == s.m,
             "predictedCountsMatch": (alpha, beta) == predicted_counts(s, omega),
             # one simulated slither double-checks the row extraction
-            "slitherMatchesSimulation": cyclically_equal(s.slither_walk[1], met.slither.word),
+            "slitherMatchesSimulation": cyclically_equal(s.slither_walk[1], met.slither),
             "fundamentalDegreesCoprime": gcd(*s.fundamental_degrees) == 1,
             "groupOrderMatchesEta": factors[0] * factors[1] == table.eta,
         },

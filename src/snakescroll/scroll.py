@@ -1,11 +1,17 @@
 """The scroll as one flat ticker tape: step maps, snakes and their cycles.
 
+A `Scroll` is the one record of a sweep orbit: one period of its tape,
+X_1..X_T as 0/1 bytes (`period`, T not necessarily the least), and n.
+`cycles.orbit` and `cycles.all_orbits` build it; its m rows, its seed and
+every value below are read off those two fields on first use and kept in
+the instance.
+
 The scroll stacks the orbit's rows cyclically, and the ticker tape X_t
 is its row-major reading.  Cell (i, j) of the scroll, for any integer row
 i and column j, is tape index t = i*n + j; this is the cylinder
 identification, under which (i, j+n) and (i+1, j) are the same cell.  So
 the tape alone is the scroll, and a scroll keeps one least period P of it
-(`Scroll.unit`, found on the orbit's period): X_t = unit[(t - 1) % P],
+(`Scroll.unit`, found on `Scroll.period`): X_t = unit[(t - 1) % P],
 and the m*n = lcm(P, n) residues of the orbit are the unit repeated.  Its
 live residues, those r with X_(r+1) live, are listed once
 (`Scroll.unit_live`) and read by every builder and law that visits them.
@@ -60,14 +66,35 @@ on the live residues of the unit alone.  No law builds anything of size M.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .cycles import _CHARS, Orbit, cached_property, orbit
 from .cyclic import least_period
 from .slither import ScrollMetrics, metrics_from_row, step_advance
+
+_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to "0"/"1" characters
+
+
+class cached_property(functools.cached_property):
+    """A value computed on its first read and kept in the instance dict.
+
+    The stdlib descriptor takes a lock on every first read on Python 3.10
+    and 3.11 (about 1.3 us a read against 0.5 us for this one, Python 3.11
+    on a 2-core Xeon); this one reads as 3.12 does: compute, store, return.
+    A builder that raises stores nothing.  It stays an instance of the
+    stdlib class, so `.func` and values set through `vars(instance)` work
+    as before.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
 
 DEAD = "."  # step letter of a dead residue
 # The code byte of a residue is 16*(residue live) + 8*(E candidate live) +
@@ -125,26 +152,39 @@ def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class Scroll:
-    base: Orbit
+    """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
+    not be the least), and n: its m rows are the first lcm(T, n) symbols."""
 
-    @cached_property
-    def n(self) -> int:
-        return self.base.n
+    period: bytes
+    n: int
 
     @cached_property
     def m(self) -> int:
-        return self.base.m
+        return lcm(len(self.period), self.n) // self.n
 
     @cached_property
     def size(self) -> int:
         """m*n, the residues of the orbit: one table's worth per omega."""
-        return self.base.m * self.base.n
+        return self.m * self.n
+
+    @property
+    def seed(self) -> str:
+        """The first row: X_1..X_n."""
+        n, period = self.n, self.period
+        return (period * (n // len(period) + 1))[:n].translate(_CHARS).decode()
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        """The m rows as words, for callers that print or compare them."""
+        n, period = self.n, self.period
+        tape = (period * (self.size // len(period))).translate(_CHARS).decode()
+        return tuple(tape[i : i + n] for i in range(0, len(tape), n))
 
     @cached_property
     def unit(self) -> bytes:
         """The tape's least cyclic period: its first P symbols, P found on
-        the orbit's period (`least_period`); X_t = unit[(t - 1) % P]."""
-        period = self.base.period
+        `period` (`least_period`); X_t = unit[(t - 1) % P]."""
+        period = self.period
         return period[: least_period(period)]
 
     @cached_property
@@ -173,7 +213,7 @@ class Scroll:
         """The predicted (bar_alpha_1, bar_beta_1) of the omega = 1 table:
         alpha / deg p_1 and beta / codeg p_1, alpha and beta read off the words."""
         met, (deg_p1, codeg_p1) = self.metrics, self.fundamental_degrees
-        return met.coslither.alpha // deg_p1, met.slither.beta // codeg_p1
+        return len(met.coslither) // deg_p1, len(met.slither) // codeg_p1
 
     @cached_property
     def unit_live(self) -> list[int]:
@@ -362,19 +402,17 @@ class Scroll:
     def _walk(self, step: int, count: int) -> tuple[list[int], str]:
         """The tape indices and letters of count steps of the successor
         (step 0) or co-successor (1) from the first live index, read off
-        the step advances and letters; a live index without an advance
-        raises through its step."""
+        the step advances and letters.  Both walks read `snakes` for their
+        count first, and its cycles (`period_cycles`) raise on a live
+        residue without an advance and on a step onto a dead one, so a
+        walk meets an advance at every step."""
         advances = self.step_advances[step]
         letters = (self.successor_letters, self.co_successor_letters)[step]
         period = len(letters)
         t, indices = self.unit_live[0] + 1, []
-        try:
-            for _ in range(count):
-                indices.append(t)
-                t += advances[(t - 1) % period]
-        except TypeError:  # no advance at indices[-1]
-            (self.successor_step, self.co_successor_step)[step](indices[-1])
-            raise
+        for _ in range(count):
+            indices.append(t)
+            t += advances[(t - 1) % period]
         return indices, "".join([letters[(t - 1) % period] for t in indices])
 
     def _step(self, map_index: int, letters: str, t: int, what: str) -> tuple[int, str]:
@@ -393,10 +431,6 @@ class Scroll:
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
         return self._step(1, self.co_successor_letters, t, "co-successor")
-
-
-def scroll_from_seed(bits: str) -> Scroll:
-    return Scroll(orbit(bits))
 
 
 def walk_cycles(

@@ -9,7 +9,10 @@ z contributes the subslither E (z=1) or D E^(floor(z/2)-1) D (z>=2); the
 trailing block contributes the partial subslither D E^(floor((z-1)/2)).
 The co-slither starts with a letter read off the trailing-zero parity
 (odd -> S, even -> L) followed by one letter per inner block of size z>1,
-taken right to left (z even -> S, z odd -> L).
+taken right to left (z even -> S, z odd -> L).  Both words are plain
+strings (`ScrollMetrics.slither`, `.coslither`), and each reader counts
+their letters with `str.count` and `len`: beta_D, beta_E, alpha_S and
+alpha_L, and beta and alpha, the two lengths.
 
 >>> words_from_row("10100001010", 11)
 ('EDEDED', 'SS')
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .cycles import cached_property
 from .cyclic import exponent
 
 # (rows, columns) one step of each type moves across the scroll
@@ -33,79 +35,32 @@ def step_advance(kind: str, n: int) -> int:
     return rows * n + cols
 
 
-@dataclass(frozen=True)
-class Slither:
-    word: str
-
-    @cached_property
-    def beta_d(self) -> int:
-        return self.word.count("D")
-
-    @cached_property
-    def beta_e(self) -> int:
-        return self.word.count("E")
-
-    @property
-    def beta(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True)
-class CoSlither:
-    word: str
-
-    @cached_property
-    def alpha_s(self) -> int:
-        return self.word.count("S")
-
-    @cached_property
-    def alpha_l(self) -> int:
-        return self.word.count("L")
-
-    @property
-    def alpha(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True)
-class ZeroBlocks:
-    """Gap structure of a row whose column 1 is live."""
-
-    inner_lengths: tuple[int, ...]  # one per gap between live entries
-    trailing_length: int  # zeros after the last live entry
-
-
-def zero_blocks(row: str) -> ZeroBlocks:
+def zero_blocks(row: str) -> tuple[tuple[int, ...], int]:
+    """The gaps of a row whose column 1 is live: the length of each gap
+    between live entries, and the number of zeros after the last one."""
     if "1" not in row:
         raise ValueError("all-zero row has no gap structure")
     if row[0] != "1":
         raise ValueError("row must start at a live entry")
     *inner, trailing = row[1:].split("1")
-    return ZeroBlocks(tuple(map(len, inner)), len(trailing))
+    return tuple(map(len, inner)), len(trailing)
 
 
-def _slither_word(blocks: ZeroBlocks) -> str:
-    parts = [
-        "E" if z == 1 else "D" + "E" * (z // 2 - 1) + "D" for z in blocks.inner_lengths
-    ]
-    parts.append("D" + "E" * ((blocks.trailing_length - 1) // 2))
+def _slither_word(inner: tuple[int, ...], trailing: int) -> str:
+    parts = ["E" if z == 1 else "D" + "E" * (z // 2 - 1) + "D" for z in inner]
+    parts.append("D" + "E" * ((trailing - 1) // 2))
     return "".join(parts)
 
 
-def _coslither_word(blocks: ZeroBlocks) -> str:
-    first = "S" if blocks.trailing_length % 2 == 1 else "L"
-    rest = [
-        "S" if z % 2 == 0 else "L"
-        for z in reversed(blocks.inner_lengths)
-        if z > 1
-    ]
-    return first + "".join(rest)
+def _coslither_word(inner: tuple[int, ...], trailing: int) -> str:
+    first = "S" if trailing % 2 == 1 else "L"
+    return first + "".join(["S" if z % 2 == 0 else "L" for z in reversed(inner) if z > 1])
 
 
 @dataclass(frozen=True)
 class ScrollMetrics:
-    slither: Slither
-    coslither: CoSlither
+    slither: str  # over D and E
+    coslither: str  # over S and L
     deg: int
     codeg: int
     p: int  # snake scale
@@ -117,15 +72,14 @@ class ScrollMetrics:
 
 def metrics_from_words(slither: str, coslither: str, n: int) -> ScrollMetrics:
     """All scale data of the tape with these slither and co-slither words."""
-    ws, wc = Slither(slither), CoSlither(coslither)
-    sigma = 2 * ws.beta_e + (n + 1) * ws.beta_d
-    deg = exponent(ws.word)
-    codeg = exponent(wc.word)
+    sigma = 2 * slither.count("E") + (n + 1) * slither.count("D")
+    deg = exponent(slither)
+    codeg = exponent(coslither)
     p = sigma // deg
     q = sigma // codeg
     T_tape = gcd(p, q)
     T_scroll = lcm(T_tape, n) // n
-    return ScrollMetrics(ws, wc, deg, codeg, p, q, sigma, T_tape, T_scroll)
+    return ScrollMetrics(slither, coslither, deg, codeg, p, q, sigma, T_tape, T_scroll)
 
 
 def words_from_row(row: str, n: int) -> tuple[str, str]:
@@ -138,7 +92,7 @@ def words_from_row(row: str, n: int) -> tuple[str, str]:
     if len(row) != n:
         raise ValueError("row length does not match n")
     blocks = zero_blocks(row)
-    return _slither_word(blocks), _coslither_word(blocks)
+    return _slither_word(*blocks), _coslither_word(*blocks)
 
 
 def metrics_from_row(row: str, n: int) -> ScrollMetrics:

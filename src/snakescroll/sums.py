@@ -12,7 +12,8 @@ from math import gcd
 
 from .classify import construct_first_row, feasible_quadruples
 from .cyclic import least_period
-from .scroll import Scroll, scroll_from_seed
+from .cycles import orbit
+from .scroll import Scroll
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def col_scale(s: Scroll) -> int:
     """Scale mod n, beta_D + 2 beta_E; the count identities make it equal
     n - alpha_S - 2 alpha_L and sigma mod n."""
     ws = s.metrics.slither
-    return ws.beta_d + 2 * ws.beta_e
+    return ws.count("D") + 2 * ws.count("E")
 
 
 def period_lambda_words(lam: int, k: int) -> tuple[str, str]:
@@ -86,7 +87,7 @@ def construct_period_lambda(lam: int, k: int) -> Scroll:
     else:
         ws, wc = period_lambda_words(lam, k)
         seed = construct_first_row(ws, wc, n)
-    s = scroll_from_seed(seed)
+    s = orbit(seed)
     achieved = sum_vector(s).lam
     if achieved != lam:
         raise AssertionError(

@@ -165,7 +165,7 @@ def table_words(s: Scroll, alpha: int, beta: int) -> tuple[str, str]:
     length bar_alpha = alpha: their codeg(p_omega) and deg(p_omega) powers
     are the scroll's words."""
     met = s.metrics
-    return met.slither.word[:beta], met.coslither.word[:alpha]
+    return met.slither[:beta], met.coslither[:alpha]
 
 
 def color_preserving(

@@ -41,9 +41,9 @@ from math import gcd, lcm
 from operator import sub
 
 from .classify import enumerate_ticker_tapes
-from .cycles import _CHARS, all_orbits
+from .cycles import all_orbits
 from .cyclic import canonical_binary, cyclically_equal
-from .scroll import Scroll, lifted_counts
+from .scroll import _CHARS, Scroll, lifted_counts
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -171,6 +171,13 @@ def _tape_laps(offsets: list[int], period: int, laps: int) -> list[int]:
     return _laps(sorted([(r + 1) % period for r in offsets]), period, laps)
 
 
+def _uncovered(s: Scroll) -> str:
+    """Why the tape's least period P does not cover the snakes, cycles mod
+    sigma, or "" where P divides sigma, as on every simulated orbit."""
+    period, sigma = len(s.unit), s.metrics.sigma
+    return f"tape period {period} does not divide sigma {sigma}" if sigma % period else ""
+
+
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
@@ -203,7 +210,8 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     steps to be maps of the live entries; where a live entry has no unique
     letter in some table, the unique-candidates or round-trip law reports
     it and those laws are skipped for the orbit; they are skipped too where
-    a letter's step lands on a dead entry.
+    a letter's step lands on a dead entry.  Where P does not divide sigma,
+    they are skipped with one violation, "snake laws skipped".
     """
     laws: list[Law] = []
     try:
@@ -223,7 +231,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     live = s.unit_live  # residues r of the unit: tape indices r + 1
 
     def ctx() -> str:
-        return f"n={n} seed={s.base.seed}"
+        return f"n={n} seed={s.seed}"
 
     # local structure at every live entry of the unit: the unit and its
     # shifts as integers, one 0/1 byte per residue, so OR and AND act
@@ -294,23 +302,29 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
             c = ctx()
             failed = [f"{c} at tape {t}" for t in _laps(failed, period, laps)]
         add((law, laps * (len(live) - len(not_unique) - skipped), failed))
-    snakes = s.snakes if s.steps_are_maps else None
+    # the laws on snakes read them off the cycles mod P through the covering
+    # Z/sigma -> Z/P, which needs P | sigma: where it fails they are skipped
+    # with one violation, tallied as a law of no checks
+    uncovered = _uncovered(s)
+    if uncovered:
+        add(("snake laws skipped", 0, (f"{ctx()}: {uncovered}",)))
+    snakes = s.snakes if s.steps_are_maps and not uncovered else None
 
     # letter-count constraints and scale identities; T_tape, gcd(p, q) of
     # the words, against the simulated least period
     ws, wc = met.slither, met.coslither
-    beta_d, alpha_s, alpha_l = ws.beta_d, wc.alpha_s, wc.alpha_l
+    alpha_s, alpha_l = wc.count("S"), wc.count("L")
     held = [
-        ("beta_D = 2 alpha - 1", beta_d == 2 * (alpha_s + alpha_l) - 1),
-        ("2bE + 3aS + 4aL = n+1", 2 * ws.beta_e + 3 * alpha_s + 4 * alpha_l == n + 1),
+        ("beta_D = 2 alpha - 1", ws.count("D") == 2 * (alpha_s + alpha_l) - 1),
+        ("2bE + 3aS + 4aL = n+1", 2 * ws.count("E") + 3 * alpha_s + 4 * alpha_l == n + 1),
         ("deg, codeg coprime", gcd(met.deg, met.codeg) == 1),
         ("T_tape = gcd(p, q)", met.T_tape == period),
         ("orbit length formula", met.T_scroll == m),
     ]
     if snakes:
         held += [
-            ("alpha from letters", snakes.alpha == wc.alpha),
-            ("beta from letters", snakes.beta == ws.beta),
+            ("alpha from letters", snakes.alpha == len(wc)),
+            ("beta from letters", snakes.beta == len(ws)),
         ]
     for law, holds in held:
         add((law, 1, () if holds else (ctx(),)))
@@ -351,8 +365,8 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     # step-word simulation agreement (slither and co-slither), on the
     # scroll's walks from the first live index, which the swallows reuse
     for law, (_, simulated), word in (
-        ("slither matches simulation", s.slither_walk, ws.word),
-        ("co-slither matches simulation", s.coslither_walk, wc.word),
+        ("slither matches simulation", s.slither_walk, ws),
+        ("co-slither matches simulation", s.coslither_walk, wc),
     ):
         failed = () if cyclically_equal(simulated, word) else (f"{ctx()} simulated {simulated}",)
         add((law, 1, failed))
@@ -388,7 +402,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     # A_(k + l) = A_k + w*P, so K = r*block steps from index k advance
     # A_(k + K) - A_k: with K = c*l + j, that is (A_(k + j) - A_k) + c*w*P,
     # A_(k + j) read off the cycle's positions over two laps
-    block = len(ws.word) // met.deg
+    block = len(ws) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
     nonlinear = []
     for r in rounds:
@@ -504,7 +518,8 @@ TABLE_LAWS = (
 
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
-    none runs unless all four steps are maps of the live entries.
+    none runs unless all four steps are maps of the live entries and P
+    divides sigma, and one violation names the reason it skipped.
 
     Each table law is evaluated on the table's scalars (`tables`' scalar
     cores) and tallied once per orbit: a failure is recorded as it occurs,
@@ -525,9 +540,10 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     and the colour-preserving conditions read omega itself or eta, and are
     evaluated at every omega.
     """
-    ctx = f"n={s.n} seed={s.base.seed}"
-    if not s.steps_are_maps:
-        rep.violations.append(f"table laws skipped: {ctx}: steps are not maps")
+    ctx = f"n={s.n} seed={s.seed}"
+    reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
+    if reason:
+        rep.violations.append(f"table laws skipped: {ctx}: {reason}")
         return
     met = s.metrics
 
@@ -539,7 +555,7 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
             f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
         )
 
-    slither, coslither = met.slither.word, met.coslither.word
+    slither, coslither = met.slither, met.coslither
     snake_count, cosnake_count = s.snakes
     unit_size, unit_live, sigma = s.size, s.live_count, met.sigma
     fold = unit_size // len(s.unit)
@@ -633,8 +649,7 @@ def run_verification(
     rep = VerificationReport()
     for n in range(n_min, n_max + 1):
         periods = set()
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             check_scroll(s, rep, extended=extended)
             if omega_max:
                 check_tables(s, omega_max, rep)

@@ -90,7 +90,7 @@ def sawada_necklaces(a: str, b: str, ca: int, cb: int) -> list[str]:
 
 def vector(s: Scroll) -> bytes:
     """X_1..X_(m*n), the orbit's m*n residues: its period repeated."""
-    return s.base.period * (s.m * s.n // len(s.base.period))
+    return s.period * (s.m * s.n // len(s.period))
 
 
 def successor(s: Scroll, t: int) -> int:
@@ -276,7 +276,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     runs only where they are, as in check_scroll.
     """
     n, size, bits = s.n, s.m * s.n, vector(s)
-    ctx = f"n={n} seed={s.base.rows[0]}"
+    ctx = f"n={n} seed={s.rows[0]}"
     advance = {x: step_advance(x, n) for x in "EDSL"}
     tables = (
         s.successor_letters,
@@ -345,8 +345,8 @@ def advance_linear_law(s: Scroll) -> tuple[int, list[str]]:
     for r = 1..min(3, deg), and compares the advance with r*p.
     """
     law, met = RESIDUE_LAWS[5], s.metrics
-    ctx = f"n={s.n} seed={s.base.rows[0]}"
-    block = len(met.slither.word) // met.deg
+    ctx = f"n={s.n} seed={s.rows[0]}"
+    block = len(met.slither) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
     on_sigma = live_residues(s, met.sigma)
     nonlinear = []
@@ -368,7 +368,7 @@ def tape_shift_law(s: Scroll) -> tuple[int, list[str]]:
     ell in [1, 3*T_tape] with the tape read from 0, m*n symbols each.
     """
     law, size, period = "tape shift iff T_tape divides", s.m * s.n, s.metrics.T_tape
-    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    ctx = f"n={s.n} seed={s.rows[0]}"
     bits = vector(s)
     reads = (bits[-1:] + bits[:-1]) * (3 * period // size + 2)  # X_t at t
     wrong = [
@@ -390,7 +390,7 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
     mod its table's length, negated for a negative exponent.
     """
     law, n, part = "free affine action", s.n, s.snakes
-    ctx = f"n={n} seed={s.base.rows[0]}"
+    ctx = f"n={n} seed={s.rows[0]}"
 
     def walk(coord, back, forth, k):  # coordinates after e = -k..k steps
         walks = []
@@ -428,7 +428,7 @@ def near_row_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[in
     (`walked_labels`), or labels given, as a fault test injects them.
     """
     law, n, size, sigma = "near-row co-snake distinctness", s.n, s.m * s.n, s.metrics.sigma
-    ctx = f"n={n} seed={s.base.rows[0]}"
+    ctx = f"n={n} seed={s.rows[0]}"
     label = (labels or walked_labels(s, sigma))[1]
     near, shared = 0, []
     bits = vector(s)
@@ -451,7 +451,7 @@ def fibers_law(s: Scroll, labels: tuple[list, list] | None = None) -> tuple[int,
     pair.
     """
     law, sigma = "fibers are residues mod sigma", s.metrics.sigma
-    ctx = f"n={s.n} seed={s.base.rows[0]}"
+    ctx = f"n={s.n} seed={s.rows[0]}"
     snake, cosnake = labels or walked_labels(s, sigma)
     live = live_residues(s, sigma)
     pairs = [(snake[t], cosnake[t]) for t in live]

@@ -12,10 +12,9 @@ from snakescroll.classify import (
     feasible_quadruples,
     gf_count,
 )
-from snakescroll.cycles import all_orbits
+from snakescroll.cycles import all_orbits, orbit
 from snakescroll.cyclic import cyclically_equal
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.slither import metrics_from_row
 from snakescroll.sums import col_scale, construct_period_lambda, sum_vector
 from snakescroll.tables import (
@@ -31,11 +30,11 @@ from oracles import permutation_group_invariants
 
 def test_criterion_1_running_example_n11():
     start = time.perf_counter()
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     met = s.metrics
     assert s.m == 7
-    assert cyclically_equal(met.slither.word, "EDEDED")
-    assert cyclically_equal(met.coslither.word, "SS")
+    assert cyclically_equal(met.slither, "EDEDED")
+    assert cyclically_equal(met.coslither, "SS")
     assert (s.snakes.alpha, s.snakes.beta) == (2, 6)
     assert (met.deg, met.codeg) == (3, 2)
     assert (met.p, met.q) == (14, 21)
@@ -56,10 +55,10 @@ def test_criterion_1_running_example_n11():
 
 def test_criterion_2_motivating_example_n12():
     start = time.perf_counter()
-    s = scroll_from_seed("101010001010")
+    s = orbit("101010001010")
     assert s.m == 15
 
-    vector = "".join(s.base.rows)
+    vector = "".join(s.rows)
     assert len(vector) == 180
     assert vector == vector[:45] * 4
     assert s.metrics.T_tape == 45
@@ -197,8 +196,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
     product_form_failures = set()
     total = 0
     for n in range(2, 14):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             for omega in range(1, 13):
                 total += 1
                 t = omega_table(s, omega)
@@ -206,7 +204,7 @@ def test_criterion_5_invariant_factors_direct_product_form():
                 g = gcd(a, b)
                 forced = tuple(d for d in (g, eta // g) if d > 1)
                 factors = group_factors(s, eta, a, b)
-                ctx = f"n={n} seed={o.rows[0]} omega={omega}"
+                ctx = f"n={n} seed={s.rows[0]} omega={omega}"
                 if nontrivial(factors) != forced:
                     disagreements.append(
                         f"{ctx}: factors {nontrivial(factors)}, forced {forced}"
@@ -218,14 +216,14 @@ def test_criterion_5_invariant_factors_direct_product_form():
                         f"{matches}, gcd condition disagrees"
                     )
                 if not matches:
-                    product_form_failures.add((n, o.rows[0], omega))
+                    product_form_failures.add((n, s.rows[0], omega))
     assert total == 816
     assert not disagreements, (
         f"{len(disagreements)} disagreements with Z_gcd(a,b) x "
         f"Z_(eta/gcd(a,b)) over {total} tables, e.g. {disagreements[0]}"
     )
     assert (5, "00100", 4) in product_form_failures
-    t = omega_table(scroll_from_seed("00100"), 4)
+    t = omega_table(orbit("00100"), 4)
     assert permutation_group_invariants(t) == (20,)
 
 
@@ -233,8 +231,8 @@ def test_criterion_6_round_trip_and_completeness():
     for n in range(2, 23):
         for rec in enumerate_ticker_tapes(n):
             met = metrics_from_row(rec.first_row, n)
-            assert cyclically_equal(met.slither.word, rec.slither)
-            assert cyclically_equal(met.coslither.word, rec.coslither)
+            assert cyclically_equal(met.slither, rec.slither)
+            assert cyclically_equal(met.coslither, rec.coslither)
     # a simulated tape in its least rotation: that of its least period,
     # repeated (the least rotation of a power is the power of the least one)
     for n in range(2, 23):

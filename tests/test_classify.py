@@ -15,9 +15,8 @@ from snakescroll.classify import (
     gf_count,
     tape_period,
 )
-from snakescroll.cycles import all_orbits, enumerate_independent_sets
+from snakescroll.cycles import all_orbits, enumerate_independent_sets, orbit
 from snakescroll.cyclic import cyclically_equal, least_period
-from snakescroll.scroll import scroll_from_seed
 from snakescroll.slither import metrics_from_row, metrics_from_words, words_from_row
 
 from oracles import vector
@@ -51,8 +50,8 @@ def test_gf_count_equals_enumeration():
 def test_construct_running_example():
     row = construct_first_row("EDEDED", "SS", 11)
     assert cyclically_equal(
-        "".join(scroll_from_seed(row).base.rows),
-        "".join(scroll_from_seed("00001010000").base.rows),
+        "".join(orbit(row).rows),
+        "".join(orbit("00001010000").rows),
     )
 
 
@@ -60,6 +59,20 @@ def test_construct_round_trip():
     for n in range(2, 15):
         for rec in enumerate_ticker_tapes(n):
             assert words_from_row(rec.first_row, n) == (rec.slither, rec.coslither)
+
+
+def test_every_classified_first_row_is_independent_to_n20():
+    # `_window` takes the first row as it is: the sweep recurrence that
+    # `checked_period` holds at every offset makes it independent.  Each of
+    # the 579 rows of C_2..C_20 is checked here, pair by cyclic pair
+    rows = 0
+    for n in range(2, 21):
+        for rec in enumerate_ticker_tapes(n):
+            row = rec.first_row
+            assert len(row) == n and set(row) <= {"0", "1"}, row
+            assert not any(row[j] == row[(j + 1) % n] == "1" for j in range(n)), row
+            rows += 1
+    assert rows == 579
 
 
 def test_a_row_reading_back_other_words_fails_the_round_trip(monkeypatch):
@@ -153,8 +166,8 @@ def test_torsor_period_is_the_simulated_tape():
     rows = 0
     for row, met in live_first_rows(14):
         n, period = len(row), met.T_tape
-        want = "".join(map(str, vector(scroll_from_seed(row))[:period]))
-        assert tape_period(met.slither.word, met.coslither.word, period, n) == want, row
+        want = "".join(map(str, vector(orbit(row))[:period]))
+        assert tape_period(met.slither, met.coslither, period, n) == want, row
         assert recurrence_period(row, period) == want, row
         rows += 1
     assert rows == 609  # sum of F(n - 1) for n = 2..14: column 1 live, 2 and n dead
@@ -163,7 +176,7 @@ def test_torsor_period_is_the_simulated_tape():
 def test_every_single_bit_corruption_breaks_the_recurrence():
     for row, met in live_first_rows(14):
         n, size = len(row), met.T_tape
-        word = tape_period(met.slither.word, met.coslither.word, size, n)
+        word = tape_period(met.slither, met.coslither, size, n)
         period = int(word[::-1], 2)  # bit i is tape index i
         assert checked_period(period, size, n) == word
         for i in range(size):
@@ -175,12 +188,12 @@ def test_a_wrong_tape_period_is_rejected():
     for row, met in live_first_rows(14):
         for wrong in (met.T_tape - 1, 2 * met.T_tape):
             with pytest.raises(AssertionError):
-                tape_period(met.slither.word, met.coslither.word, wrong, len(row))
+                tape_period(met.slither, met.coslither, wrong, len(row))
 
 
 def test_construction_inverts_the_slither_calculus():
     for row, met in live_first_rows(14):
-        assert construct_first_row(met.slither.word, met.coslither.word, len(row)) == row
+        assert construct_first_row(met.slither, met.coslither, len(row)) == row
 
 
 def test_construct_rejects_mismatched_words():
@@ -260,4 +273,4 @@ def test_tape_classes_give_every_sweep_orbit():
     # fall into gcd(n, T) sweep orbits.
     for n in range(2, 23):
         total = sum(gcd(n, least_period(rec.tape)) for rec in enumerate_ticker_tapes(n))
-        assert total == len(all_orbits(n)), f"n={n}"
+        assert total == len(list(all_orbits(n))), f"n={n}"

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, scroll_from_seed, walk_cycles
+from snakescroll.cycles import all_orbits, orbit
+from snakescroll.scroll import Scroll, walk_cycles
 from snakescroll.tables import omega_table
 
 from oracles import live_residues, relabelled, vector, walked_counts, walked_labels
@@ -79,13 +79,12 @@ def test_snake_labels_match_walked_cycles():
     # 0..alpha-1 (0..beta-1), against the steps walked mod sigma
     orbits = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             snake, cosnake = walked_labels(s, s.metrics.sigma)
-            assert list(map(relabelled, s.snake_labels)) == [snake, cosnake], o.seed
+            assert list(map(relabelled, s.snake_labels)) == [snake, cosnake], s.seed
             assert s.snakes == (len(set(snake) - {None}), len(set(cosnake) - {None}))
             for ids, count in zip(s.snake_labels, s.snakes):
-                assert set(ids) - {None} == set(range(count)), o.seed
+                assert set(ids) - {None} == set(range(count)), s.seed
             orbits += 1
     assert orbits == 159
 
@@ -98,8 +97,7 @@ def test_lift_labels_match_walked_cycles():
     # id per lift, and the swallows' walk lifts read the same ids
     orbits = 0
     for n in range(2, 14):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             period, sigma = len(s.unit), s.metrics.sigma
             walked, reads = walked_labels(s, sigma), []
             for (cycle, _, lift, _), lifts, labels in zip(s.period_cycles, s.cycle_lifts, walked):
@@ -109,7 +107,7 @@ def test_lift_labels_match_walked_cycles():
                     if cycle[r] is not None:
                         first, g = lifts[cycle[r]]
                         read[k] = first + (x - lift[r]) % g
-                assert relabelled(read) == labels, o.seed
+                assert relabelled(read) == labels, s.seed
                 assert sum(g for _, g in lifts) == len(set(labels) - {None})
                 reads.append(read)
             walks = s.coslither_walk[0], s.slither_walk[0]
@@ -126,8 +124,7 @@ def test_lifted_counts_match_walked_cycles():
     # table is built from, and the table's live count and degrees
     tables = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             assert s.live_count == vector(s).count(1)
             # the live residues of the unit are those with a successor advance
             assert s.unit_live == [r for r, d in enumerate(s.step_advances[0]) if d is not None]
@@ -148,7 +145,7 @@ def test_windings_reject_a_non_injective_map():
     # tape period 7, live offsets 4 and 6 (tape indices 5 and 7): send 4
     # where 6 goes, so both reach 4; the walk mod 7 raises, and so does
     # every table built on it
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     succ, co_succ = s.step_advances
     assert s.unit_live == [4, 6] and len(s.unit) == len(succ) == 7
     s.__dict__["step_advances"] = [*succ[:4], 2 + succ[6], *succ[5:]], co_succ
@@ -162,7 +159,7 @@ def test_windings_reject_a_non_permuting_co_successor():
     # send live offset 4 where 6 goes under the co-successor mod 7, before
     # anything reads the windings: the labels mod sigma raise as the walk
     # mod P does, since they are read off it
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     succ, co_succ = s.step_advances
     s.__dict__["step_advances"] = succ, [*co_succ[:4], 2 + co_succ[6], *co_succ[5:]]
     message = "^step is not a permutation of live: from 4$"

@@ -3,7 +3,6 @@
 import pytest
 
 from snakescroll.cycles import (
-    Orbit,
     _independent_words,
     _tape_states,
     all_orbits,
@@ -85,7 +84,7 @@ def test_sweep_is_a_bijection():
 
 def test_orbit_smallest_cycle():
     o = orbit("00")
-    assert o == Orbit(bytes([0, 0, 1]), 2)  # the tape 001001...: T = 3
+    assert o == Scroll(bytes([0, 0, 1]), 2)  # the tape 001001...: T = 3
     assert (o.m, o.seed, o.rows) == (3, "00", ("00", "10", "01"))
 
 
@@ -160,7 +159,7 @@ def test_all_orbits_are_simulated_orbits():
         for o in all_orbits(n):
             assert o.seed == o.rows[0]
             assert o.rows == _swept_rows(o.seed)
-            assert vector(Scroll(o)) == bytes(int(c) for c in "".join(o.rows))
+            assert vector(o) == bytes(int(c) for c in "".join(o.rows))
             assert o == orbit(o.seed)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from snakescroll.cycles import is_independent, orbit
 from snakescroll.cyclic import canonical_binary, cyclically_equal, least_period
-from snakescroll.scroll import scroll_from_seed
 
 from oracles import relabelled, sweep, toggle, vector, walked_labels
 
@@ -50,7 +49,7 @@ def test_orbit_returns_to_seed(bits):
 def test_window_size_is_alpha_beta(bits):
     if "1" not in bits:
         return
-    s = scroll_from_seed(bits)
+    s = orbit(bits)
     live = [t for t, label in enumerate(s.snake_labels[0]) if label is not None]
     assert len(live) == s.snakes.alpha * s.snakes.beta
 
@@ -62,7 +61,7 @@ def test_snake_labels_match_walked_cycles_past_n16(bits):
     # P partition the live residues as the steps walked mod sigma do
     if "1" not in bits:
         return
-    s = scroll_from_seed(bits)
+    s = orbit(bits)
     assert list(map(relabelled, s.snake_labels)) == walked_labels(s, s.metrics.sigma)
 
 
@@ -70,10 +69,10 @@ def test_snake_labels_match_walked_cycles_past_n16(bits):
 @settings(deadline=None)
 def test_tape_reads_the_cylinder(bits, i, data):
     # cell (i, j) of the scroll is tape index i*n + j
-    s = scroll_from_seed(bits)
+    s = orbit(bits)
     j = data.draw(st.integers(1, s.n))
     bits = vector(s)
-    assert bits[(i * s.n + j - 1) % len(bits)] == int(s.base.rows[i % s.m][j - 1])
+    assert bits[(i * s.n + j - 1) % len(bits)] == int(s.rows[i % s.m][j - 1])
 
 
 def rotations(word):

@@ -3,9 +3,9 @@
 import pytest
 
 import oracles
-from snakescroll.cycles import enumerate_independent_sets
+from snakescroll.cycles import enumerate_independent_sets, orbit
 from snakescroll.render import ansi_table, svg_table
-from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.scroll import Scroll
 from snakescroll.tables import omega_table
 
 # C_2..C_10 at omega 1..4; then n = 16 at omega 3, 369 rows of which 123 are
@@ -20,13 +20,13 @@ TABLES = [
 
 def test_renderers_match_the_per_cell_oracles():
     for seed, omega in TABLES:
-        table = omega_table(scroll_from_seed(seed), omega)
+        table = omega_table(orbit(seed), omega)
         assert ansi_table(table) == oracles.ansi_table(table), (seed, omega)
         assert svg_table(table) == oracles.svg_table(table), (seed, omega)
 
 
 def test_the_n16_table_reuses_rows_and_splits_edges():
-    table = omega_table(scroll_from_seed("0000000100100100"), 3)
+    table = omega_table(orbit("0000000100100100"), 3)
     assert table.r == 369 and table.scroll.metrics.sigma == 123
     rows = ansi_table(table).split("\n\n")[0].splitlines()[1:]
     assert len(rows) == 369 and len(set(rows)) == 123
@@ -40,7 +40,7 @@ def test_svg_raises_on_a_non_unique_step_letter(letters, what):
     # count digit "2" at live index 7 of the letter table (P = 7): building
     # the table walks the cycles mod P, for its counts, which raise with the
     # step's message, naming the index in [1, P]
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     table = getattr(s, letters)
     vars(s)[letters] = table[:6] + "2" + table[7:]
     with pytest.raises(
@@ -60,7 +60,7 @@ def test_svg_raises_at_the_first_entry_without_a_unique_letter(co_index, succ_in
     # (P = 7, live indices 5 and 7), and the step advances are rebuilt:
     # svg_table's own step reads raise, at the first entry in tape order,
     # the successor before the co-successor, as the per-entry oracle does
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     table = omega_table(s, 1)
     s.snake_labels
     labels = oracles.walked_labels(s, s.metrics.sigma)
@@ -82,7 +82,7 @@ def test_svg_tests_both_targets_of_an_entry():
     # is injected after the table is built: from the last live entry, t = 4
     # of 6, the successor edge is drawn split and the co-successor straight,
     # as the per-entry oracle draws them
-    s = scroll_from_seed("10")
+    s = orbit("10")
     table = omega_table(s, 1)
     s.snake_labels
     labels = oracles.walked_labels(s, s.metrics.sigma)

@@ -4,8 +4,8 @@ import functools
 
 import pytest
 
-from snakescroll.cycles import Orbit, all_orbits, cached_property, orbit
-from snakescroll.scroll import DEAD, Scroll, scroll_from_seed
+from snakescroll.cycles import all_orbits, orbit
+from snakescroll.scroll import DEAD, Scroll, cached_property
 from snakescroll.slither import step_advance
 
 from oracles import co_successor, successor, vector
@@ -14,18 +14,18 @@ SEED11 = "00001010000"
 
 
 def test_scroll_reads_repeat_the_orbit():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     assert s.m == 7
     # X_t for t in [0, 4*m*n), read off the tape's least period
     reads = bytes(s.unit[(t - 1) % len(s.unit)] for t in range(4 * 77))
     for t in range(3 * 77):
         assert reads[t] == reads[t + 77]  # one orbit period: m*n tape cells
-    for i, row in enumerate(s.base.rows):
+    for i, row in enumerate(s.rows):
         assert reads[i * 11 + 1 : i * 11 + 12] == bytes(map(int, row))
 
 
 def test_successor_steps_on_the_running_example():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     # row 0 live columns are 5 and 7: tape indices 5 and 7
     assert vector(s)[4] == 1 and vector(s)[6] == 1
     assert s.successor_step(5) == (7, "E")
@@ -38,14 +38,14 @@ def test_successor_steps_on_the_running_example():
 
 
 def test_successor_and_co_successor_commute():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     live = [t for t in range(1, 7 * 11 + 1) if vector(s)[t - 1] == 1]
     for t in live:
         assert successor(s, co_successor(s, t)) == co_successor(s, successor(s, t))
 
 
 def test_steps_reject_dead_indices():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     with pytest.raises(ValueError):
         successor(s, 6)
 
@@ -55,7 +55,7 @@ def _live(labels: list) -> list[int]:
 
 
 def test_snake_counts():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     assert s.snakes == (2, 6)
     assert (s.snakes.alpha, s.snakes.beta) == (2, 6)
     snake, cosnake = s.snake_labels
@@ -65,7 +65,7 @@ def test_snake_counts():
 
 
 def test_snake_labels_invariant_under_steps():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     snake, cosnake = s.snake_labels
     for t in _live(snake):
         assert snake[successor(s, t) % 42] == snake[t]
@@ -73,7 +73,7 @@ def test_snake_labels_invariant_under_steps():
 
 
 def test_fibers_are_singletons():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     snake, cosnake = s.snake_labels
     live = _live(snake)
     for t in live:
@@ -83,7 +83,7 @@ def test_fibers_are_singletons():
 
 def test_step_failures_are_per_index():
     # not a sweep orbit: tape 10000010 repeating, live at residues 1 and 7
-    s = Scroll(Orbit(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4))
+    s = Scroll(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)
     with pytest.raises(AssertionError, match="0 live candidates"):
         s.successor_step(1)
     with pytest.raises(ValueError):
@@ -114,13 +114,13 @@ def test_step_letters_match_the_reference():
     # vector as its period has P < m*n, and one symbol flipped in the last
     # period of that period makes P = m*n
     orbits = [o for n in range(2, 17) for o in all_orbits(n)]
-    scrolls = [Scroll(o) for o in orbits + [Orbit(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)]]
+    scrolls = orbits + [Scroll(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)]
     for o in orbits:
-        doubled = Scroll(Orbit(vector(Scroll(o)) * 2, o.n))
+        doubled = Scroll(vector(o) * 2, o.n)
         assert least_cyclic_period(vector(doubled)) < len(vector(doubled))
         bits = bytearray(vector(doubled))
         bits[-1] ^= 1
-        flipped = Scroll(Orbit(bytes(bits), o.n))
+        flipped = Scroll(bytes(bits), o.n)
         assert vector(flipped) == bits
         assert least_cyclic_period(vector(flipped)) == len(bits)
         scrolls += [doubled, flipped]
@@ -139,36 +139,35 @@ def test_step_letters_match_the_reference():
             ("ED", "SL", "ED", "SL"),
             (1, 1, -1, -1),
         ):
-            assert len(got) == period, s.base.rows
-            assert got * laps == reference_step_letters(bits, s.n, letters, sign), s.base.rows
+            assert len(got) == period, s.rows
+            assert got * laps == reference_step_letters(bits, s.n, letters, sign), s.rows
             # the signed advance of each letter, None on a dead or count letter
             assert advances == [
                 sign * step_advance(x, s.n) if x in letters else None for x in got
-            ], s.base.rows
+            ], s.rows
 
 
 def test_running_example_tape_period():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     assert s.metrics.T_tape == 7
 
 
 def test_cached_values_are_stdlib_cached_properties_stored_on_first_read():
     assert isinstance(Scroll.snake_labels, functools.cached_property)
-    assert isinstance(Orbit.rows, functools.cached_property)
+    assert isinstance(Scroll.rows, functools.cached_property)
     # every cached value reads without the stdlib lock
     cached = [v for v in vars(Scroll).values() if isinstance(v, functools.cached_property)]
-    assert cached and all(type(v) is cached_property for v in cached + [Orbit.rows])
-    s = scroll_from_seed(SEED11)
+    assert cached and all(type(v) is cached_property for v in cached)
+    s = orbit(SEED11)
     assert "snake_labels" not in vars(s)
     labels = s.snake_labels
     assert vars(s)["snake_labels"] is labels and s.snake_labels is labels
-    o = orbit(SEED11)
-    rows = o.rows
-    assert vars(o)["rows"] is rows
+    rows = s.rows
+    assert vars(s)["rows"] is rows
 
 
 def test_an_injected_value_is_read_without_its_builder(monkeypatch):
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
 
     def builder(_):
         raise AssertionError("builder called")
@@ -179,7 +178,7 @@ def test_an_injected_value_is_read_without_its_builder(monkeypatch):
 
 
 def test_a_raising_builder_stores_nothing_and_raises_again(monkeypatch):
-    s, calls = scroll_from_seed(SEED11), []
+    s, calls = orbit(SEED11), []
 
     def builder(_):
         calls.append(1)

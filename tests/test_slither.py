@@ -2,8 +2,8 @@
 
 import pytest
 
-from snakescroll.cycles import all_orbits, enumerate_independent_sets
-from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.cycles import all_orbits, enumerate_independent_sets, orbit
+from snakescroll.scroll import Scroll
 from snakescroll.slither import metrics_from_row, step_advance, words_from_row, zero_blocks
 
 from oracles import vector
@@ -38,25 +38,23 @@ def test_metrics_reject_a_window_not_starting_live():
 
 def test_scroll_metrics_read_the_vector_window():
     # the seed row is dead in column 1; the window runs into the next row
-    assert scroll_from_seed("00001010000").metrics == metrics_from_row("10100001010", 11)
+    assert orbit("00001010000").metrics == metrics_from_row("10100001010", 11)
 
 
 def test_zero_blocks():
-    blocks = zero_blocks("10100001010")
-    assert blocks.inner_lengths == (1, 4, 1)
-    assert blocks.trailing_length == 1
+    assert zero_blocks("10100001010") == ((1, 4, 1), 1)
 
 
 def test_running_example_words():
     assert words_from_row("10100001010", 11) == ("EDEDED", "SS")
     met = metrics_from_row("10100001010", 11)
-    assert (met.slither.word, met.coslither.word) == ("EDEDED", "SS")
+    assert (met.slither, met.coslither) == ("EDEDED", "SS")
 
 
 def test_words_constant_on_the_orbit():
-    windows = live_windows(scroll_from_seed("00001010000"))
+    windows = live_windows(orbit("00001010000"))
     words = {
-        (met.slither.word, met.coslither.word)
+        (met.slither, met.coslither)
         for met in (metrics_from_row(w, 11) for w in windows)
     }
     # one cyclic class; rotations may differ but these windows all agree exactly
@@ -69,9 +67,9 @@ def test_words_constant_on_the_orbit():
 def test_letter_counts():
     met = metrics_from_row("10100001010", 11)
     ws, wc = met.slither, met.coslither
-    assert (ws.beta_e, ws.beta_d) == (3, 3)
-    assert (wc.alpha_s, wc.alpha_l) == (2, 0)
-    assert ws.beta == 6 and wc.alpha == 2
+    assert (ws.count("E"), ws.count("D")) == (3, 3)
+    assert (wc.count("S"), wc.count("L")) == (2, 0)
+    assert len(ws) == 6 and len(wc) == 2
 
 
 def test_extraction_identities_on_every_live_row_to_n20():
@@ -109,16 +107,16 @@ def test_running_example_metrics():
 
 def test_scale_closed_forms_agree_everywhere():
     for n in range(2, 12):
-        for window in (w for o in all_orbits(n) for w in live_windows(Scroll(o))):
+        for window in (w for o in all_orbits(n) for w in live_windows(o)):
             met = metrics_from_row(window, n)
             ws, wc = met.slither, met.coslither
-            assert met.sigma == 2 * ws.beta_e + (n + 1) * ws.beta_d
-            assert met.sigma == (2 * n - 1) * wc.alpha_s + (2 * n - 2) * wc.alpha_l
+            assert met.sigma == 2 * ws.count("E") + (n + 1) * ws.count("D")
+            assert met.sigma == (2 * n - 1) * wc.count("S") + (2 * n - 2) * wc.count("L")
 
 
 def test_degenerate_two_cycle():
     met = metrics_from_row("10", 2)
-    assert met.slither.word == "D"
-    assert met.coslither.word == "S"
+    assert met.slither == "D"
+    assert met.coslither == "S"
     assert met.sigma == 3
     assert met.T_scroll == 3  # orbit 10 -> 01 -> 00 -> 10

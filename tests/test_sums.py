@@ -4,8 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from snakescroll.cycles import all_orbits
-from snakescroll.scroll import Scroll, scroll_from_seed
+from snakescroll.cycles import all_orbits, orbit
 from snakescroll.sums import (
     col_scale,
     construct_period_lambda,
@@ -27,17 +26,16 @@ def test_vector_period():
 
 def test_sums_are_the_column_sums_of_the_rows():
     for n in range(2, 21):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             columns = [0] * n
-            for row in s.base.rows:
+            for row in s.rows:
                 for j, ch in enumerate(row):
                     columns[j] += ch == "1"
-            assert sum_vector(s).sums == tuple(columns), o.rows[0]
+            assert sum_vector(s).sums == tuple(columns), s.rows[0]
 
 
 def test_running_example_sums():
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     assert col_scale(s) == 9
     sv = sum_vector(s)
     assert sv.lam == 1
@@ -45,7 +43,7 @@ def test_running_example_sums():
 
 
 def test_motivating_example_sums():
-    s = scroll_from_seed("101010001010")
+    s = orbit("101010001010")
     assert s.m == 15
     sv = sum_vector(s)
     assert sv.lam == 3
@@ -56,8 +54,7 @@ def test_sum_period_laws_on_small_cycles():
     from math import gcd
 
     for n in range(2, 13):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             lam = sum_vector(s).lam
             assert lam % 2 == 1
             assert gcd(n, col_scale(s)) % lam == 0

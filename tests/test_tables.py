@@ -4,9 +4,8 @@ from math import gcd, lcm
 
 import pytest
 
-from snakescroll.cycles import all_orbits
+from snakescroll.cycles import all_orbits, orbit
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll, scroll_from_seed
 from snakescroll.tables import (
     color_preserving,
     group_factors,
@@ -34,7 +33,7 @@ SEED11 = "00001010000"
 
 
 def test_table_shape():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     t = omega_table(s, 2)
     assert t.r == 14
     assert t.size == 154
@@ -44,7 +43,7 @@ def test_table_shape():
 
 
 def test_running_example_fundamental_counts():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     tab = omega_table(s, 1)
     assert (tab.alpha, tab.beta) == (1, 2)
     assert s.fundamental_degrees == (2, 3)
@@ -53,7 +52,7 @@ def test_running_example_fundamental_counts():
 def test_fundamental_degrees_match_simulated_counts():
     # oracle: the degrees are the snake counts over the simulated omega = 1
     # ouroboros counts, on every orbit with n <= 16
-    orbits = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
+    orbits = [o for n in range(2, 17) for o in all_orbits(n)]
     assert len(orbits) == 159
     for s in orbits:
         snakes = s.snakes
@@ -65,7 +64,7 @@ def test_fundamental_degrees_match_simulated_counts():
 
 
 def test_running_example_predicted_counts():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     for omega in range(1, 13):
         tab = omega_table(s, omega)
         assert (tab.alpha, tab.beta) == predicted_counts(s, omega)
@@ -74,7 +73,7 @@ def test_running_example_predicted_counts():
 
 
 def test_running_example_co_swallow():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     t = omega_table(s, 1)
     assert swallow_shift(s, 1, t.size) == 4
     report = orbit_report(t)
@@ -83,7 +82,7 @@ def test_running_example_co_swallow():
 
 
 def test_swallow_rejects_a_non_uniform_shift():
-    t = omega_table(scroll_from_seed(SEED11), 1)
+    t = omega_table(orbit(SEED11), 1)
     # ids 0, 1, 2 in order, swallowed onto 0, 2, 1: the walk meets the one
     # snake of a cycle of one lift (first id 0), then lifts 0 and 1 of a
     # cycle of two (first id 1), which swap less size/P = 11 laps, an odd
@@ -105,8 +104,7 @@ def test_report_table_fields_match_oracles():
     # colours exactly at the multiples of deg p_1 * codeg p_1
     tables = 0
     for n in range(2, 10):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             deg_p1, codeg_p1 = s.fundamental_degrees
             for omega in (1, 2, 3):
                 tables += 1
@@ -121,7 +119,7 @@ def test_report_table_fields_match_oracles():
 
 
 def test_running_example_group():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     t = omega_table(s, 1)
     factors = group_factors(s, t.eta, t.alpha, t.beta)
     assert nontrivial(factors) == (22,)
@@ -139,7 +137,7 @@ def test_product_invariants():
 
 def _all_tables():
     """Every table with n <= 13 and omega <= 12 (816 tables), one at a time."""
-    scrolls = [Scroll(o) for n in range(2, 14) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 14) for o in all_orbits(n)]
     assert 12 * len(scrolls) == 816
     for s in scrolls:
         for omega in range(1, 13):
@@ -239,8 +237,7 @@ def _assert_steps_reduced(s, live, modulus):
 
 def test_reduced_maps_are_the_steps_reduced():
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             bits = vector(s)
             window = [t for t in range(s.metrics.sigma) if bits[(t - 1) % len(bits)]]
             _assert_steps_reduced(s, window, s.metrics.sigma)
@@ -252,12 +249,12 @@ def test_reduced_maps_are_the_steps_reduced():
 
 def test_direct_product_forms_fail_on_some_tables():
     # Z_bar_alpha x Z_(eta/bar_alpha) is not always the table group
-    t = omega_table(scroll_from_seed("0000"), 1)
+    t = omega_table(orbit("0000"), 1)
     factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
     assert nontrivial(factors) == (8,)
     # product form Z_bar_beta x Z_(eta/bar_beta) says (2, 4)
     assert factors != product_pair(t.beta, t.eta // t.beta)
-    t = omega_table(scroll_from_seed("000100"), 1)
+    t = omega_table(orbit("000100"), 1)
     factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
     assert nontrivial(factors) == (12,)
     # product form Z_bar_alpha x Z_(eta/bar_alpha) says (2, 6)
@@ -265,16 +262,16 @@ def test_direct_product_forms_fail_on_some_tables():
 
 
 def test_table_words_power_up_to_scroll_words():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     t1 = omega_table(s, 1)
     slither, coslither = table_words(s, t1.alpha, t1.beta)
     assert (slither, coslither) == ("ED", "S")
-    assert slither * t1.codeg == s.metrics.slither.word
-    assert coslither * t1.deg == s.metrics.coslither.word
+    assert slither * t1.codeg == s.metrics.slither
+    assert coslither * t1.deg == s.metrics.coslither
 
 
 def test_color_preserving_running_example():
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     for omega in range(1, 13):
         t = omega_table(s, omega)
         shifts = swallow_shift(s, 0, t.size), swallow_shift(s, 1, t.size)
@@ -284,8 +281,7 @@ def test_color_preserving_running_example():
 
 def test_crossed_degree_divisibility():
     for n in range(2, 11):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             met = s.metrics
             deg_p1, codeg_p1 = s.fundamental_degrees
             assert met.codeg % deg_p1 == 0
@@ -294,6 +290,6 @@ def test_crossed_degree_divisibility():
 
 def test_same_side_divisibility_fails_on_running_example():
     # deg(p_1) = 2 does not divide deg = 3: only the crossed law holds
-    s = scroll_from_seed(SEED11)
+    s = orbit(SEED11)
     deg_p1, _ = s.fundamental_degrees
     assert s.metrics.deg % deg_p1 != 0

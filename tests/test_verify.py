@@ -4,14 +4,15 @@ from dataclasses import replace
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
+from weakref import ref
 
 import pytest
 
 from snakescroll import cycles, report, scroll, tables, verify
-from snakescroll.cycles import Orbit, all_orbits, orbit
+from snakescroll.cycles import all_orbits, orbit
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll, scroll_from_seed
-from snakescroll.slither import _STEP_SHAPE, CoSlither, Slither
+from snakescroll.scroll import Scroll
+from snakescroll.slither import _STEP_SHAPE
 from snakescroll.sums import SumVector
 from snakescroll.tables import omega_table, swallow_shift
 from snakescroll.verify import (
@@ -58,14 +59,35 @@ def test_completeness_simulates_each_orbit_once(monkeypatch):
         return original(n)
 
     def raising(_orbit):
-        raise AssertionError("Orbit.rows read")
+        raise AssertionError("Scroll.rows read")
 
     monkeypatch.setattr(verify, "all_orbits", counted)
-    monkeypatch.setattr(Orbit, "rows", property(raising))
+    monkeypatch.setattr(Scroll, "rows", property(raising))
     rep = run_verification(2, 14, extended=False, completeness=True)
     assert not rep.violations
     assert rep.passed["classification completeness"] == 13
     assert simulated == list(range(2, 15))
+
+
+def test_the_suite_holds_one_checked_scroll_at_a_time(monkeypatch):
+    # all_orbits yields each scroll as it finds it, and run_verification
+    # drops it once checked: when the next one is found, only the scroll
+    # the loop still names is alive of those yielded before
+    alive = []
+    original = cycles.all_orbits
+
+    def watched(n):
+        yielded = []
+        for s in original(n):
+            alive.append(sum(r() is not None for r in yielded[:-1]))
+            yielded.append(ref(s))
+            yield s
+            del s
+
+    monkeypatch.setattr(verify, "all_orbits", watched)
+    rep = run_verification(2, 12, omega_max=2, completeness=True)
+    assert not rep.violations
+    assert len(alive) == 51 and not any(alive)
 
 
 def test_a_missing_tape_class_fails_completeness(monkeypatch):
@@ -106,7 +128,7 @@ def test_no_table_walks_its_maps(monkeypatch):
     calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3)
     assert not rep.violations
-    scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 10) for o in all_orbits(n)]
     assert len(scrolls) == 18
     assert calls == [len(s.unit) for s in scrolls]
     assert sum(rep.passed.values()) == 4320
@@ -117,7 +139,7 @@ def test_alternating_scrolls_walk_each_once(monkeypatch):
     # reading the labels and swallows of two scrolls and their tables in
     # turn walks each scroll once, not once per switch
     calls = _recording_walks(monkeypatch)
-    a, b = scroll_from_seed("00001010000"), scroll_from_seed("101010001010")
+    a, b = orbit("00001010000"), orbit("101010001010")
     ta, tb = omega_table(a, 2), omega_table(b, 3)
     reads = [
         [
@@ -144,7 +166,7 @@ def test_each_scroll_walks_its_slither_and_coslither_once(monkeypatch):
         return original(self, step, count)
 
     monkeypatch.setattr(Scroll, "_walk", counted)
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -170,7 +192,7 @@ def test_table_laws_build_no_table_records(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(orders, "func", counted)
-    scrolls = [Scroll(o) for n in range(2, 11) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 11) for o in all_orbits(n)]
     rep = VerificationReport()
     for s in scrolls:
         check_tables(s, 12, rep)
@@ -199,7 +221,7 @@ def _reference_table_laws(s, omega_max, rep):
     omega and each check recorded as it is made (`_check`): the swallow
     shifts and the table words are read through `verify`, so a patch there
     reaches both."""
-    ctx, met = f"n={s.n} seed={s.base.seed}", s.metrics
+    ctx, met = f"n={s.n} seed={s.seed}", s.metrics
     deg_p1, codeg_p1 = s.fundamental_degrees
     _check(
         rep,
@@ -244,8 +266,8 @@ def _reference_table_laws(s, omega_max, rep):
             rep.violations.append(f"{law}: {ctx} omega={omega}: {exc}")
         words = verify.table_words(s, alpha, beta)
         powers = verify.cyclically_equal(
-            words[0] * (snakes.beta // beta), met.slither.word
-        ) and verify.cyclically_equal(words[1] * (snakes.alpha // alpha), met.coslither.word)
+            words[0] * (snakes.beta // beta), met.slither
+        ) and verify.cyclically_equal(words[1] * (snakes.alpha // alpha), met.coslither)
         _check(rep, "table slither power identity", powers, ctx, omega)
         torsor = verify._is_torsor(s, size, beta, eta // beta)
         _check(rep, "table torsor simple transitivity", torsor, ctx, omega)
@@ -281,7 +303,7 @@ def test_table_laws_match_a_reference_without_memo(breaking, monkeypatch):
     # every omega, both on the true values and where both raise or fail
     if breaking:
         breaking(monkeypatch)
-    scrolls = [Scroll(o) for n in range(2, 14) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 14) for o in all_orbits(n)]
     assert len(scrolls) == 68
     got, want = VerificationReport(), VerificationReport()
     for s in scrolls:
@@ -309,8 +331,7 @@ def test_torsor_walk_matches_the_map_oracle():
     # orbit mod sigma with n <= 16 and all 816 tables with n <= 13, omega <= 12
     tables = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             moduli = [(s.metrics.sigma, (s.snakes.beta, s.snakes.alpha))]
             if n <= 13:
                 for omega in range(1, 13):
@@ -331,8 +352,7 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
     # and 13 <= omega <= 24, where the orbits mod M are longest
     tables = 0
     for n in range(14, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             for omega in range(13, 25):
                 table = omega_table(s, omega)
                 law = table.beta, table.eta // table.beta
@@ -355,7 +375,7 @@ def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
         step_advances=(succ, co_succ),
         unit_live=[r for r, d in enumerate(succ) if d is not None],
         # X_t at t - 1, for t in [1, P]
-        base=SimpleNamespace(period=bytes(d is not None for d in succ)),
+        period=bytes(d is not None for d in succ),
         m=1,
         n=period,
         successor_step=lambda t: (t + succ[(t - 1) % period], None),
@@ -393,7 +413,7 @@ def test_no_table_is_labelled(monkeypatch):
     calls = _recording_walks(monkeypatch)
     rep = run_verification(2, 9, omega_max=3, extended=False)
     assert not rep.violations
-    scrolls = [Scroll(o) for n in range(2, 10) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 10) for o in all_orbits(n)]
     assert calls == [len(s.unit) for s in scrolls]
     assert len(calls) == len(scrolls) == 18
 
@@ -410,7 +430,7 @@ def test_tables_are_clean_for_n14_to_16():
     # table with n = 14..16 and omega <= 12
     rep = run_verification(14, 16, omega_max=12, extended=False)
     assert not rep.violations, rep.violations[:10]
-    orbits = sum(len(all_orbits(n)) for n in range(14, 17))
+    orbits = sum(len(list(all_orbits(n))) for n in range(14, 17))
     assert rep.passed["crossed degree divisibility"] == orbits
     for law in (
         "ouroboros counts match formula",
@@ -442,7 +462,7 @@ def test_shared_label_pair_is_a_fiber_violation():
     # co-successor cycle has winding 1, so it lifts to one co-snake: the
     # labels mod sigma get the same fault when u's co-snake is relabelled
     # as t's, and the oracle is given those labels
-    s = scroll_from_seed("00000010000")
+    s = orbit("00000010000")
     period, sigma = len(s.unit), s.metrics.sigma
     assert (period, sigma) == (21, 42)
     (s_cycle, *_), (c_cycle, index, lift, cycles) = s.period_cycles
@@ -475,7 +495,7 @@ def test_fibers_on_a_merged_co_successor_cycle(winding, lift, shared):
     # 5 + x*P and x*P apart; with lift 1 they share a fiber, and with
     # winding 2 each point meets itself two lifts on (lcm(2, 2) < 6): then
     # each of the 12 live residues fails
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     assert (len(s.unit), s.metrics.sigma) == (7, 42)
     (_, _, s_lift, s_cycles), (c_cycle, index, c_lift, _) = s.period_cycles
     assert (s_lift[4], s_lift[6], s_cycles) == (0, 0, [(2, 2)])
@@ -492,9 +512,9 @@ def test_the_suite_formats_no_orbit_rows(monkeypatch):
     # the laws read the tape period and the seed; the rows as words are
     # for the report and the completeness check alone
     def raising(_orbit):
-        raise AssertionError("Orbit.rows read")
+        raise AssertionError("Scroll.rows read")
 
-    monkeypatch.setattr(Orbit, "rows", property(raising))
+    monkeypatch.setattr(Scroll, "rows", property(raising))
     rep = run_verification(2, 12, omega_max=3)
     assert not rep.violations and rep.passed
 
@@ -503,7 +523,7 @@ def test_the_suite_formats_no_orbit_rows(monkeypatch):
 def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
     # the vector repeated twice is a period of the same tape with m doubled:
     # the closed form read off one window still gives the true orbit length
-    s = Scroll(Orbit(vector(Scroll(orbit(seed))) * 2, len(seed)))
+    s = Scroll(vector(orbit(seed)) * 2, len(seed))
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -552,7 +572,7 @@ def test_a_non_unique_step_letter_is_recorded_not_raised(t):
     # successor letter "2" (two live candidates) at live index t of the
     # period table (P = 7, the live indices 5 and 7): it stands for
     # t + 7k in each of the 11 laps of the 77 residues, each recorded
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     letters = s.successor_letters
     assert len(letters) == 7
     s.__dict__["successor_letters"] = letters[: t - 1] + "2" + letters[t:]
@@ -615,7 +635,7 @@ def test_a_step_onto_a_dead_residue_skips_the_partition_laws(seed, residue):
     # the step lands on its other candidate, a dead residue, so the
     # successor is no map of the live entries; it is recorded, and nothing
     # raises
-    s = scroll_from_seed(seed)
+    s = orbit(seed)
     letters = s.successor_letters
     assert letters[residue] == "E"
     s.__dict__["successor_letters"] = letters[:residue] + "D" + letters[residue + 1 :]
@@ -640,9 +660,8 @@ def test_residue_laws_on_one_period_match_every_residue():
     # multiplies; the oracle checks all m*n residues, on every orbit n <= 16
     orbits = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
-            assert _residue_results(s) == residue_laws(s), o.rows[0]
+        for s in all_orbits(n):
+            assert _residue_results(s) == residue_laws(s), s.rows[0]
             orbits += 1
     assert orbits == 159
 
@@ -666,7 +685,7 @@ def test_residue_laws_on_one_period_match_every_residue():
 def test_residue_laws_on_one_period_match_every_residue_when_corrupted(seed, table, letters):
     # the injections of the tests above into the period tables, each
     # standing for one per lap of the m*n residues
-    s = scroll_from_seed(seed)
+    s = orbit(seed)
     assert sum(map(str.__ne__, getattr(s, table), letters)) in (1, 2)
     vars(s)[table] = letters
     assert _residue_results(s) == residue_laws(s)
@@ -677,7 +696,7 @@ def test_nonlinear_advance_is_held_to_the_oracle():
     # steps stay maps, and the advance after one block of the slither word
     # misses 21 from 12 live residues mod sigma, after two blocks from none;
     # the per-residue results must equal the oracle's, round by round
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     vars(s)["metrics"] = replace(s.metrics, deg=2, p=21)
     assert s.steps_are_maps
     passed, violations = _residue_results(s)
@@ -696,7 +715,7 @@ def test_an_advance_off_whole_laps_reads_the_lifts(p, failing_at_r1):
     # read off the lift of the end point.  A claimed p equal to one of them
     # holds from that residue alone for r = 1, and from none for r = 2 (42
     # from each); each failure at v < 7 stands for v + 7k, k < 6
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     vars(s)["metrics"] = replace(s.metrics, deg=2, p=p)
     passed, violations = _residue_results(s)
     assert (passed, violations) == residue_laws(s)
@@ -720,9 +739,8 @@ def test_tape_shift_law_matches_the_slice_oracle():
     # n <= 16
     orbits = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
-            assert _law_results(s, "tape shift iff T_tape divides") == tape_shift_law(s), o.rows[0]
+        for s in all_orbits(n):
+            assert _law_results(s, "tape shift iff T_tape divides") == tape_shift_law(s), s.rows[0]
             orbits += 1
     assert orbits == 159
 
@@ -730,7 +748,7 @@ def test_tape_shift_law_matches_the_slice_oracle():
 def test_a_wrong_tape_period_fails_the_tape_shift_law():
     # T_tape claimed as 14 on a tape of period 7: the shifts by 7, 21 and 35
     # fix the tape but are no multiple of 14
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     vars(s)["metrics"] = replace(s.metrics, T_tape=14)
     law = "tape shift iff T_tape divides"
     assert _law_results(s, law) == tape_shift_law(s) == (
@@ -745,10 +763,9 @@ def test_free_action_and_near_row_match_their_oracles():
     # every (a, b) and test every entry, on every orbit n <= 16
     orbits = 0
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
-            assert _law_results(s, FREE_ACTION) == free_action_law(s), o.rows[0]
-            assert _law_results(s, NEAR_ROW) == near_row_law(s), o.rows[0]
+        for s in all_orbits(n):
+            assert _law_results(s, FREE_ACTION) == free_action_law(s), s.rows[0]
+            assert _law_results(s, NEAR_ROW) == near_row_law(s), s.rows[0]
             orbits += 1
     assert orbits == 159
 
@@ -774,18 +791,17 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     # fixed point
     cases = fixed = 0
     for n in range(2, 11):
-        for o in all_orbits(n):
-            true = Scroll(o)
+        for true in all_orbits(n):
             letters, donor = getattr(true, table), getattr(true, CROSSED[table])
             for r in (r for r, x in enumerate(letters) if x != "."):
-                s = Scroll(o)
+                s = Scroll(true.period, n)
                 assert s.steps_are_maps
                 s.snakes
                 vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
                 vars(s)["step_advances"] = Scroll.step_advances.func(s)
                 vars(s)["inverse_advances"] = Scroll.inverse_advances.func(s)
                 result = _law_results(s, FREE_ACTION)
-                assert result == free_action_law(s), (o.rows[0], r)
+                assert result == free_action_law(s), (true.rows[0], r)
                 cases, fixed = cases + 1, fixed + bool(result[1])
     assert (cases, fixed) == (88, 23)
 
@@ -814,16 +830,15 @@ def test_free_action_needs_the_row_not_only_the_tape():
     # point's row, and passes on every one of them
     false_fixed, orbits = 0, []
     for n in range(2, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             alpha, beta = s.snakes
             s_rows = dict(_plane_walk(s, s.predecessor_letters, s.successor_letters, beta))
             c_walk = _plane_walk(s, s.co_predecessor_letters, s.co_successor_letters, alpha)
             shared = sum(t in s_rows and s_rows[t] != row for t, row in c_walk)
             if shared:
                 false_fixed += shared
-                orbits.append((n, o.rows[0]))
-                assert _law_results(s, FREE_ACTION)[1] == [], o.rows[0]
+                orbits.append((n, s.rows[0]))
+                assert _law_results(s, FREE_ACTION)[1] == [], s.rows[0]
     assert false_fixed == 318 and len(orbits) == 159
     assert orbits[0] == (2, "00")
 
@@ -837,8 +852,7 @@ def test_near_row_on_merged_co_snakes_matches_the_oracle():
     # 4 <= n <= 16 has such an entry
     orbits = merged = 0
     for n in range(4, 17):
-        for o in all_orbits(n):
-            s = Scroll(o)
+        for s in all_orbits(n):
             snake, cosnake = s.snake_labels
             cycle, index, lift, cycles = s.period_cycles[1]
             one = [None if i is None else 0 for i in cycle]
@@ -848,7 +862,7 @@ def test_near_row_on_merged_co_snakes_matches_the_oracle():
             first = live_residues(s, s.metrics.sigma)[0]
             vars(s)["snake_labels"] = snake, [None if x is None else first for x in cosnake]
             result = _law_results(s, NEAR_ROW)
-            assert result == near_row_law(s, s.snake_labels), o.rows[0]
+            assert result == near_row_law(s, s.snake_labels), s.rows[0]
             orbits, merged = orbits + 1, merged + bool(result[1])
     assert merged == orbits == 157
 
@@ -861,7 +875,7 @@ def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
     # walks the maps' cycles mod T alone
     calls = _recording_walks(monkeypatch)
     run_verification(2, 16)
-    scrolls = [Scroll(o) for n in range(2, 17) for o in all_orbits(n)]
+    scrolls = [o for n in range(2, 17) for o in all_orbits(n)]
     assert len(scrolls) == 159
     assert calls == [len(s.unit) for s in scrolls]
     for s in scrolls:
@@ -873,7 +887,7 @@ def test_sigma_laws_on_one_tape_period_match_their_oracles(monkeypatch):
             (NEAR_ROW, near_row_law),
         ):
             failed = [v for v in rep.violations if v.startswith(law)]
-            assert (rep.passed.get(law, 0), failed) == oracle(s), (law, s.base.rows[0])
+            assert (rep.passed.get(law, 0), failed) == oracle(s), (law, s.rows[0])
 
 
 def test_a_wrong_winding_breaks_the_advance_linearity():
@@ -881,7 +895,7 @@ def test_a_wrong_winding_breaks_the_advance_linearity():
     # winding 1) given winding 2: K steps from 4 now advance 2*K*P, not
     # K*p = K*P, for each of the rounds K = 1..3; the failure at 4 stands
     # for 4, 11, 18
-    s = scroll_from_seed("000100")
+    s = orbit("000100")
     met = s.metrics
     assert (len(s.unit), met.sigma, met.deg, met.p) == (7, 21, 3, 7)
     cycle, index, lift, cycles = s.period_cycles[0]
@@ -903,7 +917,7 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     # table (P = 7): tape is the one entry of the 77 residues whose step
     # reaches 7, and each entry congruent to it mod 7, one per lap, fails
     # its round trip; nothing raises
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     letters = getattr(s, table)
     s.__dict__[table] = letters[:6] + "0" + letters[7:]
     rep = VerificationReport()
@@ -938,7 +952,7 @@ def test_a_broken_table_torsor_is_a_violation(breaking):
     # the counts, the walk lifts the swallows read and the check that the
     # steps are maps are built from the true scroll; only the table torsor
     # reads the broken co-successor cycles or live residues
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     s.windings, s.swallow_lifts, s.steps_are_maps
     breaking(s)
     rep = VerificationReport()
@@ -966,12 +980,12 @@ def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
     # window, so the metrics read off that window are unchanged: it and its
     # live neighbours are reported, and nothing raises.  The corrupted vector
     # is the orbit's period, so the least period the laws run on is m*n
-    met = scroll_from_seed("00001010000").metrics
-    bits = bytearray(vector(scroll_from_seed("00001010000")))
+    met = orbit("00001010000").metrics
+    bits = bytearray(vector(orbit("00001010000")))
     r = row * 11 + col - 1
     assert bits[r] == 0
     bits[r] = 1
-    s = Scroll(Orbit(bytes(bits), 11))
+    s = Scroll(bytes(bits), 11)
     assert vector(s) == bits and len(s.unit) == 77
     assert s.metrics == met
     rep = VerificationReport()
@@ -989,7 +1003,7 @@ def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
 
     monkeypatch.setattr(verify, "swallow_shift", raising)
     rep = VerificationReport()
-    check_tables(scroll_from_seed("00001010000"), 1, rep)
+    check_tables(orbit("00001010000"), 1, rep)
     assert rep.violations == [
         "swallow cycle structure: n=11 seed=00001010000 omega=1: not a uniform shift"
     ]
@@ -1005,7 +1019,7 @@ def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
 
     monkeypatch.setattr(verify, "color_preserving", raising)
     rep = VerificationReport()
-    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    check_tables(orbit("00001010000"), 2, rep)
     law = "color-preserving conditions agree"
     assert rep.violations == [
         f"{law}: n=11 seed=00001010000 omega={omega}: "
@@ -1019,7 +1033,7 @@ def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
 def test_wrong_predicted_counts_fail_the_counting_law(monkeypatch):
     monkeypatch.setattr(verify, "predicted_counts", lambda _s, _omega: (0, 0))
     rep = VerificationReport()
-    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    check_tables(orbit("00001010000"), 2, rep)
     law = "ouroboros counts match formula"
     assert rep.violations == [f"{law}: n=11 seed=00001010000 omega={omega}" for omega in (1, 2)]
     # a wrong count skips nothing: every later law still tallies per omega
@@ -1040,7 +1054,7 @@ def test_a_raising_group_fails_the_group_order_law(monkeypatch):
 
     monkeypatch.setattr(verify, "group_factors", raising)
     rep = VerificationReport()
-    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    check_tables(orbit("00001010000"), 2, rep)
     law = "group order equals live count"
     assert rep.violations == [
         f"{law}: n=11 seed=00001010000 omega={omega}: group order 21 != live count 22"
@@ -1055,6 +1069,61 @@ def test_a_raising_group_fails_the_group_order_law(monkeypatch):
         "table torsor simple transitivity",
     ):
         assert rep.passed[later] == 2, later
+
+
+def test_a_wrong_live_count_fails_the_group_order_law():
+    # the scroll's live count read as 23, not 22: at omega = 1 the group
+    # presentation with eta = 23 has order gcd(2*23, 6*11, 23*11) = 1, so
+    # `group_factors` raises; bar_beta = 2 still splits 23 into the 2 x 11
+    # points the torsor walks, so only the group law fails
+    s = orbit("00001010000")
+    vars(s)["live_count"] = 23
+    rep = VerificationReport()
+    check_tables(s, 1, rep)
+    law = "group order equals live count"
+    assert rep.violations == [
+        f"{law}: n=11 seed=00001010000 omega=1: group order 1 != live count 23"
+    ]
+    assert not rep.product_form_failures
+    assert rep.passed == {key: 1 for key in ("crossed degree divisibility", *verify.TABLE_LAWS)
+                          if key != law}
+
+
+def test_a_wrong_sigma_fails_the_color_law():
+    # sigma read as 84, not 42, once the snakes and swallow lifts are built:
+    # P = 7 still divides it, and only the scale condition reads it.  At
+    # omega = 6 the table of 462 residues is colour-preserving by every
+    # other condition, and 462 mod 84 != 0, so `color_preserving` raises;
+    # at omega < 6 every condition is false
+    s = orbit("00001010000")
+    s.snakes, s.swallow_orders
+    vars(s)["metrics"] = replace(s.metrics, sigma=84)
+    rep = VerificationReport()
+    check_tables(s, 6, rep)
+    law = "color-preserving conditions agree"
+    assert rep.violations == [
+        f"{law}: n=11 seed=00001010000 omega=6: color-preserving conditions disagree: "
+        "{'counts': True, 'swallows': True, 'bijection': True, 'scale': False, 'frequency': True}"
+    ]
+    assert rep.passed[law] == 5
+    assert rep.passed["table torsor simple transitivity"] == 6
+
+
+def test_a_uniform_swallow_of_the_wrong_cycle_type_fails_the_swallow_law():
+    # the six co-snakes read as one cycle of six lifts met in order 0..5 by
+    # the slither walk: the co-swallow of a table of 77*omega residues is
+    # still a uniform shift, by omega mod 6, but at omega = 1 its shift 1
+    # has gcd(1, 6) = 1 cycles where bar_beta_1 = 2; at omega = 2, shift 2
+    # has the 2 that bar_beta_2 is
+    s = orbit("00001010000")
+    vars(s)["swallow_lifts"] = (s.swallow_lifts[0], [(0, 6, y) for y in range(6)])
+    assert [swallow_shift(s, 1, 77 * omega) for omega in (1, 2)] == [1, 2]
+    rep = VerificationReport()
+    check_tables(s, 2, rep)
+    law = "swallow cycle structure"
+    assert rep.violations == [f"{law}: n=11 seed=00001010000 omega=1"]
+    assert rep.passed[law] == 1
+    assert all(rep.passed[key] == 2 for key in verify.TABLE_LAWS if key != law)
 
 
 @pytest.mark.parametrize("word", ["slither", "coslither"])
@@ -1072,7 +1141,7 @@ def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, word):
 
     monkeypatch.setattr(verify, "table_words", one_wrong)
     rep = VerificationReport()
-    check_tables(scroll_from_seed("00001010000"), 2, rep)
+    check_tables(orbit("00001010000"), 2, rep)
     law = "table slither power identity"
     assert rep.violations == [f"{law}: n=11 seed=00001010000 omega={omega}" for omega in (1, 2)]
     assert law not in rep.passed
@@ -1103,12 +1172,12 @@ def _walk(s, name, letters):
 # as all m*n = 77 symbols.  Each returns what its law's context has after
 # the seed
 PER_SCROLL_FAULTS = {
-    "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
-    "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
+    "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither="DDEDDED"),
+    "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither="L"),
     "deg, codeg coprime": lambda s, mp: _metrics(s, codeg=3),
     "T_tape = gcd(p, q)": lambda s, mp: vars(s).update(unit=s.unit * 11),
-    "alpha from letters": lambda s, mp: _metrics(s, coslither=CoSlither("L")),
-    "beta from letters": lambda s, mp: _metrics(s, slither=Slither("DDEDDED")),
+    "alpha from letters": lambda s, mp: _metrics(s, coslither="L"),
+    "beta from letters": lambda s, mp: _metrics(s, slither="DDEDDED"),
     "lambda odd": lambda s, mp: _lam(mp, 2),
     "lambda | gcd(n, ColScale)": lambda s, mp: _lam(mp, 3),
     "lambda > 1 implies n >= 4 lambda": lambda s, mp: _lam(mp, 3),
@@ -1123,11 +1192,49 @@ def test_a_per_scroll_fault_is_recorded_and_not_passed(monkeypatch, law):
     # every law is evaluated on every orbit: a faulted law records its
     # violation with its context and loses the pass it has on the clean scroll
     clean = VerificationReport()
-    check_scroll(scroll_from_seed("00001010000"), clean)
+    check_scroll(orbit("00001010000"), clean)
     assert not clean.violations and clean.passed[law] == 1
-    s = scroll_from_seed("00001010000")
+    s = orbit("00001010000")
     detail = PER_SCROLL_FAULTS[law](s, monkeypatch) or ""
     rep = VerificationReport()
     check_scroll(s, rep)
     assert f"{law}: n=11 seed=00001010000{detail}" in rep.violations
     assert rep.passed.get(law, 0) == clean.passed[law] - 1
+
+
+def test_a_period_not_dividing_sigma_skips_the_snake_laws_by_name():
+    # the T_tape fault: the unit read as the running example's repeated 11
+    # times, so P = 77 does not divide sigma = 42 and no covering
+    # Z/sigma -> Z/P reads the snakes off the cycles mod P.  Every law on
+    # snakes or walks of the steps is skipped with one violation that names
+    # the reason, in check_scroll and check_tables alike, and none of them
+    # passes
+    clean = VerificationReport()
+    check_scroll(orbit("00001010000"), clean)
+    reason = "n=11 seed=00001010000: tape period 77 does not divide sigma 42"
+    s = orbit("00001010000")
+    vars(s).update(unit=s.unit * 11)
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    assert rep.violations[:2] == [
+        f"snake laws skipped: {reason}",
+        "T_tape = gcd(p, q): n=11 seed=00001010000",
+    ]
+    assert all(v.startswith("tape shift iff T_tape divides: ") for v in rep.violations[2:])
+    gated = {
+        "alpha from letters",
+        "beta from letters",
+        "torsor simple transitivity",
+        "slither matches simulation",
+        "co-slither matches simulation",
+        LINEAR,
+        NEAR_ROW,
+        FREE_ACTION,
+        FIBERS,
+    }
+    assert set(clean.passed) - set(rep.passed) == gated | {"T_tape = gcd(p, q)"}
+    assert set(rep.passed) <= set(clean.passed)
+    tables = VerificationReport()
+    check_tables(s, 2, tables)
+    assert tables.violations == [f"table laws skipped: {reason}"]
+    assert tables.passed == {}
