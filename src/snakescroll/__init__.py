@@ -18,15 +18,7 @@ from .cycles import all_orbits, enumerate_independent_sets, is_independent, orbi
 from .scroll import Scroll
 from .slither import ScrollMetrics, metrics_from_row
 from .sums import col_scale, construct_period_lambda, sum_vector
-from .tables import (
-    OrbitTable,
-    color_preserving,
-    group_factors,
-    omega_table,
-    predicted_counts,
-    swallow_shift,
-    table_words,
-)
+from .tables import color_preserving, group_factors, predicted_counts, swallow_shift, table_words
 from .verify import run_verification
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -84,12 +84,14 @@ def gf_count(n: int) -> int:
 def construct_first_row(ws: str, wc: str, n: int) -> str:
     """First row of the tape defined by a feasible pair of cyclic words.
 
-    Raises ValueError unless ws is over D/E, wc over S/L, and the letter
-    counts satisfy beta_D = 2 alpha - 1 and 2 beta_E + 3 alpha_S +
+    Raises ValueError unless n >= 2, ws is over D/E, wc over S/L, and the
+    letter counts satisfy beta_D = 2 alpha - 1 and 2 beta_E + 3 alpha_S +
     4 alpha_L = n + 1.  The row is the first n symbols of the torsor
     period; which rotations of the two words are given only shifts the
     resulting tape, and the row reads back exactly the words given.
     """
+    if n < 2:
+        raise ValueError("cycle graphs need at least 2 vertices")
     if not set(ws) <= {"D", "E"} or not set(wc) <= {"S", "L"}:
         raise ValueError(
             f"slither {ws!r} must be over D/E and co-slither {wc!r} over S/L"

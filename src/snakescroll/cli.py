@@ -36,7 +36,6 @@ from .report import (
 )
 from .slither import words_from_row
 from .sums import construct_period_lambda, sum_vector
-from .tables import omega_table
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -49,17 +48,17 @@ def _cmd_orbit(args) -> int:
     if len(seed) != args.n or not is_independent(seed):
         print(f"seed {seed!r} is not an independent set of C_{args.n}", file=sys.stderr)
         return EXIT_INPUT
-    table = omega_table(orbit(seed), args.omega)
+    s, omega = orbit(seed), args.omega
     if args.format == "svg":
-        print(svg_table(table), end="")
+        print(svg_table(s, omega), end="")
     elif args.format == "json":
-        print(report_to_json(orbit_report(table)))
+        print(report_to_json(orbit_report(s, omega)))
     elif args.format == "csv":
-        print(report_to_csv(orbit_report(table)), end="")
+        print(report_to_csv(orbit_report(s, omega)), end="")
     else:
-        print(report_to_text(orbit_report(table)), end="")
+        print(report_to_text(orbit_report(s, omega)), end="")
         print()
-        print(ansi_table(table), end="")
+        print(ansi_table(s, omega), end="")
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
 """ANSI and SVG renderings of orbit tables with snake/co-snake coloring.
 
-A cell's colours depend only on its tape index mod sigma, so both renderers
-work from one label period of the scroll's snake labels: the ANSI table
-builds only its distinct rows, the SVG formats each coordinate and colour
-once.  `tests/oracles.py` keeps the per-cell renderers as their reference.
+Each renderer takes a table as its scroll and omega and draws its omega*m
+rows.  A cell's colours depend only on its tape index mod sigma, so both
+renderers work from one label period of the scroll's snake labels: the
+ANSI table builds only its distinct rows, the SVG formats each coordinate
+and colour once.  `tests/oracles.py` keeps the per-cell renderers as
+their reference.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd
 
-from .tables import OrbitTable
+from .scroll import Scroll
 
 ANSI_COLORS = [31, 34, 35, 32, 33, 36, 91, 94, 95, 92, 93, 96]
 SNAKE_PALETTE = [
@@ -32,16 +34,18 @@ def _label_colors(labels: list, palette: list) -> dict:
     return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
 
 
-def ansi_table(table: OrbitTable) -> str:
-    """Two colored copies of the table: snake scheme, then co-snake scheme.
+def ansi_table(s: Scroll, omega: int) -> str:
+    """Two colored copies of the omega-fold table of s, its omega*m rows:
+    snake scheme, then co-snake scheme.
 
     The cell at tape index t depends only on t mod sigma = len(labels), dead
     exactly where its label is None, so one label period of cells is built;
     row i starts at t = i*n + 1, so it equals row i mod sigma/gcd(sigma, n),
     and only the distinct rows are joined.
     """
-    s = table.scroll
-    n, r = s.n, table.r
+    if omega < 1:
+        raise ValueError("omega must be a positive integer")
+    n, r = s.n, omega * s.m
     blocks = []
     for title, labels in zip(("snakes", "co-snakes"), s.snake_labels):
         cell = {
@@ -58,8 +62,9 @@ def ansi_table(table: OrbitTable) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def svg_table(table: OrbitTable) -> str:
-    """Live entries as colored nodes, successor and co-successor edges.
+def svg_table(s: Scroll, omega: int) -> str:
+    """The omega-fold table of s, its omega*m rows: live entries as colored
+    nodes, successor and co-successor edges.
 
     Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  An edge
     that leaves the table past its last row is drawn split: out to the
@@ -70,8 +75,9 @@ def svg_table(table: OrbitTable) -> str:
     neither leaves the table; a live entry with no unique letter raises
     that step's AssertionError, the successor's before the co-successor's.
     """
-    s, unit = table.scroll, SVG_UNIT
-    n, r = s.n, table.r
+    if omega < 1:
+        raise ValueError("omega must be a positive integer")
+    unit, n, r = SVG_UNIT, s.n, omega * s.m
     size = r * n
     snake, cosnake = s.snake_labels
     width, height = (n + 2) * unit, (r + 2) * unit

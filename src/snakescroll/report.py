@@ -1,4 +1,8 @@
-"""Aggregated per-seed reports and their serializations."""
+"""Aggregated per-seed reports and their serializations.
+
+`orbit_report` takes an orbit table as its scroll and omega, as the
+renderers and `verify.check_tables` do: no table record is built.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,9 @@ from typing import Any, Iterable, Iterator
 
 from .classify import TapeClass, enumerate_ticker_tapes, feasible_quadruples, gf_count
 from .cyclic import cyclically_equal
+from .scroll import Scroll, lifted_counts
 from .sums import col_scale, sum_vector
 from .tables import (
-    OrbitTable,
     color_preserving,
     group_factors,
     nontrivial,
@@ -27,21 +31,26 @@ def _cycle_type(shift: int, labels: int) -> list[int]:
     return [labels // cycles] * cycles
 
 
-def orbit_report(table: OrbitTable) -> dict[str, Any]:
-    """Everything the library can say about one table's seed, in one record.
+def orbit_report(s: Scroll, omega: int) -> dict[str, Any]:
+    """Everything the library can say about the seed of s and its omega-fold
+    table, in one record.
 
     Closed-form values are embedded next to their simulated counterparts
-    with explicit agreement flags.  The per-table values are read off
-    `tables`' scalar cores, as `verify.check_tables` reads them, in the
-    order it does: swallow, co-swallow, group factors, then the
-    colour-preserving conditions.
+    with explicit agreement flags.  The table is its scalars, read as
+    `verify.check_tables` reads them: size omega*m*n, live count eta,
+    counts (bar_alpha, bar_beta) lifted from the windings and degrees
+    alpha/bar_alpha, beta/bar_beta; its per-table values are read off
+    `tables`' scalar cores in the order `check_tables` reads them: swallow,
+    co-swallow, group factors, then the colour-preserving conditions.
     """
-    s, omega, size = table.scroll, table.omega, table.size
-    alpha, beta = table.alpha, table.beta
+    if omega < 1:
+        raise ValueError("omega must be a positive integer")
+    size, eta = omega * s.size, omega * s.live_count
+    alpha, beta = lifted_counts(s, size // len(s.unit))
     met = s.metrics
     snakes = s.snakes
     shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
-    factors = group_factors(s, table.eta, alpha, beta)
+    factors = group_factors(s, eta, alpha, beta)
     sv = sum_vector(s)
     words = table_words(s, alpha, beta)
 
@@ -65,12 +74,12 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
         "colScale": col_scale(s),
         "sumVector": list(sv.sums),
         "sumPeriod": sv.lam,
-        "tableRows": table.r,
-        "eta": table.eta,
+        "tableRows": omega * s.m,
+        "eta": eta,
         "barAlpha": alpha,
         "barBeta": beta,
-        "degP": table.deg,
-        "codegP": table.codeg,
+        "degP": snakes.alpha // alpha,
+        "codegP": snakes.beta // beta,
         "tableSlither": words[0],
         "tableCoslither": words[1],
         "swallowShift": shifts[0],
@@ -85,7 +94,7 @@ def orbit_report(table: OrbitTable) -> dict[str, Any]:
             # one simulated slither double-checks the row extraction
             "slitherMatchesSimulation": cyclically_equal(s.slither_walk[1], met.slither),
             "fundamentalDegreesCoprime": gcd(*s.fundamental_degrees) == 1,
-            "groupOrderMatchesEta": factors[0] * factors[1] == table.eta,
+            "groupOrderMatchesEta": factors[0] * factors[1] == eta,
         },
     }
 

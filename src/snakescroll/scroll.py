@@ -19,18 +19,19 @@ live residues, those r with X_(r+1) live, are listed once
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
 live depends only on t mod P, so each map is stored as one letter per
-residue of the unit and as one signed advance per residue.  The letters
-of both maps of one direction, forward or inverse, are built in one pass
+residue of the unit and as one signed advance per residue, and each
+direction keeps its two maps as one pair: `Scroll.step_letters` and
+`Scroll.step_advances` for the successor and co-successor,
+`Scroll.inverse_letters` and `Scroll.inverse_advances` for their
+inverses.  A direction's letter pair is built in one pass
 (`_step_letters`): the unit and its four rotations by the letters'
 advances, summed bytewise into one integer with one bit per candidate,
 give one code byte per residue, and two byte translations read both
-maps' letters off it.  The advances are the letters mapped through one
-table per direction fixed by n (`Scroll.advance_tables`):
-`Scroll.step_advances` for the successor and co-successor,
-`Scroll.inverse_advances` for their inverses.  A step at t reads its
-letter and advance at (t - 1) mod P.  Only the laws of `verify` read the
-inverse steps, so a scroll that is only rendered or reported builds
-neither their letters nor advances.  The walk of one slither
+maps' letters off it.  Its advances are its letters mapped through one
+table per direction fixed by n (`Scroll.advance_tables`).  A step at t
+reads its letter and advance at (t - 1) mod P.  Only the laws of `verify`
+read the inverse steps, so a scroll that is only rendered or reported
+builds neither their letters nor advances.  The walk of one slither
 (co-slither) from the first live index, its tape indices and letters, is
 read straight off the forward tables and kept once per scroll
 (`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
@@ -107,13 +108,6 @@ _LETTER_OF = tuple(
         for code in range(32)
     ).ljust(256, DEAD.encode())
     for pair, shift in (("ED", 2), ("SL", 0))
-)
-
-
-# the names the letter tables of each direction, forward and inverse, are kept under
-_LETTER_NAMES = (
-    ("successor_letters", "co_successor_letters"),
-    ("predecessor_letters", "co_predecessor_letters"),
 )
 
 
@@ -231,50 +225,37 @@ class Scroll:
         forward = {x: step_advance(x, self.n) for x in "EDSL"}
         return forward, {x: -d for x, d in forward.items()}
 
-    def _letters(self, direction: int) -> tuple[str, str]:
-        """Both letter tables of one direction, forward (0) or inverse (1),
-        from one pass (`_step_letters`); each is kept under its name unless
-        a value is already there."""
-        tables = _step_letters(self.unit, self.advance_tables[direction])
-        for name, letters in zip(_LETTER_NAMES[direction], tables):
-            vars(self).setdefault(name, letters)
-        return tables
+    @cached_property
+    def step_letters(self) -> tuple[str, str]:
+        """Per residue of the unit, the letter of the successor, then of the
+        co-successor, both from one pass (`_step_letters`)."""
+        return _step_letters(self.unit, self.advance_tables[0])
 
     @cached_property
-    def successor_letters(self) -> str:
-        return self._letters(0)[0]
+    def inverse_letters(self) -> tuple[str, str]:
+        """Likewise the predecessor and co-predecessor; only the laws read them."""
+        return _step_letters(self.unit, self.advance_tables[1])
 
-    @cached_property
-    def co_successor_letters(self) -> str:
-        return self._letters(0)[1]
-
-    @cached_property
-    def predecessor_letters(self) -> str:
-        return self._letters(1)[0]
-
-    @cached_property
-    def co_predecessor_letters(self) -> str:
-        return self._letters(1)[1]
-
-    def _advances(self, direction: int, first: str, second: str) -> tuple[list, list]:
-        """Per table of letters, per residue of the unit, the signed tape
-        advance of its letter in that direction (`advance_tables`), or None
-        where the letter has none (a dead residue, or a count of live
+    def _advances(self, direction: int, letters: tuple[str, str]) -> tuple[list, list]:
+        """Per letter table of that direction, per residue of the unit, the
+        signed tape advance of its letter (`advance_tables`), or None where
+        the letter has none (a dead residue, or a count of live
         candidates)."""
         get = self.advance_tables[direction].get
+        first, second = letters
         return list(map(get, first)), list(map(get, second))
 
     @cached_property
     def step_advances(self) -> tuple[list, list]:
         """Per residue of the unit, the advance of the successor and
         co-successor (`_advances`)."""
-        return self._advances(0, self.successor_letters, self.co_successor_letters)
+        return self._advances(0, self.step_letters)
 
     @cached_property
     def inverse_advances(self) -> tuple[list, list]:
         """Per residue of the unit, the (negative) advance of the predecessor
         and co-predecessor (`_advances`); only the laws read them."""
-        return self._advances(1, self.predecessor_letters, self.co_predecessor_letters)
+        return self._advances(1, self.inverse_letters)
 
     @cached_property
     def steps_are_maps(self) -> bool:
@@ -406,8 +387,7 @@ class Scroll:
         count first, and its cycles (`period_cycles`) raise on a live
         residue without an advance and on a step onto a dead one, so a
         walk meets an advance at every step."""
-        advances = self.step_advances[step]
-        letters = (self.successor_letters, self.co_successor_letters)[step]
+        advances, letters = self.step_advances[step], self.step_letters[step]
         period = len(letters)
         t, indices = self.unit_live[0] + 1, []
         for _ in range(count):
@@ -415,7 +395,8 @@ class Scroll:
             t += advances[(t - 1) % period]
         return indices, "".join([letters[(t - 1) % period] for t in indices])
 
-    def _step(self, map_index: int, letters: str, t: int, what: str) -> tuple[int, str]:
+    def _step(self, map_index: int, t: int, what: str) -> tuple[int, str]:
+        letters = self.step_letters[map_index]
         r = (t - 1) % len(letters)
         advance = self.step_advances[map_index][r]
         if advance is None:
@@ -427,10 +408,10 @@ class Scroll:
         return t + advance, letters[r]
 
     def successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(0, self.successor_letters, t, "successor")
+        return self._step(0, t, "successor")
 
     def co_successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(1, self.co_successor_letters, t, "co-successor")
+        return self._step(1, t, "co-successor")
 
 
 def walk_cycles(

@@ -49,46 +49,17 @@ index's image, less the table size, at lift y - size/P.  Only the
 renderers build the id arrays mod sigma (`Scroll.snake_labels`), from the
 same table.
 
-The one table record, `OrbitTable` (built by `omega_table`), holds these
-scalars for the `orbit` command's report and renderers, one table per
-request; the report reads each per-table value off the same scalar cores
-as `verify`.
+No table record is kept: a table is its scroll and omega.  The `orbit`
+command's report (`report.orbit_report`) and renderers (`render`) take
+the two and read the table's scalars and per-table values as `verify`
+does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .scroll import Scroll, lifted_counts
-
-
-@dataclass(slots=True)
-class OrbitTable:
-    """The omega-fold table of a scroll and its scalars, each computed once
-    by `omega_table`."""
-
-    scroll: Scroll
-    omega: int
-    size: int  # omega*m*n residues
-    eta: int  # live entries: omega copies of the m*n residues'
-    alpha: int  # bar_alpha, the ouroboroi
-    beta: int  # bar_beta, the co-ouroboroi
-    deg: int  # deg p_omega = alpha / bar_alpha
-    codeg: int  # codeg p_omega = beta / bar_beta
-
-    @property
-    def r(self) -> int:
-        return self.omega * self.scroll.m
-
-
-def omega_table(s: Scroll, omega: int) -> OrbitTable:
-    if omega < 1:
-        raise ValueError("omega must be a positive integer")
-    alpha, beta = lifted_counts(s, omega * s.size // len(s.unit))
-    snakes = s.snakes
-    deg, codeg = snakes.alpha // alpha, snakes.beta // beta
-    return OrbitTable(s, omega, omega * s.size, omega * s.live_count, alpha, beta, deg, codeg)
+from .scroll import Scroll
 
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:

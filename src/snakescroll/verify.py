@@ -6,12 +6,12 @@ silently dropped; an empty violation list is the pass condition.
 
 Each law's checks over one orbit are tallied at once
 (`VerificationReport.tally`): its passes are counted, and a context
-string is built only for a check that fails.  `check_scroll` hands on
-one entry per law and tallies the orbit's entries together, and a law
-that passes builds no context, no tape index list and no sorted or
-counted failure set.  The table laws of `check_tables` are tallied so
-too, once per orbit over all its omegas: each table is its scalars
-alone, read off `tables`' scalar cores, and no table record is built.
+string is built only for a check that fails.  `check_scroll` yields
+one entry per law, tallied as it is yielded, and a law that passes
+builds no context, no tape index list and no sorted or counted failure
+set.  The table laws of `check_tables` are tallied so too, once per
+orbit over all its omegas: a table is its scroll and omega, and each law
+reads the table's scalars off `tables`' scalar cores.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
 tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, lcm
@@ -181,23 +181,24 @@ def _uncovered(s: Scroll) -> str:
 def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> None:
     """The per-orbit theorem suite, each law tallied once per orbit.
 
-    Every law is evaluated on every orbit (`_scroll_laws`), each handing
-    on one (law, checks, failure contexts) entry, and the entries are
-    tallied together once the orbit is done (`VerificationReport.tally`),
-    or where a law raises, up to that law.  A law that passes costs that
-    one entry: its context strings, the tape indices its failures stand
-    for, and any sorting or counting that only orders or names failures
-    are built only for a law that failed.
+    Every law is evaluated on every orbit (`_scroll_laws`), each yielding
+    one (law, checks, failure contexts) entry, tallied as it is yielded
+    (`VerificationReport.tally`): where a law raises, the laws before it
+    are tallied and none after it.  A law that passes costs that one
+    entry: its context strings, the tape indices its failures stand for,
+    and any sorting or counting that only orders or names failures are
+    built only for a law that failed.
 
-    Steps read the scroll's step advances and letters at residue
-    (t - 1) mod P, P the tape's least cyclic period (`Scroll.unit`), on its
-    live residues (`Scroll.unit_live`).  The tape is P-periodic and every
-    table a function of the residue mod P, so the per-residue laws
-    (six-neighbour zeros, unique candidates, commutation, parallelogram,
-    round trip) run on the tape indices [1, P] only: each count is
-    multiplied by laps = m*n/P, and each failure at t stands for t + k*P,
-    k = 0..laps-1, so the contexts are those of all m*n residues, in tape
-    order.  The laws on the snakes and co-snakes mod sigma (successor
+    Steps read the scroll's letter and advance pairs of each direction
+    (`Scroll.step_letters`, `Scroll.inverse_letters` and their advances) at
+    residue (t - 1) mod P, P the tape's least cyclic period
+    (`Scroll.unit`), on its live residues (`Scroll.unit_live`).  The tape
+    is P-periodic and every table a function of the residue mod P, so the
+    per-residue laws (six-neighbour zeros, unique candidates, commutation,
+    parallelogram, round trip) run on the tape indices [1, P] only: each
+    count is multiplied by laps = m*n/P, and each failure at t stands for
+    t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
+    in tape order.  The laws on the snakes and co-snakes mod sigma (successor
     advance linear, near-row distinctness, fibers) run on the live
     residues of the unit only: they read both maps' cycles mod P
     (`Scroll.period_cycles`) through the covering Z/sigma -> Z/P, each
@@ -213,15 +214,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     a letter's step lands on a dead entry.  Where P does not divide sigma,
     they are skipped with one violation, "snake laws skipped".
     """
-    laws: list[Law] = []
-    try:
-        _scroll_laws(s, extended, laws.append)
-    finally:
-        rep.tally(laws)
+    rep.tally(_scroll_laws(s, extended))
 
 
-def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
-    """The laws of `check_scroll` on s, each handed to add as (law, checks,
+def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
+    """The laws of `check_scroll` on s, each yielded as (law, checks,
     failure contexts), in law order."""
     n, m = s.n, s.m
     met = s.metrics
@@ -258,12 +255,12 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         failed = [
             f"{c} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
         ]
-    add(("six-neighbor zeros", laps * len(live), failed))
+    yield "six-neighbor zeros", laps * len(live), failed
 
     # unique candidates, then commutation, parallelogram and round trip at
     # each entry whose own and target entries have unique letters (an
     # entry stepping onto one without them is left to that one)
-    sl, cl = s.successor_letters, s.co_successor_letters
+    (sl, cl), (pl, cpl) = s.step_letters, s.inverse_letters
     # signed advance of each step per residue, None where its letter has none
     (sa, ca), (pa, cpa) = s.step_advances, s.inverse_advances
     not_unique, noncommuting, skewed, one_way, skipped = [], [], [], [], 0
@@ -292,7 +289,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
                 s.co_successor_step(t)
             except AssertionError as exc:
                 failed.append(f"{c}: {exc}")
-    add(("unique successor candidates", laps * len(live), failed))
+    yield "unique successor candidates", laps * len(live), failed
     for law, failed in (
         ("commutation", noncommuting),
         ("parallelogram", skewed),
@@ -301,13 +298,13 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         if failed:
             c = ctx()
             failed = [f"{c} at tape {t}" for t in _laps(failed, period, laps)]
-        add((law, laps * (len(live) - len(not_unique) - skipped), failed))
+        yield law, laps * (len(live) - len(not_unique) - skipped), failed
     # the laws on snakes read them off the cycles mod P through the covering
     # Z/sigma -> Z/P, which needs P | sigma: where it fails they are skipped
     # with one violation, tallied as a law of no checks
     uncovered = _uncovered(s)
     if uncovered:
-        add(("snake laws skipped", 0, (f"{ctx()}: {uncovered}",)))
+        yield "snake laws skipped", 0, (f"{ctx()}: {uncovered}",)
     snakes = s.snakes if s.steps_are_maps and not uncovered else None
 
     # letter-count constraints and scale identities; T_tape, gcd(p, q) of
@@ -327,7 +324,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
             ("beta from letters", snakes.beta == len(ws)),
         ]
     for law, holds in held:
-        add((law, 1, () if holds else (ctx(),)))
+        yield law, 1, () if holds else (ctx(),)
 
     # sum-vector laws
     lam, cs = sum_vector(s).lam, col_scale(s)
@@ -336,12 +333,12 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         ("lambda | gcd(n, ColScale)", gcd(n, cs) % lam == 0),
         ("lambda > 1 implies n >= 4 lambda", lam == 1 or n >= 4 * lam),
     ):
-        add((law, 1, () if holds else (ctx(),)))
+        yield law, 1, () if holds else (ctx(),)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
     if snakes:
         torsor = _is_torsor(s, met.sigma, snakes.beta, snakes.alpha)
-        add(("torsor simple transitivity", 1, () if torsor else (ctx(),)))
+        yield "torsor simple transitivity", 1, () if torsor else (ctx(),)
 
     if not extended:
         return
@@ -357,7 +354,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         fixing = set(range(period, bound + 1, period))
         wrong = fixing ^ set(range(tape_period, bound + 1, tape_period))
         failed = [f"{c} shift {ell}" for ell in sorted(wrong)]
-    add(("tape shift iff T_tape divides", bound, failed))
+    yield "tape shift iff T_tape divides", bound, failed
 
     if not snakes:
         return
@@ -369,7 +366,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         ("co-slither matches simulation", s.coslither_walk, wc),
     ):
         failed = () if cyclically_equal(simulated, word) else (f"{ctx()} simulated {simulated}",)
-        add((law, 1, failed))
+        yield law, 1, failed
 
     # the rest read both maps mod sigma through the covering Z/sigma -> Z/P
     # on offsets t - 1 (as `_is_torsor` does): a cycle i mod P of winding w
@@ -417,7 +414,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         if failed:
             c = ctx()
             nonlinear += [f"{c} r={r} from {t}" for t in _tape_laps(failed, period, fold)]
-    add(("successor advance linear", len(rounds) * fold * len(live), nonlinear))
+    yield "successor advance linear", len(rounds) * fold * len(live), nonlinear
 
     # co-snake distinctness within one row span: no live offset x < P shares
     # its co-snake with a live y, x < y < x + n (by the shift by P, every
@@ -446,7 +443,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
             for k in range(0, fold * period, period)
             for v, d in shared
         ]
-    add(("near-row co-snake distinctness", fold * near, failed))
+    yield "near-row co-snake distinctness", fold * near, failed
 
     # free action on the universal scroll: s^a c^b moves the start t0 for
     # every (a, b) != (0, 0) with |a| <= beta, |b| <= alpha.  A point of
@@ -463,8 +460,8 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
     start, alpha = live[0], snakes.alpha  # the offset of t0
     fixed = {}
     for sign, s_advances, s_letters, c_advances, c_letters in (
-        (-1, pa, s.predecessor_letters, ca, s.co_successor_letters),
-        (1, sa, s.successor_letters, cpa, s.co_predecessor_letters),
+        (-1, pa, pl, ca, cl),
+        (1, sa, sl, cpa, cpl),
     ):
         stop = sign * start
         y, row = start, 0  # s^a(t0) and its row, a = sign*1, sign*2, ...
@@ -484,7 +481,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
                 if r == 0:
                     fixed[a] = f"{ctx()} exponents ({a},{-sign * b})"
     failed = [fixed[a] for a in sorted(fixed)] if fixed else ()
-    add(("free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed))
+    yield "free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed
 
     # fibers: residues mod sigma, singletons among the live residues.  v +
     # x*P and v' + x'*P share a snake and a co-snake iff v and v' lie on the
@@ -502,7 +499,7 @@ def _scroll_laws(s: Scroll, extended: bool, add: Callable[[Law], None]) -> None:
         ]
         c = ctx()
         failed = [f"{c} tape {t}" for t in _tape_laps(met_twice, period, fold)]
-    add(("fibers are residues mod sigma", fold * len(live), failed))
+    yield "fibers are residues mod sigma", fold * len(live), failed
 
 
 # the table laws, in the order each table checks them

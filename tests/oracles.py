@@ -8,9 +8,8 @@ from math import gcd
 from snakescroll import cli
 from snakescroll.cycles import _require_independent
 from snakescroll.render import ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT
-from snakescroll.scroll import Scroll
+from snakescroll.scroll import Scroll, lifted_counts
 from snakescroll.slither import _STEP_SHAPE, step_advance
-from snakescroll.tables import OrbitTable
 
 # the per-residue laws of verify.check_scroll
 RESIDUE_LAWS = (
@@ -86,6 +85,38 @@ def sawada_necklaces(a: str, b: str, ca: int, cb: int) -> list[str]:
 
     gen(2, 1)
     return sorted(out)
+
+
+# each step map's letter table, by name: the Scroll pair that holds it, and
+# its index there
+LETTER_TABLES = {
+    "successor_letters": ("step_letters", 0),
+    "co_successor_letters": ("step_letters", 1),
+    "predecessor_letters": ("inverse_letters", 0),
+    "co_predecessor_letters": ("inverse_letters", 1),
+}
+
+
+def letters_of(s: Scroll, name: str) -> str:
+    """The letter table named name (`LETTER_TABLES`)."""
+    pair, index = LETTER_TABLES[name]
+    return getattr(s, pair)[index]
+
+
+def inject_letters(s: Scroll, name: str, letters: str) -> None:
+    """Replace the letter table named name with letters, keeping the other
+    map's table of its direction, as a fault test injects it."""
+    pair, index = LETTER_TABLES[name]
+    tables = list(getattr(s, pair))
+    tables[index] = letters
+    vars(s)[pair] = tuple(tables)
+
+
+def table_counts(s: Scroll, omega: int) -> tuple[int, int]:
+    """The library's (bar_alpha, bar_beta) of the omega-fold table of s,
+    lifted from the windings as `verify.check_tables` and
+    `report.orbit_report` lift them."""
+    return lifted_counts(s, omega * s.size // len(s.unit))
 
 
 def vector(s: Scroll) -> bytes:
@@ -227,19 +258,21 @@ def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
     return True
 
 
-def permutation_group_invariants(t: OrbitTable) -> tuple[int, ...]:
-    """Nontrivial invariant factors of the group the reduced maps generate.
+def permutation_group_invariants(scroll: Scroll, omega: int) -> tuple[int, ...]:
+    """Nontrivial invariant factors of the group the reduced maps generate
+    on the omega-fold table of scroll.
 
     Oracle for group_factors: it reads only the table's live residues
-    and the two maps reduced mod the table size (`reduced_maps`), s
-    (successor) and c (co-successor), both read off the scroll's vector and
-    steps.
+    and the two maps reduced mod the table size, omega times the length of
+    the vector (`reduced_maps`), s (successor) and c (co-successor), both
+    read off the scroll's vector and steps.
     Commuting maps whose group is transitive on the live entries act simply
     transitively, so the group is Z^2 modulo the stabiliser lattice of t0.
     With l the length of the c-orbit of t0 and s^k(t0) = c^j(t0) for the least
     k > 0, that lattice has basis (0, l), (k, -j) and index k*l = eta.
     """
-    live, (s, c) = live_residues(t.scroll, t.size), reduced_maps(t.scroll, t.size)
+    size = omega * len(vector(scroll))
+    live, (s, c) = live_residues(scroll, size), reduced_maps(scroll, size)
     for x in live:
         if s[c[x]] != c[s[x]]:
             raise AssertionError(f"successor and co-successor do not commute at {x}")
@@ -278,12 +311,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     n, size, bits = s.n, s.m * s.n, vector(s)
     ctx = f"n={n} seed={s.rows[0]}"
     advance = {x: step_advance(x, n) for x in "EDSL"}
-    tables = (
-        s.successor_letters,
-        s.co_successor_letters,
-        s.predecessor_letters,
-        s.co_predecessor_letters,
-    )
+    tables = (*s.step_letters, *s.inverse_letters)
 
     def letter(k: int, t: int) -> str:  # table k at tape index t
         return tables[k][(t - 1) % len(tables[k])]
@@ -405,10 +433,11 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
 
     i0, j0 = divmod(vector(s).index(1), n)
     start = (i0, j0 + 1)
-    s_walk = walk(start, s.predecessor_letters, s.successor_letters, part.beta)
+    (forth, co_forth), (back, co_back) = s.step_letters, s.inverse_letters
+    s_walk = walk(start, back, forth, part.beta)
     fixed, checks = [], 0
     for a, coord in zip(range(-part.beta, part.beta + 1), s_walk):
-        c_walk = walk(coord, s.co_predecessor_letters, s.co_successor_letters, part.alpha)
+        c_walk = walk(coord, co_back, co_forth, part.alpha)
         for b, image in zip(range(-part.alpha, part.alpha + 1), c_walk):
             if (a, b) != (0, 0):
                 checks += 1
@@ -467,12 +496,12 @@ def _palette(labels: list, palette: list) -> dict:
     return {label: palette[i % len(palette)] for i, label in enumerate(ordered)}
 
 
-def ansi_table(table: OrbitTable) -> str:
+def ansi_table(s: Scroll, omega: int) -> str:
     """Oracle for render.ansi_table, which builds one label period of cells
     and each distinct row once, coloured by snake ids: every cell of every
-    row, one at a time, coloured by the labels walked mod sigma."""
-    s = table.scroll
-    bits = vector(s) * table.omega  # bits[t - 1] is X_t for t in 1..size
+    row of the vector repeated omega times, one at a time, coloured by the
+    labels walked mod sigma."""
+    bits = vector(s) * omega  # bits[t - 1] is X_t for t in 1..size
     live = list(compress(range(1, len(bits) + 1), bits))
     blocks = []
     for title, labels in zip(("snakes", "co-snakes"), walked_labels(s, s.metrics.sigma)):
@@ -488,14 +517,16 @@ def ansi_table(table: OrbitTable) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def svg_table(table: OrbitTable, labels: list[list] | None = None) -> str:
+def svg_table(s: Scroll, omega: int, labels: list[list] | None = None) -> str:
     """Oracle for render.svg_table, which formats each coordinate and colour
-    once: every live entry places itself and both its targets by tape index,
-    coloured by the labels walked mod sigma (`walked_labels`), or labels
-    given, as a fault test walks them before it injects a step."""
-    s, unit = table.scroll, SVG_UNIT
-    n, r = s.n, table.r
-    size = r * n
+    once: every live entry of the vector repeated omega times places itself
+    and both its targets by tape index, coloured by the labels walked mod
+    sigma (`walked_labels`), or labels given, as a fault test walks them
+    before it injects a step."""
+    unit, n = SVG_UNIT, s.n
+    bits = vector(s) * omega  # bits[t - 1] is X_t for t in 1..size
+    size = len(bits)
+    r = size // n
     snake, cosnake = labels or walked_labels(s, s.metrics.sigma)
     snake_color = _palette(snake, SNAKE_PALETTE)
     cosnake_color = _palette(cosnake, COSNAKE_PALETTE)
@@ -517,7 +548,7 @@ def svg_table(table: OrbitTable, labels: list[list] | None = None) -> str:
             f'<line x1="{x}" y1="{unit}" x2="{x}" y2="{(r + 1) * unit}" '
             f'stroke="#eeeeee"/>'
         )
-    live = list(compress(range(1, size + 1), vector(s) * table.omega))
+    live = list(compress(range(1, size + 1), bits))
 
     # tape index t = i*n + (j+1) sits at ((j+1)*unit, (i+1)*unit)
     def at(t: int) -> tuple[int, int]:

@@ -317,6 +317,29 @@ def test_construct_rejects_foreign_letters(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_construct_rejects_too_few_vertices(capsys, n):
+    # n < 2 is no cycle graph: construct says so, as classify, orbit and
+    # verify do, before it reads the words' letter counts
+    for slither, coslither in (("D", "S"), ("", "")):
+        code, out, err = run(
+            capsys, "construct", "--slither", slither, "--coslither", coslither, "--n", n
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: cycle graphs need at least 2 vertices\n"
+
+
+@pytest.mark.parametrize("omega", ["0", "-1"])
+@pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
+def test_orbit_rejects_a_non_positive_omega(capsys, fmt, omega):
+    # every format rejects the omega before it writes anything
+    code, out, err = run(
+        capsys, "orbit", "--n", "11", "--seed", SEED11, "--omega", omega, "--format", fmt
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: omega must be a positive integer\n"
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from snakescroll.cycles import all_orbits, orbit
+from snakescroll.render import ansi_table, svg_table
+from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, walk_cycles
-from snakescroll.tables import omega_table
 
 from oracles import live_residues, relabelled, vector, walked_counts, walked_labels
 
@@ -121,7 +122,8 @@ def test_lifted_counts_match_walked_cycles():
     # oracle for the counts lifted from the windings mod the tape period:
     # the snakes of every orbit with n <= 16 and every table with n <= 13
     # and omega <= 12 (816 tables); with them the per-orbit constants each
-    # table is built from, and the table's live count and degrees
+    # table is read from, and the table's live count and degrees as the
+    # orbit report gives them
     tables = 0
     for n in range(2, 17):
         for s in all_orbits(n):
@@ -132,11 +134,13 @@ def test_lifted_counts_match_walked_cycles():
             assert snakes == walked_counts(s, s.metrics.sigma)
             if n <= 13:
                 for omega in range(1, 13):
-                    t = omega_table(s, omega)
-                    assert t.eta == len(live_residues(s, t.size))
-                    alpha, beta = walked_counts(s, t.size)
-                    assert (t.alpha, t.beta) == (alpha, beta)
-                    assert (t.deg, t.codeg) == (snakes.alpha // alpha, snakes.beta // beta)
+                    size = omega * len(vector(s))
+                    report = orbit_report(s, omega)
+                    assert report["eta"] == len(live_residues(s, size))
+                    alpha, beta = walked_counts(s, size)
+                    assert (report["barAlpha"], report["barBeta"]) == (alpha, beta)
+                    degrees = snakes.alpha // alpha, snakes.beta // beta
+                    assert (report["degP"], report["codegP"]) == degrees
                     tables += 1
     assert tables == 816
 
@@ -144,15 +148,16 @@ def test_lifted_counts_match_walked_cycles():
 def test_windings_reject_a_non_injective_map():
     # tape period 7, live offsets 4 and 6 (tape indices 5 and 7): send 4
     # where 6 goes, so both reach 4; the walk mod 7 raises, and so does
-    # every table built on it
+    # every report and rendering of a table of it
     s = orbit("00001010000")
     succ, co_succ = s.step_advances
     assert s.unit_live == [4, 6] and len(s.unit) == len(succ) == 7
     s.__dict__["step_advances"] = [*succ[:4], 2 + succ[6], *succ[5:]], co_succ
     with pytest.raises(AssertionError, match="^step is not a permutation of live: from 6$"):
         s.windings
-    with pytest.raises(AssertionError, match="not a permutation"):
-        omega_table(s, 2)
+    for build in (orbit_report, ansi_table, svg_table):
+        with pytest.raises(AssertionError, match="not a permutation"):
+            build(s, 2)
 
 
 def test_windings_reject_a_non_permuting_co_successor():

@@ -32,9 +32,10 @@ def test_successor_steps_on_the_running_example():
     t, letter = s.successor_step(7)
     assert (t, letter) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
-    assert s.predecessor_letters[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
+    predecessor, co_predecessor = s.inverse_letters
+    assert predecessor[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
     u = co_successor(s, 5)  # the tables are one least period, 7 letters
-    assert u - step_advance(s.co_predecessor_letters[(u - 1) % 7], 11) == 5
+    assert u - step_advance(co_predecessor[(u - 1) % 7], 11) == 5
 
 
 def test_successor_and_co_successor_commute():
@@ -129,12 +130,7 @@ def test_step_letters_match_the_reference():
         period = least_cyclic_period(bits)
         laps = len(bits) // period
         for got, advances, letters, sign in zip(
-            (
-                s.successor_letters,
-                s.co_successor_letters,
-                s.predecessor_letters,
-                s.co_predecessor_letters,
-            ),
+            s.step_letters + s.inverse_letters,
             s.step_advances + s.inverse_advances,
             ("ED", "SL", "ED", "SL"),
             (1, 1, -1, -1),

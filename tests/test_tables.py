@@ -5,11 +5,11 @@ from math import gcd, lcm
 import pytest
 
 from snakescroll.cycles import all_orbits, orbit
+from snakescroll.render import ansi_table, svg_table
 from snakescroll.report import orbit_report
 from snakescroll.tables import (
     color_preserving,
     group_factors,
-    omega_table,
     predicted_counts,
     nontrivial,
     nontrivial_text,
@@ -25,6 +25,7 @@ from oracles import (
     permutation_group_invariants,
     reduced_maps,
     successor,
+    table_counts,
     vector,
     walked_labels,
 )
@@ -34,18 +35,19 @@ SEED11 = "00001010000"
 
 def test_table_shape():
     s = orbit(SEED11)
-    t = omega_table(s, 2)
-    assert t.r == 14
-    assert t.size == 154
-    assert t.eta == 44  # 22 live entries per fundamental vector
-    with pytest.raises(ValueError):
-        omega_table(s, 0)
+    report = orbit_report(s, 2)
+    assert report["tableRows"] == 14
+    assert report["tableRows"] * s.n == 2 * s.size == 154
+    assert report["eta"] == 44  # 22 live entries per fundamental vector
+    for omega in (0, -1):
+        for build in (orbit_report, ansi_table, svg_table):
+            with pytest.raises(ValueError, match="^omega must be a positive integer$"):
+                build(s, omega)
 
 
 def test_running_example_fundamental_counts():
     s = orbit(SEED11)
-    tab = omega_table(s, 1)
-    assert (tab.alpha, tab.beta) == (1, 2)
+    assert table_counts(s, 1) == (1, 2)
     assert s.fundamental_degrees == (2, 3)
 
 
@@ -56,44 +58,41 @@ def test_fundamental_degrees_match_simulated_counts():
     assert len(orbits) == 159
     for s in orbits:
         snakes = s.snakes
-        tab = omega_table(s, 1)
-        assert snakes.alpha % tab.alpha == 0 and snakes.beta % tab.beta == 0
+        alpha, beta = table_counts(s, 1)
+        assert snakes.alpha % alpha == 0 and snakes.beta % beta == 0
         degrees = s.fundamental_degrees
-        assert degrees == (snakes.alpha // tab.alpha, snakes.beta // tab.beta)
+        assert degrees == (snakes.alpha // alpha, snakes.beta // beta)
         assert gcd(*degrees) == 1
 
 
 def test_running_example_predicted_counts():
     s = orbit(SEED11)
     for omega in range(1, 13):
-        tab = omega_table(s, omega)
-        assert (tab.alpha, tab.beta) == predicted_counts(s, omega)
+        assert table_counts(s, omega) == predicted_counts(s, omega)
     assert predicted_counts(s, 2) == (2, 2)
     assert predicted_counts(s, 6) == (2, 6)
 
 
 def test_running_example_co_swallow():
     s = orbit(SEED11)
-    t = omega_table(s, 1)
-    assert swallow_shift(s, 1, t.size) == 4
-    report = orbit_report(t)
+    assert swallow_shift(s, 1, s.size) == 4
+    report = orbit_report(s, 1)
     assert report["coSwallowCycles"] == [3, 3]
     assert report["swallowCycles"] == [2]  # alpha=2 snakes folded into one ouroboros
 
 
 def test_swallow_rejects_a_non_uniform_shift():
-    t = omega_table(orbit(SEED11), 1)
+    s = orbit(SEED11)
     # ids 0, 1, 2 in order, swallowed onto 0, 2, 1: the walk meets the one
     # snake of a cycle of one lift (first id 0), then lifts 0 and 1 of a
     # cycle of two (first id 1), which swap less size/P = 11 laps, an odd
     # number; (0, 2, 1) is no rotation of the order
-    assert t.size == 77 and len(t.scroll.unit) == 7
-    s = t.scroll
+    assert s.size == 77 and len(s.unit) == 7
     # both maps' walk lifts are replaced: the orders are built together
     vars(s)["swallow_lifts"] = ([(0, 1, 0), (1, 2, 0), (1, 2, 1)],) * 2
     assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))
     with pytest.raises(AssertionError, match="not a uniform shift"):
-        swallow_shift(s, 0, t.size)
+        swallow_shift(s, 0, s.size)
 
 
 def test_report_table_fields_match_oracles():
@@ -108,11 +107,10 @@ def test_report_table_fields_match_oracles():
             deg_p1, codeg_p1 = s.fundamental_degrees
             for omega in (1, 2, 3):
                 tables += 1
-                table = omega_table(s, omega)
-                report = orbit_report(table)
+                report = orbit_report(s, omega)
                 assert report["swallowCycles"] == [report["degP"]] * report["barAlpha"]
                 assert report["coSwallowCycles"] == [report["codegP"]] * report["barBeta"]
-                group = permutation_group_invariants(table)
+                group = permutation_group_invariants(s, omega)
                 assert report["invariantFactors"] == (list(group) or [1])
                 assert report["colorPreserving"] == (omega % (deg_p1 * codeg_p1) == 0)
     assert tables == 54
@@ -120,8 +118,7 @@ def test_report_table_fields_match_oracles():
 
 def test_running_example_group():
     s = orbit(SEED11)
-    t = omega_table(s, 1)
-    factors = group_factors(s, t.eta, t.alpha, t.beta)
+    factors = group_factors(s, s.live_count, *table_counts(s, 1))
     assert nontrivial(factors) == (22,)
     assert factors[0] * factors[1] == 22
 
@@ -136,28 +133,30 @@ def test_product_invariants():
 
 
 def _all_tables():
-    """Every table with n <= 13 and omega <= 12 (816 tables), one at a time."""
+    """Every table with n <= 13 and omega <= 12 (816 tables), one at a time,
+    as (scroll, omega, size): size, the table's residues, is omega times
+    the length of the vector."""
     scrolls = [o for n in range(2, 14) for o in all_orbits(n)]
     assert 12 * len(scrolls) == 816
     for s in scrolls:
         for omega in range(1, 13):
-            yield omega_table(s, omega)
+            yield s, omega, omega * len(vector(s))
 
 
 def test_presentation_matches_permutation_group():
     # the torsor walk over the two reduced maps as an oracle
-    for table in _all_tables():
-        factors = group_factors(table.scroll, table.eta, table.alpha, table.beta)
-        assert nontrivial(factors) == permutation_group_invariants(table)
+    for s, omega, _ in _all_tables():
+        factors = group_factors(s, omega * s.live_count, *table_counts(s, omega))
+        assert nontrivial(factors) == permutation_group_invariants(s, omega)
 
 
-def _live(table):
-    """Live tape indices in 1..table.size, ascending."""
-    bits = vector(table.scroll)
-    return [t for t in range(1, table.size + 1) if bits[(t - 1) % len(bits)]]
+def _live(s, size):
+    """Live tape indices in 1..size, ascending."""
+    bits = vector(s)
+    return [t for t in range(1, size + 1) if bits[(t - 1) % len(bits)]]
 
 
-def _reference_swallow(t, labels, count, order_step, table_map):
+def _reference_swallow(live, size, labels, count, order_step, table_map):
     """Swallow by head stepping: each label's head, its greatest live index
     in the table, mapped by the reduced table map table_map; labels are
     indexed by residue mod their length."""
@@ -166,28 +165,31 @@ def _reference_swallow(t, labels, count, order_step, table_map):
         return labels[k % len(labels)]
 
     order = []
-    live = _live(t)
     k = live[0]
     for _ in range(count):
         order.append(label_of(k))
         k = order_step(k)
     head = {label_of(k): k for k in live}  # live is ascending: last one wins
-    image = {label: label_of(table_map[head[label] % t.size]) for label in order}
+    image = {label: label_of(table_map[head[label] % size]) for label in order}
     return tuple(order), image
 
 
 def test_swallows_match_head_stepping_reference():
-    for table in _all_tables():
-        s = table.scroll
+    for s, _, size in _all_tables():
         snake, cosnake = walked_labels(s, s.metrics.sigma)
-        succ, co_succ = reduced_maps(s, table.size)
-        sw = _reference_swallow(table, snake, s.snakes.alpha, lambda t: co_successor(s, t), succ)
-        cs = _reference_swallow(table, cosnake, s.snakes.beta, lambda t: successor(s, t), co_succ)
+        succ, co_succ = reduced_maps(s, size)
+        live = _live(s, size)
+        sw = _reference_swallow(
+            live, size, snake, s.snakes.alpha, lambda t: co_successor(s, t), succ
+        )
+        cs = _reference_swallow(
+            live, size, cosnake, s.snakes.beta, lambda t: successor(s, t), co_succ
+        )
         for which, want in enumerate((sw, cs)):
             # each snake id named by its snake's least residue, as walked
             name = least_residues(s.snake_labels[which])
             order = [name[x] for x in s.swallow_orders[which]]
-            shift = swallow_shift(s, which, table.size)
+            shift = swallow_shift(s, which, size)
             image = dict(zip(order, order[shift:] + order[:shift]))
             assert (tuple(order), image) == want
 
@@ -210,16 +212,14 @@ def test_permutation_group_oracle_matches_exponent():
     # a rank-2 abelian group of order eta and exponent e is Z_(eta/e) x Z_e,
     # and the exponent of <s, c> is lcm(ord s, ord c); the cycle lengths
     # come from the scroll's own steps, wrapped into the table here
-    for table in _all_tables():
-        size = table.size
-        s = table.scroll
-        live = _live(table)
+    for s, omega, size in _all_tables():
+        live = _live(s, size)
         e = lcm(
             _cycle_lengths_lcm(live, lambda t: (successor(s, t) - 1) % size + 1),
             _cycle_lengths_lcm(live, lambda t: (co_successor(s, t) - 1) % size + 1),
         )
-        expected = tuple(d for d in (table.eta // e, e) if d > 1)
-        assert permutation_group_invariants(table) == expected
+        expected = tuple(d for d in (len(live) // e, e) if d > 1)
+        assert permutation_group_invariants(s, omega) == expected
 
 
 def _assert_steps_reduced(s, live, modulus):
@@ -241,41 +241,44 @@ def test_reduced_maps_are_the_steps_reduced():
             bits = vector(s)
             window = [t for t in range(s.metrics.sigma) if bits[(t - 1) % len(bits)]]
             _assert_steps_reduced(s, window, s.metrics.sigma)
-    for table in _all_tables():
-        live = _live(table)
-        _assert_steps_reduced(table.scroll, live, table.size)
-        assert table.eta == len(live)
+    for s, omega, size in _all_tables():
+        live = _live(s, size)
+        _assert_steps_reduced(s, live, size)
+        assert omega * s.live_count == len(live)
 
 
 def test_direct_product_forms_fail_on_some_tables():
     # Z_bar_alpha x Z_(eta/bar_alpha) is not always the table group
-    t = omega_table(orbit("0000"), 1)
-    factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
+    s = orbit("0000")
+    eta, (alpha, beta) = s.live_count, table_counts(s, 1)
+    factors = group_factors(s, eta, alpha, beta)
     assert nontrivial(factors) == (8,)
     # product form Z_bar_beta x Z_(eta/bar_beta) says (2, 4)
-    assert factors != product_pair(t.beta, t.eta // t.beta)
-    t = omega_table(orbit("000100"), 1)
-    factors = group_factors(t.scroll, t.eta, t.alpha, t.beta)
+    assert factors != product_pair(beta, eta // beta)
+    s = orbit("000100")
+    eta, (alpha, beta) = s.live_count, table_counts(s, 1)
+    factors = group_factors(s, eta, alpha, beta)
     assert nontrivial(factors) == (12,)
     # product form Z_bar_alpha x Z_(eta/bar_alpha) says (2, 6)
-    assert factors != product_pair(t.alpha, t.eta // t.alpha)
+    assert factors != product_pair(alpha, eta // alpha)
 
 
 def test_table_words_power_up_to_scroll_words():
     s = orbit(SEED11)
-    t1 = omega_table(s, 1)
-    slither, coslither = table_words(s, t1.alpha, t1.beta)
+    alpha, beta = table_counts(s, 1)
+    slither, coslither = table_words(s, alpha, beta)
     assert (slither, coslither) == ("ED", "S")
-    assert slither * t1.codeg == s.metrics.slither
-    assert coslither * t1.deg == s.metrics.coslither
+    # their codeg p_1 = beta / bar_beta and deg p_1 = alpha / bar_alpha powers
+    assert slither * (s.snakes.beta // beta) == s.metrics.slither
+    assert coslither * (s.snakes.alpha // alpha) == s.metrics.coslither
 
 
 def test_color_preserving_running_example():
     s = orbit(SEED11)
     for omega in range(1, 13):
-        t = omega_table(s, omega)
-        shifts = swallow_shift(s, 0, t.size), swallow_shift(s, 1, t.size)
-        preserving = color_preserving(s, omega, t.size, t.alpha, t.beta, shifts)
+        size = omega * s.size
+        shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
+        preserving = color_preserving(s, omega, size, *table_counts(s, omega), shifts)
         assert preserving == (omega % 6 == 0)
 
 

@@ -14,7 +14,7 @@ from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll
 from snakescroll.slither import _STEP_SHAPE
 from snakescroll.sums import SumVector
-from snakescroll.tables import omega_table, swallow_shift
+from snakescroll.tables import swallow_shift
 from snakescroll.verify import (
     VerificationReport,
     check_scroll,
@@ -27,11 +27,14 @@ from oracles import (
     advance_linear_law,
     fibers_law,
     free_action_law,
+    inject_letters,
+    letters_of,
     live_residues,
     map_torsor,
     near_row_law,
     reduced_maps,
     residue_laws,
+    table_counts,
     tape_shift_law,
     vector,
 )
@@ -140,13 +143,12 @@ def test_alternating_scrolls_walk_each_once(monkeypatch):
     # turn walks each scroll once, not once per switch
     calls = _recording_walks(monkeypatch)
     a, b = orbit("00001010000"), orbit("101010001010")
-    ta, tb = omega_table(a, 2), omega_table(b, 3)
     reads = [
         [
             a.snake_labels,
             b.snake_labels,
-            swallow_shift(a, 0, ta.size),
-            swallow_shift(b, 1, tb.size),
+            swallow_shift(a, 0, 2 * a.size),
+            swallow_shift(b, 1, 3 * b.size),
         ]
         for _ in range(3)
     ]
@@ -170,19 +172,15 @@ def test_each_scroll_walks_its_slither_and_coslither_once(monkeypatch):
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
-    report = orbit_report(omega_table(s, 3))
+    report = orbit_report(s, 3)
     assert not rep.violations and report["agreement"]["slitherMatchesSimulation"]
     assert calls == [s.snakes.beta, s.snakes.alpha] == [6, 2]
 
 
 def test_table_laws_build_no_table_records(monkeypatch):
-    # the table laws read each table's scalars off the scalar cores: over
-    # every orbit with n <= 10 and omega <= 12 no table record is built,
-    # and each scroll builds its swallow orders once
-    def unbuilt(self, *_args, **_kwargs):
-        raise AssertionError(f"{type(self).__name__} built")
-
-    monkeypatch.setattr(tables.OrbitTable, "__init__", unbuilt)
+    # the table laws read each table's scalars off the scalar cores, a
+    # table being its scroll and omega: over every orbit with n <= 10 and
+    # omega <= 12 each scroll builds its swallow orders once
     built = []
     orders = Scroll.__dict__["swallow_orders"]
     original = orders.func
@@ -335,8 +333,8 @@ def test_torsor_walk_matches_the_map_oracle():
             moduli = [(s.metrics.sigma, (s.snakes.beta, s.snakes.alpha))]
             if n <= 13:
                 for omega in range(1, 13):
-                    table = omega_table(s, omega)
-                    moduli.append((table.size, (table.beta, table.eta // table.beta)))
+                    beta, eta = table_counts(s, omega)[1], omega * s.live_count
+                    moduli.append((omega * s.size, (beta, eta // beta)))
                     tables += 1
             for modulus, law in moduli:
                 assert verify._is_torsor(s, modulus, *law)
@@ -354,13 +352,13 @@ def test_torsor_matches_the_map_oracle_past_omega_12():
     for n in range(14, 17):
         for s in all_orbits(n):
             for omega in range(13, 25):
-                table = omega_table(s, omega)
-                law = table.beta, table.eta // table.beta
-                assert verify._is_torsor(s, table.size, *law)
-                maps, live = reduced_maps(s, table.size), live_residues(s, table.size)
+                size, beta = omega * s.size, table_counts(s, omega)[1]
+                law = beta, omega * s.live_count // beta
+                assert verify._is_torsor(s, size, *law)
+                maps, live = reduced_maps(s, size), live_residues(s, size)
                 for shape in (law, law[::-1]):
                     oracle = map_torsor(maps, live, *shape)
-                    assert verify._is_torsor(s, table.size, *shape) == oracle, shape
+                    assert verify._is_torsor(s, size, *shape) == oracle, shape
                 tables += 1
     assert tables == 1092
 
@@ -528,7 +526,7 @@ def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
     check_scroll(s, rep)
     check_tables(s, 3, rep)
     assert [v.split(":")[0] for v in rep.violations] == ["orbit length formula"]
-    assert orbit_report(omega_table(s, 1))["agreement"]["scrollPeriodMatchesOrbit"] is False
+    assert orbit_report(s, 1)["agreement"]["scrollPeriodMatchesOrbit"] is False
 
 
 EXTENDED_LAWS = {
@@ -573,9 +571,9 @@ def test_a_non_unique_step_letter_is_recorded_not_raised(t):
     # period table (P = 7, the live indices 5 and 7): it stands for
     # t + 7k in each of the 11 laps of the 77 residues, each recorded
     s = orbit("00001010000")
-    letters = s.successor_letters
+    letters = letters_of(s, "successor_letters")
     assert len(letters) == 7
-    s.__dict__["successor_letters"] = letters[: t - 1] + "2" + letters[t:]
+    inject_letters(s, "successor_letters", letters[: t - 1] + "2" + letters[t:])
     rep = VerificationReport()
     check_scroll(s, rep)
     assert rep.violations == [
@@ -636,9 +634,9 @@ def test_a_step_onto_a_dead_residue_skips_the_partition_laws(seed, residue):
     # successor is no map of the live entries; it is recorded, and nothing
     # raises
     s = orbit(seed)
-    letters = s.successor_letters
+    letters = letters_of(s, "successor_letters")
     assert letters[residue] == "E"
-    s.__dict__["successor_letters"] = letters[:residue] + "D" + letters[residue + 1 :]
+    inject_letters(s, "successor_letters", letters[:residue] + "D" + letters[residue + 1 :])
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -686,8 +684,8 @@ def test_residue_laws_on_one_period_match_every_residue_when_corrupted(seed, tab
     # the injections of the tests above into the period tables, each
     # standing for one per lap of the m*n residues
     s = orbit(seed)
-    assert sum(map(str.__ne__, getattr(s, table), letters)) in (1, 2)
-    vars(s)[table] = letters
+    assert sum(map(str.__ne__, letters_of(s, table), letters)) in (1, 2)
+    inject_letters(s, table, letters)
     assert _residue_results(s) == residue_laws(s)
 
 
@@ -757,6 +755,43 @@ def test_a_wrong_tape_period_fails_the_tape_shift_law():
     )
 
 
+def test_a_wrong_simulated_period_fails_the_tape_shift_law():
+    # the simulated side of the law: the tape's least period read as the
+    # running example's unit repeated 11 times, P = 77 where T_tape = 7.  No
+    # shift in [1, 21] is a multiple of 77, so the shifts by 7, 14 and 21
+    # fail, and the other 18 pass
+    law = "tape shift iff T_tape divides"
+    clean = _law_results(orbit("00001010000"), law)
+    s = orbit("00001010000")
+    vars(s).update(unit=s.unit * 11)
+    assert _law_results(s, law) == (
+        clean[0] - 3,
+        [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in (7, 14, 21)],
+    )
+    assert clean == (21, [])
+
+
+def test_a_law_that_raises_ends_the_tally_after_the_laws_before_it(monkeypatch):
+    # check_scroll tallies each law as it is yielded: where the sum vector
+    # raises, mid-orbit, the laws before the sum-vector laws are tallied as
+    # on a clean orbit and no law after them is
+    clean = VerificationReport()
+    check_scroll(orbit("00001010000"), clean)
+    laws = list(clean.passed)
+    cut = laws.index("lambda odd")
+
+    def broken(s):
+        raise RuntimeError("sum vector broken")
+
+    monkeypatch.setattr(verify, "sum_vector", broken)
+    rep = VerificationReport()
+    with pytest.raises(RuntimeError, match="^sum vector broken$"):
+        check_scroll(orbit("00001010000"), rep)
+    assert rep.passed == {law: clean.passed[law] for law in laws[:cut]}
+    assert not rep.violations
+    assert (cut, len(laws)) == (12, 23)
+
+
 def test_free_action_and_near_row_match_their_oracles():
     # check_scroll walks c from each s^a(start) toward the start only and
     # steps only to the live entries within a row span; the oracles walk
@@ -792,12 +827,12 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     cases = fixed = 0
     for n in range(2, 11):
         for true in all_orbits(n):
-            letters, donor = getattr(true, table), getattr(true, CROSSED[table])
+            letters, donor = letters_of(true, table), letters_of(true, CROSSED[table])
             for r in (r for r, x in enumerate(letters) if x != "."):
                 s = Scroll(true.period, n)
                 assert s.steps_are_maps
                 s.snakes
-                vars(s)[table] = letters[:r] + donor[r] + letters[r + 1 :]
+                inject_letters(s, table, letters[:r] + donor[r] + letters[r + 1 :])
                 vars(s)["step_advances"] = Scroll.step_advances.func(s)
                 vars(s)["inverse_advances"] = Scroll.inverse_advances.func(s)
                 result = _law_results(s, FREE_ACTION)
@@ -832,8 +867,9 @@ def test_free_action_needs_the_row_not_only_the_tape():
     for n in range(2, 17):
         for s in all_orbits(n):
             alpha, beta = s.snakes
-            s_rows = dict(_plane_walk(s, s.predecessor_letters, s.successor_letters, beta))
-            c_walk = _plane_walk(s, s.co_predecessor_letters, s.co_successor_letters, alpha)
+            (forth, co_forth), (back, co_back) = s.step_letters, s.inverse_letters
+            s_rows = dict(_plane_walk(s, back, forth, beta))
+            c_walk = _plane_walk(s, co_back, co_forth, alpha)
             shared = sum(t in s_rows and s_rows[t] != row for t, row in c_walk)
             if shared:
                 false_fixed += shared
@@ -918,8 +954,8 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     # reaches 7, and each entry congruent to it mod 7, one per lap, fails
     # its round trip; nothing raises
     s = orbit("00001010000")
-    letters = getattr(s, table)
-    s.__dict__[table] = letters[:6] + "0" + letters[7:]
+    letters = letters_of(s, table)
+    inject_letters(s, table, letters[:6] + "0" + letters[7:])
     rep = VerificationReport()
     check_scroll(s, rep)
     assert rep.violations == [
@@ -1158,6 +1194,12 @@ def _lam(monkeypatch, lam):
     monkeypatch.setattr(verify, "sum_vector", lambda s: SumVector(sums(s).sums, lam))
 
 
+def _windings(s, which, windings):
+    # the windings of the successor (which = 0) or co-successor (1) mod P,
+    # read by the snake counts before anything else reads them
+    vars(s)["windings"] = tuple(windings if i == which else w for i, w in enumerate(s.windings))
+
+
 def _walk(s, name, letters):
     vars(s)[name] = getattr(s, name)[0], letters
     return f" simulated {letters}"
@@ -1168,16 +1210,20 @@ def _walk(s, name, letters):
 # ColScale 9, 2 live residues mod T), each injected through the scroll's
 # metrics or cached values or the sum vector; a fault may break other laws
 # too.  A slither injected keeps ColScale, beta_D + 2 beta_E, at 9.  The
-# T_tape law's fault is on the simulated side: the tape's least period read
-# as all m*n = 77 symbols.  Each returns what its law's context has after
-# the seed
+# faults of the laws that compare the words with simulated values are on
+# the simulated side: for the T_tape law the tape's least period read as
+# all m*n = 77 symbols, for alpha (beta) from letters the successor
+# winding 2 read as 3 (the co-successor windings 3, 3 as 6, 6), so the
+# snakes count 3 where the co-slither has 2 letters (co-snakes 12 where
+# the slither has 6).  Each returns what its law's context has after the
+# seed
 PER_SCROLL_FAULTS = {
     "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither="DDEDDED"),
     "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither="L"),
     "deg, codeg coprime": lambda s, mp: _metrics(s, codeg=3),
     "T_tape = gcd(p, q)": lambda s, mp: vars(s).update(unit=s.unit * 11),
-    "alpha from letters": lambda s, mp: _metrics(s, coslither="L"),
-    "beta from letters": lambda s, mp: _metrics(s, slither="DDEDDED"),
+    "alpha from letters": lambda s, mp: _windings(s, 0, [3]),
+    "beta from letters": lambda s, mp: _windings(s, 1, [6, 6]),
     "lambda odd": lambda s, mp: _lam(mp, 2),
     "lambda | gcd(n, ColScale)": lambda s, mp: _lam(mp, 3),
     "lambda > 1 implies n >= 4 lambda": lambda s, mp: _lam(mp, 3),
