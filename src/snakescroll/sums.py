@@ -62,13 +62,13 @@ def period_lambda_words(lam: int, k: int) -> tuple[str, str]:
 
 
 def _constant_sum_seed(n: int) -> str:
-    # Any pair with gcd(n, ColScale) = 1 forces sum period 1.
-    for quad in feasible_quadruples(n):
-        if gcd(n, quad.beta_d + 2 * quad.beta_e) == 1:
-            ws = "D" * quad.beta_d + "E" * quad.beta_e
-            wc = "S" * quad.alpha_s + "L" * quad.alpha_l
-            return construct_first_row(ws, wc, n)
-    raise ValueError(f"no coprime-ColScale pair found for n={n}")
+    # Any pair with gcd(n, ColScale) = 1 forces sum period 1.  One always
+    # exists: (alpha_S, alpha_L) = (0, 1) has ColScale n - 2 for odd n, and
+    # (1, 0) has n - 1 for even n
+    quad = next(q for q in feasible_quadruples(n) if gcd(n, q.beta_d + 2 * q.beta_e) == 1)
+    ws = "D" * quad.beta_d + "E" * quad.beta_e
+    wc = "S" * quad.alpha_s + "L" * quad.alpha_l
+    return construct_first_row(ws, wc, n)
 
 
 def construct_period_lambda(lam: int, k: int) -> Scroll:

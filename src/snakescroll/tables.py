@@ -30,8 +30,9 @@ the two maps mod the table size; the torsor law of `verify` checks that in
 bar_beta successor steps, each placed on its co-successor orbit through
 the same covering, with no walk of size eta.  The group has rank at most
 two, so its invariant factors are two gcds of its presentation
-(`group_factors`); the test suite's group oracle reads them off the
-steps reduced mod the table size instead.  Covering degrees
+(`group_factors`), whose product, the group's order, the group order law
+of `verify` compares with eta; the test suite's group oracle reads them
+off the steps reduced mod the table size instead.  Covering degrees
 (`Scroll.fundamental_degrees`), predicted counts (from
 `Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
 metrics; the lifted cycle counts are what they are checked against.  A
@@ -114,21 +115,19 @@ def group_factors(s: Scroll, eta: int, alpha: int, beta: int) -> tuple[int, int]
 
     The relation matrix has two columns, so its invariant factors are its
     determinantal divisors (H. J. S. Smith, 1861): d1 is the gcd of its
-    entries, and d1*d2 the gcd of its three 2x2 minors, which must be eta.
+    entries, and d1*d2, the group's order, the gcd of its three 2x2 minors.
     The presentation describes the actual permutation group generated by
     the two maps mod the table size (checked against a torsor oracle in the
     test suite).  Simple transitivity gives order eta, ord s = eta/bar_alpha
     and ord c = eta/bar_beta, so the group is Z_g x Z_(eta/g) with
-    g = gcd(bar_alpha, bar_beta).
+    g = gcd(bar_alpha, bar_beta); the group order law of `verify` compares
+    d1*d2 with eta.
     """
     snakes = s.snakes
     ord_s, ord_c = eta // alpha, eta // beta
     # rows (beta, -alpha), (ord_s, 0), (0, ord_c)
     d1 = gcd(snakes.alpha, snakes.beta, ord_s, ord_c)
-    order = gcd(snakes.alpha * ord_s, snakes.beta * ord_c, ord_s * ord_c)
-    if order != eta:
-        raise AssertionError(f"group order {order} != live count {eta}")
-    return d1, order // d1
+    return d1, gcd(snakes.alpha * ord_s, snakes.beta * ord_c, ord_s * ord_c) // d1
 
 
 def table_words(s: Scroll, alpha: int, beta: int) -> tuple[str, str]:

@@ -4,14 +4,15 @@ Every check compares a theorem-level prediction against direct
 simulation of the sweep dynamics.  Violations are collected, never
 silently dropped; an empty violation list is the pass condition.
 
-Each law's checks over one orbit are tallied at once
-(`VerificationReport.tally`): its passes are counted, and a context
-string is built only for a check that fails.  `check_scroll` yields
-one entry per law, tallied as it is yielded, and a law that passes
-builds no context, no tape index list and no sorted or counted failure
-set.  The table laws of `check_tables` are tallied so too, once per
-orbit over all its omegas: a table is its scroll and omega, and each law
-reads the table's scalars off `tables`' scalar cores.
+Every law result takes one path into the report: a law yields one
+(law, checks, failure contexts) entry, and `VerificationReport.tally`,
+the only writer of `passed` and `violations`, counts its passes; a
+context string is built only for a check that fails.  `check_scroll`
+yields one entry per law and orbit, and a law that passes builds no
+context, no tape index list and no sorted or counted failure set.
+`check_tables` yields one entry per law and omega: a table is its scroll
+and omega, and each law reads the table's scalars off `tables`' scalar
+cores.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
 tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
@@ -502,27 +503,17 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     yield "fibers are residues mod sigma", fold * len(live), failed
 
 
-# the table laws, in the order each table checks them
-TABLE_LAWS = (
-    "ouroboros counts match formula",
-    "swallow cycle structure",
-    "group order equals live count",
-    "color-preserving conditions agree",
-    "table slither power identity",
-    "table torsor simple transitivity",
-)
-
-
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
     none runs unless all four steps are maps of the live entries and P
     divides sigma, and one violation names the reason it skipped.
 
     Each table law is evaluated on the table's scalars (`tables`' scalar
-    cores) and tallied once per orbit: a failure is recorded as it occurs,
-    so the violations keep their omega order, and the passes of each law
-    are added up when the orbit is done.  A swallow that raises skips that
-    omega's later laws.
+    cores) and yields one (law, 1, failure contexts) entry per omega
+    (`_table_laws`), tallied as it is yielded (`VerificationReport.tally`),
+    as `check_scroll`'s laws are: the violations keep their omega order,
+    and within one omega the law order.  A swallow that raises ends that
+    omega after the swallow's entry.
 
     Two values are computed once per distinct argument and orbit, in
     dicts local to this call.  The swallow shifts read the table size only
@@ -537,16 +528,23 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     and the colour-preserving conditions read omega itself or eta, and are
     evaluated at every omega.
     """
+    rep.tally(_table_laws(s, omega_max, rep))
+
+
+def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[Law]:
+    """The laws of `check_tables` on s, each yielded once per omega as
+    (law, 1, failure contexts), in law order; the evidence lists of rep
+    are appended to as the tables are read."""
     ctx = f"n={s.n} seed={s.seed}"
     reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
     if reason:
-        rep.violations.append(f"table laws skipped: {ctx}: {reason}")
+        yield "table laws skipped", 0, (f"{ctx}: {reason}",)
         return
     met = s.metrics
 
     deg_p1, codeg_p1 = s.fundamental_degrees
     crossed = met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0
-    rep.tally([("crossed degree divisibility", 1, () if crossed else (ctx,))])
+    yield "crossed degree divisibility", 1, () if crossed else (ctx,)
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
             f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
@@ -556,22 +554,17 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     snake_count, cosnake_count = s.snakes
     unit_size, unit_live, sigma = s.size, s.live_count, met.sigma
     fold = unit_size // len(s.unit)
-    violations, failed, skipped = rep.violations, dict.fromkeys(TABLE_LAWS, 0), 0
     product_failures = rep.product_form_failures
     # per size mod sigma, the swallow shifts or the error they raised; per
     # (bar_alpha, bar_beta), whether the table words power up
     shifts_at: dict[int, tuple[int, int] | AssertionError] = {}
     words_at: dict[tuple[int, int], bool] = {}
 
-    def fail(law: str, omega: int, detail: str = "") -> None:
-        failed[law] += 1
-        violations.append(f"{law}: {ctx} omega={omega}{detail}")
-
     for omega in range(1, omega_max + 1):
         size, eta = omega * unit_size, omega * unit_live
         alpha, beta = lifted_counts(s, omega * fold)
-        if (alpha, beta) != predicted_counts(s, omega):
-            fail("ouroboros counts match formula", omega)
+        counts = (alpha, beta) == predicted_counts(s, omega)
+        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx} omega={omega}",)
         shifts = shifts_at.get(size % sigma)
         if shifts is None:
             try:
@@ -580,46 +573,43 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
                 shifts = exc
             shifts_at[size % sigma] = shifts
         if isinstance(shifts, AssertionError):
-            fail("swallow cycle structure", omega, f": {shifts}")
-            skipped += 1
+            yield "swallow cycle structure", 1, (f"{ctx} omega={omega}: {shifts}",)
             continue
         # a shift k of L labels has gcd(k, L) cycles, each of length
         # L / gcd(k, L): cycle type (deg p,)*bar_alpha iff gcd(k, L) = bar_alpha
-        if gcd(shifts[0], snake_count) != alpha or gcd(shifts[1], cosnake_count) != beta:
-            fail("swallow cycle structure", omega)
-        try:
-            factors = group_factors(s, eta, alpha, beta)
-        except AssertionError as exc:
-            fail("group order equals live count", omega, f": {exc}")
+        swallows = gcd(shifts[0], snake_count) == alpha and gcd(shifts[1], cosnake_count) == beta
+        yield "swallow cycle structure", 1, () if swallows else (f"{ctx} omega={omega}",)
+        factors = group_factors(s, eta, alpha, beta)
+        order = factors[0] * factors[1]
+        if order != eta:
+            failed = (f"{ctx} omega={omega}: group order {order} != live count {eta}",)
         else:
+            failed = ()
             by_s, by_c = product_pair(alpha, eta // alpha), product_pair(beta, eta // beta)
             if not factors == by_s == by_c:
                 product_failures.append(
                     f"{ctx} omega={omega}: factors {nontrivial_text(factors)}, products "
                     f"{nontrivial_text(by_s)} / {nontrivial_text(by_c)}"
                 )
+        yield "group order equals live count", 1, failed
         try:
             color_preserving(s, omega, size, alpha, beta, shifts)
         except AssertionError as exc:
-            fail("color-preserving conditions agree", omega, f": {exc}")
+            failed = (f"{ctx} omega={omega}: {exc}",)
+        else:
+            failed = ()
+        yield "color-preserving conditions agree", 1, failed
         powers_up = words_at.get((alpha, beta))
         if powers_up is None:
             cut_slither, cut_coslither = table_words(s, alpha, beta)
             powers_up = words_at[alpha, beta] = cyclically_equal(
                 cut_slither * (cosnake_count // beta), slither
             ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
-        if not powers_up:
-            fail("table slither power identity", omega)
+        yield "table slither power identity", 1, () if powers_up else (f"{ctx} omega={omega}",)
         # torsor of the finite table group; it also checks the closed-form
         # eta against the number of live residues
-        if not _is_torsor(s, size, beta, eta // beta):
-            fail("table torsor simple transitivity", omega)
-
-    # every law checks every omega but the swallows' skipped ones
-    checked = omega_max - skipped
-    totals = (omega_max, omega_max) + (checked,) * 4
-    # the failures are recorded above
-    rep.tally((law, total - failed[law], ()) for law, total in zip(TABLE_LAWS, totals))
+        torsor = _is_torsor(s, size, beta, eta // beta)
+        yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx} omega={omega}",)
 
 
 def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:

@@ -329,6 +329,15 @@ def test_construct_rejects_too_few_vertices(capsys, n):
         assert err == "input error: cycle graphs need at least 2 vertices\n"
 
 
+@pytest.mark.parametrize("bounds", [["--n-min", "1", "--n-max", "1"], ["--n-min", "0"]])
+def test_verify_rejects_too_few_vertices(capsys, bounds):
+    # the range's first n < 2 is no cycle graph: verify says so before it
+    # writes any law
+    code, out, err = run(capsys, "verify", *bounds)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: cycle graphs need at least 2 vertices\n"
+
+
 @pytest.mark.parametrize("omega", ["0", "-1"])
 @pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
 def test_orbit_rejects_a_non_positive_omega(capsys, fmt, omega):

@@ -1,9 +1,11 @@
 """Column-sum vectors and the prescribed-period constructions."""
 
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
+from snakescroll.classify import FeasibleQuadruple, feasible_quadruples
 from snakescroll.cycles import all_orbits, orbit
 from snakescroll.sums import (
     col_scale,
@@ -78,6 +80,21 @@ def test_construct_period_lambda_small_grid():
         s = construct_period_lambda(lam, k)
         assert s.n == lam * k
         assert sum_vector(s).lam == lam
+
+
+def test_every_n_has_a_coprime_col_scale_pair():
+    # the lambda = 1 seed is built from the first feasible quadruple whose
+    # ColScale, beta_D + 2 beta_E, is coprime to n, and one always exists:
+    # (alpha_S, alpha_L) = (0, 1) has ColScale n - 2 for odd n, and (1, 0)
+    # has n - 1 for even n
+    for n in range(3, 201):
+        if n % 2:
+            witness, scale = FeasibleQuadruple((n - 3) // 2, 0, 1, 1), n - 2
+        else:
+            witness, scale = FeasibleQuadruple((n - 2) // 2, 1, 0, 1), n - 1
+        assert witness in feasible_quadruples(n)
+        assert witness.beta_d + 2 * witness.beta_e == scale
+        assert gcd(n, scale) == 1
 
 
 def test_construct_rejects_bad_parameters():

@@ -1,8 +1,10 @@
 """The brute-force suite itself stays clean on small cycles."""
 
+import ast
 from dataclasses import replace
 from itertools import product
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 from weakref import ref
 
@@ -41,6 +43,15 @@ from oracles import (
 
 FREE_ACTION, NEAR_ROW = "free affine action", "near-row co-snake distinctness"
 FIBERS, LINEAR = "fibers are residues mod sigma", "successor advance linear"
+# the table laws checked at each omega, in the order `check_tables` yields them
+OMEGA_LAWS = (
+    "ouroboros counts match formula",
+    "swallow cycle structure",
+    "group order equals live count",
+    "color-preserving conditions agree",
+    "table slither power identity",
+    "table torsor simple transitivity",
+)
 
 
 def test_small_cycles_are_clean():
@@ -199,9 +210,9 @@ def test_table_laws_build_no_table_records(monkeypatch):
     assert len(built) == len(scrolls) and all(a is b for a, b in zip(built, scrolls))
     assert rep.passed == {
         "crossed degree divisibility": 23,
-        **{law: 276 for law in verify.TABLE_LAWS},
+        **{law: 276 for law in OMEGA_LAWS},
     }
-    assert list(rep.passed)[1:] == list(verify.TABLE_LAWS)
+    assert list(rep.passed)[1:] == list(OMEGA_LAWS)
     assert (len(rep.product_form_failures), len(rep.same_side_degree_failures)) == (167, 9)
 
 
@@ -217,8 +228,8 @@ def _check(rep, name, condition, context, omega=0):
 def _reference_table_laws(s, omega_max, rep):
     """The table laws of `check_tables`, every value computed afresh at each
     omega and each check recorded as it is made (`_check`): the swallow
-    shifts and the table words are read through `verify`, so a patch there
-    reaches both."""
+    shifts, the group factors and the table words are read through
+    `verify`, so a patch there reaches both."""
     ctx, met = f"n={s.n} seed={s.seed}", s.metrics
     deg_p1, codeg_p1 = s.fundamental_degrees
     _check(
@@ -244,8 +255,9 @@ def _reference_table_laws(s, omega_max, rep):
             continue
         structure = (gcd(shifts[0], snakes.alpha), gcd(shifts[1], snakes.beta)) == (alpha, beta)
         _check(rep, "swallow cycle structure", structure, ctx, omega)
-        try:
-            factors = tables.group_factors(s, eta, alpha, beta)
+        factors = verify.group_factors(s, eta, alpha, beta)
+        order = factors[0] * factors[1]
+        if order == eta:
             _check(rep, "group order equals live count", True, ctx)
             by_s = tables.product_pair(alpha, eta // alpha)
             by_c = tables.product_pair(beta, eta // beta)
@@ -254,8 +266,11 @@ def _reference_table_laws(s, omega_max, rep):
                     f"{ctx} omega={omega}: factors {tables.nontrivial(factors)}, "
                     f"products {tables.nontrivial(by_s)} / {tables.nontrivial(by_c)}"
                 )
-        except AssertionError as exc:
-            rep.violations.append(f"group order equals live count: {ctx} omega={omega}: {exc}")
+        else:
+            rep.violations.append(
+                f"group order equals live count: {ctx} omega={omega}: "
+                f"group order {order} != live count {eta}"
+            )
         law = "color-preserving conditions agree"
         try:
             tables.color_preserving(s, omega, size, alpha, beta, shifts)
@@ -611,15 +626,7 @@ PARTITION_LAWS = {
     "free affine action",
     "fibers are residues mod sigma",
 }
-TABLE_LAWS = {
-    "crossed degree divisibility",
-    "ouroboros counts match formula",
-    "swallow cycle structure",
-    "group order equals live count",
-    "color-preserving conditions agree",
-    "table slither power identity",
-    "table torsor simple transitivity",
-}
+TABLE_LAWS = {"crossed degree divisibility", *OMEGA_LAWS}
 
 
 @pytest.mark.parametrize(
@@ -1049,6 +1056,23 @@ def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
     assert set(rep.passed) == {"crossed degree divisibility", "ouroboros counts match formula"}
 
 
+def test_a_walk_meeting_a_snake_twice_fails_the_swallow_law():
+    # every co-snake lift of the slither walk read as its first: the walk
+    # meets one co-snake six times, so the swallow orders raise, and each
+    # omega records that as its swallow violation and checks nothing after
+    s = orbit("00001010000")
+    coswallow = s.swallow_lifts[1]
+    vars(s)["swallow_lifts"] = s.swallow_lifts[0], [coswallow[0]] * len(coswallow)
+    rep = VerificationReport()
+    check_tables(s, 2, rep)
+    assert rep.violations == [
+        f"swallow cycle structure: n=11 seed=00001010000 omega={omega}: "
+        "step map does not traverse all labels once"
+        for omega in (1, 2)
+    ]
+    assert rep.passed == {"crossed degree divisibility": 1, "ouroboros counts match formula": 2}
+
+
 def test_disagreeing_color_conditions_fail_the_color_law(monkeypatch):
     def raising(_s, _omega, _size, _alpha, _beta, _shifts):
         raise AssertionError("color-preserving conditions disagree: [True, False]")
@@ -1084,19 +1108,45 @@ def test_wrong_predicted_counts_fail_the_counting_law(monkeypatch):
     }
 
 
-def test_a_raising_group_fails_the_group_order_law(monkeypatch):
-    def raising(_s, _eta, _alpha, _beta):
-        raise AssertionError("group order 21 != live count 22")
+def test_a_wrong_simulated_winding_fails_the_counting_law():
+    # the simulated side of the counts: the successor's one cycle mod P = 7
+    # read as winding 4, not 2, once the snakes, their ids and the swallow
+    # orders are built.  A table of 11*omega laps lifts it to
+    # gcd(4, 11*omega) ouroboroi, which differs from the closed form's
+    # gcd(2, 11*omega) only where 4 divides omega: at omega = 4 the counts,
+    # the swallows, the group order and the table words see bar_alpha = 4
+    s = orbit("00001010000")
+    s.snakes, s.cycle_lifts, s.swallow_orders
+    _windings(s, 0, [4])
+    rep = VerificationReport()
+    check_tables(s, 4, rep)
+    context = "n=11 seed=00001010000 omega=4"
+    assert rep.violations == [
+        f"ouroboros counts match formula: {context}",
+        f"swallow cycle structure: {context}",
+        f"group order equals live count: {context}: group order 44 != live count 88",
+        f"table slither power identity: {context}",
+    ]
+    failed = {v.split(":")[0] for v in rep.violations}
+    assert rep.passed == {
+        "crossed degree divisibility": 1,
+        **{law: 3 if law in failed else 4 for law in OMEGA_LAWS},
+    }
 
-    monkeypatch.setattr(verify, "group_factors", raising)
+
+def test_a_group_of_the_wrong_order_fails_the_group_order_law(monkeypatch):
+    # invariant factors (1, 21) on every table: order 21, where the running
+    # example's tables have eta = 22 and 44 live residues
+    monkeypatch.setattr(verify, "group_factors", lambda _s, _eta, _alpha, _beta: (1, 21))
     rep = VerificationReport()
     check_tables(orbit("00001010000"), 2, rep)
     law = "group order equals live count"
     assert rep.violations == [
-        f"{law}: n=11 seed=00001010000 omega={omega}: group order 21 != live count 22"
-        for omega in (1, 2)
+        f"{law}: n=11 seed=00001010000 omega={omega}: group order 21 != live count {eta}"
+        for omega, eta in ((1, 22), (2, 44))
     ]
-    # no invariants, so no product-form evidence; the later laws still run
+    # factors of the wrong order give no product-form evidence; the later
+    # laws still run
     assert law not in rep.passed
     assert not rep.product_form_failures
     for later in (
@@ -1109,9 +1159,9 @@ def test_a_raising_group_fails_the_group_order_law(monkeypatch):
 
 def test_a_wrong_live_count_fails_the_group_order_law():
     # the scroll's live count read as 23, not 22: at omega = 1 the group
-    # presentation with eta = 23 has order gcd(2*23, 6*11, 23*11) = 1, so
-    # `group_factors` raises; bar_beta = 2 still splits 23 into the 2 x 11
-    # points the torsor walks, so only the group law fails
+    # presentation with eta = 23 has order gcd(2*23, 6*11, 23*11) = 1, not
+    # 23; bar_beta = 2 still splits 23 into the 2 x 11 points the torsor
+    # walks, so only the group law fails
     s = orbit("00001010000")
     vars(s)["live_count"] = 23
     rep = VerificationReport()
@@ -1121,8 +1171,7 @@ def test_a_wrong_live_count_fails_the_group_order_law():
         f"{law}: n=11 seed=00001010000 omega=1: group order 1 != live count 23"
     ]
     assert not rep.product_form_failures
-    assert rep.passed == {key: 1 for key in ("crossed degree divisibility", *verify.TABLE_LAWS)
-                          if key != law}
+    assert rep.passed == {key: 1 for key in TABLE_LAWS if key != law}
 
 
 def test_a_wrong_sigma_fails_the_color_law():
@@ -1159,7 +1208,7 @@ def test_a_uniform_swallow_of_the_wrong_cycle_type_fails_the_swallow_law():
     law = "swallow cycle structure"
     assert rep.violations == [f"{law}: n=11 seed=00001010000 omega=1"]
     assert rep.passed[law] == 1
-    assert all(rep.passed[key] == 2 for key in verify.TABLE_LAWS if key != law)
+    assert all(rep.passed[key] == 2 for key in OMEGA_LAWS if key != law)
 
 
 @pytest.mark.parametrize("word", ["slither", "coslither"])
@@ -1284,3 +1333,82 @@ def test_a_period_not_dividing_sigma_skips_the_snake_laws_by_name():
     check_tables(s, 2, tables)
     assert tables.violations == [f"table laws skipped: {reason}"]
     assert tables.passed == {}
+
+
+# the report's law results, and the methods that change a dict or list in place
+_RESULTS = {"passed", "violations"}
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault"}
+
+
+def _result_writers(tree: ast.Module, module: str) -> set[str]:
+    """The qualified names of the scopes of tree that assign, augment,
+    delete or change in place a `.passed` or `.violations` attribute,
+    directly or through a name bound to one, which nested functions see."""
+    writers = set()
+
+    def is_result(node, aliases) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute):
+            return node.attr in _RESULTS
+        return isinstance(node, ast.Name) and node.id in aliases
+
+    def scan(node, name, aliases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{name}.{child.name}", set(aliases))
+                continue
+            written = []
+            if isinstance(child, ast.Assign):
+                for target in child.targets:
+                    pairs = [(target, child.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(child.value, ast.Tuple):
+                        pairs = zip(target.elts, child.value.elts)
+                    for left, right in pairs:
+                        if not isinstance(left, ast.Name):
+                            written.append(left)
+                        elif isinstance(right, ast.Attribute) and right.attr in _RESULTS:
+                            aliases.add(left.id)
+            elif isinstance(child, ast.AugAssign):
+                written.append(child.target)
+            elif isinstance(child, ast.AnnAssign) and not isinstance(child.target, ast.Name):
+                written.append(child.target)
+            elif isinstance(child, ast.Delete):
+                written += child.targets
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr in _MUTATORS:
+                    written.append(child.func.value)
+            if any(is_result(target, aliases) for target in written):
+                writers.add(name)
+            scan(child, name, aliases)
+
+    scan(tree, module, set())
+    return writers
+
+
+def test_the_result_scan_finds_every_kind_of_write():
+    source = """
+def assign(rep): rep.passed = {}
+def item(rep): rep.passed["law"] = 1
+def annotated(rep): rep.passed: dict = {}
+def augment(rep): rep.violations += ["law: context"]
+def append(rep): rep.violations.append("law: context")
+def delete(rep): del rep.passed["law"]
+def alias(rep):
+    passed, kept = rep.passed, 0
+    def inner(): passed.update(law=1)
+    inner()
+def read(rep): return sorted(rep.passed), rep.violations[0], len(rep.passed)
+"""
+    assert _result_writers(ast.parse(source), "m") == {
+        "m.assign", "m.item", "m.annotated", "m.augment", "m.append", "m.delete", "m.alias.inner"
+    }
+
+
+def test_only_the_tally_writes_law_results():
+    # every law result, of check_scroll, check_tables and the completeness
+    # check, reaches the report through one method
+    writers = set()
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        writers |= _result_writers(ast.parse(path.read_text()), path.stem)
+    assert writers == {"verify.VerificationReport.tally"}
