@@ -34,16 +34,15 @@ word lists is built once per quadruple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cyclic import canonical_binary, exponent, least_period
 from .necklaces import necklaces_fixed_content
 from .slither import metrics_from_words, step_advance, words_from_row
 
 
-@dataclass(frozen=True, order=True)
-class FeasibleQuadruple:
+class FeasibleQuadruple(NamedTuple):
     beta_e: int
     alpha_s: int
     alpha_l: int
@@ -84,11 +83,12 @@ def gf_count(n: int) -> int:
 def construct_first_row(ws: str, wc: str, n: int) -> str:
     """First row of the tape defined by a feasible pair of cyclic words.
 
-    Raises ValueError unless n >= 2, ws is over D/E, wc over S/L, and the
-    letter counts satisfy beta_D = 2 alpha - 1 and 2 beta_E + 3 alpha_S +
-    4 alpha_L = n + 1.  The row is the first n symbols of the torsor
-    period; which rotations of the two words are given only shifts the
-    resulting tape, and the row reads back exactly the words given.
+    Raises ValueError unless n >= 2, ws is over D/E, wc is a nonempty
+    word over S/L, and the letter counts satisfy beta_D = 2 alpha - 1 and
+    2 beta_E + 3 alpha_S + 4 alpha_L = n + 1.  The row is the first n
+    symbols of the torsor period; which rotations of the two words are
+    given only shifts the resulting tape, and the row reads back exactly
+    the words given.
     """
     if n < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
@@ -96,6 +96,8 @@ def construct_first_row(ws: str, wc: str, n: int) -> str:
         raise ValueError(
             f"slither {ws!r} must be over D/E and co-slither {wc!r} over S/L"
         )
+    if not wc:  # every feasible pair has alpha = alpha_S + alpha_L >= 1
+        raise ValueError("co-slither is empty; it needs at least one S or L")
     beta_d, beta_e = ws.count("D"), ws.count("E")
     alpha_s, alpha_l = wc.count("S"), wc.count("L")
     if beta_d != 2 * len(wc) - 1:
@@ -163,8 +165,7 @@ def checked_period(period: int, size: int, n: int) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class TapeClass:
+class TapeClass(NamedTuple):
     quadruple: FeasibleQuadruple
     slither: str  # necklace representative
     coslither: str

@@ -134,12 +134,7 @@ def tape_row(rec: TapeClass) -> dict[str, Any]:
     """One class's entry of the classification report; `tapeCanonical`
     expands its full fundamental vector."""
     return {
-        "quadruple": {
-            "betaE": rec.quadruple.beta_e,
-            "alphaS": rec.quadruple.alpha_s,
-            "alphaL": rec.quadruple.alpha_l,
-            "betaD": rec.quadruple.beta_d,
-        },
+        "quadruple": dict(zip(("betaE", "alphaS", "alphaL", "betaD"), rec.quadruple)),
         "slither": rec.slither,
         "coslither": rec.coslither,
         "firstRow": rec.first_row,
@@ -193,11 +188,10 @@ def classification_text_rows(n: int, records: list[TapeClass]) -> Iterator[str]:
     )
     yield "\n"
     yield f"{'bE':>3} {'aS':>3} {'aL':>3} {'bD':>3}  {'slither':<16} {'co-slither':<10} first row\n"
-    for rec in records:
-        q = rec.quadruple
+    for q, slither, coslither, first_row, _ in records:
         yield (
             f"{q.beta_e:>3} {q.alpha_s:>3} {q.alpha_l:>3} {q.beta_d:>3}  "
-            f"{rec.slither:<16} {rec.coslither:<10} {rec.first_row}\n"
+            f"{slither:<16} {coslither:<10} {first_row}\n"
         )
 
 

@@ -68,7 +68,6 @@ on the live residues of the unit alone.  No law builds anything of size M.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd, lcm
 from typing import NamedTuple
@@ -144,13 +143,25 @@ def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
     return codes.translate(_LETTER_OF[0]).decode(), codes.translate(_LETTER_OF[1]).decode()
 
 
-@dataclass(frozen=True)
 class Scroll:
     """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
-    not be the least), and n: its m rows are the first lcm(T, n) symbols."""
+    not be the least), and n: its m rows are the first lcm(T, n) symbols.
 
-    period: bytes
-    n: int
+    Two scrolls are equal when their periods and n are.  Every builder
+    below keeps its value in the instance dict, so neither is rebound.
+    """
+
+    def __init__(self, period: bytes, n: int) -> None:
+        self.period, self.n = period, n
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.period, self.n) == (other.period, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.n))
+
+    def __repr__(self) -> str:
+        return f"Scroll(period={self.period!r}, n={self.n!r})"
 
     @cached_property
     def m(self) -> int:

@@ -20,8 +20,8 @@ alpha_L, and beta and alpha, the two lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cyclic import exponent
 
@@ -57,8 +57,7 @@ def _coslither_word(inner: tuple[int, ...], trailing: int) -> str:
     return first + "".join(["S" if z % 2 == 0 else "L" for z in reversed(inner) if z > 1])
 
 
-@dataclass(frozen=True)
-class ScrollMetrics:
+class ScrollMetrics(NamedTuple):
     slither: str  # over D and E
     coslither: str  # over S and L
     deg: int

@@ -7,8 +7,8 @@ so no table or full vector is built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .classify import construct_first_row, feasible_quadruples
 from .cyclic import least_period
@@ -16,8 +16,7 @@ from .cycles import orbit
 from .scroll import Scroll
 
 
-@dataclass(frozen=True)
-class SumVector:
+class SumVector(NamedTuple):
     sums: tuple[int, ...]
     lam: int  # least cyclic period
 

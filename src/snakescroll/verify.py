@@ -36,10 +36,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, lcm
 from operator import sub
+from typing import NamedTuple
 
 from .classify import enumerate_ticker_tapes
 from .cycles import all_orbits
@@ -63,23 +63,33 @@ from .tables import (
 Law = tuple[str, int, Sequence[str]]
 
 
-@dataclass
-class VerificationReport:
+class _ReportFields(NamedTuple):
     # checks passed per law, tallied once per law and orbit; a law gets its
     # key with its first pass, so a law that never passed has none
-    passed: dict[str, int] = field(default_factory=dict)
+    passed: dict[str, int]
     # "law: context" per failed check; a context string is built only for
     # a failure, never for a pass
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
     # recorded evidence, not violations: orbits where the same-side degree
     # divisibility deg(p_1) | deg fails (the crossed divisibility
     # deg(p_1) | codeg, codeg(p_1) | deg is the one that always holds)
-    same_side_degree_failures: list[str] = field(default_factory=list)
+    same_side_degree_failures: list[str]
     # tables whose group is not the direct product Z_bar_alpha x Z_(eta/bar_alpha)
     # (resp. the co-ouroboros product); the presentation's closed-form
     # invariants are the ground truth, and the test suite checks them
     # against a torsor oracle
-    product_form_failures: list[str] = field(default_factory=list)
+    product_form_failures: list[str]
+
+
+class VerificationReport(_ReportFields):
+    """The four results of a verification run, each a fresh container bound
+    once, when the report is made: only `tally` fills `passed` and
+    `violations`, and the checks append to the two evidence lists."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return super().__new__(cls, {}, [], [], [])
 
     def tally(self, laws: Iterable[Law]) -> None:
         """Record the checks of laws, each (name, total, failures): failures

@@ -317,6 +317,17 @@ def test_construct_rejects_foreign_letters(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("slither", ["", "D", "EDEDED"])
+def test_construct_names_an_empty_coslither(capsys, slither):
+    # every feasible pair has alpha >= 1: an empty co-slither is named as
+    # such, before the slither's D count is held to its length
+    code, out, err = run(
+        capsys, "construct", "--slither", slither, "--coslither", "", "--n", "3"
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: co-slither is empty; it needs at least one S or L\n"
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_construct_rejects_too_few_vertices(capsys, n):
     # n < 2 is no cycle graph: construct says so, as classify, orbit and

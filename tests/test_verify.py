@@ -1,7 +1,6 @@
 """The brute-force suite itself stays clean on small cycles."""
 
 import ast
-from dataclasses import replace
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -702,7 +701,7 @@ def test_nonlinear_advance_is_held_to_the_oracle():
     # misses 21 from 12 live residues mod sigma, after two blocks from none;
     # the per-residue results must equal the oracle's, round by round
     s = orbit("00001010000")
-    vars(s)["metrics"] = replace(s.metrics, deg=2, p=21)
+    vars(s)["metrics"] = s.metrics._replace(deg=2, p=21)
     assert s.steps_are_maps
     passed, violations = _residue_results(s)
     assert (passed, violations) == residue_laws(s)
@@ -721,7 +720,7 @@ def test_an_advance_off_whole_laps_reads_the_lifts(p, failing_at_r1):
     # holds from that residue alone for r = 1, and from none for r = 2 (42
     # from each); each failure at v < 7 stands for v + 7k, k < 6
     s = orbit("00001010000")
-    vars(s)["metrics"] = replace(s.metrics, deg=2, p=p)
+    vars(s)["metrics"] = s.metrics._replace(deg=2, p=p)
     passed, violations = _residue_results(s)
     assert (passed, violations) == residue_laws(s)
     failed = [v for v in violations if v.startswith(LINEAR)]
@@ -754,7 +753,7 @@ def test_a_wrong_tape_period_fails_the_tape_shift_law():
     # T_tape claimed as 14 on a tape of period 7: the shifts by 7, 21 and 35
     # fix the tape but are no multiple of 14
     s = orbit("00001010000")
-    vars(s)["metrics"] = replace(s.metrics, T_tape=14)
+    vars(s)["metrics"] = s.metrics._replace(T_tape=14)
     law = "tape shift iff T_tape divides"
     assert _law_results(s, law) == tape_shift_law(s) == (
         39,
@@ -1182,7 +1181,7 @@ def test_a_wrong_sigma_fails_the_color_law():
     # at omega < 6 every condition is false
     s = orbit("00001010000")
     s.snakes, s.swallow_orders
-    vars(s)["metrics"] = replace(s.metrics, sigma=84)
+    vars(s)["metrics"] = s.metrics._replace(sigma=84)
     rep = VerificationReport()
     check_tables(s, 6, rep)
     law = "color-preserving conditions agree"
@@ -1190,6 +1189,36 @@ def test_a_wrong_sigma_fails_the_color_law():
         f"{law}: n=11 seed=00001010000 omega=6: color-preserving conditions disagree: "
         "{'counts': True, 'swallows': True, 'bijection': True, 'scale': False, 'frequency': True}"
     ]
+    assert rep.passed[law] == 5
+    assert rep.passed["table torsor simple transitivity"] == 6
+
+
+def test_a_wrong_simulated_winding_fails_the_color_law():
+    # the simulated side of the colour conditions: the successor's one
+    # cycle mod P = 7 read as winding 6, not 2, once the snakes, their ids
+    # and the swallow orders are built.  A table of 11*omega laps lifts it
+    # to gcd(6, 11*omega) ouroboroi, which differs from gcd(2, 11*omega)
+    # only where 3 divides omega.  At omega = 6 the table of 462 residues
+    # is colour-preserving by its swallows, its scale and its frequency,
+    # but its lifted bar_alpha = 6 is not the scroll's alpha = 2, so the
+    # counts and the bijection condition disagree with them
+    s = orbit("00001010000")
+    s.snakes, s.cycle_lifts, s.swallow_orders
+    _windings(s, 0, [6])
+    rep = VerificationReport()
+    check_tables(s, 6, rep)
+    law = "color-preserving conditions agree"
+    assert [v for v in rep.violations if v.startswith(law)] == [
+        f"{law}: n=11 seed=00001010000 omega=6: color-preserving conditions disagree: "
+        "{'counts': False, 'swallows': True, 'bijection': False, 'scale': True, 'frequency': True}"
+    ]
+    # at omega = 3 the counts fail too, but every condition reads false
+    assert {v.split(": ")[0] for v in rep.violations if "omega=3" in v} == {
+        "ouroboros counts match formula",
+        "swallow cycle structure",
+        "group order equals live count",
+        "table slither power identity",
+    }
     assert rep.passed[law] == 5
     assert rep.passed["table torsor simple transitivity"] == 6
 
@@ -1235,7 +1264,7 @@ def test_a_wrong_table_word_fails_the_power_identity(monkeypatch, word):
 
 
 def _metrics(s, **changes):
-    vars(s)["metrics"] = replace(s.metrics, **changes)
+    vars(s)["metrics"] = s.metrics._replace(**changes)
 
 
 def _lam(monkeypatch, lam):
@@ -1261,16 +1290,18 @@ def _walk(s, name, letters):
 # too.  A slither injected keeps ColScale, beta_D + 2 beta_E, at 9.  The
 # faults of the laws that compare the words with simulated values are on
 # the simulated side: for the T_tape law the tape's least period read as
-# all m*n = 77 symbols, for alpha (beta) from letters the successor
-# winding 2 read as 3 (the co-successor windings 3, 3 as 6, 6), so the
-# snakes count 3 where the co-slither has 2 letters (co-snakes 12 where
-# the slither has 6).  Each returns what its law's context has after the
-# seed
+# all m*n = 77 symbols, for the orbit length law the simulated m read as
+# 14, not 7, before anything reads it, for alpha (beta) from letters the
+# successor winding 2 read as 3 (the co-successor windings 3, 3 as 6, 6),
+# so the snakes count 3 where the co-slither has 2 letters (co-snakes 12
+# where the slither has 6).  Each returns what its law's context has
+# after the seed
 PER_SCROLL_FAULTS = {
     "beta_D = 2 alpha - 1": lambda s, mp: _metrics(s, slither="DDEDDED"),
     "2bE + 3aS + 4aL = n+1": lambda s, mp: _metrics(s, coslither="L"),
     "deg, codeg coprime": lambda s, mp: _metrics(s, codeg=3),
     "T_tape = gcd(p, q)": lambda s, mp: vars(s).update(unit=s.unit * 11),
+    "orbit length formula": lambda s, mp: vars(s).update(m=14),
     "alpha from letters": lambda s, mp: _windings(s, 0, [3]),
     "beta from letters": lambda s, mp: _windings(s, 1, [6, 6]),
     "lambda odd": lambda s, mp: _lam(mp, 2),
