@@ -134,7 +134,12 @@ def tape_row(rec: TapeClass) -> dict[str, Any]:
     """One class's entry of the classification report; `tapeCanonical`
     expands its full fundamental vector."""
     return {
-        "quadruple": dict(zip(("betaE", "alphaS", "alphaL", "betaD"), rec.quadruple)),
+        "quadruple": {
+            "betaE": rec.quadruple.beta_e,
+            "alphaS": rec.quadruple.alpha_s,
+            "alphaL": rec.quadruple.alpha_l,
+            "betaD": rec.quadruple.beta_d,
+        },
         "slither": rec.slither,
         "coslither": rec.coslither,
         "firstRow": rec.first_row,
@@ -188,10 +193,11 @@ def classification_text_rows(n: int, records: list[TapeClass]) -> Iterator[str]:
     )
     yield "\n"
     yield f"{'bE':>3} {'aS':>3} {'aL':>3} {'bD':>3}  {'slither':<16} {'co-slither':<10} first row\n"
-    for q, slither, coslither, first_row, _ in records:
+    for rec in records:
+        q = rec.quadruple
         yield (
             f"{q.beta_e:>3} {q.alpha_s:>3} {q.alpha_l:>3} {q.beta_d:>3}  "
-            f"{slither:<16} {coslither:<10} {first_row}\n"
+            f"{rec.slither:<16} {rec.coslither:<10} {rec.first_row}\n"
         )
 
 

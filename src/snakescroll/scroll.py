@@ -147,12 +147,18 @@ class Scroll:
     """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
     not be the least), and n: its m rows are the first lcm(T, n) symbols.
 
-    Two scrolls are equal when their periods and n are.  Every builder
-    below keeps its value in the instance dict, so neither is rebound.
+    Two scrolls are equal and hash alike when their periods and n are.
+    Every builder below keeps its value in the instance dict, read off
+    period and n, so neither may be set or deleted once the scroll is made.
     """
 
     def __init__(self, period: bytes, n: int) -> None:
-        self.period, self.n = period, n
+        vars(self).update(period=period, n=n)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Scroll is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (self.period, self.n) == (other.period, other.n)

@@ -1,13 +1,13 @@
 """Print the cold-start cost of the package: import time and stdlib modules.
 
-    python tests/import_cost.py [RUNS]
+    python tests/import_cost.py
 
-Imports `snakescroll` and `snakescroll.cli` in RUNS (default 9) fresh
-interpreters under `-X importtime`, with PYTHONPATH set to the checkout's
-`src`, after one warm-up run, and prints the median and least of their
-summed cumulative times: the time the package's own imports take,
-stdlib modules that the interpreter had already loaded excluded.  Then
-it prints the modules outside the package that such an interpreter
+Imports `snakescroll` and `snakescroll.cli` in RUNS (nine) fresh
+interpreters under `-X importtime`, with PYTHONPATH set to the
+checkout's `src`, after one warm-up run, and prints the median and least
+of their summed cumulative times: the time the package's own imports
+take, stdlib modules that the interpreter had already loaded excluded.
+Then it prints the modules outside the package that such an interpreter
 holds beyond a bare one.  Both interpreters start as any process does
 (with `site`); where PYTHONDONTWRITEBYTECODE is set, as it says, the
 package's bytecode is compiled again in every run.
@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT = "import snakescroll, snakescroll.cli"
 MODULES = "import sys; print(' '.join(sorted(sys.modules)))"
+RUNS = 9
 
 
 def run(flags: list[str], code: str) -> subprocess.CompletedProcess:
@@ -46,13 +47,12 @@ def import_ms() -> float:
     return total / 1000
 
 
-def main(argv: list[str]) -> int:
-    runs = int(argv[0]) if argv else 9
+def main() -> int:
     import_ms()  # warm-up: writes the bytecode cache where that is allowed
-    times = sorted(import_ms() for _ in range(runs))
+    times = sorted(import_ms() for _ in range(RUNS))
     cache = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     print(f"Python {sys.version.split()[0]}, bytecode cache {cache}: `{IMPORT}`")
-    print(f"import time over {runs} interpreters: median {statistics.median(times):.1f} ms, "
+    print(f"import time over {RUNS} interpreters: median {statistics.median(times):.1f} ms, "
           f"least {times[0]:.1f} ms")
     bare = set(run([], MODULES).stdout.split())
     loaded = set(run([], f"{IMPORT}; {MODULES}").stdout.split()) - bare
@@ -62,4 +62,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -68,3 +68,12 @@ def test_scrolls_are_equal_and_hash_alike_by_period_and_n():
     assert s != (period, 2)
     assert repr(s) == "Scroll(period=b'\\x00\\x00\\x01', n=2)"
 
+
+
+def test_a_scroll_cannot_be_changed_once_made():
+    s = orbit("0001")
+    key = hash(s)
+    for change in (lambda: setattr(s, "n", 3), lambda: delattr(s, "period")):
+        with pytest.raises(AttributeError, match="immutable"):
+            change()
+    assert s == orbit("0001") and hash(s) == key
