@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: orbit, classify, verify, sum-period, construct.
-Exit codes: 0 success, 1 input error, 2 theorem violation.  A reader that
-closes the output early (`snakescroll classify --n 20 | head`) ends the
-command quietly with exit 0: it has all the output it asked for.
+Exit codes: 0 success, 1 input error (a usage error too), 2 theorem
+violation.  A reader that closes the output early (`snakescroll classify
+--n 20 | head`) ends the command quietly with exit 0: it has all the
+output it asked for.
 
 The parser does not depend on the input, so it is built once, at import,
 as `PARSER`, with its subcommand parsers by name in `COMMANDS`; `main(argv)`
@@ -149,9 +150,19 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits EXIT_INPUT, not 2, which
+    is a theorem violation's code; the subcommand parsers are of its class
+    too (`add_subparsers`' default `parser_class`)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snakescroll",
         description="Orbits, scrolls, and slither classification for toggled "
         "independent sets of cycle graphs",

@@ -107,61 +107,44 @@ class VerificationReport(_ReportFields):
 def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     """Whether s^a c^b (a < outer, b < inner) moves the first live index
     t0 of scroll once onto each of its live residues mod M = modulus, a
-    multiple of P = len(scroll.unit).
+    multiple of P = len(scroll.unit), where outer is the number of
+    co-successor orbits mod M.
 
     Points are offsets t - 1 mod M, as the steps read their tables.  The
     number of images is checked first, against F = M/P times the live
     residues of the unit (`Scroll.unit_live`).  Then only s is walked,
     outer times from the offset of t0, on the scroll's step advances: an
-    offset v of M moves by the advance at v mod P.  Each s^a(t0) starts an
-    arc of inner consecutive points c^b s^a(t0) on its co-successor orbit
-    mod M, and those orbits are read off the cycles mod P
+    offset v of M moves by the advance at v mod P.  Each s^a(t0) lies on
+    a co-successor orbit mod M, read off the cycles mod P
     (`Scroll.period_cycles`) through the covering Z/M -> Z/P: a cycle i of
-    length l and winding w lifts to g = gcd(w, F) orbits of length l*h,
-    h = F/g.  For r on cycle i at index k with lift q, r + x*P lies on
-    orbit (i, y mod g), y = (x - q) mod F, at position
-    (y div g)*(w/g)^-1 mod h, times l, plus k: each lap of the cycle moves
-    the lift by w.  The images are distinct iff no arc is longer than its
-    orbit and no two arcs on one orbit start closer than inner, cyclically;
-    so positions are computed only on orbits that two arcs share.
+    length l and winding w lifts to g = gcd(w, F) orbits of l*F/g points,
+    and r + x*P, r on cycle i with lift q, lies on orbit (i, (x - q) mod g).
+    The law holds iff the walk meets outer distinct orbits of inner points
+    each.  That is sound for any shape: the arcs c^b s^a(t0), b < inner,
+    are then those whole orbits, disjoint, outer*inner images in all.  It
+    is complete where outer is the number of orbits, as both laws pass it:
+    the outer arcs of a bijection cover every orbit, one arc each.  Other
+    shapes can be bijections it rejects, one orbit of 2*inner points tiled
+    by two arcs, say.
     """
     succ = scroll.step_advances[0]
-    cycle, index, lift, cycles = scroll.period_cycles[1]
+    cycle, _, lift, cycles = scroll.period_cycles[1]
     live = scroll.unit_live
     period = len(succ)
     fold = modulus // period
     if outer * inner != fold * len(live):
         return False
-    cur = live[0]
-    firsts: dict[int, int] = {}  # per orbit i*F + (y mod g): the first point starting an arc
-    shared: dict[int, list[int]] = {}  # per orbit met more than once: its arcs' points
+    cur, orbits = live[0], set()  # orbit ids i*F + (x - q) mod g
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
         length, w = cycles[i]
         g = gcd(w, fold)
-        if length * (fold // g) < inner:  # an arc longer than its orbit
+        if length * (fold // g) != inner:
             return False
-        orbit = i * fold + (cur // period - lift[u]) % g
-        if orbit in firsts:
-            shared.setdefault(orbit, [firsts[orbit]]).append(cur)
-        else:
-            firsts[orbit] = cur
+        orbits.add(i * fold + (cur // period - lift[u]) % g)
         cur = (cur + succ[u]) % modulus
-    for orbit, points in shared.items():  # two arcs starting closer than inner, cyclically
-        length, w = cycles[orbit // fold]
-        g = gcd(w, fold)
-        h = fold // g
-        inverse = pow(w // g, -1, h)
-        starts = []  # a plain loop: a comprehension here would make the walk's locals cells
-        for v in points:
-            x, u = divmod(v, period)
-            starts.append((x - lift[u]) % fold // g * inverse % h * length + index[u])
-        starts.sort()
-        starts.append(starts[0] + length * h)
-        if min(map(sub, starts[1:], starts)) < inner:
-            return False
-    return True
+    return len(orbits) == outer
 
 
 # rows one step of each letter moves down the scroll
@@ -616,8 +599,10 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
                 cut_slither * (cosnake_count // beta), slither
             ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
         yield "table slither power identity", 1, () if powers_up else (f"{ctx} omega={omega}",)
-        # torsor of the finite table group; it also checks the closed-form
-        # eta against the number of live residues
+        # torsor of the finite table group: the walk of bar_beta successor
+        # steps meets each of the bar_beta co-successor orbits once, each of
+        # eta/bar_beta points; the image count checks the closed-form eta
+        # against the number of live residues
         torsor = _is_torsor(s, size, beta, eta // beta)
         yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx} omega={omega}",)
 

@@ -238,10 +238,12 @@ def map_torsor(maps: tuple[list, list], live, outer: int, inner: int) -> bool:
     residues once, (s, c) = maps, the `reduced_maps` mod some M and live the
     live residues mod M.
 
-    Oracle for verify._is_torsor, which walks only s and reads the c-orbits
-    mod M off the scroll's cycles mod the tape period instead: this walk
-    visits every image, on the live residues and the maps reduced mod M
-    alone.
+    Oracle for verify._is_torsor, which walks only s and counts the c-orbits
+    mod M it meets, read off the scroll's cycles mod the tape period, and
+    their sizes: this walk visits every image, on the live residues and the
+    maps reduced mod M alone.  It is true on every shape that moves t0
+    bijectively, and `_is_torsor` only where, besides, each arc is a whole
+    c-orbit; the two agree where outer is the number of c-orbits mod M.
     """
     s, c = maps
     if outer * inner != len(live):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from snakescroll import classify, cli, report, scroll
-from snakescroll.cli import EXIT_INPUT, EXIT_OK, main
+from snakescroll import classify, cli, necklaces, report, scroll, sums, verify
+from snakescroll.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from snakescroll.report import classification_report, classification_to_csv, tape_row
 
 
@@ -360,6 +360,47 @@ def test_orbit_rejects_a_non_positive_omega(capsys, fmt, omega):
     assert err == "input error: omega must be a positive integer\n"
 
 
+# each path to exit 2, a theorem violation, taken by breaking the one value
+# its check compares: no request then reports all checks passed
+
+
+def test_verify_reports_a_failing_law(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_is_torsor", lambda *args: False)
+    code, out, err = run(capsys, "verify", "--n-min", "2", "--n-max", "3", "--core-only")
+    assert code == EXIT_VIOLATION
+    assert err == (
+        "2 violations:\n"
+        "  torsor simple transitivity: n=2 seed=00\n"
+        "  torsor simple transitivity: n=3 seed=000\n"
+    )
+    assert "PASS commutation" in out and "all checks passed" not in out
+
+
+def test_classify_reports_a_wrong_burnside_count(capsys, monkeypatch):
+    count = necklaces.binary_necklace_count
+    monkeypatch.setattr(necklaces, "binary_necklace_count", lambda *args: count(*args) + 1)
+    code, out, err = run(capsys, "classify", "--n", "5")
+    assert code == EXIT_VIOLATION
+    assert err == "theorem violation: necklace generator found 1, Burnside says 2\n"
+    assert "all checks passed" not in out
+
+
+def test_sum_period_reports_a_wrong_achieved_period(capsys, monkeypatch):
+    monkeypatch.setattr(sums, "sum_vector", lambda s: sums.SumVector((), 1))
+    code, out, err = run(capsys, "sum-period", "--lambda", "3", "--k", "4")
+    assert (code, out) == (EXIT_VIOLATION, "")
+    assert err == "theorem violation: construction for (lambda=3, k=4) achieved period 1\n"
+
+
+def test_construct_reports_a_failed_round_trip(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "words_from_row", lambda row, n: ("DE", "S"))
+    code, out, err = run(capsys, "construct", "--slither", "ED", "--coslither", "L", "--n", "5")
+    assert code == EXIT_VIOLATION
+    assert err == "round trip failed\n"
+    assert out.splitlines()[1] == "round trip: slither DE, co-slither S"
+    assert "all checks passed" not in out
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
@@ -423,7 +464,7 @@ def test_main_reuses_one_parser_across_requests(capsys, monkeypatch):
     assert (code, err) == (EXIT_OK, "")
     assert run(capsys, *request) == (EXIT_OK, first, "")
     # a usage error, then help: neither changes the next request's output
-    for argv, exit_code in ((["orbit", "--n", "4"], 2), (["orbit", "--help"], 0)):
+    for argv, exit_code in ((["orbit", "--n", "4"], EXIT_INPUT), (["orbit", "--help"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == exit_code

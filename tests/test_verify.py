@@ -337,11 +337,42 @@ def _torsor_shapes(count: int, law: tuple[int, int]):
     yield count + 1, 1
 
 
+def _orbit_count(step: list, live: list) -> int:
+    """Number of orbits of the permutation step on the residues live; on
+    the oracle's reduced map, a cheaper walk than `walked_counts`' of the
+    tape steps."""
+    seen, count = set(), 0
+    for r in live:
+        if r not in seen:
+            count += 1
+            while r not in seen:
+                seen.add(r)
+                r = step[r]
+    return count
+
+
+def _held_to_the_oracle(s, modulus: int, shapes) -> int:
+    """Hold `_is_torsor` at each shape to `map_torsor`: a pass is a
+    bijection on every shape, and where outer is the number of co-successor
+    orbits mod M the two agree; the number of such agreeing shapes."""
+    maps, live = reduced_maps(s, modulus), live_residues(s, modulus)
+    orbits, equal = _orbit_count(maps[1], live), 0
+    for shape in shapes:
+        got, oracle = verify._is_torsor(s, modulus, *shape), map_torsor(maps, live, *shape)
+        assert oracle or not got, shape
+        if shape[0] == orbits:
+            assert got == oracle, shape
+            equal += 1
+    return equal
+
+
 def test_torsor_walk_matches_the_map_oracle():
-    # the walk on the period advances agrees with the walk on the reduced
-    # maps mod M, for the law's shape and every other factor pair, on every
-    # orbit mod sigma with n <= 16 and all 816 tables with n <= 13, omega <= 12
-    tables = 0
+    # the walk on the period advances is sound against the walk on the
+    # reduced maps mod M for the law's shape and every other factor pair,
+    # and agrees with it where outer is the number of co-successor orbits,
+    # on every orbit mod sigma with n <= 16 and all 816 tables with
+    # n <= 13, omega <= 12
+    tables = equal = 0
     for n in range(2, 17):
         for s in all_orbits(n):
             moduli = [(s.metrics.sigma, (s.snakes.beta, s.snakes.alpha))]
@@ -352,29 +383,26 @@ def test_torsor_walk_matches_the_map_oracle():
                     tables += 1
             for modulus, law in moduli:
                 assert verify._is_torsor(s, modulus, *law)
-                maps, live = reduced_maps(s, modulus), live_residues(s, modulus)
-                for shape in _torsor_shapes(len(live), law):
-                    oracle = map_torsor(maps, live, *shape)
-                    assert verify._is_torsor(s, modulus, *shape) == oracle, shape
+                shapes = _torsor_shapes(len(live_residues(s, modulus)), law)
+                equal += _held_to_the_oracle(s, modulus, shapes)
     assert tables == 816
+    assert equal == 1950
 
 
 def test_torsor_matches_the_map_oracle_past_omega_12():
     # the law's shape and its transpose on all 1092 tables with n = 14..16
     # and 13 <= omega <= 24, where the orbits mod M are longest
-    tables = 0
+    tables = equal = 0
     for n in range(14, 17):
         for s in all_orbits(n):
             for omega in range(13, 25):
                 size, beta = omega * s.size, table_counts(s, omega)[1]
                 law = beta, omega * s.live_count // beta
                 assert verify._is_torsor(s, size, *law)
-                maps, live = reduced_maps(s, size), live_residues(s, size)
-                for shape in (law, law[::-1]):
-                    oracle = map_torsor(maps, live, *shape)
-                    assert verify._is_torsor(s, size, *shape) == oracle, shape
+                equal += _held_to_the_oracle(s, size, (law, law[::-1]))
                 tables += 1
     assert tables == 1092
+    assert equal == 1092
 
 
 def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
@@ -400,21 +428,20 @@ def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
 def test_torsor_matches_the_map_oracle_on_arbitrary_advances():
     # steps that need not commute, on tape period 2: the co-successor's
     # cycle of length 2 winds 1..5 times, so its lifts are orbits of
-    # several laps whose order the inverse of the winding fixes; every
-    # factor pair of the live count, against the oracle walk
-    calls = 0
+    # several laps; every factor pair of the live count, against the
+    # oracle walk
+    calls = equal = 0
     for a0, a1, b0, b1 in product(range(4), range(4), (1, 3, 5), (1, 3, 5)):
         if (a0 - a1) % 2:
             continue  # the successor must permute the residues mod 2
         s = _advances_scroll([a0, a1], [b0, b1])
         for fold in (5, 6, 7, 9):
-            live = live_residues(s, 2 * fold)
-            count, maps = len(live), reduced_maps(s, 2 * fold)
-            for shape in _torsor_shapes(count, (1, count)):
-                oracle = map_torsor(maps, live, *shape)
-                assert verify._is_torsor(s, 2 * fold, *shape) == oracle, shape
-                calls += 1
+            count = len(live_residues(s, 2 * fold))
+            shapes = list(_torsor_shapes(count, (1, count)))
+            equal += _held_to_the_oracle(s, 2 * fold, shapes)
+            calls += len(shapes)
     assert calls == 2016
+    assert equal == 488
 
 
 def test_no_table_is_labelled(monkeypatch):
