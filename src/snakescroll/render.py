@@ -3,9 +3,10 @@
 Each renderer takes a table as its scroll and omega and draws its omega*m
 rows.  A cell's colours depend only on its tape index mod sigma, so both
 renderers work from one label period of the scroll's snake labels: the
-ANSI table builds only its distinct rows, the SVG formats each coordinate
-and colour once.  `tests/oracles.py` keeps the per-cell renderers as
-their reference.
+ANSI table builds only its distinct rows and repeats them; the SVG builds
+its text per column, per colour and per residue mod sigma once, and joins
+each live entry's edges and node from those pieces in one pass.
+`tests/oracles.py` keeps the per-cell renderers as their reference.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def ansi_table(s: Scroll, omega: int) -> str:
     The cell at tape index t depends only on t mod sigma = len(labels), dead
     exactly where its label is None, so one label period of cells is built;
     row i starts at t = i*n + 1, so it equals row i mod sigma/gcd(sigma, n),
-    and only the distinct rows are joined.
+    and only the distinct rows are joined, then repeated.
     """
     if omega < 1:
         raise ValueError("omega must be a positive integer")
@@ -52,13 +53,15 @@ def ansi_table(s: Scroll, omega: int) -> str:
             label: f"\x1b[{color}m1\x1b[0m"
             for label, color in _label_colors(labels, ANSI_COLORS).items()
         }
+        cell[None] = "."
         sigma = len(labels)
         distinct = min(r, sigma // gcd(sigma, n))
         # cells[t - 1] is the cell at tape index t, for t in 1..distinct*n
-        period = [cell[label] if label is not None else "." for label in labels]
+        period = [cell[label] for label in labels]
         cells = (period[1:] + period[:1]) * (distinct * n // sigma + 1)
         rows = ["".join(cells[i:i + n]) for i in range(0, distinct * n, n)]
-        blocks.append("\n".join([title + ":", *(rows[i % distinct] for i in range(r))]))
+        rows = rows * (r // distinct) + rows[: r % distinct]
+        blocks.append("\n".join([title + ":", *rows]))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -69,100 +72,104 @@ def svg_table(s: Scroll, omega: int) -> str:
     Cell (row i, col j) sits at (j*unit, i*unit), unit = SVG_UNIT.  An edge
     that leaves the table past its last row is drawn split: out to the
     right margin, and back in from the left margin to its target's wrapped
-    position, with a small re-entry marker at each end.  Per live entry, in
-    tape order, both steps are read off the scroll's forward advances
-    (`Scroll.step_advances`), and both edges are formatted together when
-    neither leaves the table; a live entry with no unique letter raises
+    position, with a small re-entry marker at each end.
+
+    Everything but an entry's y coordinates comes from tables built once:
+    per column, the text of an edge, a node and an edge's target up to its
+    y; per colour, the text that closes an edge; per residue of the offset
+    t - 1 mod sigma (no more residues than the table has), both forward
+    advances (`Scroll.step_advances`), both colours and the node's closing
+    text.  One pass over the live offsets, in tape order, writes an entry's
+    two edges as one string when neither leaves the table, and collects its
+    node, drawn after every edge; a live entry with no unique letter raises
     that step's AssertionError, the successor's before the co-successor's.
+    Each element's text ends with its newline, so the parts are joined once.
     """
     if omega < 1:
         raise ValueError("omega must be a positive integer")
     unit, n, r = SVG_UNIT, s.n, omega * s.m
     size = r * n
-    snake, cosnake = s.snake_labels
     width, height = (n + 2) * unit, (r + 2) * unit
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'viewBox="0 0 {width} {height}">\n',
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
     ]
     # light cell grid: one line per row and column boundary
     for i in range(r + 1):
         y = (i + 1) * unit
         out.append(
             f'<line x1="{unit}" y1="{y}" x2="{(n + 1) * unit}" y2="{y}" '
-            f'stroke="#eeeeee"/>'
+            f'stroke="#eeeeee"/>\n'
         )
     for j in range(n + 1):
         x = (j + 1) * unit
         out.append(
             f'<line x1="{x}" y1="{unit}" x2="{x}" y2="{(r + 1) * unit}" '
-            f'stroke="#eeeeee"/>'
+            f'stroke="#eeeeee"/>\n'
         )
 
-    # tape index t = i*n + (j+1) sits at (xs[j], ys[i]), each formatted once
-    xs = [str((j + 1) * unit) for j in range(n)]
+    # offset o = t - 1 = i*n + j sits at (xs[j], ys[i]); per column, the text
+    # of an edge, a node and an edge's target up to its y
+    xs = [(j + 1) * unit for j in range(n)]
     ys = [str((i + 1) * unit) for i in range(r)]
-    # per residue mod sigma, the snake (then co-snake) colour, None where dead,
-    # and the edge attributes of each colour, formatted once per step
-    fills, strokes = [], []
+    edges = [f'<line x1="{x}" y1="' for x in xs]
+    nodes = [f'<circle cx="{x}" cy="' for x in xs]
+    targets = [f'" x2="{x}" y2="' for x in xs]
+    # per colour, the text that closes its edge (closes); per offset mod
+    # sigma, its colour, None where dead (fills), as labels[t % sigma] is
+    # the label of offset t - 1
+    closes, fills = [], []
+    snake, cosnake = s.snake_labels
     for labels, palette, dash in (
         (snake, SNAKE_PALETTE, ""),
         (cosnake, COSNAKE_PALETTE, 'stroke-dasharray="4 3"'),
     ):
         color = _label_colors(labels, palette)
-        fills.append([None if label is None else color[label] for label in labels])
-        strokes.append(
-            {c: f'stroke="{c}" stroke-width="2" {dash} fill="none"' for c in color.values()}
+        closes.append(
+            {c: f'" stroke="{c}" stroke-width="2" {dash} fill="none"/>\n' for c in color.values()}
         )
-    snake_fill, cosnake_fill = fills
-    snake_stroke, cosnake_stroke = strokes
-    # (t, x, y, snake colour, co-snake colour) per live entry, for edges then nodes
-    modulus = len(snake)
-    period = s.unit  # X_t is period[(t - 1) % P]
-    length = len(period)
-    entries = [
-        (t, xs[(t - 1) % n], ys[(t - 1) // n], snake_fill[t % modulus], cosnake_fill[t % modulus])
-        for t in compress(range(1, size + 1), period * (size // length))
-    ]
-
+        fills.append([color.get(label) for label in labels[1:] + labels[:1]])
+    snake_close, cosnake_close = closes
+    # per residue of the offset mod sigma, both advances, both colours and
+    # the node's closing text; where sigma exceeds the table's size, only
+    # the offsets below it, each its own residue
     succ, co_succ = s.step_advances
+    length, sigma = len(s.unit), min(len(fills[0]), size)
+    radius = unit // 3
+    residues = [
+        (succ[k % length], co_succ[k % length], sc, cc,
+         f'" r="{radius}" fill="{sc}" stroke="{cc}" stroke-width="3"/>\n')
+        for k, sc, cc in zip(range(sigma), *fills)
+    ]
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
-    for t, x1, y1, scolor, ccolor in entries:
-        residue = (t - 1) % length
-        d, e = succ[residue], co_succ[residue]
+    circles = []
+    for o in compress(range(size), s.unit * (size // length)):
+        j, y = o % n, ys[o // n]
+        d, e, sc, cc, node = residues[o % sigma]
         if d is None:
-            s.successor_step(t)  # raises with the count of live candidates
+            s.successor_step(o + 1)  # raises with the count of live candidates
         if e is None:
-            s.co_successor_step(t)
-        # the targets' offsets t' - 1: every advance is positive, so an edge
-        # leaves the table exactly when its target is past the last entry
-        u, v = t - 1 + d, t - 1 + e
+            s.co_successor_step(o + 1)
+        circles.append(f'{nodes[j]}{y}{node}')
+        # the targets' offsets: every advance is positive, so an edge leaves
+        # the table exactly when its target is past the last entry
+        u, v = o + d, o + e
         if u < size and v < size:
             out.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{xs[u % n]}" y2="{ys[u // n]}" '
-                f'{snake_stroke[scolor]}/>\n'
-                f'<line x1="{x1}" y1="{y1}" x2="{xs[v % n]}" y2="{ys[v // n]}" '
-                f'{cosnake_stroke[ccolor]}/>'
+                f'{edges[j]}{y}{targets[u % n]}{ys[u // n]}{snake_close[sc]}'
+                f'{edges[j]}{y}{targets[v % n]}{ys[v // n]}{cosnake_close[cc]}'
             )
             continue
-        for w, attrs_of, color in ((u, snake_stroke, scolor), (v, cosnake_stroke, ccolor)):
-            attrs = attrs_of[color]
-            i, j = divmod(w % size, n)  # the target, wrapped into the table
-            x2, y2 = xs[j], ys[i]
+        for w, close, color in ((u, snake_close[sc], sc), (v, cosnake_close[cc], cc)):
+            i, k = divmod(w % size, n)  # the target, wrapped into the table
             if w < size:
-                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {attrs}/>')
+                out.append(f'{edges[j]}{y}{targets[k]}{ys[i]}{close}')
             else:
-                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x_right}" y2="{y1}" {attrs}/>')
-                out.append(f'<circle cx="{x_right}" cy="{y1}" r="3" fill="{color}"/>')
-                out.append(f'<line x1="{x_left}" y1="{y2}" x2="{x2}" y2="{y2}" {attrs}/>')
-                out.append(f'<circle cx="{x_left}" cy="{y2}" r="3" fill="{color}"/>')
-
-    radius = unit // 3
-    out.extend(
-        f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{scolor}" '
-        f'stroke="{ccolor}" stroke-width="3"/>'
-        for _, x, y, scolor, ccolor in entries
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+                out.append(f'{edges[j]}{y}" x2="{x_right}" y2="{y}{close}')
+                out.append(f'<circle cx="{x_right}" cy="{y}" r="3" fill="{color}"/>\n')
+                out.append(f'<line x1="{x_left}" y1="{ys[i]}{targets[k]}{ys[i]}{close}')
+                out.append(f'<circle cx="{x_left}" cy="{ys[i]}" r="3" fill="{color}"/>\n')
+    out += circles
+    out.append("</svg>\n")
+    return "".join(out)

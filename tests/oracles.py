@@ -520,8 +520,9 @@ def ansi_table(s: Scroll, omega: int) -> str:
 
 
 def svg_table(s: Scroll, omega: int, labels: list[list] | None = None) -> str:
-    """Oracle for render.svg_table, which formats each coordinate and colour
-    once: every live entry of the vector repeated omega times places itself
+    """Oracle for render.svg_table, which joins each entry's text from
+    pieces built once per column, per colour and per residue mod sigma:
+    every live entry of the vector repeated omega times places itself
     and both its targets by tape index, coloured by the labels walked mod
     sigma (`walked_labels`), or labels given, as a fault test walks them
     before it injects a step."""

@@ -1,5 +1,7 @@
 """ANSI and SVG rendering of orbit tables."""
 
+from itertools import compress
+
 import pytest
 
 import oracles
@@ -22,6 +24,28 @@ def test_renderers_match_the_per_cell_oracles():
         s = orbit(seed)
         assert ansi_table(s, omega) == oracles.ansi_table(s, omega), (seed, omega)
         assert svg_table(s, omega) == oracles.svg_table(s, omega), (seed, omega)
+
+
+def test_tables_reach_every_case_of_the_svg_pieces():
+    # svg_table builds its per-residue pieces for min(sigma, size) residues,
+    # colours each stack from offsets mod sigma and splits an edge past the
+    # last row: TABLES must hold a table smaller than sigma (n = 5, 00100,
+    # omega = 1: sigma 18 > 15), omega > 1 stacks whose size sigma does not
+    # divide, so their copies differ in colour, and entries whose two edges
+    # both split or only the co-successor edge, counted per-entry by the
+    # scroll's own steps
+    past = uneven = both = co_only = 0
+    for seed, omega in TABLES:
+        s = orbit(seed)
+        sigma, size = s.metrics.sigma, omega * s.size
+        past += sigma > size
+        uneven += omega > 1 and size % sigma != 0
+        for t in compress(range(1, size + 1), oracles.vector(s) * omega):
+            u, v = s.successor_step(t)[0], s.co_successor_step(t)[0]
+            both += u > size and v > size
+            co_only += u <= size < v
+    assert orbit("00100").metrics.sigma == 18 and ("00100", 1) in TABLES
+    assert (past, uneven, both, co_only) == (6, 161, 2340, 3161)
 
 
 def test_the_n16_table_reuses_rows_and_splits_edges():
