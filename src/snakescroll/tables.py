@@ -20,10 +20,13 @@ implementation here, a function of the scroll and those scalars: the
 swallow shifts (`swallow_shift`), the invariant factors
 (`group_factors`), the colour-preserving conditions
 (`color_preserving`) and the table words (`table_words`).
-`verify.check_tables` calls them for every omega, except where a value
-reads omega only through a key that several omegas share: the swallow
-shifts read the table size only mod sigma, and the table words only
-bar_alpha and bar_beta, so each is computed once per key and orbit.
+Every one of them but the invariant factors, which read eta, reads omega
+only through omega mod P_omega (`omega_period`), and so do the lifted and
+predicted counts: the lcm of w / gcd(w, m*n/P) over the windings w of
+both maps, deg p_1 * codeg p_1, and sigma / gcd(sigma, m*n), read off the
+same scroll values those read.  `verify.check_tables` computes them once
+per residue of omega mod P_omega and orbit, and the invariant factors at
+every omega.
 
 The live residues form a torsor of the finite abelian group generated by
 the two maps mod the table size; the torsor law of `verify` checks that in
@@ -58,7 +61,7 @@ does.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .scroll import Scroll
 
@@ -68,6 +71,19 @@ def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
     (alpha_1, beta_1), (deg_p1, codeg_p1) = s.fundamental_counts, s.fundamental_degrees
     return alpha_1 * gcd(deg_p1, omega), beta_1 * gcd(codeg_p1, omega)
+
+
+def omega_period(s: Scroll) -> int:
+    """P_omega, a period in omega of every per-table value that does not
+    read eta, read off the values those read: the lcm of w / gcd(w, m*n/P)
+    over the windings w of both maps (the lifted counts gcd(w, omega*m*n/P)
+    repeat with it), deg p_1 * codeg p_1 (the predicted counts and the
+    frequency condition) and sigma / gcd(sigma, m*n) (the table size mod
+    sigma, which the swallow shifts and the scale condition read)."""
+    size, sigma, (deg_p1, codeg_p1) = s.size, s.metrics.sigma, s.fundamental_degrees
+    fold = size // len(s.unit)
+    windings = [w // gcd(w, fold) for ws in s.windings for w in ws]
+    return lcm(deg_p1 * codeg_p1, sigma // gcd(sigma, size), *windings)
 
 
 def swallow_shift(s: Scroll, which: int, size: int) -> int:

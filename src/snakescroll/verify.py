@@ -51,6 +51,7 @@ from .tables import (
     color_preserving,
     group_factors,
     nontrivial_text,
+    omega_period,
     predicted_counts,
     product_pair,
     swallow_shift,
@@ -508,18 +509,22 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     and within one omega the law order.  A swallow that raises ends that
     omega after the swallow's entry.
 
-    Two values are computed once per distinct argument and orbit, in
-    dicts local to this call.  The swallow shifts read the table size only
-    mod sigma (a lift y of a cycle i moves to y - size/P mod g_i, and g_i
-    divides sigma/P), so they are kept per size mod sigma, and a raising
-    swallow is raised again for each omega with its key.  The table
-    slither power identity reads only (bar_alpha, bar_beta), so its result
-    is kept per pair.  A value that is a pure function of its key is the
-    same check at every omega with that key, as the per-residue laws of
-    `check_scroll` count one least period times laps: each omega still
-    counts, or fails, each law.  The counts, the torsor, the group factors
-    and the colour-preserving conditions read omega itself or eta, and are
-    evaluated at every omega.
+    Every value that does not read eta is a function of omega mod P_omega
+    (`tables.omega_period`): the lifted counts read omega through
+    gcd(w, omega*m*n/P) over the windings w, the predicted counts and the
+    frequency condition through omega mod deg p_1 * codeg p_1, the swallow
+    shifts and the scale condition through the table size mod sigma, and
+    the power identity only bar_alpha and bar_beta.  Each is computed once
+    per residue of omega mod P_omega and orbit, in one dict local to this
+    call, a raising swallow included.  The torsor reads eta only through
+    eta/bar_beta: where bar_beta divides eta its two size checks are free
+    of omega and its walk reads the table only through gcd(w, omega*m*n/P),
+    so its verdict is kept per residue too.  A value of a residue is the
+    same check at every omega with that residue, as the per-residue laws
+    of `check_scroll` count one least period times laps: each omega still
+    counts, or fails, each law, under its own context.  The group order
+    law and the product-form evidence read eta and run at every omega, as
+    does the torsor where bar_beta does not divide eta.
     """
     rep.tally(_table_laws(s, omega_max, rep))
 
@@ -545,32 +550,48 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
 
     slither, coslither = met.slither, met.coslither
     snake_count, cosnake_count = s.snakes
-    unit_size, unit_live, sigma = s.size, s.live_count, met.sigma
+    unit_size, unit_live = s.size, s.live_count
     fold = unit_size // len(s.unit)
     product_failures = rep.product_form_failures
-    # per size mod sigma, the swallow shifts or the error they raised; per
-    # (bar_alpha, bar_beta), whether the table words power up
-    shifts_at: dict[int, tuple[int, int] | AssertionError] = {}
-    words_at: dict[tuple[int, int], bool] = {}
 
-    for omega in range(1, omega_max + 1):
-        size, eta = omega * unit_size, omega * unit_live
+    def periodic(omega: int, size: int) -> list:
+        """The values of the omega-fold table of size residues that read
+        omega only through omega mod P_omega: [bar_alpha, bar_beta, counts
+        verdict, swallow verdict or the error the shifts raised, colour
+        error text or None, power identity verdict, torsor verdict (None,
+        filled in where bar_beta | eta)]."""
         alpha, beta = lifted_counts(s, omega * fold)
         counts = (alpha, beta) == predicted_counts(s, omega)
-        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx} omega={omega}",)
-        shifts = shifts_at.get(size % sigma)
-        if shifts is None:
-            try:
-                shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
-            except AssertionError as exc:
-                shifts = exc
-            shifts_at[size % sigma] = shifts
-        if isinstance(shifts, AssertionError):
-            yield "swallow cycle structure", 1, (f"{ctx} omega={omega}: {shifts}",)
-            continue
+        try:
+            shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
+        except AssertionError as exc:
+            return [alpha, beta, counts, exc, None, None, None]
         # a shift k of L labels has gcd(k, L) cycles, each of length
         # L / gcd(k, L): cycle type (deg p,)*bar_alpha iff gcd(k, L) = bar_alpha
         swallows = gcd(shifts[0], snake_count) == alpha and gcd(shifts[1], cosnake_count) == beta
+        try:
+            color_preserving(s, omega, size, alpha, beta, shifts)
+            colour = None
+        except AssertionError as exc:
+            colour = str(exc)
+        cut_slither, cut_coslither = table_words(s, alpha, beta)
+        powers_up = cyclically_equal(
+            cut_slither * (cosnake_count // beta), slither
+        ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
+        return [alpha, beta, counts, swallows, colour, powers_up, None]
+
+    # the values of periodic, computed once per omega mod P_omega
+    period, memo = omega_period(s), {}
+    for omega in range(1, omega_max + 1):
+        size, eta = omega * unit_size, omega * unit_live
+        known = memo.get(omega % period)
+        if known is None:
+            known = memo[omega % period] = periodic(omega, size)
+        alpha, beta, counts, swallows, colour, powers_up, torsor = known
+        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx} omega={omega}",)
+        if isinstance(swallows, AssertionError):
+            yield "swallow cycle structure", 1, (f"{ctx} omega={omega}: {swallows}",)
+            continue
         yield "swallow cycle structure", 1, () if swallows else (f"{ctx} omega={omega}",)
         factors = group_factors(s, eta, alpha, beta)
         order = factors[0] * factors[1]
@@ -585,25 +606,19 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
                     f"{nontrivial_text(by_s)} / {nontrivial_text(by_c)}"
                 )
         yield "group order equals live count", 1, failed
-        try:
-            color_preserving(s, omega, size, alpha, beta, shifts)
-        except AssertionError as exc:
-            failed = (f"{ctx} omega={omega}: {exc}",)
-        else:
-            failed = ()
+        failed = (f"{ctx} omega={omega}: {colour}",) if colour is not None else ()
         yield "color-preserving conditions agree", 1, failed
-        powers_up = words_at.get((alpha, beta))
-        if powers_up is None:
-            cut_slither, cut_coslither = table_words(s, alpha, beta)
-            powers_up = words_at[alpha, beta] = cyclically_equal(
-                cut_slither * (cosnake_count // beta), slither
-            ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
         yield "table slither power identity", 1, () if powers_up else (f"{ctx} omega={omega}",)
         # torsor of the finite table group: the walk of bar_beta successor
         # steps meets each of the bar_beta co-successor orbits once, each of
         # eta/bar_beta points; the image count checks the closed-form eta
-        # against the number of live residues
-        torsor = _is_torsor(s, size, beta, eta // beta)
+        # against the number of live residues.  Where bar_beta | eta both
+        # size checks are free of omega and the walk reads the table only
+        # through gcd(w, omega*m*n/P), so the verdict is kept per residue
+        if eta % beta:
+            torsor = _is_torsor(s, size, beta, eta // beta)
+        elif torsor is None:
+            torsor = known[6] = _is_torsor(s, size, beta, eta // beta)
         yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx} omega={omega}",)
 
 

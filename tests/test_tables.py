@@ -13,6 +13,7 @@ from snakescroll.tables import (
     predicted_counts,
     nontrivial,
     nontrivial_text,
+    omega_period,
     product_pair,
     swallow_shift,
     table_words,
@@ -27,6 +28,7 @@ from oracles import (
     successor,
     table_counts,
     vector,
+    walked_counts,
     walked_labels,
 )
 
@@ -280,6 +282,41 @@ def test_color_preserving_running_example():
         shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
         preserving = color_preserving(s, omega, size, *table_counts(s, omega), shifts)
         assert preserving == (omega % 6 == 0)
+
+
+def _periodic_values(s, omega: int) -> tuple:
+    """The cycle counts walked mod the table size, the swallow shifts and
+    the five colour-preserving conditions of the omega-fold table of s,
+    each condition in the test's own arithmetic."""
+    size, snakes, (deg_p1, codeg_p1) = omega * s.size, s.snakes, s.fundamental_degrees
+    alpha, beta = walked_counts(s, size)
+    shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
+    conditions = (
+        (alpha, beta) == (snakes.alpha, snakes.beta),
+        shifts == (0, 0),
+        snakes.alpha == alpha and snakes.beta == beta,
+        size % s.metrics.sigma == 0,
+        omega % (deg_p1 * codeg_p1) == 0,
+    )
+    return (alpha, beta), shifts, conditions
+
+
+def test_omega_period_repeats_the_walked_table_values():
+    # oracle: on every orbit with n <= 11, the counts walked mod the table
+    # size, the swallow shifts and the five colour conditions agree at
+    # omega and omega + P_omega, for every omega <= P_omega
+    orbits = [o for n in range(2, 12) for o in all_orbits(n)]
+    assert len(orbits) == 33
+    for s in orbits:
+        period = omega_period(s)
+        for omega in range(1, period + 1):
+            later = _periodic_values(s, omega + period)
+            assert _periodic_values(s, omega) == later, (s.seed, omega)
+
+
+def test_largest_omega_period():
+    # the largest P_omega of the orbits with n <= 16
+    assert max(omega_period(s) for n in range(2, 17) for s in all_orbits(n)) == 45
 
 
 def test_crossed_degree_divisibility():

@@ -1,6 +1,7 @@
 """The brute-force suite itself stays clean on small cycles."""
 
 import ast
+from collections import Counter
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -226,9 +227,10 @@ def _check(rep, name, condition, context, omega=0):
 
 def _reference_table_laws(s, omega_max, rep):
     """The table laws of `check_tables`, every value computed afresh at each
-    omega and each check recorded as it is made (`_check`): the swallow
-    shifts, the group factors and the table words are read through
-    `verify`, so a patch there reaches both."""
+    omega and each check recorded as it is made (`_check`): the lifted and
+    predicted counts, the swallow shifts, the group factors, the colour
+    conditions, the table words and the torsor are read through `verify`,
+    so a patch there reaches both."""
     ctx, met = f"n={s.n} seed={s.seed}", s.metrics
     deg_p1, codeg_p1 = s.fundamental_degrees
     _check(
@@ -244,8 +246,8 @@ def _reference_table_laws(s, omega_max, rep):
     snakes = s.snakes
     for omega in range(1, omega_max + 1):
         size, eta = omega * s.size, omega * s.live_count
-        alpha, beta = scroll.lifted_counts(s, size // len(s.unit))
-        counts = (alpha, beta) == tables.predicted_counts(s, omega)
+        alpha, beta = verify.lifted_counts(s, size // len(s.unit))
+        counts = (alpha, beta) == verify.predicted_counts(s, omega)
         _check(rep, "ouroboros counts match formula", counts, ctx, omega)
         try:
             shifts = verify.swallow_shift(s, 0, size), verify.swallow_shift(s, 1, size)
@@ -272,7 +274,7 @@ def _reference_table_laws(s, omega_max, rep):
             )
         law = "color-preserving conditions agree"
         try:
-            tables.color_preserving(s, omega, size, alpha, beta, shifts)
+            verify.color_preserving(s, omega, size, alpha, beta, shifts)
             _check(rep, law, True, ctx)
         except AssertionError as exc:
             rep.violations.append(f"{law}: {ctx} omega={omega}: {exc}")
@@ -306,27 +308,146 @@ def _breaking_swallows_and_words(monkeypatch):
     monkeypatch.setattr(verify, "table_words", longer)
 
 
-@pytest.mark.parametrize("breaking", [None, _breaking_swallows_and_words])
+def _breaking_counts_colour_and_torsor(monkeypatch):
+    # one more co-ouroboros lifted on every table whose size is a multiple
+    # of sigma, colour conditions that disagree wherever deg p_1 divides
+    # omega, named by the table size mod sigma, and a torsor walk rejected
+    # wherever bar_beta is even: each a function of omega mod P_omega, the
+    # key the counts, the colour verdict and the torsor are kept per
+    lifted, preserving, torsor = verify.lifted_counts, verify.color_preserving, verify._is_torsor
+
+    def one_more(s, fold):
+        alpha, beta = lifted(s, fold)
+        return alpha, beta + (fold * len(s.unit) % s.metrics.sigma == 0)
+
+    def disagreeing(s, omega, size, alpha, beta, shifts):
+        if omega % s.fundamental_degrees[0] == 0:
+            raise AssertionError(f"colour fault at size {size % s.metrics.sigma} mod sigma")
+        return preserving(s, omega, size, alpha, beta, shifts)
+
+    def rejecting(s, modulus, outer, inner):
+        return outer % 2 == 1 and torsor(s, modulus, outer, inner)
+
+    monkeypatch.setattr(verify, "lifted_counts", one_more)
+    monkeypatch.setattr(verify, "color_preserving", disagreeing)
+    monkeypatch.setattr(verify, "_is_torsor", rejecting)
+
+
+def _miscounted():
+    """The running example with 23 live residues, not 22 (as in
+    `test_a_wrong_live_count_fails_the_group_order_law`): at odd omega,
+    bar_beta (2, or 6 where 3 divides omega) does not divide
+    eta = 23*omega, so the table torsor runs unmemoized: it passes at
+    omega = 1 and 3, where bar_beta*(eta // bar_beta) = 22*omega, and fails
+    at omega = 7 and 9, one omega-period later, as at every other omega."""
+    s = orbit("00001010000")
+    vars(s)["live_count"] = 23
+    return s
+
+
+@pytest.mark.parametrize(
+    "breaking", [None, _breaking_swallows_and_words, _breaking_counts_colour_and_torsor]
+)
 def test_table_laws_match_a_reference_without_memo(breaking, monkeypatch):
-    # the swallow shifts (per table size mod sigma) and the table words
-    # (per (bar_alpha, bar_beta)) are computed once per key and orbit;
-    # every orbit with n <= 13 and omega <= 60 gets the passes, the
-    # violations in omega order and the evidence of a fresh evaluation at
-    # every omega, both on the true values and where both raise or fail
+    # every value but the group factors and the product-form evidence is
+    # computed once per orbit and omega mod P_omega (the torsor only where
+    # bar_beta | eta); every orbit with n <= 13 and omega <= 60, two
+    # omega-periods of each, gets the passes, the violations in omega
+    # order and the evidence of a fresh evaluation at every omega, both on
+    # the true values and where the values raise or fail.  A miscounted
+    # scroll, on its own, holds the torsor's unmemoized path to the same
+    broken = {
+        None: set(),
+        _breaking_swallows_and_words: {"swallow cycle structure", "table slither power identity"},
+        _breaking_counts_colour_and_torsor: set(OMEGA_LAWS),
+    }[breaking]
     if breaking:
         breaking(monkeypatch)
     scrolls = [o for n in range(2, 14) for o in all_orbits(n)]
     assert len(scrolls) == 68
+    assert max(map(tables.omega_period, scrolls)) == 28
+    miscounted = _miscounted()
+    assert tables.omega_period(miscounted) == 6
+    for group in (scrolls, [miscounted]):
+        got, want = VerificationReport(), VerificationReport()
+        for s in group:
+            check_tables(s, 60, got)
+            _reference_table_laws(s, 60, want)
+        assert got.passed == want.passed
+        assert list(got.passed) == list(want.passed)
+        assert got.violations == want.violations
+        assert got.product_form_failures == want.product_form_failures
+        assert got.same_side_degree_failures == want.same_side_degree_failures
+        if group is scrolls:
+            assert {v.split(":")[0] for v in got.violations} == broken
+    if not breaking:
+        torsor = "table torsor simple transitivity: n=11 seed=00001010000"
+        failed = [v for v in got.violations if v.startswith(torsor)]
+        assert failed == [f"{torsor} omega={omega}" for omega in range(2, 61) if omega != 3]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        # the successor's one cycle mod P = 7 read as winding 4, not 2:
+        # 4 / gcd(4, 11) = 4
+        lambda s: _windings(s, 0, [4]),
+        # sigma read as 84, not 42: 84 / gcd(84, 77) = 12
+        lambda s: _metrics(s, sigma=84),
+        # deg p_1 read as 4, not 2: deg p_1 * codeg p_1 = 12
+        lambda s: vars(s).update(fundamental_degrees=(4, 3)),
+    ],
+    ids=["winding", "sigma", "degree"],
+)
+def test_a_wrong_winding_sigma_or_degree_changes_the_omega_period(fault):
+    # P_omega is read off the values the laws read, so a fault in one of
+    # them moves it, here from 6 to 12, and the table laws still match a
+    # fresh evaluation at every omega over three of the new periods
+    s = orbit("00001010000")
+    s.snakes, s.cycle_lifts, s.swallow_orders
+    assert tables.omega_period(s) == 6
+    fault(s)
+    assert tables.omega_period(s) == 12
     got, want = VerificationReport(), VerificationReport()
-    for s in scrolls:
-        check_tables(s, 60, got)
-        _reference_table_laws(s, 60, want)
+    check_tables(s, 36, got)
+    _reference_table_laws(s, 36, want)
+    assert got.violations and got.violations == want.violations
     assert got.passed == want.passed
-    assert got.violations == want.violations
     assert got.product_form_failures == want.product_form_failures
-    assert got.same_side_degree_failures == want.same_side_degree_failures
-    broken = {"swallow cycle structure", "table slither power identity"} if breaking else set()
-    assert {v.split(":")[0] for v in got.violations} == broken
+
+
+def test_table_laws_evaluate_each_periodic_value_once_per_residue(monkeypatch):
+    # in `check_tables`, the counts are lifted and the table torsor walked
+    # once per orbit and omega mod P_omega, and the torsor again at each
+    # omega where bar_beta does not divide eta: over the 276 tables of
+    # n = 2..10, omega <= 12 there are 54 residues and no such omega
+    within, calls = [], Counter()
+    for name in ("lifted_counts", "_is_torsor"):
+
+        def counted(*args, name=name, original=getattr(verify, name)):
+            calls[name] += bool(within)
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    tables_check = verify.check_tables
+
+    def checked(s, omega_max, rep):
+        within.append(s)
+        tables_check(s, omega_max, rep)
+        within.pop()
+
+    monkeypatch.setattr(verify, "check_tables", checked)
+    rep = run_verification(2, 10, omega_max=12, extended=False)
+    assert not rep.violations
+    assert rep.passed["table torsor simple transitivity"] == 276
+    orbits = [o for n in range(2, 11) for o in all_orbits(n)]
+    omegas = range(1, 13)
+    residues = sum(len({omega % tables.omega_period(s) for omega in omegas}) for s in orbits)
+    undivided = sum(
+        omega * s.live_count % table_counts(s, omega)[1] > 0 for s in orbits for omega in omegas
+    )
+    assert (residues, undivided) == (54, 0)
+    assert calls == {"lifted_counts": residues, "_is_torsor": residues + undivided}
 
 
 def _torsor_shapes(count: int, law: tuple[int, int]):
