@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .cyclic import canonical_binary, exponent, least_period
 from .necklaces import necklaces_fixed_content
-from .slither import metrics_from_words, step_advance, words_from_row
+from .slither import metrics_from_words, step_advances, words_from_row
 
 
 class FeasibleQuadruple(NamedTuple):
@@ -126,9 +126,10 @@ def tape_period(ws: str, wc: str, size: int, n: int) -> str:
     co-slither wc.
 
     Tape index 0 is the live entry where both words start.  The live set
-    mod T_tape is read off the torsor and checked by `checked_period`.
+    mod T_tape is read off the torsor, on the letters' advances at width n
+    (`step_advances`) summed mod size, and checked by `checked_period`.
     """
-    advance = {letter: step_advance(letter, n) % size for letter in "EDSL"}
+    advance = step_advances(n)[0]
     # bit i of a mask is tape index i (0-based) mod size
     slither_mask, t = 0, 0
     for letter in ws:

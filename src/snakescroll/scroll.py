@@ -28,10 +28,10 @@ inverses.  A direction's letter pair is built in one pass
 advances, summed bytewise into one integer with one bit per candidate,
 give one code byte per residue, and two byte translations read both
 maps' letters off it.  Its advances are its letters mapped through one
-table per direction fixed by n (`Scroll.advance_tables`).  A step at t
-reads its letter and advance at (t - 1) mod P.  Only the laws of `verify`
-read the inverse steps, so a scroll that is only rendered or reported
-builds neither their letters nor advances.  The walk of one slither
+table per direction fixed by n, built once per n (`slither.step_advances`).
+A step at t reads its letter and advance at (t - 1) mod P.  Only the laws
+of `verify` read the inverse steps, so a scroll that is only rendered or
+reported builds neither their letters nor advances.  The walk of one slither
 (co-slither) from the first live index, its tape indices and letters, is
 read straight off the forward tables and kept once per scroll
 (`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
@@ -51,18 +51,19 @@ A cycle of a map mod P whose advances sum to w*P lifts to gcd(w, M/P)
 cycles mod M: the map commutes with the shift by P, so going once round
 the cycle moves each point of its fibre, a coset of P*Z/M*Z, by w*P, and
 the fibre splits into the gcd(w, M/P) orbits of that translation.  So the
-counts at any M are sums of gcds of the windings (`lifted_counts`), and
-`Scroll.snakes` is the pair (alpha, beta) at sigma.  The same covering
-places each point mod M on its cycle of each map: r + x*P, r < P with
-lift q on cycle i of winding w, lies on the lift numbered
+counts at any M are sums of gcds of the windings (`lifted_counts`).  The
+same covering places each point mod M on its cycle of each map: r + x*P,
+r < P with lift q on cycle i of winding w, lies on the lift numbered
 (x - q) mod gcd(w, M/P).  Snake (co-snake) (i, y) is named by its id,
-the first id of cycle i plus y (`Scroll.cycle_lifts`): the swallows read
-the ids through the covering, and the renderers alone spread them over
-the sigma residues (`Scroll.snake_labels`).  The torsor laws of `verify`
-walk only the successor mod M, stepping an offset v by the advance at
-v mod P, and read the co-successor orbits off the cycles mod P; its laws
-on snakes and co-snakes mod sigma read both off the cycles mod P and run
-on the live residues of the unit alone.  No law builds anything of size M.
+the first id of cycle i plus y (`Scroll.cycle_lifts`), so each map's ids
+run over 0..alpha-1 (0..beta-1), and `Scroll.snakes`, (alpha, beta), is
+read off the last cycle of each.  The swallows read the ids through the
+covering, and the renderers alone spread them over the sigma residues
+(`Scroll.snake_labels`).  The torsor laws of `verify` walk only the
+successor mod M, stepping an offset v by the advance at v mod P, and read
+the co-successor orbits off the cycles mod P; its laws on snakes and
+co-snakes mod sigma read both off the cycles mod P and run on the live
+residues of the unit alone.  No law builds anything of size M.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .cyclic import least_period
-from .slither import ScrollMetrics, metrics_from_row, step_advance
+from .slither import ScrollMetrics, metrics_from_row, step_advances
 
 _CHARS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 bytes to "0"/"1" characters
 
@@ -118,7 +119,7 @@ class SnakeCounts(NamedTuple):
 def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
     """One step letter per residue of the tape's least cyclic period, unit,
     for both maps of one direction, given the signed advance of each letter
-    in that direction (`Scroll.advance_tables`): the successor and
+    in that direction (`slither.step_advances`): the successor and
     co-successor, or their inverses.
 
     The candidates of a live residue r are r + advance[letter] for each
@@ -178,9 +179,10 @@ class Scroll:
         """m*n, the residues of the orbit: one table's worth per omega."""
         return self.m * self.n
 
-    @property
+    @cached_property
     def seed(self) -> str:
-        """The first row: X_1..X_n."""
+        """The first row: X_1..X_n, read by the reports and by each failure
+        context of `verify`."""
         n, period = self.n, self.period
         return (period * (n // len(period) + 1))[:n].translate(_CHARS).decode()
 
@@ -220,13 +222,6 @@ class Scroll:
         return met.p // gcd(met.p, size), met.q // gcd(met.q, size)
 
     @cached_property
-    def fundamental_counts(self) -> tuple[int, int]:
-        """The predicted (bar_alpha_1, bar_beta_1) of the omega = 1 table:
-        alpha / deg p_1 and beta / codeg p_1, alpha and beta read off the words."""
-        met, (deg_p1, codeg_p1) = self.metrics, self.fundamental_degrees
-        return len(met.coslither) // deg_p1, len(met.slither) // codeg_p1
-
-    @cached_property
     def unit_live(self) -> list[int]:
         """The residues r of the unit whose entry X_(r+1) is live, ascending:
         listed once, for `steps_are_maps`, the walks, the cycles and the
@@ -235,30 +230,22 @@ class Scroll:
         return list(compress(range(len(unit)), unit))
 
     @cached_property
-    def advance_tables(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Per step letter, its tape advance (`step_advance`), then its
-        negation, the advance of the inverse step: the one table of each
-        direction, fixed by n."""
-        forward = {x: step_advance(x, self.n) for x in "EDSL"}
-        return forward, {x: -d for x, d in forward.items()}
-
-    @cached_property
     def step_letters(self) -> tuple[str, str]:
         """Per residue of the unit, the letter of the successor, then of the
         co-successor, both from one pass (`_step_letters`)."""
-        return _step_letters(self.unit, self.advance_tables[0])
+        return _step_letters(self.unit, step_advances(self.n)[0])
 
     @cached_property
     def inverse_letters(self) -> tuple[str, str]:
         """Likewise the predecessor and co-predecessor; only the laws read them."""
-        return _step_letters(self.unit, self.advance_tables[1])
+        return _step_letters(self.unit, step_advances(self.n)[1])
 
     def _advances(self, direction: int, letters: tuple[str, str]) -> tuple[list, list]:
         """Per letter table of that direction, per residue of the unit, the
-        signed tape advance of its letter (`advance_tables`), or None where
-        the letter has none (a dead residue, or a count of live
+        signed tape advance of its letter (`slither.step_advances`), or None
+        where the letter has none (a dead residue, or a count of live
         candidates)."""
-        get = self.advance_tables[direction].get
+        get = step_advances(self.n)[direction].get
         first, second = letters
         return list(map(get, first)), list(map(get, second))
 
@@ -290,9 +277,10 @@ class Scroll:
 
     @cached_property
     def snakes(self) -> SnakeCounts:
-        """The numbers of snakes and co-snakes: the cycle counts of both maps
-        mod sigma, lifted from the windings mod P (`lifted_counts`)."""
-        return SnakeCounts(*lifted_counts(self, self.metrics.sigma // len(self.unit)))
+        """The numbers of snakes and co-snakes, the cycle counts of both maps
+        mod sigma: per map, the first id of its last cycle mod P plus that
+        cycle's number of lifts (`cycle_lifts`)."""
+        return SnakeCounts(*[sum(lifts[-1]) for lifts in self.cycle_lifts])
 
     @cached_property
     def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:

@@ -20,6 +20,7 @@ alpha_L, and beta and alpha, the two lengths.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -33,6 +34,15 @@ def step_advance(kind: str, n: int) -> int:
     """Tape advance of one step of the given type."""
     rows, cols = _STEP_SHAPE[kind]
     return rows * n + cols
+
+
+@functools.lru_cache(maxsize=None)
+def step_advances(n: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Per step letter, its tape advance (`step_advance`), then its
+    negation, the advance of the inverse step: the one table of each
+    direction, fixed by n, built once per n and shared, so never changed."""
+    forward = {x: step_advance(x, n) for x in "EDSL"}
+    return forward, {x: -d for x, d in forward.items()}
 
 
 def zero_blocks(row: str) -> tuple[tuple[int, ...], int]:

@@ -36,11 +36,11 @@ two, so its invariant factors are two gcds of its presentation
 (`group_factors`), whose product, the group's order, the group order law
 of `verify` compares with eta; the test suite's group oracle reads them
 off the steps reduced mod the table size instead.  Covering degrees
-(`Scroll.fundamental_degrees`), predicted counts (from
-`Scroll.fundamental_counts`) and swallows are closed forms in the scroll's
-metrics; the lifted cycle counts are what they are checked against.  A
-swallow's walk order does not depend on omega: it is the labels of the
-tape indices of the scroll's one co-slither (slither) walk
+(`Scroll.fundamental_degrees`), predicted counts (`predicted_counts`, from
+the word lengths and those degrees) and swallows are closed forms in the
+scroll's metrics; the lifted cycle counts are what they are checked
+against.  A swallow's walk order does not depend on omega: it is the
+labels of the tape indices of the scroll's one co-slither (slither) walk
 (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept once per scroll
 (`Scroll.swallow_orders`).  A snake is named by an id, read through the
 covering Z/sigma -> Z/P, never off an array of sigma entries: the offset
@@ -68,9 +68,11 @@ from .scroll import Scroll
 
 def predicted_counts(s: Scroll, omega: int) -> tuple[int, int]:
     """Closed-form (bar_alpha_omega, bar_beta_omega): alpha / deg p_1 and
-    beta / codeg p_1 at omega = 1, times gcd(deg p_1, omega), gcd(codeg p_1, omega)."""
-    (alpha_1, beta_1), (deg_p1, codeg_p1) = s.fundamental_counts, s.fundamental_degrees
-    return alpha_1 * gcd(deg_p1, omega), beta_1 * gcd(codeg_p1, omega)
+    beta / codeg p_1 at omega = 1, alpha and beta read off the words, times
+    gcd(deg p_1, omega) and gcd(codeg p_1, omega)."""
+    met, (deg_p1, codeg_p1) = s.metrics, s.fundamental_degrees
+    alpha, beta = len(met.coslither), len(met.slither)
+    return alpha // deg_p1 * gcd(deg_p1, omega), beta // codeg_p1 * gcd(codeg_p1, omega)
 
 
 def omega_period(s: Scroll) -> int:
@@ -108,14 +110,6 @@ def nontrivial(pair: tuple[int, int]) -> tuple[int, ...]:
     """The invariant factors above 1 of a pair d | l."""
     d, l = pair
     return (d, l) if d > 1 else (l,) if l > 1 else ()
-
-
-def nontrivial_text(pair: tuple[int, int]) -> str:
-    """`nontrivial(pair)` written as Python writes that tuple, for evidence
-    strings: formatted from the two integers, in about half the time of
-    formatting the tuple."""
-    d, l = pair
-    return f"({d}, {l})" if d > 1 else f"({l},)" if l > 1 else "()"
 
 
 def product_pair(a: int, b: int) -> tuple[int, int]:

@@ -50,7 +50,7 @@ from .sums import col_scale, sum_vector
 from .tables import (
     color_preserving,
     group_factors,
-    nontrivial_text,
+    nontrivial,
     omega_period,
     predicted_counts,
     product_pair,
@@ -533,19 +533,22 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
     """The laws of `check_tables` on s, each yielded once per omega as
     (law, 1, failure contexts), in law order; the evidence lists of rep
     are appended to as the tables are read."""
-    ctx = f"n={s.n} seed={s.seed}"
+
+    def ctx() -> str:
+        return f"n={s.n} seed={s.seed}"
+
     reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
     if reason:
-        yield "table laws skipped", 0, (f"{ctx}: {reason}",)
+        yield "table laws skipped", 0, (f"{ctx()}: {reason}",)
         return
     met = s.metrics
 
     deg_p1, codeg_p1 = s.fundamental_degrees
     crossed = met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0
-    yield "crossed degree divisibility", 1, () if crossed else (ctx,)
+    yield "crossed degree divisibility", 1, () if crossed else (ctx(),)
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
-            f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
+            f"{ctx()}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
         )
 
     slither, coslither = met.slither, met.coslither
@@ -588,27 +591,27 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
         if known is None:
             known = memo[omega % period] = periodic(omega, size)
         alpha, beta, counts, swallows, colour, powers_up, torsor = known
-        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx} omega={omega}",)
+        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx()} omega={omega}",)
         if isinstance(swallows, AssertionError):
-            yield "swallow cycle structure", 1, (f"{ctx} omega={omega}: {swallows}",)
+            yield "swallow cycle structure", 1, (f"{ctx()} omega={omega}: {swallows}",)
             continue
-        yield "swallow cycle structure", 1, () if swallows else (f"{ctx} omega={omega}",)
+        yield "swallow cycle structure", 1, () if swallows else (f"{ctx()} omega={omega}",)
         factors = group_factors(s, eta, alpha, beta)
         order = factors[0] * factors[1]
         if order != eta:
-            failed = (f"{ctx} omega={omega}: group order {order} != live count {eta}",)
+            failed = (f"{ctx()} omega={omega}: group order {order} != live count {eta}",)
         else:
             failed = ()
             by_s, by_c = product_pair(alpha, eta // alpha), product_pair(beta, eta // beta)
             if not factors == by_s == by_c:
                 product_failures.append(
-                    f"{ctx} omega={omega}: factors {nontrivial_text(factors)}, products "
-                    f"{nontrivial_text(by_s)} / {nontrivial_text(by_c)}"
+                    f"{ctx()} omega={omega}: factors {nontrivial(factors)}, products "
+                    f"{nontrivial(by_s)} / {nontrivial(by_c)}"
                 )
         yield "group order equals live count", 1, failed
-        failed = (f"{ctx} omega={omega}: {colour}",) if colour is not None else ()
+        failed = (f"{ctx()} omega={omega}: {colour}",) if colour is not None else ()
         yield "color-preserving conditions agree", 1, failed
-        yield "table slither power identity", 1, () if powers_up else (f"{ctx} omega={omega}",)
+        yield "table slither power identity", 1, () if powers_up else (f"{ctx()} omega={omega}",)
         # torsor of the finite table group: the walk of bar_beta successor
         # steps meets each of the bar_beta co-successor orbits once, each of
         # eta/bar_beta points; the image count checks the closed-form eta
@@ -619,7 +622,7 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
             torsor = _is_torsor(s, size, beta, eta // beta)
         elif torsor is None:
             torsor = known[6] = _is_torsor(s, size, beta, eta // beta)
-        yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx} omega={omega}",)
+        yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx()} omega={omega}",)
 
 
 def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:

@@ -203,6 +203,22 @@ def test_construct_rejects_mismatched_words():
         construct_first_row("EEE", "S", 7)  # beta_D = 0, not 2 alpha - 1 = 1
 
 
+def test_construct_rejects_a_bad_letter_in_either_word():
+    # the counts of each pair ignore its bad letter and pass, so only the
+    # letter check keeps the letter from the advance table
+    for ws, wc in (("DEEX", "S"), ("DDDEE", "SX")):
+        with pytest.raises(ValueError, match="must be over D/E"):
+            construct_first_row(ws, wc, 6)
+
+
+def test_construct_count_messages_name_the_counts():
+    with pytest.raises(ValueError, match="^slither has 3 D; a co-slither of length 3 needs 5$"):
+        construct_first_row("EDEDED", "SSS", 11)
+    counts = r"^letter counts give 2E \+ 3S \+ 4L = 7, not n \+ 1 = 8$"
+    with pytest.raises(ValueError, match=counts):
+        construct_first_row("DEE", "S", 7)
+
+
 def _least_rotation(word: str) -> str:
     return min(word[k:] + word[:k] for k in range(len(word)))
 

@@ -82,6 +82,12 @@ def test_construct_period_lambda_small_grid():
         assert sum_vector(s).lam == lam
 
 
+def test_lambda_one_seeds():
+    # the quadruple the lambda = 1 seed picker takes, pinned by its seed
+    seeds = [construct_period_lambda(1, k).seed for k in range(4, 8)]
+    assert seeds == ["1000", "10010", "100000", "1000100"]
+
+
 def test_every_n_has_a_coprime_col_scale_pair():
     # the lambda = 1 seed is built from the first feasible quadruple whose
     # ColScale, beta_D + 2 beta_E, is coprime to n, and one always exists:
