@@ -32,7 +32,7 @@ table per direction fixed by n, built once per n (`slither.step_advances`).
 A step at t reads its letter and advance at (t - 1) mod P.  Only the laws
 of `verify` read the inverse steps, so a scroll that is only rendered or
 reported builds neither their letters nor advances.  The walk of one slither
-(co-slither) from the first live index, its tape indices and letters, is
+(co-slither) from the first live offset, its offsets t - 1 and letters, is
 read straight off the forward tables and kept once per scroll
 (`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
 the swallows and the orbit report read it.
@@ -57,8 +57,10 @@ r < P with lift q on cycle i of winding w, lies on the lift numbered
 (x - q) mod gcd(w, M/P).  Snake (co-snake) (i, y) is named by its id,
 the first id of cycle i plus y (`Scroll.cycle_lifts`), so each map's ids
 run over 0..alpha-1 (0..beta-1), and `Scroll.snakes`, (alpha, beta), is
-read off the last cycle of each.  The swallows read the ids through the
-covering, and the renderers alone spread them over the sigma residues
+read off the last cycle of each.  One method reads an offset's id through
+the covering (`Scroll.ids`): the swallows read it at the walks' offsets
+and below them, the near-row law of `verify` at the offsets of a row
+span, and the renderers alone spread it over the sigma residues
 (`Scroll.snake_labels`).  The torsor laws of `verify` walk only the
 successor mod M, stepping an offset v by the advance at v mod P, and read
 the co-successor orbits off the cycles mod P; its laws on snakes and
@@ -310,8 +312,8 @@ class Scroll:
         its first snake (co-snake) and its number of lifts mod sigma,
         g_i = gcd(w_i, sigma/P): snake (i, y), y < g_i, has id first_i + y,
         so the ids of each map run over 0..alpha-1 (0..beta-1), cycle by
-        cycle.  The one definition of a snake's name: the swallows, the
-        laws of `verify` on snakes mod sigma and `snake_labels` read it."""
+        cycle.  The one definition of a snake's name: `ids`, the snake
+        counts and the laws of `verify` on snakes mod sigma read it."""
         fold = self.metrics.sigma // len(self.unit)
         tables = []
         for windings in self.windings:
@@ -319,30 +321,41 @@ class Scroll:
             tables.append(list(zip(accumulate(lifts, initial=0), lifts)))
         return tuple(tables)
 
+    def ids(self, which: int, offsets: list[int]) -> list[int]:
+        """The snake (which = 0) or co-snake (1) id of each live offset t - 1
+        of offsets, any integer, in or out of [0, sigma): offset r + x*P,
+        r < P with lift q on cycle i of that map mod P, lies on lift
+        (x - q) mod g_i of the cycle, id first_i + (x - q) mod g_i
+        (`cycle_lifts`).  The one reader of a snake's name through the
+        covering Z/sigma -> Z/P."""
+        period = len(self.unit)
+        cycle, _, lift, _ = self.period_cycles[which]
+        lifts = self.cycle_lifts[which]
+        ids = []
+        for v in offsets:
+            r = v % period
+            first, g = lifts[cycle[r]]
+            ids.append(first + (v // period - lift[r]) % g)
+        return ids
+
     @cached_property
     def snake_labels(self) -> tuple[list, list]:
         """Per tape index t mod sigma, the id of its snake (then its
-        co-snake), None where dead: its offset t - 1 = r + x*P, r < P with
-        lift q on cycle i, lies on snake first_i + (x - q) mod g_i
-        (`cycle_lifts`).  Only the renderers read these arrays of sigma
-        entries."""
+        co-snake), None where dead: the id of its offset t - 1 (`ids`).
+        Only the renderers read these arrays of sigma entries."""
         period = len(self.unit)
-        fold = self.metrics.sigma // period
-        labels = []
-        for (cycle, _, lift, _), lifts in zip(self.period_cycles, self.cycle_lifts):
-            on = [(r, *lifts[cycle[r]], lift[r]) for r in self.unit_live]
-            ids = [None] * (fold * period)
-            for x in range(fold):
-                base = x * period
-                for r, first, g, q in on:
-                    ids[base + r] = first + (x - q) % g
-            labels.append(ids[-1:] + ids[:-1])  # the id of offset t - 1, at t
-        return tuple(labels)
+        size = self.metrics.sigma // period * period
+        offsets = [r + x for x in range(0, size, period) for r in self.unit_live]
+        labels = [None] * size, [None] * size
+        for which, ids in enumerate(labels):
+            for v, i in zip(offsets, self.ids(which, offsets)):
+                ids[(v + 1) % size] = i
+        return labels
 
     @cached_property
     def slither_walk(self) -> tuple[list[int], str]:
-        """The tape indices and letters of beta successor steps from the
-        first live index: a slither meets each co-snake once."""
+        """The offsets and letters of beta successor steps from the first
+        live offset: a slither meets each co-snake once."""
         return self._walk(0, self.snakes.beta)
 
     @cached_property
@@ -351,54 +364,31 @@ class Scroll:
         return self._walk(1, self.snakes.alpha)
 
     @cached_property
-    def swallow_lifts(self) -> tuple[list, list]:
-        """Per tape index k of the co-slither walk, offset k - 1 = r + x*P
-        with r on successor cycle i and lift q, the first id and lift count
-        of that cycle (`cycle_lifts`) and the lift (x - q) mod g_i its snake
-        is; then likewise for the slither walk and the co-successor: what
-        every swallow (co-swallow) reads."""
-        period = len(self.unit)
-        lifts = []
-        for (cycle, _, lift, _), tables, (indices, _) in zip(
-            self.period_cycles, self.cycle_lifts, (self.coslither_walk, self.slither_walk)
-        ):
-            on_walk = []
-            for k in indices:
-                x, r = divmod(k - 1, period)
-                first, g = tables[cycle[r]]
-                on_walk.append((first, g, (x - lift[r]) % g))
-            lifts.append(on_walk)
-        return tuple(lifts)
-
-    @cached_property
     def swallow_orders(self) -> tuple[tuple, tuple]:
-        """The snake ids at the co-slither walk's tape indices, then the
-        co-snake ids at the slither walk's (`swallow_lifts`): each walk
-        meets each of its snakes (co-snakes) once, so these are the ids in
-        the cyclic order every swallow (co-swallow) permutes, whatever the
-        table."""
-        orders = []
-        for lifts in self.swallow_lifts:
-            order = tuple([first + y for first, _, y in lifts])
-            if len(set(order)) != len(order):
-                raise AssertionError("step map does not traverse all labels once")
-            orders.append(order)
-        return tuple(orders)
+        """The snake ids at the co-slither walk's offsets, then the co-snake
+        ids at the slither walk's (`ids`): each walk meets each of its
+        snakes (co-snakes) once, so these are the ids in the cyclic order
+        every swallow (co-swallow) permutes, whatever the table."""
+        walks = self.coslither_walk, self.slither_walk
+        orders = tuple([tuple(self.ids(which, walk[0])) for which, walk in enumerate(walks)])
+        if any(len(set(order)) != len(order) for order in orders):
+            raise AssertionError("step map does not traverse all labels once")
+        return orders
 
     def _walk(self, step: int, count: int) -> tuple[list[int], str]:
-        """The tape indices and letters of count steps of the successor
-        (step 0) or co-successor (1) from the first live index, read off
+        """The offsets t - 1 and letters of count steps of the successor
+        (step 0) or co-successor (1) from the first live offset, read off
         the step advances and letters.  Both walks read `snakes` for their
         count first, and its cycles (`period_cycles`) raise on a live
         residue without an advance and on a step onto a dead one, so a
         walk meets an advance at every step."""
         advances, letters = self.step_advances[step], self.step_letters[step]
         period = len(letters)
-        t, indices = self.unit_live[0] + 1, []
+        v, offsets = self.unit_live[0], []
         for _ in range(count):
-            indices.append(t)
-            t += advances[(t - 1) % period]
-        return indices, "".join([letters[(t - 1) % period] for t in indices])
+            offsets.append(v)
+            v += advances[v % period]
+        return offsets, "".join([letters[v % period] for v in offsets])
 
     def _step(self, map_index: int, t: int, what: str) -> tuple[int, str]:
         letters = self.step_letters[map_index]

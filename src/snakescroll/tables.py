@@ -40,18 +40,17 @@ off the steps reduced mod the table size instead.  Covering degrees
 the word lengths and those degrees) and swallows are closed forms in the
 scroll's metrics; the lifted cycle counts are what they are checked
 against.  A swallow's walk order does not depend on omega: it is the
-labels of the tape indices of the scroll's one co-slither (slither) walk
+ids at the offsets of the scroll's one co-slither (slither) walk
 (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept once per scroll
 (`Scroll.swallow_orders`).  A snake is named by an id, read through the
 covering Z/sigma -> Z/P, never off an array of sigma entries: the offset
-r + x*P, r < P with lift q on cycle i of the map mod P, lies on lift
-y = (x - q) mod g_i, g_i = gcd(w_i, sigma/P), of that cycle, and has id
-first_i + y, each cycle keeping its first id and g_i
-(`Scroll.cycle_lifts`).  Each walk index is placed on its lift once per
-scroll (`Scroll.swallow_lifts`), and a swallow reads the id of each
-index's image, less the table size, at lift y - size/P.  Only the
+r + x*P, any integer x, r < P with lift q on cycle i of the map mod P,
+lies on lift (x - q) mod g_i, g_i = gcd(w_i, sigma/P), of that cycle, and
+has id first_i plus that lift, each cycle keeping its first id and g_i
+(`Scroll.cycle_lifts`).  `Scroll.ids` is the one reader of that rule: a
+swallow reads it at each walk offset less the table size.  Only the
 renderers build the id arrays mod sigma (`Scroll.snake_labels`), from the
-same table.
+same method.
 
 No table record is kept: a table is its scroll and omega.  The `orbit`
 command's report (`report.orbit_report`) and renderers (`render`) take
@@ -91,15 +90,13 @@ def omega_period(s: Scroll) -> int:
 def swallow_shift(s: Scroll, which: int, size: int) -> int:
     """The uniform shift k of the swallow (which = 0) or co-swallow (1) of
     the table of size residues, a multiple of P = len(s.unit): the snake of
-    each tape index of the co-slither (slither) walk maps to the snake of
-    that index minus size, translation by the table size commuting with
-    both steps.  An index on lift y of its cycle i lies, less size, on lift
-    (y - size/P) mod g_i, so its id first_i + y maps to
-    first_i + (y - size/P) mod g_i (`Scroll.swallow_lifts`).  The images
-    must be the ids' cyclic order (`Scroll.swallow_orders`) rotated by k."""
-    order, lifts = s.swallow_orders[which], s.swallow_lifts[which]
-    back = size // len(s.unit)
-    image = tuple([first + (y - back) % g for first, g, y in lifts])
+    each offset v of the co-slither (slither) walk maps to the snake of
+    v - size, translation by the table size commuting with both steps, both
+    read as ids (`Scroll.ids`).  The images must be the ids' cyclic order
+    (`Scroll.swallow_orders`) rotated by k."""
+    order = s.swallow_orders[which]
+    offsets = (s.coslither_walk, s.slither_walk)[which][0]
+    image = tuple(s.ids(which, [v - size for v in offsets]))
     shift = order.index(image[0])
     if image != order[shift:] + order[:shift]:
         raise AssertionError("swallow permutation is not a uniform shift")

@@ -18,11 +18,12 @@ Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
 tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
 (`Scroll.period_cycles`) through the covering Z/M -> Z/P, so each orbit
 walks its maps once, mod P, on the offsets t - 1 its steps read; the
-swallows read the snake ids mod sigma through the same covering, per
-cycle mod P its first id and its number of lifts.  A failure is named by
-its tape index, offset plus one, mod P plus whole laps.  The closed form
-T_tape is compared with P, and never used as a modulus.  The tests hold
-each such law to an oracle that steps the maps mod M.
+swallows and the near-row law read the snake ids mod sigma through the
+same covering (`Scroll.ids`), per cycle mod P its first id and its number
+of lifts.  A failure is named by its tape index, offset plus one, mod P
+plus whole laps.  The closed form T_tape is compared with P, and never
+used as a modulus.  The tests hold each such law to an oracle that steps
+the maps mod M.
 
 Classification completeness compares, for each n, the least tape periods
 of the simulated orbits (`Scroll.unit`, in its least rotation), collected
@@ -355,7 +356,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         return
 
     # step-word simulation agreement (slither and co-slither), on the
-    # scroll's walks from the first live index, which the swallows reuse
+    # scroll's walks from the first live offset, which the swallows reuse
     for law, (_, simulated), word in (
         ("slither matches simulation", s.slither_walk, ws),
         ("co-slither matches simulation", s.coslither_walk, wc),
@@ -374,19 +375,17 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     fold = met.sigma // period
     (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, _) = s.period_cycles
     s_lifts, c_lifts = s.cycle_lifts  # per cycle, its first id and g
-    # each live v < P is read once for the three laws below: its place on
-    # its successor cycle (by index), its co-snake's first id, lift and g,
-    # and its key for the fibers
+    # each live v < P is read once for the laws below: its place on its
+    # successor cycle (by index) and its key for the fibers
     members = [[None] * length for length, _ in s_cycles]
     positions = [[None] * length for length, _ in s_cycles]
-    cosnake, keys, looped = [], [], False
+    keys, looped = [], False
     for v in live:
-        i, j, q, cq = s_cycle[v], c_cycle[v], s_lift[v], c_lift[v]
+        i, j, q = s_cycle[v], c_cycle[v], s_lift[v]
         k = s_index[v]
         members[i][k], positions[i][k] = v, v + q * period
-        g, (first, h) = s_lifts[i][1], c_lifts[j]
-        cosnake.append((first, cq, h))
-        keys.append((i, j, (q - cq) % gcd(g, h)))
+        g, h = s_lifts[i][1], c_lifts[j][1]
+        keys.append((i, j, (q - c_lift[v]) % gcd(g, h)))
         looped = looped or lcm(g, h) < fold
 
     # linearity of iterated successor advance: on a cycle of length l and
@@ -413,15 +412,14 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
 
     # co-snake distinctness within one row span: no live offset x < P shares
     # its co-snake with a live y, x < y < x + n (by the shift by P, every
-    # pair is such a pair shifted).  x = v + j*P, v < P on co-successor
-    # cycle i with lift q, lies on the co-snake of id first_i + (j - q) mod g_i.
-    # The live offsets of [0, P + n - 1) are listed ascending with their
-    # co-snakes; each x < P is compared with the offsets up to x + n
-    span, label = [], []
+    # pair is such a pair shifted).  The live offsets of [0, P + n - 1) are
+    # listed ascending with their co-snake ids (`Scroll.ids`); each x < P is
+    # compared with the offsets up to x + n
+    span = []
     for j in range((period + n - 2) // period + 1):  # laps of P up to P + n - 1
         cut = bisect_left(live, period + n - 1 - j * period)
         span += [v + j * period for v in live[:cut]]
-        label += [first + (j - q) % g for first, q, g in cosnake[:cut]]
+    label = s.ids(1, span)
     near, shared = 0, []
     for a, x in enumerate(live):
         b = bisect_left(span, x + n)

@@ -1,7 +1,7 @@
 """Cycles of the step maps mod the tape period, and the labels and counts
 read off them mod sigma and mod a table's size."""
 
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import pytest
 
@@ -10,7 +10,15 @@ from snakescroll.render import ansi_table, svg_table
 from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, walk_cycles
 
-from oracles import live_residues, relabelled, vector, walked_counts, walked_labels
+from oracles import (
+    co_successor,
+    live_residues,
+    relabelled,
+    successor,
+    vector,
+    walked_counts,
+    walked_labels,
+)
 
 
 def _labels(row: list, fold: int = 1) -> list:
@@ -29,6 +37,7 @@ def _labels(row: list, fold: int = 1) -> list:
     )
     s.windings = Scroll.windings.func(s)
     s.cycle_lifts = Scroll.cycle_lifts.func(s)
+    s.ids = MethodType(Scroll.ids, s)
     snake, cosnake = Scroll.snake_labels.func(s)
     assert cosnake == snake
     # the ids of each map are 0, 1, ..: one per snake
@@ -95,7 +104,8 @@ def test_lift_labels_match_walked_cycles():
     # offset k - 1 = r + x*P with r on cycle i and lift q, is given the id
     # first_i + (x - q) mod g_i of that cycle's lifts; the ids partition
     # the live residues as the snakes (co-snakes) walked mod sigma do, one
-    # id per lift, and the swallows' walk lifts read the same ids
+    # id per lift, and the swallow orders read the same ids at the walks'
+    # offsets
     orbits = 0
     for n in range(2, 14):
         for s in all_orbits(n):
@@ -112,10 +122,44 @@ def test_lift_labels_match_walked_cycles():
                 assert sum(g for _, g in lifts) == len(set(labels) - {None})
                 reads.append(read)
             walks = s.coslither_walk[0], s.slither_walk[0]
-            for on_walk, ids, indices in zip(s.swallow_lifts, reads, walks):
-                assert [first + y for first, _, y in on_walk] == [ids[k % sigma] for k in indices]
+            for order, ids, offsets in zip(s.swallow_orders, reads, walks):
+                assert list(order) == [ids[(v + 1) % sigma] for v in offsets]
             orbits += 1
     assert orbits == 68
+
+
+def test_ids_match_walked_cycles_below_and_past_sigma():
+    # oracle: on every orbit with n <= 13, the snake (co-snake) ids of the
+    # live offsets v in [-2 sigma, 2 sigma), tape indices v + 1, partition
+    # them as the cycles walked mod sigma do, and run over 0..alpha-1
+    # (0..beta-1).  The swallows read offsets below 0
+    orbits = 0
+    for n in range(2, 14):
+        for s in all_orbits(n):
+            sigma, bits = s.metrics.sigma, vector(s)
+            offsets = [v for v in range(-2 * sigma, 2 * sigma) if bits[v % len(bits)]]
+            for which, labels in enumerate(walked_labels(s, sigma)):
+                ids = s.ids(which, offsets)
+                assert relabelled(ids) == relabelled([labels[(v + 1) % sigma] for v in offsets])
+                assert set(ids) == set(range(s.snakes[which])), s.seed
+            orbits += 1
+    assert orbits == 68
+
+
+def test_walks_are_the_oracle_steps_from_the_first_live_offset():
+    # the slither (co-slither) walk of every orbit with n <= 13 is beta
+    # successor (alpha co-successor) steps from the first live offset,
+    # kept as offsets t - 1
+    for n in range(2, 14):
+        for s in all_orbits(n):
+            for (offsets, _), step, count in zip(
+                (s.slither_walk, s.coslither_walk), (successor, co_successor), s.snakes[::-1]
+            ):
+                t, stepped = vector(s).index(1) + 1, []
+                for _ in range(count):
+                    stepped.append(t - 1)
+                    t = step(s, t)
+                assert offsets == stepped, s.seed
 
 
 def test_lifted_counts_match_walked_cycles():

@@ -87,10 +87,17 @@ def test_swallow_rejects_a_non_uniform_shift():
     # ids 0, 1, 2 in order, swallowed onto 0, 2, 1: the walk meets the one
     # snake of a cycle of one lift (first id 0), then lifts 0 and 1 of a
     # cycle of two (first id 1), which swap less size/P = 11 laps, an odd
-    # number; (0, 2, 1) is no rotation of the order
-    assert s.size == 77 and len(s.unit) == 7
-    # both maps' walk lifts are replaced: the orders are built together
-    vars(s)["swallow_lifts"] = ([(0, 1, 0), (1, 2, 0), (1, 2, 1)],) * 2
+    # number; (0, 2, 1) is no rotation of the order.  Live residue 4 is on
+    # the first cycle and 6 on the second, both at lift 0, and the walk is
+    # offsets 4, 6 and 6 + 7
+    assert s.size == 77 and len(s.unit) == 7 and s.unit_live == [4, 6]
+    cycle, lift = [None] * 7, [None] * 7
+    cycle[4], cycle[6], lift[4], lift[6] = 0, 1, 0, 0
+    # both maps' cycles, lifts and walks are replaced: the orders are built
+    # together
+    vars(s)["period_cycles"] = ((cycle, None, lift, None),) * 2
+    vars(s)["cycle_lifts"] = ([(0, 1), (1, 2)],) * 2
+    vars(s)["coslither_walk"] = vars(s)["slither_walk"] = [4, 6, 13], ""
     assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))
     with pytest.raises(AssertionError, match="not a uniform shift"):
         swallow_shift(s, 0, s.size)

@@ -1139,11 +1139,12 @@ def _one_more_live_residue(s):
 
 @pytest.mark.parametrize("breaking", [_identity_co_successor, _one_more_live_residue])
 def test_a_broken_table_torsor_is_a_violation(breaking):
-    # the counts, the walk lifts the swallows read and the check that the
-    # steps are maps are built from the true scroll; only the table torsor
-    # reads the broken co-successor cycles or live residues
+    # the counts, the swallow orders and the check that the steps are maps
+    # are built from the true scroll; only the table torsor reads the broken
+    # co-successor cycles or live residues (the identity cycles keep each
+    # live residue's cycle and lift, so the swallows' ids are the true ones)
     s = orbit("00001010000")
-    s.windings, s.swallow_lifts, s.steps_are_maps
+    s.windings, s.swallow_orders, s.steps_are_maps
     breaking(s)
     rep = VerificationReport()
     check_tables(s, 1, rep)
@@ -1204,12 +1205,12 @@ def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
 
 
 def test_a_walk_meeting_a_snake_twice_fails_the_swallow_law():
-    # every co-snake lift of the slither walk read as its first: the walk
-    # meets one co-snake six times, so the swallow orders raise, and each
-    # omega records that as its swallow violation and checks nothing after
+    # every offset of the slither walk read as its first: the walk meets one
+    # co-snake six times, so the swallow orders raise, and each omega
+    # records that as its swallow violation and checks nothing after
     s = orbit("00001010000")
-    coswallow = s.swallow_lifts[1]
-    vars(s)["swallow_lifts"] = s.swallow_lifts[0], [coswallow[0]] * len(coswallow)
+    offsets, letters = s.slither_walk
+    vars(s)["slither_walk"] = [offsets[0]] * len(offsets), letters
     rep = VerificationReport()
     check_tables(s, 2, rep)
     assert rep.violations == [
@@ -1373,12 +1374,16 @@ def test_a_wrong_simulated_winding_fails_the_color_law():
 
 def test_a_uniform_swallow_of_the_wrong_cycle_type_fails_the_swallow_law():
     # the six co-snakes read as one cycle of six lifts met in order 0..5 by
-    # the slither walk: the co-swallow of a table of 77*omega residues is
-    # still a uniform shift, by omega mod 6, but at omega = 1 its shift 1
-    # has gcd(1, 6) = 1 cycles where bar_beta_1 = 2; at omega = 2, shift 2
-    # has the 2 that bar_beta_2 is
+    # the slither walk: each co-successor cycle mod P = 7 read as six lifts
+    # from id 0, and the walk as offsets 4 + 7y, y < 6, on the cycle of the
+    # least live residue 4, whose lift is 0.  The co-swallow of a table of
+    # 77*omega residues is still a uniform shift, by omega mod 6, but at
+    # omega = 1 its shift 1 has gcd(1, 6) = 1 cycles where bar_beta_1 = 2;
+    # at omega = 2, shift 2 has the 2 that bar_beta_2 is
     s = orbit("00001010000")
-    vars(s)["swallow_lifts"] = (s.swallow_lifts[0], [(0, 6, y) for y in range(6)])
+    assert s.unit_live[0] == 4 and len(s.unit) == 7
+    vars(s)["cycle_lifts"] = s.cycle_lifts[0], [(0, 6)] * 2
+    vars(s)["slither_walk"] = [4 + 7 * y for y in range(6)], s.slither_walk[1]
     assert [swallow_shift(s, 1, 77 * omega) for omega in (1, 2)] == [1, 2]
     rep = VerificationReport()
     check_tables(s, 2, rep)
