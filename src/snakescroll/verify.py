@@ -10,9 +10,11 @@ the only writer of `passed` and `violations`, counts its passes; a
 context string is built only for a check that fails.  `check_scroll`
 yields one entry per law and orbit, and a law that passes builds no
 context, no tape index list and no sorted or counted failure set.
-`check_tables` yields one entry per law and omega: a table is its scroll
-and omega, and each law reads the table's scalars off `tables`' scalar
-cores.
+`check_tables` yields one entry per law for each run of omegas where
+all its laws pass, and one per law at each omega with a failure: a table
+is its scroll and omega, and each law reads the table's scalars off
+`tables`' scalar cores.  Evidence (not violations) is kept as records,
+formatted only when read.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
 tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
@@ -65,6 +67,41 @@ from .tables import (
 Law = tuple[str, int, Sequence[str]]
 
 
+class SameSideDegreeFailure(NamedTuple):
+    """An orbit where deg(p_1) does not divide deg, or codeg(p_1) codeg."""
+
+    n: int
+    seed: str
+    deg_p1: int
+    deg: int
+    codeg_p1: int
+    codeg: int
+
+    def __str__(self) -> str:
+        return (
+            f"n={self.n} seed={self.seed}: deg(p1)={self.deg_p1} deg={self.deg} "
+            f"codeg(p1)={self.codeg_p1} codeg={self.codeg}"
+        )
+
+
+class ProductFormFailure(NamedTuple):
+    """A table whose invariant factors are not both product pairs."""
+
+    n: int
+    seed: str
+    omega: int
+    factors: tuple[int, int]
+    by_snakes: tuple[int, int]
+    by_cosnakes: tuple[int, int]
+
+    def __str__(self) -> str:
+        return (
+            f"n={self.n} seed={self.seed} omega={self.omega}: factors "
+            f"{nontrivial(self.factors)}, products {nontrivial(self.by_snakes)} / "
+            f"{nontrivial(self.by_cosnakes)}"
+        )
+
+
 class _ReportFields(NamedTuple):
     # checks passed per law, tallied once per law and orbit; a law gets its
     # key with its first pass, so a law that never passed has none
@@ -75,12 +112,12 @@ class _ReportFields(NamedTuple):
     # recorded evidence, not violations: orbits where the same-side degree
     # divisibility deg(p_1) | deg fails (the crossed divisibility
     # deg(p_1) | codeg, codeg(p_1) | deg is the one that always holds)
-    same_side_degree_failures: list[str]
+    same_side_degree_failures: list[SameSideDegreeFailure]
     # tables whose group is not the direct product Z_bar_alpha x Z_(eta/bar_alpha)
     # (resp. the co-ouroboros product); the presentation's closed-form
     # invariants are the ground truth, and the test suite checks them
     # against a torsor oracle
-    product_form_failures: list[str]
+    product_form_failures: list[ProductFormFailure]
 
 
 class VerificationReport(_ReportFields):
@@ -495,17 +532,40 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     yield "fibers are residues mod sigma", fold * len(live), failed
 
 
+# the laws `check_tables` checks at each omega, in the order it yields them
+_OMEGA_LAWS = (
+    "ouroboros counts match formula",
+    "swallow cycle structure",
+    "group order equals live count",
+    "color-preserving conditions agree",
+    "table slither power identity",
+    "table torsor simple transitivity",
+)
+
+
+def _passes(omegas: int) -> list[Law]:
+    """The entries of omegas > 0 omegas where every table law passed."""
+    return [(law, omegas, ()) for law in _OMEGA_LAWS] if omegas else []
+
+
 def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     """Ouroboros counting, swallows, group invariants for omega = 1..omega_max;
     none runs unless all four steps are maps of the live entries and P
     divides sigma, and one violation names the reason it skipped.
 
     Each table law is evaluated on the table's scalars (`tables`' scalar
-    cores) and yields one (law, 1, failure contexts) entry per omega
-    (`_table_laws`), tallied as it is yielded (`VerificationReport.tally`),
-    as `check_scroll`'s laws are: the violations keep their omega order,
-    and within one omega the law order.  A swallow that raises ends that
-    omega after the swallow's entry.
+    cores) at each omega (`_table_laws`) and tallied as it is yielded
+    (`VerificationReport.tally`).  An omega where all six laws pass only
+    adds to a count, as a passing law costs `check_scroll` one entry: the
+    count is yielded as one (law, omegas, ()) entry per law before the
+    next omega with a failure and after the last.  An omega with a failure
+    yields one (law, 1, failure contexts) entry per law, so the violations
+    keep their omega order, and within one omega the law order, and
+    `passed` its totals and key order.  A swallow that raises ends that
+    omega after the swallow's entry.  A fault that raises out of an omega
+    propagates once the omegas before it are tallied: the raising omega's
+    own laws are not.  The evidence is kept as records, formatted only
+    where read.
 
     Every value that does not read eta is a function of omega mod P_omega
     (`tables.omega_period`): the lifted counts read omega through
@@ -528,9 +588,9 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
 
 def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[Law]:
-    """The laws of `check_tables` on s, each yielded once per omega as
-    (law, 1, failure contexts), in law order; the evidence lists of rep
-    are appended to as the tables are read."""
+    """The laws of `check_tables` on s, yielded as it describes; the
+    evidence lists of rep are appended to as the tables are read."""
+    counts_law, swallow_law, order_law, colour_law, powers_law, torsor_law = _OMEGA_LAWS
 
     def ctx() -> str:
         return f"n={s.n} seed={s.seed}"
@@ -546,7 +606,7 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
     yield "crossed degree divisibility", 1, () if crossed else (ctx(),)
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
-            f"{ctx()}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
+            SameSideDegreeFailure(s.n, s.seed, deg_p1, met.deg, codeg_p1, met.codeg)
         )
 
     slither, coslither = met.slither, met.coslither
@@ -581,46 +641,58 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
         ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
         return [alpha, beta, counts, swallows, colour, powers_up, None]
 
-    # the values of periodic, computed once per omega mod P_omega
-    period, memo = omega_period(s), {}
-    for omega in range(1, omega_max + 1):
-        size, eta = omega * unit_size, omega * unit_live
-        known = memo.get(omega % period)
-        if known is None:
-            known = memo[omega % period] = periodic(omega, size)
-        alpha, beta, counts, swallows, colour, powers_up, torsor = known
-        yield "ouroboros counts match formula", 1, () if counts else (f"{ctx()} omega={omega}",)
-        if isinstance(swallows, AssertionError):
-            yield "swallow cycle structure", 1, (f"{ctx()} omega={omega}: {swallows}",)
-            continue
-        yield "swallow cycle structure", 1, () if swallows else (f"{ctx()} omega={omega}",)
-        factors = group_factors(s, eta, alpha, beta)
-        order = factors[0] * factors[1]
-        if order != eta:
-            failed = (f"{ctx()} omega={omega}: group order {order} != live count {eta}",)
-        else:
-            failed = ()
-            by_s, by_c = product_pair(alpha, eta // alpha), product_pair(beta, eta // beta)
-            if not factors == by_s == by_c:
-                product_failures.append(
-                    f"{ctx()} omega={omega}: factors {nontrivial(factors)}, products "
-                    f"{nontrivial(by_s)} / {nontrivial(by_c)}"
-                )
-        yield "group order equals live count", 1, failed
-        failed = (f"{ctx()} omega={omega}: {colour}",) if colour is not None else ()
-        yield "color-preserving conditions agree", 1, failed
-        yield "table slither power identity", 1, () if powers_up else (f"{ctx()} omega={omega}",)
-        # torsor of the finite table group: the walk of bar_beta successor
-        # steps meets each of the bar_beta co-successor orbits once, each of
-        # eta/bar_beta points; the image count checks the closed-form eta
-        # against the number of live residues.  Where bar_beta | eta both
-        # size checks are free of omega and the walk reads the table only
-        # through gcd(w, omega*m*n/P), so the verdict is kept per residue
-        if eta % beta:
-            torsor = _is_torsor(s, size, beta, eta // beta)
-        elif torsor is None:
-            torsor = known[6] = _is_torsor(s, size, beta, eta // beta)
-        yield "table torsor simple transitivity", 1, () if torsor else (f"{ctx()} omega={omega}",)
+    # the values of periodic, computed once per omega mod P_omega; clean
+    # counts the passing omegas not yet tallied
+    period, memo, clean = omega_period(s), {}, 0
+    try:
+        for omega in range(1, omega_max + 1):
+            size, eta = omega * unit_size, omega * unit_live
+            known = memo.get(omega % period)
+            if known is None:
+                known = memo[omega % period] = periodic(omega, size)
+            alpha, beta, counts, swallows, colour, powers_up, torsor = known
+            raised = isinstance(swallows, AssertionError)
+            if not raised:
+                factors = group_factors(s, eta, alpha, beta)
+                order = factors[0] * factors[1]
+                if order == eta:
+                    by_s, by_c = product_pair(alpha, eta // alpha), product_pair(beta, eta // beta)
+                    if not factors == by_s == by_c:
+                        product_failures.append(
+                            ProductFormFailure(s.n, s.seed, omega, factors, by_s, by_c)
+                        )
+                # torsor of the finite table group: the walk of bar_beta
+                # successor steps meets each of the bar_beta co-successor
+                # orbits once, each of eta/bar_beta points; the image count
+                # checks the closed-form eta against the number of live
+                # residues.  Where bar_beta | eta both size checks are free
+                # of omega and the walk reads the table only through
+                # gcd(w, omega*m*n/P), so the verdict is kept per residue
+                if eta % beta:
+                    torsor = _is_torsor(s, size, beta, eta // beta)
+                elif torsor is None:
+                    torsor = known[6] = _is_torsor(s, size, beta, eta // beta)
+                if counts and swallows and order == eta and colour is None and powers_up and torsor:
+                    clean += 1
+                    continue
+            yield from _passes(clean)
+            clean = 0
+            at = f"{ctx()} omega={omega}"
+            yield counts_law, 1, () if counts else (at,)
+            if raised:
+                yield swallow_law, 1, (f"{at}: {swallows}",)
+                continue
+            yield swallow_law, 1, () if swallows else (at,)
+            failed = (f"{at}: group order {order} != live count {eta}",) if order != eta else ()
+            yield order_law, 1, failed
+            yield colour_law, 1, (f"{at}: {colour}",) if colour is not None else ()
+            yield powers_law, 1, () if powers_up else (at,)
+            yield torsor_law, 1, () if torsor else (at,)
+    except Exception:
+        # a fault raised at this omega: the omegas before it still count
+        yield from _passes(clean)
+        raise
+    yield from _passes(clean)
 
 
 def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:

@@ -241,7 +241,7 @@ def _reference_table_laws(s, omega_max, rep):
     )
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
-            f"{ctx}: deg(p1)={deg_p1} deg={met.deg} codeg(p1)={codeg_p1} codeg={met.codeg}"
+            verify.SameSideDegreeFailure(s.n, s.seed, deg_p1, met.deg, codeg_p1, met.codeg)
         )
     snakes = s.snakes
     for omega in range(1, omega_max + 1):
@@ -264,8 +264,7 @@ def _reference_table_laws(s, omega_max, rep):
             by_c = tables.product_pair(beta, eta // beta)
             if factors != by_s or factors != by_c:
                 rep.product_form_failures.append(
-                    f"{ctx} omega={omega}: factors {tables.nontrivial(factors)}, "
-                    f"products {tables.nontrivial(by_s)} / {tables.nontrivial(by_c)}"
+                    verify.ProductFormFailure(s.n, s.seed, omega, factors, by_s, by_c)
                 )
         else:
             rep.violations.append(
@@ -582,7 +581,101 @@ def test_known_evidence_lists_populate():
     rep = run_verification(5, 5, omega_max=1)
     assert not rep.violations
     # n=5 seed 00100 has deg(p1)=2, deg=3: same-side divisibility fails
-    assert any("n=5" in line for line in rep.same_side_degree_failures)
+    assert any(record.n == 5 for record in rep.same_side_degree_failures)
+
+
+def test_evidence_records_read_as_the_named_counterexamples():
+    # n = 5, seed 00100: the same-side degree record, and the product-form
+    # record of omega = 4, whose group is Z_20, not Z_2 x Z_10; each record
+    # keeps its values and reads as its one line of text
+    rep = run_verification(5, 5, omega_max=4)
+    same_side = verify.SameSideDegreeFailure(5, "00100", 2, 3, 3, 2)
+    product = verify.ProductFormFailure(5, "00100", 4, (1, 20), (2, 10), (1, 20))
+    assert rep.same_side_degree_failures == [same_side]
+    assert rep.product_form_failures[-1] == product
+    assert str(same_side) == "n=5 seed=00100: deg(p1)=2 deg=3 codeg(p1)=3 codeg=2"
+    assert str(product) == "n=5 seed=00100 omega=4: factors (20,), products (2, 10) / (20,)"
+    assert str(product._replace(factors=(2, 10), by_snakes=(1, 2))) == (
+        "n=5 seed=00100 omega=4: factors (2, 10), products (2,) / (20,)"
+    )
+
+
+def _tallied(monkeypatch) -> list:
+    """The entries each tally is handed, one list per call."""
+    calls = []
+    tally = VerificationReport.tally
+
+    def recorded(rep, laws):
+        calls.append([])
+        tally(rep, (calls[-1].append(law) or law for law in laws))
+
+    monkeypatch.setattr(VerificationReport, "tally", recorded)
+    return calls
+
+
+def test_passing_omegas_reach_the_tally_as_one_entry_per_law(monkeypatch):
+    # every orbit with n <= 10 passes every table law at every omega <= 12:
+    # `crossed` and one entry per table law, counting the twelve omegas
+    calls = _tallied(monkeypatch)
+    scrolls = [o for n in range(2, 11) for o in all_orbits(n)]
+    rep = VerificationReport()
+    for s in scrolls:
+        check_tables(s, 12, rep)
+    assert not rep.violations
+    clean = [("crossed degree divisibility", 1, ())] + [(law, 12, ()) for law in OMEGA_LAWS]
+    assert calls == [clean] * len(scrolls)
+
+
+def test_a_failing_omega_flushes_the_passing_omegas_before_it(monkeypatch):
+    # colour conditions that disagree at omega = 5 only (P_omega = 6): the
+    # four passing omegas before it are one entry per law, omega 5 yields
+    # its six, and omega 6 one more per law after the last omega
+    s = orbit("00001010000")
+    assert tables.omega_period(s) == 6
+    preserving = verify.color_preserving
+
+    def disagreeing(s, omega, size, alpha, beta, shifts):
+        if omega == 5:
+            raise AssertionError("colour fault")
+        return preserving(s, omega, size, alpha, beta, shifts)
+
+    monkeypatch.setattr(verify, "color_preserving", disagreeing)
+    calls = _tallied(monkeypatch)
+    rep, want = VerificationReport(), VerificationReport()
+    check_tables(s, 6, rep)
+    at = "n=11 seed=00001010000 omega=5"
+    failed = {"color-preserving conditions agree": (f"{at}: colour fault",)}
+    assert calls == [
+        [("crossed degree divisibility", 1, ())]
+        + [(law, 4, ()) for law in OMEGA_LAWS]
+        + [(law, 1, failed.get(law, ())) for law in OMEGA_LAWS]
+        + [(law, 1, ()) for law in OMEGA_LAWS]
+    ]
+    _reference_table_laws(s, 6, want)
+    assert rep.violations == want.violations == [f"color-preserving conditions agree: {at}: colour fault"]
+    assert list(rep.passed.items()) == list(want.passed.items())
+
+
+def test_a_fault_raising_out_of_an_omega_keeps_the_omegas_before_it(monkeypatch):
+    # group factors that raise at omega = 5: the exception propagates, and
+    # the report holds every earlier omega's passes and evidence, as a run
+    # to omega = 4 does; the laws of omega = 5 itself are not tallied
+    s = orbit("00001010000")
+    factors = verify.group_factors
+
+    def raising(s, eta, alpha, beta):
+        if eta == 5 * s.live_count:
+            raise ZeroDivisionError("group fault")
+        return factors(s, eta, alpha, beta)
+
+    monkeypatch.setattr(verify, "group_factors", raising)
+    rep, want = VerificationReport(), VerificationReport()
+    with pytest.raises(ZeroDivisionError, match="group fault"):
+        check_tables(s, 12, rep)
+    _reference_table_laws(s, 4, want)
+    assert rep == want
+    assert list(rep.passed.items()) == list(want.passed.items())
+    assert rep.passed["table torsor simple transitivity"] == 4
 
 
 def test_tables_are_clean_for_n14_to_16():
