@@ -544,7 +544,8 @@ _OMEGA_LAWS = (
 
 
 def _passes(omegas: int) -> list[Law]:
-    """The entries of omegas > 0 omegas where every table law passed."""
+    """The entries of a run of omegas at which every table law passed, one
+    per law; none for an empty run."""
     return [(law, omegas, ()) for law in _OMEGA_LAWS] if omegas else []
 
 

@@ -652,7 +652,8 @@ def test_a_failing_omega_flushes_the_passing_omegas_before_it(monkeypatch):
         + [(law, 1, ()) for law in OMEGA_LAWS]
     ]
     _reference_table_laws(s, 6, want)
-    assert rep.violations == want.violations == [f"color-preserving conditions agree: {at}: colour fault"]
+    violation = f"color-preserving conditions agree: {at}: colour fault"
+    assert rep.violations == want.violations == [violation]
     assert list(rep.passed.items()) == list(want.passed.items())
 
 
