@@ -1,8 +1,10 @@
 """Toggle dynamics on independent sets of the cycle graph C_n.
 
 An independent set is stored as a string of '0'/'1' of length n, read
-least vertex first; vertex indices are 1-based in the public API.  The
-sweep applies the single-vertex toggles at 1, 2, ..., n in order, each
+least vertex first; vertex indices are 1-based in the public API.
+`is_independent` checks such a word and rejects one that is not a binary
+word of length at least 2; `orbit` rejects a seed that is not independent.
+The sweep applies the single-vertex toggles at 1, 2, ..., n in order, each
 acting on the word produced by the previous one, so the test at vertex n
 sees the already-updated value at vertex 1.
 
@@ -29,23 +31,14 @@ from math import gcd
 from .scroll import Scroll
 
 
-def _check_word(bits: str) -> None:
+def is_independent(bits: str) -> bool:
+    """True iff no two cyclically adjacent positions both hold 1; a word of
+    fewer than 2 letters, or not over '0' and '1', is a ValueError."""
     if len(bits) < 2:
         raise ValueError("cycle graphs need at least 2 vertices")
     if set(bits) - {"0", "1"}:
         raise ValueError(f"not a binary word: {bits!r}")
-
-
-def is_independent(bits: str) -> bool:
-    """True iff no two cyclically adjacent positions both hold 1."""
-    _check_word(bits)
     return "11" not in bits + bits[0]
-
-
-def _require_independent(bits: str) -> None:
-    # The toggle maps are only defined on independent sets; reject the rest.
-    if not is_independent(bits):
-        raise ValueError(f"not an independent set of C_{len(bits)}: {bits!r}")
 
 
 def _independent_words(n: int) -> list[int]:
@@ -91,7 +84,9 @@ def _tape_states(start: int, n: int) -> list[int]:
 
 def orbit(bits: str) -> Scroll:
     """The sweep orbit of one seed, checked once, simulated over one tape period."""
-    _require_independent(bits)
+    # the toggle maps are only defined on independent sets; reject the rest
+    if not is_independent(bits):
+        raise ValueError(f"not an independent set of C_{len(bits)}: {bits!r}")
     n = len(bits)
     # X_1..X_T: the leading bit of each tape state
     return Scroll(bytes([w >> n - 1 for w in _tape_states(int(bits, 2), n)]), n)

@@ -147,16 +147,20 @@ def tape_row(rec: TapeClass) -> dict[str, Any]:
     }
 
 
-def classification_report(n: int) -> dict[str, Any]:
-    quads = feasible_quadruples(n)
-    records = enumerate_ticker_tapes(n)
+def _classification_header(n: int, records: list[TapeClass]) -> dict[str, int]:
+    """The counts that head the classification report of these records (all
+    the classes of n), in its key order: each writer of it reads them here."""
     return {
         "n": n,
-        "quadrupleCount": len(quads),
+        "quadrupleCount": len(feasible_quadruples(n)),
         "gfCount": gf_count(n),
         "tapeCount": len(records),
-        "tapes": [tape_row(rec) for rec in records],
     }
+
+
+def classification_report(n: int) -> dict[str, Any]:
+    records = enumerate_ticker_tapes(n)
+    return {**_classification_header(n, records), "tapes": [tape_row(rec) for rec in records]}
 
 
 def classification_json_chunks(n: int, records: list[TapeClass]) -> Iterator[str]:
@@ -165,15 +169,7 @@ def classification_json_chunks(n: int, records: list[TapeClass]) -> Iterator[str
     keys, then each class's entry (`tape_row`) as it is built.  An
     indented JSON value nests by prefixing every line of its own indented
     text, so each entry is dumped alone and indented two levels."""
-    head = json.dumps(
-        {
-            "n": n,
-            "quadrupleCount": len(feasible_quadruples(n)),
-            "gfCount": gf_count(n),
-            "tapeCount": len(records),
-        },
-        indent=2,
-    )
+    head = json.dumps(_classification_header(n, records), indent=2)
     yield head[: -len("\n}")] + ',\n  "tapes": ['
     separator = "\n    "
     for rec in records:
@@ -187,10 +183,9 @@ def classification_text_rows(n: int, records: list[TapeClass]) -> Iterator[str]:
     classes of n), header first, each with its newline, built one at a
     time; no class's full tape is expanded."""
     yield (
-        f"n = {n}: {len(feasible_quadruples(n))} feasible quadruples "
-        f"(generating function: {gf_count(n)}), "
-        f"{len(records)} ticker tapes up to cyclic shift\n"
-    )
+        "n = {n}: {quadrupleCount} feasible quadruples (generating function: {gfCount}), "
+        "{tapeCount} ticker tapes up to cyclic shift\n"
+    ).format(**_classification_header(n, records))
     yield "\n"
     yield f"{'bE':>3} {'aS':>3} {'aL':>3} {'bD':>3}  {'slither':<16} {'co-slither':<10} first row\n"
     for rec in records:

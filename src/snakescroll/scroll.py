@@ -164,7 +164,7 @@ class Scroll:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and (self.period, self.n) == (other.period, other.n)
+        return type(other) is type(self) and (self.period, self.n) == (other.period, other.n)
 
     def __hash__(self) -> int:
         return hash((self.period, self.n))

@@ -12,7 +12,9 @@ The co-slither starts with a letter read off the trailing-zero parity
 taken right to left (z even -> S, z odd -> L).  Both words are plain
 strings (`ScrollMetrics.slither`, `.coslither`), and each reader counts
 their letters with `str.count` and `len`: beta_D, beta_E, alpha_S and
-alpha_L, and beta and alpha, the two lengths.
+alpha_L, and beta and alpha, the two lengths.  A step of each letter moves
+a fixed (rows, columns) shape across the scroll, so rows*n + columns along
+the tape; `step_advances` is the one table of those advances per n.
 
 >>> words_from_row("10100001010", 11)
 ('EDEDED', 'SS')
@@ -30,18 +32,13 @@ from .cyclic import exponent
 _STEP_SHAPE = {"E": (0, 2), "D": (1, 1), "S": (2, -1), "L": (2, -2)}
 
 
-def step_advance(kind: str, n: int) -> int:
-    """Tape advance of one step of the given type."""
-    rows, cols = _STEP_SHAPE[kind]
-    return rows * n + cols
-
-
 @functools.lru_cache(maxsize=None)
 def step_advances(n: int) -> tuple[dict[str, int], dict[str, int]]:
-    """Per step letter, its tape advance (`step_advance`), then its
-    negation, the advance of the inverse step: the one table of each
-    direction, fixed by n, built once per n and shared, so never changed."""
-    forward = {x: step_advance(x, n) for x in "EDSL"}
+    """Per step letter, its tape advance rows*n + columns (`_STEP_SHAPE`),
+    then its negation, the advance of the inverse step: the one table of
+    each direction, fixed by n, built once per n and shared, so never
+    changed."""
+    forward = {x: rows * n + cols for x, (rows, cols) in _STEP_SHAPE.items()}
     return forward, {x: -d for x, d in forward.items()}
 
 

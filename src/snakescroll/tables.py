@@ -5,10 +5,9 @@ successor and co-successor descend to it by the reduction that gives the
 snakes, at another modulus: the tape index modulo the table size
 omega*m*n instead of sigma.  Their cycles there are the ouroboroi and
 co-ouroboroi.  A table covers the tape's least period P, so their counts
-are lifted, not walked: a cycle mod P of winding w (summed advance w*P)
-splits into gcd(w, omega*m*n/P) cycles of the table, one per orbit of the
-translation by w*P on the cycle's fibre (`scroll.lifted_counts`).  No
-table walks or labels its cycles.
+are lifted, not walked, through the covering Z/(omega*m*n) -> Z/P that
+the `scroll` module states (`scroll.lifted_counts`).  No table walks or
+labels its cycles.
 
 A table is its scalars: its size omega*m*n, its live count eta, its
 counts bar_alpha and bar_beta and its degrees deg p_omega =
@@ -43,11 +42,8 @@ against.  A swallow's walk order does not depend on omega: it is the
 ids at the offsets of the scroll's one co-slither (slither) walk
 (`Scroll.coslither_walk`, `Scroll.slither_walk`), kept once per scroll
 (`Scroll.swallow_orders`).  A snake is named by an id, read through the
-covering Z/sigma -> Z/P, never off an array of sigma entries: the offset
-r + x*P, any integer x, r < P with lift q on cycle i of the map mod P,
-lies on lift (x - q) mod g_i, g_i = gcd(w_i, sigma/P), of that cycle, and
-has id first_i plus that lift, each cycle keeping its first id and g_i
-(`Scroll.cycle_lifts`).  `Scroll.ids` is the one reader of that rule: a
+covering Z/sigma -> Z/P as the `scroll` module states it, never off an
+array of sigma entries.  `Scroll.ids` is the one reader of that rule: a
 swallow reads it at each walk offset less the table size.  Only the
 renderers build the id arrays mod sigma (`Scroll.snake_labels`), from the
 same method.

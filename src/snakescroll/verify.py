@@ -7,9 +7,10 @@ silently dropped; an empty violation list is the pass condition.
 Every law result takes one path into the report: a law yields one
 (law, checks, failure contexts) entry, and `VerificationReport.tally`,
 the only writer of `passed` and `violations`, counts its passes; a
-context string is built only for a check that fails.  `check_scroll`
-yields one entry per law and orbit, and a law that passes builds no
-context, no tape index list and no sorted or counted failure set.
+context string is built only for a check that fails.  Every context and
+evidence record names its orbit one way, "n=... seed=..." (`_orbit_name`).
+`check_scroll` yields one entry per law and orbit, and a law that passes
+builds no context, no tape index list and no sorted or counted failure set.
 `check_tables` yields one entry per law for each run of omegas where
 all its laws pass, and one per law at each omega with a failure: a table
 is its scroll and omega, and each law reads the table's scalars off
@@ -18,14 +19,13 @@ formatted only when read.
 
 Laws on snakes, co-snakes and ouroboroi mod some M, a multiple of the
 tape's least period P (`Scroll.unit`), read both step maps' cycles mod P
-(`Scroll.period_cycles`) through the covering Z/M -> Z/P, so each orbit
-walks its maps once, mod P, on the offsets t - 1 its steps read; the
-swallows and the near-row law read the snake ids mod sigma through the
-same covering (`Scroll.ids`), per cycle mod P its first id and its number
-of lifts.  A failure is named by its tape index, offset plus one, mod P
-plus whole laps.  The closed form T_tape is compared with P, and never
-used as a modulus.  The tests hold each such law to an oracle that steps
-the maps mod M.
+(`Scroll.period_cycles`) through the covering Z/M -> Z/P, as the `scroll`
+module states it, so each orbit walks its maps once, mod P, on the
+offsets t - 1 its steps read; the swallows and the near-row law read the
+snake ids mod sigma through the same covering (`Scroll.ids`).  A failure
+is named by its tape index, offset plus one, mod P plus whole laps.  The
+closed form T_tape is compared with P, and never used as a modulus.  The
+tests hold each such law to an oracle that steps the maps mod M.
 
 Classification completeness compares, for each n, the least tape periods
 of the simulated orbits (`Scroll.unit`, in its least rotation), collected
@@ -67,6 +67,11 @@ from .tables import (
 Law = tuple[str, int, Sequence[str]]
 
 
+def _orbit_name(orbit: Scroll | SameSideDegreeFailure | ProductFormFailure) -> str:
+    """How a failure context or an evidence record names its orbit."""
+    return f"n={orbit.n} seed={orbit.seed}"
+
+
 class SameSideDegreeFailure(NamedTuple):
     """An orbit where deg(p_1) does not divide deg, or codeg(p_1) codeg."""
 
@@ -79,7 +84,7 @@ class SameSideDegreeFailure(NamedTuple):
 
     def __str__(self) -> str:
         return (
-            f"n={self.n} seed={self.seed}: deg(p1)={self.deg_p1} deg={self.deg} "
+            f"{_orbit_name(self)}: deg(p1)={self.deg_p1} deg={self.deg} "
             f"codeg(p1)={self.codeg_p1} codeg={self.codeg}"
         )
 
@@ -96,7 +101,7 @@ class ProductFormFailure(NamedTuple):
 
     def __str__(self) -> str:
         return (
-            f"n={self.n} seed={self.seed} omega={self.omega}: factors "
+            f"{_orbit_name(self)} omega={self.omega}: factors "
             f"{nontrivial(self.factors)}, products {nontrivial(self.by_snakes)} / "
             f"{nontrivial(self.by_cosnakes)}"
         )
@@ -260,9 +265,6 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     laps = m * n // period
     live = s.unit_live  # residues r of the unit: tape indices r + 1
 
-    def ctx() -> str:
-        return f"n={n} seed={s.seed}"
-
     # local structure at every live entry of the unit: the unit and its
     # shifts as integers, one 0/1 byte per residue, so OR and AND act
     # bytewise; a nonzero byte of crowded is a live entry with a live
@@ -284,7 +286,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         for d in (-1, 1 - n, -n):
             crowded |= here & wide >> 8 * (offset - d) & mask
         crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
-        c = ctx()
+        c = _orbit_name(s)
         failed = [
             f"{c} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
         ]
@@ -315,7 +317,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             one_way.append(r + 1)
     failed = []
     if not_unique:
-        c = ctx()
+        c = _orbit_name(s)
         for t in _laps(not_unique, period, laps):
             try:  # the step raises with the count of live candidates
                 s.successor_step(t)
@@ -329,7 +331,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("predecessor round trip", one_way),
     ):
         if failed:
-            c = ctx()
+            c = _orbit_name(s)
             failed = [f"{c} at tape {t}" for t in _laps(failed, period, laps)]
         yield law, laps * (len(live) - len(not_unique) - skipped), failed
     # the laws on snakes read them off the cycles mod P through the covering
@@ -337,7 +339,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     # with one violation, tallied as a law of no checks
     uncovered = _uncovered(s)
     if uncovered:
-        yield "snake laws skipped", 0, (f"{ctx()}: {uncovered}",)
+        yield "snake laws skipped", 0, (f"{_orbit_name(s)}: {uncovered}",)
     snakes = s.snakes if s.steps_are_maps and not uncovered else None
 
     # letter-count constraints and scale identities; T_tape, gcd(p, q) of
@@ -357,7 +359,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             ("beta from letters", snakes.beta == len(ws)),
         ]
     for law, holds in held:
-        yield law, 1, () if holds else (ctx(),)
+        yield law, 1, () if holds else (_orbit_name(s),)
 
     # sum-vector laws
     lam, cs = sum_vector(s).lam, col_scale(s)
@@ -366,12 +368,12 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("lambda | gcd(n, ColScale)", gcd(n, cs) % lam == 0),
         ("lambda > 1 implies n >= 4 lambda", lam == 1 or n >= 4 * lam),
     ):
-        yield law, 1, () if holds else (ctx(),)
+        yield law, 1, () if holds else (_orbit_name(s),)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
     if snakes:
         torsor = _is_torsor(s, met.sigma, snakes.beta, snakes.alpha)
-        yield "torsor simple transitivity", 1, () if torsor else (ctx(),)
+        yield "torsor simple transitivity", 1, () if torsor else (_orbit_name(s),)
 
     if not extended:
         return
@@ -383,7 +385,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     tape_period = met.T_tape
     bound, failed = 3 * tape_period, ()
     if period != tape_period:
-        c = ctx()
+        c = _orbit_name(s)
         fixing = set(range(period, bound + 1, period))
         wrong = fixing ^ set(range(tape_period, bound + 1, tape_period))
         failed = [f"{c} shift {ell}" for ell in sorted(wrong)]
@@ -398,8 +400,8 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("slither matches simulation", s.slither_walk, ws),
         ("co-slither matches simulation", s.coslither_walk, wc),
     ):
-        failed = () if cyclically_equal(simulated, word) else (f"{ctx()} simulated {simulated}",)
-        yield law, 1, failed
+        same = cyclically_equal(simulated, word)
+        yield law, 1, () if same else (f"{_orbit_name(s)} simulated {simulated}",)
 
     # the rest read both maps mod sigma through the covering Z/sigma -> Z/P
     # on offsets t - 1 (as `_is_torsor` does): a cycle i mod P of winding w
@@ -443,7 +445,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             if advances.count(goal) != length:
                 failed += [v for v, a in zip(on_cycle, advances) if a != goal]
         if failed:
-            c = ctx()
+            c = _orbit_name(s)
             nonlinear += [f"{c} r={r} from {t}" for t in _tape_laps(failed, period, fold)]
     yield "successor advance linear", len(rounds) * fold * len(live), nonlinear
 
@@ -465,7 +467,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             shared += [(x, span[k] - x) for k in range(a + 1, b) if label[k] == label[a]]
     failed = []
     if shared:
-        c = ctx()
+        c = _orbit_name(s)
         # each pair at tape indices x + 1 and x + 1 + d, named as by `_tape_laps`
         shared = sorted([((x + 1) % period, d) for x, d in shared])
         failed = [
@@ -509,7 +511,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
                     x = z % period
                     z, r = z + c_advances[x], r - sign * _ROW_STEP[c_letters[x]]
                 if r == 0:
-                    fixed[a] = f"{ctx()} exponents ({a},{-sign * b})"
+                    fixed[a] = f"{_orbit_name(s)} exponents ({a},{-sign * b})"
     failed = [fixed[a] for a in sorted(fixed)] if fixed else ()
     yield "free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed
 
@@ -527,7 +529,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             for v, key in zip(live, keys)
             if count[key] > 1 or lcm(s_lifts[key[0]][1], c_lifts[key[1]][1]) < fold
         ]
-        c = ctx()
+        c = _orbit_name(s)
         failed = [f"{c} tape {t}" for t in _tape_laps(met_twice, period, fold)]
     yield "fibers are residues mod sigma", fold * len(live), failed
 
@@ -593,18 +595,15 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
     evidence lists of rep are appended to as the tables are read."""
     counts_law, swallow_law, order_law, colour_law, powers_law, torsor_law = _OMEGA_LAWS
 
-    def ctx() -> str:
-        return f"n={s.n} seed={s.seed}"
-
     reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
     if reason:
-        yield "table laws skipped", 0, (f"{ctx()}: {reason}",)
+        yield "table laws skipped", 0, (f"{_orbit_name(s)}: {reason}",)
         return
     met = s.metrics
 
     deg_p1, codeg_p1 = s.fundamental_degrees
     crossed = met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0
-    yield "crossed degree divisibility", 1, () if crossed else (ctx(),)
+    yield "crossed degree divisibility", 1, () if crossed else (_orbit_name(s),)
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
             SameSideDegreeFailure(s.n, s.seed, deg_p1, met.deg, codeg_p1, met.codeg)
@@ -678,7 +677,7 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
                     continue
             yield from _passes(clean)
             clean = 0
-            at = f"{ctx()} omega={omega}"
+            at = f"{_orbit_name(s)} omega={omega}"
             yield counts_law, 1, () if counts else (at,)
             if raised:
                 yield swallow_law, 1, (f"{at}: {swallows}",)

@@ -6,10 +6,8 @@ from itertools import compress
 from math import gcd
 
 from snakescroll import cli
-from snakescroll.cycles import _require_independent
 from snakescroll.render import ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT
 from snakescroll.scroll import Scroll, lifted_counts
-from snakescroll.slither import _STEP_SHAPE, step_advance
 
 # the per-residue laws of verify.check_scroll
 RESIDUE_LAWS = (
@@ -22,6 +20,21 @@ RESIDUE_LAWS = (
 )
 
 
+# (rows, columns) one step of each letter moves across the scroll, restated
+# from the paper's four step shapes, not read from the library
+STEP_SHAPE = {"E": (0, 2), "D": (1, 1), "S": (2, -1), "L": (2, -2)}
+
+
+def require_independent(bits: str) -> None:
+    """Reject a word that is not an independent set of C_n, n >= 2: a
+    letter other than '0' or '1', or two 1s at adjacent vertices, the
+    last vertex adjacent to the first."""
+    n = len(bits)
+    adjacent = any(bits[i] == bits[(i + 1) % n] == "1" for i in range(n))
+    if n < 2 or set(bits) - {"0", "1"} or adjacent:
+        raise ValueError(f"not an independent set of C_{n}: {bits!r}")
+
+
 def eca1_local(a: int, b: int, c: int) -> int:
     """Local rule of elementary cellular automaton 1: NOR of the window."""
     return 1 if (a, b, c) == (0, 0, 0) else 0
@@ -29,7 +42,7 @@ def eca1_local(a: int, b: int, c: int) -> int:
 
 def toggle(bits: str, k: int) -> str:
     """Attempt to flip vertex k (1-based); adds only when both neighbors are 0."""
-    _require_independent(bits)
+    require_independent(bits)
     n = len(bits)
     if not 1 <= k <= n:
         raise ValueError(f"vertex index {k} out of range 1..{n}")
@@ -44,7 +57,7 @@ def toggle(bits: str, k: int) -> str:
 def sweep(bits: str) -> str:
     """One full pass of toggles at vertices 1..n on the evolving word: the
     string definition the tape recurrence of `cycles` is held to."""
-    _require_independent(bits)
+    require_independent(bits)
     n = len(bits)
     word = list(bits)
     for i in range(n):
@@ -312,7 +325,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     """
     n, size, bits = s.n, s.m * s.n, vector(s)
     ctx = f"n={n} seed={s.rows[0]}"
-    advance = {x: step_advance(x, n) for x in "EDSL"}
+    advance = {x: rows * n + cols for x, (rows, cols) in STEP_SHAPE.items()}
     tables = (*s.step_letters, *s.inverse_letters)
 
     def letter(k: int, t: int) -> str:  # table k at tape index t
@@ -427,7 +440,7 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
         for letters, sign in ((back, -1), (forth, 1)):
             (i, j), steps = coord, []
             for _ in range(k):
-                rows, cols = _STEP_SHAPE[letters[(i * n + j - 1) % len(letters)]]
+                rows, cols = STEP_SHAPE[letters[(i * n + j - 1) % len(letters)]]
                 i, j = i + sign * rows, j + sign * cols
                 steps.append((i, j))
             walks.append(steps)

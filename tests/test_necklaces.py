@@ -95,7 +95,8 @@ def test_gap_generator_matches_the_letter_recursion_at_the_edges():
     for k in range(0, 25):
         for ca, cb in ((0, k), (k, 0), (1, k)):
             for a, b in (("D", "E"), ("S", "L")):
-                assert necklaces_fixed_content(a, b, ca, cb) == sawada_necklaces(a, b, ca, cb), (ca, cb)
+                got = necklaces_fixed_content(a, b, ca, cb)
+                assert got == sawada_necklaces(a, b, ca, cb), (ca, cb)
 
 
 def test_gap_generator_matches_the_letter_recursion_up_to_length_20():

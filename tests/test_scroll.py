@@ -6,7 +6,7 @@ import pytest
 
 from snakescroll.cycles import all_orbits, orbit
 from snakescroll.scroll import DEAD, Scroll, cached_property
-from snakescroll.slither import step_advance
+from snakescroll.slither import step_advances
 
 from oracles import co_successor, successor, vector
 
@@ -33,9 +33,9 @@ def test_successor_steps_on_the_running_example():
     assert (t, letter) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
     predecessor, co_predecessor = s.inverse_letters
-    assert predecessor[7 - 1] == "E" and 7 - step_advance("E", 11) == 5
+    assert predecessor[7 - 1] == "E" and 7 - step_advances(11)[0]["E"] == 5
     u = co_successor(s, 5)  # the tables are one least period, 7 letters
-    assert u - step_advance(co_predecessor[(u - 1) % 7], 11) == 5
+    assert u - step_advances(11)[0][co_predecessor[(u - 1) % 7]] == 5
 
 
 def test_successor_and_co_successor_commute():
@@ -100,7 +100,7 @@ def reference_step_letters(bits: bytes, n: int, letters: str, sign: int) -> str:
         if not bit:
             out.append(DEAD)
             continue
-        hits = [x for x in letters if bits[(r + sign * step_advance(x, n)) % size]]
+        hits = [x for x in letters if bits[(r + sign * step_advances(n)[0][x]) % size]]
         out.append(hits[0] if len(hits) == 1 else str(len(hits)))
     return "".join(out)
 
@@ -139,7 +139,7 @@ def test_step_letters_match_the_reference():
             assert got * laps == reference_step_letters(bits, s.n, letters, sign), s.rows
             # the signed advance of each letter, None on a dead or count letter
             assert advances == [
-                sign * step_advance(x, s.n) if x in letters else None for x in got
+                sign * step_advances(s.n)[0][x] if x in letters else None for x in got
             ], s.rows
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from snakescroll.cycles import all_orbits, enumerate_independent_sets, orbit
 from snakescroll.scroll import Scroll
-from snakescroll.slither import metrics_from_row, step_advance, words_from_row, zero_blocks
+from snakescroll.slither import metrics_from_row, step_advances, words_from_row, zero_blocks
 
-from oracles import vector
+from oracles import STEP_SHAPE, vector
 
 
 def live_windows(s: Scroll):
@@ -19,11 +19,19 @@ def live_windows(s: Scroll):
 
 
 def test_step_advances():
-    n = 11
-    assert step_advance("E", n) == 2
-    assert step_advance("D", n) == 12
-    assert step_advance("S", n) == 21
-    assert step_advance("L", n) == 20
+    advance = step_advances(11)[0]
+    assert advance["E"] == 2
+    assert advance["D"] == 12
+    assert advance["S"] == 21
+    assert advance["L"] == 20
+
+
+def test_step_advances_are_the_oracle_shapes():
+    # each letter's (rows, columns) shape, restated by the oracle, moves
+    # rows*n + columns along the tape; the inverse step moves back as far
+    for n in range(2, 21):
+        forward = {x: rows * n + cols for x, (rows, cols) in STEP_SHAPE.items()}
+        assert step_advances(n) == (forward, {x: -d for x, d in forward.items()})
 
 
 def test_metrics_reject_a_window_not_starting_live():

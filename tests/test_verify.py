@@ -1615,7 +1615,9 @@ def test_a_period_not_dividing_sigma_skips_the_snake_laws_by_name():
 
 # the report's law results, and the methods that change a dict or list in place
 _RESULTS = {"passed", "violations"}
-_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault"}
+_MUTATORS = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault"
+}
 
 
 def _result_writers(tree: ast.Module, module: str) -> set[str]:
