@@ -78,7 +78,7 @@ def svg_table(s: Scroll, omega: int) -> str:
     per column, the text of an edge, a node and an edge's target up to its
     y; per colour, the text that closes an edge; per residue of the offset
     t - 1 mod sigma (no more residues than the table has), both forward
-    advances (`Scroll.step_advances`), both colours and the node's closing
+    advances (`Scroll.steps`), both colours and the node's closing
     text.  One pass over the live offsets, in tape order, writes an entry's
     two edges as one string when neither leaves the table, and collects its
     node, drawn after every edge; a live entry with no unique letter raises
@@ -134,7 +134,7 @@ def svg_table(s: Scroll, omega: int) -> str:
     # per residue of the offset mod sigma, both advances, both colours and
     # the node's closing text; where sigma exceeds the table's size, only
     # the offsets below it, each its own residue
-    succ, co_succ = s.step_advances
+    succ, co_succ = s.steps.advances
     length, sigma = len(s.unit), min(len(fills[0]), size)
     radius = unit // 3
     residues = [

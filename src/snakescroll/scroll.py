@@ -1,39 +1,37 @@
 """The scroll as one flat ticker tape: step maps, snakes and their cycles.
 
-A `Scroll` is the one record of a sweep orbit: one period of its tape,
-X_1..X_T as 0/1 bytes (`period`, T not necessarily the least), and n.
-`cycles.orbit` and `cycles.all_orbits` build it; its m rows, its seed and
-every value below are read off those two fields on first use and kept in
-the instance.
+A `Scroll` is the one record of a sweep orbit: the least cyclic period of
+its tape, X_1..X_P as 0/1 bytes (`unit`), and n.  `cycles.orbit` and
+`cycles.all_orbits` build it from any period of the tape, which it cuts
+to the least one, so a tape given twice is the same scroll; its m rows,
+its seed and every value below are read off those two fields on first use
+and kept in the instance.
 
 The scroll stacks the orbit's rows cyclically, and the ticker tape X_t
 is its row-major reading.  Cell (i, j) of the scroll, for any integer row
 i and column j, is tape index t = i*n + j; this is the cylinder
 identification, under which (i, j+n) and (i+1, j) are the same cell.  So
-the tape alone is the scroll, and a scroll keeps one least period P of it
-(`Scroll.unit`, found on `Scroll.period`): X_t = unit[(t - 1) % P],
-and the m*n = lcm(P, n) residues of the orbit are the unit repeated.  Its
-live residues, those r with X_(r+1) live, are listed once
-(`Scroll.unit_live`) and read by every builder and law that visits them.
+the tape alone is the scroll: X_t = unit[(t - 1) % P], and the
+m*n = lcm(P, n) residues of the orbit are the unit repeated.  Its live
+residues, those r with X_(r+1) live, are listed once (`Scroll.unit_live`)
+and read by every builder and law that visits them.
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
-live depends only on t mod P, so each map is stored as one letter per
-residue of the unit and as one signed advance per residue, and each
-direction keeps its two maps as one pair: `Scroll.step_letters` and
-`Scroll.step_advances` for the successor and co-successor,
-`Scroll.inverse_letters` and `Scroll.inverse_advances` for their
-inverses.  A direction's letter pair is built in one pass
-(`_step_letters`): the unit and its four rotations by the letters'
-advances, summed bytewise into one integer with one bit per candidate,
-give one code byte per residue, and two byte translations read both
-maps' letters off it.  Its advances are its letters mapped through one
-table per direction fixed by n, built once per n (`slither.step_advances`).
-A step at t reads its letter and advance at (t - 1) mod P.  Only the laws
-of `verify` read the inverse steps, so a scroll that is only rendered or
-reported builds neither their letters nor advances.  The walk of one slither
-(co-slither) from the first live offset, its offsets t - 1 and letters, is
-read straight off the forward tables and kept once per scroll
+live depends only on t mod P, so each map is stored as one letter and one
+signed advance per residue of the unit, and each direction keeps its two
+maps as one `StepTable` of letters and advances: `Scroll.steps` for the
+successor and co-successor, `Scroll.inverse_steps` for their inverses.  A
+direction's table is built in one pass (`_steps`): the unit and its four
+rotations by the letters' advances, summed bytewise into one integer with
+one bit per candidate, give one code byte per residue, two byte
+translations read both maps' letters off it, and the letters are mapped to
+their advances through one table per direction fixed by n, built once per
+n (`slither.step_advances`).  A step at t reads its letter and advance at
+(t - 1) mod P.  Only the laws of `verify` read the inverse steps, so a
+scroll that is only rendered or reported never builds them.  The walk of
+one slither (co-slither) from the first live offset, its offsets t - 1 and
+letters, is read straight off the forward table and kept once per scroll
 (`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
 the swallows and the orbit report read it.
 
@@ -118,11 +116,19 @@ class SnakeCounts(NamedTuple):
     beta: int  # co-snakes: cycles of the co-successor mod sigma
 
 
-def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
-    """One step letter per residue of the tape's least cyclic period, unit,
-    for both maps of one direction, given the signed advance of each letter
-    in that direction (`slither.step_advances`): the successor and
-    co-successor, or their inverses.
+class StepTable(NamedTuple):
+    """Both maps of one direction, per residue of the unit: the successor
+    (predecessor) first, then the co-successor (co-predecessor)."""
+
+    letters: tuple[str, str]  # the step letter; DEAD, or a count of live candidates
+    advances: tuple[list, list]  # its signed tape advance, None where it has none
+
+
+def _steps(unit: bytes, advance: dict[str, int]) -> StepTable:
+    """The step table of both maps of one direction on the tape's least
+    cyclic period, unit, given the signed advance of each letter in that
+    direction (`slither.step_advances`): the successor and co-successor,
+    or their inverses.
 
     The candidates of a live residue r are r + advance[letter] for each
     letter.  A dead residue gets DEAD; a live one gets its live
@@ -132,7 +138,8 @@ def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
     unit repeated three times read as one integer, and the five 0/1 bytes
     of a residue are summed into one code byte as integers (no byte
     carries), so one integer holds both maps' candidates; the letters of
-    all m*n residues are these tables repeated.
+    all m*n residues are these tables repeated.  Each letter's advance is
+    read off advance, None for DEAD and the digits.
     """
     period = len(unit)
     bits = 8 * period
@@ -143,20 +150,22 @@ def _step_letters(unit: bytes, advance: dict[str, int]) -> tuple[str, str]:
         # bytes P + d .. 2P + d - 1 of the three units: the unit rotated by d
         code += (three >> bits - 8 * (advance[letter] % period) & mask) * weight
     codes = code.to_bytes(period, "big")
-    return codes.translate(_LETTER_OF[0]).decode(), codes.translate(_LETTER_OF[1]).decode()
+    letters = tuple(codes.translate(table).decode() for table in _LETTER_OF)
+    return StepTable(letters, tuple(list(map(advance.get, x)) for x in letters))
 
 
 class Scroll:
-    """A sweep orbit as one period X_1..X_T of its tape, as 0/1 bytes (T need
-    not be the least), and n: its m rows are the first lcm(T, n) symbols.
+    """A sweep orbit as the least period X_1..X_P of its tape, as 0/1 bytes
+    (`unit`), and n: its m rows are the first lcm(P, n) symbols.  It is
+    made from any period of the tape and keeps only the least one.
 
-    Two scrolls are equal and hash alike when their periods and n are.
+    Two scrolls are equal and hash alike when their units and n are.
     Every builder below keeps its value in the instance dict, read off
-    period and n, so neither may be set or deleted once the scroll is made.
+    unit and n, so neither may be set or deleted once the scroll is made.
     """
 
     def __init__(self, period: bytes, n: int) -> None:
-        vars(self).update(period=period, n=n)
+        vars(self).update(unit=period[: least_period(period)], n=n)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"a Scroll is immutable: cannot set or delete {name!r}")
@@ -164,17 +173,17 @@ class Scroll:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return type(other) is type(self) and (self.period, self.n) == (other.period, other.n)
+        return type(other) is type(self) and (self.unit, self.n) == (other.unit, other.n)
 
     def __hash__(self) -> int:
-        return hash((self.period, self.n))
+        return hash((self.unit, self.n))
 
     def __repr__(self) -> str:
-        return f"Scroll(period={self.period!r}, n={self.n!r})"
+        return f"Scroll(period={self.unit!r}, n={self.n!r})"
 
     @cached_property
     def m(self) -> int:
-        return lcm(len(self.period), self.n) // self.n
+        return lcm(len(self.unit), self.n) // self.n
 
     @cached_property
     def size(self) -> int:
@@ -185,22 +194,15 @@ class Scroll:
     def seed(self) -> str:
         """The first row: X_1..X_n, read by the reports and by each failure
         context of `verify`."""
-        n, period = self.n, self.period
-        return (period * (n // len(period) + 1))[:n].translate(_CHARS).decode()
+        n, unit = self.n, self.unit
+        return (unit * (n // len(unit) + 1))[:n].translate(_CHARS).decode()
 
     @cached_property
     def rows(self) -> tuple[str, ...]:
         """The m rows as words, for callers that print or compare them."""
-        n, period = self.n, self.period
-        tape = (period * (self.size // len(period))).translate(_CHARS).decode()
+        n, unit = self.n, self.unit
+        tape = (unit * (self.size // len(unit))).translate(_CHARS).decode()
         return tuple(tape[i : i + n] for i in range(0, len(tape), n))
-
-    @cached_property
-    def unit(self) -> bytes:
-        """The tape's least cyclic period: its first P symbols, P found on
-        `period` (`least_period`); X_t = unit[(t - 1) % P]."""
-        period = self.period
-        return period[: least_period(period)]
 
     @cached_property
     def metrics(self) -> ScrollMetrics:
@@ -232,36 +234,16 @@ class Scroll:
         return list(compress(range(len(unit)), unit))
 
     @cached_property
-    def step_letters(self) -> tuple[str, str]:
-        """Per residue of the unit, the letter of the successor, then of the
-        co-successor, both from one pass (`_step_letters`)."""
-        return _step_letters(self.unit, step_advances(self.n)[0])
+    def steps(self) -> StepTable:
+        """The successor and co-successor per residue of the unit, letters
+        and advances from one pass (`_steps`)."""
+        return _steps(self.unit, step_advances(self.n)[0])
 
     @cached_property
-    def inverse_letters(self) -> tuple[str, str]:
-        """Likewise the predecessor and co-predecessor; only the laws read them."""
-        return _step_letters(self.unit, step_advances(self.n)[1])
-
-    def _advances(self, direction: int, letters: tuple[str, str]) -> tuple[list, list]:
-        """Per letter table of that direction, per residue of the unit, the
-        signed tape advance of its letter (`slither.step_advances`), or None
-        where the letter has none (a dead residue, or a count of live
-        candidates)."""
-        get = step_advances(self.n)[direction].get
-        first, second = letters
-        return list(map(get, first)), list(map(get, second))
-
-    @cached_property
-    def step_advances(self) -> tuple[list, list]:
-        """Per residue of the unit, the advance of the successor and
-        co-successor (`_advances`)."""
-        return self._advances(0, self.step_letters)
-
-    @cached_property
-    def inverse_advances(self) -> tuple[list, list]:
-        """Per residue of the unit, the (negative) advance of the predecessor
-        and co-predecessor (`_advances`); only the laws read them."""
-        return self._advances(1, self.inverse_letters)
+    def inverse_steps(self) -> StepTable:
+        """Likewise the predecessor and co-predecessor, whose advances are
+        negative; only the laws read them."""
+        return _steps(self.unit, step_advances(self.n)[1])
 
     @cached_property
     def steps_are_maps(self) -> bool:
@@ -270,7 +252,7 @@ class Scroll:
         live residue."""
         unit, live = self.unit, self.unit_live
         size = len(unit)
-        for row in self.step_advances + self.inverse_advances:
+        for row in self.steps.advances + self.inverse_steps.advances:
             for r in live:
                 d = row[r]
                 if d is None or not unit[(r + d) % size]:
@@ -292,13 +274,13 @@ class Scroll:
         does, named by its tape index in [1, P]: the Nones of each row are
         counted at C level, and the live residues scanned only to name the
         first one that has no advance."""
-        live = self.unit_live
-        for row, step in zip(self.step_advances, (self.successor_step, self.co_successor_step)):
+        live, advances = self.unit_live, self.steps.advances
+        for row, step in zip(advances, (self.successor_step, self.co_successor_step)):
             if row.count(None) > len(row) - len(live):  # no dead residue has an advance
                 for r in live:
                     if row[r] is None:
                         step(r + 1)  # raises with the count of live candidates
-        return walk_cycles(self.step_advances, live)
+        return walk_cycles(advances, live)
 
     @cached_property
     def windings(self) -> tuple[list[int], list[int]]:
@@ -382,7 +364,7 @@ class Scroll:
         count first, and its cycles (`period_cycles`) raise on a live
         residue without an advance and on a step onto a dead one, so a
         walk meets an advance at every step."""
-        advances, letters = self.step_advances[step], self.step_letters[step]
+        letters, advances = self.steps.letters[step], self.steps.advances[step]
         period = len(letters)
         v, offsets = self.unit_live[0], []
         for _ in range(count):
@@ -391,9 +373,9 @@ class Scroll:
         return offsets, "".join([letters[v % period] for v in offsets])
 
     def _step(self, map_index: int, t: int, what: str) -> tuple[int, str]:
-        letters = self.step_letters[map_index]
+        letters, advances = self.steps.letters[map_index], self.steps.advances[map_index]
         r = (t - 1) % len(letters)
-        advance = self.step_advances[map_index][r]
+        advance = advances[r]
         if advance is None:
             if letters[r] == DEAD:
                 raise ValueError(f"tape index {t} is not live")
@@ -413,7 +395,7 @@ def walk_cycles(
     advances: tuple[list, list], live: list[int]
 ) -> tuple[tuple[list, list, list, list], ...]:
     """The cycles of the successor (then co-successor) mod P, each map given
-    by its advance per residue r = t - 1 of the unit (`Scroll.step_advances`)
+    by its advance per residue r = t - 1 of the unit (`Scroll.steps`)
     and walked once on live, the live residues in ascending order.  Four
     arrays (cycle, index, lift, cycles) per map.
 

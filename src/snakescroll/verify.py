@@ -171,7 +171,7 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     shapes can be bijections it rejects, one orbit of 2*inner points tiled
     by two arcs, say.
     """
-    succ = scroll.step_advances[0]
+    succ = scroll.steps.advances[0]
     cycle, _, lift, cycles = scroll.period_cycles[1]
     live = scroll.unit_live
     period = len(succ)
@@ -227,11 +227,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     and any sorting or counting that only orders or names failures are
     built only for a law that failed.
 
-    Steps read the scroll's letter and advance pairs of each direction
-    (`Scroll.step_letters`, `Scroll.inverse_letters` and their advances) at
-    residue (t - 1) mod P, P the tape's least cyclic period
-    (`Scroll.unit`), on its live residues (`Scroll.unit_live`).  The tape
-    is P-periodic and every table a function of the residue mod P, so the
+    Steps read the scroll's step table of each direction (`Scroll.steps`,
+    `Scroll.inverse_steps`: letters and advances) at residue (t - 1) mod P,
+    P the tape's least cyclic period (`Scroll.unit`), on its live residues
+    (`Scroll.unit_live`).  The tape is P-periodic and every table a
+    function of the residue mod P, so the
     per-residue laws (six-neighbour zeros, unique candidates, commutation,
     parallelogram, round trip) run on the tape indices [1, P] only: each
     count is multiplied by laps = m*n/P, and each failure at t stands for
@@ -295,9 +295,9 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     # unique candidates, then commutation, parallelogram and round trip at
     # each entry whose own and target entries have unique letters (an
     # entry stepping onto one without them is left to that one)
-    (sl, cl), (pl, cpl) = s.step_letters, s.inverse_letters
-    # signed advance of each step per residue, None where its letter has none
-    (sa, ca), (pa, cpa) = s.step_advances, s.inverse_advances
+    # letters and signed advances of each step per residue, an advance None
+    # where its letter has none
+    ((sl, cl), (sa, ca)), ((pl, cpl), (pa, cpa)) = s.steps, s.inverse_steps
     not_unique, noncommuting, skewed, one_way, skipped = [], [], [], [], 0
     for r in live:
         d, e = sa[r], ca[r]

@@ -109,8 +109,13 @@ def sites(source: str, names: list[str]) -> list[tuple[int, int, int, str]]:
         shown = node
         if isinstance(node, ast.Constant):  # shown with what it is a term of
             shown = parent[id(node)]
-            while isinstance(shown, (ast.Tuple, ast.List, ast.UnaryOp)):
+            # up to a node with a source position: a comprehension has none
+            while isinstance(shown, (ast.Tuple, ast.List, ast.UnaryOp)) and hasattr(
+                parent[id(shown)], "lineno"
+            ):
                 shown = parent[id(shown)]
+            if not hasattr(shown, "lineno"):  # a default argument: shown alone
+                shown = node
         before = " ".join(ast.get_source_segment(source, shown).split())
         for choice in choices:
             mutant, replaced = mutated(source, at, choice)

@@ -7,7 +7,7 @@ from math import gcd
 
 from snakescroll import cli
 from snakescroll.render import ANSI_COLORS, COSNAKE_PALETTE, SNAKE_PALETTE, SVG_UNIT
-from snakescroll.scroll import Scroll, lifted_counts
+from snakescroll.scroll import Scroll, StepTable, lifted_counts
 
 # the per-residue laws of verify.check_scroll
 RESIDUE_LAWS = (
@@ -100,29 +100,32 @@ def sawada_necklaces(a: str, b: str, ca: int, cb: int) -> list[str]:
     return sorted(out)
 
 
-# each step map's letter table, by name: the Scroll pair that holds it, and
-# its index there
+# each step map's letter table, by name: the Scroll step table that holds
+# it, its index there and the sign of its advances
 LETTER_TABLES = {
-    "successor_letters": ("step_letters", 0),
-    "co_successor_letters": ("step_letters", 1),
-    "predecessor_letters": ("inverse_letters", 0),
-    "co_predecessor_letters": ("inverse_letters", 1),
+    "successor_letters": ("steps", 0, 1),
+    "co_successor_letters": ("steps", 1, 1),
+    "predecessor_letters": ("inverse_steps", 0, -1),
+    "co_predecessor_letters": ("inverse_steps", 1, -1),
 }
 
 
 def letters_of(s: Scroll, name: str) -> str:
     """The letter table named name (`LETTER_TABLES`)."""
-    pair, index = LETTER_TABLES[name]
-    return getattr(s, pair)[index]
+    table, index, _ = LETTER_TABLES[name]
+    return getattr(s, table).letters[index]
 
 
 def inject_letters(s: Scroll, name: str, letters: str) -> None:
-    """Replace the letter table named name with letters, keeping the other
-    map's table of its direction, as a fault test injects it."""
-    pair, index = LETTER_TABLES[name]
-    tables = list(getattr(s, pair))
-    tables[index] = letters
-    vars(s)[pair] = tuple(tables)
+    """Replace the letter table named name with letters, and its advances
+    with theirs from the oracle's shapes (None for DEAD and the digits),
+    keeping the other map's letters and advances of its direction, as a
+    fault test injects it."""
+    table, index, sign = LETTER_TABLES[name]
+    advance = {x: sign * (rows * s.n + cols) for x, (rows, cols) in STEP_SHAPE.items()}
+    tables = [list(part) for part in getattr(s, table)]
+    tables[0][index], tables[1][index] = letters, [advance.get(x) for x in letters]
+    vars(s)[table] = StepTable(*map(tuple, tables))
 
 
 def table_counts(s: Scroll, omega: int) -> tuple[int, int]:
@@ -133,8 +136,8 @@ def table_counts(s: Scroll, omega: int) -> tuple[int, int]:
 
 
 def vector(s: Scroll) -> bytes:
-    """X_1..X_(m*n), the orbit's m*n residues: its period repeated."""
-    return s.period * (s.m * s.n // len(s.period))
+    """X_1..X_(m*n), the orbit's m*n residues: its least period repeated."""
+    return s.unit * (s.m * s.n // len(s.unit))
 
 
 def successor(s: Scroll, t: int) -> int:
@@ -326,7 +329,7 @@ def residue_laws(s: Scroll) -> tuple[dict[str, int], list[str]]:
     n, size, bits = s.n, s.m * s.n, vector(s)
     ctx = f"n={n} seed={s.rows[0]}"
     advance = {x: rows * n + cols for x, (rows, cols) in STEP_SHAPE.items()}
-    tables = (*s.step_letters, *s.inverse_letters)
+    tables = (*s.steps.letters, *s.inverse_steps.letters)
 
     def letter(k: int, t: int) -> str:  # table k at tape index t
         return tables[k][(t - 1) % len(tables[k])]
@@ -448,7 +451,7 @@ def free_action_law(s: Scroll) -> tuple[int, list[str]]:
 
     i0, j0 = divmod(vector(s).index(1), n)
     start = (i0, j0 + 1)
-    (forth, co_forth), (back, co_back) = s.step_letters, s.inverse_letters
+    (forth, co_forth), (back, co_back) = s.steps.letters, s.inverse_steps.letters
     s_walk = walk(start, back, forth, part.beta)
     fixed, checks = [], 0
     for a, coord in zip(range(-part.beta, part.beta + 1), s_walk):

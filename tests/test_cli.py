@@ -492,17 +492,16 @@ def test_an_orbit_request_is_parsed_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", sorted(ORBIT_11_SHA256))
 def test_orbit_builds_no_inverse_step_letters(capsys, monkeypatch, fmt):
-    # no orbit format reads the predecessor or co-predecessor, so neither's
-    # letters (nor advances) are built; the forward letters are, both in
-    # one pass
+    # no orbit format reads the predecessor or co-predecessor, so no inverse
+    # step table is built; the forward one is, both maps in one pass
     forward = []
-    original = scroll._step_letters
+    original = scroll._steps
 
     def recorded(unit, advance):
         forward.append(advance["E"] > 0)
         return original(unit, advance)
 
-    monkeypatch.setattr(scroll, "_step_letters", recorded)
+    monkeypatch.setattr(scroll, "_steps", recorded)
     code, out, err = run(capsys, *ORBIT_11, "--format", fmt)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_11_SHA256[fmt]

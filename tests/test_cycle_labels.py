@@ -8,7 +8,7 @@ import pytest
 from snakescroll.cycles import all_orbits, orbit
 from snakescroll.render import ansi_table, svg_table
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll, walk_cycles
+from snakescroll.scroll import Scroll, StepTable, walk_cycles
 
 from oracles import (
     co_successor,
@@ -173,7 +173,7 @@ def test_lifted_counts_match_walked_cycles():
         for s in all_orbits(n):
             assert s.live_count == vector(s).count(1)
             # the live residues of the unit are those with a successor advance
-            assert s.unit_live == [r for r, d in enumerate(s.step_advances[0]) if d is not None]
+            assert s.unit_live == [r for r, d in enumerate(s.steps.advances[0]) if d is not None]
             snakes = s.snakes
             assert snakes == walked_counts(s, s.metrics.sigma)
             if n <= 13:
@@ -194,9 +194,9 @@ def test_windings_reject_a_non_injective_map():
     # where 6 goes, so both reach 4; the walk mod 7 raises, and so does
     # every report and rendering of a table of it
     s = orbit("00001010000")
-    succ, co_succ = s.step_advances
+    letters, (succ, co_succ) = s.steps
     assert s.unit_live == [4, 6] and len(s.unit) == len(succ) == 7
-    s.__dict__["step_advances"] = [*succ[:4], 2 + succ[6], *succ[5:]], co_succ
+    s.__dict__["steps"] = StepTable(letters, ([*succ[:4], 2 + succ[6], *succ[5:]], co_succ))
     with pytest.raises(AssertionError, match="^step is not a permutation of live: from 6$"):
         s.windings
     for build in (orbit_report, ansi_table, svg_table):
@@ -209,8 +209,8 @@ def test_windings_reject_a_non_permuting_co_successor():
     # anything reads the windings: the labels mod sigma raise as the walk
     # mod P does, since they are read off it
     s = orbit("00001010000")
-    succ, co_succ = s.step_advances
-    s.__dict__["step_advances"] = succ, [*co_succ[:4], 2 + co_succ[6], *co_succ[5:]]
+    letters, (succ, co_succ) = s.steps
+    s.__dict__["steps"] = StepTable(letters, (succ, [*co_succ[:4], 2 + co_succ[6], *co_succ[5:]]))
     message = "^step is not a permutation of live: from 4$"
     with pytest.raises(AssertionError, match=message):
         s.snake_labels

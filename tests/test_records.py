@@ -67,13 +67,17 @@ def test_scrolls_are_equal_and_hash_alike_by_period_and_n():
     assert s != Scroll(period, 3) and s != Scroll(bytes([0, 1, 0]), 2)
     assert s != (period, 2)
     assert repr(s) == "Scroll(period=b'\\x00\\x00\\x01', n=2)"
+    # a scroll keeps its tape's least period: given twice, it is the same scroll
+    twice = Scroll(period * 2, 2)
+    assert twice == s and hash(twice) == hash(s)
+    assert (twice.m, twice.rows, repr(twice)) == (s.m, s.rows, repr(s))
 
 
 
 def test_a_scroll_cannot_be_changed_once_made():
     s = orbit("0001")
     key = hash(s)
-    for change in (lambda: setattr(s, "n", 3), lambda: delattr(s, "period")):
+    for change in (lambda: setattr(s, "n", 3), lambda: delattr(s, "unit")):
         with pytest.raises(AttributeError, match="immutable"):
             change()
     assert s == orbit("0001") and hash(s) == key

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from snakescroll.cycles import enumerate_independent_sets, orbit
 from snakescroll.render import ansi_table, svg_table
-from snakescroll.scroll import Scroll
 
 # C_2..C_10 at omega 1..4; then n = 16 at omega 3, 369 rows of which 123 are
 # distinct (sigma = 123, gcd(sigma, 16) = 1), with split edges
@@ -80,7 +79,7 @@ def test_svg_raises_at_the_first_entry_without_a_unique_letter(co_index, succ_in
     # the scroll's counts and labels (and the oracle's) are built
     # before a count digit "2" is injected into the co-successor letters at
     # live index co_index and into the successor letters at succ_index
-    # (P = 7, live indices 5 and 7), and the step advances are rebuilt:
+    # (P = 7, live indices 5 and 7), with their advances:
     # svg_table's own step reads raise, at the first entry in tape order,
     # the successor before the co-successor, as the per-entry oracle does
     s = orbit("00001010000")
@@ -89,7 +88,6 @@ def test_svg_raises_at_the_first_entry_without_a_unique_letter(co_index, succ_in
     for name, index in (("co_successor_letters", co_index), ("successor_letters", succ_index)):
         old = oracles.letters_of(s, name)
         oracles.inject_letters(s, name, old[: index - 1] + "2" + old[index:])
-    vars(s)["step_advances"] = Scroll.step_advances.func(s)
     message = f"^{what}: 2 live candidates, expected 1$"
     with pytest.raises(AssertionError, match=message):
         oracles.svg_table(s, 1, labels)
@@ -107,9 +105,8 @@ def test_svg_tests_both_targets_of_an_entry():
     s = orbit("10")
     s.snakes, s.snake_labels
     labels = oracles.walked_labels(s, s.metrics.sigma)
-    assert (s.step_letters, s.m) == (("D..", "S.."), 3)
+    assert (s.steps.letters, s.m) == (("D..", "S.."), 3)
     oracles.inject_letters(s, "co_successor_letters", "L..")
-    vars(s)["step_advances"] = Scroll.step_advances.func(s)
     svg = svg_table(s, 1)
     assert svg == oracles.svg_table(s, 1, labels)
     assert svg.count('r="3"') == 2  # one split edge: its two re-entry markers

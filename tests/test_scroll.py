@@ -32,7 +32,7 @@ def test_successor_steps_on_the_running_example():
     t, letter = s.successor_step(7)
     assert (t, letter) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
-    predecessor, co_predecessor = s.inverse_letters
+    predecessor, co_predecessor = s.inverse_steps.letters
     assert predecessor[7 - 1] == "E" and 7 - step_advances(11)[0]["E"] == 5
     u = co_successor(s, 5)  # the tables are one least period, 7 letters
     assert u - step_advances(11)[0][co_predecessor[(u - 1) % 7]] == 5
@@ -111,27 +111,24 @@ def least_cyclic_period(bits: bytes) -> int:
 
 def test_step_letters_match_the_reference():
     # the tables are the vector's least period P, built there: repeated to
-    # the vector's length they are the reference; an orbit given twice its
-    # vector as its period has P < m*n, and one symbol flipped in the last
-    # period of that period makes P = m*n
+    # the vector's length they are the reference; an orbit's vector given
+    # twice with its last symbol flipped makes P = m*n
     orbits = [o for n in range(2, 17) for o in all_orbits(n)]
     scrolls = orbits + [Scroll(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)]
     for o in orbits:
-        doubled = Scroll(vector(o) * 2, o.n)
-        assert least_cyclic_period(vector(doubled)) < len(vector(doubled))
-        bits = bytearray(vector(doubled))
+        bits = bytearray(vector(o) * 2)
         bits[-1] ^= 1
         flipped = Scroll(bytes(bits), o.n)
         assert vector(flipped) == bits
         assert least_cyclic_period(vector(flipped)) == len(bits)
-        scrolls += [doubled, flipped]
+        scrolls.append(flipped)
     for s in scrolls:
         bits = vector(s)
         period = least_cyclic_period(bits)
         laps = len(bits) // period
         for got, advances, letters, sign in zip(
-            s.step_letters + s.inverse_letters,
-            s.step_advances + s.inverse_advances,
+            s.steps.letters + s.inverse_steps.letters,
+            s.steps.advances + s.inverse_steps.advances,
             ("ED", "SL", "ED", "SL"),
             (1, 1, -1, -1),
         ):
@@ -180,8 +177,8 @@ def test_a_raising_builder_stores_nothing_and_raises_again(monkeypatch):
         calls.append(1)
         raise AssertionError("builder raised")
 
-    monkeypatch.setattr(Scroll.__dict__["unit"], "func", builder)
+    monkeypatch.setattr(Scroll.__dict__["steps"], "func", builder)
     for expected in (1, 2):
         with pytest.raises(AssertionError, match="^builder raised$"):
-            s.unit
-        assert "unit" not in vars(s) and len(calls) == expected
+            s.steps
+        assert "steps" not in vars(s) and len(calls) == expected

@@ -13,7 +13,7 @@ import pytest
 from snakescroll import cycles, report, scroll, tables, verify
 from snakescroll.cycles import all_orbits, orbit
 from snakescroll.report import orbit_report
-from snakescroll.scroll import Scroll
+from snakescroll.scroll import Scroll, StepTable
 from snakescroll.slither import _STEP_SHAPE
 from snakescroll.sums import SumVector
 from snakescroll.tables import swallow_shift
@@ -532,10 +532,10 @@ def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
     arithmetic for the oracle."""
     period = len(succ)
     s = SimpleNamespace(
-        step_advances=(succ, co_succ),
+        steps=StepTable(None, (succ, co_succ)),  # no letters: only advances are read
         unit_live=[r for r, d in enumerate(succ) if d is not None],
         # X_t at t - 1, for t in [1, P]
-        period=bytes(d is not None for d in succ),
+        unit=bytes(d is not None for d in succ),
         m=1,
         n=period,
         successor_step=lambda t: (t + succ[(t - 1) % period], None),
@@ -775,9 +775,11 @@ def test_the_suite_formats_no_orbit_rows(monkeypatch):
 
 @pytest.mark.parametrize("seed", ["00001010000", "101010001010", "00100"])
 def test_doubled_orbit_breaks_only_the_orbit_length_law(seed):
-    # the vector repeated twice is a period of the same tape with m doubled:
-    # the closed form read off one window still gives the true orbit length
-    s = Scroll(vector(orbit(seed)) * 2, len(seed))
+    # the orbit read with m doubled before anything reads it, as a period of
+    # the tape twice the orbit's would give it: the closed form read off one
+    # window still gives the true orbit length
+    s = orbit(seed)
+    vars(s)["m"] = 2 * s.m
     rep = VerificationReport()
     check_scroll(s, rep)
     check_tables(s, 3, rep)
@@ -1067,8 +1069,8 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
     # the same live residue.  The crossed step still lands on a live
     # residue, so the steps stay maps of the live entries and every walk
     # reads step letters; steps_are_maps and the snake counts are read
-    # before the injection, so the extended laws run, and the forward and
-    # inverse step advances are rebuilt from the injected letters.  One map
+    # before the injection, so the extended laws run, and the injection
+    # rebuilds the injected table's advances from its letters.  One map
     # can then undo the other, s^a c^b fixing the start for some (a, b) !=
     # (0, 0): on every orbit n <= 10, 88 injections, 23 of them with a
     # fixed point
@@ -1077,12 +1079,10 @@ def test_free_action_on_crossed_letters_matches_the_oracle(table):
         for true in all_orbits(n):
             letters, donor = letters_of(true, table), letters_of(true, CROSSED[table])
             for r in (r for r, x in enumerate(letters) if x != "."):
-                s = Scroll(true.period, n)
+                s = Scroll(true.unit, n)
                 assert s.steps_are_maps
                 s.snakes
                 inject_letters(s, table, letters[:r] + donor[r] + letters[r + 1 :])
-                vars(s)["step_advances"] = Scroll.step_advances.func(s)
-                vars(s)["inverse_advances"] = Scroll.inverse_advances.func(s)
                 result = _law_results(s, FREE_ACTION)
                 assert result == free_action_law(s), (true.rows[0], r)
                 cases, fixed = cases + 1, fixed + bool(result[1])
@@ -1115,7 +1115,7 @@ def test_free_action_needs_the_row_not_only_the_tape():
     for n in range(2, 17):
         for s in all_orbits(n):
             alpha, beta = s.snakes
-            (forth, co_forth), (back, co_back) = s.step_letters, s.inverse_letters
+            (forth, co_forth), (back, co_back) = s.steps.letters, s.inverse_steps.letters
             s_rows = dict(_plane_walk(s, back, forth, beta))
             c_walk = _plane_walk(s, co_back, co_forth, alpha)
             shared = sum(t in s_rows and s_rows[t] != row for t, row in c_walk)
