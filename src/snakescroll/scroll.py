@@ -41,9 +41,9 @@ omega*m*n of an orbit table: both maps commute with shifts by any multiple
 M of P, so they descend to the residues mod M.  Each scroll walks its two
 maps once, mod P, on the offsets r = t - 1 its steps read (`walk_cycles`,
 read as `Scroll.period_cycles`), stepping a live residue r by its step
-advance: per live residue it gives its cycle, its index on that cycle and
-its lift, per cycle its length and its winding.  Every cycle mod M is read
-off those cycles through the covering map Z/M -> Z/P.
+advance: per live residue it gives its cycle and its lift, per cycle the
+path it walked and its winding.  Every cycle mod M is read off those
+cycles through the covering map Z/M -> Z/P.
 
 A cycle of a map mod P whose advances sum to w*P lifts to gcd(w, M/P)
 cycles mod M: the map commutes with the shift by P, so going once round
@@ -192,8 +192,8 @@ class Scroll:
 
     @cached_property
     def seed(self) -> str:
-        """The first row: X_1..X_n, read by the reports and by each failure
-        context of `verify`."""
+        """The first row: X_1..X_n, read by the reports and by the orbit's
+        name in `verify`."""
         n, unit = self.n, self.unit
         return (unit * (n // len(unit) + 1))[:n].translate(_CHARS).decode()
 
@@ -267,7 +267,7 @@ class Scroll:
         return SnakeCounts(*[sum(lifts[-1]) for lifts in self.cycle_lifts])
 
     @cached_property
-    def period_cycles(self) -> tuple[tuple[list, list, list, list], ...]:
+    def period_cycles(self) -> tuple[tuple[list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod P = len(unit)
         (`walk_cycles`), walked on the step advances and the live residues
         of the unit.  A live residue with no advance raises, as its step
@@ -311,7 +311,7 @@ class Scroll:
         (`cycle_lifts`).  The one reader of a snake's name through the
         covering Z/sigma -> Z/P."""
         period = len(self.unit)
-        cycle, _, lift, _ = self.period_cycles[which]
+        cycle, lift, _ = self.period_cycles[which]
         lifts = self.cycle_lifts[which]
         ids = []
         for v in offsets:
@@ -393,40 +393,41 @@ class Scroll:
 
 def walk_cycles(
     advances: tuple[list, list], live: list[int]
-) -> tuple[tuple[list, list, list, list], ...]:
+) -> tuple[tuple[list, list, list], ...]:
     """The cycles of the successor (then co-successor) mod P, each map given
     by its advance per residue r = t - 1 of the unit (`Scroll.steps`)
-    and walked once on live, the live residues in ascending order.  Four
-    arrays (cycle, index, lift, cycles) per map.
+    and walked once on live, the live residues in ascending order.  Three
+    arrays (cycle, lift, cycles) per map.
 
-    For a live r in [0, P), r is on cycle cycle[r], index[r] = k steps from
-    that cycle's least member r0, and r0 + A_k = r + lift[r]*P, A_k the
-    summed advance of those k steps; the three are None where r is dead.
-    cycles[i] is the length and the winding of cycle i, the winding being
-    its summed advance over P; cycles are numbered by their least members,
-    ascending.  A map that does not permute the live residues raises.
+    For a live r in [0, P), r is on cycle cycle[r], k steps from that
+    cycle's least member r0, and r0 + A_k = r + lift[r]*P, A_k the summed
+    advance of those k steps; both are None where r is dead.  cycles[i] is
+    the path and the winding of cycle i: its path the offsets r0 + A_k in
+    walk order, one per member, and its winding its summed advance over P.
+    Cycles are numbered by their least members, ascending.  A map that does
+    not permute the live residues raises.
     """
     walks = []
     for row in advances:
         period = len(row)
-        cycle, index, lift, cycles = [None] * period, [None] * period, [None] * period, []
+        cycle, lift, cycles = [None] * period, [None] * period, []
         for start in live:
             if cycle[start] is not None:
                 continue
-            i, k, u, d = len(cycles), 0, start, row[start]
+            i, u, d, path = len(cycles), start, row[start], []
             v = start  # r0 + A_k
             while True:
-                cycle[u], index[u], lift[u] = i, k, v // period
+                cycle[u], lift[u] = i, v // period
+                path.append(v)
                 v += d
-                k += 1
                 u = v % period
                 if u == start:
                     break
                 d = row[u]
                 if d is None or cycle[u] is not None:  # None: a dead residue
                     raise AssertionError(f"step is not a permutation of live: from {start}")
-            cycles.append((k, (v - start) // period))
-        walks.append((cycle, index, lift, cycles))
+            cycles.append((path, (v - start) // period))
+        walks.append((cycle, lift, cycles))
     return tuple(walks)
 
 

@@ -5,12 +5,14 @@ simulation of the sweep dynamics.  Violations are collected, never
 silently dropped; an empty violation list is the pass condition.
 
 Every law result takes one path into the report: a law yields one
-(law, checks, failure contexts) entry, and `VerificationReport.tally`,
-the only writer of `passed` and `violations`, counts its passes; a
-context string is built only for a check that fails.  Every context and
-evidence record names its orbit one way, "n=... seed=..." (`_orbit_name`).
-`check_scroll` yields one entry per law and orbit, and a law that passes
-builds no context, no tape index list and no sorted or counted failure set.
+(law, checks, failure details) entry, and `VerificationReport.tally`,
+the only writer of `passed` and `violations`, counts its passes and makes
+each violation line: the law, the orbit's name and the detail; a detail
+string is built only for a check that fails.  An orbit is named one way,
+"n=... seed=..." (`_orbit_name`), and only by the tally and the evidence
+records.  `check_scroll` yields one entry per law and orbit, and a law
+that passes builds no detail, no tape index list and no sorted or counted
+failure set.
 `check_tables` yields one entry per law for each run of omegas where
 all its laws pass, and one per law at each omega with a failure: a table
 is its scroll and omega, and each law reads the table's scalars off
@@ -63,12 +65,13 @@ from .tables import (
 
 
 # one law's checks on one orbit: its name, its number of checks and the
-# contexts of those that failed
+# details of those that failed, each what its violation says after the
+# orbit's name
 Law = tuple[str, int, Sequence[str]]
 
 
 def _orbit_name(orbit: Scroll | SameSideDegreeFailure | ProductFormFailure) -> str:
-    """How a failure context or an evidence record names its orbit."""
+    """How a violation or an evidence record names its orbit."""
     return f"n={orbit.n} seed={orbit.seed}"
 
 
@@ -111,8 +114,8 @@ class _ReportFields(NamedTuple):
     # checks passed per law, tallied once per law and orbit; a law gets its
     # key with its first pass, so a law that never passed has none
     passed: dict[str, int]
-    # "law: context" per failed check; a context string is built only for
-    # a failure, never for a pass
+    # "law: n=... seed=...detail" per failed check, made by the tally; a
+    # detail string is built only for a failure, never for a pass
     violations: list[str]
     # recorded evidence, not violations: orbits where the same-side degree
     # divisibility deg(p_1) | deg fails (the crossed divisibility
@@ -135,15 +138,18 @@ class VerificationReport(_ReportFields):
     def __new__(cls):
         return super().__new__(cls, {}, [], [], [])
 
-    def tally(self, laws: Iterable[Law]) -> None:
+    def tally(self, laws: Iterable[Law], orbit: Scroll | None = None) -> None:
         """Record the checks of laws, each (name, total, failures): failures
-        holds the contexts of the checks that failed, empty for a law that
-        passed."""
+        holds the details of the checks that failed, empty for a law that
+        passed.  Each failure is one violation, "name: " then the name of
+        orbit (`_orbit_name`), where given, then its detail; the name is
+        formatted only for a law that failed."""
         passed, violations = self.passed, self.violations
         for name, total, failures in laws:
             if failures:
                 total -= len(failures)
-                violations += [f"{name}: {context}" for context in failures]
+                head = f"{name}: {_orbit_name(orbit) if orbit else ''}"
+                violations += [head + detail for detail in failures]
             if total > 0:
                 passed[name] = passed.get(name, 0) + total
 
@@ -172,7 +178,7 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     by two arcs, say.
     """
     succ = scroll.steps.advances[0]
-    cycle, _, lift, cycles = scroll.period_cycles[1]
+    cycle, lift, cycles = scroll.period_cycles[1]
     live = scroll.unit_live
     period = len(succ)
     fold = modulus // period
@@ -182,9 +188,9 @@ def _is_torsor(scroll: Scroll, modulus: int, outer: int, inner: int) -> bool:
     for _ in range(outer):
         u = cur % period
         i = cycle[u]
-        length, w = cycles[i]
+        path, w = cycles[i]
         g = gcd(w, fold)
-        if length * (fold // g) != inner:
+        if len(path) * (fold // g) != inner:
             return False
         orbits.add(i * fold + (cur // period - lift[u]) % g)
         cur = (cur + succ[u]) % modulus
@@ -220,12 +226,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     """The per-orbit theorem suite, each law tallied once per orbit.
 
     Every law is evaluated on every orbit (`_scroll_laws`), each yielding
-    one (law, checks, failure contexts) entry, tallied as it is yielded
-    (`VerificationReport.tally`): where a law raises, the laws before it
-    are tallied and none after it.  A law that passes costs that one
-    entry: its context strings, the tape indices its failures stand for,
-    and any sorting or counting that only orders or names failures are
-    built only for a law that failed.
+    one (law, checks, failure details) entry, tallied as it is yielded
+    (`VerificationReport.tally`, which names s in each violation): where a
+    law raises, the laws before it are tallied and none after it.  A law
+    that passes costs that one entry: its details, the tape indices its
+    failures stand for, and any sorting or counting that only orders or
+    names failures are built only for a law that failed.
 
     Steps read the scroll's step table of each direction (`Scroll.steps`,
     `Scroll.inverse_steps`: letters and advances) at residue (t - 1) mod P,
@@ -235,7 +241,7 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     per-residue laws (six-neighbour zeros, unique candidates, commutation,
     parallelogram, round trip) run on the tape indices [1, P] only: each
     count is multiplied by laps = m*n/P, and each failure at t stands for
-    t + k*P, k = 0..laps-1, so the contexts are those of all m*n residues,
+    t + k*P, k = 0..laps-1, so the details are those of all m*n residues,
     in tape order.  The laws on the snakes and co-snakes mod sigma (successor
     advance linear, near-row distinctness, fibers) run on the live
     residues of the unit only: they read both maps' cycles mod P
@@ -252,12 +258,12 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     a letter's step lands on a dead entry.  Where P does not divide sigma,
     they are skipped with one violation, "snake laws skipped".
     """
-    rep.tally(_scroll_laws(s, extended))
+    rep.tally(_scroll_laws(s, extended), s)
 
 
 def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     """The laws of `check_scroll` on s, each yielded as (law, checks,
-    failure contexts), in law order."""
+    failure details), in law order."""
     n, m = s.n, s.m
     met = s.metrics
     unit = s.unit
@@ -286,9 +292,8 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         for d in (-1, 1 - n, -n):
             crowded |= here & wide >> 8 * (offset - d) & mask
         crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
-        c = _orbit_name(s)
         failed = [
-            f"{c} at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
+            f" at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
         ]
     yield "six-neighbor zeros", laps * len(live), failed
 
@@ -317,13 +322,12 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             one_way.append(r + 1)
     failed = []
     if not_unique:
-        c = _orbit_name(s)
         for t in _laps(not_unique, period, laps):
             try:  # the step raises with the count of live candidates
                 s.successor_step(t)
                 s.co_successor_step(t)
             except AssertionError as exc:
-                failed.append(f"{c}: {exc}")
+                failed.append(f": {exc}")
     yield "unique successor candidates", laps * len(live), failed
     for law, failed in (
         ("commutation", noncommuting),
@@ -331,15 +335,14 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("predecessor round trip", one_way),
     ):
         if failed:
-            c = _orbit_name(s)
-            failed = [f"{c} at tape {t}" for t in _laps(failed, period, laps)]
+            failed = [f" at tape {t}" for t in _laps(failed, period, laps)]
         yield law, laps * (len(live) - len(not_unique) - skipped), failed
     # the laws on snakes read them off the cycles mod P through the covering
     # Z/sigma -> Z/P, which needs P | sigma: where it fails they are skipped
     # with one violation, tallied as a law of no checks
     uncovered = _uncovered(s)
     if uncovered:
-        yield "snake laws skipped", 0, (f"{_orbit_name(s)}: {uncovered}",)
+        yield "snake laws skipped", 0, (f": {uncovered}",)
     snakes = s.snakes if s.steps_are_maps and not uncovered else None
 
     # letter-count constraints and scale identities; T_tape, gcd(p, q) of
@@ -359,7 +362,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             ("beta from letters", snakes.beta == len(ws)),
         ]
     for law, holds in held:
-        yield law, 1, () if holds else (_orbit_name(s),)
+        yield law, 1, () if holds else ("",)
 
     # sum-vector laws
     lam, cs = sum_vector(s).lam, col_scale(s)
@@ -368,12 +371,12 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("lambda | gcd(n, ColScale)", gcd(n, cs) % lam == 0),
         ("lambda > 1 implies n >= 4 lambda", lam == 1 or n >= 4 * lam),
     ):
-        yield law, 1, () if holds else (_orbit_name(s),)
+        yield law, 1, () if holds else ("",)
 
     # torsor: (a, b) in [0,beta) x [0,alpha) moves t0 once onto each live residue
     if snakes:
         torsor = _is_torsor(s, met.sigma, snakes.beta, snakes.alpha)
-        yield "torsor simple transitivity", 1, () if torsor else (_orbit_name(s),)
+        yield "torsor simple transitivity", 1, () if torsor else ("",)
 
     if not extended:
         return
@@ -385,10 +388,9 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     tape_period = met.T_tape
     bound, failed = 3 * tape_period, ()
     if period != tape_period:
-        c = _orbit_name(s)
         fixing = set(range(period, bound + 1, period))
         wrong = fixing ^ set(range(tape_period, bound + 1, tape_period))
-        failed = [f"{c} shift {ell}" for ell in sorted(wrong)]
+        failed = [f" shift {ell}" for ell in sorted(wrong)]
     yield "tape shift iff T_tape divides", bound, failed
 
     if not snakes:
@@ -401,7 +403,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
         ("co-slither matches simulation", s.coslither_walk, wc),
     ):
         same = cyclically_equal(simulated, word)
-        yield law, 1, () if same else (f"{_orbit_name(s)} simulated {simulated}",)
+        yield law, 1, () if same else (f" simulated {simulated}",)
 
     # the rest read both maps mod sigma through the covering Z/sigma -> Z/P
     # on offsets t - 1 (as `_is_torsor` does): a cycle i mod P of winding w
@@ -412,41 +414,35 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     # failure at v stands for each v + k*P, named by tape index in tape
     # order (`_tape_laps`)
     fold = met.sigma // period
-    (s_cycle, s_index, s_lift, s_cycles), (c_cycle, _, c_lift, _) = s.period_cycles
+    (s_cycle, s_lift, s_cycles), (c_cycle, c_lift, _) = s.period_cycles
     s_lifts, c_lifts = s.cycle_lifts  # per cycle, its first id and g
-    # each live v < P is read once for the laws below: its place on its
-    # successor cycle (by index) and its key for the fibers
-    members = [[None] * length for length, _ in s_cycles]
-    positions = [[None] * length for length, _ in s_cycles]
+    # each live v < P is read once for its key for the fibers
     keys, looped = [], False
     for v in live:
-        i, j, q = s_cycle[v], c_cycle[v], s_lift[v]
-        k = s_index[v]
-        members[i][k], positions[i][k] = v, v + q * period
+        i, j = s_cycle[v], c_cycle[v]
         g, h = s_lifts[i][1], c_lifts[j][1]
-        keys.append((i, j, (q - c_lift[v]) % gcd(g, h)))
+        keys.append((i, j, (s_lift[v] - c_lift[v]) % gcd(g, h)))
         looped = looped or lcm(g, h) < fold
 
     # linearity of iterated successor advance: on a cycle of length l and
-    # winding w, the member at index k is at v0 + A_k = v + lift[v]*P, and
-    # A_(k + l) = A_k + w*P, so K = r*block steps from index k advance
-    # A_(k + K) - A_k: with K = c*l + j, that is (A_(k + j) - A_k) + c*w*P,
-    # A_(k + j) read off the cycle's positions over two laps
+    # winding w, the walk's path holds v0 + A_k at k, and A_(k + l) = A_k +
+    # w*P, so K = r*block steps from k advance A_(k + K) - A_k: with K =
+    # c*l + j, that is (A_(k + j) - A_k) + c*w*P, A_(k + j) read off the
+    # path over two laps
     block = len(ws) // met.deg
     rounds = range(1, min(3, met.deg) + 1)
     nonlinear = []
     for r in rounds:
         failed = []
-        for on_cycle, at, (length, w) in zip(members, positions, s_cycles):
-            turns, j = divmod(r * block, length)
+        for path, w in s_cycles:
+            turns, j = divmod(r * block, len(path))
             lap = w * period
             goal = r * met.p - turns * lap
-            advances = list(map(sub, at[j:] + [x + lap for x in at[:j]], at))
-            if advances.count(goal) != length:
-                failed += [v for v, a in zip(on_cycle, advances) if a != goal]
+            advances = list(map(sub, path[j:] + [x + lap for x in path[:j]], path))
+            if advances.count(goal) != len(path):
+                failed += [v for v, a in zip(path, advances) if a != goal]
         if failed:
-            c = _orbit_name(s)
-            nonlinear += [f"{c} r={r} from {t}" for t in _tape_laps(failed, period, fold)]
+            nonlinear += [f" r={r} from {t}" for t in _tape_laps(failed, period, fold)]
     yield "successor advance linear", len(rounds) * fold * len(live), nonlinear
 
     # co-snake distinctness within one row span: no live offset x < P shares
@@ -467,11 +463,10 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             shared += [(x, span[k] - x) for k in range(a + 1, b) if label[k] == label[a]]
     failed = []
     if shared:
-        c = _orbit_name(s)
         # each pair at tape indices x + 1 and x + 1 + d, named as by `_tape_laps`
         shared = sorted([((x + 1) % period, d) for x, d in shared])
         failed = [
-            f"{c} tape {v + k}, {v + k + d}"
+            f" tape {v + k}, {v + k + d}"
             for k in range(0, fold * period, period)
             for v, d in shared
         ]
@@ -511,8 +506,8 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
                     x = z % period
                     z, r = z + c_advances[x], r - sign * _ROW_STEP[c_letters[x]]
                 if r == 0:
-                    fixed[a] = f"{_orbit_name(s)} exponents ({a},{-sign * b})"
-    failed = [fixed[a] for a in sorted(fixed)] if fixed else ()
+                    fixed[a] = f" exponents ({a},{-sign * b})"
+    failed = [fixed[a] for a in sorted(fixed)]
     yield "free affine action", (2 * snakes.beta + 1) * (2 * alpha + 1) - 1, failed
 
     # fibers: residues mod sigma, singletons among the live residues.  v +
@@ -529,8 +524,7 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             for v, key in zip(live, keys)
             if count[key] > 1 or lcm(s_lifts[key[0]][1], c_lifts[key[1]][1]) < fold
         ]
-        c = _orbit_name(s)
-        failed = [f"{c} tape {t}" for t in _tape_laps(met_twice, period, fold)]
+        failed = [f" tape {t}" for t in _tape_laps(met_twice, period, fold)]
     yield "fibers are residues mod sigma", fold * len(live), failed
 
 
@@ -558,11 +552,12 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 
     Each table law is evaluated on the table's scalars (`tables`' scalar
     cores) at each omega (`_table_laws`) and tallied as it is yielded
-    (`VerificationReport.tally`).  An omega where all six laws pass only
-    adds to a count, as a passing law costs `check_scroll` one entry: the
-    count is yielded as one (law, omegas, ()) entry per law before the
-    next omega with a failure and after the last.  An omega with a failure
-    yields one (law, 1, failure contexts) entry per law, so the violations
+    (`VerificationReport.tally`, which names s in each violation).  An
+    omega where all six laws pass only adds to a count, as a passing law
+    costs `check_scroll` one entry: the count is yielded as one (law,
+    omegas, ()) entry per law before the next omega with a failure and
+    after the last.  An omega with a failure
+    yields one (law, 1, failure details) entry per law, so the violations
     keep their omega order, and within one omega the law order, and
     `passed` its totals and key order.  A swallow that raises ends that
     omega after the swallow's entry.  A fault that raises out of an omega
@@ -583,11 +578,11 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     so its verdict is kept per residue too.  A value of a residue is the
     same check at every omega with that residue, as the per-residue laws
     of `check_scroll` count one least period times laps: each omega still
-    counts, or fails, each law, under its own context.  The group order
+    counts, or fails, each law, under its own omega.  The group order
     law and the product-form evidence read eta and run at every omega, as
     does the torsor where bar_beta does not divide eta.
     """
-    rep.tally(_table_laws(s, omega_max, rep))
+    rep.tally(_table_laws(s, omega_max, rep), s)
 
 
 def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[Law]:
@@ -597,13 +592,13 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
 
     reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
     if reason:
-        yield "table laws skipped", 0, (f"{_orbit_name(s)}: {reason}",)
+        yield "table laws skipped", 0, (f": {reason}",)
         return
     met = s.metrics
 
     deg_p1, codeg_p1 = s.fundamental_degrees
     crossed = met.codeg % deg_p1 == 0 and met.deg % codeg_p1 == 0
-    yield "crossed degree divisibility", 1, () if crossed else (_orbit_name(s),)
+    yield "crossed degree divisibility", 1, () if crossed else ("",)
     if met.deg % deg_p1 != 0 or met.codeg % codeg_p1 != 0:
         rep.same_side_degree_failures.append(
             SameSideDegreeFailure(s.n, s.seed, deg_p1, met.deg, codeg_p1, met.codeg)
@@ -677,7 +672,7 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
                     continue
             yield from _passes(clean)
             clean = 0
-            at = f"{_orbit_name(s)} omega={omega}"
+            at = f" omega={omega}"
             yield counts_law, 1, () if counts else (at,)
             if raised:
                 yield swallow_law, 1, (f"{at}: {swallows}",)
@@ -693,16 +688,6 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
         yield from _passes(clean)
         raise
     yield from _passes(clean)
-
-
-def classification_completeness(n: int, simulated: set[str], rep: VerificationReport) -> None:
-    """The simulated least tape periods, each in its least rotation, equal
-    the classified canonical periods."""
-    classified = {rec.period for rec in enumerate_ticker_tapes(n)}
-    failed = () if simulated == classified else (
-        f"n={n}: {len(simulated)} simulated vs {len(classified)} classified",
-    )
-    rep.tally([("classification completeness", 1, failed)])
 
 
 def run_verification(
@@ -725,6 +710,10 @@ def run_verification(
                 check_tables(s, omega_max, rep)
             if completeness:
                 periods.add(canonical_binary(s.unit.translate(_CHARS).decode()))
-        if completeness:
-            classification_completeness(n, periods, rep)
+        if completeness:  # the simulated least periods are the classified ones
+            classified = {rec.period for rec in enumerate_ticker_tapes(n)}
+            failed = () if periods == classified else (
+                f"n={n}: {len(periods)} simulated vs {len(classified)} classified",
+            )
+            rep.tally([("classification completeness", 1, failed)])
     return rep

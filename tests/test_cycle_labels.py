@@ -57,11 +57,11 @@ def test_labels_are_least_cycle_members():
 
 def test_labels_name_each_lift_by_its_least_residue():
     # one cycle 0 -> 1 -> 2 -> 0 mod 3 whose first step advances 4: walked
-    # from 0 at lifts 0, 1, 1, winding 2.  Mod 3*4 it lifts to gcd(2, 4) = 2
-    # cycles, u + 3x on the one numbered (x - lift[u]) mod 2: 1 and 2 lie on
-    # the cycle of 3, named 1, and 4 and 5 on that of 0
-    (cycle, index, lift, cycles), _ = walk_cycles(([4, 1, 1], [4, 1, 1]), (0, 1, 2))
-    assert (cycle, index, lift, cycles) == ([0, 0, 0], [0, 1, 2], [0, 1, 1], [(3, 2)])
+    # from 0 at lifts 0, 1, 1 on the path 0, 4, 5, winding 2.  Mod 3*4 it
+    # lifts to gcd(2, 4) = 2 cycles, u + 3x on the one numbered (x - lift[u])
+    # mod 2: 1 and 2 lie on the cycle of 3, named 1, and 4 and 5 on that of 0
+    (cycle, lift, cycles), _ = walk_cycles(([4, 1, 1], [4, 1, 1]), (0, 1, 2))
+    assert (cycle, lift, cycles) == ([0, 0, 0], [0, 1, 1], [([0, 4, 5], 2)])
     assert _labels([4, 1, 1], 4) == [0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0]
 
 
@@ -111,7 +111,7 @@ def test_lift_labels_match_walked_cycles():
         for s in all_orbits(n):
             period, sigma = len(s.unit), s.metrics.sigma
             walked, reads = walked_labels(s, sigma), []
-            for (cycle, _, lift, _), lifts, labels in zip(s.period_cycles, s.cycle_lifts, walked):
+            for (cycle, lift, _), lifts, labels in zip(s.period_cycles, s.cycle_lifts, walked):
                 read = [None] * sigma
                 for k in range(sigma):
                     x, r = divmod((k - 1) % sigma, period)

@@ -104,8 +104,9 @@ def test_every_n_has_a_coprime_col_scale_pair():
 
 
 def test_construct_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        construct_period_lambda(2, 5)
+    for lam, k in ((2, 5), (-1, 4)):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            construct_period_lambda(lam, k)
     with pytest.raises(ValueError):
         construct_period_lambda(3, 2)
 

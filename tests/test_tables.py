@@ -95,7 +95,7 @@ def test_swallow_rejects_a_non_uniform_shift():
     cycle[4], cycle[6], lift[4], lift[6] = 0, 1, 0, 0
     # both maps' cycles, lifts and walks are replaced: the orders are built
     # together
-    vars(s)["period_cycles"] = ((cycle, None, lift, None),) * 2
+    vars(s)["period_cycles"] = ((cycle, lift, None),) * 2
     vars(s)["cycle_lifts"] = ([(0, 1), (1, 2)],) * 2
     vars(s)["coslither_walk"] = vars(s)["slither_walk"] = [4, 6, 13], ""
     assert s.swallow_orders == ((0, 1, 2), (0, 1, 2))

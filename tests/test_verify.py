@@ -104,6 +104,12 @@ def test_the_suite_holds_one_checked_scroll_at_a_time(monkeypatch):
     assert len(alive) == 51 and not any(alive)
 
 
+def test_the_default_range_is_n_2_to_14():
+    # the library's defaults are the CLI's, --n-min 2 and --n-max 14
+    assert run_verification(n_max=2) == run_verification(2, 2)
+    assert run_verification(14) == run_verification(14, 14)
+
+
 def test_a_missing_tape_class_fails_completeness(monkeypatch):
     # one class dropped from the classification at n = 11: the simulated
     # least periods no longer match, and the context gives both counts
@@ -386,30 +392,33 @@ def test_table_laws_match_a_reference_without_memo(breaking, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fault",
+    "seed, fault, periods",
     [
         # the successor's one cycle mod P = 7 read as winding 4, not 2:
         # 4 / gcd(4, 11) = 4
-        lambda s: _windings(s, 0, [4]),
+        ("00001010000", lambda s: _windings(s, 0, [4]), (6, 12)),
         # sigma read as 84, not 42: 84 / gcd(84, 77) = 12
-        lambda s: _metrics(s, sigma=84),
+        ("00001010000", lambda s: _metrics(s, sigma=84), (6, 12)),
         # deg p_1 read as 4, not 2: deg p_1 * codeg p_1 = 12
-        lambda s: vars(s).update(fundamental_degrees=(4, 3)),
+        ("00001010000", lambda s: vars(s).update(fundamental_degrees=(4, 3)), (6, 12)),
+        # P = 3 and m*n = 6, so a table's fold is m*n/P = 2: the successor's
+        # one cycle read as winding 3, not 1, gives 3 / gcd(3, 2) = 3
+        ("00", lambda s: _windings(s, 0, [3]), (1, 3)),
     ],
-    ids=["winding", "sigma", "degree"],
+    ids=["winding", "sigma", "degree", "folded winding"],
 )
-def test_a_wrong_winding_sigma_or_degree_changes_the_omega_period(fault):
+def test_a_wrong_winding_sigma_or_degree_changes_the_omega_period(seed, fault, periods):
     # P_omega is read off the values the laws read, so a fault in one of
-    # them moves it, here from 6 to 12, and the table laws still match a
-    # fresh evaluation at every omega over three of the new periods
-    s = orbit("00001010000")
+    # them moves it, and the table laws still match a fresh evaluation at
+    # every omega over three of the new periods
+    s = orbit(seed)
     s.snakes, s.cycle_lifts, s.swallow_orders
-    assert tables.omega_period(s) == 6
+    assert tables.omega_period(s) == periods[0]
     fault(s)
-    assert tables.omega_period(s) == 12
+    assert tables.omega_period(s) == periods[1]
     got, want = VerificationReport(), VerificationReport()
-    check_tables(s, 36, got)
-    _reference_table_laws(s, 36, want)
+    check_tables(s, 3 * periods[1], got)
+    _reference_table_laws(s, 3 * periods[1], want)
     assert got.violations and got.violations == want.violations
     assert got.passed == want.passed
     assert got.product_form_failures == want.product_form_failures
@@ -605,9 +614,9 @@ def _tallied(monkeypatch) -> list:
     calls = []
     tally = VerificationReport.tally
 
-    def recorded(rep, laws):
+    def recorded(rep, laws, orbit=None):
         calls.append([])
-        tally(rep, (calls[-1].append(law) or law for law in laws))
+        tally(rep, (calls[-1].append(law) or law for law in laws), orbit)
 
     monkeypatch.setattr(VerificationReport, "tally", recorded)
     return calls
@@ -644,7 +653,7 @@ def test_a_failing_omega_flushes_the_passing_omegas_before_it(monkeypatch):
     rep, want = VerificationReport(), VerificationReport()
     check_tables(s, 6, rep)
     at = "n=11 seed=00001010000 omega=5"
-    failed = {"color-preserving conditions agree": (f"{at}: colour fault",)}
+    failed = {"color-preserving conditions agree": (" omega=5: colour fault",)}
     assert calls == [
         [("crossed degree divisibility", 1, ())]
         + [(law, 4, ()) for law in OMEGA_LAWS]
@@ -719,13 +728,13 @@ def test_shared_label_pair_is_a_fiber_violation():
     s = orbit("00000010000")
     period, sigma = len(s.unit), s.metrics.sigma
     assert (period, sigma) == (21, 42)
-    (s_cycle, *_), (c_cycle, index, lift, cycles) = s.period_cycles
+    (s_cycle, *_), (c_cycle, lift, cycles) = s.period_cycles
     assert len(set(s_cycle) - {None}) == 1 and all(w == 1 for _, w in cycles)
     t, u = live_residues(s, period)[:2]
     snake, cosnake = s.snake_labels
     c_cycle = list(c_cycle)
     c_cycle[u - 1] = c_cycle[t - 1]
-    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, lift, cycles)
+    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, lift, cycles)
     cosnake = list(cosnake)
     for x in range(u, sigma, period):
         cosnake[x] = cosnake[t]
@@ -751,15 +760,53 @@ def test_fibers_on_a_merged_co_successor_cycle(winding, lift, shared):
     # each of the 12 live residues fails
     s = orbit("00001010000")
     assert (len(s.unit), s.metrics.sigma) == (7, 42)
-    (_, _, s_lift, s_cycles), (c_cycle, index, c_lift, _) = s.period_cycles
-    assert (s_lift[4], s_lift[6], s_cycles) == (0, 0, [(2, 2)])
-    c_cycle, index, c_lift = list(c_cycle), list(index), list(c_lift)
-    c_cycle[6], index[6], c_lift[6] = 0, 0, 0
-    c_cycle[4], index[4], c_lift[4] = 0, 1, lift + 1
-    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, index, c_lift, [(2, winding)])
+    (_, s_lift, s_cycles), (c_cycle, c_lift, _) = s.period_cycles
+    assert (s_lift[4], s_lift[6], s_cycles) == (0, 0, [([4, 6], 2)])
+    c_cycle, c_lift = list(c_cycle), list(c_lift)
+    c_cycle[6], c_lift[6] = 0, 0
+    c_cycle[4], c_lift[4] = 0, lift + 1
+    path = [6, 4 + (lift + 1) * 7]
+    vars(s)["period_cycles"] = s.period_cycles[0], (c_cycle, c_lift, [(path, winding)])
     live = [v + k for k in range(0, 42, 7) for v in (0, 5)]
     expected = [f"{FIBERS}: n=11 seed=00001010000 tape {t}" for t in live] if shared else []
     assert _law_results(s, FIBERS) == (12 - len(expected), expected)
+
+
+def test_fibers_compare_the_lift_differences_mod_the_gcd():
+    # the running example's two live offsets 4 and 6 (P = 7, F = sigma/P =
+    # 6) on one successor cycle of winding 3, 6 at lift 1, and on one
+    # co-successor cycle of winding 6, 4 at lift 2: the cycles lift to
+    # gcd(3, 6) = 3 snakes and 6 co-snakes, lcm 6 = F.  4 + x*P lies on
+    # snake x mod 3 and co-snake x - 2 mod 6, and 6 + x*P on snake x - 1
+    # mod 3 and co-snake x mod 6, so 6 + x*P shares both with 4 + (x + 2)*P:
+    # the lift differences, 0 - 2 and 1 - 0, agree mod gcd(3, 6) = 3, and
+    # each of the 12 live residues fails
+    s = orbit("00001010000")
+    (s_cycle, s_lift, _), (c_cycle, c_lift, _) = s.period_cycles
+    s_lift, c_cycle, c_lift = list(s_lift), list(c_cycle), list(c_lift)
+    s_lift[6], c_cycle[6], c_lift[4], c_lift[6] = 1, 0, 2, 0
+    succ, co_succ = (s_cycle, s_lift, [([4, 13], 3)]), (c_cycle, c_lift, [([6, 18], 6)])
+    vars(s)["period_cycles"] = succ, co_succ
+    live = [v + k for k in range(0, 42, 7) for v in (0, 5)]
+    assert _law_results(s, FIBERS) == (
+        0,
+        [f"{FIBERS}: n=11 seed=00001010000 tape {t}" for t in live],
+    )
+
+
+def test_the_free_action_walks_s_up_to_beta_steps_each_way(monkeypatch):
+    # with every row step read as 0 the law reports each a whose c-walk
+    # ends on t0's tape index: on n = 5, seed 00100 (alpha 2, beta 3),
+    # s^-3 c^2 and s^3 c^-2.  With beta read as 2 the walk stops a step
+    # short of them, and the count is (2*2 + 1)^2 - 1
+    monkeypatch.setattr(verify, "_ROW_STEP", dict.fromkeys(verify._ROW_STEP, 0))
+    for beta, passed, exponents in ((3, 32, ["(-3,2)", "(3,-2)"]), (2, 24, [])):
+        s = orbit("00100")
+        vars(s)["snakes"] = s.snakes._replace(beta=beta)
+        assert _law_results(s, FREE_ACTION) == (
+            passed,
+            [f"{FREE_ACTION}: n=5 seed=00100 exponents {e}" for e in exponents],
+        )
 
 
 def test_the_suite_formats_no_orbit_rows(monkeypatch):
@@ -995,14 +1042,18 @@ def test_tape_shift_law_matches_the_slice_oracle():
 
 def test_a_wrong_tape_period_fails_the_tape_shift_law():
     # T_tape claimed as 14 on a tape of period 7: the shifts by 7, 21 and 35
-    # fix the tape but are no multiple of 14
-    s = orbit("00001010000")
-    vars(s)["metrics"] = s.metrics._replace(T_tape=14)
+    # fix the tape but are no multiple of 14.  Claimed as 2 or 1, the
+    # shifts up to the bound 3*T_tape are its multiples, and none fixes the
+    # tape; the first shift past the bound, 7 or 4, is no check
     law = "tape shift iff T_tape divides"
-    assert _law_results(s, law) == tape_shift_law(s) == (
-        39,
-        [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in (7, 21, 35)],
-    )
+    cases = (14, 39, (7, 21, 35)), (2, 3, (2, 4, 6)), (1, 0, (1, 2, 3))
+    for tape_period, passed, shifts in cases:
+        s = orbit("00001010000")
+        vars(s)["metrics"] = s.metrics._replace(T_tape=tape_period)
+        assert _law_results(s, law) == tape_shift_law(s) == (
+            passed,
+            [f"{law}: n=11 seed=00001010000 shift {ell}" for ell in shifts],
+        )
 
 
 def test_a_wrong_simulated_period_fails_the_tape_shift_law():
@@ -1138,10 +1189,10 @@ def test_near_row_on_merged_co_snakes_matches_the_oracle():
     for n in range(4, 17):
         for s in all_orbits(n):
             snake, cosnake = s.snake_labels
-            cycle, index, lift, cycles = s.period_cycles[1]
+            cycle, lift, cycles = s.period_cycles[1]
             one = [None if i is None else 0 for i in cycle]
-            one_cycle = [(sum(length for length, _ in cycles), 1)]
-            vars(s)["period_cycles"] = s.period_cycles[0], (one, index, lift, one_cycle)
+            one_cycle = [([v for path, _ in cycles for v in path], 1)]
+            vars(s)["period_cycles"] = s.period_cycles[0], (one, lift, one_cycle)
             vars(s)["cycle_lifts"] = s.cycle_lifts[0], [(0, 1)]
             first = live_residues(s, s.metrics.sigma)[0]
             vars(s)["snake_labels"] = snake, [None if x is None else first for x in cosnake]
@@ -1182,10 +1233,10 @@ def test_a_wrong_winding_breaks_the_advance_linearity():
     s = orbit("000100")
     met = s.metrics
     assert (len(s.unit), met.sigma, met.deg, met.p) == (7, 21, 3, 7)
-    cycle, index, lift, cycles = s.period_cycles[0]
-    assert (cycle[3], cycles) == (0, [(1, 1), (1, 1)])
+    cycle, lift, cycles = s.period_cycles[0]
+    assert (cycle[3], cycles) == (0, [([3], 1), ([6], 1)])
     s.snakes  # the counts read the true windings
-    vars(s)["period_cycles"] = (cycle, index, lift, [(1, 2), (1, 1)]), s.period_cycles[1]
+    vars(s)["period_cycles"] = (cycle, lift, [([3], 2), ([6], 1)]), s.period_cycles[1]
     assert _law_results(s, LINEAR) == (
         9,
         [f"{LINEAR}: n=6 seed=000100 r={r} from {t}" for r in (1, 2, 3) for t in (4, 11, 18)],
@@ -1214,6 +1265,43 @@ def test_a_non_unique_inverse_letter_fails_the_round_trip(table, tape):
     assert "free affine action" not in rep.passed
 
 
+def _longer_co_successor_at_4(letters, advances):
+    # the co-successor advance at offset 4 one lap (P = 7) longer, its
+    # letter kept: c still lands on the same residue, and the two orders of
+    # one s and one c step from offsets 4 and 6 part by P
+    co = list(advances[1])
+    co[4] += 7
+    return letters, (advances[0], co)
+
+
+def _other_co_successor_letter_at_6(letters, advances):
+    # the co-successor letter at offset 6 read as L, its advance kept: the
+    # letters of c at 4 and 6 differ, while every letter of s agrees
+    return (letters[0], letters[1][:6] + "L"), advances
+
+
+@pytest.mark.parametrize(
+    "law, inject",
+    [
+        ("commutation", _longer_co_successor_at_4),
+        ("parallelogram", _other_co_successor_letter_at_6),
+    ],
+)
+def test_a_step_fault_fails_the_commutation_or_parallelogram_law(law, inject):
+    # the running example's forward steps, successor letters ....E.D and
+    # co-successor ....S.S, with one fault: the law fails at both live
+    # tape indices 5 and 7 of the period, once per lap
+    s = orbit("00001010000")
+    assert s.steps.letters == ("....E.D", "....S.S")
+    vars(s)["steps"] = StepTable(*inject(*s.steps))
+    rep = VerificationReport()
+    check_scroll(s, rep)
+    assert [v for v in rep.violations if v.startswith(f"{law}: ")] == [
+        f"{law}: n=11 seed=00001010000 at tape {t + k}" for k in range(0, 77, 7) for t in (5, 7)
+    ]
+    assert law not in rep.passed
+
+
 def _identity_co_successor(s):
     # each live residue mod P a cycle of its own, of length 1 and winding
     # 0: it lifts to orbits of length 1 mod M, shorter than every arc
@@ -1222,7 +1310,7 @@ def _identity_co_successor(s):
     for i, r in enumerate(live):
         identity[r] = i
     zero = [None if i is None else 0 for i in identity]
-    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, zero, [(1, 0)] * len(live))
+    vars(s)["period_cycles"] = s.period_cycles[0], (identity, zero, [([r], 0) for r in live])
 
 
 def _one_more_live_residue(s):
@@ -1280,6 +1368,36 @@ def test_a_crowded_live_entry_fails_the_six_neighbor_law(row, col, crowded):
         f"{law}: n=11 seed=00001010000 at {at}" for at in crowded
     ]
     assert rep.passed[law] == sum(bits) - len(crowded)
+
+
+def test_a_live_entry_added_to_a_unit_is_held_to_the_six_neighbor_oracle():
+    # each dead entry of the unit of every orbit with n <= 9 made live, once
+    # the metrics are read off the true unit: units shorter and longer than
+    # a row, crowded entries at the unit's ends among them.  Each of the 141
+    # crowds a live entry, and the law's failures are the oracle's, which
+    # checks each of the m*n residues
+    cases = crowded = 0
+    for n in range(2, 10):
+        for clean in all_orbits(n):
+            for r in range(len(clean.unit)):
+                if clean.unit[r]:
+                    continue
+                s = Scroll(clean.unit, n)
+                s.metrics
+                unit = bytearray(s.unit)
+                unit[r] = 1
+                vars(s)["unit"] = bytes(unit)
+                bits, size = vector(s), s.m * n
+                want = [
+                    f" at ({(t - 1) // n},{(t - 1) % n + 1})"
+                    for t in range(1, size + 1)
+                    if bits[t - 1]
+                    and any(bits[(t - 1 + d) % size] for d in (-n, 1 - n, -1, 1, n - 1, n))
+                ]
+                law, _, failed = next(verify._scroll_laws(s, True))
+                assert (law, list(failed)) == ("six-neighbor zeros", want), (n, s.unit)
+                cases, crowded = cases + 1, crowded + bool(want)
+    assert cases == crowded == 141
 
 
 def test_a_raising_swallow_fails_the_swallow_law(monkeypatch):
@@ -1692,3 +1810,34 @@ def test_only_the_tally_writes_law_results():
     for path in sorted(Path(verify.__file__).parent.glob("*.py")):
         writers |= _result_writers(ast.parse(path.read_text()), path.stem)
     assert writers == {"verify.VerificationReport.tally"}
+
+
+def _callers(tree: ast.Module, module: str, name: str) -> set[str]:
+    """The qualified names of the scopes of tree that call the function
+    name."""
+    callers = set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+                callers.add(scope)
+            scan(child, scope)
+
+    scan(tree, module)
+    return callers
+
+
+def test_only_the_tally_names_the_orbit():
+    # every violation's orbit is named as the tally writes it, and every
+    # evidence record's as the record reads
+    callers = set()
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), path.stem, "_orbit_name")
+    assert callers == {
+        "verify.VerificationReport.tally",
+        "verify.SameSideDegreeFailure.__str__",
+        "verify.ProductFormFailure.__str__",
+    }
