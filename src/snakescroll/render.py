@@ -11,7 +11,7 @@ each live entry's edges and node from those pieces in one pass.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, cycle
 from math import gcd
 
 from .scroll import Scroll
@@ -82,7 +82,8 @@ def svg_table(s: Scroll, omega: int) -> str:
     text.  One pass over the live offsets, in tape order, writes an entry's
     two edges as one string when neither leaves the table, and collects its
     node, drawn after every edge; a live entry with no unique letter raises
-    that step's AssertionError, the successor's before the co-successor's.
+    that step's AssertionError (`Scroll.not_unique`), the successor's
+    before the co-successor's.
     Each element's text ends with its newline, so the parts are joined once.
     """
     if omega < 1:
@@ -144,13 +145,11 @@ def svg_table(s: Scroll, omega: int) -> str:
     ]
     x_right, x_left = (n + 1) * unit + unit // 2, unit // 2  # margin x of split edges
     circles = []
-    for o in compress(range(size), s.unit * (size // length)):
+    for o in compress(range(size), cycle(s.unit)):
         j, y = o % n, ys[o // n]
         d, e, sc, cc, node = residues[o % sigma]
-        if d is None:
-            s.successor_step(o + 1)  # raises with the count of live candidates
-        if e is None:
-            s.co_successor_step(o + 1)
+        if d is None or e is None:
+            raise s.not_unique(d is not None, o + 1)
         circles.append(f'{nodes[j]}{y}{node}')
         # the targets' offsets: every advance is positive, so an edge leaves
         # the table exactly when its target is past the last entry

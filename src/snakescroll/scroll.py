@@ -14,7 +14,9 @@ identification, under which (i, j+n) and (i+1, j) are the same cell.  So
 the tape alone is the scroll: X_t = unit[(t - 1) % P], and the
 m*n = lcm(P, n) residues of the orbit are the unit repeated.  Its live
 residues, those r with X_(r+1) live, are listed once (`Scroll.unit_live`)
-and read by every builder and law that visits them.
+and read by every builder and law that visits them.  A shift of the tape
+by d is one rotation of the unit (`rotations`), and a window of it the
+unit cycled and cut, so no reader counts repetitions of the unit.
 
 Each step map (successor, co-successor and their inverses) moves a live
 index t to the one live index among two candidates.  Which candidate is
@@ -28,12 +30,13 @@ one bit per candidate, give one code byte per residue, two byte
 translations read both maps' letters off it, and the letters are mapped to
 their advances through one table per direction fixed by n, built once per
 n (`slither.step_advances`).  A step at t reads its letter and advance at
-(t - 1) mod P.  Only the laws of `verify` read the inverse steps, so a
-scroll that is only rendered or reported never builds them.  The walk of
-one slither (co-slither) from the first live offset, its offsets t - 1 and
-letters, is read straight off the forward table and kept once per scroll
-(`Scroll.slither_walk`, `Scroll.coslither_walk`): the simulation laws,
-the swallows and the orbit report read it.
+(t - 1) mod P, and a live t with no unique letter has one error, its
+step's (`Scroll.not_unique`).  Only the laws of `verify` read the inverse
+steps, so a scroll that is only rendered or reported never builds them.
+The walk of one slither (co-slither) from the first live offset, its
+offsets t - 1 and letters, is read straight off the forward table and
+kept once per scroll (`Scroll.slither_walk`, `Scroll.coslither_walk`):
+the simulation laws, the swallows and the orbit report read it.
 
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
@@ -69,7 +72,8 @@ residues of the unit alone.  No law builds anything of size M.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, compress
+from collections.abc import Callable
+from itertools import accumulate, compress, cycle, islice
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -124,6 +128,16 @@ class StepTable(NamedTuple):
     advances: tuple[list, list]  # its signed tape advance, None where it has none
 
 
+def rotations(unit: bytes) -> Callable[[int], int]:
+    """d -> the unit rotated by d mod P = len(unit), as one integer with one
+    0/1 byte per residue: byte r (from the high end) is X_(r + 1 + d).  The
+    tape is P-periodic, so this is X_(t + d) for t in [1, P], read as P
+    bytes of the unit repeated twice."""
+    period, mask = len(unit), (1 << 8 * len(unit)) - 1
+    twice = int.from_bytes(unit * 2, "big")
+    return lambda d: twice >> 8 * (period - d % period) & mask
+
+
 def _steps(unit: bytes, advance: dict[str, int]) -> StepTable:
     """The step table of both maps of one direction on the tape's least
     cyclic period, unit, given the signed advance of each letter in that
@@ -134,22 +148,17 @@ def _steps(unit: bytes, advance: dict[str, int]) -> StepTable:
     letter.  A dead residue gets DEAD; a live one gets its live
     candidate's letter, or, when not exactly one of its map's two
     candidates is live, the digit counting them.  Each candidate is read
-    from the unit rotated by its advance mod P = len(unit), a shift of the
-    unit repeated three times read as one integer, and the five 0/1 bytes
-    of a residue are summed into one code byte as integers (no byte
+    from the unit rotated by its advance (`rotations`), and the five 0/1
+    bytes of a residue are summed into one code byte as integers (no byte
     carries), so one integer holds both maps' candidates; the letters of
     all m*n residues are these tables repeated.  Each letter's advance is
     read off advance, None for DEAD and the digits.
     """
-    period = len(unit)
-    bits = 8 * period
-    mask = (1 << bits) - 1
-    three = int.from_bytes(unit * 3, "big")
-    code = (three >> bits & mask) * 16
+    rotated = rotations(unit)
+    code = rotated(0) * 16
     for weight, letter in zip((8, 4, 2, 1), "EDSL"):
-        # bytes P + d .. 2P + d - 1 of the three units: the unit rotated by d
-        code += (three >> bits - 8 * (advance[letter] % period) & mask) * weight
-    codes = code.to_bytes(period, "big")
+        code += rotated(advance[letter]) * weight
+    codes = code.to_bytes(len(unit), "big")
     letters = tuple(codes.translate(table).decode() for table in _LETTER_OF)
     return StepTable(letters, tuple(list(map(advance.get, x)) for x in letters))
 
@@ -194,8 +203,7 @@ class Scroll:
     def seed(self) -> str:
         """The first row: X_1..X_n, read by the reports and by the orbit's
         name in `verify`."""
-        n, unit = self.n, self.unit
-        return (unit * (n // len(unit) + 1))[:n].translate(_CHARS).decode()
+        return bytes(islice(cycle(self.unit), self.n)).translate(_CHARS).decode()
 
     @cached_property
     def rows(self) -> tuple[str, ...]:
@@ -207,9 +215,8 @@ class Scroll:
     @cached_property
     def metrics(self) -> ScrollMetrics:
         """Metrics of the length-n tape window from the first live entry."""
-        unit, n = self.unit, self.n
-        start = self.unit_live[0]
-        window = (unit * (n // len(unit) + 2))[start : start + n]
+        n, start = self.n, self.unit_live[0]
+        window = bytes(islice(cycle(self.unit), start, start + n))
         return metrics_from_row(window.translate(_CHARS).decode(), n)
 
     @cached_property
@@ -270,16 +277,17 @@ class Scroll:
     def period_cycles(self) -> tuple[tuple[list, list, list], ...]:
         """The cycles of the successor (then co-successor) mod P = len(unit)
         (`walk_cycles`), walked on the step advances and the live residues
-        of the unit.  A live residue with no advance raises, as its step
-        does, named by its tape index in [1, P]: the Nones of each row are
-        counted at C level, and the live residues scanned only to name the
-        first one that has no advance."""
+        of the unit.  A live residue with no advance raises its step's error
+        (`not_unique`), named by its tape index in [1, P], the successor's
+        before the co-successor's: the Nones of each row are counted at C
+        level, and the live residues scanned only to name the first one
+        that has no advance."""
         live, advances = self.unit_live, self.steps.advances
-        for row, step in zip(advances, (self.successor_step, self.co_successor_step)):
+        for which, row in enumerate(advances):
             if row.count(None) > len(row) - len(live):  # no dead residue has an advance
                 for r in live:
                     if row[r] is None:
-                        step(r + 1)  # raises with the count of live candidates
+                        raise self.not_unique(which, r + 1)
         return walk_cycles(advances, live)
 
     @cached_property
@@ -372,23 +380,16 @@ class Scroll:
             v += advances[v % period]
         return offsets, "".join([letters[v % period] for v in offsets])
 
-    def _step(self, map_index: int, t: int, what: str) -> tuple[int, str]:
-        letters, advances = self.steps.letters[map_index], self.steps.advances[map_index]
-        r = (t - 1) % len(letters)
-        advance = advances[r]
-        if advance is None:
-            if letters[r] == DEAD:
-                raise ValueError(f"tape index {t} is not live")
-            raise AssertionError(
-                f"{what} of live index {t}: {letters[r]} live candidates, expected 1"
-            )
-        return t + advance, letters[r]
-
-    def successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(0, t, "successor")
-
-    def co_successor_step(self, t: int) -> tuple[int, str]:
-        return self._step(1, t, "co-successor")
+    def not_unique(self, which: int, t: int) -> AssertionError:
+        """The error of the successor (which = 0) or co-successor (1) at the
+        live tape index t, any integer, whose letter at (t - 1) mod P is the
+        digit counting its live candidates, not exactly one: the one
+        message of a step with no unique letter, which `period_cycles` and
+        `render.svg_table` raise and the unique-candidates law of `verify`
+        reports."""
+        letters = self.steps.letters[which]
+        what, letter = ("successor", "co-successor")[which], letters[(t - 1) % len(letters)]
+        return AssertionError(f"{what} of live index {t}: {letter} live candidates, expected 1")
 
 
 def walk_cycles(

@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress
+from itertools import compress, cycle
 from math import gcd, lcm
 from operator import sub
 from typing import NamedTuple
@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .classify import enumerate_ticker_tapes
 from .cycles import all_orbits
 from .cyclic import canonical_binary, cyclically_equal
-from .scroll import _CHARS, Scroll, lifted_counts
+from .scroll import _CHARS, Scroll, lifted_counts, rotations
 from .slither import _STEP_SHAPE
 from .sums import col_scale, sum_vector
 from .tables import (
@@ -254,9 +254,11 @@ def check_scroll(s: Scroll, rep: VerificationReport, extended: bool = True) -> N
     reuse.  The laws on the snakes and on walks of the steps need all four
     steps to be maps of the live entries; where a live entry has no unique
     letter in some table, the unique-candidates or round-trip law reports
-    it and those laws are skipped for the orbit; they are skipped too where
-    a letter's step lands on a dead entry.  Where P does not divide sigma,
-    they are skipped with one violation, "snake laws skipped".
+    it (the unique-candidates detail is the step's error,
+    `Scroll.not_unique`, the successor's where it has none) and those laws
+    are skipped for the orbit; they are skipped too where a letter's step
+    lands on a dead entry.  Where P does not divide sigma, they are skipped
+    with one violation, "snake laws skipped".
     """
     rep.tally(_scroll_laws(s, extended), s)
 
@@ -274,23 +276,19 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
     # local structure at every live entry of the unit: the unit and its
     # shifts as integers, one 0/1 byte per residue, so OR and AND act
     # bytewise; a nonzero byte of crowded is a live entry with a live
-    # neighbour.  The unit repeated 2*reach + 1 times holds X_(t + d),
-    # |d| <= n, at byte (t - 1) + reach*P + d, so read as one integer
-    # (wide) and shifted right by reach*P - d bytes, cut to P bytes, it
-    # gives X_(t + d) for t in [1, P].  A live t with a live t - d is a
-    # live t - d with a live t + d, so the backward shifts are read only
-    # where a forward one crowds an entry
-    reach = -(-n // period)
-    wide = int.from_bytes(unit * (2 * reach + 1), "big")
-    offset, mask = reach * period, (1 << 8 * period) - 1
-    here = wide >> 8 * offset & mask
+    # neighbour.  The tape is P-periodic, so X_(t + d) for t in [1, P] is
+    # the unit rotated by d mod P (`rotations`).  A live t with a live
+    # t - d is a live t - d with a live t + d, so the backward shifts are
+    # read only where a forward one crowds an entry
+    rotated = rotations(unit)
+    here = rotated(0)
     crowded = 0
     for d in (1, n - 1, n):
-        crowded |= here & wide >> 8 * (offset - d) & mask
+        crowded |= here & rotated(d)
     failed = ()
     if crowded:
         for d in (-1, 1 - n, -n):
-            crowded |= here & wide >> 8 * (offset - d) & mask
+            crowded |= here & rotated(d)
         crowded_at = list(compress(range(1, period + 1), crowded.to_bytes(period, "big")))
         failed = [
             f" at ({(t - 1) // n},{(t - 1) % n + 1})" for t in _laps(crowded_at, period, laps)
@@ -320,14 +318,11 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
             skewed.append(r + 1)
         if pa[rs] != -d or cpa[rc] != -e:
             one_way.append(r + 1)
-    failed = []
-    if not_unique:
-        for t in _laps(not_unique, period, laps):
-            try:  # the step raises with the count of live candidates
-                s.successor_step(t)
-                s.co_successor_step(t)
-            except AssertionError as exc:
-                failed.append(f": {exc}")
+    # each entry's step error, the successor's where it has none
+    failed = [
+        f": {s.not_unique(sa[(t - 1) % period] is not None, t)}"
+        for t in _laps(not_unique, period, laps)
+    ]
     yield "unique successor candidates", laps * len(live), failed
     for law, failed in (
         ("commutation", noncommuting),
@@ -447,13 +442,10 @@ def _scroll_laws(s: Scroll, extended: bool) -> Iterator[Law]:
 
     # co-snake distinctness within one row span: no live offset x < P shares
     # its co-snake with a live y, x < y < x + n (by the shift by P, every
-    # pair is such a pair shifted).  The live offsets of [0, P + n - 1) are
-    # listed ascending with their co-snake ids (`Scroll.ids`); each x < P is
-    # compared with the offsets up to x + n
-    span = []
-    for j in range((period + n - 2) // period + 1):  # laps of P up to P + n - 1
-        cut = bisect_left(live, period + n - 1 - j * period)
-        span += [v + j * period for v in live[:cut]]
+    # pair is such a pair shifted).  The live offsets of [0, P + n - 1), the
+    # unit cycled, are listed ascending with their co-snake ids
+    # (`Scroll.ids`); each x < P is compared with the offsets up to x + n
+    span = list(compress(range(period + n - 1), cycle(unit)))
     label = s.ids(1, span)
     near, shared = 0, []
     for a, x in enumerate(live):

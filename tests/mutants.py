@@ -16,7 +16,8 @@ one site of the module's syntax tree (stdlib `ast` only):
 
 The repository is copied once to a temporary directory.  The module
 re-emitted unchanged by `ast.unparse` must pass tier-1 there first, less
-the check of line lengths, which the re-emitted source does not keep; then
+the check of line lengths, which the re-emitted source does not keep, and
+the check of the accepted survivors' source text, which it rewrites; then
 each mutant is written over it and tier-1 runs with `-x` and a timeout of
 TIMEOUT seconds.  A mutant is killed when the run fails, survives when it
 passes, and times out when it is stopped.  Each survivor is printed with
@@ -42,9 +43,13 @@ PACKAGE = Path("src") / "snakescroll"
 ACCEPTED = ROOT / "tests" / "mutants_accepted.txt"
 TIMEOUT = 180
 # `ast.unparse` re-emits the module without its line wraps, so the check of
-# the source's line lengths is left out of each run
+# the source's line lengths is left out of each run; so is the check that
+# each accepted survivor's source is in its function, which reads the text
+# a mutant changes, not what the module does
 LAYOUT = "tests/test_line_length.py::test_no_line_is_longer_than_100_characters"
-TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", LAYOUT]
+LISTED = "tests/test_mutants.py::test_every_accepted_survivor_names_code_that_is_there"
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+TIER1 += ["--deselect", LAYOUT, "--deselect", LISTED]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench")
 
 SWAPS = {

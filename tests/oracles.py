@@ -140,14 +140,26 @@ def vector(s: Scroll) -> bytes:
     return s.unit * (s.m * s.n // len(s.unit))
 
 
+def step(s: Scroll, which: int, t: int) -> int:
+    """The successor (which = 0) or co-successor (1) of the live tape index
+    t, read off its advance at (t - 1) mod P; a step with no advance raises
+    its error (`Scroll.not_unique`).  It reads the advances alone, so it
+    steps a stand-in scroll given by its advances, which has no letters."""
+    advances = s.steps.advances[which]
+    d = advances[(t - 1) % len(advances)]
+    if d is None:
+        raise s.not_unique(which, t)
+    return t + d
+
+
 def successor(s: Scroll, t: int) -> int:
-    """The successor of the live tape index t, read off its step."""
-    return s.successor_step(t)[0]
+    """The successor of the live tape index t (`step`)."""
+    return step(s, 0, t)
 
 
 def co_successor(s: Scroll, t: int) -> int:
-    """The co-successor of the live tape index t, read off its step."""
-    return s.co_successor_step(t)[0]
+    """The co-successor of the live tape index t (`step`)."""
+    return step(s, 1, t)
 
 
 def live_residues(s: Scroll, modulus: int) -> list[int]:
@@ -578,11 +590,11 @@ def svg_table(s: Scroll, omega: int, labels: list[list] | None = None) -> str:
     for t in live:
         x1, y1 = at(t)
         label = t % len(snake)
-        for step, dash, color in (
-            (s.successor_step, "", snake_color[snake[label]]),
-            (s.co_successor_step, 'stroke-dasharray="4 3"', cosnake_color[cosnake[label]]),
+        for which, dash, color in (
+            (0, "", snake_color[snake[label]]),
+            (1, 'stroke-dasharray="4 3"', cosnake_color[cosnake[label]]),
         ):
-            u = step(t)[0]
+            u = step(s, which, t)
             attrs = f'stroke="{color}" stroke-width="2" {dash} fill="none"'
             x2, y2 = at((u - 1) % size + 1)
             if 1 <= u <= size:

@@ -40,7 +40,7 @@ def test_tables_reach_every_case_of_the_svg_pieces():
         past += sigma > size
         uneven += omega > 1 and size % sigma != 0
         for t in compress(range(1, size + 1), oracles.vector(s) * omega):
-            u, v = s.successor_step(t)[0], s.co_successor_step(t)[0]
+            u, v = oracles.successor(s, t), oracles.co_successor(s, t)
             both += u > size and v > size
             co_only += u <= size < v
     assert orbit("00100").metrics.sigma == 18 and ("00100", 1) in TABLES

@@ -1,13 +1,17 @@
 """The flat ticker tape, successor maps, snake counts and labels."""
 
+import ast
 import functools
+from pathlib import Path
 
 import pytest
 
+from snakescroll import scroll
 from snakescroll.cycles import all_orbits, orbit
 from snakescroll.scroll import DEAD, Scroll, cached_property
 from snakescroll.slither import step_advances
 
+from mutants import owners
 from oracles import co_successor, successor, vector
 
 SEED11 = "00001010000"
@@ -28,9 +32,9 @@ def test_successor_steps_on_the_running_example():
     s = orbit(SEED11)
     # row 0 live columns are 5 and 7: tape indices 5 and 7
     assert vector(s)[4] == 1 and vector(s)[6] == 1
-    assert s.successor_step(5) == (7, "E")
-    t, letter = s.successor_step(7)
-    assert (t, letter) == (19, "D")  # lands in row 1
+    letters = s.steps.letters[0]  # read at t - 1 mod P = 7
+    assert (successor(s, 5), letters[5 - 1]) == (7, "E")
+    assert (successor(s, 7), letters[7 - 1]) == (19, "D")  # lands in row 1
     # the inverse letters, read at the image, step back by their advance
     predecessor, co_predecessor = s.inverse_steps.letters
     assert predecessor[7 - 1] == "E" and 7 - step_advances(11)[0]["E"] == 5
@@ -43,12 +47,6 @@ def test_successor_and_co_successor_commute():
     live = [t for t in range(1, 7 * 11 + 1) if vector(s)[t - 1] == 1]
     for t in live:
         assert successor(s, co_successor(s, t)) == co_successor(s, successor(s, t))
-
-
-def test_steps_reject_dead_indices():
-    s = orbit(SEED11)
-    with pytest.raises(ValueError):
-        successor(s, 6)
 
 
 def _live(labels: list) -> list[int]:
@@ -85,11 +83,11 @@ def test_fibers_are_singletons():
 def test_step_failures_are_per_index():
     # not a sweep orbit: tape 10000010 repeating, live at residues 1 and 7
     s = Scroll(bytes([1, 0, 0, 0, 0, 0, 1, 0]), 4)
-    with pytest.raises(AssertionError, match="0 live candidates"):
-        s.successor_step(1)
-    with pytest.raises(ValueError):
-        s.successor_step(2)
-    assert s.co_successor_step(1) == (7, "L")
+    message = "successor of live index 1: 0 live candidates, expected 1"
+    assert str(s.not_unique(0, 1)) == message
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        s.period_cycles
+    assert co_successor(s, 1) == 7 and s.steps.letters[1][0] == "L"
 
 
 def reference_step_letters(bits: bytes, n: int, letters: str, sign: int) -> str:
@@ -182,3 +180,22 @@ def test_a_raising_builder_stores_nothing_and_raises_again(monkeypatch):
         with pytest.raises(AssertionError, match="^builder raised$"):
             s.steps
         assert "steps" not in vars(s) and len(calls) == expected
+
+
+def test_a_step_with_no_unique_letter_has_one_error():
+    # no module of the package names a step method, and the message of a
+    # step with no unique letter is written in one function, Scroll.not_unique
+    named, writers = [], set()
+    for path in sorted(Path(scroll.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        named += [path.stem] if "successor_step" in source else []
+        tree = ast.parse(source)
+        owner = owners(tree)
+        writers |= {
+            (path.stem, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and "live candidates, expected 1" in str(node.value)
+        }
+    assert named == []
+    assert writers == {("scroll", "Scroll.not_unique")}

@@ -538,7 +538,7 @@ def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
     """A scroll of tape period P = len(succ) whose steps are given by their
     advances per offset r = t - 1 mod P (None on dead residues), with its
     steps and tape, one period of m*n = P residues, given in the test's own
-    arithmetic for the oracle."""
+    arithmetic: the oracle steps it by those advances (`oracles.step`)."""
     period = len(succ)
     s = SimpleNamespace(
         steps=StepTable(None, (succ, co_succ)),  # no letters: only advances are read
@@ -547,8 +547,6 @@ def _advances_scroll(succ: list, co_succ: list) -> SimpleNamespace:
         unit=bytes(d is not None for d in succ),
         m=1,
         n=period,
-        successor_step=lambda t: (t + succ[(t - 1) % period], None),
-        co_successor_step=lambda t: (t + co_succ[(t - 1) % period], None),
     )
     s.period_cycles = Scroll.period_cycles.func(s)
     return s
