@@ -548,14 +548,16 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
     omega where all six laws pass only adds to a count, as a passing law
     costs `check_scroll` one entry: the count is yielded as one (law,
     omegas, ()) entry per law before the next omega with a failure and
-    after the last.  An omega with a failure
-    yields one (law, 1, failure details) entry per law, so the violations
+    after the last.  An omega with a failure has one tuple of failure
+    details, one per law in `_OMEGA_LAWS` order, each None for a pass, and
+    yields one (law, 1, details) entry per law from it, so the violations
     keep their omega order, and within one omega the law order, and
-    `passed` its totals and key order.  A swallow that raises ends that
-    omega after the swallow's entry.  A fault that raises out of an omega
-    propagates once the omegas before it are tallied: the raising omega's
-    own laws are not.  The evidence is kept as records, formatted only
-    where read.
+    `passed` its totals and key order.  A swallow that raises cuts the
+    tuple to its first two details, the counts' and the swallow's, so
+    that omega ends after the swallow's entry.  A fault that raises out of
+    an omega propagates once the omegas before it are tallied: the raising
+    omega's own laws are not.  The evidence is kept as records, formatted
+    only where read.
 
     Every value that does not read eta is a function of omega mod P_omega
     (`tables.omega_period`): the lifted counts read omega through
@@ -580,8 +582,6 @@ def check_tables(s: Scroll, omega_max: int, rep: VerificationReport) -> None:
 def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[Law]:
     """The laws of `check_tables` on s, yielded as it describes; the
     evidence lists of rep are appended to as the tables are read."""
-    counts_law, swallow_law, order_law, colour_law, powers_law, torsor_law = _OMEGA_LAWS
-
     reason = "steps are not maps" if not s.steps_are_maps else _uncovered(s)
     if reason:
         yield "table laws skipped", 0, (f": {reason}",)
@@ -604,16 +604,19 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
 
     def periodic(omega: int, size: int) -> list:
         """The values of the omega-fold table of size residues that read
-        omega only through omega mod P_omega: [bar_alpha, bar_beta, counts
-        verdict, swallow verdict or the error the shifts raised, colour
-        error text or None, power identity verdict, torsor verdict (None,
-        filled in where bar_beta | eta)]."""
+        omega only through omega mod P_omega: [bar_alpha, bar_beta, the
+        tuple of failure details of the counts, swallow, colour and power
+        identity laws, torsor verdict (None, filled in where bar_beta |
+        eta)].  A detail is None for a pass, or else what the violation
+        says after "omega=..."; where the swallow shifts raise, the tuple
+        is cut to its first two details, the swallow's the raise's
+        message."""
         alpha, beta = lifted_counts(s, omega * fold)
-        counts = (alpha, beta) == predicted_counts(s, omega)
+        counts = None if (alpha, beta) == predicted_counts(s, omega) else ""
         try:
             shifts = swallow_shift(s, 0, size), swallow_shift(s, 1, size)
         except AssertionError as exc:
-            return [alpha, beta, counts, exc, None, None, None]
+            return [alpha, beta, (counts, f": {exc}"), None]
         # a shift k of L labels has gcd(k, L) cycles, each of length
         # L / gcd(k, L): cycle type (deg p,)*bar_alpha iff gcd(k, L) = bar_alpha
         swallows = gcd(shifts[0], snake_count) == alpha and gcd(shifts[1], cosnake_count) == beta
@@ -621,12 +624,13 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
             color_preserving(s, omega, size, alpha, beta, shifts)
             colour = None
         except AssertionError as exc:
-            colour = str(exc)
+            colour = f": {exc}"
         cut_slither, cut_coslither = table_words(s, alpha, beta)
         powers_up = cyclically_equal(
             cut_slither * (cosnake_count // beta), slither
         ) and cyclically_equal(cut_coslither * (snake_count // alpha), coslither)
-        return [alpha, beta, counts, swallows, colour, powers_up, None]
+        details = counts, None if swallows else "", colour, None if powers_up else ""
+        return [alpha, beta, details, None]
 
     # the values of periodic, computed once per omega mod P_omega; clean
     # counts the passing omegas not yet tallied
@@ -637,9 +641,8 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
             known = memo.get(omega % period)
             if known is None:
                 known = memo[omega % period] = periodic(omega, size)
-            alpha, beta, counts, swallows, colour, powers_up, torsor = known
-            raised = isinstance(swallows, AssertionError)
-            if not raised:
+            alpha, beta, failed, torsor = known
+            if len(failed) == 4:  # the swallow shifts did not raise
                 factors = group_factors(s, eta, alpha, beta)
                 order = factors[0] * factors[1]
                 if order == eta:
@@ -658,23 +661,17 @@ def _table_laws(s: Scroll, omega_max: int, rep: VerificationReport) -> Iterator[
                 if eta % beta:
                     torsor = _is_torsor(s, size, beta, eta // beta)
                 elif torsor is None:
-                    torsor = known[6] = _is_torsor(s, size, beta, eta // beta)
-                if counts and swallows and order == eta and colour is None and powers_up and torsor:
+                    torsor = known[3] = _is_torsor(s, size, beta, eta // beta)
+                if order == eta and torsor and failed == (None, None, None, None):
                     clean += 1
                     continue
+                counts, swallows, colour, powers = failed
+                grouped = None if order == eta else f": group order {order} != live count {eta}"
+                failed = counts, swallows, grouped, colour, powers, None if torsor else ""
             yield from _passes(clean)
             clean = 0
-            at = f" omega={omega}"
-            yield counts_law, 1, () if counts else (at,)
-            if raised:
-                yield swallow_law, 1, (f"{at}: {swallows}",)
-                continue
-            yield swallow_law, 1, () if swallows else (at,)
-            failed = (f"{at}: group order {order} != live count {eta}",) if order != eta else ()
-            yield order_law, 1, failed
-            yield colour_law, 1, (f"{at}: {colour}",) if colour is not None else ()
-            yield powers_law, 1, () if powers_up else (at,)
-            yield torsor_law, 1, () if torsor else (at,)
+            for law, detail in zip(_OMEGA_LAWS, failed):
+                yield law, 1, () if detail is None else (f" omega={omega}{detail}",)
     except Exception:
         # a fault raised at this omega: the omegas before it still count
         yield from _passes(clean)

@@ -1,11 +1,14 @@
 """Mutation check: does tier-1 notice a one-site change to a module?
 
     python tests/mutants.py MODULE [FUNCTION ...]
+    python tests/mutants.py --changed REV
 
 MODULE names a module of src/snakescroll (`scroll` or `scroll.py`); each
 FUNCTION names a function or method in it (`ids` or `Scroll.ids`), and
-with none given every site of the module is mutated.  Each mutant changes
-one site of the module's syntax tree (stdlib `ast` only):
+with none given every site of the module is mutated.  With --changed, each
+module is run on the functions whose code differs from the module's at the
+git revision REV (`changed`), and a module with none is not run.  Each
+mutant changes one site of the module's syntax tree (stdlib `ast` only):
 
 - + and - swapped, * and // swapped, % turned into //;
 - a comparison flipped (< and >=, > and <=, == and !=, is and is not,
@@ -23,7 +26,8 @@ TIMEOUT seconds.  A mutant is killed when the run fails, survives when it
 passes, and times out when it is stopped.  Each survivor is printed with
 its line, function and mutation, and with its reason where
 tests/mutants_accepted.txt lists it as accepted; then the killed,
-survived and timed-out counts.  Exits 1 when a survivor is not accepted.
+survived and timed-out counts, per module run.  Exits 1 when a survivor
+is not accepted.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "snakescroll"
@@ -73,17 +78,41 @@ SWAPS = {
 }
 
 
-def owners(tree: ast.Module) -> dict[int, str]:
-    """Per node of a function or method of tree (by id), the function's
-    name, qualified by its class for a method."""
-    owner = {}
+def functions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef]]:
+    """Each function of tree at top level and each method of its classes,
+    with its name, qualified by its class for a method; a nested function
+    is part of the function it is in."""
     for node in tree.body:
         inner = node.body if isinstance(node, ast.ClassDef) else [node]
         for f in inner:
             if isinstance(f, ast.FunctionDef):
-                name = f"{node.name}.{f.name}" if f is not node else f.name
-                owner.update((id(sub), name) for sub in ast.walk(f))
-    return owner
+                yield (f"{node.name}.{f.name}" if f is not node else f.name), f
+
+
+def owners(tree: ast.Module) -> dict[int, str]:
+    """Per node of a function or method of tree (by id), the function's
+    name as `functions` names it."""
+    return {id(sub): name for name, f in functions(tree) for sub in ast.walk(f)}
+
+
+def code(f: ast.FunctionDef) -> str:
+    """The `ast.dump` of f with the docstrings of f and of every function
+    and class in it left out: what a change to f's code changes, and a
+    move or a docstring edit does not.  Drops the docstrings from f."""
+    for node in ast.walk(f):
+        documented = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if documented and ast.get_docstring(node) is not None:
+            node.body = node.body[1:]
+    return ast.dump(f)
+
+
+def changed(source: str, before: str) -> list[str]:
+    """The functions of source, named as `functions` names them, whose
+    `code` differs from that of the function of the same name in before,
+    an earlier source of the module ("" for none): so a new function is
+    one of them."""
+    old = {name: code(f) for name, f in functions(ast.parse(before))}
+    return [name for name, f in functions(ast.parse(source)) if old.get(name) != code(f)]
 
 
 def sites(source: str, names: list[str]) -> list[tuple[int, int, int, str]]:
@@ -196,11 +225,11 @@ def tier1(copy: Path) -> str:
     return "survived" if code == 0 else "killed"
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    module, names = argv[0].removesuffix(".py"), argv[1:]
+def run(module: str, names: list[str]) -> int:
+    """Mutate the functions named by names in module (every site where
+    names is empty), as the module docstring describes, and print the
+    outcome: 0 when every survivor is accepted, 1 when one is not, 2 when
+    tier-1 fails on the unmutated module."""
     source = (ROOT / PACKAGE / f"{module}.py").read_text()
     found, reasons = sites(source, names), accepted()
     print(f"{module}: {len(found)} mutants", flush=True)
@@ -229,6 +258,32 @@ def main(argv: list[str]) -> int:
     summary = ", ".join(f"{count} {outcome}" for outcome, count in counts.items())
     print(f"{summary} ({counts['survived'] - unaccepted} accepted) in {took:.0f} s")
     return 1 if unaccepted else 0
+
+
+def at_revision(rev: str, module: str) -> str:
+    """The source of module at the git revision rev, "" where it had none."""
+    path = (PACKAGE / f"{module}.py").as_posix()
+    shown = subprocess.run(["git", "show", f"{rev}:{path}"], cwd=ROOT, capture_output=True)
+    return shown.stdout.decode() if shown.returncode == 0 else ""
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--changed"] and len(argv) == 2:
+        rev = argv[1]
+        commit = ["git", "rev-parse", "--verify", "-q", f"{rev}^{{commit}}"]
+        if subprocess.run(commit, cwd=ROOT, stdout=subprocess.DEVNULL).returncode:
+            raise SystemExit(f"no revision {rev}")
+        outcome = 0
+        for path in sorted((ROOT / PACKAGE).glob("*.py")):
+            names = changed(path.read_text(), at_revision(rev, path.stem))
+            if names:
+                print(f"{path.stem} changed since {rev}: {' '.join(names)}", flush=True)
+                outcome = max(outcome, run(path.stem, names))
+        return outcome
+    if not argv or argv[0].startswith("-"):
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
+        return 2
+    return run(argv[0].removesuffix(".py"), argv[1:])
 
 
 if __name__ == "__main__":

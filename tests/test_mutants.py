@@ -3,7 +3,7 @@
 import ast
 import re
 
-from mutants import PACKAGE, ROOT, accepted
+from mutants import PACKAGE, ROOT, accepted, changed
 
 # "module function: `before` -> `after`", as tests/mutants.py prints a mutant
 ENTRY = re.compile(r"(\w+) ([\w.]+): `(.*?)` -> `")
@@ -55,3 +55,73 @@ def test_a_stale_entry_is_named():
         "m h: `x` -> `y`",  # no function h
     ]
     assert stale(entries, {"m": source}.get) == [entries[1], entries[3], entries[4]]
+
+
+def test_the_functions_whose_code_changed_are_selected():
+    before = '''
+def same(x):
+    return x + 1
+
+
+def edited(x):
+    return x * 2
+
+
+def documented(x):
+    """Old words."""
+
+    def inner(y):
+        """Old inner words."""
+        return y
+
+    return inner(x)
+
+
+class C:
+    def method(self):
+        return 1
+
+    def nested(self):
+        def inner():
+            return 1
+
+        return inner()
+'''
+    after = '''
+class C:
+    def nested(self):
+        def inner():
+            return 2
+
+        return inner()
+
+    def method(self):
+        return 1
+
+
+def documented(x):
+    """New words, and more of them."""
+
+    def inner(y):
+        return y
+
+    return inner(x)
+
+
+def edited(x):
+    return x // 2
+
+
+def added(x):
+    return x
+
+
+def same(x):
+    return x + 1
+'''
+    # moved (`same`, `C.method`) or only its docstrings edited
+    # (`documented`): not selected; a changed body, a nested function's
+    # included (`C.nested`), and a new function are
+    assert changed(after, before) == ["C.nested", "edited", "added"]
+    assert changed(after, "") == ["C.nested", "C.method", "documented", "edited", "added", "same"]
+    assert changed(before, before) == []

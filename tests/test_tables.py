@@ -124,6 +124,16 @@ def test_report_table_fields_match_oracles():
     assert tables == 54
 
 
+def test_report_writes_a_trivial_group_as_one_factor(monkeypatch):
+    # no table has a trivial group, as eta is at least the live count, at
+    # least 2 on every orbit, so a fault stands in for one: it is Z_1,
+    # written [1], not an empty list
+    monkeypatch.setattr("snakescroll.report.group_factors", lambda *args: (1, 1))
+    report = orbit_report(orbit("00100"), 1)
+    assert report["invariantFactors"] == [1]
+    assert not report["agreement"]["groupOrderMatchesEta"]
+
+
 def test_running_example_group():
     s = orbit(SEED11)
     factors = group_factors(s, s.live_count, *table_counts(s, 1))
