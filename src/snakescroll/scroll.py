@@ -33,10 +33,6 @@ n (`slither.step_advances`).  A step at t reads its letter and advance at
 (t - 1) mod P, and a live t with no unique letter has one error, its
 step's (`Scroll.not_unique`).  Only the laws of `verify` read the inverse
 steps, so a scroll that is only rendered or reported never builds them.
-The walk of one slither (co-slither) from the first live offset, its
-offsets t - 1 and letters, is read straight off the forward table and
-kept once per scroll (`Scroll.slither_walk`, `Scroll.coslither_walk`):
-the simulation laws, the swallows and the orbit report read it.
 
 Snakes and co-snakes are the cycles of the successor and co-successor
 mod sigma, the advance of a full slither, and ouroboroi those mod the size
@@ -46,7 +42,14 @@ maps once, mod P, on the offsets r = t - 1 its steps read (`walk_cycles`,
 read as `Scroll.period_cycles`), stepping a live residue r by its step
 advance: per live residue it gives its cycle and its lift, per cycle the
 path it walked and its winding.  Every cycle mod M is read off those
-cycles through the covering map Z/M -> Z/P.
+cycles through the covering map Z/M -> Z/P, and so is the walk of one
+slither (co-slither) from the first live offset, its offsets t - 1 and
+letters, kept once per scroll (`Scroll.slither_walk`,
+`Scroll.coslither_walk`) for the simulation laws, the swallows and the
+orbit report: cycle 0 of each map passes through that offset, and the
+walk is its path read round, each lap adding the winding times P.
+Besides `walk_cycles`, only the free-affine-action and torsor laws of
+`verify` step a forward map.
 
 A cycle of a map mod P whose advances sum to w*P lifts to gcd(w, M/P)
 cycles mod M: the map commutes with the shift by P, so going once round
@@ -235,8 +238,8 @@ class Scroll:
     @cached_property
     def unit_live(self) -> list[int]:
         """The residues r of the unit whose entry X_(r+1) is live, ascending:
-        listed once, for `steps_are_maps`, the walks, the cycles and the
-        laws of `verify`."""
+        listed once, for `steps_are_maps`, the metrics window, the cycles
+        and the laws of `verify`."""
         unit = self.unit
         return list(compress(range(len(unit)), unit))
 
@@ -345,7 +348,8 @@ class Scroll:
     @cached_property
     def slither_walk(self) -> tuple[list[int], str]:
         """The offsets and letters of beta successor steps from the first
-        live offset: a slither meets each co-snake once."""
+        live offset, read off the successor's cycle through it (`_walk`):
+        a slither meets each co-snake once."""
         return self._walk(0, self.snakes.beta)
 
     @cached_property
@@ -368,17 +372,18 @@ class Scroll:
     def _walk(self, step: int, count: int) -> tuple[list[int], str]:
         """The offsets t - 1 and letters of count steps of the successor
         (step 0) or co-successor (1) from the first live offset, read off
-        the step advances and letters.  Both walks read `snakes` for their
-        count first, and its cycles (`period_cycles`) raise on a live
-        residue without an advance and on a step onto a dead one, so a
-        walk meets an advance at every step."""
-        letters, advances = self.steps.letters[step], self.steps.advances[step]
-        period = len(letters)
-        v, offsets = self.unit_live[0], []
-        for _ in range(count):
-            offsets.append(v)
-            v += advances[v % period]
-        return offsets, "".join([letters[v % period] for v in offsets])
+        that map's cycle 0 mod P (`period_cycles`), the cycle through the
+        first live offset, where its walk starts: with path p of l offsets
+        and winding w, offset k is p[k mod l] + (k // l)*w*P, and its letter
+        the step letter at that offset mod P.  Nothing is stepped: a walk
+        longer than l runs round the cycle again, one winding further on
+        the tape.  Both walks read `snakes` for their count first, and its
+        cycles raise on a live residue without an advance and on a step
+        onto a dead one, so every letter read is a step letter."""
+        path, w = self.period_cycles[step][2][0]
+        letters, lap = self.steps.letters[step], len(path)
+        offsets = [path[k % lap] + k // lap * w * len(letters) for k in range(count)]
+        return offsets, "".join([letters[v % len(letters)] for v in offsets])
 
     def not_unique(self, which: int, t: int) -> AssertionError:
         """The error of the successor (which = 0) or co-successor (1) at the

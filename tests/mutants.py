@@ -22,7 +22,8 @@ re-emitted unchanged by `ast.unparse` must pass tier-1 there first, less
 the check of line lengths, which the re-emitted source does not keep, and
 the check of the accepted survivors' source text, which it rewrites; then
 each mutant is written over it and tier-1 runs with `-x` and a timeout of
-TIMEOUT seconds.  A mutant is killed when the run fails, survives when it
+TIMEOUT seconds, its test files in one fixed order with the slowest last
+(`tier1_files`).  A mutant is killed when the run fails, survives when it
 passes, and times out when it is stopped.  Each survivor is printed with
 its line, function and mutation, and with its reason where
 tests/mutants_accepted.txt lists it as accepted; then the killed,
@@ -55,6 +56,12 @@ LAYOUT = "tests/test_line_length.py::test_no_line_is_longer_than_100_characters"
 LISTED = "tests/test_mutants.py::test_every_accepted_survivor_names_code_that_is_there"
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TIER1 += ["--deselect", LAYOUT, "--deselect", LISTED]
+# tier-1's test files run in name order, less these, which run last in this
+# order: the acceptance and pin tests run the laws over the widest ranges,
+# so a mutant that only slows them (a larger omega-period, say) fails a
+# structural test such as `test_tables.py::test_largest_omega_period` in
+# seconds before they can run it to the timeout
+LAST = ("test_acceptance.py", "test_pins.py")
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench")
 
 SWAPS = {
@@ -205,11 +212,19 @@ def accepted() -> dict[str, str]:
     return reasons
 
 
+def tier1_files(copy: Path) -> list[str]:
+    """Tier-1's test files in copy, as paths from copy, in the order each
+    run passes them to pytest: by name, with those of LAST after the rest."""
+    names = sorted(path.name for path in (copy / "tests").glob("test_*.py"))
+    return [f"tests/{name}" for name in [x for x in names if x not in LAST] + list(LAST)]
+
+
 def tier1(copy: Path) -> str:
-    """Run tier-1 with -x in copy: "killed", "survived" or "timed out"."""
+    """Run tier-1 with -x in copy, its test files in `tier1_files` order:
+    "killed", "survived" or "timed out"."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     with subprocess.Popen(
-        TIER1,
+        TIER1 + tier1_files(copy),
         cwd=copy,
         env=env,
         stdout=subprocess.DEVNULL,

@@ -11,10 +11,10 @@ from snakescroll.report import orbit_report
 from snakescroll.scroll import Scroll, StepTable, walk_cycles
 
 from oracles import (
-    co_successor,
+    STEP_SHAPE,
     live_residues,
     relabelled,
-    successor,
+    step,
     vector,
     walked_counts,
     walked_labels,
@@ -147,19 +147,41 @@ def test_ids_match_walked_cycles_below_and_past_sigma():
 
 
 def test_walks_are_the_oracle_steps_from_the_first_live_offset():
-    # the slither (co-slither) walk of every orbit with n <= 13 is beta
+    # the slither (co-slither) walk of every orbit with n <= 16 is beta
     # successor (alpha co-successor) steps from the first live offset,
-    # kept as offsets t - 1
-    for n in range(2, 14):
+    # kept as offsets t - 1, and each letter's shape in the oracle's
+    # STEP_SHAPE moves the tape as its step does (a shape, not a letter,
+    # is what a step fixes: at n = 2 and 3 two shapes share an advance).
+    # 22 slither and 77 co-slither walks meet a residue mod P twice, so
+    # they run past one lap of the cycle mod P they are read off
+    past = [0, 0]
+    for n in range(2, 17):
         for s in all_orbits(n):
-            for (offsets, _), step, count in zip(
-                (s.slither_walk, s.coslither_walk), (successor, co_successor), s.snakes[::-1]
-            ):
+            walks = s.slither_walk, s.coslither_walk
+            for which, ((offsets, letters), count) in enumerate(zip(walks, s.snakes[::-1])):
                 t, stepped = vector(s).index(1) + 1, []
                 for _ in range(count):
                     stepped.append(t - 1)
-                    t = step(s, t)
+                    t = step(s, which, t)
                 assert offsets == stepped, s.seed
+                moves = [b - a for a, b in zip(stepped, stepped[1:] + [t - 1])]
+                assert [rows * n + cols for rows, cols in map(STEP_SHAPE.get, letters)] == moves
+                past[which] += len({v % len(s.unit) for v in stepped}) < count
+    assert past == [22, 77]
+
+
+def test_walks_read_the_cycles_alone():
+    # once the cycles mod P are walked, the slither and co-slither walks
+    # are read off them: zeroing every forward advance after that leaves
+    # both walks as a scroll with its advances gives them
+    for n in range(2, 11):
+        for o in all_orbits(n):
+            s, intact = Scroll(o.unit, n), Scroll(o.unit, n)
+            s.period_cycles
+            letters, advances = s.steps
+            vars(s)["steps"] = StepTable(letters, tuple([0] * len(row) for row in advances))
+            assert s.slither_walk == intact.slither_walk, s.seed
+            assert s.coslither_walk == intact.coslither_walk, s.seed
 
 
 def test_lifted_counts_match_walked_cycles():

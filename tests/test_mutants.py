@@ -1,9 +1,10 @@
-"""Each accepted survivor of the mutation check names code that is there."""
+"""The mutation check's tool: each accepted survivor names code that is there,
+and each run selects the changed functions and orders the test files as stated."""
 
 import ast
 import re
 
-from mutants import PACKAGE, ROOT, accepted, changed
+from mutants import LAST, PACKAGE, ROOT, accepted, changed, tier1_files
 
 # "module function: `before` -> `after`", as tests/mutants.py prints a mutant
 ENTRY = re.compile(r"(\w+) ([\w.]+): `(.*?)` -> `")
@@ -125,3 +126,9 @@ def same(x):
     assert changed(after, before) == ["C.nested", "edited", "added"]
     assert changed(after, "") == ["C.nested", "C.method", "documented", "edited", "added", "same"]
     assert changed(before, before) == []
+
+
+def test_each_mutant_run_passes_every_test_file_with_the_slow_ones_last():
+    files = tier1_files(ROOT)
+    assert sorted(files) == sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py"))
+    assert files[-len(LAST) :] == [f"tests/{name}" for name in LAST]

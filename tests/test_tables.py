@@ -316,6 +316,12 @@ def _periodic_values(s, omega: int) -> tuple:
     return (alpha, beta), shifts, conditions
 
 
+def test_largest_omega_period():
+    # the largest P_omega of the orbits with n <= 16; before the test that
+    # walks every omega <= P_omega, so a larger P_omega fails here at once
+    assert max(omega_period(s) for n in range(2, 17) for s in all_orbits(n)) == 45
+
+
 def test_omega_period_repeats_the_walked_table_values():
     # oracle: on every orbit with n <= 11, the counts walked mod the table
     # size, the swallow shifts and the five colour conditions agree at
@@ -327,11 +333,6 @@ def test_omega_period_repeats_the_walked_table_values():
         for omega in range(1, period + 1):
             later = _periodic_values(s, omega + period)
             assert _periodic_values(s, omega) == later, (s.seed, omega)
-
-
-def test_largest_omega_period():
-    # the largest P_omega of the orbits with n <= 16
-    assert max(omega_period(s) for n in range(2, 17) for s in all_orbits(n)) == 45
 
 
 def test_crossed_degree_divisibility():
